@@ -849,6 +849,19 @@ def _add_serve_args(p) -> None:
                    help="keep serving after the command finishes")
 
 
+def _engine_parent() -> argparse.ArgumentParser:
+    """``--engine`` for every verb that runs a system.
+
+    A fresh parent per verb: argparse shares a parent's action objects
+    with its children, so ``set_defaults`` on one verb (``profile``)
+    would otherwise change the default of all of them.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--engine", default="cycle",
+                        choices=("cycle", "columnar"))
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -959,11 +972,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help=_EXPERIMENTS["calibrate"])
     p.add_argument("--benchmark", default=None, choices=BENCHMARK_NAMES)
 
-    p = sub.add_parser("trace", help=_EXPERIMENTS["trace"])
+    p = sub.add_parser("trace", help=_EXPERIMENTS["trace"],
+                       parents=[_engine_parent()])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event JSON output path")
     p.add_argument("--jsonl", default=None, metavar="PATH",
@@ -974,21 +986,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of "
                         + ",".join(ALL_CATEGORIES))
 
-    p = sub.add_parser("stats", help=_EXPERIMENTS["stats"])
+    p = sub.add_parser("stats", help=_EXPERIMENTS["stats"],
+                       parents=[_engine_parent()])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--interval", type=int, default=1024,
                    help="cycles between metric samples")
     p.add_argument("--rows", type=int, default=8,
                    help="sampled rows to print (tail)")
 
-    p = sub.add_parser("run", help=_EXPERIMENTS["run"])
+    p = sub.add_parser("run", help=_EXPERIMENTS["run"],
+                       parents=[_engine_parent()])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
@@ -1007,11 +1017,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="event ring capacity")
     _add_serve_args(p)
 
-    p = sub.add_parser("serve", help=_EXPERIMENTS["serve"])
+    p = sub.add_parser("serve", help=_EXPERIMENTS["serve"],
+                       parents=[_engine_parent()])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--host", default="127.0.0.1",
@@ -1038,11 +1047,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=65536,
                    help="event ring capacity")
 
-    p = sub.add_parser("profile", help=_EXPERIMENTS["profile"])
+    p = sub.add_parser("profile", help=_EXPERIMENTS["profile"],
+                       parents=[_engine_parent()])
+    p.set_defaults(engine="columnar")
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="columnar",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -1050,22 +1059,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="also write the OpenMetrics exposition here")
 
-    p = sub.add_parser("resume", help=_EXPERIMENTS["resume"])
+    p = sub.add_parser("resume", help=_EXPERIMENTS["resume"],
+                       parents=[_engine_parent()])
     p.add_argument("snapshot", help="snapshot file written by 'repro run'")
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--cycles", type=int, default=0,
                    help="additional cycles to run")
     p.add_argument("--until", type=int, default=0, metavar="CYCLE",
                    help="absolute cycle to run to (for digest comparison "
                         "against an uninterrupted 'repro run')")
 
-    p = sub.add_parser("faults", help=_EXPERIMENTS["faults"])
+    p = sub.add_parser("faults", help=_EXPERIMENTS["faults"],
+                       parents=[_engine_parent()])
     p.add_argument("--scenario", required=True,
                    help="one of: livelock, flood, saturate, degrade, "
                         "epoch-stress, malformed-trace")
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
     p.add_argument("--cycles", type=int, default=0,
                    help="override the scenario's default run length")
     p.add_argument("--dump", default=None, metavar="PATH",

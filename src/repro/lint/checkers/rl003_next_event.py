@@ -1,9 +1,9 @@
 """RL003: every ``tick()``-able component must publish its next event.
 
-The next-event engine (DESIGN.md §4) may only jump the clock when it
+The columnar engine (DESIGN.md §4) may only jump the clock when it
 knows a sound lower bound on each component's next state change.  A
 class that defines ``tick()`` but not ``next_event_cycle()`` is a trap:
-under ``engine="cycle"`` it works, under ``engine="next_event"`` the
+under ``engine="cycle"`` it works, under ``engine="columnar"`` the
 engine cannot see its pending work and silently freezes it across a
 skip — precisely the divergence the bit-identical guarantee forbids.
 

@@ -18,7 +18,7 @@ project:
   and creation cycles, per-epoch demand counters;
 * **sinks** — the shaper layer's timing surface: every
   ``repro.core.*`` ``next_event_cycle``/``earliest_*``/
-  ``can_release_*`` return, the columnar horizon reductions, and
+  ``can_release_*`` return, the columnar horizon reduction, and
   writes to the timing registers (``_next_slot``,
   ``_jitter_hold_until``, ``_next_replenish``, ``_last_release``);
 * **sanitizers** — the sanctioned credit/bin/epoch interfaces
@@ -64,8 +64,7 @@ _SINK_RETURNS = [
     "repro.core.*.earliest_fake_release",
     "repro.core.*._earliest_eligible",
     "repro.core.*.can_release_*",
-    "repro.sim.columnar.ColumnarEngine._min_horizon",
-    "repro.sim.columnar.ColumnarEngine._next_target",
+    "repro.sim.columnar.ColumnarEngine.next_target",
 ]
 
 #: Class-qualified on purpose: ``FixedServiceScheduler`` keeps its own

@@ -1,10 +1,10 @@
 """RL008: columnar station mutations must be paired with dirty-marks.
 
-The columnar engine (PR 6, ``repro/sim/columnar.py``) only re-polls
-``next_event_cycle`` for ledger rows whose ``dirty`` flag is set; a
+The columnar engine (``repro/sim/columnar.py``) only re-polls
+``next_event_cycle`` for horizon rows whose ``dirty`` flag is set; a
 station mutation that is not paired with a dirty-mark leaves a stale
 cached horizon, and the engine silently schedules off it — the
-bit-identity guarantee against ``engine="next_event"`` breaks in a
+bit-identity guarantee against ``engine="cycle"`` breaks in a
 way no local (per-function) check can see when the mutation happens
 through a helper.
 

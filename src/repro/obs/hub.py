@@ -36,12 +36,10 @@ class ObservabilityConfig:
     :data:`~repro.obs.events.ALL_CATEGORIES`).  ``sample_interval``
     enables the metrics time-series at that cycle period.  ``monitor``
     enables the live shaping monitor.  ``noc_grant_trace_limit``
-    bounds the NoC channels' adversary-visible grant traces — the
-    observability-owned successor of the deprecated
-    ``with_noc(trace_limit=...)`` knob.  ``profile`` enables the
-    deterministic engine self-profiler (:mod:`repro.obs.profile`);
-    its counters live outside reports/digests, so turning it on never
-    perturbs results.
+    bounds the NoC channels' adversary-visible grant traces.
+    ``profile`` enables the deterministic engine self-profiler
+    (:mod:`repro.obs.profile`); its counters live outside
+    reports/digests, so turning it on never perturbs results.
     """
 
     trace: bool = False

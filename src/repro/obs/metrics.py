@@ -9,7 +9,7 @@ Engine correctness
 ------------------
 
 The sampler must produce the *same* series under ``engine="cycle"``
-and ``engine="next_event"``.  The per-cycle engine calls
+and ``engine="columnar"``.  The per-cycle engine calls
 :meth:`IntervalSampler.advance` at the end of every tick; the
 next-event engine additionally calls :meth:`IntervalSampler.fill`
 when it jumps the clock over a span in which no component can change

@@ -5,13 +5,13 @@ phases so perf PRs can show *what changed* rather than just a total
 wall-time delta:
 
 * cycle accounting — simulated cycles split into *stepped* (a real
-  ``tick`` ran) and *skipped* (a next-event/columnar span jump), with
+  ``tick`` ran) and *skipped* (a columnar span jump), with
   a span-length histogram of every skip;
 * per-station work — under the columnar engine, how many times each
   station's kernel actually ran vs. how many scheduled slots it
   skipped (cores, request/response shaper paths, NoC links, memory
   controller, fault injector);
-* engine internals — columnar dirty-row re-polls, horizon-ledger
+* engine internals — columnar dirty-row re-polls, horizon-list
   refreshes, and fallback-to-full-tick events (the injector path that
   abandons columnar stepping for a cycle);
 * degradation context — the rollup folds in the shaping monitor's
@@ -22,8 +22,8 @@ Determinism contract
 --------------------
 
 Everything above is **integer arithmetic on simulated cycles** and is
-bit-identical across the ``cycle``, ``next_event`` and ``columnar``
-engines' *shared quantities* (total simulated cycles); engine-specific
+bit-identical across the ``cycle`` and ``columnar`` engines' *shared
+quantities* (total simulated cycles); engine-specific
 quantities (skip spans, station skips) describe the engine, not the
 simulated hardware, and are intentionally engine-variant.  None of it
 enters reports, traces, samples or digests: the profiler keeps its own
@@ -123,7 +123,7 @@ class EngineProfiler:
     # -- engine hooks (integer cycle arithmetic only) ------------------------
 
     def record_skip(self, span: int) -> None:
-        """A clock jump of ``span`` cycles landed (next_event/columnar)."""
+        """A clock jump of ``span`` cycles landed (columnar)."""
         if span <= 0:
             return
         self.skipped_cycles += span

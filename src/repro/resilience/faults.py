@@ -2,14 +2,14 @@
 
 Each fault is a frozen *spec* naming when and how hard to hit the
 system; a :class:`FaultInjector` executes all specs deterministically
-at the start of each tick (``System.tick`` calls
+at the start of each tick (``repro.sim.columnar.tick`` calls
 :meth:`FaultInjector.on_cycle` before any component runs, so the
 injection order relative to normal work is fixed and identical under
 both engines).  The injector also participates in the next-event
 protocol: it reports its upcoming injection cycles and pins the system
 to per-cycle stepping while a fault is actively mutating state, which
 keeps fault runs bit-identical between ``engine="cycle"`` and
-``engine="next_event"``.
+``engine="columnar"``.
 
 The harness exists to *prove* the resilience contract: every injected
 adversity must end in a typed error (e.g.

@@ -1,31 +1,34 @@
-"""Columnar next-event engine: batched horizon ledger, selective ticks.
+"""The simulation engines: one run loop, two ways to step a cycle.
 
-``System.run(engine="next_event")`` (PR 1) skips idle *spans* but still
-advances events one Python object at a time inside each stepped cycle:
-every component is ticked and every ``next_event_cycle`` re-polled,
-even for stations that provably cannot act.  This module rebuilds that
-hot path around **columnar state**: one numpy structured array — the
-*horizon ledger* — holds every station's next-event horizon, dirty
-flag, kind and owning core, so the per-step scheduling decisions
-(the min-reduction that picks the next stepped cycle, the runnable
-set) operate on whole columns instead of a Python object walk.
+:func:`run` is the only run loop — resilience overrides, watchdog,
+checkpoint-boundary and watchdog-horizon caps, profiler bracket — and
+is parameterised only by how a cycle is stepped:
 
-Selected via ``System.run(engine="columnar")``.
+``engine="cycle"``
+    The reference.  :func:`tick` runs every station every cycle and
+    the clock never jumps.  The equivalence, snapshot and fingerprint
+    tests compare everything else against it.
+
+``engine="columnar"``
+    The skipper.  :class:`ColumnarEngine` caches every station's
+    ``next_event_cycle`` in a dirty-marked horizon list, runs only the
+    stations that are due or were fed on each stepped cycle, and jumps
+    the clock over spans in which no station can change state.
 
 Station model
 -------------
-Every pipeline stage of :meth:`System.tick` is a *station* with a row
-in the ledger::
+Every pipeline stage of :func:`tick` is a *station* with a row in the
+horizon list::
 
-    row      station              kind
-    -------  -------------------  ------------
-    0..n-1   cores                KIND_CORE
-    n..2n-1  request paths        KIND_REQ_PATH
-    2n       request link         KIND_REQ_LINK
-    2n+1     memory controller    KIND_CONTROLLER
-    2n+2..   response paths       KIND_RESP_PATH
-    3n+2     response link        KIND_RESP_LINK
-    3n+3     fault injector       KIND_INJECTOR   (only when wired)
+    row      station
+    -------  -------------------
+    0..n-1   cores
+    n..2n-1  request paths
+    2n       request link
+    2n+1     memory controller
+    2n+2..   response paths
+    3n+2     response link
+    3n+3     fault injector      (only when wired)
 
 Each stepped cycle runs a station iff its cached horizon is due
 (``horizon <= cycle``) **or** an upstream station fed it this cycle
@@ -33,39 +36,27 @@ Each stepped cycle runs a station iff its cached horizon is due
 request link; fresh enqueues feed the controller; egress pops feed a
 response path; any response path feeds the response link).  A station
 that runs — or receives input — is marked *dirty* and only dirty rows
-have ``next_event_cycle`` re-polled after the tick; clean horizons
-stay cached.  This is the fix for the ``min()``-over-stations scan:
-the per-cycle cost is proportional to the number of stations that
-actually changed, not the station count.
+have ``next_event_cycle`` re-polled after the step; clean horizons
+stay cached, so the per-cycle cost is proportional to the number of
+stations that actually changed, not the station count.
 
 Bit-identity
 ------------
-The engine is bit-identical to ``engine="next_event"`` (and therefore
-to ``engine="cycle"``) by construction:
+``columnar`` is bit-identical to ``cycle`` by construction:
 
-* The stepped-cycle sequence is identical: the skip decision uses the
-  same per-station ``next_event_cycle`` contracts, the same
-  cross-station couplings (staged requests the controller can take,
-  egress responses a path can buffer) and the same watchdog /
-  checkpoint caps as :meth:`System._next_event_target`.
-* Within a stepped cycle, stations run in exactly the
-  :meth:`System.tick` order; a *skipped* station's tick would have
-  been a pure no-op (its horizon is in the future and nothing fed it),
-  except for per-cycle bookkeeping — cores and request paths replay
-  that via their ``skip_idle(cycle, cycle + 1)`` contracts, exactly as
-  :meth:`System._skip_idle_span` does across longer spans.
+* A clock jump lands on the minimum cached horizon, and only when no
+  cross-station coupling has same-cycle work (staged requests the
+  controller can take, egress responses a path can buffer); the
+  skipped span is pure bookkeeping that :func:`skip_idle_span` replays
+  in closed form.
+* Within a stepped cycle, stations run in exactly the :func:`tick`
+  order; a *skipped* station's tick would have been a pure no-op (its
+  horizon is in the future and nothing fed it), except for per-cycle
+  bookkeeping — cores and request paths replay that via their
+  ``skip_idle(cycle, cycle + 1)`` contracts.
 * Any cycle on which the fault injector may act falls back to the full
-  :meth:`System.tick` (and marks every station dirty), so fault
-  scenarios execute the injection order unchanged.
-
-The min-reduction over the horizon column goes through
-:mod:`repro.sim._kernels`: numpy by default, a ``numba.njit`` loop
-when ``REPRO_NUMBA=1`` and numba is installed (graceful numpy fallback
-when it is not).  For small systems without a jit the engine uses a
-plain Python ``min`` over its scalar mirror of the column — numpy's
-per-call overhead beats its throughput below a few dozen rows — which
-is exact-integer either way, so engine output does not depend on the
-reduction path.
+  :func:`tick` (and marks every station dirty), so fault scenarios
+  execute the injection order unchanged.
 
 Scheduler contract note: skipping the controller on event-free cycles
 assumes ``Scheduler.tick`` is pure bookkeeping that tolerates not
@@ -75,48 +66,92 @@ scheduler's ``tick`` is a no-op hook.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
-import numpy as np
-
+from repro.common.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
 from repro.resilience.watchdog import Watchdog
-from repro.sim._kernels import NO_EVENT, get_kernels
 
-KIND_CORE = 0
-KIND_REQ_PATH = 1
-KIND_REQ_LINK = 2
-KIND_CONTROLLER = 3
-KIND_RESP_PATH = 4
-KIND_RESP_LINK = 5
-KIND_INJECTOR = 6
+#: Horizon of a station with no pending event; larger than any cycle,
+#: so it never wins the min-reduction against a real one.
+NO_EVENT = (1 << 63) - 1
 
-#: One ledger row per station.  ``horizon`` is the cached
-#: ``next_event_cycle`` (``NO_EVENT`` for "none"); ``dirty`` marks rows
-#: whose horizon must be re-polled; ``kind``/``core`` describe the
-#: station for diagnostics and batched per-kind selections.
-STATION_DTYPE = np.dtype(
-    [
-        ("horizon", np.int64),
-        ("dirty", np.bool_),
-        ("kind", np.uint8),
-        ("core", np.int16),
-    ]
-)
 
-# Below this station count a Python ``min`` over the scalar mirror is
-# faster than a numpy reduction (per-call overhead dominates); the
-# compiled kernel wins at any size.
-_VECTOR_MIN_CUTOFF = 32
+def tick(system) -> None:
+    """Advance every station of ``system`` by one cycle."""
+    cycle = system.current_cycle
+    if system._fault_hooks:
+        # Fault injection runs before any component so the order of
+        # injected work relative to normal work is fixed — identical
+        # under both engines.
+        system.resilience.injector.on_cycle(system, cycle)
+    for core in system.cores:
+        core.tick(cycle)
+    for path in system.request_paths:
+        path.tick(cycle)
+
+    controller = system.controller
+    staging = system._mc_staging
+    dest_ready = controller.can_accept() and not staging
+    if system._fault_hooks and system.resilience.injector.request_link_stalled(
+        cycle
+    ):
+        dest_ready = False
+    system.request_link.tick(cycle, dest_ready=dest_ready)
+    for txn in system.request_link.pop_arrivals(cycle):
+        staging.append(txn)
+    while staging and controller.can_accept():
+        controller.enqueue(staging.popleft(), cycle)
+
+    controller.tick(cycle)
+
+    for core_id, path in enumerate(system.response_paths):
+        # Drain only what the response path can buffer; the rest
+        # stays in the controller's bounded egress, throttling
+        # further service for this core (return-channel flow
+        # control).
+        while path.can_accept():
+            popped = controller.pop_responses(core_id, limit=1)
+            if not popped:
+                break
+            path.push_response(popped[0], cycle)
+        path.tick(cycle)
+
+    system.response_link.tick(cycle)
+    for txn in system.response_link.pop_arrivals(cycle):
+        system._deliver(txn, cycle)
+
+    if system._obs_cycle_hooks:
+        system.observability.on_cycle_end(cycle)
+
+    system.current_cycle = cycle + 1
+
+
+def skip_idle_span(system, target: int) -> None:
+    """Jump the clock to ``target``, replaying skipped bookkeeping."""
+    cycle = system.current_cycle
+    for core in system.cores:
+        core.skip_idle(cycle, target)
+    for path in system.request_paths:
+        skip = getattr(path, "skip_idle", None)
+        if skip is not None:
+            skip(cycle, target)
+    if system._obs_cycle_hooks:
+        # Sample boundaries inside [cycle, target) fall in a span
+        # with no state changes: fill them with the current probe
+        # values *before* the tick at ``target`` mutates anything.
+        system.observability.on_skip(target - 1)
+    system.current_cycle = target
 
 
 class ColumnarEngine:
-    """One ``run()`` window of a :class:`~repro.sim.system.System`.
+    """The ``columnar`` stepper for one :func:`run` window.
 
-    Built fresh per ``System.run(engine="columnar")`` call (systems can
-    be reconfigured between windows, e.g. by the GA), holds no state
-    the System's own snapshot/resume path needs — checkpoints pickle
-    the System exactly as under the other engines.
+    Built fresh per window (systems can be reconfigured between
+    windows, e.g. by the GA) and holds no state the System's own
+    snapshot/resume path needs — checkpoints pickle the System exactly
+    as under ``cycle``.
     """
 
     def __init__(self, system) -> None:
@@ -142,31 +177,8 @@ class ColumnarEngine:
         size = len(stations)
         self._size = size
 
-        ledger = np.zeros(size, dtype=STATION_DTYPE)
-        kinds = (
-            [KIND_CORE] * n
-            + [KIND_REQ_PATH] * n
-            + [KIND_REQ_LINK, KIND_CONTROLLER]
-            + [KIND_RESP_PATH] * n
-            + [KIND_RESP_LINK]
-        )
-        cores_col = (
-            list(range(n)) + list(range(n)) + [-1, -1] + list(range(n)) + [-1]
-        )
-        if self._inj is not None:
-            kinds.append(KIND_INJECTOR)
-            cores_col.append(-1)
-        ledger["kind"] = kinds
-        ledger["core"] = cores_col
-        ledger["horizon"] = NO_EVENT
-        ledger["dirty"] = True
-        self.ledger = ledger
-        self._col = ledger["horizon"]
-
-        # Scalar mirrors of the ledger columns.  The numpy rows stay
-        # authoritative for the batched reductions; the mirrors keep
-        # the per-station scalar reads in the inner loop at list-index
-        # cost instead of numpy-scalar boxing cost.
+        # Cached ``next_event_cycle`` per station (``NO_EVENT`` for
+        # "none"); ``_dirty`` marks the rows that must be re-polled.
         self._h: List[int] = [NO_EVENT] * size
         self._dirty: List[bool] = [True] * size
         self._next_event = [s.next_event_cycle for s in stations]
@@ -180,13 +192,7 @@ class ColumnarEngine:
         # Request-path buffer occupancy before the cores run, compared
         # after: a change means the core fed the path this cycle.
         self._path_occ = [0] * n
-        self._done = [c.done for c in system.cores]
-        self._undone = sum(1 for d in self._done if not d)
-
-        self._kernels = get_kernels()
-        self._vector_min = (
-            self._kernels.jit_active or size >= _VECTOR_MIN_CUTOFF
-        )
+        self._sync_done()
 
         # Engine self-profiler (repro.obs.profile).  ``None`` keeps
         # every instrumentation site behind a single falsy local check
@@ -203,34 +209,21 @@ class ColumnarEngine:
         if self._inj is not None:
             names.append("injector")
         self._station_names = names
+        self._refresh_horizons(system.current_cycle)
 
-    # -- ledger maintenance ---------------------------------------------
+    # -- horizon maintenance --------------------------------------------
 
     def _refresh_horizons(self, cycle: int) -> None:
         """Re-poll ``next_event_cycle`` for dirty rows only."""
         h = self._h
-        col = self._col
         dirty = self._dirty
         poll = self._next_event
-        prof = self._prof
-        if prof is not None:
-            repolled = 0
-            for i in range(self._size):
-                if dirty[i]:
-                    event = poll[i](cycle)
-                    value = NO_EVENT if event is None else event
-                    h[i] = value
-                    col[i] = value
-                    dirty[i] = False
-                    repolled += 1
-            prof.record_horizon_refresh(repolled)
-            return
+        if self._prof is not None:
+            self._prof.record_horizon_refresh(dirty.count(True))
         for i in range(self._size):
             if dirty[i]:
                 event = poll[i](cycle)
-                value = NO_EVENT if event is None else event
-                h[i] = value
-                col[i] = value
+                h[i] = NO_EVENT if event is None else event
                 dirty[i] = False
 
     def _mark_all_dirty(self) -> None:
@@ -238,19 +231,22 @@ class ColumnarEngine:
         for i in range(self._size):
             dirty[i] = True
 
-    def _min_horizon(self) -> int:
-        if self._vector_min:
-            return int(self._kernels.min_horizon(self._col))
-        return min(self._h)
+    def _sync_done(self) -> None:
+        self._done = [c.done for c in self.system.cores]
+        self._undone = self._done.count(False)
 
-    def runnable_count(self, cycle: int) -> int:
-        """Stations due at ``cycle`` (diagnostic; batched via kernel)."""
-        return self._kernels.runnable_count(self._col, cycle)
+    def all_done(self) -> bool:
+        return not self._undone
 
     # -- stepping --------------------------------------------------------
 
+    def step(self) -> None:
+        """One stepped cycle, then re-poll the horizons it dirtied."""
+        self._step()
+        self._refresh_horizons(self.system.current_cycle)
+
     def _step(self) -> None:
-        """One stepped cycle: run due/fed stations in tick order."""
+        """Run the due/fed stations of the current cycle in tick order."""
         sys_ = self.system
         cycle = sys_.current_cycle
         h = self._h
@@ -266,15 +262,9 @@ class ColumnarEngine:
             if prof is not None:
                 prof.record_full_tick_fallback()
                 prof.record_station("injector", ticks=1)
-            sys_.tick()
+            tick(sys_)
             self._mark_all_dirty()
-            done = self._done
-            undone = 0
-            for i, core in enumerate(sys_.cores):
-                done[i] = core.done
-                if not done[i]:
-                    undone += 1
-            self._undone = undone
+            self._sync_done()
             return
 
         stations = self._stations
@@ -394,8 +384,15 @@ class ColumnarEngine:
             sys_.observability.on_cycle_end(cycle)
         sys_.current_cycle = cycle + 1
 
-    def _next_target(self, limit: int) -> Optional[int]:
-        """Mirror of :meth:`System._next_event_target` on the ledger."""
+    def next_target(self, limit: int) -> Optional[int]:
+        """The cycle the next step must run at, or ``None`` to not skip.
+
+        A cross-station coupling with same-cycle work (staged requests
+        the controller can take, egress responses a path can buffer)
+        or a horizon that is already due pins the system to per-cycle
+        stepping.  Otherwise the minimum cached horizon — capped at
+        ``limit`` — is the only cycle anything can change.
+        """
         sys_ = self.system
         cycle = sys_.current_cycle
         controller = sys_.controller
@@ -407,91 +404,122 @@ class ColumnarEngine:
                 controller.pending_response_count(i)
             ):
                 return None
-        earliest = self._min_horizon()
+        earliest = min(self._h)
         if earliest <= cycle:
             return None
         return earliest if earliest < limit else limit
 
-    # -- run loop --------------------------------------------------------
 
-    def run(
-        self,
-        max_cycles: int,
-        stop_when_done: bool = True,
-        watchdog_cycles: int = 200_000,
-    ):
-        """Mirror of :meth:`System.run`'s next-event loop, ledger-driven."""
-        sys_ = self.system
-        res = sys_.resilience
-        checkpoint_every = 0
-        watchdog_dump_path = ""
-        if res is not None:
-            checkpoint_every = res.config.checkpoint_every
-            watchdog_dump_path = res.config.watchdog_dump_path
-            if res.config.watchdog_cycles is not None:
-                watchdog_cycles = res.config.watchdog_cycles
-        watchdog = Watchdog(
-            watchdog_cycles,
-            dump_path=watchdog_dump_path,
-            tracer=(
-                sys_.observability.tracer
-                if sys_.observability is not None
-                else NULL_TRACER
-            ),
+# -- run loop --------------------------------------------------------------
+
+
+def run(
+    system,
+    max_cycles: int,
+    stop_when_done: bool = True,
+    watchdog_cycles: int = 200_000,
+    engine: str = "cycle",
+):
+    """The run loop behind :meth:`System.run` (documented there)."""
+    if max_cycles <= 0:
+        raise SimulationError(f"max_cycles must be positive: {max_cycles}")
+    if engine == "cycle":
+        step = partial(tick, system)
+        next_target = None
+        all_done = system.all_cores_done
+    elif engine == "columnar":
+        columnar = ColumnarEngine(system)
+        step = columnar.step
+        next_target = columnar.next_target
+        all_done = columnar.all_done
+    else:
+        raise SimulationError(
+            f"unknown engine {engine!r}: expected 'cycle' or 'columnar'"
         )
-        watchdog.reset(sys_)
-        obs = sys_.observability
-        if obs is not None and obs.publisher is not None:
-            # Serve mode only — see System.run: the stall margin is
-            # observe-cadence-dependent, hence engine-variant.
-            watchdog.bind_metrics(obs.metrics)
-        prof = self._prof
+    obs = system.observability
+    # Re-derive the cached hook flag: a serve publisher can be
+    # attached between builds and runs (repro serve), after
+    # System.__init__ froze the original value.
+    system._obs_cycle_hooks = obs is not None and obs.has_cycle_hooks
+    res = system.resilience
+    checkpoint_every = 0
+    watchdog_dump_path = ""
+    if res is not None:
+        checkpoint_every = res.config.checkpoint_every
+        watchdog_dump_path = res.config.watchdog_dump_path
+        if res.config.watchdog_cycles is not None:
+            watchdog_cycles = res.config.watchdog_cycles
+    watchdog = Watchdog(
+        watchdog_cycles,
+        dump_path=watchdog_dump_path,
+        tracer=obs.tracer if obs is not None else NULL_TRACER,
+    )
+    watchdog.reset(system)
+    if obs is not None and obs.publisher is not None:
+        # Serve mode only: the stall margin depends on the observe
+        # cadence, which differs between engines — keep it out of
+        # the registry on the deterministic cross-engine paths.
+        watchdog.bind_metrics(obs.metrics)
+    prof = obs.profiler if obs is not None else None
+    if prof is not None:
+        prof.begin_run(engine, system.current_cycle)
+    try:
+        end = system.current_cycle + max_cycles
+        finished = stop_when_done and all_done()
+        while system.current_cycle < end and not finished:
+            step()
+            if (
+                checkpoint_every
+                and system.current_cycle % checkpoint_every == 0
+            ):
+                res.take_checkpoint(system)
+            # Only a step can finish a core; a skipped span cannot.
+            finished = stop_when_done and all_done()
+            skipped = False
+            if (
+                next_target is not None
+                and not finished
+                and system.current_cycle < end
+            ):
+                target = next_target(end)
+                if watchdog_cycles and target is not None:
+                    # Never jump past the watchdog horizon in one
+                    # step: a frozen (deadlocked) system must still
+                    # trip the progress check, exactly as the
+                    # per-cycle loop would while spinning through
+                    # the same span.
+                    target = min(
+                        target, watchdog.horizon(system.current_cycle)
+                    )
+                if checkpoint_every and target is not None:
+                    # Land every clock jump exactly on checkpoint
+                    # boundaries — behaviour-preserving by the
+                    # no-state-change guarantee, like the horizon cap.
+                    target = min(
+                        target,
+                        res.next_checkpoint_boundary(system.current_cycle),
+                    )
+                if target is not None and target > system.current_cycle:
+                    if prof is not None:
+                        prof.record_skip(target - system.current_cycle)
+                    skip_idle_span(system, target)
+                    skipped = True
+                    if (
+                        checkpoint_every
+                        and system.current_cycle % checkpoint_every == 0
+                    ):
+                        res.take_checkpoint(system)
+            # Check progress only every 256 cycles to keep the hot
+            # loop cheap (the watchdog granularity does not matter),
+            # plus after every skip, whose span is progress-free by
+            # construction.
+            if watchdog_cycles and (
+                skipped or (system.current_cycle & 0xFF) == 0
+            ):
+                watchdog.observe(system)
+    finally:
         if prof is not None:
-            prof.begin_run("columnar", sys_.current_cycle)
-        try:
-            end = sys_.current_cycle + max_cycles
-            self._refresh_horizons(sys_.current_cycle)
-            while sys_.current_cycle < end:
-                if stop_when_done and not self._undone:
-                    break
-                self._step()
-                if (
-                    checkpoint_every
-                    and sys_.current_cycle % checkpoint_every == 0
-                ):
-                    res.take_checkpoint(sys_)
-                self._refresh_horizons(sys_.current_cycle)
-                skipped = False
-                if sys_.current_cycle < end and not (
-                    stop_when_done and not self._undone
-                ):
-                    target = self._next_target(end)
-                    if watchdog_cycles and target is not None:
-                        target = min(
-                            target, watchdog.horizon(sys_.current_cycle)
-                        )
-                    if checkpoint_every and target is not None:
-                        target = min(
-                            target,
-                            res.next_checkpoint_boundary(sys_.current_cycle),
-                        )
-                    if target is not None and target > sys_.current_cycle:
-                        if prof is not None:
-                            prof.record_skip(target - sys_.current_cycle)
-                        sys_._skip_idle_span(target)
-                        skipped = True
-                        if (
-                            checkpoint_every
-                            and sys_.current_cycle % checkpoint_every == 0
-                        ):
-                            res.take_checkpoint(sys_)
-                if watchdog_cycles and (
-                    skipped or (sys_.current_cycle & 0xFF) == 0
-                ):
-                    watchdog.observe(sys_)
-        finally:
-            if prof is not None:
-                prof.end_run(sys_.current_cycle)
-        if obs is not None:
-            obs.on_run_end(sys_.current_cycle)
-        return sys_.report()
+            prof.end_run(system.current_cycle)
+    if obs is not None:
+        obs.on_run_end(system.current_cycle)
+    return system.report()

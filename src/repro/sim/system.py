@@ -1,4 +1,4 @@
-"""System builder and the cycle-driven simulation loop.
+"""System builder and the wired :class:`System` state.
 
 A :class:`System` is the paper's Figure 5 made executable.  Use
 :class:`SystemBuilder` to assemble one:
@@ -19,13 +19,12 @@ Shaping is attached per core: ``request_shaping=`` for ReqC,
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, BinSpec
 from repro.core.epoch_shaper import EpochRateShaper, RateSet
@@ -50,9 +49,8 @@ from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
 from repro.noc.mesh import MeshNetwork
 from repro.obs.hub import Observability, ObservabilityConfig
-from repro.obs.tracer import NULL_TRACER
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
-from repro.resilience.watchdog import Watchdog
+from repro.sim import columnar
 from repro.sim.stats import CoreStats, SystemReport
 
 
@@ -199,7 +197,6 @@ class SystemBuilder:
         self._noc_latency = 4
         self._noc_port_capacity = 16
         self._noc_topology = "shared"
-        self._noc_trace_limit: Optional[int] = None
         self._obs_config: Optional[ObservabilityConfig] = None
         self._resilience_config: Optional[ResilienceConfig] = None
         self._queue_capacity = 32
@@ -260,41 +257,21 @@ class SystemBuilder:
         latency: int = 4,
         port_capacity: int = 16,
         topology: str = "shared",
-        trace_limit: Optional[int] = None,
     ) -> "SystemBuilder":
         """Configure the on-chip channels.
 
         ``topology`` is ``"shared"`` (single arbitrated link, the
         default model) or ``"mesh"`` (2D mesh of input-buffered
         routers — position-dependent contention; see
-        :mod:`repro.noc.mesh`).
-
-        ``trace_limit`` bounds each channel's adversary-visible
-        ``grant_trace`` to the most recent N grants (default ``None``
-        keeps the full trace, which the security benchmarks need but
-        grows without bound on long performance runs).
-
-        .. deprecated::
-            ``trace_limit`` moved to the observability layer; prefer
-            ``with_observability(noc_grant_trace_limit=N)``.  The kwarg
-            keeps working as a shim with identical semantics (the
-            observability setting wins when both are given).
+        :mod:`repro.noc.mesh`).  The adversary-visible ``grant_trace``
+        of each channel is bounded through
+        ``with_observability(noc_grant_trace_limit=N)``.
         """
         if topology not in ("shared", "mesh"):
             raise ConfigurationError(f"unknown NoC topology {topology!r}")
-        if trace_limit is not None and trace_limit <= 0:
-            raise ConfigurationError("trace_limit must be positive")
-        if trace_limit is not None:
-            warnings.warn(
-                "with_noc(trace_limit=...) is deprecated; use "
-                "with_observability(noc_grant_trace_limit=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._noc_latency = latency
         self._noc_port_capacity = port_capacity
         self._noc_topology = topology
-        self._noc_trace_limit = trace_limit
         return self
 
     def with_observability(
@@ -453,15 +430,11 @@ class SystemBuilder:
             page_policy=self._page_policy,
             write_queue_policy=self._write_queue_policy,
         )
-        # The legacy with_noc(trace_limit=...) shim feeds the same knob
-        # the observability config now owns; the config wins when both
-        # are set.
-        noc_trace_limit = self._noc_trace_limit
-        if (
-            self._obs_config is not None
-            and self._obs_config.noc_grant_trace_limit is not None
-        ):
-            noc_trace_limit = self._obs_config.noc_grant_trace_limit
+        noc_trace_limit = (
+            self._obs_config.noc_grant_trace_limit
+            if self._obs_config is not None
+            else None
+        )
         if self._noc_topology == "mesh":
             request_link = MeshNetwork(
                 num_cores, direction="to_hub",
@@ -769,130 +742,6 @@ class System:
         """Real demand fills delivered to ``core_id`` so far."""
         return len(self._latencies[core_id])
 
-    # -- main loop ------------------------------------------------------------
-
-    def tick(self) -> None:
-        """Advance the whole system by one cycle."""
-        cycle = self.current_cycle
-        if self._fault_hooks:
-            # Fault injection runs before any component so the order of
-            # injected work relative to normal work is fixed — identical
-            # under both engines.
-            self.resilience.injector.on_cycle(self, cycle)
-        for core in self.cores:
-            core.tick(cycle)
-        for path in self.request_paths:
-            path.tick(cycle)
-
-        dest_ready = self.controller.can_accept() and not self._mc_staging
-        if self._fault_hooks and self.resilience.injector.request_link_stalled(
-            cycle
-        ):
-            dest_ready = False
-        self.request_link.tick(cycle, dest_ready=dest_ready)
-        for txn in self.request_link.pop_arrivals(cycle):
-            self._mc_staging.append(txn)
-        while self._mc_staging and self.controller.can_accept():
-            self.controller.enqueue(self._mc_staging.popleft(), cycle)
-
-        self.controller.tick(cycle)
-
-        for core_id in range(self.num_cores):
-            path = self.response_paths[core_id]
-            # Drain only what the response path can buffer; the rest
-            # stays in the controller's bounded egress, throttling
-            # further service for this core (return-channel flow
-            # control).
-            while path.can_accept():
-                popped = self.controller.pop_responses(core_id, limit=1)
-                if not popped:
-                    break
-                path.push_response(popped[0], cycle)
-            path.tick(cycle)
-
-        self.response_link.tick(cycle)
-        for txn in self.response_link.pop_arrivals(cycle):
-            self._deliver(txn, cycle)
-
-        if self._obs_cycle_hooks:
-            self.observability.on_cycle_end(cycle)
-
-        self.current_cycle = cycle + 1
-
-    # -- next-event engine ---------------------------------------------------
-
-    def _next_event_components(self) -> List:
-        """The stations polled by :meth:`_next_event_target`.
-
-        Built once per ``run()`` window (the wiring is fixed for its
-        duration) instead of on every scan — rebuilding this list each
-        stepped cycle was pure overhead.  Kept as a local of the run
-        loop, not an attribute, so checkpoint pickles are unaffected.
-        """
-        components = [self.request_link, self.response_link, self.controller]
-        components.extend(self.cores)
-        components.extend(self.request_paths)
-        components.extend(self.response_paths)
-        if self._fault_hooks:
-            components.append(self.resilience.injector)
-        return components
-
-    def _next_event_target(
-        self, limit: int, components: Optional[List] = None
-    ) -> Optional[int]:
-        """The cycle the next tick must run at, or ``None`` to not skip.
-
-        Polls every component's ``next_event_cycle`` contract: a return
-        of the current cycle (work possible *now*) or a cross-component
-        coupling with same-cycle work (staged requests the controller
-        can take, egress responses a path can buffer) pins the system
-        to per-cycle stepping.  Otherwise the minimum future event —
-        capped at ``limit`` — is the only cycle anything can change, so
-        the clock may jump there; the skipped span is pure bookkeeping
-        replayed by :meth:`_skip_idle_span`.
-
-        The :class:`~repro.sim.columnar.ColumnarEngine` implements the
-        same decision over a cached horizon ledger, re-polling only
-        stations whose state changed.
-        """
-        cycle = self.current_cycle
-        if self._mc_staging and self.controller.can_accept():
-            return None
-        earliest = limit
-        for core_id in range(self.num_cores):
-            if (
-                self.response_paths[core_id].can_accept()
-                and self.controller.pending_response_count(core_id)
-            ):
-                return None
-        if components is None:
-            components = self._next_event_components()
-        for component in components:
-            event = component.next_event_cycle(cycle)
-            if event is None:
-                continue
-            if event <= cycle:
-                return None
-            if event < earliest:
-                earliest = event
-        return earliest if earliest > cycle else None
-
-    def _skip_idle_span(self, target: int) -> None:
-        """Jump the clock to ``target``, replaying skipped bookkeeping."""
-        cycle = self.current_cycle
-        for core in self.cores:
-            core.skip_idle(cycle, target)
-        for path in self.request_paths:
-            skip = getattr(path, "skip_idle", None)
-            if skip is not None:
-                skip(cycle, target)
-        if self._obs_cycle_hooks:
-            # Sample boundaries inside [cycle, target) fall in a span
-            # with no state changes: fill them with the current probe
-            # values *before* the tick at ``target`` mutates anything.
-            self.observability.on_skip(target - 1)
-        self.current_cycle = target
-
     def _deliver(self, txn: MemoryTransaction, cycle: int) -> None:
         txn.delivered_cycle = cycle
         core = self.cores[txn.core_id]
@@ -929,127 +778,19 @@ class System:
         makes the loop snapshot the whole system at every multiple of
         N cycles (see docs/resilience.md).
 
-        ``engine`` selects the stepping strategy: ``"cycle"`` (default)
-        ticks every cycle; ``"next_event"`` jumps the clock over spans
-        where every component reports no possible state change (idle
-        cores awaiting fills, shapers between credits and boundaries,
-        DRAM awaiting a timing expiry), producing a bit-identical
-        :class:`~repro.sim.stats.SystemReport` at a fraction of the
-        wall-clock cost on low-intensity workloads; ``"columnar"``
-        additionally keeps per-station horizons in a numpy ledger and
-        ticks only stations that can act each stepped cycle (see
-        :mod:`repro.sim.columnar`), still bit-identical.
+        ``engine`` selects how a cycle is stepped: ``"cycle"``
+        (default, the reference) ticks every station every cycle;
+        ``"columnar"`` ticks only the stations that can act and jumps
+        the clock over spans where every station reports no possible
+        state change (idle cores awaiting fills, shapers between
+        credits and boundaries, DRAM awaiting a timing expiry),
+        producing a bit-identical
+        :class:`~repro.sim.stats.SystemReport` — see
+        :mod:`repro.sim.columnar`, which owns the run loop.
         """
-        if max_cycles <= 0:
-            raise SimulationError(f"max_cycles must be positive: {max_cycles}")
-        if engine not in ("cycle", "next_event", "columnar"):
-            raise SimulationError(
-                f"unknown engine {engine!r}: expected 'cycle', "
-                f"'next_event' or 'columnar'"
-            )
-        obs = self.observability
-        # Re-derive the cached hook flag: a serve publisher can be
-        # attached between builds and runs (repro serve), after
-        # __init__ froze the original value.
-        self._obs_cycle_hooks = obs is not None and obs.has_cycle_hooks
-        if engine == "columnar":
-            # Local import: keeps System importable without numpy-using
-            # engine code on the default paths.
-            from repro.sim.columnar import ColumnarEngine
-
-            return ColumnarEngine(self).run(
-                max_cycles,
-                stop_when_done=stop_when_done,
-                watchdog_cycles=watchdog_cycles,
-            )
-        fast = engine == "next_event"
-        res = self.resilience
-        checkpoint_every = 0
-        watchdog_dump_path = ""
-        if res is not None:
-            checkpoint_every = res.config.checkpoint_every
-            watchdog_dump_path = res.config.watchdog_dump_path
-            if res.config.watchdog_cycles is not None:
-                watchdog_cycles = res.config.watchdog_cycles
-        watchdog = Watchdog(
-            watchdog_cycles,
-            dump_path=watchdog_dump_path,
-            tracer=(
-                self.observability.tracer
-                if self.observability is not None
-                else NULL_TRACER
-            ),
+        return columnar.run(
+            self, max_cycles, stop_when_done, watchdog_cycles, engine
         )
-        watchdog.reset(self)
-        if obs is not None and obs.publisher is not None:
-            # Serve mode only: the stall margin depends on the observe
-            # cadence, which differs between engines — keep it out of
-            # the registry on the deterministic cross-engine paths.
-            watchdog.bind_metrics(obs.metrics)
-        prof = obs.profiler if obs is not None else None
-        if prof is not None:
-            prof.begin_run(engine, self.current_cycle)
-        try:
-            end = self.current_cycle + max_cycles
-            ne_components = self._next_event_components() if fast else None
-            while self.current_cycle < end:
-                if stop_when_done and self.all_cores_done():
-                    break
-                self.tick()
-                if (
-                    checkpoint_every
-                    and self.current_cycle % checkpoint_every == 0
-                ):
-                    res.take_checkpoint(self)
-                skipped = False
-                if (
-                    fast
-                    and self.current_cycle < end
-                    and not (stop_when_done and self.all_cores_done())
-                ):
-                    target = self._next_event_target(end, ne_components)
-                    if watchdog_cycles and target is not None:
-                        # Never jump past the watchdog horizon in one
-                        # step: a frozen (deadlocked) system must still
-                        # trip the progress check, exactly as the
-                        # per-cycle loop would while spinning through
-                        # the same span.
-                        target = min(
-                            target, watchdog.horizon(self.current_cycle)
-                        )
-                    if checkpoint_every and target is not None:
-                        # Land every clock jump exactly on checkpoint
-                        # boundaries — behaviour-preserving by the
-                        # engine's no-state-change guarantee, like the
-                        # horizon cap.
-                        target = min(
-                            target,
-                            res.next_checkpoint_boundary(self.current_cycle),
-                        )
-                    if target is not None and target > self.current_cycle:
-                        if prof is not None:
-                            prof.record_skip(target - self.current_cycle)
-                        self._skip_idle_span(target)
-                        skipped = True
-                        if (
-                            checkpoint_every
-                            and self.current_cycle % checkpoint_every == 0
-                        ):
-                            res.take_checkpoint(self)
-                # Check progress only every 256 cycles to keep the hot
-                # loop cheap (the watchdog granularity does not
-                # matter), plus after every skip, whose span is
-                # progress-free by construction.
-                if watchdog_cycles and (
-                    skipped or (self.current_cycle & 0xFF) == 0
-                ):
-                    watchdog.observe(self)
-        finally:
-            if prof is not None:
-                prof.end_run(self.current_cycle)
-        if self.observability is not None:
-            self.observability.on_run_end(self.current_cycle)
-        return self.report()
 
     # -- reporting ------------------------------------------------------------------
 

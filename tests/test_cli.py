@@ -24,6 +24,15 @@ class TestParser:
         args = build_parser().parse_args(["covert", "--key", "0xFF"])
         assert int(args.key, 0) == 255
 
+    def test_engine_default_per_verb(self):
+        """``profile`` defaults to ``columnar`` without leaking that
+        default into the verbs that share the ``--engine`` parent."""
+        parser = build_parser()
+        assert parser.parse_args(["profile"]).engine == "columnar"
+        for verb in (["trace"], ["stats"], ["run"], ["serve"],
+                     ["resume", "x.snap"], ["faults", "--scenario", "flood"]):
+            assert parser.parse_args(verb).engine == "cycle"
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -166,10 +175,15 @@ class TestObservability:
         assert "shaping monitor" in out
 
     def test_stats_next_event_engine(self, capsys):
+        """The clock-skipping engine is ``columnar``; the retired
+        ``next_event`` name is rejected by argparse."""
         assert main(["--scale", "0.2", "stats",
-                     "--engine", "next_event"]) == 0
+                     "--engine", "columnar"]) == 0
         out = capsys.readouterr().out
         assert "row hit rate" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main("stats --engine next_event --rows 1".split())
+        assert excinfo.value.code == 2
 
 
 class TestResilienceCommands:
@@ -281,7 +295,7 @@ class TestObservabilityCommands:
 
     def test_profile_digest_engine_invariant(self, capsys):
         digests = {}
-        for engine in ("cycle", "next_event", "columnar"):
+        for engine in ("cycle", "columnar"):
             assert main([
                 "--scale", "0.1", "profile", "--engine", engine,
             ]) == 0

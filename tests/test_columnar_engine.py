@@ -1,29 +1,19 @@
-"""Columnar engine: kernels, feature flag, and engine-level contracts.
+"""Columnar engine: engine-level contracts.
 
 The broad bit-identity matrix lives in ``test_engine_equivalence.py``
-(every fast case and the randomized slow sweeps run all three
-engines) and the fault/snapshot matrices in ``test_resilience_*``.
-This file covers what those cannot: the kernel module's numpy/numba
-resolution (including the numba-absent graceful fallback demanded by
-the feature-flag contract), the :class:`ColumnarEngine` API surface
-itself, snapshot digests across engines, and the executor's
-chunk-splitting helpers.
+(every fast case and the randomized slow sweeps run both engines) and
+the fault/snapshot matrices in ``test_resilience_*``.  This file
+covers what those cannot: the engine module's API surface itself,
+snapshot digests across engines, and the executor's chunk-splitting
+helpers.
 """
 
-import builtins
-
-import numpy as np
 import pytest
 
 from repro.core.bins import BinSpec, constant_rate_config, uniform_config
 from repro.parallel.executor import _call_task_chunk, _split_common
 from repro.sim import ColumnarEngine
-from repro.sim._kernels import (
-    NO_EVENT,
-    Kernels,
-    get_kernels,
-    jit_requested,
-)
+from repro.sim.columnar import run as run_engine
 from repro.sim.stats import report_digest
 from repro.sim.system import (
     RequestShapingPlan,
@@ -50,85 +40,20 @@ def _shaped_system(seed=11, response=False):
     return builder.build()
 
 
-# -- kernel resolution ----------------------------------------------------
-
-
-class TestKernels:
-    def test_no_event_is_int64_max(self):
-        assert NO_EVENT == np.iinfo(np.int64).max
-
-    def test_numpy_kernels_exact(self):
-        horizons = np.array([40, 7, NO_EVENT, 12], dtype=np.int64)
-        kernels = Kernels(use_jit=False)
-        assert kernels.min_horizon(horizons) == 7
-        assert kernels.runnable_count(horizons, 12) == 2
-        assert kernels.runnable_count(horizons, 6) == 0
-
-    def test_flag_parsing(self):
-        assert not jit_requested(env={})
-        assert not jit_requested(env={"REPRO_NUMBA": ""})
-        assert not jit_requested(env={"REPRO_NUMBA": "0"})
-        assert jit_requested(env={"REPRO_NUMBA": "1"})
-        assert jit_requested(env={"REPRO_NUMBA": "yes"})
-
-    def test_numba_absent_degrades_gracefully(self, monkeypatch):
-        """REPRO_NUMBA=1 without numba must fall back silently.
-
-        The import is blocked explicitly so the test pins the absent
-        path even on machines that do have numba installed.
-        """
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        real_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba deliberately unavailable")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        kernels = Kernels()
-        assert kernels.jit_requested
-        assert not kernels.jit_active
-        horizons = np.array([3, NO_EVENT], dtype=np.int64)
-        assert kernels.min_horizon(horizons) == 3
-        assert kernels.runnable_count(horizons, 3) == 1
-
-    def test_get_kernels_tracks_flag_changes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBA", raising=False)
-        off = get_kernels()
-        assert not off.jit_requested
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        on = get_kernels()
-        assert on.jit_requested
-        assert on is not off
-        monkeypatch.delenv("REPRO_NUMBA", raising=False)
-        assert not get_kernels().jit_requested
-
-    def test_engine_runs_under_flag_without_numba(self, monkeypatch):
-        """A full columnar run with the flag set (and numba absent on
-        this image) must match the reference bit for bit."""
-        monkeypatch.setenv("REPRO_NUMBA", "1")
-        flagged = _shaped_system().run(15_000, engine="columnar")
-        monkeypatch.delenv("REPRO_NUMBA")
-        plain = _shaped_system().run(15_000, engine="columnar")
-        baseline = _shaped_system().run(15_000, engine="cycle")
-        assert flagged == plain == baseline
-
-
 # -- the engine object itself ---------------------------------------------
 
 
 class TestColumnarEngine:
     def test_direct_api_matches_system_run(self):
         via_system = _shaped_system().run(20_000, engine="columnar")
-        direct = ColumnarEngine(_shaped_system()).run(20_000)
+        direct = run_engine(_shaped_system(), 20_000, engine="columnar")
         assert via_system == direct
 
     def test_report_digest_engine_invariant(self):
         digests = {
             report_digest(_shaped_system(response=True).run(
                 20_000, engine=engine))
-            for engine in ("cycle", "next_event", "columnar")
+            for engine in ("cycle", "columnar")
         }
         assert len(digests) == 1
 
@@ -141,11 +66,10 @@ class TestColumnarEngine:
     def test_ledger_covers_every_station(self):
         engine = ColumnarEngine(_shaped_system(response=True))
         # 2 cores + 2 req paths + req link + controller + 2 resp paths
-        # + resp link = 9 stations; the ledger, its scalar mirror and
-        # the station list must agree on the count.
+        # + resp link = 9 stations; the horizon list and the station
+        # list must agree on the count.
         assert len(engine._stations) == 9
         assert len(engine._h) == 9
-        assert engine._col.shape[0] == 9
 
 
 # -- executor chunk helpers ------------------------------------------------
@@ -210,7 +134,7 @@ class TestChunkHelpers:
 def test_long_run_snapshot_digests_match():
     """Checkpointed long runs digest identically across engines."""
     digests = set()
-    for engine in ("cycle", "next_event", "columnar"):
+    for engine in ("cycle", "columnar"):
         report = _shaped_system(response=True).run(60_000, engine=engine)
         digests.add(report_digest(report))
     assert len(digests) == 1

@@ -1,17 +1,16 @@
-"""Differential tests: the fast engines are bit-identical.
+"""Differential tests: the columnar engine is bit-identical.
 
-``System.run(..., engine="next_event")`` and
 ``System.run(..., engine="columnar")`` must produce *exactly* the
-same :class:`~repro.sim.stats.SystemReport` as the default per-cycle
-loop — every latency, histogram, grant count and fake count.  These
-tests build the same system once per engine and compare the full
-reports via dataclass equality (histograms compare by value).
+same :class:`~repro.sim.stats.SystemReport` as the reference
+``engine="cycle"`` loop — every latency, histogram, grant count and
+fake count.  These tests build the same system once per engine and
+compare the full reports via dataclass equality (histograms compare
+by value).
 
-Because every assertion here runs all three engines, this file also
-pins the next-event loop's cached station scan (the components list
-built once per ``run`` window) and the columnar engine's dirty-marked
-horizon ledger: a stale cache in either would desynchronise the
-stepping sequence and diverge the reports.
+Because every assertion here runs both engines, this file also pins
+the columnar engine's dirty-marked horizon list: a stale cached
+horizon would desynchronise the stepping sequence and diverge the
+reports.
 
 The fast cases cover each architectural feature once; the ``slow``
 sweep drives randomized combinations and belongs to the extended
@@ -24,6 +23,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.core.bins import BinSpec, constant_rate_config, uniform_config
+from repro.sim.stats import report_digest
 from repro.sim.system import (
     EpochShapingPlan,
     RequestShapingPlan,
@@ -71,11 +71,10 @@ def _shaped_builder(
 
 def _assert_engines_agree(make_builder, cycles=25_000, **run_kwargs):
     baseline = make_builder().build().run(cycles, **run_kwargs)
-    for engine in ("next_event", "columnar"):
-        fast = make_builder().build().run(cycles, engine=engine,
-                                          **run_kwargs)
-        assert baseline == fast, f"engine={engine} diverged"
-        assert baseline.cycles_run == fast.cycles_run
+    fast = make_builder().build().run(cycles, engine="columnar",
+                                      **run_kwargs)
+    assert baseline == fast, "engine=columnar diverged"
+    assert baseline.cycles_run == fast.cycles_run
 
 
 def test_unknown_engine_rejected():
@@ -129,6 +128,31 @@ class TestFastCases:
             cycles=20_000,
             stop_when_done=False,
         )
+
+    def test_multi_window_live_reconfiguration(self):
+        """The ``OnlineGaTuner`` pattern: repeated ``run`` windows on
+        one system with ``shaper.reconfigure`` between them.  Every
+        window builds a fresh columnar engine over whatever state the
+        previous window and the reconfiguration left behind."""
+        configs = [uniform_config(SPEC, credits) for credits in (1, 4)]
+
+        def run_windows(engine):
+            builder = _shaped_builder(response=True)
+            system = builder.with_scheduler("priority").build()
+            for config in configs + [None]:
+                report = system.run(
+                    8_000, stop_when_done=False, engine=engine
+                )
+                if config is not None:
+                    for path in system.request_paths + system.response_paths:
+                        path.shaper.reconfigure(config)
+            return report
+
+        baseline = run_windows("cycle")
+        fast = run_windows("columnar")
+        assert baseline.cycles_run == fast.cycles_run == 24_000
+        assert baseline == fast
+        assert report_digest(baseline) == report_digest(fast)
 
 
 def _mesh_builder():
@@ -217,7 +241,7 @@ def _assert_obs_identical(make_builder, cycles=25_000):
     build = _observed_builder(make_builder)
     systems = []
     reports = []
-    for engine in ("cycle", "next_event", "columnar"):
+    for engine in ("cycle", "columnar"):
         system = build().build()
         reports.append(system.run(cycles, engine=engine))
         systems.append(system)
@@ -246,7 +270,7 @@ class TestObservabilityEquivalence:
         _assert_obs_identical(_mesh_builder)
 
     def test_low_intensity_spans_are_filled(self):
-        """Long idle spans (the next-event engine's bread and butter)
+        """Long idle spans (the columnar engine's bread and butter)
         must still yield the same sample-by-sample time-series."""
 
         def build():

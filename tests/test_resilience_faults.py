@@ -3,8 +3,7 @@
 The contract under test (ISSUE acceptance, docs/resilience.md): each
 injected fault class ends in a **typed error** or a **monitor-flagged
 degraded mode** — never a silent shaping violation — and fault runs
-stay bit-identical across all three execution engines (cycle,
-next_event, columnar).
+stay bit-identical across both execution engines (cycle, columnar).
 """
 
 import pytest
@@ -88,9 +87,8 @@ class TestScenarios:
         """Fault runs are deterministic and engine-invariant end to end."""
         cycles = 20_000
         slow = run_scenario(name, cycles=cycles, engine="cycle")
-        for engine in ("next_event", "columnar"):
-            fast = run_scenario(name, cycles=cycles, engine=engine)
-            assert slow == fast, f"engine={engine} diverged on {name}"
+        fast = run_scenario(name, cycles=cycles, engine="columnar")
+        assert slow == fast, f"columnar diverged on {name}"
 
 
 # -- fault spec validation -------------------------------------------------

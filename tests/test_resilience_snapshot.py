@@ -189,20 +189,20 @@ def _assert_resume_identical(make_builder, cut, cycles, engine, tmp_path):
 
 
 class TestResumeIdentical:
-    @pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
     def test_bdc(self, engine, tmp_path):
         _assert_resume_identical(
             _observed_resilient_builder, 9_000, 25_000, engine, tmp_path
         )
 
-    @pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
     def test_bdc_jitter(self, engine, tmp_path):
         _assert_resume_identical(
             lambda: _observed_resilient_builder(jitter=True),
             9_000, 25_000, engine, tmp_path,
         )
 
-    @pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
     def test_epoch_shaping(self, engine, tmp_path):
         _assert_resume_identical(
             lambda: _observed_resilient_builder(epoch=True),
@@ -215,7 +215,7 @@ class TestResumeIdentical:
         digest = report_digest(straight.run(25_000, engine="cycle"))
 
         system = _observed_resilient_builder().build()
-        system.run(9_000, stop_when_done=False, engine="next_event")
+        system.run(9_000, stop_when_done=False, engine="columnar")
         snap = str(tmp_path / "cross.snap")
         snapshot_system(system, snap)
         resumed = restore_system(snap)
@@ -227,7 +227,7 @@ class TestResumeIdentical:
 class TestRunLoopCheckpointing:
     """``checkpoint_every`` in the run loop itself, both engines."""
 
-    @pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
     def test_periodic_checkpoints_land_on_boundaries(self, engine, tmp_path):
         builder = _observed_resilient_builder(
             resilience=ResilienceConfig(
@@ -246,7 +246,7 @@ class TestRunLoopCheckpointing:
             12_000, 16_000,
         ]
 
-    @pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
     def test_resume_from_periodic_checkpoint(self, engine, tmp_path):
         def build(tag):
             return _observed_resilient_builder(
@@ -366,7 +366,7 @@ def _random_builder(seed):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ["cycle", "next_event", "columnar"])
+@pytest.mark.parametrize("engine", ["cycle", "columnar"])
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_resume_bit_identical(seed, engine, tmp_path):
     cut = random.Random(seed ^ 0x5EED).randrange(2_000, 28_000)

@@ -84,11 +84,11 @@ class TestSeededLivelock:
 
     def test_same_abort_cycle_under_both_engines(self):
         cycles = {}
-        for engine in ("cycle", "next_event"):
+        for engine in ("cycle", "columnar"):
             with pytest.raises(WatchdogError) as excinfo:
                 _stalled_system().run(60_000, engine=engine)
             cycles[engine] = excinfo.value.dump["cycle"]
-        assert cycles["cycle"] == cycles["next_event"]
+        assert cycles["cycle"] == cycles["columnar"]
 
     def test_stall_event_emitted(self):
         system = _stalled_system(trace=True)
