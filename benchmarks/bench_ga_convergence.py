@@ -7,7 +7,7 @@ cycles each; we run a scaled version and check the search improves on
 its random start and does not lose its best (elitism).
 """
 
-from repro.analysis.experiments import _build_mix, derive_request_config
+from repro.analysis.experiments import build_mix, derive_request_config
 from repro.analysis.format import ascii_series, format_table
 from repro.core.bins import BinConfiguration
 from repro.ga.online import OnlineGaTuner, ShaperHandle, TunerConfig
@@ -31,7 +31,7 @@ def test_ga_convergence(benchmark, record_result):
                 config=BinConfiguration((4,) * 10), spec=spec
             )
         }
-        system = _build_mix(
+        system = build_mix(
             names, BENCH_DEFAULTS,
             request_plans=request_plans,
             response_plans=response_plans,

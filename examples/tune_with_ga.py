@@ -12,7 +12,7 @@ Run:  python examples/tune_with_ga.py
 
 from repro.analysis.experiments import (
     ExperimentDefaults,
-    _build_mix,
+    build_mix,
     _mix_names,
     run_alone,
 )
@@ -37,7 +37,7 @@ def main() -> None:
 
     spec = DEFAULTS.spec
     start = BinConfiguration((4,) * 10)  # a deliberately naive start
-    system = _build_mix(
+    system = build_mix(
         names, DEFAULTS,
         request_plans={
             c: RequestShapingPlan(config=start, spec=spec) for c in (1, 2, 3)

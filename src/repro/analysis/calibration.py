@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.analysis.experiments import ExperimentDefaults, run_alone
+from repro.analysis.experiments import ExperimentDefaults, run_mix_system
 from repro.sim.bandwidth import bandwidth_series, burstiness_index
-from repro.sim.system import SystemBuilder
-from repro.workloads.spec import BENCHMARK_NAMES, make_trace
+from repro.workloads.spec import BENCHMARK_NAMES
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,7 @@ def calibrate_benchmark(
     window_cycles: int = 1024,
 ) -> WorkloadCalibration:
     """Run one benchmark alone and summarize its memory behaviour."""
-    builder = SystemBuilder(seed=defaults.seed)
-    builder.add_core(make_trace(name, defaults.accesses, seed=defaults.seed))
-    system = builder.build()
-    report = system.run(defaults.cycles, stop_when_done=False)
+    system, report = run_mix_system([name], defaults)
     stats = report.core(0)
     insts = max(1, stats.retired_instructions)
     series = bandwidth_series(

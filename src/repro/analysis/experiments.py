@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.util import geometric_mean
+from repro.common.util import canonical_json_digest, geometric_mean
 from repro.core.bins import (
     BinConfiguration,
     BinSpec,
@@ -24,12 +26,15 @@ from repro.core.bins import (
 )
 from repro.core.distribution import InterArrivalHistogram
 from repro.ga.online import OnlineGaTuner, ShaperHandle, TunerConfig
+from repro.obs.diag import emit_diagnostic
 from repro.security.attacks import bit_error_rate, decode_covert_key
+from repro.security.detect import detect_report
 from repro.security.leakage import accumulated_response_difference
 from repro.security.mutual_information import (
     interarrival_mi,
     windowed_rate_mi,
 )
+from repro.security.prober import prober_trace
 from repro.sim.stats import SystemReport
 from repro.sim.system import (
     RequestShapingPlan,
@@ -38,10 +43,21 @@ from repro.sim.system import (
     SystemBuilder,
 )
 from repro.workloads.covert import CovertChannelConfig, covert_sender_trace, key_to_bits
-from repro.workloads.spec import make_trace
+from repro.workloads.spec import BENCHMARK_NAMES, make_trace
 
 #: Address-space stride separating co-running programs' allocations.
 _CORE_ADDRESS_STRIDE = 1 << 33
+
+
+def _event_times(gaps: Sequence[int]) -> List[int]:
+    """Event timestamps of an inter-arrival gap sequence."""
+    return list(accumulate(gaps))
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``; infinite when the run it divides by
+    made no progress."""
+    return numerator / denominator if denominator > 0 else float("inf")
 
 
 def constant_rate_interval_for(
@@ -60,8 +76,6 @@ def constant_rate_interval_for(
     its bandwidth target is exactly the kind of comparability hazard the
     sweep's reader needs to see).
     """
-    from repro.obs.diag import emit_diagnostic
-
     eligible = [edge for edge in spec.edges if edge <= target_interval]
     if eligible:
         return max(eligible)
@@ -103,7 +117,7 @@ class ExperimentDefaults:
 # ---------------------------------------------------------------------------
 
 
-def _build_mix(
+def build_mix(
     benchmarks: Sequence[str],
     defaults: ExperimentDefaults,
     request_plans: Optional[Dict[int, RequestShapingPlan]] = None,
@@ -112,22 +126,42 @@ def _build_mix(
     scheduler_kwargs: Optional[Dict] = None,
     bank_partitioning: bool = False,
     trace_repeat: int = 1,
+    slots: Optional[Sequence[int]] = None,
+    noc_latency: Optional[int] = None,
 ) -> System:
-    """``trace_repeat`` loops each program's trace — needed when a run
-    is longer than the default cycle budget (e.g. a GA CONFIG phase
-    preceding the measured RUN phase) so no core drains early."""
+    """The one machine recipe: these programs, at these address slots,
+    under these shaping plans and this scheduler.
+
+    ``slots[i]`` is the address-space slot (and trace-seed offset) of
+    program *i*; the default ``0..n-1`` is a program's placement inside
+    the mix, and an explicit slot reproduces that placement in a
+    smaller system so alone-vs-shared IPC ratios compare the same trace
+    byte for byte.  ``trace_repeat`` loops each program's trace —
+    needed when a run is longer than the default cycle budget (e.g. a
+    GA CONFIG phase preceding the measured RUN phase) so no core drains
+    early.  ``noc_latency`` overrides the NoC hop latency.
+    """
     request_plans = request_plans or {}
     response_plans = response_plans or {}
+    if slots is None:
+        slots = range(len(benchmarks))
+    elif len(slots) != len(benchmarks):
+        raise ConfigurationError(
+            f"need one slot per program: {len(slots)} slots for "
+            f"{len(benchmarks)} programs"
+        )
     builder = SystemBuilder(seed=defaults.seed)
     builder.with_scheduler(scheduler, **(scheduler_kwargs or {}))
     if bank_partitioning:
         builder.with_bank_partitioning()
-    for core_id, name in enumerate(benchmarks):
+    if noc_latency is not None:
+        builder.with_noc(latency=noc_latency)
+    for core_id, (name, slot) in enumerate(zip(benchmarks, slots)):
         trace = make_trace(
             name,
             num_accesses=defaults.accesses,
-            seed=defaults.seed + core_id,
-            base_address=core_id * _CORE_ADDRESS_STRIDE,
+            seed=defaults.seed + slot,
+            base_address=slot * _CORE_ADDRESS_STRIDE,
         )
         if trace_repeat > 1:
             trace = trace.repeated(trace_repeat)
@@ -139,14 +173,29 @@ def _build_mix(
     return builder.build()
 
 
+def run_mix_system(
+    benchmarks: Sequence[str],
+    defaults: ExperimentDefaults = ExperimentDefaults(),
+    **kwargs,
+) -> Tuple[System, SystemReport]:
+    """Build a mix and run it for the default cycle budget.
+
+    The one place a benchmark mix is run for ``defaults.cycles``;
+    callers that only want the report use :func:`run_mix`, the few that
+    also read the finished machine (scheduler slip, bus grant trace)
+    take the system from here.
+    """
+    system = build_mix(benchmarks, defaults, **kwargs)
+    return system, system.run(defaults.cycles, stop_when_done=False)
+
+
 def run_mix(
     benchmarks: Sequence[str],
     defaults: ExperimentDefaults = ExperimentDefaults(),
     **kwargs,
 ) -> SystemReport:
     """Run a multiprogram mix for the default cycle budget."""
-    system = _build_mix(benchmarks, defaults, **kwargs)
-    return system.run(defaults.cycles, stop_when_done=False)
+    return run_mix_system(benchmarks, defaults, **kwargs)[1]
 
 
 def run_alone(
@@ -155,22 +204,13 @@ def run_alone(
     request_plan: Optional[RequestShapingPlan] = None,
     core_slot: int = 0,
 ) -> SystemReport:
-    """Run one program alone (no co-runners, FR-FCFS).
-
-    ``core_slot`` reproduces the address-space placement the program
-    would have inside a mix, so alone-vs-shared IPC ratios compare the
-    same trace byte for byte.
-    """
-    builder = SystemBuilder(seed=defaults.seed)
-    trace = make_trace(
-        benchmark,
-        num_accesses=defaults.accesses,
-        seed=defaults.seed + core_slot,
-        base_address=core_slot * _CORE_ADDRESS_STRIDE,
+    """Run one program alone (no co-runners, FR-FCFS): a one-program
+    mix at address slot ``core_slot``."""
+    return run_mix(
+        [benchmark], defaults,
+        request_plans=None if request_plan is None else {0: request_plan},
+        slots=[core_slot],
     )
-    builder.add_core(trace, request_shaping=request_plan)
-    system = builder.build()
-    return system.run(defaults.cycles, stop_when_done=False)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +244,21 @@ def config_from_histogram(
     return BinConfiguration(tuple(credits))
 
 
+def config_from_report(
+    report: SystemReport,
+    core: int,
+    spec: BinSpec,
+    rate_scale: float = 1.0,
+    stream: str = "response",
+) -> BinConfiguration:
+    """The config matching a finished run's measured traffic: the shape
+    of ``core``'s intrinsic ``stream`` ("request" or "response")
+    distribution at ``rate_scale`` times its average rate."""
+    histogram = getattr(report.core(core), f"{stream}_intrinsic")
+    rate = histogram.total / max(1, report.cycles_run)
+    return config_from_histogram(histogram, rate * rate_scale, spec)
+
+
 def derive_request_config(
     benchmark: str,
     defaults: ExperimentDefaults = ExperimentDefaults(),
@@ -216,11 +271,10 @@ def derive_request_config(
     measured intrinsic rate (1.0 = just enough for the intrinsic
     traffic on average).
     """
-    report = run_alone(benchmark, defaults, core_slot=core_slot)
-    stats = report.core(0)
-    hist = stats.request_intrinsic
-    rate = hist.total / max(1, report.cycles_run)
-    return config_from_histogram(hist, rate * bandwidth_scale, defaults.spec)
+    return config_from_report(
+        run_alone(benchmark, defaults, core_slot=core_slot), 0,
+        defaults.spec, bandwidth_scale, stream="request",
+    )
 
 
 def staircase_config(
@@ -265,11 +319,10 @@ def derive_response_config(
     rate_scale: float = 1.0,
 ) -> BinConfiguration:
     """Measure a mix's adversary response distribution → RespC config."""
-    report = run_mix(benchmarks, defaults)
-    stats = report.core(adversary_core)
-    hist = stats.response_intrinsic
-    rate = hist.total / max(1, report.cycles_run)
-    return config_from_histogram(hist, rate * rate_scale, defaults.spec)
+    return config_from_report(
+        run_mix(benchmarks, defaults), adversary_core, defaults.spec,
+        rate_scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +348,8 @@ def reqc_speedup_experiment(
     programs are unaffected — the Figure 12 pattern.
     """
     spec = defaults.spec
-    intrinsic = run_alone(benchmark, defaults).core(0).request_intrinsic
     base_report = run_alone(benchmark, defaults)
+    intrinsic = base_report.core(0).request_intrinsic
     rate = intrinsic.total / max(1, base_report.cycles_run)
     target_interval = 1.0 / max(rate * headroom, 1e-9)
     # The constant shaper's interval must be one of the bin edges.
@@ -326,7 +379,7 @@ def reqc_speedup_experiment(
         "interval": float(interval),
         "cs_ipc": cs_ipc,
         "camouflage_ipc": camo_ipc,
-        "speedup": camo_ipc / cs_ipc if cs_ipc > 0 else float("inf"),
+        "speedup": _ratio(camo_ipc, cs_ipc),
     }
 
 
@@ -359,7 +412,7 @@ def respc_context_experiment(
         for ctx in contexts
     }
     target_config = {
-        ctx: derive_response_config(_mix_names(adversary, ctx), 0, defaults)
+        ctx: config_from_report(baseline[ctx], 0, defaults.spec)
         for ctx in contexts
     }
 
@@ -375,16 +428,12 @@ def respc_context_experiment(
             scheduler="priority",
         )
         base = baseline[ctx]
-        adv_base_ipc = base.core(0).ipc
-        adv_shaped_ipc = shaped.core(0).ipc
         results[ctx] = {
-            "adversary_slowdown": (
-                adv_base_ipc / adv_shaped_ipc if adv_shaped_ipc > 0 else float("inf")
+            "adversary_slowdown": _ratio(
+                base.core(0).ipc, shaped.core(0).ipc
             ),
-            "throughput_slowdown": (
-                base.total_throughput() / shaped.total_throughput()
-                if shaped.total_throughput() > 0
-                else float("inf")
+            "throughput_slowdown": _ratio(
+                base.total_throughput(), shaped.total_throughput()
             ),
         }
     return results
@@ -411,9 +460,7 @@ def fig9_experiment(
     # The target is derived from the *slower* context (higher-intensity
     # co-runners) and tightened slightly, so the credit schedule — not
     # the co-runner-dependent service rate — binds in both contexts.
-    target = derive_response_config(
-        _mix_names(adversary, ctx_b), 0, defaults, rate_scale=0.6
-    )
+    target = config_from_report(base_b, 0, defaults.spec, rate_scale=0.6)
     plan = {
         0: ResponseShapingPlan(
             config=target, spec=defaults.spec, strict_binning=True
@@ -481,17 +528,15 @@ def bdc_comparison(
     baseline = run_mix(names, defaults)
     request_plans = {}
     for core in (1, 2, 3):
-        hist = baseline.core(core).request_intrinsic
-        rate = hist.total / max(1, baseline.cycles_run)
         request_plans[core] = RequestShapingPlan(
-            config=config_from_histogram(hist, rate * 1.1, defaults.spec),
+            config=config_from_report(
+                baseline, core, defaults.spec, 1.1, stream="request"
+            ),
             spec=defaults.spec,
         )
-    resp_hist = baseline.core(0).response_intrinsic
-    resp_rate = resp_hist.total / max(1, baseline.cycles_run)
     response_plans = {
         0: ResponseShapingPlan(
-            config=config_from_histogram(resp_hist, resp_rate, defaults.spec),
+            config=config_from_report(baseline, 0, defaults.spec),
             spec=defaults.spec,
         )
     }
@@ -516,7 +561,7 @@ def bdc_comparison(
         trace_repeat = 1 + math.ceil(
             3.0 * (config_cycles + defaults.cycles) / max(1, defaults.cycles)
         )
-    bdc_system = _build_mix(
+    bdc_system = build_mix(
         names, defaults,
         request_plans=request_plans,
         response_plans=response_plans,
@@ -641,15 +686,8 @@ def measure_mi_suite(
     correction is applied: the plug-in estimator's finite-sample bias
     would otherwise dominate the near-zero leakage values.
     """
-    spec = BinSpec(edges=defaults.spec.edges, replenish_period=replenish_period)
+    spec = replace(defaults.spec, replenish_period=replenish_period)
     names = [adversary, protected]
-
-    def times(hist: InterArrivalHistogram) -> List[int]:
-        out, t = [], 0
-        for g in hist.gaps:
-            t += g
-            out.append(t)
-        return out
 
     def mi_of(report: SystemReport) -> Dict[str, float]:
         stats = report.core(1)
@@ -659,8 +697,8 @@ def measure_mi_suite(
             intrinsic.gaps, shaped.gaps, spec, bias_correction=True
         )
         windowed = windowed_rate_mi(
-            times(intrinsic), times(shaped), window_cycles,
-            report.cycles_run, bias_correction=True,
+            _event_times(intrinsic.gaps), _event_times(shaped.gaps),
+            window_cycles, report.cycles_run, bias_correction=True,
         )
         return {"paired": paired, "windowed": windowed}
 
@@ -675,7 +713,7 @@ def measure_mi_suite(
         spec,
         bias_correction=True,
     )
-    base_times = times(base_stats.request_intrinsic)
+    base_times = _event_times(base_stats.request_intrinsic.gaps)
 
     rate = base_stats.request_intrinsic.total / max(1, base.cycles_run)
     camo_config = staircase_config(spec, rate * 1.2)
@@ -716,6 +754,15 @@ def measure_mi_suite(
 # ---------------------------------------------------------------------------
 
 
+def _covert_staircase(spec: BinSpec) -> BinConfiguration:
+    """A mid-rate staircase: most credits at fast bins, a tail of slow
+    ones — the DESIRED shape of Figure 11, scaled so the total rate
+    sits between the covert sender's ON and OFF rates."""
+    return BinConfiguration(
+        tuple(max(1, (spec.num_bins - k) * 4) for k in range(spec.num_bins))
+    )
+
+
 def covert_channel_experiment(
     key: int,
     bits: int = 32,
@@ -744,24 +791,13 @@ def covert_channel_experiment(
     trace = covert_sender_trace(key_bits, covert_config)
 
     builder = SystemBuilder(seed=defaults.seed)
-    spec = BinSpec(
-        edges=defaults.spec.edges, replenish_period=replenish_period
-    )
+    spec = replace(defaults.spec, replenish_period=replenish_period)
+    plan = None
     if shaped:
-        if shaping_config is None:
-            # A mid-rate staircase: most credits at fast bins, a tail of
-            # slow ones — the DESIRED shape of Figure 11, scaled so the
-            # total rate sits between the sender's ON and OFF rates.
-            staircase = tuple(
-                max(1, (spec.num_bins - k) * 4) for k in range(spec.num_bins)
-            )
-            shaping_config = BinConfiguration(staircase)
-        builder.add_core(
-            trace,
-            request_shaping=RequestShapingPlan(config=shaping_config, spec=spec),
+        plan = RequestShapingPlan(
+            config=shaping_config or _covert_staircase(spec), spec=spec
         )
-    else:
-        builder.add_core(trace)
+    builder.add_core(trace, request_shaping=plan)
     system = builder.build()
     total_cycles = pulse_cycles * bits + 4 * pulse_cycles
     system.run(total_cycles, stop_when_done=False)
@@ -805,13 +841,6 @@ def covert_interference_experiment(
     (closing the channel at its source) or the receiver's responses
     (denying it the latency measurement).
     """
-    from repro.security.prober import prober_trace
-    from repro.workloads.covert import (
-        CovertChannelConfig,
-        covert_sender_trace,
-        key_to_bits,
-    )
-
     if defense not in (None, "reqc", "respc"):
         raise ConfigurationError(f"unknown defense {defense!r}")
     key_bits = key_to_bits(key, bits)
@@ -824,17 +853,13 @@ def covert_interference_experiment(
         max(64, total_cycles // 25), gap_insts=100
     )
 
-    spec = BinSpec(edges=defaults.spec.edges,
-                   replenish_period=replenish_period)
+    spec = replace(defaults.spec, replenish_period=replenish_period)
     builder = SystemBuilder(seed=defaults.seed)
     receiver_response_plan = None
     sender_request_plan = None
     if defense == "reqc":
-        staircase = tuple(
-            max(1, (spec.num_bins - k) * 4) for k in range(spec.num_bins)
-        )
         sender_request_plan = RequestShapingPlan(
-            config=BinConfiguration(staircase), spec=spec
+            config=_covert_staircase(spec), spec=spec
         )
     elif defense == "respc":
         # A constant response distribution for the receiver: its
@@ -898,14 +923,67 @@ def _resolve_executor(executor, jobs: int, cache_dir: Optional[str],
     An explicitly passed ``executor`` wins (callers can share one
     cache/seed counter across experiments); otherwise a fresh
     :class:`~repro.parallel.executor.SweepExecutor` is built from
-    ``jobs``/``cache_dir``.  Imported lazily — the parallel layer
-    depends on this module's task helpers.
+    ``jobs``/``cache_dir``.
     """
     if executor is not None:
         return executor
-    from repro.parallel import SweepExecutor
+    return _parallel().SweepExecutor(jobs=jobs, seed=seed, cache=cache_dir)
 
-    return SweepExecutor(jobs=jobs, seed=seed, cache=cache_dir)
+
+def _parallel():
+    """:mod:`repro.parallel`, resolved lazily: its task module imports
+    this one, so it cannot be a module-level import here."""
+    import repro.parallel
+
+    return repro.parallel
+
+
+def alone_base_runs(
+    names: Sequence[str],
+    defaults: ExperimentDefaults,
+    runner,
+    labels: Sequence[str],
+) -> List[Dict]:
+    """Sweep stage 0: each program alone, unshaped, at its mix slot.
+
+    One task family for every sweep's baselines, so a program's alone
+    run is simulated once per cache no matter which sweep asks first.
+    """
+    tasks = _parallel().tasks
+    return runner.map(
+        tasks.alone_base_task,
+        [
+            tasks.encode_point([name], defaults, slots=[slot])
+            for slot, name in enumerate(names)
+        ],
+        kind="alone-base", labels=list(labels),
+    )
+
+
+def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
+                   scales: Sequence[float], replenish_period: int,
+                   runner, context: str):
+    """The config ladder Figure 2 and the detect suite both climb.
+
+    Profiles ``benchmark`` alone (sweep stage 0) and returns the
+    shaping spec, the base run, its request rate, and the ``(label,
+    config)`` rungs: the CS anchor (constant interval near the
+    program's average rate), then a predetermined staircase at each
+    bandwidth ``scale``.
+    """
+    spec = replace(defaults.spec, replenish_period=replenish_period)
+    [base] = alone_base_runs(
+        [benchmark], defaults, runner, [f"{benchmark}:base"]
+    )
+    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
+    cs_interval = constant_rate_interval_for(
+        spec, 1.0 / max(base_rate, 1e-9), context=f"{context}:{benchmark}"
+    )
+    rungs = [("cs", constant_rate_config(spec, cs_interval))] + [
+        (f"camo-x{scale}", staircase_config(spec, base_rate * scale))
+        for scale in scales
+    ]
+    return spec, base, base_rate, rungs
 
 
 def tradeoff_sweep(
@@ -935,45 +1013,23 @@ def tradeoff_sweep(
     ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md); the
     returned points additionally carry each run's ``digest``.
     """
-    from repro.parallel.tasks import (
-        _event_times,
-        alone_base_task,
-        make_run_payload,
-        tradeoff_point_task,
-    )
-
-    spec = BinSpec(edges=defaults.spec.edges, replenish_period=replenish_period)
+    tasks = _parallel().tasks
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
+    spec, base, base_rate, ladder = _config_ladder(
+        benchmark, defaults, scales, replenish_period, runner, "tradeoff"
     )
-    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-
-    # CS anchor: constant interval near the program's average rate.
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(base_rate, 1e-9), context=f"tradeoff:{benchmark}"
-    )
-
-    def point_payload(label: str, config: BinConfiguration) -> Dict:
-        payload = make_run_payload(benchmark, defaults, spec=spec)
-        payload["credits"] = list(config.credits)
-        payload["window_cycles"] = window_cycles
-        payload["label"] = label
-        payload["detect_seed"] = defaults.seed
-        return payload
-
-    shaped = [point_payload("cs", constant_rate_config(spec, cs_interval))]
-    for scale in scales:
-        shaped.append(
-            point_payload(
-                f"camo-x{scale}", staircase_config(spec, base_rate * scale)
-            )
-        )
     shaped_points = runner.map(
-        tradeoff_point_task, shaped, kind="tradeoff-point",
-        labels=[p["label"] for p in shaped],
+        tasks.tradeoff_point_task,
+        [
+            tasks.encode_point(
+                [benchmark], defaults, spec=spec,
+                request_plans={0: RequestShapingPlan(config, spec)},
+                label=label,
+                window_cycles=window_cycles, detect_seed=defaults.seed,
+            )
+            for label, config in ladder
+        ],
+        kind="tradeoff-point", labels=[label for label, _ in ladder],
     )
 
     base_times = _event_times(base["gaps"])
@@ -986,8 +1042,6 @@ def tradeoff_sweep(
     # stream is the intrinsic one, tested against the reference
     # staircase at the program's own rate — the distribution the
     # shaped points are moving toward.
-    from repro.security.detect import detect_report
-
     anchor_zoo = detect_report(
         label="no-shaping",
         intrinsic_gaps=base["gaps"],
@@ -1001,12 +1055,7 @@ def tradeoff_sweep(
     no_shaping = {
         "label": "no-shaping",
         "ipc": base["ipc"],
-        "mi": anchor_mi,
-        "auc": anchor_zoo.auc,
-        "auc_logistic": anchor_zoo.auc_logistic,
-        "auc_stumps": anchor_zoo.auc_stumps,
-        "xcorr": anchor_zoo.xcorr,
-        "spectral": anchor_zoo.spectral,
+        **anchor_zoo.score_row(),
         "digest": base["digest"],
     }
     return [shaped_points[0], no_shaping] + shaped_points[1:]
@@ -1038,48 +1087,29 @@ def detect_suite(
     pure function of ``(benchmark, defaults, scales, window)``:
     byte-identical across repeated runs and across ``jobs`` values.
     """
-    from repro.common.util import canonical_json_digest
-    from repro.parallel.tasks import (
-        alone_base_task,
-        detect_point_task,
-        make_run_payload,
-    )
-
-    spec = BinSpec(
-        edges=defaults.spec.edges, replenish_period=replenish_period
-    )
+    tasks = _parallel().tasks
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
+    spec, _base, base_rate, ladder = _config_ladder(
+        benchmark, defaults, scales, replenish_period, runner, "detect"
     )
-    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(base_rate, 1e-9), context=f"detect:{benchmark}"
-    )
-    reference = staircase_config(spec, base_rate)
-
-    def payload(label: str, config: Optional[BinConfiguration],
-                target: BinConfiguration) -> Dict:
-        doc = make_run_payload(benchmark, defaults, spec=spec)
-        doc["label"] = label
-        doc["credits"] = None if config is None else list(config.credits)
-        doc["target_credits"] = list(target.credits)
-        doc["window_cycles"] = window_cycles
-        doc["detect_seed"] = defaults.seed
-        return doc
-
-    payloads = [
-        payload("no-shaping", None, reference),
-        payload("cs", constant_rate_config(spec, cs_interval),
-                constant_rate_config(spec, cs_interval)),
+    # (label, request plans, the distribution the zoo tests the
+    # observed stream against).
+    rungs = [("no-shaping", {}, staircase_config(spec, base_rate))] + [
+        (label, {0: RequestShapingPlan(config, spec)}, config)
+        for label, config in ladder
     ]
-    for scale in scales:
-        config = staircase_config(spec, base_rate * scale)
-        payloads.append(payload(f"camo-x{scale}", config, config))
     rows = runner.map(
-        detect_point_task, payloads, kind="detect-point",
-        labels=[p["label"] for p in payloads],
+        tasks.detect_point_task,
+        [
+            tasks.encode_point(
+                [benchmark], defaults, spec=spec,
+                request_plans=plans, label=label,
+                target_credits=list(target.credits),
+                window_cycles=window_cycles, detect_seed=defaults.seed,
+            )
+            for label, plans, target in rungs
+        ],
+        kind="detect-point", labels=[label for label, _, _ in rungs],
     )
     doc: Dict[str, object] = {
         "benchmark": benchmark,
@@ -1114,49 +1144,35 @@ def scalability_experiment(
     baseline) mixes are independent simulations and fan out through
     ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md).
     """
-    from repro.parallel.tasks import (
-        alone_base_task,
-        make_run_payload,
-        mix_slowdown_task,
-    )
-
+    tasks = _parallel().tasks
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
+    [base] = alone_base_runs(
+        [benchmark], defaults, runner, [f"{benchmark}:base"]
     )
-    alone_ipc = base["ipc"]
     base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-    camo_credits = list(
-        staircase_config(defaults.spec, base_rate * 1.15).credits
+    camo_plan = RequestShapingPlan(
+        config=staircase_config(defaults.spec, base_rate * 1.15),
+        spec=defaults.spec,
     )
-
-    def mix_payload(n: int, **kwargs) -> Dict:
-        payload = make_run_payload(benchmark, defaults)
-        del payload["benchmark"]
-        payload["names"] = [benchmark] * n
-        payload["alone_ipcs"] = [alone_ipc] * n
-        payload.update(kwargs)
-        return payload
 
     payloads, labels = [], []
     for n in core_counts:
-        payloads.append(mix_payload(n))
+        encode = partial(
+            tasks.encode_point, [benchmark] * n, defaults,
+            alone_ipcs=[base["ipc"]] * n,
+        )
+        payloads.append(encode())
         labels.append(f"frfcfs:n{n}")
         payloads.append(
-            mix_payload(
-                n, scheduler="tp",
+            encode(
+                scheduler="tp",
                 scheduler_kwargs={"turn_length": tp_turn_length},
             )
         )
         labels.append(f"tp:n{n}")
         payloads.append(
-            mix_payload(
-                n,
-                request_plans={
-                    str(core): {"credits": camo_credits}
-                    for core in range(n)
-                },
+            encode(
+                request_plans={core: camo_plan for core in range(n)},
                 # Zoo-score core 0's shaped stream in every Camouflage
                 # mix: detectability must stay flat as domains scale,
                 # or per-core shaping only looks scalable.
@@ -1166,7 +1182,7 @@ def scalability_experiment(
         labels.append(f"camo:n{n}")
 
     rows = runner.map(
-        mix_slowdown_task, payloads, kind="mix-slowdown", labels=labels
+        tasks.mix_slowdown_task, payloads, kind="mix-slowdown", labels=labels
     )
     results: Dict[int, Dict[str, float]] = {}
     for position, n in enumerate(core_counts):
@@ -1193,8 +1209,6 @@ def headline_speedups(
     ``adversaries`` × {astar, mcf} victim contexts (vs TP / FS) into
     geometric-mean factors.
     """
-    from repro.workloads.spec import BENCHMARK_NAMES
-
     benchmarks = list(benchmarks or BENCHMARK_NAMES)
     vs_cs = geometric_mean(
         [reqc_speedup_experiment(b, defaults)["speedup"] for b in benchmarks]

@@ -21,37 +21,40 @@ from repro.analysis.experiments import (
     ExperimentDefaults,
     _mix_names,
     _resolve_executor,
+    alone_base_runs,
 )
 from repro.parallel.tasks import (
-    alone_ipc_task,
-    make_run_payload,
+    encode_point,
     mesh_position_task,
     mix_slowdown_task,
     noc_latency_task,
 )
 
 
-def _alone_ipcs(names: Sequence[str], defaults: ExperimentDefaults, runner):
-    payloads = []
-    for slot, name in enumerate(names):
-        payload = make_run_payload(name, defaults)
-        payload["core_slot"] = slot
-        payloads.append(payload)
-    rows = runner.map(
-        alone_ipc_task, payloads, kind="alone-ipc",
-        labels=[f"{name}:slot{slot}" for slot, name in enumerate(names)],
+def _mix_slowdown_rows(adversary: str, victim: str,
+                       defaults: ExperimentDefaults, runner,
+                       variants: Dict[str, Dict]):
+    """Run w(adversary, victim) once per labelled baseline variant.
+
+    Stage 0 runs each program alone at its mix slot (the slowdown
+    denominators); each variant's dict is the scheduler part of the
+    machine (:func:`~repro.parallel.tasks.encode_point` keywords).
+    """
+    names = _mix_names(adversary, victim)
+    alone = [
+        row["ipc"] for row in alone_base_runs(
+            names, defaults, runner,
+            [f"{name}:slot{slot}" for slot, name in enumerate(names)],
+        )
+    ]
+    return runner.map(
+        mix_slowdown_task,
+        [
+            encode_point(names, defaults, alone_ipcs=alone, **variant)
+            for variant in variants.values()
+        ],
+        kind="mix-slowdown", labels=list(variants),
     )
-    return [row["ipc"] for row in rows]
-
-
-def _mix_payload(names: Sequence[str], defaults: ExperimentDefaults,
-                 alone, **kwargs) -> Dict:
-    payload = make_run_payload(names[0], defaults)
-    del payload["benchmark"]
-    payload["names"] = list(names)
-    payload["alone_ipcs"] = list(alone)
-    payload.update(kwargs)
-    return payload
 
 
 def tp_turn_length_sweep(
@@ -70,20 +73,12 @@ def tp_turn_length_sweep(
     where the Figure 13 default (128) sits.
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    names = _mix_names(adversary, victim)
-    alone = _alone_ipcs(names, defaults, runner)
-    rows = runner.map(
-        mix_slowdown_task,
-        [
-            _mix_payload(
-                names, defaults, alone, scheduler="tp",
-                scheduler_kwargs={"turn_length": turn},
-            )
-            for turn in turn_lengths
-        ],
-        kind="mix-slowdown",
-        labels=[f"tp:turn{turn}" for turn in turn_lengths],
-    )
+    rows = _mix_slowdown_rows(adversary, victim, defaults, runner, {
+        f"tp:turn{turn}": dict(
+            scheduler="tp", scheduler_kwargs={"turn_length": turn}
+        )
+        for turn in turn_lengths
+    })
     return {
         turn: row["slowdown"] for turn, row in zip(turn_lengths, rows)
     }
@@ -108,21 +103,13 @@ def fs_interval_sweep(
     comparison must use the best interval among the leak-free ones.
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    names = _mix_names(adversary, victim)
-    alone = _alone_ipcs(names, defaults, runner)
-    rows = runner.map(
-        mix_slowdown_task,
-        [
-            _mix_payload(
-                names, defaults, alone, scheduler="fs",
-                scheduler_kwargs={"interval": interval},
-                bank_partitioning=bank_partitioning,
-            )
-            for interval in intervals
-        ],
-        kind="mix-slowdown",
-        labels=[f"fs:interval{interval}" for interval in intervals],
-    )
+    rows = _mix_slowdown_rows(adversary, victim, defaults, runner, {
+        f"fs:interval{interval}": dict(
+            scheduler="fs", scheduler_kwargs={"interval": interval},
+            bank_partitioning=bank_partitioning,
+        )
+        for interval in intervals
+    })
     return {
         interval: {
             "slowdown": row["slowdown"],
@@ -144,13 +131,13 @@ def noc_latency_sweep(
     sweep for the substrate: end-to-end latency must grow by exactly
     2x the added hop latency — request plus response traversal)."""
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    payloads = []
-    for latency in latencies:
-        payload = make_run_payload(benchmark, defaults)
-        payload["noc_latency"] = latency
-        payloads.append(payload)
     rows = runner.map(
-        noc_latency_task, payloads, kind="noc-latency",
+        noc_latency_task,
+        [
+            encode_point([benchmark], defaults, noc_latency=latency)
+            for latency in latencies
+        ],
+        kind="noc-latency",
         labels=[f"noc:hop{latency}" for latency in latencies],
     )
     return {
@@ -182,17 +169,18 @@ def mesh_position_leakage(
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
     positions = list(range(1, num_cores))
-    payloads = []
-    for position in positions:
-        payload = make_run_payload("gcc", defaults)
-        del payload["benchmark"]
-        payload.update(
-            victims=list(victims), position=position,
-            shaped=bool(shaped), num_cores=int(num_cores),
-        )
-        payloads.append(payload)
     rows = runner.map(
-        mesh_position_task, payloads, kind="mesh-position",
+        mesh_position_task,
+        [
+            # No recipe programs: the task builds its own two worlds
+            # from the run geometry and these fields.
+            encode_point(
+                [], defaults, victims=list(victims), position=position,
+                shaped=bool(shaped), num_cores=int(num_cores),
+            )
+            for position in positions
+        ],
+        kind="mesh-position",
         labels=[f"mesh:pos{position}" for position in positions],
     )
     return {row["position"]: row["distinguishability"] for row in rows}

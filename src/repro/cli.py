@@ -22,23 +22,53 @@ for quick looks.
 from __future__ import annotations
 
 import argparse
+import json
+import signal
 import sys
+import threading
 from typing import List, Optional
 
+from repro.analysis.calibration import calibrate_suite, check_substitution_claims
 from repro.analysis.experiments import (
     ExperimentDefaults,
     bdc_comparison,
     covert_channel_experiment,
+    detect_suite,
     measure_mi_suite,
     reqc_speedup_experiment,
     run_mix,
+    scalability_experiment,
     tradeoff_sweep,
 )
 from repro.analysis.format import ascii_series, format_distribution, format_table
+from repro.analysis.sweeps import (
+    fs_interval_sweep,
+    mesh_position_leakage,
+    noc_latency_sweep,
+    tp_turn_length_sweep,
+)
+from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
-from repro.obs import ALL_CATEGORIES, ObservabilityConfig
+from repro.obs import ALL_CATEGORIES, ObservabilityConfig, diag
+from repro.obs.events import CATEGORY_DISPATCH
+from repro.obs.export import render_openmetrics
+from repro.obs.server import MetricsServer, ServePublisher
+from repro.parallel import (
+    DispatchCoordinator,
+    DispatchLedger,
+    ResultCache,
+    SweepExecutor,
+    WorkerHost,
+)
+from repro.resilience import ResilienceConfig, run_scenario
+from repro.resilience.snapshot import (
+    read_snapshot_info,
+    restore_system,
+    snapshot_system,
+)
+from repro.sim.stats import report_digest
 from repro.sim.system import RequestShapingPlan, ResponseShapingPlan, SystemBuilder
-from repro.workloads.spec import BENCHMARK_NAMES
+from repro.workloads.spec import BENCHMARK_NAMES, make_trace
 
 _EXPERIMENTS = {
     "fig11": "shape a benchmark's requests onto the DESIRED staircase",
@@ -61,22 +91,43 @@ _EXPERIMENTS = {
     "profile": "engine self-profile: per-station work and skip-span rollup",
 }
 
-#: Sweeps runnable via ``repro sweep <name>``; each maps to a driver
-#: accepting (defaults, executor) — results print as canonical JSON so
-#: ``--jobs 1`` and ``--jobs N`` outputs can be byte-compared.
-_SWEEP_NAMES = (
-    "tradeoff",
-    "detect",
-    "scalability",
-    "tp-turn",
-    "fs-interval",
-    "noc-latency",
-    "mesh-position",
-)
+#: Sweeps runnable via ``repro sweep <name>``: name -> (driver, default
+#: ``--benchmark``; ``None`` when the driver takes no benchmark).  Every
+#: driver accepts ``defaults`` plus ``executor`` or ``jobs``/``cache_dir``;
+#: results print as canonical JSON so ``--jobs 1`` and ``--jobs N``
+#: outputs can be byte-compared.  ``repro tradeoff`` / ``repro detect``
+#: are the first two rows with their own renderers.
+_SWEEPS = {
+    "tradeoff": (tradeoff_sweep, "apache"),
+    "detect": (detect_suite, "apache"),
+    "scalability": (scalability_experiment, "gcc"),
+    "tp-turn": (tp_turn_length_sweep, None),
+    "fs-interval": (fs_interval_sweep, None),
+    "noc-latency": (noc_latency_sweep, "mcf"),
+    "mesh-position": (mesh_position_leakage, None),
+}
+
+
+#: The fig11 DESIRED staircase, also the demo mix's shaping target.
+_DESIRED = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
 
 
 def _defaults(args) -> ExperimentDefaults:
     return ExperimentDefaults().scaled(args.scale)
+
+
+def _canonical_text(doc) -> str:
+    """Canonical JSON: repeated runs and different ``--jobs`` values
+    must byte-compare (the CI parallel-smoke / detect-smoke checks)."""
+    return json.dumps(canonical_doc(doc), sort_keys=True, indent=2)
+
+
+def _run_sweep(name: str, args, **fanout):
+    """Run one row of the sweep table at ``args``' scale and benchmark."""
+    driver, default_benchmark = _SWEEPS[name]
+    if default_benchmark is not None:
+        fanout["benchmark"] = args.benchmark or default_benchmark
+    return driver(defaults=_defaults(args), **fanout)
 
 
 def _cmd_list(_args) -> int:
@@ -88,13 +139,12 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_fig11(args) -> int:
-    desired = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
     defaults = _defaults(args)
     report = run_mix(
         [args.benchmark], defaults,
         request_plans={
             0: RequestShapingPlan(
-                config=desired, spec=defaults.spec, strict_binning=True
+                config=_DESIRED, spec=defaults.spec, strict_binning=True
             )
         },
     )
@@ -104,11 +154,11 @@ def _cmd_fig11(args) -> int:
           format_distribution(stats.request_intrinsic.counts))
     print("shaped:   ",
           format_distribution(stats.request_shaped.counts))
-    print("DESIRED:  ", format_distribution(desired.credits))
+    print("DESIRED:  ", format_distribution(_DESIRED.credits))
     tv = 0.5 * sum(
         abs(a - b)
         for a, b in zip(stats.request_shaped.frequencies(),
-                        desired.normalized())
+                        _DESIRED.normalized())
     )
     print(f"TV distance to DESIRED: {tv:.4f}")
     return 0
@@ -171,11 +221,6 @@ def _cmd_mi(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from repro.analysis.calibration import (
-        calibrate_suite,
-        check_substitution_claims,
-    )
-
     benchmarks = [args.benchmark] if args.benchmark else None
     calibrations = calibrate_suite(_defaults(args), benchmarks)
     rows = [
@@ -200,9 +245,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    points = tradeoff_sweep(
-        args.benchmark, _defaults(args),
-        jobs=args.jobs, cache_dir=args.cache_dir,
+    points = _run_sweep(
+        "tradeoff", args, jobs=args.jobs, cache_dir=args.cache_dir
     )
     print(format_table(
         ["config", "ipc", "mi_bits", "auc", "xcorr", "spectral", "digest"],
@@ -216,19 +260,11 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    import json as json_module
-
-    from repro.analysis.experiments import detect_suite
-    from repro.common.util import canonical_doc
-
-    doc = detect_suite(
-        args.benchmark, _defaults(args),
-        jobs=args.jobs, cache_dir=args.cache_dir,
+    doc = _run_sweep(
+        "detect", args, jobs=args.jobs, cache_dir=args.cache_dir
     )
-    # Canonical JSON on stdout: repeated runs and different --jobs
-    # values must byte-compare (the CI detect-smoke check); chatter
-    # stays on stderr.
-    text = json_module.dumps(canonical_doc(doc), sort_keys=True, indent=2)
+    # Canonical JSON on stdout; chatter stays on stderr.
+    text = _canonical_text(doc)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -238,23 +274,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import json as json_module
-
-    from repro.analysis.experiments import detect_suite, scalability_experiment
-    from repro.analysis.sweeps import (
-        fs_interval_sweep,
-        mesh_position_leakage,
-        noc_latency_sweep,
-        tp_turn_length_sweep,
-    )
-    from repro.common.util import canonical_doc
-    from repro.parallel import SweepExecutor
-
-    defaults = _defaults(args)
     dispatch = None
     if args.hosts:
-        from repro.parallel.dispatch import DispatchCoordinator
-
         dispatch = DispatchCoordinator(
             args.hosts,
             lease_seconds=args.lease_seconds,
@@ -263,13 +284,11 @@ def _cmd_sweep(args) -> int:
     elif args.ledger:
         raise SystemExit("--ledger requires --hosts")
     executor = SweepExecutor(
-        jobs=args.jobs, seed=defaults.seed, cache=args.cache_dir,
+        jobs=args.jobs, seed=_defaults(args).seed, cache=args.cache_dir,
         dispatch=dispatch,
     )
     server = None
     if args.serve:
-        from repro.obs.server import MetricsServer
-
         # Server chatter goes to stderr: sweep stdout stays canonical
         # JSON so `--jobs 1` / `--jobs N` outputs byte-compare.
         server = MetricsServer(
@@ -277,35 +296,7 @@ def _cmd_sweep(args) -> int:
         ).start()
         print(f"serving merged sweep metrics at {server.url}",
               file=sys.stderr)
-    drivers = {
-        "tradeoff": lambda: tradeoff_sweep(
-            args.benchmark or "apache", defaults, executor=executor
-        ),
-        "detect": lambda: detect_suite(
-            args.benchmark or "apache", defaults, executor=executor
-        ),
-        "scalability": lambda: scalability_experiment(
-            args.benchmark or "gcc", defaults, executor=executor
-        ),
-        "tp-turn": lambda: tp_turn_length_sweep(
-            defaults=defaults, executor=executor
-        ),
-        "fs-interval": lambda: fs_interval_sweep(
-            defaults=defaults, executor=executor
-        ),
-        "noc-latency": lambda: noc_latency_sweep(
-            args.benchmark or "mcf", defaults, executor=executor
-        ),
-        "mesh-position": lambda: mesh_position_leakage(
-            defaults=defaults, executor=executor
-        ),
-    }
-    result = drivers[args.name]()
-    # Canonical JSON on stdout: `repro sweep X --jobs 1` and `--jobs 4`
-    # outputs must be byte-identical (the CI parallel-smoke check).
-    print(json_module.dumps(
-        canonical_doc(result), sort_keys=True, indent=2
-    ))
+    print(_canonical_text(_run_sweep(args.name, args, executor=executor)))
     print(
         f"tasks: run={executor.tasks_run} cached={executor.tasks_cached} "
         f"retries={executor.retries}",
@@ -324,26 +315,19 @@ def _cmd_sweep(args) -> int:
         )
         dispatch.close()
     if args.metrics_out:
-        from repro.obs.export import render_openmetrics
-
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(render_openmetrics(executor.merged_registry()))
         print(f"merged exposition written to {args.metrics_out}",
               file=sys.stderr)
     if args.dispatch_log:
-        from repro.obs import diag
-        from repro.obs.events import CATEGORY_DISPATCH
-
         with open(args.dispatch_log, "w", encoding="utf-8") as fh:
             for event in diag.recent(category=CATEGORY_DISPATCH):
-                fh.write(json_module.dumps(
+                fh.write(json.dumps(
                     event.as_jsonl_obj(), sort_keys=True
                 ) + "\n")
         print(f"dispatch event log written to {args.dispatch_log}",
               file=sys.stderr)
     if server is not None:
-        from repro.obs.export import render_openmetrics
-
         server.publish(render_openmetrics(executor.merged_registry()))
         if args.serve_linger > 0:
             _serve_linger(args.serve_linger, {"signal": None})
@@ -352,8 +336,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.parallel import ResultCache
-
     cache = ResultCache(args.cache_dir)
     if args.verb == "ls":
         entries = cache.entries()
@@ -377,10 +359,6 @@ def _cmd_cache(args) -> int:
 
 def _cmd_dispatch(args) -> int:
     if args.verb == "worker":
-        import signal
-
-        from repro.parallel.worker import WorkerHost
-
         worker = WorkerHost(
             host=args.host,
             port=args.port,
@@ -413,8 +391,6 @@ def _cmd_dispatch(args) -> int:
         return 0
 
     # status: render a persisted ledger.
-    from repro.parallel.ledger import DispatchLedger
-
     ledger = DispatchLedger.load(args.ledger)
     doc = ledger.doc
     counts = ledger.counts()
@@ -445,25 +421,27 @@ def _cmd_dispatch(args) -> int:
     return 1 if unfinished else 0
 
 
-def _observed_system(args, obs_config: ObservabilityConfig):
+def _observed_system(args, obs_config: ObservabilityConfig,
+                     resilience_config=None):
     """A two-core mix with BDC on core 0 and the obs stack attached.
 
     The observed workload is the fig11 DESIRED staircase shaping the
     chosen benchmark against an unshaped co-runner — the canonical
     setup every observability demo and doc example uses.
+    ``resilience_config`` adds the checkpoint/watchdog layer
+    (``repro run`` / ``serve``).
     """
-    from repro.workloads import make_trace
-
     defaults = _defaults(args)
-    desired = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
     builder = SystemBuilder(seed=defaults.seed)
     builder.with_observability(obs_config)
+    if resilience_config is not None:
+        builder.with_resilience(resilience_config)
     builder.add_core(
         make_trace(args.benchmark, num_accesses=defaults.accesses,
                    seed=defaults.seed),
-        request_shaping=RequestShapingPlan(config=desired,
+        request_shaping=RequestShapingPlan(config=_DESIRED,
                                            spec=defaults.spec),
-        response_shaping=ResponseShapingPlan(config=desired,
+        response_shaping=ResponseShapingPlan(config=_DESIRED,
                                              spec=defaults.spec),
     )
     builder.add_core(
@@ -559,14 +537,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.resilience.snapshot import snapshot_system
-    from repro.sim.stats import report_digest
-
-    system, defaults = _observed_resilient_system(args, profile=args.serve)
+    system, defaults = _observed_system(
+        args, *_run_configs(args, profile=args.serve)
+    )
     server = publisher = None
     if args.serve:
-        from repro.obs.server import MetricsServer, ServePublisher
-
         obs = system.observability
         server = MetricsServer(
             host=args.serve_host, port=args.serve_port
@@ -605,50 +580,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _observed_resilient_system(args, profile: bool = False):
-    """The ``_observed_system`` mix plus the resilience layer.
+def _run_configs(args, profile: bool):
+    """The obs and resilience configs of ``repro run`` / ``serve``.
 
     ``profile=True`` (the serving paths) also turns on the engine
     self-profiler and the interval sampler so the `/metrics` endpoint
     exposes profiler and probe-derived gauge families.
     """
-    from repro.resilience import ResilienceConfig
-    from repro.workloads import make_trace
-
-    defaults = _defaults(args)
-    desired = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
-    builder = SystemBuilder(seed=defaults.seed)
-    builder.with_observability(ObservabilityConfig(
-        trace=True, trace_limit=args.limit, monitor=True,
-        profile=profile,
-        sample_interval=1024 if profile else None,
-    ))
-    builder.with_resilience(ResilienceConfig(
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_keep=args.checkpoint_keep,
-        watchdog_cycles=args.watchdog,
-        watchdog_dump_path=args.watchdog_dump or "",
-    ))
-    builder.add_core(
-        make_trace(args.benchmark, num_accesses=defaults.accesses,
-                   seed=defaults.seed),
-        request_shaping=RequestShapingPlan(config=desired,
-                                           spec=defaults.spec),
-        response_shaping=ResponseShapingPlan(config=desired,
-                                             spec=defaults.spec),
+    return (
+        ObservabilityConfig(
+            trace=True, trace_limit=args.limit, monitor=True,
+            profile=profile,
+            sample_interval=1024 if profile else None,
+        ),
+        ResilienceConfig(
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_keep=args.checkpoint_keep,
+            watchdog_cycles=args.watchdog,
+            watchdog_dump_path=args.watchdog_dump or "",
+        ),
     )
-    builder.add_core(
-        make_trace(args.corunner, num_accesses=defaults.accesses,
-                   seed=defaults.seed + 1, base_address=1 << 26),
-    )
-    return builder.build(), defaults
 
 
 def _cmd_resume(args) -> int:
-    from repro.resilience.snapshot import read_snapshot_info, restore_system
-    from repro.sim.stats import report_digest
-
     info = read_snapshot_info(args.snapshot)
     print(f"snapshot: kind={info.get('kind')} cycle={info.get('cycle')} "
           f"cores={info.get('num_cores')}")
@@ -674,15 +629,11 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    import json as json_module
-
-    from repro.resilience import run_scenario, scenario_names
-
     result = run_scenario(
         args.scenario, cycles=args.cycles, dump_path=args.dump or "",
         engine=args.engine,
     )
-    print(json_module.dumps(result, indent=2, sort_keys=True, default=str))
+    print(json.dumps(result, indent=2, sort_keys=True, default=str))
     # The resilience contract: a fault run must end in a typed error,
     # a flagged degraded mode, or clean completion with bounds intact.
     if result.get("outcome") == "silent_failure":
@@ -710,13 +661,9 @@ def _serve_linger(seconds: float, stop) -> None:
 
 
 def _cmd_serve(args) -> int:
-    import json as json_module
-    import signal
-
-    from repro.obs.server import MetricsServer, ServePublisher
-    from repro.sim.stats import report_digest
-
-    system, defaults = _observed_resilient_system(args, profile=True)
+    system, defaults = _observed_system(
+        args, *_run_configs(args, profile=True)
+    )
     obs = system.observability
     server = MetricsServer(host=args.host, port=args.port).start()
     publisher = ServePublisher(obs, server, interval=args.publish_interval)
@@ -731,8 +678,6 @@ def _cmd_serve(args) -> int:
     # Signal handlers can only be installed from the main thread; when
     # embedded (tests drive main() from a worker thread) serve still
     # works, it just cannot drain on SIGTERM.
-    import threading
-
     previous = {}
     if threading.current_thread() is threading.main_thread():
         previous = {
@@ -757,7 +702,7 @@ def _cmd_serve(args) -> int:
             rollup = obs.profiler.rollup(include_wall=True,
                                          monitor=obs.monitor)
             with open(args.profile_out, "w", encoding="utf-8") as fh:
-                json_module.dump(rollup, fh, indent=2, sort_keys=True)
+                json.dump(rollup, fh, indent=2, sort_keys=True)
             print(f"profiler rollup written to {args.profile_out}")
         if stop["signal"] is None and args.linger > 0:
             _serve_linger(args.linger, stop)
@@ -778,10 +723,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import json as json_module
-
-    from repro.sim.stats import report_digest
-
     system, defaults = _observed_system(args, ObservabilityConfig(
         monitor=True,
         sample_interval=1024,
@@ -822,7 +763,7 @@ def _cmd_profile(args) -> int:
           "enters the registry, reports or digests)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json_module.dump(rollup, fh, indent=2, sort_keys=True)
+            json.dump(rollup, fh, indent=2, sort_keys=True)
         print(f"profiler rollup written to {args.out}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
@@ -862,6 +803,48 @@ def _engine_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _mix_parent() -> argparse.ArgumentParser:
+    """``--benchmark/--corunner``: the observed two-core demo mix."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
+    parent.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
+    return parent
+
+
+def _fanout_parent(benchmark: Optional[str]) -> argparse.ArgumentParser:
+    """``--benchmark/--jobs/--cache-dir`` for the sweep-table verbs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--benchmark", default=benchmark,
+                        choices=BENCHMARK_NAMES,
+                        help="the swept program (default: the sweep's own)")
+    parent.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the sweep points "
+                             "(1 = inline, the reference)")
+    parent.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="content-addressed result cache directory")
+    return parent
+
+
+def _resilience_parent() -> argparse.ArgumentParser:
+    """Checkpoint, watchdog and event-ring flags of ``run`` / ``serve``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--checkpoint-every", type=int, default=0,
+                        metavar="N",
+                        help="snapshot the whole system every N cycles")
+    parent.add_argument("--checkpoint-dir", default="checkpoints",
+                        help="directory for drain/periodic snapshots")
+    parent.add_argument("--checkpoint-keep", type=int, default=3,
+                        help="most-recent snapshots to retain")
+    parent.add_argument("--watchdog", type=int, default=None,
+                        metavar="CYCLES",
+                        help="stall budget before aborting (0 disables)")
+    parent.add_argument("--watchdog-dump", default=None, metavar="PATH",
+                        help="JSON diagnostic dump path on watchdog trip")
+    parent.add_argument("--limit", type=int, default=65536,
+                        help="event ring capacity")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -873,53 +856,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    def verb(name, handler, help=None, **kwargs):
+        """One verb: its parser, its help line and its handler."""
+        p = sub.add_parser(name, help=help or _EXPERIMENTS[name], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("fig11", help=_EXPERIMENTS["fig11"])
+    verb("list", _cmd_list, help="list available experiments")
+
+    p = verb("fig11", _cmd_fig11)
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
 
-    p = sub.add_parser("fig12", help=_EXPERIMENTS["fig12"])
+    p = verb("fig12", _cmd_fig12)
     p.add_argument("--benchmark", default=None, choices=BENCHMARK_NAMES)
 
-    p = sub.add_parser("fig13", help=_EXPERIMENTS["fig13"])
+    p = verb("fig13", _cmd_fig13)
     p.add_argument("--adversary", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--victim", default="mcf", choices=("astar", "mcf"))
     p.add_argument("--tune", action="store_true",
                    help="run the online GA CONFIG phase first")
 
-    p = sub.add_parser("covert", help=_EXPERIMENTS["covert"])
+    p = verb("covert", _cmd_covert)
     p.add_argument("--key", default="0x2AAAAAAA")
     p.add_argument("--bits", type=int, default=32)
     p.add_argument("--pulse", type=int, default=3000)
     p.add_argument("--no-shaping", action="store_true")
 
-    sub.add_parser("mi", help=_EXPERIMENTS["mi"])
+    verb("mi", _cmd_mi)
 
-    p = sub.add_parser("tradeoff", help=_EXPERIMENTS["tradeoff"])
-    p.add_argument("--benchmark", default="apache", choices=BENCHMARK_NAMES)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep points")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed result cache directory")
+    verb("tradeoff", _cmd_tradeoff,
+         parents=[_fanout_parent(_SWEEPS["tradeoff"][1])])
 
-    p = sub.add_parser("detect", help=_EXPERIMENTS["detect"])
-    p.add_argument("--benchmark", default="apache", choices=BENCHMARK_NAMES)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the suite rungs")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed result cache directory")
+    p = verb("detect", _cmd_detect,
+             parents=[_fanout_parent(_SWEEPS["detect"][1])])
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the canonical DetectReport JSON here")
 
-    p = sub.add_parser("sweep", help=_EXPERIMENTS["sweep"])
-    p.add_argument("name", choices=_SWEEP_NAMES,
+    p = verb("sweep", _cmd_sweep, parents=[_fanout_parent(None)])
+    p.add_argument("name", choices=tuple(_SWEEPS),
                    help="which sweep to run")
-    p.add_argument("--benchmark", default=None, choices=BENCHMARK_NAMES,
-                   help="override the sweep's default benchmark")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (1 = inline, the reference)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed result cache directory")
     p.add_argument("--hosts", default=None, metavar="H:P,H:P",
                    help="dispatch shards to these worker hosts "
                         "(repro dispatch worker) instead of the "
@@ -934,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write dispatch.* diagnostics as JSONL here")
     _add_serve_args(p)
 
-    p = sub.add_parser("dispatch", help=_EXPERIMENTS["dispatch"])
+    p = verb("dispatch", _cmd_dispatch)
     dispatch_sub = p.add_subparsers(dest="verb", required=True)
     p = dispatch_sub.add_parser(
         "worker", help="serve sweep shards to a dispatch coordinator"
@@ -960,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", required=True, metavar="PATH",
                    help="ledger file to inspect")
 
-    p = sub.add_parser("cache", help=_EXPERIMENTS["cache"])
+    p = verb("cache", _cmd_cache)
     p.add_argument("verb", choices=("ls", "prune", "clear"))
     p.add_argument("--cache-dir", required=True, metavar="DIR")
     p.add_argument("--keep", type=int, default=None, metavar="N",
@@ -969,13 +944,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="DAYS",
                    help="prune: remove entries older than DAYS")
 
-    p = sub.add_parser("calibrate", help=_EXPERIMENTS["calibrate"])
+    p = verb("calibrate", _cmd_calibrate)
     p.add_argument("--benchmark", default=None, choices=BENCHMARK_NAMES)
 
-    p = sub.add_parser("trace", help=_EXPERIMENTS["trace"],
-                       parents=[_engine_parent()])
-    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
+    p = verb("trace", _cmd_trace,
+             parents=[_engine_parent(), _mix_parent()])
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event JSON output path")
     p.add_argument("--jsonl", default=None, metavar="PATH",
@@ -986,41 +959,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of "
                         + ",".join(ALL_CATEGORIES))
 
-    p = sub.add_parser("stats", help=_EXPERIMENTS["stats"],
-                       parents=[_engine_parent()])
-    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
+    p = verb("stats", _cmd_stats,
+             parents=[_engine_parent(), _mix_parent()])
     p.add_argument("--interval", type=int, default=1024,
                    help="cycles between metric samples")
     p.add_argument("--rows", type=int, default=8,
                    help="sampled rows to print (tail)")
 
-    p = sub.add_parser("run", help=_EXPERIMENTS["run"],
-                       parents=[_engine_parent()])
-    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
+    p = verb("run", _cmd_run,
+             parents=[_engine_parent(), _mix_parent(),
+                      _resilience_parent()])
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="snapshot the whole system every N cycles")
-    p.add_argument("--checkpoint-dir", default="checkpoints",
-                   help="directory for periodic snapshots")
-    p.add_argument("--checkpoint-keep", type=int, default=3,
-                   help="most-recent snapshots to retain")
-    p.add_argument("--watchdog", type=int, default=None, metavar="CYCLES",
-                   help="stall budget before aborting (0 disables)")
-    p.add_argument("--watchdog-dump", default=None, metavar="PATH",
-                   help="JSON diagnostic dump path on watchdog trip")
     p.add_argument("--snapshot-out", default=None, metavar="PATH",
                    help="write a final snapshot when the run finishes")
-    p.add_argument("--limit", type=int, default=65536,
-                   help="event ring capacity")
     _add_serve_args(p)
 
-    p = sub.add_parser("serve", help=_EXPERIMENTS["serve"],
-                       parents=[_engine_parent()])
-    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
+    p = verb("serve", _cmd_serve,
+             parents=[_engine_parent(), _mix_parent(),
+                      _resilience_parent()])
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--host", default="127.0.0.1",
@@ -1034,24 +991,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep serving after the run finishes")
     p.add_argument("--profile-out", default=None, metavar="PATH",
                    help="write the profiler rollup JSON when done")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="snapshot the whole system every N cycles")
-    p.add_argument("--checkpoint-dir", default="checkpoints",
-                   help="directory for drain/periodic snapshots")
-    p.add_argument("--checkpoint-keep", type=int, default=3,
-                   help="most-recent snapshots to retain")
-    p.add_argument("--watchdog", type=int, default=None, metavar="CYCLES",
-                   help="stall budget before aborting (0 disables)")
-    p.add_argument("--watchdog-dump", default=None, metavar="PATH",
-                   help="JSON diagnostic dump path on watchdog trip")
-    p.add_argument("--limit", type=int, default=65536,
-                   help="event ring capacity")
 
-    p = sub.add_parser("profile", help=_EXPERIMENTS["profile"],
-                       parents=[_engine_parent()])
+    p = verb("profile", _cmd_profile,
+             parents=[_engine_parent(), _mix_parent()])
     p.set_defaults(engine="columnar")
-    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -1059,8 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="also write the OpenMetrics exposition here")
 
-    p = sub.add_parser("resume", help=_EXPERIMENTS["resume"],
-                       parents=[_engine_parent()])
+    p = verb("resume", _cmd_resume, parents=[_engine_parent()])
     p.add_argument("snapshot", help="snapshot file written by 'repro run'")
     p.add_argument("--cycles", type=int, default=0,
                    help="additional cycles to run")
@@ -1068,8 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute cycle to run to (for digest comparison "
                         "against an uninterrupted 'repro run')")
 
-    p = sub.add_parser("faults", help=_EXPERIMENTS["faults"],
-                       parents=[_engine_parent()])
+    p = verb("faults", _cmd_faults, parents=[_engine_parent()])
     p.add_argument("--scenario", required=True,
                    help="one of: livelock, flood, saturate, degrade, "
                         "epoch-stress, malformed-trace")
@@ -1078,10 +1019,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, metavar="PATH",
                    help="write the scenario's JSON report/dump here")
 
-    p = sub.add_parser(
-        "lint",
-        help="run the repro-lint invariant checkers (RL001..RL009)",
-    )
+    p = verb("lint", _cmd_lint,
+             help="run the repro-lint invariant checkers (RL001..RL009)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
     p.add_argument("--format", choices=("text", "json", "sarif"),
@@ -1117,33 +1056,9 @@ def _cmd_lint(args) -> int:
     )
 
 
-_HANDLERS = {
-    "list": _cmd_list,
-    "lint": _cmd_lint,
-    "fig11": _cmd_fig11,
-    "fig12": _cmd_fig12,
-    "fig13": _cmd_fig13,
-    "covert": _cmd_covert,
-    "mi": _cmd_mi,
-    "tradeoff": _cmd_tradeoff,
-    "detect": _cmd_detect,
-    "calibrate": _cmd_calibrate,
-    "trace": _cmd_trace,
-    "stats": _cmd_stats,
-    "run": _cmd_run,
-    "resume": _cmd_resume,
-    "faults": _cmd_faults,
-    "sweep": _cmd_sweep,
-    "dispatch": _cmd_dispatch,
-    "cache": _cmd_cache,
-    "serve": _cmd_serve,
-    "profile": _cmd_profile,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

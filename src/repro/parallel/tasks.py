@@ -1,4 +1,5 @@
-"""Worker task functions for the parallel sweep executor.
+"""Worker task functions for the parallel sweep executor, and the
+sweep-point codec they share.
 
 Each task here is the unit one worker process executes: a module-level
 function (so ``spawn`` can pickle a reference to it) of one plain-JSON
@@ -14,43 +15,44 @@ JSON-typed gives three properties at once:
   differential tests only have to confirm it survives the process
   boundary.
 
+A payload is one sweep point: the machine
+(:func:`repro.analysis.experiments.build_mix`'s arguments, written out
+in full by :func:`encode_point`) plus the measurement fields of the
+task that scores it.  :func:`decode_point` is the only reader — it
+rejects a missing or unknown field with a typed error before anything
+is simulated — and :func:`run_point` turns a payload back into the
+built-and-run machine.
+
 Every simulation task also returns the full
 :func:`~repro.sim.stats.report_digest` of its run, so sweep outputs
 can be compared point-by-point across ``--jobs`` values from the CLI.
 
-Heavy imports (the simulator stack) happen inside the functions: the
-parent builds payloads without them, and each spawned worker pays the
-import cost once for its lifetime, not once per task.
+:mod:`repro.analysis.experiments` resolves this module lazily, so the
+simulator stack is imported here at module level; ``_warm_worker``
+pre-imports it in every pool worker.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-
-def _defaults_from(payload: Dict[str, Any]):
-    from repro.analysis.experiments import ExperimentDefaults
-    from repro.core.bins import BinSpec
-
-    spec = BinSpec(
-        edges=tuple(payload["spec_edges"]),
-        replenish_period=int(payload["spec_period"]),
-    )
-    return ExperimentDefaults(
-        accesses=int(payload["accesses"]),
-        cycles=int(payload["cycles"]),
-        seed=int(payload["seed"]),
-        spec=spec,
-    ), spec
-
-
-def _event_times(gaps: Sequence[int]) -> List[int]:
-    out, t = [], 0
-    for gap in gaps:
-        t += gap
-        out.append(t)
-    return out
-
+from repro.analysis.experiments import (
+    ExperimentDefaults,
+    _avg_slowdown,
+    _event_times,
+    run_mix_system,
+    staircase_config,
+)
+from repro.common.errors import ConfigurationError
+from repro.core.bins import BinConfiguration, BinSpec
+from repro.obs.export import serialize_registry
+from repro.obs.metrics import MetricsRegistry
+from repro.security.attacks import corunner_distinguishability
+from repro.security.detect import detect_report, zoo_score
+from repro.security.mutual_information import windowed_rate_mi
+from repro.sim.stats import SystemReport, report_digest
+from repro.sim.system import RequestShapingPlan, System, SystemBuilder
+from repro.workloads.spec import make_trace
 
 #: Bucket edges (cycles) of the per-point run-length histogram in the
 #: shard registry documents.
@@ -69,9 +71,6 @@ def _registry_doc(*reports) -> Dict[str, Any]:
     system.  Only jobs-invariant, report-derived quantities appear —
     the merged exposition must be byte-identical across ``--jobs``.
     """
-    from repro.obs.export import serialize_registry
-    from repro.obs.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
     points = registry.counter("sweep.points")
     cycles = registry.counter("sweep.cycles")
@@ -98,17 +97,207 @@ def _registry_doc(*reports) -> Dict[str, Any]:
     return serialize_registry(registry)
 
 
-def make_run_payload(benchmark: str, defaults, spec=None) -> Dict[str, Any]:
-    """The shared payload core: benchmark + run geometry + spec."""
-    spec = spec if spec is not None else defaults.spec
+# ---------------------------------------------------------------------------
+# the sweep-point codec
+# ---------------------------------------------------------------------------
+
+#: Machine fields that are :func:`build_mix` keyword arguments verbatim.
+_RECIPE_FIELDS = (
+    "slots", "scheduler", "scheduler_kwargs", "bank_partitioning",
+    "noc_latency",
+)
+#: The machine half of every payload, always written out in full so
+#: equal machines digest equally.
+_MACHINE_FIELDS = (
+    "names", "accesses", "cycles", "seed", "spec_edges", "spec_period",
+    "request_plans", *_RECIPE_FIELDS,
+)
+
+
+def _plan_doc(credits: Sequence[int], generate_fake: bool = True) -> Dict:
     return {
-        "benchmark": benchmark,
+        "credits": [int(c) for c in credits],
+        "generate_fake": bool(generate_fake),
+    }
+
+
+def encode_point(
+    names: Sequence[str],
+    defaults: ExperimentDefaults,
+    *,
+    spec: Optional[BinSpec] = None,
+    slots: Optional[Sequence[int]] = None,
+    request_plans: Optional[Dict[int, RequestShapingPlan]] = None,
+    scheduler: str = "frfcfs",
+    scheduler_kwargs: Optional[Dict[str, Any]] = None,
+    bank_partitioning: bool = False,
+    noc_latency: Optional[int] = None,
+    **measure: Any,
+) -> Dict[str, Any]:
+    """One sweep point as a plain-JSON payload.
+
+    The machine arguments are :func:`build_mix`'s; ``spec`` (default
+    ``defaults.spec``) is the bin spec of every request plan and of the
+    task's scoring.  ``measure`` carries the task's own fields (label,
+    window, slowdown denominators, ...).  ``defaults.seed`` may be
+    ``None`` to leave the seed to the executor's per-task substream
+    (GA fitness).  Plans travel as credit lists plus ``generate_fake``;
+    a plan setting any other field cannot be encoded.
+    """
+    spec = defaults.spec if spec is None else spec
+    plans = {}
+    for core, plan in sorted((request_plans or {}).items()):
+        if plan != RequestShapingPlan(plan.config, spec, plan.generate_fake):
+            raise ConfigurationError(
+                f"request plan for core {core} sets a field the point "
+                "codec does not carry (spec, strict_binning, jitter)"
+            )
+        plans[str(core)] = _plan_doc(plan.config.credits, plan.generate_fake)
+    payload: Dict[str, Any] = {
+        "names": list(names),
         "accesses": defaults.accesses,
         "cycles": defaults.cycles,
         "seed": defaults.seed,
         "spec_edges": list(spec.edges),
         "spec_period": spec.replenish_period,
+        "request_plans": plans,
+        "slots": list(range(len(names)) if slots is None else slots),
+        "scheduler": scheduler,
+        "scheduler_kwargs": dict(scheduler_kwargs or {}),
+        "bank_partitioning": bool(bank_partitioning),
+        "noc_latency": noc_latency,
     }
+    shadowed = sorted(set(measure) & set(payload))
+    if shadowed:
+        raise ConfigurationError(
+            f"measurement fields shadow machine fields: {shadowed}"
+        )
+    return {**payload, **measure}
+
+
+def decode_point(
+    payload: Dict[str, Any],
+    required: Sequence[str] = (),
+    optional: Sequence[str] = (),
+    task_seed: Optional[int] = None,
+) -> Tuple[ExperimentDefaults, Dict[str, Any]]:
+    """Validate a payload; return its run geometry and mix recipe.
+
+    ``required``/``optional`` name the calling task's measurement
+    fields; a missing or unknown field is a typed error, raised before
+    anything is built.  The recipe is :func:`build_mix`'s keyword
+    arguments (``benchmarks`` included); ``defaults.spec`` is the
+    payload's spec and a ``None`` seed resolves to ``task_seed``.
+    """
+    missing = [f for f in (*_MACHINE_FIELDS, *required) if f not in payload]
+    unknown = sorted(
+        set(payload) - {*_MACHINE_FIELDS, *required, *optional}
+    )
+    if missing or unknown:
+        raise ConfigurationError(
+            f"malformed sweep-point payload: missing fields {missing}, "
+            f"unknown fields {unknown}"
+        )
+    seed = payload["seed"]
+    if seed is None:
+        seed = 0 if task_seed is None else task_seed % (1 << 31)
+    spec = BinSpec(tuple(payload["spec_edges"]), int(payload["spec_period"]))
+    defaults = ExperimentDefaults(
+        int(payload["accesses"]), int(payload["cycles"]), int(seed), spec
+    )
+    plans = {
+        int(core): RequestShapingPlan(
+            BinConfiguration(tuple(doc["credits"])), spec,
+            bool(doc["generate_fake"]),
+        )
+        for core, doc in payload["request_plans"].items()
+    }
+    return defaults, dict(
+        {field: payload[field] for field in _RECIPE_FIELDS},
+        benchmarks=payload["names"], request_plans=plans,
+    )
+
+
+class PointRun(NamedTuple):
+    """A decoded payload's built-and-run machine (``defaults`` carries
+    the payload's spec and the resolved seed)."""
+
+    system: System
+    report: SystemReport
+    defaults: ExperimentDefaults
+    request_plans: Dict[int, RequestShapingPlan]
+
+
+def run_point(
+    payload: Dict[str, Any],
+    required: Sequence[str] = (),
+    optional: Sequence[str] = (),
+    task_seed: Optional[int] = None,
+    shaped_cores: Sequence[int] = (),
+) -> PointRun:
+    """Decode a payload, then build and run its machine.
+
+    ``shaped_cores`` are the cores whose request plan the task scores
+    against; a payload without a plan for one of them is rejected
+    before the run.
+    """
+    defaults, recipe = decode_point(payload, required, optional, task_seed)
+    for core in shaped_cores:
+        if core not in recipe["request_plans"]:
+            raise ConfigurationError(
+                f"malformed sweep-point payload: the task scores core "
+                f"{core} but request_plans has no entry for it"
+            )
+    system, report = run_mix_system(defaults=defaults, **recipe)
+    return PointRun(system, report, defaults, recipe["request_plans"])
+
+
+def _result(run: PointRun, **fields: Any) -> Dict[str, Any]:
+    """A task result: its fields plus the run's digest and registry."""
+    return {
+        **fields,
+        "digest": report_digest(run.report),
+        "obs_registry": _registry_doc(run.report),
+    }
+
+
+def _windowed_mi(run: PointRun, window_cycles: int) -> float:
+    """Windowed-rate MI between core 0's intrinsic and shaped request
+    streams.  ``bias_correction`` is always on — every point of a
+    sweep, anchors included, must use one estimator configuration or
+    the curve is not mutually comparable (the ISSUE-5 anchor bug)."""
+    stats = run.report.core(0)
+    return windowed_rate_mi(
+        _event_times(stats.request_intrinsic.gaps),
+        _event_times(stats.request_shaped.gaps),
+        window_cycles, run.report.cycles_run, bias_correction=True,
+    )
+
+
+def _zoo(run: PointRun, label: str, seed: int, window_cycles: Optional[int],
+         core: int = 0, target: Optional[BinConfiguration] = None,
+         mi_bits: Optional[float] = None):
+    """Score ``core``'s request stream against the attacker zoo.
+
+    The observed stream is the shaped one when the core has a request
+    plan and the intrinsic one otherwise (the covert-channel worst
+    case); ``target`` defaults to the plan's own configuration.
+    """
+    stats = run.report.core(core)
+    plan = run.request_plans.get(core)
+    observed = stats.request_intrinsic if plan is None else stats.request_shaped
+    return detect_report(
+        label=label,
+        intrinsic_gaps=stats.request_intrinsic.gaps,
+        observed_gaps=observed.gaps,
+        spec=run.defaults.spec,
+        target_frequencies=(
+            plan.config if target is None else target
+        ).normalized(),
+        seed=int(seed),
+        window_cycles=window_cycles,
+        mi_bits=mi_bits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,47 +310,24 @@ def alone_base_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The result carries everything later stages derive from the base
     run — IPC, cycle count, and the intrinsic request gap sequence —
-    so a cached base run reconstructs the sweep's anchors without
-    re-simulating.
+    so a cached base run reconstructs the sweep's anchors (and the
+    Figure 13 slowdown denominators) without re-simulating.
     """
-    from repro.analysis.experiments import run_alone
-    from repro.sim.stats import report_digest
-
-    defaults, _spec = _defaults_from(payload)
-    report = run_alone(
-        payload["benchmark"], defaults,
-        core_slot=int(payload.get("core_slot", 0)),
+    run = run_point(payload)
+    stats = run.report.core(0)
+    return _result(
+        run,
+        ipc=stats.ipc,
+        cycles_run=run.report.cycles_run,
+        gaps=list(stats.request_intrinsic.gaps),
     )
-    stats = report.core(0)
-    return {
-        "ipc": stats.ipc,
-        "cycles_run": report.cycles_run,
-        "gaps": list(stats.request_intrinsic.gaps),
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
-
-
-def alone_ipc_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Alone-IPC measurement at a mix slot (Figure 13 denominators)."""
-    from repro.analysis.experiments import run_alone
-    from repro.sim.stats import report_digest
-
-    defaults, _spec = _defaults_from(payload)
-    report = run_alone(
-        payload["benchmark"], defaults,
-        core_slot=int(payload.get("core_slot", 0)),
-    )
-    return {
-        "ipc": report.core(0).ipc,
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
 
 
 # ---------------------------------------------------------------------------
-# trade-off sweep points (Figure 2)
+# single-program shaped points (Figure 2, the detect suite)
 # ---------------------------------------------------------------------------
+
+_ZOO_FIELDS = ("label", "window_cycles")
 
 
 def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -171,109 +337,48 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     and reports IPC plus the full detectability-lab score set — the
     windowed-rate MI between the intrinsic and shaped request streams
     and the zoo's AUC / XCorr / spectral probes against the
-    configuration's own target distribution.  ``bias_correction`` is
-    always on — every point of the sweep, anchors included, must use
-    one estimator configuration or the curve is not mutually
-    comparable (the ISSUE-5 anchor bug).
+    configuration's own target distribution.
     """
-    from repro.analysis.experiments import run_alone
-    from repro.core.bins import BinConfiguration
-    from repro.security.detect import detect_report
-    from repro.security.mutual_information import windowed_rate_mi
-    from repro.sim.stats import report_digest
-    from repro.sim.system import RequestShapingPlan
-
-    defaults, spec = _defaults_from(payload)
-    config = BinConfiguration(tuple(payload["credits"]))
-    report = run_alone(
-        payload["benchmark"], defaults,
-        request_plan=RequestShapingPlan(config=config, spec=spec),
+    run = run_point(
+        payload, _ZOO_FIELDS, ("detect_seed",), shaped_cores=(0,)
     )
-    stats = report.core(0)
-    mi = windowed_rate_mi(
-        _event_times(stats.request_intrinsic.gaps),
-        _event_times(stats.request_shaped.gaps),
-        int(payload["window_cycles"]),
-        report.cycles_run,
-        bias_correction=True,
+    window_cycles = int(payload["window_cycles"])
+    zoo = _zoo(
+        run, str(payload["label"]),
+        payload.get("detect_seed", run.defaults.seed), window_cycles,
+        mi_bits=_windowed_mi(run, window_cycles),
     )
-    zoo = detect_report(
-        label=str(payload["label"]),
-        intrinsic_gaps=stats.request_intrinsic.gaps,
-        observed_gaps=stats.request_shaped.gaps,
-        spec=spec,
-        target_frequencies=config.normalized(),
-        seed=int(payload.get("detect_seed", payload["seed"])),
-        window_cycles=int(payload["window_cycles"]),
-        mi_bits=mi,
+    return _result(
+        run, label=payload["label"], ipc=run.report.core(0).ipc,
+        **zoo.score_row(),
     )
-    return {
-        "label": payload["label"],
-        "ipc": stats.ipc,
-        "mi": mi,
-        "auc": zoo.auc,
-        "auc_logistic": zoo.auc_logistic,
-        "auc_stumps": zoo.auc_stumps,
-        "xcorr": zoo.xcorr,
-        "spectral": zoo.spectral,
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
 
 
 def detect_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One configuration of the attacker-zoo detectability suite.
 
-    With ``payload["credits"]`` the benchmark runs under that shaping
-    configuration; without it the run is unshaped (the observed stream
-    IS the intrinsic one — the covert-channel worst case).
+    With a request plan the benchmark runs under that shaping
+    configuration; without one the run is unshaped.
     ``payload["target_credits"]`` is always present: the distribution
     the zoo's classifiers test the observed stream against.
     """
-    from repro.analysis.experiments import run_alone
-    from repro.core.bins import BinConfiguration
-    from repro.security.detect import detect_report
-    from repro.sim.stats import report_digest
-    from repro.sim.system import RequestShapingPlan
-
-    defaults, spec = _defaults_from(payload)
-    plan = None
-    if payload.get("credits") is not None:
-        plan = RequestShapingPlan(
-            config=BinConfiguration(tuple(payload["credits"])), spec=spec
-        )
-    report = run_alone(payload["benchmark"], defaults, request_plan=plan)
-    stats = report.core(0)
-    observed_gaps = (
-        stats.request_shaped.gaps if plan is not None
-        else stats.request_intrinsic.gaps
+    run = run_point(
+        payload, (*_ZOO_FIELDS, "target_credits"), ("detect_seed",)
     )
-    target = BinConfiguration(
-        tuple(payload["target_credits"])
-    ).normalized()
-    zoo = detect_report(
-        label=str(payload["label"]),
-        intrinsic_gaps=stats.request_intrinsic.gaps,
-        observed_gaps=observed_gaps,
-        spec=spec,
-        target_frequencies=target,
-        seed=int(payload.get("detect_seed", payload["seed"])),
-        window_cycles=int(payload["window_cycles"]),
+    zoo = _zoo(
+        run, str(payload["label"]),
+        payload.get("detect_seed", run.defaults.seed),
+        int(payload["window_cycles"]),
+        target=BinConfiguration(tuple(payload["target_credits"])),
     )
-    return {
-        "label": payload["label"],
-        "ipc": stats.ipc,
-        "mi": zoo.mi_bits,
-        "auc": zoo.auc,
-        "auc_logistic": zoo.auc_logistic,
-        "auc_stumps": zoo.auc_stumps,
-        "xcorr": zoo.xcorr,
-        "spectral": zoo.spectral,
-        "segments": zoo.segments,
-        "report_digest": zoo.digest(),
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
+    return _result(
+        run,
+        label=payload["label"],
+        ipc=run.report.core(0).ipc,
+        **zoo.score_row(),
+        segments=zoo.segments,
+        report_digest=zoo.digest(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,71 +389,35 @@ def detect_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 def mix_slowdown_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one protected mix; report per-core IPCs and avg slowdown.
 
-    ``payload["names"]`` is the program mix, ``scheduler`` /
-    ``scheduler_kwargs`` / ``bank_partitioning`` pick the baseline,
-    optional ``request_plans`` (core-id string -> credit list) installs
-    per-core Camouflage shapers, and ``alone_ipcs`` provides the
-    slowdown denominators.  ``slip_fraction`` is included when the
-    scheduler exposes one (the FS leak proxy).  Optional
-    ``payload["detect"]`` (``{"core": K, "seed": S}``) scores core K's
-    request streams against the zoo; requires a ``request_plans``
-    entry for that core (its credits are the target distribution).
+    The payload's machine is the program mix under its baseline
+    scheduler and optional per-core Camouflage shapers;
+    ``alone_ipcs`` provides the slowdown denominators.
+    ``slip_fraction`` is included when the scheduler exposes one (the
+    FS leak proxy).  Optional ``payload["detect"]`` (``{"core": K,
+    "seed": S}``) scores core K's request streams against the zoo;
+    requires a request plan for that core (its credits are the target
+    distribution).
     """
-    from repro.analysis.experiments import (
-        ExperimentDefaults,  # noqa: F401 — via _defaults_from
-        _avg_slowdown,
-        _build_mix,
+    detect_cfg = payload.get("detect")
+    detect_core = int(detect_cfg["core"]) if detect_cfg else None
+    run = run_point(
+        payload, ("alone_ipcs",), ("detect",),
+        shaped_cores=() if detect_core is None else (detect_core,),
     )
-    from repro.core.bins import BinConfiguration
-    from repro.sim.stats import report_digest
-    from repro.sim.system import RequestShapingPlan
-
-    defaults, spec = _defaults_from(payload)
-    request_plans = None
-    if payload.get("request_plans"):
-        request_plans = {
-            int(core): RequestShapingPlan(
-                config=BinConfiguration(tuple(plan["credits"])),
-                spec=spec,
-                generate_fake=bool(plan.get("generate_fake", True)),
-            )
-            for core, plan in payload["request_plans"].items()
-        }
-    system = _build_mix(
-        list(payload["names"]), defaults,
-        request_plans=request_plans,
-        scheduler=payload.get("scheduler", "frfcfs"),
-        scheduler_kwargs=payload.get("scheduler_kwargs") or {},
-        bank_partitioning=bool(payload.get("bank_partitioning", False)),
+    ipcs = [core.ipc for core in run.report.cores]
+    result = _result(
+        run,
+        ipcs=ipcs,
+        slowdown=_avg_slowdown(ipcs, list(payload["alone_ipcs"])),
     )
-    report = system.run(defaults.cycles, stop_when_done=False)
-    ipcs = [core.ipc for core in report.cores]
-    result: Dict[str, Any] = {
-        "ipcs": ipcs,
-        "slowdown": _avg_slowdown(ipcs, list(payload["alone_ipcs"])),
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
-    slip = getattr(system.scheduler, "slip_fraction", None)
+    slip = getattr(run.system.scheduler, "slip_fraction", None)
     if callable(slip):
         result["slip_fraction"] = slip()
-    if payload.get("detect"):
-        from repro.security.detect import detect_report
-
-        detect_cfg = payload["detect"]
-        core_id = int(detect_cfg["core"])
-        stats = report.core(core_id)
-        target = BinConfiguration(tuple(
-            payload["request_plans"][str(core_id)]["credits"]
-        )).normalized()
-        zoo = detect_report(
-            label=f"core{core_id}",
-            intrinsic_gaps=stats.request_intrinsic.gaps,
-            observed_gaps=stats.request_shaped.gaps,
-            spec=spec,
-            target_frequencies=target,
-            seed=int(detect_cfg.get("seed", payload["seed"])),
-            window_cycles=detect_cfg.get("window_cycles"),
+    if detect_core is not None:
+        zoo = _zoo(
+            run, f"core{detect_core}",
+            detect_cfg.get("seed", run.defaults.seed),
+            detect_cfg.get("window_cycles"), core=detect_core,
         )
         result["mi"] = zoo.mi_bits
         result["auc"] = zoo.auc
@@ -358,24 +427,11 @@ def mix_slowdown_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def noc_latency_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Single-core mean memory latency at one NoC hop latency."""
-    from repro.sim.stats import report_digest
-    from repro.sim.system import SystemBuilder
-    from repro.workloads.spec import make_trace
-
-    defaults, _spec = _defaults_from(payload)
-    builder = SystemBuilder(seed=defaults.seed)
-    builder.with_noc(latency=int(payload["noc_latency"]))
-    builder.add_core(
-        make_trace(payload["benchmark"], defaults.accesses,
-                   seed=defaults.seed)
+    """Single-core mean memory latency at the payload's NoC hop latency."""
+    run = run_point(payload)
+    return _result(
+        run, mean_latency=run.report.core(0).mean_memory_latency()
     )
-    report = builder.build().run(defaults.cycles, stop_when_done=False)
-    return {
-        "mean_latency": report.core(0).mean_memory_latency(),
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +445,13 @@ def mesh_position_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     Runs the adversary next to each candidate victim at
     ``payload["position"]`` and returns the distinguishability of its
     latency samples between the worlds (one point of
-    :func:`repro.analysis.sweeps.mesh_position_leakage`).
+    :func:`repro.analysis.sweeps.mesh_position_leakage`).  The worlds
+    are bespoke (fixed seeds, quarter-length filler programs), so only
+    the payload's run geometry is used, not its mix recipe.
     """
-    from repro.analysis.experiments import staircase_config
-    from repro.core.bins import BinSpec
-    from repro.security.attacks import corunner_distinguishability
-    from repro.sim.stats import report_digest
-    from repro.sim.system import RequestShapingPlan, SystemBuilder
-    from repro.workloads.spec import make_trace
-
-    defaults, _spec = _defaults_from(payload)
+    defaults, _recipe = decode_point(
+        payload, ("victims", "position", "shaped", "num_cores")
+    )
     spec = BinSpec(replenish_period=512)
     position = int(payload["position"])
     num_cores = int(payload["num_cores"])
@@ -454,74 +507,37 @@ def ga_fitness_task(
 ) -> Dict[str, Any]:
     """Offline fitness of one genome: slowdown plus a leakage penalty.
 
-    The genome (a credit vector) shapes the benchmark's requests; the
-    cost is ``slowdown + zoo_score(mi, auc, xcorr)`` — the Figure 2
-    trade-off collapsed to a scalar, which is what the offline GA
-    minimises when searching shaping configurations without a live
-    system.  With the default weights (``mi_weight=1``, ``auc_weight``
-    and ``xcorr_weight`` 0) this is exactly the historical
-    ``slowdown + mi_weight * windowed_mi``; non-zero zoo weights turn
-    the fitness multi-objective, scoring each genome against the
+    The genome (the credit vector of core 0's request plan) shapes the
+    benchmark's requests; the cost is ``slowdown + zoo_score(mi, auc,
+    xcorr)`` — the Figure 2 trade-off collapsed to a scalar, which is
+    what the offline GA minimises when searching shaping
+    configurations without a live system.  With the default weights
+    (``mi_weight=1``, ``auc_weight`` and ``xcorr_weight`` 0) this is
+    exactly the historical ``slowdown + mi_weight * windowed_mi``;
+    non-zero zoo weights turn the fitness multi-objective, scoring each genome against the
     trained-classifier and cross-correlation attackers with the
     genome's own normalized credits as the target distribution.
     ``task_seed`` (the executor's per-genome substream seed) seeds the
     evaluation run when the payload does not pin one, so every genome
     is scored on a decorrelated, reproducible stream.
     """
-    from repro.analysis.experiments import ExperimentDefaults, run_alone
-    from repro.core.bins import BinConfiguration, BinSpec
-    from repro.security.detect import detect_report, zoo_score
-    from repro.security.mutual_information import windowed_rate_mi
-    from repro.sim.stats import report_digest
-    from repro.sim.system import RequestShapingPlan
-
-    spec = BinSpec(
-        edges=tuple(payload["spec_edges"]),
-        replenish_period=int(payload["spec_period"]),
+    run = run_point(
+        payload, ("base_ipc", "window_cycles"),
+        ("detect_seed", "mi_weight", "auc_weight", "xcorr_weight"),
+        task_seed=task_seed, shaped_cores=(0,),
     )
-    seed = payload.get("seed")
-    if seed is None:
-        seed = 0 if task_seed is None else task_seed % (1 << 31)
-    defaults = ExperimentDefaults(
-        accesses=int(payload["accesses"]),
-        cycles=int(payload["cycles"]),
-        seed=int(seed),
-        spec=spec,
-    )
-    config = BinConfiguration(tuple(payload["genome"]))
-    report = run_alone(
-        payload["benchmark"], defaults,
-        request_plan=RequestShapingPlan(config=config, spec=spec),
-    )
-    stats = report.core(0)
-    base_ipc = float(payload["base_ipc"])
-    slowdown = base_ipc / stats.ipc if stats.ipc > 0 else 1e6
-    mi = windowed_rate_mi(
-        _event_times(stats.request_intrinsic.gaps),
-        _event_times(stats.request_shaped.gaps),
-        int(payload["window_cycles"]),
-        report.cycles_run,
-        bias_correction=True,
-    )
+    ipc = run.report.core(0).ipc
+    slowdown = float(payload["base_ipc"]) / ipc if ipc > 0 else 1e6
+    window_cycles = int(payload["window_cycles"])
+    mi = _windowed_mi(run, window_cycles)
     auc_weight = float(payload.get("auc_weight", 0.0))
     xcorr_weight = float(payload.get("xcorr_weight", 0.0))
-    result: Dict[str, Any] = {
-        "slowdown": slowdown,
-        "mi": mi,
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
+    result = _result(run, slowdown=slowdown, mi=mi)
     auc = xcorr = 0.0
     if auc_weight > 0.0 or xcorr_weight > 0.0:
-        zoo = detect_report(
-            label="genome",
-            intrinsic_gaps=stats.request_intrinsic.gaps,
-            observed_gaps=stats.request_shaped.gaps,
-            spec=spec,
-            target_frequencies=config.normalized(),
-            seed=int(payload.get("detect_seed", seed)),
-            window_cycles=int(payload["window_cycles"]),
-            mi_bits=mi,
+        zoo = _zoo(
+            run, "genome", payload.get("detect_seed", run.defaults.seed),
+            window_cycles, mi_bits=mi,
         )
         auc, xcorr = zoo.auc, zoo.xcorr
         result["auc"] = auc
@@ -540,7 +556,8 @@ def ga_population_evaluator(executor, payload_base: Dict[str, Any]):
 
     Wraps ``executor`` (a :class:`~repro.parallel.SweepExecutor`) so
     one generation's fitness runs fan out as :func:`ga_fitness_task`
-    shards — each genome under ``payload_base`` plus its own
+    shards — each genome installed as core 0's request plan in
+    ``payload_base`` (an :func:`encode_point` payload) plus its own
     deterministic ``task_seed`` (the executor's lifetime counter keeps
     seeds stable across generations and cache states).  Returns
     fitnesses in population order, which is all the GA's breeding
@@ -548,11 +565,10 @@ def ga_population_evaluator(executor, payload_base: Dict[str, Any]):
     """
 
     def map_evaluate(genomes) -> List[float]:
-        payloads = []
-        for genome in genomes:
-            payload = dict(payload_base)
-            payload["genome"] = [int(g) for g in genome]
-            payloads.append(payload)
+        payloads = [
+            dict(payload_base, request_plans={"0": _plan_doc(genome)})
+            for genome in genomes
+        ]
         rows = executor.map(
             ga_fitness_task, payloads, kind="ga-fitness",
             labels=[f"genome{i}" for i in range(len(payloads))],

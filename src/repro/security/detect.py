@@ -412,18 +412,25 @@ class DetectReport:
     spectral: float
     mi_bits: float
 
+    def score_row(self, mi_key: str = "mi") -> Dict[str, float]:
+        """The zoo's six scores, as every sweep row and :meth:`as_doc`
+        carry them (the MI column is ``mi`` in rows, ``mi_bits`` here)."""
+        return {
+            mi_key: self.mi_bits,
+            "auc": self.auc,
+            "auc_logistic": self.auc_logistic,
+            "auc_stumps": self.auc_stumps,
+            "xcorr": self.xcorr,
+            "spectral": self.spectral,
+        }
+
     def as_doc(self) -> Dict[str, object]:
         """Canonical JSON document, digest included."""
         doc: Dict[str, object] = {
             "label": self.label,
             "seed": self.seed,
             "segments": self.segments,
-            "auc_logistic": self.auc_logistic,
-            "auc_stumps": self.auc_stumps,
-            "auc": self.auc,
-            "xcorr": self.xcorr,
-            "spectral": self.spectral,
-            "mi_bits": self.mi_bits,
+            **self.score_row("mi_bits"),
         }
         doc["digest"] = canonical_json_digest(doc)
         return doc

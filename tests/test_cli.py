@@ -80,6 +80,29 @@ class TestCommands:
         assert out_1 == out_2
         assert "mean_latency" not in out_1  # flat {latency: value} map
 
+    def test_sweep_table_rows_are_the_accepted_names(self, capsys):
+        """One table drives ``repro sweep <name>``, ``repro tradeoff``
+        and ``repro detect``: every row parses, and the dedicated verb
+        and the sweep row run the same points."""
+        from repro.cli import _SWEEPS
+
+        for name in _SWEEPS:
+            assert build_parser().parse_args(["sweep", name]).name == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "no-such-sweep"])
+
+        assert main(["--scale", "0.1", "tradeoff",
+                     "--benchmark", "gcc"]) == 0
+        table = capsys.readouterr().out
+        assert main(["--scale", "0.1", "sweep", "tradeoff",
+                     "--benchmark", "gcc"]) == 0
+        points = json.loads(capsys.readouterr().out)
+        # The table's last column is each point's report digest.
+        table_digests = [
+            line.split()[-1] for line in table.splitlines()[2:] if line
+        ]
+        assert table_digests == [point["digest"] for point in points]
+
     def test_cache_verbs_round_trip(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         assert main(["--scale", "0.1", "sweep", "noc-latency",

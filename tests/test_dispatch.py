@@ -41,7 +41,7 @@ from repro.parallel import (
     WorkerHost,
     parse_hosts,
 )
-from repro.parallel.tasks import make_run_payload, noc_latency_task
+from repro.parallel.tasks import encode_point, noc_latency_task
 from repro.parallel.worker import resolve_task, task_spec
 from repro.resilience.retry import RetryPolicy
 
@@ -114,7 +114,7 @@ def dead_address():
 
 def sweep_payloads():
     return [
-        dict(make_run_payload("gcc", SMALL), noc_latency=latency)
+        encode_point(["gcc"], SMALL, noc_latency=latency)
         for latency in (1, 2, 4, 8)
     ]
 

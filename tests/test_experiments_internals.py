@@ -1,6 +1,7 @@
 """Unit tests for experiment-driver internals."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,8 +15,22 @@ from repro.analysis.experiments import (
     fig9_experiment,
     tradeoff_sweep,
 )
-from repro.core.bins import BinSpec
+from repro.analysis.experiments import build_mix, run_alone, run_mix
+from repro.common.errors import ConfigurationError
+from repro.core.bins import BinConfiguration, BinSpec
 from repro.obs import diag
+from repro.parallel.tasks import (
+    alone_base_task,
+    encode_point,
+    mix_slowdown_task,
+    run_point,
+)
+from repro.parallel.worker import WorkerHost
+from repro.sim.stats import report_digest
+from repro.sim.system import RequestShapingPlan
+
+FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
+STAIRCASE = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
 
 
 class TestMixNames:
@@ -72,6 +87,7 @@ class TestTradeoffEstimatorComparability:
 
     def test_all_points_use_bias_correction(self, monkeypatch):
         import repro.analysis.experiments as experiments
+        import repro.parallel.tasks as tasks
         import repro.security.mutual_information as mi_module
 
         calls = []
@@ -81,11 +97,12 @@ class TestTradeoffEstimatorComparability:
             calls.append(kwargs.get("bias_correction", False))
             return real(*args, **kwargs)
 
-        # Patch both import sites: the anchor (bound at experiments
-        # module import) and the shaped points (late-bound inside the
-        # worker task, inline when jobs=1).
+        # Patch every import site: the anchor (bound at experiments
+        # module import) and the shaped points (bound at task module
+        # import, run inline when jobs=1).
         monkeypatch.setattr(mi_module, "windowed_rate_mi", recording)
         monkeypatch.setattr(experiments, "windowed_rate_mi", recording)
+        monkeypatch.setattr(tasks, "windowed_rate_mi", recording)
         fast = dataclasses.replace(ExperimentDefaults(), accesses=600,
                                    cycles=6000)
         points = tradeoff_sweep("gcc", fast, scales=(0.8,), jobs=1)
@@ -124,3 +141,108 @@ class TestFig9Shape:
         }
         assert isinstance(result["frfcfs_difference"], np.ndarray)
         assert result["baseline_total"] > 0
+
+
+class TestMixRecipe:
+    """``run_alone`` is a one-program ``run_mix``: same trace seed and
+    address slot, so the reports digest equally."""
+
+    def test_run_alone_is_a_one_program_mix(self):
+        assert report_digest(run_alone("gcc", FAST)) == report_digest(
+            run_mix(["gcc"], FAST)
+        )
+        plan = RequestShapingPlan(STAIRCASE, FAST.spec)
+        assert report_digest(
+            run_alone("gcc", FAST, request_plan=plan, core_slot=2)
+        ) == report_digest(
+            run_mix(["gcc"], FAST, request_plans={0: plan}, slots=[2])
+        )
+
+    def test_slots_must_match_programs(self):
+        with pytest.raises(ConfigurationError, match="slot"):
+            build_mix(["gcc", "mcf"], FAST, slots=[0])
+
+
+class TestPointCodec:
+    """decode(encode(args)) builds and runs the machine ``run_mix``
+    builds from the same arguments."""
+
+    @pytest.mark.parametrize("names,machine", [
+        (["gcc", "mcf"], {"request_plans": {1: RequestShapingPlan(
+            STAIRCASE, FAST.spec, generate_fake=False)}}),
+        (["gcc", "mcf"], {"scheduler": "tp",
+                          "scheduler_kwargs": {"turn_length": 96}}),
+        (["gcc", "mcf"], {"scheduler": "fs",
+                          "scheduler_kwargs": {"interval": 20},
+                          "bank_partitioning": True}),
+        (["gcc"], {"noc_latency": 8}),
+        (["gcc"], {"slots": [2]}),
+    ], ids=["plans-no-fake", "tp", "fs-banks", "noc8", "slot2"])
+    def test_round_trip(self, names, machine):
+        payload = json.loads(json.dumps(encode_point(names, FAST, **machine)))
+        assert report_digest(run_point(payload).report) == report_digest(
+            run_mix(names, FAST, **machine)
+        )
+
+    def test_defaults_are_written_out(self):
+        """Equal machines digest equally whether or not the caller
+        spelled a default."""
+        assert encode_point(["gcc"], FAST) == encode_point(
+            ["gcc"], FAST, slots=[0], scheduler="frfcfs",
+            scheduler_kwargs={}, spec=FAST.spec,
+        )
+
+    def test_rejects_plan_fields_it_cannot_carry(self):
+        strict = RequestShapingPlan(STAIRCASE, FAST.spec, strict_binning=True)
+        with pytest.raises(ConfigurationError, match="core 0"):
+            encode_point(["gcc"], FAST, request_plans={0: strict})
+        with pytest.raises(ConfigurationError, match="shadow"):
+            encode_point(["gcc"], FAST, cycles=5)
+
+
+class TestMalformedPayloads:
+    """Malformed payloads fail typed, naming the field, before any
+    simulation (ROADMAP aim 3)."""
+
+    def test_missing_machine_field(self):
+        with pytest.raises(ConfigurationError, match="spec_edges"):
+            alone_base_task({"names": ["gcc"]})
+
+    def test_unknown_field(self):
+        payload = encode_point(["gcc"], FAST, core_slot=1)
+        with pytest.raises(ConfigurationError, match="core_slot"):
+            alone_base_task(payload)
+
+    def test_detect_needs_a_plan_before_the_run(self, monkeypatch):
+        import repro.parallel.tasks as tasks
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before validating")
+
+        monkeypatch.setattr(tasks, "run_mix_system", no_run)
+        payload = encode_point(
+            ["gcc", "mcf"], FAST, alone_ipcs=[1.0, 1.0],
+            detect={"core": 0},
+        )
+        with pytest.raises(ConfigurationError, match="request_plans"):
+            mix_slowdown_task(payload)
+
+    def test_dispatch_worker_reports_the_field_in_band(self):
+        from repro.parallel import DispatchCoordinator, SweepExecutor
+        from repro.common.errors import WorkerFailureError
+        import threading
+
+        host = WorkerHost(inline=True)
+        host.bind()
+        threading.Thread(target=host.serve_forever, daemon=True).start()
+        coordinator = DispatchCoordinator([(host.host, host.port)])
+        try:
+            with pytest.raises(WorkerFailureError) as excinfo:
+                SweepExecutor(dispatch=coordinator).map(
+                    alone_base_task, [{"names": ["gcc"]}], kind="alone-base"
+                )
+        finally:
+            coordinator.close()
+            host.close()
+        assert "ConfigurationError" in excinfo.value.last_error
+        assert "spec_edges" in excinfo.value.last_error

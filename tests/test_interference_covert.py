@@ -23,9 +23,18 @@ DEFAULTS = dataclasses.replace(
 PARAMS = dict(key=0x2AAAAA, bits=24, defaults=DEFAULTS, pulse_cycles=4000)
 
 
+@pytest.fixture(scope="module")
+def results():
+    """The experiment is deterministic: run each defense once."""
+    return {
+        defense: covert_interference_experiment(defense=defense, **PARAMS)
+        for defense in (None, "reqc", "respc")
+    }
+
+
 class TestStructure:
-    def test_returns_expected_fields(self):
-        result = covert_interference_experiment(defense=None, **PARAMS)
+    def test_returns_expected_fields(self, results):
+        result = results[None]
         assert set(result) == {
             "key_bits", "window_mean_latency", "decoded_bits",
             "bit_error_rate", "latency_key_correlation",
@@ -40,32 +49,20 @@ class TestStructure:
 
 
 class TestChannelAndDefenses:
-    def test_open_channel_correlates(self):
+    def test_open_channel_correlates(self, results):
         """Undefended, the receiver's latency tracks the key bits."""
-        result = covert_interference_experiment(defense=None, **PARAMS)
-        assert result["latency_key_correlation"] > 0.25
+        assert results[None]["latency_key_correlation"] > 0.25
 
-    def test_reqc_on_sender_closes_channel(self):
-        open_corr = covert_interference_experiment(
-            defense=None, **PARAMS
-        )["latency_key_correlation"]
-        defended = covert_interference_experiment(
-            defense="reqc", **PARAMS
-        )["latency_key_correlation"]
+    def test_reqc_on_sender_closes_channel(self, results):
+        open_corr = results[None]["latency_key_correlation"]
+        defended = results["reqc"]["latency_key_correlation"]
         assert abs(defended) < open_corr / 2
 
-    def test_respc_on_receiver_weakens_channel(self):
-        open_corr = covert_interference_experiment(
-            defense=None, **PARAMS
-        )["latency_key_correlation"]
-        defended = covert_interference_experiment(
-            defense="respc", **PARAMS
-        )["latency_key_correlation"]
+    def test_respc_on_receiver_weakens_channel(self, results):
+        open_corr = results[None]["latency_key_correlation"]
+        defended = results["respc"]["latency_key_correlation"]
         assert abs(defended) < open_corr
 
-    def test_defended_decoding_near_chance(self):
+    def test_defended_decoding_near_chance(self, results):
         for defense in ("reqc", "respc"):
-            result = covert_interference_experiment(
-                defense=defense, **PARAMS
-            )
-            assert result["bit_error_rate"] >= 0.3
+            assert results[defense]["bit_error_rate"] >= 0.3

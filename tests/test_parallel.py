@@ -24,6 +24,7 @@ from repro.common.errors import (
     WorkerFailureError,
 )
 from repro.common.rng import DeterministicRng
+from repro.core.bins import BinConfiguration
 from repro.ga.genetic import GaConfig, GeneticAlgorithm
 from repro.obs import diag
 from repro.parallel import (
@@ -35,13 +36,23 @@ from repro.parallel import (
     ga_population_evaluator,
 )
 from repro.parallel.tasks import (
+    encode_point,
     ga_fitness_task,
-    make_run_payload,
     noc_latency_task,
 )
 from repro.resilience.retry import RetryPolicy
+from repro.sim.system import RequestShapingPlan
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
+
+
+def ga_payload_base(**machine):
+    """A GA fitness payload whose seed is left to the executor's
+    per-genome substream (``seed=None``)."""
+    return encode_point(
+        ["gcc"], dataclasses.replace(FAST, seed=None),
+        base_ipc=1.0, window_cycles=512, **machine,
+    )
 
 
 def square_task(payload):
@@ -242,11 +253,10 @@ class TestJobsDifferential:
         merged_1 = noc_latency_sweep("gcc", FAST, latencies=(1, 4), jobs=1)
         merged_4 = noc_latency_sweep("gcc", FAST, latencies=(1, 4), jobs=4)
         assert merged_1 == merged_4
-        payloads = []
-        for latency in (1, 4):
-            payload = make_run_payload("gcc", FAST)
-            payload["noc_latency"] = latency
-            payloads.append(payload)
+        payloads = [
+            encode_point(["gcc"], FAST, noc_latency=latency)
+            for latency in (1, 4)
+        ]
         rows_1 = SweepExecutor(jobs=1).map(noc_latency_task, payloads)
         rows_4 = SweepExecutor(jobs=4).map(noc_latency_task, payloads)
         assert [r["digest"] for r in rows_1] == [r["digest"] for r in rows_4]
@@ -258,8 +268,7 @@ class TestJobsDifferential:
         assert all("digest" in p for p in points_1)
 
     def test_ga_generation(self):
-        payload_base = make_run_payload("gcc", FAST)
-        payload_base.update(base_ipc=1.0, window_cycles=512, seed=None)
+        payload_base = ga_payload_base()
         config = GaConfig(
             genome_length=len(FAST.spec.edges), max_gene=10,
             population_size=4, generations=1,
@@ -277,14 +286,13 @@ class TestJobsDifferential:
         assert one_generation(1) == one_generation(4)
 
     def test_ga_fitness_digests_jobs_invariant(self):
-        payload_base = make_run_payload("gcc", FAST)
-        payload_base.update(base_ipc=1.0, window_cycles=512, seed=None)
-        payloads = []
-        for genome in ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-                       (1, 1, 2, 1, 1, 1, 1, 1, 1, 1)):
-            payload = dict(payload_base)
-            payload["genome"] = list(genome)
-            payloads.append(payload)
+        payloads = [
+            ga_payload_base(request_plans={
+                0: RequestShapingPlan(BinConfiguration(genome), FAST.spec)
+            })
+            for genome in ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+                           (1, 1, 2, 1, 1, 1, 1, 1, 1, 1))
+        ]
         rows_1 = SweepExecutor(jobs=1, seed=3).map(ga_fitness_task, payloads)
         rows_4 = SweepExecutor(jobs=4, seed=3).map(ga_fitness_task, payloads)
         assert rows_1 == rows_4
@@ -295,12 +303,10 @@ class TestRegistryMerge:
     a jobs=4 sweep render byte-identical OpenMetrics expositions."""
 
     def _payloads(self):
-        payloads = []
-        for latency in (1, 4):
-            payload = make_run_payload("gcc", FAST)
-            payload["noc_latency"] = latency
-            payloads.append(payload)
-        return payloads
+        return [
+            encode_point(["gcc"], FAST, noc_latency=latency)
+            for latency in (1, 4)
+        ]
 
     def test_merged_exposition_jobs_invariant(self):
         from repro.obs.export import render_openmetrics

@@ -235,18 +235,19 @@ class TestGaZooFitness:
     def _payload(self, **extra):
         import dataclasses
 
-        from repro.parallel.tasks import make_run_payload
+        from repro.core.bins import BinConfiguration
+        from repro.parallel.tasks import encode_point
+        from repro.sim.system import RequestShapingPlan
 
         fast = dataclasses.replace(
-            ExperimentDefaults(), accesses=600, cycles=6000
+            ExperimentDefaults(), accesses=600, cycles=6000, seed=7
         )
-        payload = make_run_payload("gcc", fast)
-        payload.update(
-            base_ipc=1.0, window_cycles=512, seed=7,
-            genome=[2, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+        genome = BinConfiguration((2, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+        return encode_point(
+            ["gcc"], fast,
+            request_plans={0: RequestShapingPlan(genome, fast.spec)},
+            base_ipc=1.0, window_cycles=512, **extra,
         )
-        payload.update(extra)
-        return payload
 
     def test_default_weights_reduce_to_mi_penalty(self):
         from repro.parallel.tasks import ga_fitness_task

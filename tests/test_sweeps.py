@@ -4,7 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.experiments import ExperimentDefaults
+from repro.analysis.experiments import (
+    ExperimentDefaults,
+    scalability_experiment,
+)
 from repro.analysis.sweeps import (
     fs_interval_sweep,
     mesh_position_leakage,
@@ -29,6 +32,29 @@ class TestTpSweep:
                                    turn_lengths=(64, 256))
         assert out[64] != out[256]
         assert all(v < 20 for v in out.values())  # sane magnitudes
+
+
+class TestAloneRunsShared:
+    def test_one_cache_serves_every_sweep_family(self, tmp_path):
+        """One alone-run task family: the gcc-at-slot-0 baseline that
+        ``scalability_experiment`` cached is a hit for the TP sweep's
+        slowdown denominators (it used to be re-simulated under a
+        second cache kind)."""
+        from repro.parallel import SweepExecutor
+
+        executor = SweepExecutor(cache=str(tmp_path / "cache"))
+        scalability_experiment(
+            "gcc", FAST, core_counts=(2,), executor=executor
+        )
+        assert executor.tasks_cached == 0
+        ran = executor.tasks_run
+        tp_turn_length_sweep(
+            "gcc", "mcf", FAST, turn_lengths=(128,), executor=executor
+        )
+        # Four alone runs (gcc@0, mcf@1..3) plus one mix: only gcc@0
+        # was seen before.
+        assert executor.tasks_cached == 1
+        assert executor.tasks_run - ran == 4
 
 
 class TestFsSweep:
