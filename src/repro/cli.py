@@ -49,6 +49,7 @@ from repro.analysis.sweeps import (
 )
 from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
+from repro.lint import runner as lint_runner
 from repro.obs import ALL_CATEGORIES, ObservabilityConfig, diag
 from repro.obs.events import CATEGORY_DISPATCH
 from repro.obs.export import render_openmetrics
@@ -87,7 +88,7 @@ _EXPERIMENTS = {
     "sweep": "run a parameter sweep across worker processes (--jobs)",
     "dispatch": "run a sweep worker host / inspect a dispatch ledger",
     "cache": "inspect/prune/clear the sweep result cache",
-    "serve": "serve live /metrics, /healthz and /monitor during a run",
+    "serve": "serve live /metrics and /healthz during a run",
     "profile": "engine self-profile: per-station work and skip-span rollup",
 }
 
@@ -287,15 +288,6 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs, seed=_defaults(args).seed, cache=args.cache_dir,
         dispatch=dispatch,
     )
-    server = None
-    if args.serve:
-        # Server chatter goes to stderr: sweep stdout stays canonical
-        # JSON so `--jobs 1` / `--jobs N` outputs byte-compare.
-        server = MetricsServer(
-            host=args.serve_host, port=args.serve_port
-        ).start()
-        print(f"serving merged sweep metrics at {server.url}",
-              file=sys.stderr)
     print(_canonical_text(_run_sweep(args.name, args, executor=executor)))
     print(
         f"tasks: run={executor.tasks_run} cached={executor.tasks_cached} "
@@ -327,11 +319,6 @@ def _cmd_sweep(args) -> int:
                 ) + "\n")
         print(f"dispatch event log written to {args.dispatch_log}",
               file=sys.stderr)
-    if server is not None:
-        server.publish(render_openmetrics(executor.merged_registry()))
-        if args.serve_linger > 0:
-            _serve_linger(args.serve_linger, {"signal": None})
-        server.close()
     return 0
 
 
@@ -538,36 +525,17 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     system, defaults = _observed_system(
-        args, *_run_configs(args, profile=args.serve)
+        args, *_run_configs(args, profile=False)
     )
-    server = publisher = None
-    if args.serve:
-        obs = system.observability
-        server = MetricsServer(
-            host=args.serve_host, port=args.serve_port
-        ).start()
-        publisher = ServePublisher(obs, server,
-                                   interval=args.publish_interval)
-        obs.attach_publisher(publisher)
-        publisher.publish(system.current_cycle)
-        print(f"serving metrics at {server.url} "
-              "(/metrics /healthz /monitor)")
     cycles = args.cycles or defaults.cycles
     try:
         report = system.run(cycles, stop_when_done=False, engine=args.engine)
     except Exception as error:
-        if server is not None:
-            server.close()
         print(f"run aborted: {type(error).__name__}: {error}")
         dump_path = getattr(error, "dump_path", "")
         if dump_path:
             print(f"diagnostic dump written to {dump_path}")
         return 1
-    if publisher is not None:
-        publisher.publish(system.current_cycle)
-        if args.serve_linger > 0:
-            _serve_linger(args.serve_linger, {"signal": None})
-        server.close()
     res = system.resilience
     if res is not None and res.checkpoints_taken:
         print(f"checkpoints: {res.checkpoints_taken} taken, "
@@ -583,9 +551,9 @@ def _cmd_run(args) -> int:
 def _run_configs(args, profile: bool):
     """The obs and resilience configs of ``repro run`` / ``serve``.
 
-    ``profile=True`` (the serving paths) also turns on the engine
-    self-profiler and the interval sampler so the `/metrics` endpoint
-    exposes profiler and probe-derived gauge families.
+    ``profile=True`` (``serve``) also turns on the engine self-profiler
+    and the interval sampler so the `/metrics` endpoint exposes
+    profiler and probe-derived gauge families.
     """
     return (
         ObservabilityConfig(
@@ -665,9 +633,9 @@ def _cmd_serve(args) -> int:
         args, *_run_configs(args, profile=True)
     )
     obs = system.observability
+    obs.serving = True
     server = MetricsServer(host=args.host, port=args.port).start()
     publisher = ServePublisher(obs, server, interval=args.publish_interval)
-    obs.attach_publisher(publisher)
     publisher.publish(system.current_cycle)
 
     stop = {"signal": None}
@@ -685,16 +653,16 @@ def _cmd_serve(args) -> int:
             for signum in (signal.SIGTERM, signal.SIGINT)
         }
     print(f"serving metrics at {server.url} "
-          "(/metrics /healthz /monitor); SIGTERM drains")
+          "(/metrics /healthz); SIGTERM drains")
     try:
         cycles = args.cycles or defaults.cycles
         target = system.current_cycle + cycles
-        # Run in publish-interval chunks so a drain signal is honoured
-        # at the next chunk boundary, not only at the end of the run.
+        # Run in publish-interval chunks: each boundary publishes a
+        # fresh snapshot and is where a drain signal is honoured.
         while system.current_cycle < target and stop["signal"] is None:
-            step = min(args.publish_interval, target - system.current_cycle)
+            step = min(publisher.interval, target - system.current_cycle)
             system.run(step, stop_when_done=False, engine=args.engine)
-        publisher.publish(system.current_cycle)
+            publisher.publish(system.current_cycle)
         report = system.report()
         print(f"stopped at cycle {system.current_cycle}")
         print(f"report digest: {report_digest(report)}")
@@ -771,23 +739,6 @@ def _cmd_profile(args) -> int:
         print(f"OpenMetrics exposition written to {args.metrics_out}")
     print(f"report digest: {report_digest(report)}")
     return 0
-
-
-def _add_serve_args(p) -> None:
-    """`--serve` companion flags shared by `repro run` and `repro sweep`."""
-    p.add_argument("--serve", action="store_true",
-                   help="expose /metrics, /healthz and /monitor while "
-                        "the command runs")
-    p.add_argument("--serve-host", default="127.0.0.1",
-                   help="bind address for --serve")
-    p.add_argument("--serve-port", type=int, default=0,
-                   help="bind port for --serve (0 = ephemeral)")
-    p.add_argument("--publish-interval", type=int, default=4096,
-                   metavar="CYCLES",
-                   help="simulated cycles between registry snapshots")
-    p.add_argument("--serve-linger", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="keep serving after the command finishes")
 
 
 def _engine_parent() -> argparse.ArgumentParser:
@@ -907,7 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the merged OpenMetrics exposition here")
     p.add_argument("--dispatch-log", default=None, metavar="PATH",
                    help="write dispatch.* diagnostics as JSONL here")
-    _add_serve_args(p)
 
     p = verb("dispatch", _cmd_dispatch)
     dispatch_sub = p.add_subparsers(dest="verb", required=True)
@@ -973,7 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run length (default: the experiment default)")
     p.add_argument("--snapshot-out", default=None, metavar="PATH",
                    help="write a final snapshot when the run finishes")
-    _add_serve_args(p)
 
     p = verb("serve", _cmd_serve,
              parents=[_engine_parent(), _mix_parent(),
@@ -1019,41 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, metavar="PATH",
                    help="write the scenario's JSON report/dump here")
 
-    p = verb("lint", _cmd_lint,
-             help="run the repro-lint invariant checkers (RL001..RL009)")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text")
-    p.add_argument("--select", metavar="IDS",
-                   help="comma-separated checker ids to run")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="override the configured baseline file")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline file entirely")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-digest findings cache")
-    p.add_argument("--timings", action="store_true",
-                   help="print per-checker wall-clock times to stderr")
-    p.add_argument("--list-checkers", action="store_true",
-                   help="print the checker catalog and exit")
+    # One lint front end: the subcommand *is* repro.lint's own parser
+    # (flags, defaults and -h included) and its handler the same run().
+    verb("lint", lint_runner.run,
+         help="run the repro-lint invariant checkers (RL001..RL009)",
+         parents=[lint_runner.build_arg_parser()], add_help=False)
 
     return parser
-
-
-def _cmd_lint(args) -> int:
-    from repro.lint.runner import run as lint_run
-
-    return lint_run(
-        paths=args.paths,
-        output_format=args.format,
-        baseline_path=args.baseline,
-        no_baseline=args.no_baseline,
-        select=args.select,
-        list_checkers=args.list_checkers,
-        no_cache=args.no_cache,
-        timings=args.timings,
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

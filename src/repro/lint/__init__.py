@@ -3,14 +3,17 @@
 The shaping guarantee (release times match the target distribution)
 and the next-event engine's bit-identical replay are *determinism*
 guarantees; this package machine-checks the coding invariants they
-rest on instead of trusting convention.  See docs/static-analysis.md
-for the checker catalog and suppression policy.
+rest on instead of trusting convention.  It is this repo's gate, not
+a product: the policy (package scopes, allow-lists, taint vocabulary)
+lives in the checkers' own constants, inline pragmas
+(:mod:`repro.lint.pragmas`) are the only suppression, and there is one
+front end.  See
+docs/static-analysis.md for the checker catalog.
 
 Run it as ``python -m repro.lint [paths...]`` or ``repro lint``.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry, load_baseline
-from repro.lint.config import LintConfig, config_from_table, load_config
+from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, LintResult, Severity
 from repro.lint.registry import (
     Checker,
@@ -22,8 +25,6 @@ from repro.lint.registry import (
 from repro.lint.runner import lint_paths, lint_source, main, run
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "Finding",
     "LintConfig",
@@ -31,12 +32,9 @@ __all__ = [
     "ModuleContext",
     "Severity",
     "all_checkers",
-    "config_from_table",
     "get_checker",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "load_config",
     "main",
     "register",
     "run",

@@ -10,9 +10,8 @@ skip — precisely the divergence the bit-identical guarantee forbids.
 Any class in a simulated package that defines the tick method must
 therefore either define ``next_event_cycle`` (directly, or via a base
 class *in the same module* — cross-module inheritance is out of reach
-for a single-file AST pass and should use the exemption list), or be
-named in the ``exempt`` option / the baseline file with a
-justification.
+for a single-file AST pass), or carry a justified RL003 disable
+pragma (:mod:`repro.lint.pragmas`) on its ``class`` line.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class NextEventContractChecker(Checker):
                     "across clock skips",
                     hint=(
                         f"implement {required}() returning a sound lower "
-                        "bound (or None when idle), or add the class to the "
-                        "rl003 exemption list / baseline with a justification"
+                        "bound (or None when idle), or suppress the class "
+                        "line with a justified disable=RL003 pragma"
                     ),
                     key=name,
                 )

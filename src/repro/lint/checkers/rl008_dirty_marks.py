@@ -20,9 +20,8 @@ owning the mark for a mutation helper is the
 or a call to a ``*mark_all_dirty*`` helper; clearing a flag
 (``dirty[i] = False``) never counts.
 
-Scope, mutator patterns, and mark patterns are configurable via
-``[tool.repro-lint.rl008]`` so future engines can enrol their own
-ledgers.
+Scope, mutator patterns, and mark patterns are the module constants
+below; a future engine enrols its own ledger by extending them.
 """
 
 from __future__ import annotations

@@ -1,31 +1,13 @@
-"""Lint configuration: the ``[tool.repro-lint]`` table in pyproject.toml.
+"""Lint configuration: the seam the checker fixture tests use.
 
-Layout (all keys optional — defaults reproduce the shipped repo
-policy)::
-
-    [tool.repro-lint]
-    baseline = "lint-baseline.txt"
-    exclude = ["src/repro/_vendored"]
-
-    [tool.repro-lint.severity]
-    RL004 = "error"
-
-    [tool.repro-lint.disable-per-path]
-    "repro/analysis/*" = ["RL002"]
-
-    [tool.repro-lint.rl001]
-    allow-paths = ["repro/common/rng.py"]
-
-Per-checker tables (``rl001`` .. ``rl009``) are passed verbatim to the
-checker as its ``options`` dict.  The shared ``[tool.repro-lint.flow]``
-table carries project-wide vocabulary for the interprocedural checkers
-(RL007–RL009), e.g. extra ``sanitizers`` unioned with RL007's own list
-and the ``# repro-lint: sanitizer=`` pragmas.
-
-Python 3.11+ parses with :mod:`tomllib`; on 3.9/3.10 (no tomllib, and
-the container policy forbids adding ``tomli``) a minimal TOML-subset
-reader handles the shapes above: tables, strings, string/int arrays
-(single- or multi-line), ints, and booleans.
+The repo's policy lives in code — each checker's ``_DEFAULT_*``
+constants name its package scopes, allow-lists and taint vocabulary —
+so a real run (``python -m repro.lint`` / ``repro lint``) uses a plain
+:class:`LintConfig` rooted at the project.  The fields exist so a
+fixture test can hand a checker a different vocabulary (an ``exempt``
+list, an ``allow-paths`` entry, extra ``sanitizers`` under the shared
+``flow`` key), downgrade a severity or disable a checker for a path
+without touching the tree.
 """
 
 from __future__ import annotations
@@ -33,23 +15,22 @@ from __future__ import annotations
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.lint.findings import Severity
-
-try:  # Python >= 3.11
-    import tomllib
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI only
-    tomllib = None
 
 
 @dataclass
 class LintConfig:
-    """Resolved configuration for one lint run."""
+    """Resolved configuration for one lint run.
+
+    ``checker_options`` is keyed by lower-case checker id (``rl001`` ..
+    ``rl009``, plus ``flow`` for vocabulary shared by RL007–RL009) and
+    handed verbatim to the checker as its ``options`` dict;
+    ``severity_overrides`` by upper-case id.
+    """
 
     project_root: str = "."
-    baseline_path: Optional[str] = "lint-baseline.txt"
-    exclude: List[str] = field(default_factory=list)
     severity_overrides: Dict[str, Severity] = field(default_factory=dict)
     disable_per_path: Dict[str, List[str]] = field(default_factory=dict)
     checker_options: Dict[str, dict] = field(default_factory=dict)
@@ -69,13 +50,6 @@ class LintConfig:
                 disabled.extend(i.upper() for i in ids)
         return disabled
 
-    def is_excluded(self, path: str) -> bool:
-        for pattern in self.exclude:
-            pat = pattern.strip("/")
-            if fnmatch.fnmatch(path, pat) or fnmatch.fnmatch(path, pat + "/*"):
-                return True
-        return False
-
 
 def find_project_root(start: str) -> str:
     """Walk up from ``start`` to the nearest dir holding pyproject.toml."""
@@ -87,205 +61,3 @@ def find_project_root(start: str) -> str:
         if parent == current:
             return os.path.abspath(start)
         current = parent
-
-
-def load_config(project_root: str) -> LintConfig:
-    """Read ``[tool.repro-lint]`` from ``project_root/pyproject.toml``."""
-    pyproject = os.path.join(project_root, "pyproject.toml")
-    table: dict = {}
-    if os.path.isfile(pyproject):
-        with open(pyproject, "rb") as fh:
-            raw = fh.read()
-        if tomllib is not None:
-            data = tomllib.loads(raw.decode("utf-8"))
-        else:
-            data = _tiny_toml(raw.decode("utf-8"))
-        table = data.get("tool", {}).get("repro-lint", {})
-    return config_from_table(table, project_root)
-
-
-def config_from_table(table: dict, project_root: str = ".") -> LintConfig:
-    config = LintConfig(project_root=project_root)
-    if "baseline" in table:
-        config.baseline_path = table["baseline"] or None
-    config.exclude = list(table.get("exclude", []))
-    for cid, sev in table.get("severity", {}).items():
-        config.severity_overrides[cid.upper()] = Severity.parse(str(sev))
-    for pattern, ids in table.get("disable-per-path", {}).items():
-        config.disable_per_path[pattern] = list(ids)
-    for key, value in table.items():
-        # Per-checker tables (rl001..rl009) plus the shared [*.flow]
-        # table the flow checkers read for project-wide vocabulary
-        # (extra sanitizers, etc.).
-        if isinstance(value, dict) and (
-            key.lower().startswith("rl") or key.lower() == "flow"
-        ):
-            config.checker_options[key.lower()] = value
-    return config
-
-
-# -- minimal TOML subset (3.9/3.10 fallback) -------------------------------
-
-
-def _tiny_toml(text: str) -> dict:
-    """Parse the TOML subset repro-lint's own config uses.
-
-    Supports ``[dotted.table]`` headers, ``key = value`` with string,
-    int, bool, and (possibly multi-line) array values, quoted keys,
-    and ``#`` comments.  Inside ``[tool.repro-lint*]`` tables an
-    unparseable value raises ``ValueError`` so a config typo fails
-    loudly instead of silently linting with defaults; everywhere else
-    (pyproject sections we don't own, e.g. inline tables in
-    ``[tool.setuptools]``) unsupported values are skipped.
-    """
-    root: dict = {}
-    current = root
-    strict = False
-    pending_key: Optional[str] = None
-    pending_value = ""
-
-    def assign(table: dict, key: str, value: str, strict_here: bool) -> None:
-        try:
-            table[key] = _parse_value(value)
-        except ValueError:
-            if strict_here:
-                raise
-
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if pending_key is not None:
-            pending_value += " " + line
-            if _array_closed(pending_value):
-                assign(current, pending_key, pending_value, strict)
-                pending_key, pending_value = None, ""
-            continue
-        line = _strip_comment(line)
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            dotted = line[1:-1].strip()
-            current = _descend(root, dotted)
-            strict = dotted.startswith("tool.repro-lint")
-            continue
-        if "=" not in line:
-            if strict:
-                raise ValueError(f"unparseable TOML line: {raw_line!r}")
-            continue
-        key, _, value = line.partition("=")
-        key = _unquote(key.strip())
-        value = value.strip()
-        if value.startswith("[") and not _array_closed(value):
-            pending_key, pending_value = key, value
-        else:
-            assign(current, key, value, strict)
-    if pending_key is not None:
-        raise ValueError(f"unterminated array for key {pending_key!r}")
-    return root
-
-
-def _descend(root: dict, dotted: str) -> dict:
-    node = root
-    for part in _split_dotted(dotted):
-        node = node.setdefault(part, {})
-    return node
-
-
-def _split_dotted(dotted: str) -> List[str]:
-    parts: List[str] = []
-    buf = ""
-    quote = ""
-    for ch in dotted:
-        if quote:
-            if ch == quote:
-                quote = ""
-            else:
-                buf += ch
-        elif ch in "\"'":
-            quote = ch
-        elif ch == ".":
-            parts.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    parts.append(buf.strip())
-    return [p for p in parts if p]
-
-
-def _strip_comment(line: str) -> str:
-    quote = ""
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "#":
-            return line[:i].strip()
-    return line.strip()
-
-
-def _array_closed(value: str) -> bool:
-    depth = 0
-    quote = ""
-    for ch in value:
-        if quote:
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-    return depth == 0
-
-
-def _unquote(token: str) -> str:
-    token = token.strip()
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "\"'":
-        return token[1:-1]
-    return token
-
-
-def _parse_value(value: str):
-    value = _strip_comment(value.strip())
-    if value.startswith("[") and value.endswith("]"):
-        return [_parse_value(item) for item in _split_array(value[1:-1])]
-    if value in ("true", "false"):
-        return value == "true"
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
-        return value[1:-1]
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value: {value!r}") from None
-
-
-def _split_array(inner: str) -> List[str]:
-    items: List[str] = []
-    buf = ""
-    quote = ""
-    depth = 0
-    for ch in inner:
-        if quote:
-            buf += ch
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-            buf += ch
-        elif ch == "[":
-            depth += 1
-            buf += ch
-        elif ch == "]":
-            depth -= 1
-            buf += ch
-        elif ch == "," and depth == 0:
-            if buf.strip():
-                items.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        items.append(buf.strip())
-    return items

@@ -1,10 +1,9 @@
 """Finding and severity types shared by every checker.
 
 A :class:`Finding` is one diagnostic: where it is, which checker
-produced it, how bad it is, and (optionally) a *stable key* used for
-baseline suppression.  Keys name a symbol (class, function, or dotted
-call target) rather than a line number, so a baseline entry survives
-unrelated edits to the file.
+produced it, how bad it is, and (optionally) a *stable key* naming the
+symbol (class, function, or dotted call target) it is about, so JSON
+consumers and tests can match a finding without pinning a line number.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class FlowStep:
     Emitted by the flow checkers (RL007–RL009): the first step is the
     taint source, the last the sink, intermediate steps the calls and
     assignments the taint travelled through.  Rendered as indented
-    continuation lines in text output and as ``codeFlows`` in SARIF.
+    continuation lines in text output and as ``flow`` in JSON.
     """
 
     path: str
@@ -50,21 +49,13 @@ class FlowStep:
     def as_dict(self) -> dict:
         return {"path": self.path, "line": self.line, "note": self.note}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FlowStep":
-        return cls(
-            path=doc.get("path", ""),
-            line=int(doc.get("line", 1)),
-            note=doc.get("note", ""),
-        )
-
 
 @dataclass(frozen=True)
 class Finding:
     """One diagnostic emitted by a checker.
 
     ``path`` is always project-root-relative with forward slashes so
-    findings (and baseline entries) are portable across machines.
+    findings are portable across machines.
     ``flow`` (flow checkers only) is the source→sink path, source
     first.
     """
@@ -78,11 +69,6 @@ class Finding:
     hint: str = ""
     key: str = ""
     flow: Tuple[FlowStep, ...] = ()
-
-    @property
-    def suppression_key(self) -> str:
-        """Identity used by baseline entries: id + path + symbol key."""
-        return f"{self.checker_id}:{self.path}:{self.key or self.line}"
 
     def as_text(self) -> str:
         text = (
@@ -114,23 +100,6 @@ class Finding:
             "flow": [step.as_dict() for step in self.flow],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Finding":
-        """Inverse of :meth:`as_dict` (the AST/summary cache layer)."""
-        return cls(
-            checker_id=doc["checker"],
-            severity=Severity.parse(doc["severity"]),
-            path=doc["path"],
-            line=int(doc["line"]),
-            column=int(doc["column"]),
-            message=doc["message"],
-            hint=doc.get("hint", ""),
-            key=doc.get("key", ""),
-            flow=tuple(
-                FlowStep.from_dict(step) for step in doc.get("flow", [])
-            ),
-        )
-
 
 def sort_findings(findings):
     """Stable display order: by file, then line, then checker id."""
@@ -143,8 +112,6 @@ class LintResult:
 
     findings: list = field(default_factory=list)
     pragma_suppressed: int = 0
-    baseline_suppressed: int = 0
-    unused_baseline: list = field(default_factory=list)
     files_checked: int = 0
 
     @property

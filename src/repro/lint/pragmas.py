@@ -7,9 +7,9 @@ Two spellings, both comments so they never affect runtime:
 * ``# repro-lint: disable-next-line=RL002,RL003`` — same, but for the
   following line (useful when the offending line has no room).
 
-Multiple ids are comma-separated.  Unknown ids are kept verbatim — the
-runner reports pragmas that never suppressed anything so stale ones
-get cleaned up.
+Multiple ids are comma-separated.  These are the only suppression
+mechanism, so grepping ``src`` for the pragma marker lists every
+exception the tree carries.
 """
 
 from __future__ import annotations

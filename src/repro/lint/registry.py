@@ -23,9 +23,10 @@ class ModuleContext:
 
     ``path`` is project-root-relative with forward slashes; checkers
     match their per-path options (package scopes, allow lists) against
-    it.  ``options`` is this checker's table from ``[tool.repro-lint]``
-    (already lower-cased keys), and ``severity`` the effective severity
-    after any config override.
+    it.  ``options`` is this checker's entry in
+    :attr:`LintConfig.checker_options` (empty on a real run: the
+    checker's own defaults are the policy), and ``severity`` the
+    effective severity after any config override.
     """
 
     path: str

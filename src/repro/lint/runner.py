@@ -11,13 +11,14 @@ Two passes per run:
 
 Public surface:
 
-* :func:`run` — programmatic entry returning an exit code, used by the
-  ``repro lint`` CLI subcommand.  Uses the findings cache by default.
-* :func:`main` — argparse front end behind ``python -m repro.lint``.
+* :func:`build_arg_parser` / :func:`run` / :func:`main` — the one
+  front end: ``python -m repro.lint`` parses with the parser and
+  ``repro lint`` mounts the same parser as its subcommand, so both
+  accept the same flags and reach :func:`run` with the same namespace.
 * :func:`lint_paths` / :func:`lint_source` — library API the test
-  suite drives directly (cache off unless passed in).  ``lint_source``
-  runs the flow pass over the single module, so interprocedural
-  checkers are unit-testable one source string at a time.
+  suite drives directly.  ``lint_source`` runs the flow pass over the
+  single module, so interprocedural checkers are unit-testable one
+  source string at a time.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ import ast
 import json
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, BaselineFormatError, load_baseline
-from repro.lint.cache import FindingsCache, config_digest, source_digest
-from repro.lint.config import LintConfig, find_project_root, load_config
+from repro.lint.config import LintConfig, find_project_root
 from repro.lint.findings import Finding, LintResult, Severity, sort_findings
 from repro.lint.pragmas import is_suppressed, parse_pragmas
 from repro.lint.registry import FlowChecker, ModuleContext, all_checkers
 
 
-def iter_python_files(paths: Sequence[str], config: LintConfig) -> List[str]:
+def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of .py files."""
     found: List[str] = []
     for path in paths:
@@ -46,10 +45,7 @@ def iter_python_files(paths: Sequence[str], config: LintConfig) -> List[str]:
             continue
         for dirpath, dirnames, filenames in os.walk(path):
             dirnames[:] = sorted(
-                d for d in dirnames
-                if d not in ("__pycache__", ".git")
-                and not config.is_excluded(_rel_path(
-                    os.path.join(dirpath, d), config.project_root))
+                d for d in dirnames if d not in ("__pycache__", ".git")
             )
             for name in sorted(filenames):
                 if name.endswith(".py"):
@@ -71,34 +67,6 @@ def _split_checkers(select: Optional[Iterable[str]]):
             continue
         (flow if isinstance(checker, FlowChecker) else local).append(checker)
     return local, flow
-
-
-def _time_call(timings: Optional[Dict[str, float]], checker_id: str):
-    """Context manager accumulating wall-clock per checker id."""
-
-    class _Timer:
-        def __enter__(self):
-            if timings is not None:
-                # repro-lint: disable-next-line=RL001
-                import time
-
-                # Wall clock is fine here: --timings is diagnostic
-                # tooling output, never simulated behaviour.
-                # repro-lint: disable-next-line=RL001
-                self._t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc):
-            if timings is not None:
-                # repro-lint: disable-next-line=RL001
-                import time
-
-                # repro-lint: disable-next-line=RL001
-                elapsed = time.perf_counter() - self._t0
-                timings[checker_id] = timings.get(checker_id, 0.0) + elapsed
-            return False
-
-    return _Timer()
 
 
 def lint_source(
@@ -125,7 +93,6 @@ def _lint_module(
     rel_path: str,
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
-    timings: Optional[Dict[str, float]] = None,
 ):
     """Per-module pass; returns (findings, pragma_suppressed_count)."""
     config = config or LintConfig()
@@ -157,9 +124,7 @@ def _lint_module(
             options=config.options_for(checker.id),
             severity=config.severity_for(checker.id, checker.default_severity),
         )
-        with _time_call(timings, checker.id):
-            for finding in checker.check_module(module):
-                findings.append(finding)
+        findings.extend(checker.check_module(module))
     kept = [
         f for f in findings
         if not is_suppressed(pragma_map, f.line, f.checker_id)
@@ -171,7 +136,6 @@ def _run_flow_pass(
     sources: Sequence[Tuple[str, str]],
     config: LintConfig,
     select: Optional[Iterable[str]] = None,
-    timings: Optional[Dict[str, float]] = None,
 ):
     """Whole-program pass; returns (findings, pragma_suppressed_count).
 
@@ -187,8 +151,7 @@ def _run_flow_pass(
     project = FlowProject.from_sources(sources, config=config)
     raw: List[Finding] = []
     for checker in flow:
-        with _time_call(timings, checker.id):
-            raw.extend(checker.check_project(project))
+        raw.extend(checker.check_project(project))
     pragma_maps = {
         path: parse_pragmas(source) for path, source in sources
     }
@@ -210,81 +173,23 @@ def _run_flow_pass(
 def lint_paths(
     paths: Sequence[str],
     config: LintConfig,
-    baseline: Optional[Baseline] = None,
     select: Optional[Iterable[str]] = None,
-    cache: Optional[FindingsCache] = None,
-    timings: Optional[Dict[str, float]] = None,
 ) -> LintResult:
-    """Lint files/directories and apply the baseline.
-
-    With a ``cache``, per-module results are keyed on each file's
-    content digest and the whole-program (flow) result on the digest
-    of every file — see :mod:`repro.lint.cache`.  The baseline is
-    applied after the cache on every run.
-    """
-    local_ids = [c.id for c in _split_checkers(select)[0]]
-    flow_ids = [c.id for c in _split_checkers(select)[1]]
-    cfg_digest = config_digest(config) if cache is not None else ""
-
+    """Lint files/directories: the per-module pass, then the flow pass."""
     result = LintResult()
     sources: List[Tuple[str, str]] = []
-    for file_path in iter_python_files(paths, config):
-        rel = _rel_path(file_path, config.project_root)
-        if config.is_excluded(rel):
-            continue
+    for file_path in iter_python_files(paths):
         with open(file_path, "r", encoding="utf-8") as fh:
-            sources.append((rel, fh.read()))
-
-    pre_baseline: List[Finding] = []
+            sources.append((_rel_path(file_path, config.project_root),
+                            fh.read()))
+    result.files_checked = len(sources)
     for rel, source in sources:
-        result.files_checked += 1
-        cached = None
-        key = ""
-        if cache is not None:
-            key = cache.module_key(
-                rel, source_digest(source), cfg_digest, local_ids
-            )
-            cached = cache.load(key)
-        if cached is not None:
-            file_findings, pragma_hits = cached
-        else:
-            file_findings, pragma_hits = _lint_module(
-                source, rel, config, select, timings=timings
-            )
-            if cache is not None:
-                cache.store(key, file_findings, pragma_hits)
+        findings, pragma_hits = _lint_module(source, rel, config, select)
         result.pragma_suppressed += pragma_hits
-        pre_baseline.extend(file_findings)
-
-    if flow_ids:
-        cached = None
-        key = ""
-        if cache is not None:
-            key = cache.flow_key(
-                [(rel, source_digest(src)) for rel, src in sources],
-                cfg_digest,
-                flow_ids,
-            )
-            cached = cache.load(key)
-        if cached is not None:
-            flow_findings, pragma_hits = cached
-        else:
-            flow_findings, pragma_hits = _run_flow_pass(
-                sources, config, select, timings=timings
-            )
-            if cache is not None:
-                cache.store(key, flow_findings, pragma_hits)
-        result.pragma_suppressed += pragma_hits
-        pre_baseline.extend(flow_findings)
-
-    for finding in pre_baseline:
-        if baseline is not None and baseline.suppresses(finding):
-            result.baseline_suppressed += 1
-        else:
-            result.findings.append(finding)
-    result.findings = sort_findings(result.findings)
-    if baseline is not None:
-        result.unused_baseline = baseline.unused_entries()
+        result.findings.extend(findings)
+    findings, pragma_hits = _run_flow_pass(sources, config, select)
+    result.pragma_suppressed += pragma_hits
+    result.findings = sort_findings(result.findings + findings)
     return result
 
 
@@ -295,22 +200,11 @@ def render_text(result: LintResult, out=None) -> None:
     out = out or sys.stdout
     for finding in result.findings:
         print(finding.as_text(), file=out)
-    for entry in result.unused_baseline:
-        print(
-            f"note: unused baseline entry {entry.suppression_key} "
-            f"({(entry.path if not entry.justification else entry.justification)!r})"
-            " — remove it",
-            file=out,
-        )
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
     )
-    suppressed = result.pragma_suppressed + result.baseline_suppressed
-    if suppressed:
-        summary += (
-            f" ({result.pragma_suppressed} pragma-suppressed, "
-            f"{result.baseline_suppressed} baseline-suppressed)"
-        )
+    if result.pragma_suppressed:
+        summary += f" ({result.pragma_suppressed} pragma-suppressed)"
     print(summary, file=out)
 
 
@@ -320,26 +214,10 @@ def render_json(result: LintResult, out=None) -> None:
         "findings": [f.as_dict() for f in result.findings],
         "files_checked": result.files_checked,
         "pragma_suppressed": result.pragma_suppressed,
-        "baseline_suppressed": result.baseline_suppressed,
-        "unused_baseline": [e.suppression_key for e in result.unused_baseline],
         "exit_code": result.exit_code,
     }
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
-
-
-def render_timings(timings: Dict[str, float], out=None) -> None:
-    """Per-checker wall-clock table (``--timings``), slowest first.
-
-    Cache hits skip checker execution entirely, so a warm run shows
-    (near-)zero rows — that asymmetry is the point of the flag.
-    """
-    out = out or sys.stderr
-    total = sum(timings.values())
-    print("checker timings (wall clock):", file=out)
-    for cid in sorted(timings, key=lambda c: (-timings[c], c)):
-        print(f"  {cid:<8} {timings[cid] * 1000.0:9.1f} ms", file=out)
-    print(f"  {'total':<8} {total * 1000.0:9.1f} ms", file=out)
 
 
 # -- CLI -------------------------------------------------------------------
@@ -360,28 +238,12 @@ def build_arg_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format",
     )
     parser.add_argument(
         "--select", metavar="IDS",
         help="comma-separated checker ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="baseline file (default: from [tool.repro-lint] baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-digest findings cache",
-    )
-    parser.add_argument(
-        "--timings", action="store_true",
-        help="print per-checker wall-clock times to stderr",
     )
     parser.add_argument(
         "--list-checkers", action="store_true",
@@ -390,20 +252,15 @@ def build_arg_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
     return parser
 
 
-def run(
-    paths: Sequence[str],
-    output_format: str = "text",
-    baseline_path: Optional[str] = None,
-    no_baseline: bool = False,
-    select: Optional[str] = None,
-    list_checkers: bool = False,
-    no_cache: bool = False,
-    timings: bool = False,
-    out=None,
-) -> int:
-    """Programmatic entry point; returns the process exit code."""
+def run(args: argparse.Namespace, out=None) -> int:
+    """Execute one parsed command line; returns the process exit code.
+
+    ``args`` comes from :func:`build_arg_parser` — directly
+    (``python -m repro.lint``) or mounted as the ``repro lint``
+    subcommand — so both front ends behave identically.
+    """
     out = out or sys.stdout
-    if list_checkers:
+    if args.list_checkers:
         for checker in all_checkers():
             kind = "flow" if isinstance(checker, FlowChecker) else "module"
             print(
@@ -412,54 +269,23 @@ def run(
                 file=out,
             )
         return 0
-    anchor = paths[0] if paths else "."
+    missing = [p for p in args.paths if not os.path.exists(p)]
+    if missing:
+        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    anchor = args.paths[0] if args.paths else "."
     root = find_project_root(anchor if os.path.isdir(anchor)
                              else os.path.dirname(anchor) or ".")
-    config = load_config(root)
-    baseline: Optional[Baseline] = None
-    if not no_baseline:
-        chosen = baseline_path or config.baseline_path
-        if chosen:
-            if not os.path.isabs(chosen):
-                chosen = os.path.join(root, chosen)
-            try:
-                baseline = load_baseline(chosen)
-            except BaselineFormatError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    selected = [s for s in (select or "").split(",") if s.strip()] or None
-    cache = None if no_cache else FindingsCache(root)
-    timing_table: Optional[Dict[str, float]] = {} if timings else None
+    selected = [s for s in (args.select or "").split(",") if s.strip()] or None
     result = lint_paths(
-        paths, config, baseline=baseline, select=selected,
-        cache=cache, timings=timing_table,
+        args.paths, LintConfig(project_root=root), select=selected
     )
-    if output_format == "json":
+    if args.format == "json":
         render_json(result, out)
-    elif output_format == "sarif":
-        from repro.lint.sarif import render_sarif
-
-        render_sarif(result, out)
     else:
         render_text(result, out)
-    if timing_table is not None:
-        render_timings(timing_table)
     return result.exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    missing = [p for p in args.paths if not os.path.exists(p)]
-    if missing and not args.list_checkers:
-        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    return run(
-        paths=args.paths,
-        output_format=args.format,
-        baseline_path=args.baseline,
-        no_baseline=args.no_baseline,
-        select=args.select,
-        list_checkers=args.list_checkers,
-        no_cache=args.no_cache,
-        timings=args.timings,
-    )
+    return run(build_arg_parser().parse_args(argv))

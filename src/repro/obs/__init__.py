@@ -14,14 +14,14 @@ pure function of the run configuration:
 * a live **shaping monitor** (:class:`~repro.obs.monitor.ShapingMonitor`)
   computing running TVD/MI between intrinsic and shaped streams and
   flagging guarantee violations mid-run;
-* an OpenMetrics/JSONL **exporter** (:mod:`repro.obs.export`) with a
+* an OpenMetrics **exporter** (:mod:`repro.obs.export`) with a
   byte-deterministic text exposition and a shard-merge protocol used
   by the parallel sweep executor;
 * a deterministic engine **self-profiler**
   (:class:`~repro.obs.profile.EngineProfiler`) attributing simulated
   work to pipeline stations and engine phases in integer cycles;
 * a live **metrics server** (:mod:`repro.obs.server`) backing
-  ``repro serve`` with `/metrics`, `/healthz` and `/monitor`.
+  ``repro serve`` with `/metrics` and `/healthz`.
 
 Attach them to a system with
 :meth:`repro.sim.system.SystemBuilder.with_observability`.
@@ -41,10 +41,8 @@ from repro.obs.export import (
     EXPOSITION_CONTENT_TYPE,
     merge_into,
     merge_serialized,
-    render_jsonl,
     render_openmetrics,
     serialize_registry,
-    write_jsonl,
 )
 from repro.obs.hub import Observability, ObservabilityConfig
 from repro.obs.metrics import (
@@ -65,10 +63,8 @@ __all__ = [
     "EXPOSITION_CONTENT_TYPE",
     "merge_into",
     "merge_serialized",
-    "render_jsonl",
     "render_openmetrics",
     "serialize_registry",
-    "write_jsonl",
     "validate_metric_name",
     "EngineProfiler",
     "MetricsServer",

@@ -1,6 +1,6 @@
-"""Registry exporters: OpenMetrics text exposition, JSONL, shard merge.
+"""Registry exporters: OpenMetrics text exposition and shard merge.
 
-Three things live here, all pure functions of a
+Two things live here, all pure functions of a
 :class:`~repro.obs.metrics.MetricsRegistry`:
 
 * :func:`render_openmetrics` — the Prometheus/OpenMetrics text
@@ -11,9 +11,6 @@ Three things live here, all pure functions of a
   holding the same instruments with the same values render to the same
   bytes, which is what lets the jobs=1 and jobs=N merged sweep
   registries be compared with ``cmp`` (docs/parallel.md).
-* :func:`render_jsonl` / :func:`write_jsonl` — a line-delimited JSON
-  snapshot of the same state (one instrument per line, sorted keys),
-  for offline diffing and ingestion without a Prometheus parser.
 * :func:`serialize_registry` / :func:`merge_into` /
   :func:`merge_serialized` — the shard-merge protocol of
   :mod:`repro.parallel`: each sweep worker serializes its registry
@@ -47,8 +44,6 @@ from repro.obs.metrics import (
 __all__ = [
     "escape_family_name",
     "render_openmetrics",
-    "render_jsonl",
-    "write_jsonl",
     "serialize_registry",
     "merge_into",
     "merge_serialized",
@@ -193,27 +188,6 @@ def _instrument_doc(name: str, instrument) -> Dict[str, object]:
     raise ConfigurationError(
         f"cannot serialize instrument kind {type(instrument).__name__}"
     )
-
-
-def render_jsonl(registry: MetricsRegistry) -> str:
-    """One canonical-JSON line per instrument, sorted by name."""
-    lines = [
-        json.dumps(
-            _instrument_doc(name, registry._instruments[name]),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for name in registry.names()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(registry: MetricsRegistry, path: str) -> int:
-    """Write the JSONL snapshot to ``path``; returns the line count."""
-    text = render_jsonl(registry)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return len(registry.names())
 
 
 # -- shard serialization / merge (repro.parallel) ---------------------------

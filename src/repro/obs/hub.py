@@ -49,16 +49,7 @@ class ObservabilityConfig:
     sample_limit: Optional[int] = None
     monitor: bool = False
     monitor_interval: int = 2048
-    monitor_tvd_threshold: float = 0.25
-    monitor_min_events: int = 32
-    monitor_mi_window: int = 4096
     monitor_detect: bool = False
-    monitor_detect_window: int = 256
-    monitor_detect_min_pairs: int = 32
-    monitor_auc_threshold: float = 0.8
-    monitor_xcorr_threshold: float = 0.9
-    monitor_detect_seed: int = 0
-    monitor_final_min_pairs: int = 8
     noc_grant_trace_limit: Optional[int] = None
     profile: bool = False
 
@@ -104,17 +95,8 @@ class Observability:
         self.monitor: Optional[ShapingMonitor] = (
             ShapingMonitor(
                 interval=self.config.monitor_interval,
-                tvd_threshold=self.config.monitor_tvd_threshold,
-                min_events=self.config.monitor_min_events,
-                mi_window=self.config.monitor_mi_window,
                 tracer=self.tracer,
                 detect=self.config.monitor_detect,
-                detect_window=self.config.monitor_detect_window,
-                detect_min_pairs=self.config.monitor_detect_min_pairs,
-                auc_threshold=self.config.monitor_auc_threshold,
-                xcorr_threshold=self.config.monitor_xcorr_threshold,
-                detect_seed=self.config.monitor_detect_seed,
-                final_min_pairs=self.config.monitor_final_min_pairs,
             )
             if self.config.monitor
             else None
@@ -124,23 +106,16 @@ class Observability:
         self.profiler: Optional[EngineProfiler] = (
             EngineProfiler() if self.config.profile else None
         )
-        # The serve publisher (repro.obs.server.ServePublisher) is
-        # attached at run time, holds thread/socket handles, and is
-        # excluded from pickling — see __getstate__.
-        self.publisher = None
+        #: Set by ``repro serve``: the registry is being scraped live,
+        #: so the run loop also mirrors the watchdog's stall margin into
+        #: it.  That gauge depends on the engine's observe cadence, so
+        #: it stays out of the registry on every deterministic path.
+        self.serving = False
 
     @property
     def has_cycle_hooks(self) -> bool:
         """Does the run loop need to call the per-tick hooks at all?"""
-        return (
-            self.sampler is not None
-            or self.monitor is not None
-            or self.publisher is not None
-        )
-
-    def attach_publisher(self, publisher) -> None:
-        """Install (or clear, with ``None``) the serve publisher."""
-        self.publisher = publisher
+        return self.sampler is not None or self.monitor is not None
 
     # -- run-loop hooks (called by System) ---------------------------------
 
@@ -150,8 +125,6 @@ class Observability:
             self.sampler.advance(cycle)
         if self.monitor is not None:
             self.monitor.advance(cycle)
-        if self.publisher is not None:
-            self.publisher.advance(cycle)
 
     def on_skip(self, up_to_cycle: int) -> None:
         """A next-event skip is landing; fill boundaries ≤ ``up_to_cycle``."""
@@ -159,8 +132,6 @@ class Observability:
             self.sampler.fill(up_to_cycle)
         if self.monitor is not None:
             self.monitor.fill(up_to_cycle)
-        if self.publisher is not None:
-            self.publisher.fill(up_to_cycle)
 
     def on_run_end(self, cycle: int) -> None:
         """The run loop finished at ``cycle``; evaluate the monitor's
@@ -169,15 +140,15 @@ class Observability:
         if self.monitor is not None:
             self.monitor.finalize(cycle)
 
-    # -- export (serve publisher / repro profile) ---------------------------
+    # -- export (repro serve / repro profile) -------------------------------
 
     def refresh_derived_gauges(self, at_cycle: int) -> None:
         """Materialise derived registry families before an export.
 
         Probe values become same-named gauges (the live complement of
         the sampler's time series), and the profiler's families are
-        re-exported.  Called only on the export paths — between cycles
-        from the publisher cadence, or once by ``repro profile`` — so
+        re-exported.  Called only on the export paths — between run
+        chunks by ``repro serve``, or once by ``repro profile`` — so
         a system that never exports keeps its registry exactly as the
         components wrote it.
         """
@@ -194,84 +165,6 @@ class Observability:
 
         self.refresh_derived_gauges(at_cycle)
         return render_openmetrics(self.metrics)
-
-    def monitor_doc(self) -> Dict[str, Any]:
-        """Live shaping-monitor state for the ``/monitor`` endpoint."""
-        if self.monitor is None:
-            return {"enabled": False}
-        monitor = self.monitor
-        streams = []
-        for stream in monitor._streams:
-            sample = monitor._display_sample(stream.core_id, stream.direction)
-            if sample is None:
-                continue
-            streams.append({
-                "core_id": sample.core_id,
-                "direction": sample.direction,
-                "cycle": sample.cycle,
-                "events_observed": sample.events_observed,
-                "tvd_target": sample.tvd_target,
-                "tvd_intrinsic": sample.tvd_intrinsic,
-                "mi_bits": sample.mi_bits,
-                "mi_degenerate": sample.mi_degenerate,
-                "auc": sample.auc,
-                "xcorr": sample.xcorr,
-            })
-        return {
-            "enabled": True,
-            "checkpoints": len(monitor.history),
-            "detect": monitor.detect,
-            "streams": streams,
-            "violations": [
-                {
-                    "cycle": v.cycle,
-                    "core_id": v.core_id,
-                    "direction": v.direction,
-                    "tvd_target": v.tvd_target,
-                    "threshold": v.threshold,
-                    "events_observed": v.events_observed,
-                }
-                for v in monitor.violations + monitor.final_violations
-            ],
-            "detect_violations": [
-                {
-                    "cycle": v.cycle,
-                    "core_id": v.core_id,
-                    "direction": v.direction,
-                    "metric": v.metric,
-                    "value": v.value,
-                    "threshold": v.threshold,
-                }
-                for v in (
-                    monitor.detect_violations
-                    + monitor.final_detect_violations
-                )
-            ],
-            "degradations": [
-                {
-                    "cycle": d.cycle,
-                    "core_id": d.core_id,
-                    "direction": d.direction,
-                    "reason": d.reason,
-                    "detail": d.detail,
-                }
-                for d in monitor.degradations
-            ],
-        }
-
-    # -- pickling (snapshots) ------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Snapshots must restore on machines with no server running:
-        drop the publisher (thread/socket handles).  The profiler
-        persists via its own reduced ``__getstate__``."""
-        state = dict(self.__dict__)
-        state["publisher"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.publisher = None
 
     # -- reporting -----------------------------------------------------------
 

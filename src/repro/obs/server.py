@@ -4,29 +4,25 @@ Two pieces:
 
 * :class:`MetricsServer` — a stdlib :mod:`http.server` endpoint
   (ThreadingHTTPServer on a daemon thread, loopback by default, port 0
-  = ephemeral) serving three read-only routes:
+  = ephemeral) serving two read-only routes:
 
-  - ``/metrics``  — the OpenMetrics text exposition,
+  - ``/metrics``  — the OpenMetrics text exposition (the shaping
+    monitor's state is in it as ``monitor.*`` gauges),
   - ``/healthz``  — liveness JSON (status, published cycle, scrape
-    count, uptime),
-  - ``/monitor``  — the live shaping-monitor state (latest TVD/MI per
-    stream, violations, degradations) as JSON.
+    count, uptime).
 
   The server never touches live simulator state: it serves the last
-  *published* snapshot strings under a lock.  Publication happens on
-  the simulation thread, between cycles, so a scrape can never observe
-  a half-ticked system and the run loop never blocks on a slow client.
+  *published* snapshot string under a lock.  Publication happens on
+  the simulation thread, between ``System.run`` calls, so a scrape can
+  never observe a half-ticked system and the run loop never blocks on
+  a slow client.
 
-* :class:`ServePublisher` — the cadence hook wired into
-  :meth:`Observability.on_cycle_end` / :meth:`on_skip` with the same
-  advance/fill discipline as the interval sampler.  Every ``interval``
-  cycles it refreshes the derived gauges (probe values, profiler
-  families), renders the exposition and monitor document, and pushes
-  them to the server.
-
-The publisher holds thread and socket handles, so it is excluded from
-pickling by :meth:`Observability.__getstate__` — snapshots taken
-during a served run restore cleanly into a non-served system.
+* :class:`ServePublisher` — the bridge ``repro serve`` drives: the
+  verb runs the system in ``interval``-cycle chunks and calls
+  :meth:`ServePublisher.publish` after each, which refreshes the
+  derived gauges (probe values, profiler families), renders the
+  exposition and pushes it to the server.  Nothing is hooked into the
+  engine.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.obs.export import EXPOSITION_CONTENT_TYPE
@@ -68,7 +64,6 @@ class MetricsServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._lock = threading.Lock()
         self._exposition = _EMPTY_EXPOSITION
-        self._monitor_doc: Dict[str, Any] = {"enabled": False}
         self._status = "starting"
         self._published_cycle = -1
         self._publishes = 0
@@ -85,8 +80,6 @@ class MetricsServer:
                     body, content_type = server._metrics_response()
                 elif path == "/healthz":
                     body, content_type = server._healthz_response()
-                elif path == "/monitor":
-                    body, content_type = server._monitor_response()
                 else:
                     body = b'{"error":"not found"}\n'
                     self._reply(404, body, "application/json")
@@ -145,15 +138,12 @@ class MetricsServer:
     def publish(
         self,
         exposition: str,
-        monitor_doc: Optional[Dict[str, Any]] = None,
         cycle: int = -1,
         status: str = "ok",
     ) -> None:
         """Swap in a new snapshot; called between cycles, never mid-tick."""
         with self._lock:
             self._exposition = exposition
-            if monitor_doc is not None:
-                self._monitor_doc = monitor_doc
             self._published_cycle = cycle
             self._publishes += 1
             self._status = status
@@ -184,20 +174,11 @@ class MetricsServer:
         body = json.dumps(doc, sort_keys=True) + "\n"
         return body.encode("utf-8"), "application/json"
 
-    def _monitor_response(self):
-        with self._lock:
-            doc = self._monitor_doc
-        body = json.dumps(doc, sort_keys=True) + "\n"
-        return body.encode("utf-8"), "application/json"
-
 
 class ServePublisher:
-    """Cycle-cadence bridge from an :class:`Observability` hub to a
-    :class:`MetricsServer`.
-
-    ``advance``/``fill`` follow the sampler's closed-form discipline;
-    a span skip that crosses several publish boundaries publishes once,
-    at the span end, with the (unchanged) span-start state.
+    """Bridge from an :class:`Observability` hub to a
+    :class:`MetricsServer`, published every ``interval`` cycles by the
+    ``repro serve`` chunk loop.
     """
 
     def __init__(
@@ -211,29 +192,11 @@ class ServePublisher:
         self.obs = obs
         self.server = server
         self.interval = interval
-        self._next = interval
-
-    @property
-    def next_publish_cycle(self) -> int:
-        return self._next
-
-    def advance(self, cycle: int) -> None:
-        if cycle >= self._next:
-            while self._next <= cycle:
-                self._next += self.interval
-            self.publish(cycle)
-
-    def fill(self, up_to_cycle: int) -> None:
-        if up_to_cycle >= self._next:
-            while self._next <= up_to_cycle:
-                self._next += self.interval
-            self.publish(up_to_cycle)
 
     def publish(self, cycle: int, status: str = "ok") -> None:
         """Refresh derived gauges, render, and push to the server."""
         self.server.publish(
             self.obs.render_exposition(at_cycle=cycle),
-            monitor_doc=self.obs.monitor_doc(),
             cycle=cycle,
             status=status,
         )

@@ -35,9 +35,10 @@ Pool reuse and chunking
 re-imports the simulator stack before it can run its first task.  The
 original executor built a brand-new pool per :meth:`SweepExecutor.map`
 call and shipped one future per task, so short sweeps spent more time
-spawning and pickling than simulating (BENCH_parallel.json recorded a
-0.75x *slowdown* at ``jobs=4``).  Two fixes, neither observable in the
-merged output:
+spawning and pickling than simulating (a 0.75x *slowdown* at
+``jobs=4``).  Two fixes, neither observable in the merged output
+(``benchmarks/perf``'s ``sweep_fig2`` workload reports what they buy:
+``parallel.speedup_j2``, ``pool_spawn_s``, ``cache_replay_s``):
 
 * **a warm persistent pool** — one module-level ``spawn`` pool is kept
   alive across ``map`` calls (rebuilt only when more workers are
@@ -159,8 +160,10 @@ def _warm_worker() -> None:  # pragma: no cover - runs in spawned workers
 
     A ``spawn`` worker starts as a bare interpreter; importing the
     analysis/simulation modules here means the first real task pays
-    only simulation time, not import time.  Best-effort: a failed
-    import just leaves the lazy imports inside the tasks to do it.
+    only simulation time, not import time.  Best-effort: if it fails
+    here, unpickling the first task function imports the same modules
+    (``repro.parallel.tasks`` imports them at module level) and the
+    real error surfaces there, attributed to a shard.
     """
     try:
         import repro.analysis.experiments  # noqa: F401

@@ -49,8 +49,8 @@ class Watchdog:
         a value sliding toward zero on ``/metrics`` is the live
         warning that a shaping configuration is starving a core.  The
         margin depends on the observe cadence, which differs between
-        engines, so the run loop binds this only when a serve
-        publisher is attached — never in the deterministic
+        engines, so the run loop binds this only under ``repro
+        serve`` (``Observability.serving``) — never in the deterministic
         cross-engine paths (the watchdog *trip* cycle itself stays
         engine-invariant regardless).
         """

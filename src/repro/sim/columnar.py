@@ -437,10 +437,6 @@ def run(
             f"unknown engine {engine!r}: expected 'cycle' or 'columnar'"
         )
     obs = system.observability
-    # Re-derive the cached hook flag: a serve publisher can be
-    # attached between builds and runs (repro serve), after
-    # System.__init__ froze the original value.
-    system._obs_cycle_hooks = obs is not None and obs.has_cycle_hooks
     res = system.resilience
     checkpoint_every = 0
     watchdog_dump_path = ""
@@ -455,7 +451,7 @@ def run(
         tracer=obs.tracer if obs is not None else NULL_TRACER,
     )
     watchdog.reset(system)
-    if obs is not None and obs.publisher is not None:
+    if obs is not None and obs.serving:
         # Serve mode only: the stall margin depends on the observe
         # cadence, which differs between engines — keep it out of
         # the registry on the deterministic cross-engine paths.

@@ -154,6 +154,49 @@ class TestCommands:
         assert json.loads(out_path.read_text()) == json.loads(stdout)
 
 
+class TestLintFrontEnds:
+    """``repro lint`` is ``python -m repro.lint``: one parser, one run()."""
+
+    @pytest.mark.parametrize("case, code", [
+        ("missing", 2), ("clean", 0), ("rl001", 1),
+    ])
+    def test_both_front_ends_agree(self, case, code, tmp_path, capsys):
+        from repro.lint import main as lint_main
+
+        (tmp_path / "pyproject.toml").write_text("[project]\n")
+        pkg = tmp_path / "src" / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (pkg / "clean.py").write_text("def f(x):\n    return x + 1\n")
+        (pkg / "rl001.py").write_text(
+            "import random\n\ndef pick(q):\n    return random.choice(q)\n"
+        )
+        target = {
+            "missing": tmp_path / "no" / "such" / "path",
+            "clean": pkg / "clean.py",
+            "rl001": pkg / "rl001.py",
+        }[case]
+
+        assert main(["lint", str(target)]) == code
+        via_repro = capsys.readouterr()
+        assert lint_main([str(target)]) == code
+        via_module = capsys.readouterr()
+        assert via_repro == via_module
+        if case == "missing":
+            assert via_repro.err == f"error: no such path: {target}\n"
+            assert via_repro.out == ""
+        elif case == "rl001":
+            assert "src/repro/core/rl001.py:1:1: RL001" in via_repro.out
+
+    @pytest.mark.parametrize("flag", [
+        "--no-cache", "--baseline=x", "--no-baseline", "--timings",
+        "--format=sarif",
+    ])
+    def test_deleted_lint_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lint", flag])
+        assert excinfo.value.code == 2
+
+
 class TestCalibrate:
     def test_single_benchmark(self, capsys):
         from repro.cli import main
@@ -325,22 +368,48 @@ class TestObservabilityCommands:
             digests[engine] = self._digest(capsys.readouterr().out)
         assert len(set(digests.values())) == 1
 
-    def test_run_serve_digest_matches_plain_run(self, capsys):
+    def test_serve_digest_matches_plain_run(self, capsys):
         assert main(["--scale", "0.1", "run"]) == 0
         plain = self._digest(capsys.readouterr().out)
-        assert main(["--scale", "0.1", "run", "--serve"]) == 0
+        assert main(["--scale", "0.1", "serve"]) == 0
         out = capsys.readouterr().out
         assert "serving metrics at http://127.0.0.1:" in out
         assert self._digest(out) == plain
 
-    def test_serve_live_scrape(self, capsys):
+    @pytest.mark.parametrize("verb", ["run", "sweep tradeoff"])
+    def test_serve_is_one_verb_not_a_flag(self, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*verb.split(), "--serve"])
+        assert excinfo.value.code == 2
+
+    def test_serve_live_scrape(self, capsys, monkeypatch):
         """Drive `repro serve` from a worker thread and scrape the
         endpoints while it lingers — the CI smoke job, in-process."""
         import json
+        import re
         import socket
         import threading
         import time
         import urllib.request
+
+        from repro.obs.server import ServePublisher
+
+        # A real scrape right after every publish: what a scraper sees
+        # must advance at each --publish-interval boundary.
+        scraped_cycles = []
+        publish = ServePublisher.publish
+
+        def publish_then_scrape(self, cycle, status="ok"):
+            publish(self, cycle, status)
+            with urllib.request.urlopen(
+                self.server.url + "/metrics", timeout=5
+            ) as response:
+                text = response.read().decode("utf-8")
+            scraped_cycles.append(int(re.search(
+                r"^obs_published_cycle (\d+)$", text, re.M
+            ).group(1)))
+
+        monkeypatch.setattr(ServePublisher, "publish", publish_then_scrape)
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -382,11 +451,9 @@ class TestObservabilityCommands:
             assert "monitor_checkpoints" in text
             assert "core0_request_credits" in text
             assert text.endswith("# EOF\n")
-            monitor = json.loads(scrape("/monitor"))
-            assert monitor["enabled"] is True
-            assert monitor["streams"]
         finally:
             thread.join(timeout=60)
         assert rc == [0]
+        assert scraped_cycles == [0, 1024, 2048, 3072, 4000]
         out = capsys.readouterr().out
         assert "stopped at cycle 4000" in out

@@ -77,3 +77,84 @@ class TestReadme:
                      "static-analysis.md", "observability.md",
                      "resilience.md", "parallel.md"):
             assert (ROOT / "docs" / name).exists()
+
+
+class TestDocCommandLines:
+    """Every ``repro <verb> …`` / ``python -m repro.cli|repro.lint …``
+    line in a fenced block must parse with today's parsers, so a doc
+    cannot keep naming a flag the code deleted (``--serve``,
+    ``--no-cache``, ``--format sarif``, ``--baseline``, …)."""
+
+    DOCS = (
+        [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+        + sorted((ROOT / "docs").glob("*.md"))
+    )
+    _SHELL_OPERATORS = re.compile(r"^(\||&&?|;|<|\d?>>?.*)$")
+
+    @classmethod
+    def _command_lines(cls, text):
+        """Yield ``(front_end, argv)`` for each command line in ``text``."""
+        import shlex
+
+        for block in re.findall(r"```[^\n]*\n(.*?)```", text, re.S):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                try:
+                    tokens = shlex.split(line, comments=True)
+                except ValueError:  # not a shell line (python, prose)
+                    continue
+                while tokens and re.match(r"^\w+=", tokens[0]):
+                    tokens.pop(0)  # PYTHONPATH=src and friends
+                if tokens[:1] == ["repro"]:
+                    front_end, argv = "repro.cli", tokens[1:]
+                elif (
+                    len(tokens) >= 3
+                    and re.match(r"^python3?$", tokens[0])
+                    and tokens[1] == "-m"
+                    and tokens[2] in ("repro.cli", "repro.lint")
+                ):
+                    front_end, argv = tokens[2], tokens[3:]
+                else:
+                    continue
+                for i, token in enumerate(argv):
+                    if cls._SHELL_OPERATORS.match(token):
+                        argv = argv[:i]
+                        break
+                yield front_end, argv
+
+    def test_every_documented_command_line_parses(self):
+        from repro.cli import build_parser
+        from repro.lint.runner import build_arg_parser
+
+        parsers = {
+            "repro.cli": build_parser(),
+            "repro.lint": build_arg_parser(),
+        }
+        checked, broken = 0, []
+        for doc in self.DOCS:
+            for front_end, argv in self._command_lines(doc.read_text()):
+                checked += 1
+                try:
+                    parsers[front_end].parse_args(argv)
+                except SystemExit:
+                    broken.append(f"{doc.name}: {front_end} {' '.join(argv)}")
+        assert not broken, "documented command lines no longer parse:\n" + (
+            "\n".join(broken)
+        )
+        # The extractor itself must not rot into matching nothing.
+        assert checked >= 40, checked
+
+    @pytest.mark.parametrize("line", [
+        "repro run --serve",
+        "repro sweep tp-turn --jobs 4 --serve",
+        "python -m repro.lint src --no-cache",
+        "PYTHONPATH=src python -m repro.cli lint src --format sarif > x.sarif",
+        "repro lint src --baseline lint-baseline.txt  # comment",
+    ], ids=["run-serve", "sweep-serve", "no-cache", "sarif", "baseline"])
+    def test_deleted_flags_are_caught(self, line):
+        from repro.cli import build_parser
+        from repro.lint.runner import build_arg_parser
+
+        [(front_end, argv)] = self._command_lines(f"```bash\n{line}\n```\n")
+        parser = build_parser() if front_end == "repro.cli" else build_arg_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)

@@ -1,21 +1,16 @@
 """Fixture-driven tests for the repro.lint checkers (RL001..RL004).
 
 Each checker gets at least one true-positive and one clean fixture,
-plus pragma- and baseline-suppression coverage and the config
-machinery (per-path disables, severity overrides, the 3.9 TOML
-fallback parser).
+plus pragma-suppression coverage and the config seam (checker
+options, per-path disables, severity overrides).
 """
 
 import io
 import json
 import textwrap
 
-import pytest
-
 from repro.lint import LintConfig, Severity, lint_paths, lint_source
-from repro.lint.baseline import BaselineFormatError, load_baseline
-from repro.lint.config import _tiny_toml, config_from_table
-from repro.lint.runner import run
+from repro.lint.runner import build_arg_parser, run
 
 CORE_PATH = "src/repro/core/mod.py"
 
@@ -248,7 +243,9 @@ class TestRL003:
         assert findings == []
 
     def test_config_exemption(self):
-        config = config_from_table({"rl003": {"exempt": ["Widget"]}})
+        config = LintConfig(
+            checker_options={"rl003": {"exempt": ["Widget"]}}
+        )
         findings = findings_for(
             self.TICK_ONLY,
             path="src/repro/noc/widget.py",
@@ -374,8 +371,8 @@ class TestRL005:
         assert findings == []
 
     def test_allow_paths_configurable(self):
-        config = config_from_table(
-            {"rl005": {"allow-paths": ["repro/core/mod.py"]}}
+        config = LintConfig(
+            checker_options={"rl005": {"allow-paths": ["repro/core/mod.py"]}}
         )
         findings = findings_for(
             """
@@ -523,8 +520,8 @@ class TestRL006:
         assert findings == []
 
     def test_allow_paths_configurable(self):
-        config = config_from_table(
-            {"rl006": {"allow-paths": ["repro/core/mod.py"]}}
+        config = LintConfig(
+            checker_options={"rl006": {"allow-paths": ["repro/core/mod.py"]}}
         )
         findings = findings_for(
             """
@@ -578,45 +575,13 @@ class TestSuppression:
         )
         assert sorted(ids_of(findings)) == ["RL002", "RL004"]
 
-    def test_baseline_suppression_and_unused_reporting(self, tmp_path):
-        pkg = tmp_path / "src" / "repro" / "noc"
-        pkg.mkdir(parents=True)
-        (pkg / "widget.py").write_text(textwrap.dedent(self_code()))
-        baseline_file = tmp_path / "lint-baseline.txt"
-        baseline_file.write_text(
-            "RL003 src/repro/noc/widget.py Widget -- legacy, migrated in #42\n"
-            "RL003 src/repro/noc/gone.py Ghost -- stale entry\n"
-        )
-        config = LintConfig(project_root=str(tmp_path))
-        baseline = load_baseline(str(baseline_file))
-        result = lint_paths([str(tmp_path / "src")], config, baseline=baseline)
-        assert result.findings == []
-        assert result.baseline_suppressed == 1
-        assert [e.key for e in result.unused_baseline] == ["Ghost"]
-
-    def test_baseline_requires_justification(self, tmp_path):
-        bad = tmp_path / "baseline.txt"
-        bad.write_text("RL003 src/x.py Widget\n")
-        with pytest.raises(BaselineFormatError):
-            load_baseline(str(bad))
-
-
-def self_code():
-    return """
-    class Widget:
-        def tick(self, cycle):
-            pass
-    """
-
 
 # -- config + runner machinery ---------------------------------------------
 
 
 class TestConfigAndRunner:
     def test_disable_per_path(self):
-        config = config_from_table(
-            {"disable-per-path": {"repro/core/*": ["RL002"]}}
-        )
+        config = LintConfig(disable_per_path={"repro/core/*": ["RL002"]})
         code = """
         def plan(base):
             release_cycle = base / 2
@@ -634,8 +599,9 @@ class TestConfigAndRunner:
         pkg = tmp_path / "src"
         pkg.mkdir()
         (pkg / "mod.py").write_text("def f(xs=[]):\n    return xs\n")
-        config = config_from_table(
-            {"severity": {"RL004": "warning"}}, project_root=str(tmp_path)
+        config = LintConfig(
+            project_root=str(tmp_path),
+            severity_overrides={"RL004": Severity.WARNING},
         )
         result = lint_paths([str(pkg)], config)
         assert len(result.findings) == 1
@@ -646,7 +612,7 @@ class TestConfigAndRunner:
         proj = tmp_path / "proj"
         pkg = proj / "src" / "repro" / "memctrl"
         pkg.mkdir(parents=True)
-        (proj / "pyproject.toml").write_text("[tool.repro-lint]\n")
+        (proj / "pyproject.toml").write_text("[project]\n")
         bad = pkg / "bad.py"
         bad.write_text(
             "import random\n"
@@ -656,8 +622,10 @@ class TestConfigAndRunner:
         )
         out = io.StringIO()
         code = run(
-            paths=[str(proj / "src")], output_format="json",
-            no_baseline=True, out=out,
+            build_arg_parser().parse_args(
+                [str(proj / "src"), "--format", "json"]
+            ),
+            out=out,
         )
         assert code == 1
         payload = json.loads(out.getvalue())
@@ -671,13 +639,3 @@ class TestConfigAndRunner:
     def test_syntax_error_reported_not_crash(self):
         findings = findings_for("def broken(:\n    pass\n")
         assert ids_of(findings) == ["RL000"]
-
-    def test_tiny_toml_matches_tomllib_on_repo_pyproject(self):
-        tomllib = pytest.importorskip("tomllib")
-        import pathlib
-
-        raw = (
-            pathlib.Path(__file__).parents[1] / "pyproject.toml"
-        ).read_text()
-        expected = tomllib.loads(raw)["tool"]["repro-lint"]
-        assert _tiny_toml(raw)["tool"]["repro-lint"] == expected

@@ -4,7 +4,7 @@ Fixture policy mirrors ``test_lint_checkers.py``: every checker gets
 at least one true positive (including a two-call-hop flow) and one
 clean negative, plus the engine-level unit suite (sanitizer
 precedence, cycle-robust fixed point, the clean-attr and arity
-escape hatches) and the findings-cache identity checks.
+escape hatches).
 
 The seeded-mutation tests at the bottom are the PR's demonstration
 that RL007 catches a *real* secret→timing defect: they take the
@@ -14,20 +14,13 @@ reports the full source→sink path — while the unmutated tree stays
 clean.
 """
 
-import io
-import json
 import pathlib
 import textwrap
 
 from repro.lint import LintConfig, lint_paths, lint_source
-from repro.lint.baseline import load_baseline
-from repro.lint.cache import FindingsCache
 from repro.lint.checkers import SecretIndependenceChecker
-from repro.lint.config import config_from_table, load_config
 from repro.lint.flow import FlowProject
 from repro.lint.flow.taint import TaintSpec, run_taint
-from repro.lint.sarif import render_sarif
-from repro.lint.findings import LintResult
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -119,10 +112,9 @@ class TestRL007:
         assert findings == []
 
     def test_flow_table_sanitizers_are_unioned(self):
-        config = config_from_table(
-            {"flow": {"sanitizers": ["*.Shaper._pressure"]}}
+        config = LintConfig(
+            checker_options={"flow": {"sanitizers": ["*.Shaper._pressure"]}}
         )
-        assert "flow" in config.checker_options
         findings = findings_for(
             TWO_HOP_FLOW, select=["RL007"], config=config
         )
@@ -527,7 +519,7 @@ class TestTaintEngine:
         ]
 
 
-# -- findings cache --------------------------------------------------------
+# -- lint_paths: the flow pass over files on disk ---------------------------
 
 
 FIXTURE_FILES = {
@@ -553,95 +545,35 @@ class Shaper:
 }
 
 
-def _write_fixture(tmp_path):
-    src = tmp_path / "src" / "repro" / "core"
-    src.mkdir(parents=True)
+def test_cross_module_flow_on_disk_follows_edits_to_the_source_module(
+    tmp_path,
+):
+    core = tmp_path / "src" / "repro" / "core"
+    core.mkdir(parents=True)
     for name, body in FIXTURE_FILES.items():
-        (src / name).write_text(body)
-    return tmp_path / "src"
-
-
-class TestFindingsCache:
-    def test_warm_run_is_identical_and_skips_checkers(self, tmp_path):
-        src = _write_fixture(tmp_path)
-        config = LintConfig(project_root=str(tmp_path))
-        cache = FindingsCache(str(tmp_path))
-        cold_timings = {}
-        cold = lint_paths(
-            [str(src)], config, cache=cache, timings=cold_timings
+        (core / name).write_text(body)
+    config = LintConfig(project_root=str(tmp_path))
+    first = lint_paths([str(tmp_path / "src")], config)
+    assert [(f.checker_id, f.path) for f in first.findings] == [
+        ("RL007", "src/repro/core/pkg_shaper.py")
+    ]
+    # Fix the flow in the *source* module; the finding sat in the
+    # shaper module, which is untouched.
+    (core / "pkg_queue.py").write_text(
+        FIXTURE_FILES["pkg_queue.py"].replace(
+            "return len(self._buffer)", "return 0"
         )
-        assert "RL007" in ids_of(cold.findings)
-        assert cold_timings  # checkers actually ran
-        warm_timings = {}
-        warm = lint_paths(
-            [str(src)], config, cache=cache, timings=warm_timings
-        )
-        assert [f.as_dict() for f in warm.findings] == [
-            f.as_dict() for f in cold.findings
-        ]
-        assert warm_timings == {}  # every entry served from cache
-
-    def test_editing_any_module_invalidates_the_flow_entry(self, tmp_path):
-        src = _write_fixture(tmp_path)
-        config = LintConfig(project_root=str(tmp_path))
-        cache = FindingsCache(str(tmp_path))
-        cold = lint_paths([str(src)], config, cache=cache)
-        assert "RL007" in ids_of(cold.findings)
-        # Fix the flow in the *source* module; the finding sits in the
-        # shaper module, which is untouched.
-        queue = src / "repro" / "core" / "pkg_queue.py"
-        queue.write_text(
-            FIXTURE_FILES["pkg_queue.py"].replace(
-                "return len(self._buffer)", "return 0"
-            )
-        )
-        fixed = lint_paths([str(src)], config, cache=cache)
-        assert "RL007" not in ids_of(fixed.findings)
-
-    def test_corrupt_entry_degrades_to_a_miss(self, tmp_path):
-        src = _write_fixture(tmp_path)
-        config = LintConfig(project_root=str(tmp_path))
-        cache = FindingsCache(str(tmp_path))
-        cold = lint_paths([str(src)], config, cache=cache)
-        for entry in pathlib.Path(cache.dir).rglob("*.json"):
-            entry.write_text("{not json")
-        again = lint_paths([str(src)], config, cache=cache)
-        assert [f.as_dict() for f in again.findings] == [
-            f.as_dict() for f in cold.findings
-        ]
-
-
-# -- SARIF rendering -------------------------------------------------------
-
-
-def test_sarif_has_rules_locations_and_code_flows():
-    findings = findings_for(TWO_HOP_FLOW, select=["RL007"])
-    result = LintResult(findings=findings, files_checked=1)
-    out = io.StringIO()
-    render_sarif(result, out)
-    doc = json.loads(out.getvalue())
-    run = doc["runs"][0]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"RL007", "RL008", "RL009"} <= rule_ids
-    sarif_result = run["results"][0]
-    assert sarif_result["ruleId"] == "RL007"
-    location = sarif_result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == CORE_PATH
-    thread = sarif_result["codeFlows"][0]["threadFlows"][0]["locations"]
-    assert len(thread) >= 3  # source, via, sink at minimum
-    assert sarif_result["partialFingerprints"]["reproLintKey"]
+    )
+    assert lint_paths([str(tmp_path / "src")], config).findings == []
 
 
 # -- self-clean ------------------------------------------------------------
 
 
 def test_src_has_no_unbaselined_flow_findings():
-    config = load_config(str(REPO_ROOT))
-    baseline = load_baseline(str(REPO_ROOT / config.baseline_path))
     result = lint_paths(
         [str(REPO_ROOT / "src")],
-        config,
-        baseline=baseline,
+        LintConfig(project_root=str(REPO_ROOT)),
         select=["RL007", "RL008", "RL009"],
     )
     assert result.findings == [], "\n".join(
@@ -690,7 +622,7 @@ def _core_sources(mutate=False):
 
 def test_seeded_occupancy_flow_is_caught_with_full_path():
     project = FlowProject.from_sources(
-        _core_sources(mutate=True), config=load_config(str(REPO_ROOT))
+        _core_sources(mutate=True), config=LintConfig(project_root=str(REPO_ROOT))
     )
     findings = [
         f
@@ -713,7 +645,7 @@ def test_unmutated_core_is_clean_through_sanctioned_interfaces():
     # unmutated, produce zero RL007 findings — demand crosses only
     # through the sanitizer interfaces.
     project = FlowProject.from_sources(
-        _core_sources(mutate=False), config=load_config(str(REPO_ROOT))
+        _core_sources(mutate=False), config=LintConfig(project_root=str(REPO_ROOT))
     )
     findings = list(SecretIndependenceChecker().check_project(project))
     assert findings == [], "\n".join(f.as_text() for f in findings)

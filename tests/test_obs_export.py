@@ -1,4 +1,4 @@
-"""Exporter layer: OpenMetrics exposition, JSONL, shard merge, names.
+"""Exporter layer: OpenMetrics exposition, shard merge, names.
 
 The exposition contract backing ``repro serve`` and the CI promtool
 regex check: byte-deterministic output, sorted families, cumulative
@@ -25,10 +25,8 @@ from repro.obs.export import (
     escape_family_name,
     merge_into,
     merge_serialized,
-    render_jsonl,
     render_openmetrics,
     serialize_registry,
-    write_jsonl,
 )
 from repro.obs.metrics import validate_metric_name
 
@@ -153,31 +151,6 @@ class TestNamePolicy:
         sampler = IntervalSampler(interval=16)
         with pytest.raises(MetricNameError):
             sampler.add_probe("bad probe", lambda: 0)
-
-
-class TestJsonl:
-    def test_one_canonical_line_per_instrument(self):
-        text = render_jsonl(_sample_registry())
-        lines = text.splitlines()
-        assert len(lines) == 3
-        docs = [json.loads(line) for line in lines]
-        assert [d["name"] for d in docs] == sorted(d["name"] for d in docs)
-        kinds = {d["name"]: d["kind"] for d in docs}
-        assert kinds == {
-            "requests.total": "counter",
-            "queue.depth": "gauge",
-            "latency": "histogram",
-        }
-
-    def test_empty_registry_renders_empty(self):
-        assert render_jsonl(MetricsRegistry()) == ""
-
-    def test_write_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "metrics.jsonl")
-        count = write_jsonl(_sample_registry(), path)
-        assert count == 3
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == render_jsonl(_sample_registry())
 
 
 class TestShardMerge:

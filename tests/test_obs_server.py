@@ -1,13 +1,11 @@
-"""The live metrics endpoint and its cycle-cadence publisher.
+"""The live metrics endpoint and the publisher ``repro serve`` drives.
 
 :class:`MetricsServer` is a snapshot store with an HTTP front: every
-route serves the last *published* strings under a lock, so these tests
+route serves the last *published* string under a lock, so these tests
 exercise real sockets (loopback, ephemeral ports) but deterministic
-content.  :class:`ServePublisher` must follow the sampler's
-advance/fill discipline — one publish per crossed boundary batch, at
-the current cycle — so that a served run's simulation output stays
-bit-identical to an unserved one (pinned in ``test_obs_profile.py``
-and the CLI serve smoke below).
+content.  :class:`ServePublisher` only renders and pushes; the cadence
+is the ``repro serve`` chunk loop, pinned by the live-scrape test in
+``test_cli.py``.
 """
 
 import json
@@ -41,11 +39,9 @@ class TestMetricsServer:
 
     def test_publish_then_scrape(self):
         with MetricsServer() as server:
-            server.publish("# TYPE g gauge\ng 4\n# EOF\n",
-                           monitor_doc={"enabled": True}, cycle=4096)
+            server.publish("# TYPE g gauge\ng 4\n# EOF\n", cycle=4096)
             _, _, metrics = _get(server.url + "/metrics")
             _, headers, health = _get(server.url + "/healthz")
-            _, _, monitor = _get(server.url + "/monitor")
         assert metrics == b"# TYPE g gauge\ng 4\n# EOF\n"
         doc = json.loads(health)
         assert doc["status"] == "ok"
@@ -54,13 +50,13 @@ class TestMetricsServer:
         assert doc["scrapes"] == 1
         assert doc["uptime_ms"] >= 0
         assert headers["Content-Type"] == "application/json"
-        assert json.loads(monitor) == {"enabled": True}
 
     def test_unknown_route_404(self):
         with MetricsServer() as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + "/nope")
-            assert excinfo.value.code == 404
+            for route in ("/nope", "/monitor"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(server.url + route)
+                assert excinfo.value.code == 404
 
     def test_draining_status(self):
         with MetricsServer() as server:
@@ -86,41 +82,13 @@ def _obs():
     return Observability(ObservabilityConfig(monitor=True, profile=True))
 
 
-class _FakeServer:
-    """Records publishes without sockets (cadence unit tests)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def publish(self, exposition, monitor_doc=None, cycle=-1, status="ok"):
-        self.calls.append((cycle, status))
-
-
 class TestServePublisher:
     def test_interval_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ServePublisher(_obs(), _FakeServer(), interval=0)
-
-    def test_advance_publishes_on_boundary(self):
-        fake = _FakeServer()
-        publisher = ServePublisher(_obs(), fake, interval=100)
-        for cycle in range(99):
-            publisher.advance(cycle)
-        assert fake.calls == []
-        publisher.advance(100)
-        assert fake.calls == [(100, "ok")]
-        assert publisher.next_publish_cycle == 200
-
-    def test_fill_publishes_once_per_span(self):
-        fake = _FakeServer()
-        publisher = ServePublisher(_obs(), fake, interval=100)
-        # One skip crossing three boundaries: one publish at span end.
-        publisher.fill(350)
-        assert fake.calls == [(350, "ok")]
-        assert publisher.next_publish_cycle == 400
+            ServePublisher(_obs(), server=None, interval=0)
 
     def test_default_interval(self):
-        publisher = ServePublisher(_obs(), _FakeServer())
+        publisher = ServePublisher(_obs(), server=None)
         assert publisher.interval == DEFAULT_PUBLISH_INTERVAL
 
     def test_publish_renders_live_registry(self):
@@ -132,34 +100,9 @@ class TestServePublisher:
             publisher = ServePublisher(obs, server, interval=10)
             publisher.publish(cycle=10)
             _, _, body = _get(server.url + "/metrics")
-            _, _, monitor = _get(server.url + "/monitor")
         text = body.decode("utf-8")
         assert "demo_hits_total 3" in text
         assert "obs_published_cycle 10" in text
         assert "profiler_runs_total" in text
+        assert "monitor_checkpoints" in text  # monitor state rides /metrics
         assert text.endswith("# EOF\n")
-        assert json.loads(monitor)["enabled"] is True
-
-
-class TestAttachedHub:
-    def test_hub_routes_cycle_hooks_to_publisher(self):
-        # Profile-only config: the profiler itself needs no cycle
-        # hooks, so attaching the publisher is what flips the flag.
-        obs = Observability(ObservabilityConfig(profile=True))
-        fake = _FakeServer()
-        assert not obs.has_cycle_hooks
-        obs.attach_publisher(ServePublisher(obs, fake, interval=50))
-        assert obs.has_cycle_hooks
-        obs.on_cycle_end(49)
-        obs.on_cycle_end(50)
-        obs.on_skip(249)
-        assert fake.calls == [(50, "ok"), (249, "ok")]
-
-    def test_publisher_excluded_from_pickle(self):
-        import pickle
-
-        obs = _obs()
-        obs.attach_publisher(ServePublisher(obs, _FakeServer(), interval=50))
-        clone = pickle.loads(pickle.dumps(obs))
-        assert clone.publisher is None
-        assert clone.profiler is not None
