@@ -67,6 +67,7 @@ from repro.resilience.snapshot import (
     restore_system,
     snapshot_system,
 )
+from repro.sim.columnar import DEFAULT_ENGINE
 from repro.sim.stats import report_digest
 from repro.sim.system import RequestShapingPlan, ResponseShapingPlan, SystemBuilder
 from repro.workloads.spec import BENCHMARK_NAMES, make_trace
@@ -742,14 +743,11 @@ def _cmd_profile(args) -> int:
 
 
 def _engine_parent() -> argparse.ArgumentParser:
-    """``--engine`` for every verb that runs a system.
-
-    A fresh parent per verb: argparse shares a parent's action objects
-    with its children, so ``set_defaults`` on one verb (``profile``)
-    would otherwise change the default of all of them.
-    """
+    """``--engine`` for every verb that runs a system: one default
+    (the skipper) everywhere, ``cycle`` being the oracle to name when
+    checking it."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--engine", default="cycle",
+    parent.add_argument("--engine", default=DEFAULT_ENGINE,
                         choices=("cycle", "columnar"))
     return parent
 
@@ -943,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("profile", _cmd_profile,
              parents=[_engine_parent(), _mix_parent()])
-    p.set_defaults(engine="columnar")
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--out", default=None, metavar="PATH",

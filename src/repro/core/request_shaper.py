@@ -85,6 +85,9 @@ class RequestCamouflage:
         self.real_sent = 0
         self.fake_sent = 0
         self.stall_cycles = 0
+        # First cycle whose tick is not yet counted in ``stall_cycles``
+        # (see :meth:`settle`).
+        self._stall_from = 0
 
     # -- core-facing interface ------------------------------------------------
 
@@ -94,6 +97,10 @@ class RequestCamouflage:
 
     def submit(self, txn: MemoryTransaction, cycle: int) -> None:
         """Queue a real LLC miss for shaped release."""
+        if not self._buffer and self._stall_from <= cycle:
+            # No earlier tick saw a request, and the one at ``cycle``,
+            # if still to come, is run: a fed station always is.
+            self._stall_from = cycle + 1
         self._buffer.append(txn)
         self.intrinsic_histogram.record(cycle)
 
@@ -123,13 +130,23 @@ class RequestCamouflage:
                 event = fake
         return max(cycle, event)
 
-    def skip_idle(self, cycle: int, target: int) -> None:
-        """Closed-form replay of stall bookkeeping over ``[cycle, target)``."""
-        if self._buffer and target > cycle:
-            self.stall_cycles += target - cycle
+    def settle(self, cycle: int) -> None:
+        """Count the ticks before ``cycle`` that no one ran.
+
+        A tick an engine may leave out (see :meth:`next_event_cycle`)
+        releases nothing, so all it does is count a stall while a
+        request is queued; the buffer only changes in :meth:`tick` and
+        :meth:`submit`, which makes the count a closed form.
+        """
+        if self._stall_from < cycle:
+            if self._buffer:
+                self.stall_cycles += cycle - self._stall_from
+            self._stall_from = cycle
 
     def tick(self, cycle: int) -> None:
         """Release at most one transaction (real preferred over fake)."""
+        self.settle(cycle)
+        self._stall_from = cycle + 1
         self.shaper.replenish_if_due(cycle)
         if not self.link.can_inject(self.port):
             if self._buffer:

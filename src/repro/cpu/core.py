@@ -17,6 +17,18 @@ Model summary (per cycle):
 The ratio "cycles stalled on memory / total cycles" is exactly the α
 of the MISE slowdown model the paper's genetic algorithm uses, so the
 core tracks it natively.
+
+Private ticks and lazy settling
+-------------------------------
+A tick is *private* when it neither probes the cache hierarchy nor
+finishes the trace: it fetches non-memory instructions, retires, pops
+completed loads and counts cycles, all inside the core.  An engine may
+leave private ticks unexecuted: the core remembers its first unapplied
+cycle and :meth:`Core.settle` (called by :meth:`Core.tick`, by a
+horizon poll and by a demand fill) replays them in one walk — a closed
+form while it streams, a jump while nothing moves.
+:meth:`Core.next_event_cycle` names the first tick that is *not*
+private, which is the only one an engine has to run.
 """
 
 from __future__ import annotations
@@ -30,6 +42,9 @@ from repro.cache.mshr import MshrFile
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.cpu.trace import MemoryTrace
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
+
+#: Walk limit of an unbounded horizon poll; larger than any cycle.
+_FOREVER = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +110,10 @@ class Core:
         # Loads waiting for a fill, by line address.
         self._waiting_by_line: Dict[int, List[_PendingLoad]] = {}
 
+        # First cycle whose tick is not yet reflected in the state
+        # below; private ticks from here on are applied by ``settle``.
+        self._clock = 0
+
         # Statistics.
         self.cycles = 0
         self.memory_stall_cycles = 0
@@ -139,6 +158,9 @@ class Core:
         """Fetch and retire for one cycle."""
         if self.done:
             return
+        if self._clock < cycle:
+            self.settle(cycle)
+        self._clock = cycle + 1
         self.cycles += 1
         self._fetch(cycle)
         self._retire(cycle)
@@ -146,81 +168,117 @@ class Core:
             self.finish_cycle = cycle
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle this core's :meth:`tick` does more than stall.
+        """First cycle ``>= cycle`` whose :meth:`tick` is not private.
 
-        Contract for the next-event engine: returns ``cycle`` when the
-        core would fetch, probe the caches or retire *this* cycle; a
-        future cycle when its only pending event is a known completion
-        (an on-chip hit latency expiring); ``None`` when it is done or
-        blocked on an external fill.  In the latter two cases every
-        skipped tick is pure bookkeeping replayed by :meth:`skip_idle`.
+        That is the first tick that probes the hierarchy — a hit, a
+        miss, or the re-probe of a structural stall, which mutates
+        cache statistics and so recurs every cycle — or that retires
+        the last instruction.  ``None`` when the core is done, or when
+        it first blocks on an unfilled head load with nothing left to
+        fetch: then only a fill can wake it.  Exact as long as no fill
+        arrives; every earlier tick can be left to :meth:`settle`.
         """
         if self.done:
             return None
-        if (
-            self._record_index < self._trace_length
-            and self.window_occupancy < self.config.window_size
-        ):
-            probe = self._compute_span_probe_cycle(cycle)
-            if probe is not None:
-                return probe
-            # Fetch would do externally visible work: probe the
-            # hierarchy (which mutates cache state even on a
-            # structural stall, so it must happen every cycle).
-            return cycle
-        if self._pending_loads and self._pending_loads[0].seq == self._seq_retired:
-            head = self._pending_loads[0]
-            if head.completion_cycle is None:
-                return None  # waiting on a memory fill
-            return max(cycle, head.completion_cycle)
-        if self._seq_retired < self._seq_fetched:
-            return cycle  # head instructions can retire now
-        return None
+        self.settle(cycle)
+        event = self._walk(_FOREVER)[0]
+        return None if event == _FOREVER else event
 
-    def _compute_span_probe_cycle(self, cycle: int) -> Optional[int]:
-        """Cycle of the next hierarchy probe during pure compute, if known.
-
-        While the core is streaming non-memory instructions with no
-        pending loads in the window and at least a full fetch group of
-        window headroom, every tick deterministically fetches and
-        retires exactly ``width`` instructions (occupancy is
-        non-increasing, so the headroom guard holds for the whole
-        span).  The next tick that touches shared state — the cache
-        probe for the record's memory access — is therefore exactly
-        ``nonmem_remaining // width`` ticks away.  Returns ``None``
-        when the current cycle is not in that regime or the probe is
-        due now.
-        """
-        if self._pending_loads or self._nonmem_remaining <= 0:
-            return None
-        if self.window_occupancy + self.config.width > self.config.window_size:
-            return None
-        ticks = self._nonmem_remaining // self.config.width
-        if ticks <= 0:
-            return None
-        return cycle + ticks
-
-    def skip_idle(self, cycle: int, target: int) -> None:
-        """Replay ticks over ``[cycle, target)`` in closed form.
-
-        Only legal when :meth:`next_event_cycle` stayed above ``target``
-        for the whole span.  Two skippable regimes exist: pure compute
-        (each tick fetches and retires exactly ``width`` non-memory
-        instructions) and a retire stall on an incomplete head load
-        (each tick counts one cycle and one memory-stall cycle).
-        """
-        if self.done or target <= cycle:
+    def settle(self, cycle: int) -> None:
+        """Apply the private ticks before ``cycle`` that no one ran."""
+        start = self._clock
+        if start >= cycle or self.done:
             return
-        span = target - cycle
-        if self._compute_span_probe_cycle(cycle) is not None:
-            advanced = span * self.config.width
-            self.cycles += span
-            self._seq_fetched += advanced
-            self._seq_retired += advanced
-            self._nonmem_remaining -= advanced
-            return
-        self.cycles += span
-        self.memory_stall_cycles += span
+        reached, fetched, retired, nonmem, popped, stalls = self._walk(cycle)
+        if reached < cycle:
+            raise ProtocolError(
+                f"core {self.core_id} asked to settle through cycle "
+                f"{cycle}, but its tick at {reached} probes the caches "
+                "or finishes the trace and was never run"
+            )
+        self.cycles += reached - start
+        self.memory_stall_cycles += stalls
+        self._seq_fetched = fetched
+        self._seq_retired = retired
+        self._nonmem_remaining = nonmem
+        for _ in range(popped):
+            self._pending_loads.popleft()
+        self._clock = reached
+
+    def _walk(self, limit: int):
+        """Walk private ticks from the first unapplied cycle.
+
+        Stops at ``limit`` or at the first tick that is not private,
+        whichever is first, and returns that cycle with the state the
+        walked ticks lead to — ``(cycle, fetched, retired, nonmem,
+        popped loads, memory-stall cycles)`` — without applying it.
+        Mirrors :meth:`_fetch`/:meth:`_retire` minus the hierarchy
+        probe, tick by tick except where nothing can differ: pure
+        streaming (no load in the window, a fetch group of headroom)
+        moves ``width`` per tick in closed form, and a blocked head
+        load with fetch at a standstill jumps to its completion.
+        """
+        t = self._clock
+        width = self.config.width
+        window = self.config.window_size
+        fetched = self._seq_fetched
+        retired = self._seq_retired
+        nonmem = self._nonmem_remaining
+        fetching = self._record_index < self._trace_length
+        loads = self._pending_loads
+        load_count = len(loads)
+        popped = 0
+        stalls = 0
+        while t < limit:
+            take = 0
+            if fetching:
+                room = window - (fetched - retired)
+                if nonmem < width and nonmem < room:
+                    break  # fetch reaches the record's memory access
+                if popped == load_count and room >= width:
+                    ticks = min(nonmem // width, limit - t)
+                    fetched += ticks * width
+                    retired += ticks * width
+                    nonmem -= ticks * width
+                    t += ticks
+                    continue
+                take = min(width, nonmem, room)
+                fetched += take
+                nonmem -= take
+            before = retired, popped
+            budget = width
+            ready = 0
+            while budget and retired < fetched:
+                if popped < load_count:
+                    head = loads[popped]
+                    run = head.seq - retired
+                    if not run:
+                        ready = head.completion_cycle
+                        if ready is None or ready > t:
+                            break
+                        popped += 1
+                        run = 1
+                    elif run > budget:
+                        run = budget
+                else:
+                    run = min(budget, fetched - retired)
+                retired += run
+                budget -= run
+            if not fetching and retired == fetched:
+                retired, popped = before
+                break  # retires the last instruction: the core finishes
+            t += 1
+            if budget == width and retired < fetched:
+                # Retirement is blocked on the head load.
+                stalls += 1
+                if not take:
+                    # Fetch is at a standstill too: nothing moves
+                    # until the load completes (never, if unfilled).
+                    wake = limit if ready is None or ready > limit else ready
+                    if wake > t:
+                        stalls += wake - t
+                        t = wake
+        return t, fetched, retired, nonmem, popped, stalls
 
     def _fetch(self, cycle: int) -> None:
         budget = self.config.width
@@ -314,6 +372,9 @@ class Core:
             )
         if txn.is_fake or txn.is_write:
             return
+        # In tick order the core's slot precedes delivery: the tick at
+        # ``cycle`` saw the load still unfilled.
+        self.settle(cycle + 1)
         line = txn.address
         entry = self.mshrs.release(line)
         for load in self._waiting_by_line.pop(line, []):

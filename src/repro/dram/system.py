@@ -18,7 +18,7 @@ absolute priority once due, as in DRAMSim2's refresh-first policy).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import ProtocolError
 from repro.dram.address import DecodedAddress
@@ -29,6 +29,10 @@ from repro.dram.organization import DramOrganization
 from repro.dram.timing import DramTiming
 from repro.obs.events import CATEGORY_DRAM
 from repro.obs.tracer import NULL_TRACER
+
+
+# Slots of a bank's ready-cycle memo: the command an access needs next.
+_ACTIVATE, _PRECHARGE, _READ, _WRITE = range(4)
 
 
 class DramSystem:
@@ -52,6 +56,9 @@ class DramSystem:
         ]
         self._enable_refresh = enable_refresh
         self.tracer = NULL_TRACER
+        # bank -> ready cycle per required-command kind, see
+        # ready_cycle(); emptied by issue().
+        self._ready: Dict[Bank, List[Optional[int]]] = {}
         # Next refresh deadline per (channel, rank).
         self._refresh_deadline = {
             (c, r): self.timing.tREFI
@@ -82,54 +89,54 @@ class DramSystem:
         """True when an access to ``address`` would hit an open row."""
         return self.bank(address).is_row_hit(address.row)
 
-    def can_advance(self, address: DecodedAddress, is_write: bool,
-                    cycle: int) -> bool:
-        """Can the *required* command for this access issue at ``cycle``?
+    def ready_cycle(self, address: DecodedAddress, is_write: bool) -> int:
+        """First cycle the *required* command for this access may issue.
 
-        Allocation-free fast path for schedulers that scan the whole
-        transaction queue every cycle; equivalent to
-        ``can_issue(required_command(address, is_write), cycle)``.
-        """
-        channel = self.channels[address.channel]
-        bank = channel.ranks[address.rank].banks[address.bank]
-        if bank.is_row_hit(address.row):
-            if is_write:
-                return channel.can_write(address.rank, address.bank,
-                                         address.row, cycle)
-            return channel.can_read(address.rank, address.bank,
-                                    address.row, cycle)
-        if bank.open_row is None:
-            return channel.can_activate(address.rank, address.bank, cycle)
-        return channel.can_precharge(address.rank, address.bank, cycle)
-
-    def earliest_advance_cycle(self, address: DecodedAddress, is_write: bool,
-                               cycle: int) -> int:
-        """Earliest ``c' >= cycle`` with ``can_advance(address, is_write, c')``.
-
-        Exact — not just a lower bound — provided no command issues to
-        this DRAM system in the meantime: every constraint involved
+        Exact until the next :meth:`issue`: every constraint involved
         (command bus, data bus, bank/rank earliest-issue registers) is
-        a fixed threshold that only moves when a command issues, so the
-        required command and its legality are frozen over the gap.  The
-        next-event engine relies on this to jump straight to the cycle
-        a stalled transaction becomes schedulable.
+        a fixed threshold that only moves when a command issues, so
+        the required command and its legality are frozen in between —
+        ``can_issue(required_command(address, is_write), c)`` is
+        ``ready_cycle(address, is_write) <= c``.  That also makes the
+        answer a property of the bank and the command kind, not of the
+        transaction: it is worked out once per bank and kind and kept
+        until :meth:`issue` empties the memo.  May lie in the past.
         """
         channel = self.channels[address.channel]
         rank = channel.ranks[address.rank]
         bank = rank.banks[address.bank]
-        earliest = max(cycle, channel.earliest_command_bus())
-        if bank.is_row_hit(address.row):
-            earliest = max(
-                earliest,
-                bank.earliest_column(),
-                channel.earliest_data_bus_command(address.rank, is_write),
-            )
-            if not is_write:
-                earliest = max(earliest, rank.earliest_read_gate())
-            return earliest
-        if bank.open_row is None:
-            return max(earliest, rank.earliest_activate(address.bank))
-        return max(earliest, bank.earliest_precharge())
+        open_row = bank.open_row
+        if open_row == address.row:
+            kind = _WRITE if is_write else _READ
+        elif open_row is None:
+            kind = _ACTIVATE
+        else:
+            kind = _PRECHARGE
+        memo = self._ready.get(bank)
+        if memo is None:
+            memo = self._ready[bank] = [None, None, None, None]
+        ready = memo[kind]
+        if ready is None:
+            ready = channel.earliest_command_bus()
+            if kind == _ACTIVATE:
+                ready = max(ready, rank.earliest_activate(address.bank))
+            elif kind == _PRECHARGE:
+                ready = max(ready, bank.earliest_precharge())
+            else:
+                ready = max(
+                    ready,
+                    bank.earliest_column(),
+                    channel.earliest_data_bus_command(address.rank, is_write),
+                )
+                if not is_write:
+                    ready = max(ready, rank.earliest_read_gate())
+            memo[kind] = ready
+        return ready
+
+    def can_advance(self, address: DecodedAddress, is_write: bool,
+                    cycle: int) -> bool:
+        """Can the *required* command for this access issue at ``cycle``?"""
+        return self.ready_cycle(address, is_write) <= cycle
 
     def can_issue(self, command: DramCommand, cycle: int) -> bool:
         """May ``command`` legally issue at ``cycle``?"""
@@ -157,6 +164,8 @@ class DramSystem:
         """
         a = command.address
         channel = self.channels[a.channel]
+        # Every state change of a bank, rank or bus happens below.
+        self._ready.clear()
         if self.tracer.enabled:
             # Every DRAM command the controller issues funnels through
             # here, so this one hook covers ACT/PRE/RD/WR/REF.
@@ -179,6 +188,13 @@ class DramSystem:
             self._refresh_deadline[(a.channel, a.rank)] = cycle + self.timing.tREFI
             return None
         raise ProtocolError(f"unknown command kind {command.kind}")
+
+    def __getstate__(self):
+        # The memo fills at different cycles under each engine; a
+        # snapshot carries the state it is derived from, not the memo.
+        state = self.__dict__.copy()
+        state["_ready"] = {}
+        return state
 
     # -- refresh management ---------------------------------------------------
 

@@ -1,61 +1,108 @@
-"""RL008: columnar station mutations must be paired with dirty-marks.
+"""RL008: a mutation behind a cache must be paired with its invalidation.
 
-The columnar engine (``repro/sim/columnar.py``) only re-polls
-``next_event_cycle`` for horizon rows whose ``dirty`` flag is set; a
-station mutation that is not paired with a dirty-mark leaves a stale
-cached horizon, and the engine silently schedules off it — the
-bit-identity guarantee against ``engine="cycle"`` breaks in a
-way no local (per-function) check can see when the mutation happens
-through a helper.
+Two caches in the simulator are only as good as the marks that
+invalidate them, and each is enrolled here as a *ledger*:
 
-The rule is function-granularity and interprocedural: a function in
-the checked scope that calls a *mutator* (``*.tick``, ``*.enqueue``,
-``*.push_response``, ``*._deliver``, the engine's bound-method tick
-caches, ...) is **paired** when a dirty-mark appears in the function
-itself, in any transitive callee, or in a direct caller (the caller
-owning the mark for a mutation helper is the
-``_step``/``_refresh_horizons`` split the engine already uses).  A
-*dirty-mark* is an assignment of a non-``False`` value to a
-``*dirty*`` target (``dirty[i] = True``, ``self._dirty[j] = True``)
-or a call to a ``*mark_all_dirty*`` helper; clearing a flag
-(``dirty[i] = False``) never counts.
+* The columnar engine (``repro/sim/columnar.py``) only re-polls
+  ``next_event_cycle`` for horizon rows whose ``dirty`` flag is set; a
+  station mutation that is not paired with a dirty-mark leaves a stale
+  cached horizon, and the engine silently schedules off it — the
+  bit-identity guarantee against ``engine="cycle"`` breaks in a
+  way no local (per-function) check can see when the mutation happens
+  through a helper.
+* ``DramSystem.ready_cycle`` memoises when a bank's next command may
+  issue until :meth:`DramSystem.issue` empties the memo.  Both engines
+  read that memo, so engine equivalence is blind to a stale entry: a
+  ``Channel``/``Rank``/``Bank`` mutator called past ``issue`` (from the
+  controller, say) has to be caught here.
 
-Scope, mutator patterns, and mark patterns are the module constants
-below; a future engine enrols its own ledger by extending them.
+The rule is function-granularity and interprocedural: a function in a
+ledger's scope that calls one of its *mutators* (``*.tick``,
+``*.enqueue``, ``*._deliver``, the engine's bound-method tick caches,
+...; ``*.activate``, ``*.precharge``, ... for the DRAM device) is
+**paired** when a *mark* appears in the function itself, in any
+transitive callee, or in a direct caller (the caller owning the mark
+for a mutation helper is the ``_step``/``_refresh_horizons`` split the
+engine already uses).  A mark is an assignment of a non-``False``
+value to a mark target (``dirty[i] = True``, ``self._dirty[j] =
+True``) or a call to a mark helper (``*mark_all_dirty*``,
+``*_ready.clear``); clearing a flag (``dirty[i] = False``) never
+counts.
+
+Scopes, mutator patterns and mark patterns are the ``_LEDGERS`` below;
+a new cache enrols by adding one.
 """
 
 from __future__ import annotations
 
 import ast
 from fnmatch import fnmatch, fnmatchcase
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from repro.lint.findings import Finding, FlowStep
 from repro.lint.registry import FlowChecker, register
 
-_PATHS = ["repro/sim/columnar.py"]
 
-_MUTATOR_CALLS = [
-    "*.tick",
-    "*.enqueue",
-    "*.push_response",
-    "*.push_request",
-    "*.pop_responses",
-    "*.pop_arrivals",
-    "*._deliver",
-    "*._core_tick",
-    "*._path_tick",
-    "*._resp_tick",
+class _Ledger(NamedTuple):
+    """One cache: where it can be made stale, by what, and its marks."""
+
+    mutation: str  # what a mutator call is, in a finding's words
+    mark: str  # what the paired invalidation is called
+    paths: Sequence[str]
+    mutator_calls: Sequence[str]
+    mark_targets: Sequence[str]
+    mark_calls: Sequence[str]
+    hint: str
+
+
+_LEDGERS = [
+    _Ledger(
+        mutation="station mutation",
+        mark="dirty-mark",
+        paths=["repro/sim/columnar.py"],
+        mutator_calls=[
+            "*.tick",
+            "*.enqueue",
+            "*.push_response",
+            "*.push_request",
+            "*.pop_responses",
+            "*.pop_arrivals",
+            "*._deliver",
+            "*._core_tick",
+            "*._path_tick",
+            "*._resp_tick",
+        ],
+        mark_targets=["*dirty*"],
+        mark_calls=["*mark_all_dirty*"],
+        hint=(
+            "set the station's dirty flag (or call the mark-all helper) "
+            "in this function, a callee, or the direct caller, so the "
+            "cached horizon is re-polled after the mutation"
+        ),
+    ),
+    _Ledger(
+        mutation="DRAM device mutation",
+        mark="ready-cycle memo reset",
+        # The modules that hold the channels; the device classes
+        # delegate to each other below DramSystem.issue by design.
+        paths=["repro/dram/system.py", "repro/memctrl/*.py"],
+        mutator_calls=[
+            "*.activate",
+            "*.precharge",
+            "*.read",
+            "*.write",
+            "*.refresh",
+            "*.force_refresh_block",
+        ],
+        mark_targets=[],
+        mark_calls=["*_ready.clear"],
+        hint=(
+            "route the command through DramSystem.issue, which empties "
+            "the ready-cycle memo, instead of calling the channel, rank "
+            "or bank directly"
+        ),
+    ),
 ]
-
-_MARK_TARGETS = ["*dirty*"]
-_MARK_CALLS = ["*mark_all_dirty*"]
-
-_HINT = (
-    "set the station's dirty flag (or call the mark-all helper) in "
-    "this function, a callee, or the direct caller, so the cached "
-    "horizon is re-polled after the mutation"
-)
 
 
 def _dotted(expr: ast.AST) -> str:
@@ -83,41 +130,44 @@ class DirtyMarkChecker(FlowChecker):
     id = "RL008"
     name = "dirty-mark-completeness"
     description = (
-        "every columnar station mutation must pair with a dirty-mark "
+        "every mutation behind a cache (columnar horizons, the DRAM "
+        "ready-cycle memo) must pair with its invalidating mark "
         "(intra- or interprocedurally)"
     )
 
     def check_project(self, project) -> Iterable[Finding]:
-        from repro.lint.flow.callgraph import iter_body_nodes
+        findings: List[Finding] = []
+        for ledger in _LEDGERS:
+            findings.extend(self._check_ledger(project, ledger))
+        return findings
 
-        opts = project.options_for(self.id)
-        scope = opts.get("paths", _PATHS)
-        mutators = opts.get("mutator-calls", _MUTATOR_CALLS)
-        mark_targets = opts.get("mark-targets", _MARK_TARGETS)
-        mark_calls = opts.get("mark-calls", _MARK_CALLS)
+    def _check_ledger(self, project, ledger: _Ledger) -> List[Finding]:
+        from repro.lint.flow.callgraph import iter_body_nodes
 
         index = project.index
         callgraph = project.callgraph
 
-        # Which functions contain a dirty-mark (computed once, shared
-        # by every pairing query).
+        # Which functions contain a mark (computed once, shared by
+        # every pairing query).
         has_mark: Dict[str, bool] = {}
         for qual, info in index.functions.items():
             has_mark[qual] = self._contains_mark(
-                info.node, mark_targets, mark_calls, iter_body_nodes
+                info.node, ledger.mark_targets, ledger.mark_calls,
+                iter_body_nodes,
             )
 
         findings: List[Finding] = []
         for qual in sorted(index.functions):
             info = index.functions[qual]
-            if not _path_in_scope(info.path, scope):
+            if not _path_in_scope(info.path, ledger.paths):
                 continue
             sites = [
                 (node, dotted)
                 for node, dotted, _targets in callgraph.call_sites.get(
                     qual, []
                 )
-                if dotted and any(fnmatchcase(dotted, m) for m in mutators)
+                if dotted
+                and any(fnmatchcase(dotted, m) for m in ledger.mutator_calls)
             ]
             if not sites:
                 continue
@@ -139,10 +189,10 @@ class DirtyMarkChecker(FlowChecker):
                         self.id,
                         info.path,
                         node,
-                        f"station mutation '{dotted}' in {qual} has no "
-                        "paired dirty-mark (none in the function, its "
-                        "callees, or its direct callers)",
-                        hint=_HINT,
+                        f"{ledger.mutation} '{dotted}' in {qual} has no "
+                        f"paired {ledger.mark} (none in the function, "
+                        "its callees, or its direct callers)",
+                        hint=ledger.hint,
                         key=f"{qual}.{dotted}",
                         flow=(
                             FlowStep(
@@ -151,8 +201,7 @@ class DirtyMarkChecker(FlowChecker):
                             ),
                             FlowStep(
                                 info.path, info.lineno,
-                                f"{qual} re-polls no horizon: no "
-                                "dirty-mark reachable",
+                                f"{qual}: no {ledger.mark} reachable",
                             ),
                         ),
                         default_severity=self.default_severity,

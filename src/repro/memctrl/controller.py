@@ -193,18 +193,24 @@ class MemoryController:
         self._egress[core_id] = rest
         return taken
 
-    def pending_response_count(self, core_id: int) -> int:
-        return len(self._egress.get(core_id, []))
+    @property
+    def responses_pending(self) -> bool:
+        """Is any core's completed response awaiting pickup?"""
+        # An emptied egress list is dropped, never kept empty.
+        return bool(self._egress)
 
-    def _egress_load(self, core_id: int) -> int:
-        """Occupied + committed slots of a core's return queue."""
-        return (
-            len(self._egress.get(core_id, ()))
-            + self._in_flight_count.get(core_id, 0)
-        )
+    def pending_response_count(self, core_id: int) -> int:
+        ready = self._egress.get(core_id)
+        return len(ready) if ready else 0
 
     def egress_has_room(self, core_id: int) -> bool:
-        return self._egress_load(core_id) < self._egress_capacity
+        """Room among the occupied + committed slots of a core's
+        return queue?"""
+        ready = self._egress.get(core_id)
+        return (
+            (len(ready) if ready else 0)
+            + self._in_flight_count.get(core_id, 0)
+        ) < self._egress_capacity
 
     # -- main loop --------------------------------------------------------------
 
@@ -228,18 +234,21 @@ class MemoryController:
         """
         if self._refresh_pending:
             return cycle
-        events = []
-        for txn in self._in_flight:
-            if txn.data_ready_cycle is not None:
-                events.append(max(cycle, txn.data_ready_cycle))
+        events = [
+            txn.data_ready_cycle
+            for txn in self._in_flight
+            if txn.data_ready_cycle is not None
+        ]
         next_refresh = self.dram.next_refresh_cycle()
         if next_refresh is not None:
-            events.append(max(cycle, next_refresh))
+            events.append(next_refresh)
+        if events and min(events) <= cycle:
+            return cycle  # due already: no need to ask the scheduler
         sched = self.scheduler.next_event_cycle(
             self._selectable(), self.dram, cycle
         )
         if sched is not None:
-            events.append(max(cycle, sched))
+            events.append(sched)
         if self.write_queue is not None and self.write_queue.drain_pending(
             reads_pending=not self.queue.is_empty
         ):
@@ -253,7 +262,7 @@ class MemoryController:
             )
             if drain is not None:
                 events.append(drain)
-        return min(events) if events else None
+        return max(cycle, min(events)) if events else None
 
     def _inject_scheduler_dummies(self, cycle: int) -> None:
         """Fill empty Fixed-Service slots with dummy transactions.
@@ -328,10 +337,11 @@ class MemoryController:
     def _selectable(self) -> Sequence[MemoryTransaction]:
         # Cores whose return queue is full are fenced off (flow
         # control); ranks awaiting refresh likewise.
-        queued_cores = {t.core_id for t in self.queue}
-        blocked_cores = {
-            core for core in queued_cores if not self.egress_has_room(core)
-        }
+        blocked_cores = [
+            core
+            for core in self.queue.queued_cores()
+            if not self.egress_has_room(core)
+        ]
         if not self._refresh_pending and not blocked_cores:
             return self.queue
         return [

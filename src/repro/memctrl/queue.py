@@ -10,7 +10,7 @@ propagating contention exactly the way the timing channel needs it to.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.common.errors import (
     ConfigurationError,
@@ -28,6 +28,9 @@ class TransactionQueue:
             raise ConfigurationError(f"queue capacity must be positive: {capacity}")
         self._capacity = capacity
         self._entries: List[MemoryTransaction] = []
+        # Queued transactions per core (absent when zero), maintained
+        # by push/remove so flow control never scans the entries.
+        self._per_core: Dict[int, int] = {}
 
     @property
     def capacity(self) -> int:
@@ -66,19 +69,36 @@ class TransactionQueue:
                 depth=len(self._entries),
             )
         self._entries.append(txn)
+        self._per_core[txn.core_id] = self._per_core.get(txn.core_id, 0) + 1
 
     def remove(self, txn: MemoryTransaction) -> None:
-        """Remove a (scheduled) transaction from the queue."""
-        try:
-            self._entries.remove(txn)
-        except ValueError:
+        """Remove a (scheduled) transaction from the queue.
+
+        Matched by identity: the scheduler hands back the very object
+        it was shown, and field-by-field equality costs a 13-field
+        comparison per entry probed.
+        """
+        for index, entry in enumerate(self._entries):
+            if entry is txn:
+                break
+        else:
             raise ProtocolError(
                 f"transaction {txn.txn_id} not present in the queue"
-            ) from None
+            )
+        del self._entries[index]
+        left = self._per_core[txn.core_id] - 1
+        if left:
+            self._per_core[txn.core_id] = left
+        else:
+            del self._per_core[txn.core_id]
 
     def count_for_core(self, core_id: int) -> int:
         """Number of queued transactions belonging to ``core_id``."""
-        return sum(1 for t in self._entries if t.core_id == core_id)
+        return self._per_core.get(core_id, 0)
+
+    def queued_cores(self) -> Iterable[int]:
+        """The cores that have at least one transaction queued."""
+        return self._per_core.keys()
 
     def oldest(
         self, predicate: Optional[Callable[[MemoryTransaction], bool]] = None

@@ -60,7 +60,7 @@ class Scheduler:
         """Min over candidates of the exact earliest-issuable cycle."""
         earliest: Optional[int] = None
         for txn in candidates:
-            c = dram.earliest_advance_cycle(txn.decoded, txn.is_write, cycle)
+            c = dram.ready_cycle(txn.decoded, txn.is_write)
             if earliest is None or c < earliest:
                 earliest = c
                 if earliest <= cycle:
@@ -85,7 +85,7 @@ class Scheduler:
         first_ready = None
         for txn in candidates:
             decoded = txn.decoded
-            if dram.can_advance(decoded, txn.is_write, cycle):
+            if dram.ready_cycle(decoded, txn.is_write) <= cycle:
                 if dram.is_row_hit(decoded):
                     return txn
                 if first_ready is None:
@@ -230,6 +230,7 @@ class TemporalPartitioningScheduler(Scheduler):
         if not self._domain_of_core:
             raise ConfigurationError("domain_of_core must not be empty")
         self._domains = sorted(set(self._domain_of_core))
+        self._slot_of_domain = {d: i for i, d in enumerate(self._domains)}
         self._turn_length = turn_length
         # Worst-case command-to-burst-end span: tRP + tRCD + CL + burst.
         self._dead_time = dead_time
@@ -271,6 +272,38 @@ class TemporalPartitioningScheduler(Scheduler):
             return None
         own = [t for t in queue if self.domain_of(t.core_id) == owner]
         return self._frfcfs_pick(own, dram, cycle)
+
+    def next_event_cycle(self, candidates, dram, cycle):
+        """The TDMA idle structure in closed form.
+
+        A domain is served at the first cycle that lies in the live
+        part of one of its own turns (before the dead time) and at
+        which one of its candidates is DRAM-ready; the scheduler's
+        event is the earliest of those over the domains that have
+        candidates.  Other domains' turns and every dead time are
+        skipped.
+        """
+        turn = self._turn_length
+        live = turn - self._effective_dead_time(dram)
+        if live <= 0:
+            return None  # the dead time swallows every turn
+        ready_of: Dict[int, int] = {}
+        for txn in candidates:
+            domain = self._domain_of_core[txn.core_id]
+            ready = dram.ready_cycle(txn.decoded, txn.is_write)
+            if domain not in ready_of or ready < ready_of[domain]:
+                ready_of[domain] = ready
+        rotation = turn * len(self._domains)
+        earliest: Optional[int] = None
+        for domain, ready in ready_of.items():
+            event = max(cycle, ready)
+            # Cycles since the start of the domain's latest own turn.
+            into = (event - self._slot_of_domain[domain] * turn) % rotation
+            if into >= live:
+                event += rotation - into  # its next turn's first cycle
+            if earliest is None or event < earliest:
+                earliest = event
+        return earliest
 
     def on_issue(self, txn, cycle):
         self.issued_in_turn += 1
@@ -332,11 +365,10 @@ class FixedServiceScheduler(Scheduler):
         """
         if not self.dummy_fill:
             return []
-        queued_cores = {t.core_id for t in queue}
         return [
             core
             for core, slot in enumerate(self._next_slot)
-            if cycle >= slot and core not in queued_cores
+            if cycle >= slot and not queue.count_for_core(core)
         ]
 
     def select(self, queue, dram, cycle):
@@ -344,14 +376,23 @@ class FixedServiceScheduler(Scheduler):
         return self._frfcfs_pick(eligible, dram, cycle)
 
     def next_event_cycle(self, candidates, dram, cycle):
-        """Earliest due slot — of a queued candidate, or of any core
-        when dummy fill keeps empty slots generating work."""
-        events = []
-        if self.dummy_fill and self._next_slot:
-            events.append(max(cycle, min(self._next_slot)))
+        """Earliest cycle a candidate is both at its core's slot and
+        DRAM-ready — or, when dummy fill keeps empty slots generating
+        work, a core with no candidate reaches its slot."""
+        earliest: Optional[int] = None
+        served = set()
         for txn in candidates:
-            events.append(max(cycle, self._next_slot[txn.core_id]))
-        return min(events) if events else None
+            served.add(txn.core_id)
+            slot = self._next_slot[txn.core_id]
+            if earliest is None or slot < earliest:
+                event = max(slot, dram.ready_cycle(txn.decoded, txn.is_write))
+                if earliest is None or event < earliest:
+                    earliest = event
+        if self.dummy_fill:
+            for core, slot in enumerate(self._next_slot):
+                if core not in served and (earliest is None or slot < earliest):
+                    earliest = slot
+        return None if earliest is None else max(cycle, earliest)
 
     def on_issue(self, txn, cycle):
         self.issued_slots += 1

@@ -91,11 +91,11 @@ class MemoryTransaction:
 
     @property
     def is_write(self) -> bool:
-        return self.kind.is_write
+        return self.kind is TransactionType.WRITE
 
     @property
     def is_fake(self) -> bool:
-        return self.kind.is_fake
+        return self.kind is TransactionType.FAKE_READ
 
     @property
     def queueing_delay(self) -> Optional[int]:

@@ -18,9 +18,10 @@ current probe values across every sample boundary inside the span is
 the exact closed form of what per-cycle stepping would have recorded —
 *provided probes read only span-constant state* (queue depths, credit
 registers, cumulative release/grant/row-hit counters).  Quantities
-that accumulate inside ``skip_idle`` bookkeeping (per-cycle stall
-counters) change mid-span and must not be probed; the default probe
-set wired by ``repro.sim.system`` respects this.
+that a skipped span still moves — what a station settles lazily: a
+core's cycle, retirement and stall counts, a request shaper's stall
+count — change mid-span and must not be probed; the default probe set
+wired by ``repro.sim.system`` respects this.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ profiled run preceded them: :meth:`__getstate__` persists only the
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -74,9 +75,11 @@ class EngineProfiler:
     """Per-run work attribution with zero per-tick overhead.
 
     The stepped/skipped split is closed-form — ``stepped = (end -
-    start) - skipped`` — so the per-cycle engines pay nothing per tick;
-    the columnar engine's per-station increments sit behind a single
-    local ``if prof:`` in its step loop.
+    start) - skipped`` — so the per-cycle engine pays nothing per tick;
+    the columnar engine counts its per-station work and horizon
+    refreshes in plain ints of its own and hands a window's worth over
+    when the run ends (``ColumnarEngine.record_work``), so only a
+    clock jump costs a call.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -128,12 +131,9 @@ class EngineProfiler:
             return
         self.skipped_cycles += span
         self.skip_count += 1
-        for index, edge in enumerate(SKIP_SPAN_EDGES):
-            if span <= edge:
-                self.skip_span_counts[index] += 1
-                break
-        else:
-            self.skip_span_counts[-1] += 1
+        # First bucket whose (inclusive) upper edge holds the span;
+        # past the last edge, the overflow bucket.
+        self.skip_span_counts[bisect_left(SKIP_SPAN_EDGES, span)] += 1
 
     def record_station(self, station: str, ticks: int = 0,
                        skips: int = 0) -> None:
@@ -147,12 +147,15 @@ class EngineProfiler:
                 self.station_skips.get(station, 0) + skips
             )
 
-    def record_horizon_refresh(self, dirty_rows: int) -> None:
-        self.horizon_refreshes += 1
+    def record_horizon_refresh(self, dirty_rows: int,
+                               refreshes: int = 1) -> None:
+        """``refreshes`` horizon-list refreshes re-polled ``dirty_rows``
+        rows in all (the engine reports a window's worth at once)."""
+        self.horizon_refreshes += refreshes
         self.dirty_repolls += dirty_rows
 
-    def record_full_tick_fallback(self) -> None:
-        self.full_tick_fallbacks += 1
+    def record_full_tick_fallback(self, count: int = 1) -> None:
+        self.full_tick_fallbacks += count
 
     # -- reporting -----------------------------------------------------------
 

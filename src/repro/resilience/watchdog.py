@@ -10,11 +10,12 @@ and the watchdog aborts cleanly with a
 diagnostic dump (also emitted through :mod:`repro.obs` and optionally
 written to a JSON file).
 
-Engine note: under the next-event engine the run loop caps every clock
-jump at :meth:`Watchdog.horizon`, so a frozen system still trips the
-progress check at the same cycle the per-cycle loop would — skipped
-spans are progress-free by construction, which keeps the two engines
-bit-identical even in runs that abort.
+Engine note: under the skipping engine the run loop caps every clock
+jump at :meth:`Watchdog.horizon` and checks progress there, so a
+frozen system — one whose skipped spans hold no progress at all —
+still trips.  Cores may retire privately inside a skipped span, so
+the check first has the system settle what it owes
+(:meth:`~repro.sim.system.System.settle`).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class Watchdog:
 
     def observe(self, system) -> None:
         """Progress check; raises :class:`WatchdogError` on a stall."""
+        system.settle()
         retired = sum(c.retired_instructions for c in system.cores)
         delivered = sum(len(lat) for lat in system._latencies)
         if retired != self._last_retired or delivered != self._last_delivered:
@@ -138,6 +140,7 @@ def diagnostic_dump(system, stalled_for: int = 0) -> Dict[str, Any]:
     occupancy, the controller's staging/transaction/write queues,
     in-flight bursts and per-core egress.
     """
+    system.settle()
     controller = system.controller
     cores = []
     for core in system.cores:

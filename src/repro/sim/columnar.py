@@ -4,16 +4,18 @@
 checkpoint-boundary and watchdog-horizon caps, profiler bracket — and
 is parameterised only by how a cycle is stepped:
 
-``engine="cycle"``
-    The reference.  :func:`tick` runs every station every cycle and
-    the clock never jumps.  The equivalence, snapshot and fingerprint
-    tests compare everything else against it.
+``engine="columnar"`` (:data:`DEFAULT_ENGINE`)
+    The skipper, and what every experiment, sweep point, GA
+    evaluation, scenario and CLI verb runs.  :class:`ColumnarEngine`
+    caches every station's ``next_event_cycle`` in a dirty-marked
+    horizon list, runs only the stations that are due or were fed on
+    each stepped cycle, and jumps the clock over spans in which no
+    station can do anything another station could see.
 
-``engine="columnar"``
-    The skipper.  :class:`ColumnarEngine` caches every station's
-    ``next_event_cycle`` in a dirty-marked horizon list, runs only the
-    stations that are due or were fed on each stepped cycle, and jumps
-    the clock over spans in which no station can change state.
+``engine="cycle"``
+    The oracle.  :func:`tick` runs every station every cycle and the
+    clock never jumps.  The equivalence, snapshot and fingerprint
+    tests compare the skipper against it, naming it explicitly.
 
 Station model
 -------------
@@ -46,14 +48,21 @@ Bit-identity
 
 * A clock jump lands on the minimum cached horizon, and only when no
   cross-station coupling has same-cycle work (staged requests the
-  controller can take, egress responses a path can buffer); the
-  skipped span is pure bookkeeping that :func:`skip_idle_span` replays
-  in closed form.
+  controller can take, egress responses a path can buffer).
 * Within a stepped cycle, stations run in exactly the :func:`tick`
-  order; a *skipped* station's tick would have been a pure no-op (its
-  horizon is in the future and nothing fed it), except for per-cycle
-  bookkeeping — cores and request paths replay that via their
-  ``skip_idle(cycle, cycle + 1)`` contracts.
+  order; a station that is left out has its horizon in the future and
+  was fed nothing, so its tick would have touched nothing another
+  station can see.
+* What a left-out tick does to the station's *own* counters is owed,
+  not dropped: a core's private ticks (fetching and retiring
+  non-memory instructions, counting stalls) and a request shaper's
+  stall count are settled lazily — by the station itself the next
+  time it runs, is polled or is filled, and by
+  :meth:`~repro.sim.system.System.settle` before anything outside
+  reads them (``report()``, a snapshot, the watchdog, the sampling
+  hooks).  A core horizon is the first tick that probes the caches or
+  finishes the trace, so cores fetching through compute do not pin
+  the clock.
 * Any cycle on which the fault injector may act falls back to the full
   :func:`tick` (and marks every station dirty), so fault scenarios
   execute the injection order unchanged.
@@ -67,11 +76,15 @@ scheduler's ``tick`` is a no-op hook.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
-from repro.resilience.watchdog import Watchdog
+
+#: The engine every run uses unless it names one: the skipper.  The
+#: only place the default is decided — ``System.run``, :func:`run`,
+#: the CLI's ``--engine`` and the resilience scenarios all read it.
+DEFAULT_ENGINE = "columnar"
 
 #: Horizon of a station with no pending event; larger than any cycle,
 #: so it never wins the min-reduction against a real one.
@@ -129,20 +142,18 @@ def tick(system) -> None:
 
 
 def skip_idle_span(system, target: int) -> None:
-    """Jump the clock to ``target``, replaying skipped bookkeeping."""
-    cycle = system.current_cycle
-    for core in system.cores:
-        core.skip_idle(cycle, target)
-    for path in system.request_paths:
-        skip = getattr(path, "skip_idle", None)
-        if skip is not None:
-            skip(cycle, target)
-    if system._obs_cycle_hooks:
-        # Sample boundaries inside [cycle, target) fall in a span
-        # with no state changes: fill them with the current probe
-        # values *before* the tick at ``target`` mutates anything.
-        system.observability.on_skip(target - 1)
+    """Jump the clock to ``target``.
+
+    No station is touched: what the skipped ticks would have counted
+    is owed, and :meth:`System.settle` pays it when someone looks.
+    """
     system.current_cycle = target
+    if system._obs_cycle_hooks:
+        # Sample boundaries inside the span fall where nothing a probe
+        # may read changes: fill them with the current probe values
+        # *before* the tick at ``target`` mutates anything.
+        system.settle()
+        system.observability.on_skip(target - 1)
 
 
 class ColumnarEngine:
@@ -178,37 +189,31 @@ class ColumnarEngine:
         self._size = size
 
         # Cached ``next_event_cycle`` per station (``NO_EVENT`` for
-        # "none"); ``_dirty`` marks the rows that must be re-polled.
+        # "none"); ``_dirty`` holds the rows that must be re-polled —
+        # a dict used as an ordered set, so a refresh walks exactly
+        # the rows that were marked.
         self._h: List[int] = [NO_EVENT] * size
-        self._dirty: List[bool] = [True] * size
+        self._dirty: Dict[int, bool] = dict.fromkeys(range(size), True)
         self._next_event = [s.next_event_cycle for s in stations]
         self._core_tick = [c.tick for c in system.cores]
-        self._core_skip = [c.skip_idle for c in system.cores]
         self._path_tick = [p.tick for p in system.request_paths]
-        self._path_skip = [
-            getattr(p, "skip_idle", None) for p in system.request_paths
-        ]
         self._resp_tick = [p.tick for p in system.response_paths]
-        # Request-path buffer occupancy before the cores run, compared
-        # after: a change means the core fed the path this cycle.
-        self._path_occ = [0] * n
-        self._sync_done()
 
-        # Engine self-profiler (repro.obs.profile).  ``None`` keeps
-        # every instrumentation site behind a single falsy local check
-        # so the disabled path stays at branch cost.
-        obs = system.observability
-        self._prof = obs.profiler if obs is not None else None
-        names = (
-            [f"core{i}" for i in range(n)]
-            + [f"req_path{i}" for i in range(n)]
-            + ["req_link", "memctrl"]
-            + [f"resp_path{i}" for i in range(n)]
-            + ["resp_link"]
-        )
-        if self._inj is not None:
-            names.append("injector")
-        self._station_names = names
+        # Work attribution for the engine self-profiler
+        # (repro.obs.profile): selective steps taken, how many of them
+        # each station ran in, horizon refreshes and the rows they
+        # re-polled.  Plain counters whether or not a profiler is
+        # attached; record_work() hands them over once, when the
+        # window ends.
+        self._steps = 0
+        self._ran = [0] * size
+        self._refreshes = 0
+        self._repolls = 0
+        # The step count at which a core finished: it has no slots to
+        # skip after that.
+        self._slots_when_done = [0] * n
+        self._done = [False] * n
+        self._sync_done()
         self._refresh_horizons(system.current_cycle)
 
     # -- horizon maintenance --------------------------------------------
@@ -218,13 +223,12 @@ class ColumnarEngine:
         h = self._h
         dirty = self._dirty
         poll = self._next_event
-        if self._prof is not None:
-            self._prof.record_horizon_refresh(dirty.count(True))
-        for i in range(self._size):
-            if dirty[i]:
-                event = poll[i](cycle)
-                h[i] = NO_EVENT if event is None else event
-                dirty[i] = False
+        self._refreshes += 1
+        self._repolls += len(dirty)
+        for i in dirty:
+            event = poll[i](cycle)
+            h[i] = NO_EVENT if event is None else event
+        dirty.clear()
 
     def _mark_all_dirty(self) -> None:
         dirty = self._dirty
@@ -232,11 +236,43 @@ class ColumnarEngine:
             dirty[i] = True
 
     def _sync_done(self) -> None:
-        self._done = [c.done for c in self.system.cores]
-        self._undone = self._done.count(False)
+        done = self._done
+        for i, core in enumerate(self.system.cores):
+            if core.done and not done[i]:
+                done[i] = True
+                self._slots_when_done[i] = self._steps
+        self._undone = done.count(False)
 
     def all_done(self) -> bool:
         return not self._undone
+
+    def record_work(self, prof) -> None:
+        """Hand this window's work to the profiler: per station the
+        steps it ran in and the slots (steps while it was live) it was
+        left out of, and the horizon refreshes."""
+        prof.record_horizon_refresh(self._repolls, self._refreshes)
+        n = self._n
+        names = (
+            [f"core{i}" for i in range(n)]
+            + [f"req_path{i}" for i in range(n)]
+            + ["req_link", "memctrl"]
+            + [f"resp_path{i}" for i in range(n)]
+            + ["resp_link"]
+        )
+        for row, name in enumerate(names):
+            slots = (
+                self._slots_when_done[row]
+                if row < n and self._done[row]
+                else self._steps
+            )
+            prof.record_station(
+                name, ticks=self._ran[row], skips=slots - self._ran[row]
+            )
+        if self._inj is not None:
+            # The injector only ever runs as a full-tick fallback.
+            fallbacks = self._ran[self._inj]
+            prof.record_station("injector", ticks=fallbacks)
+            prof.record_full_tick_fallback(fallbacks)
 
     # -- stepping --------------------------------------------------------
 
@@ -252,60 +288,45 @@ class ColumnarEngine:
         h = self._h
         dirty = self._dirty
         n = self._n
-        prof = self._prof
-        names = self._station_names
+        ran = self._ran
 
         if self._inj is not None and h[self._inj] <= cycle:
             # The injector may mutate arbitrary stations this cycle
             # (bursts into shapers, staging floods, link stalls); run
             # the canonical full tick and re-poll everything.
-            if prof is not None:
-                prof.record_full_tick_fallback()
-                prof.record_station("injector", ticks=1)
+            ran[self._inj] += 1
             tick(sys_)
             self._mark_all_dirty()
             self._sync_done()
             return
 
+        self._steps += 1
         stations = self._stations
         done = self._done
-        path_occ = self._path_occ
         req0 = self._req0
+        fed = 0  # bit i: core i fed its request path this cycle
         for i in range(n):
-            path_occ[i] = stations[req0 + i].occupancy
-            if done[i]:
-                continue
-            if h[i] <= cycle:
+            if h[i] <= cycle and not done[i]:
+                path = stations[req0 + i]
+                occupancy = path.occupancy
                 self._core_tick[i](cycle)
+                if path.occupancy != occupancy:
+                    fed |= 1 << i
                 dirty[i] = True
-                if prof is not None:
-                    prof.record_station(names[i], ticks=1)
+                ran[i] += 1
                 if stations[i].done:
                     done[i] = True
                     self._undone -= 1
-            else:
-                # Provably a bookkeeping-only cycle for this core:
-                # replay it in closed form (same contract the span
-                # skip uses, over a one-cycle span).
-                self._core_skip[i](cycle, cycle + 1)
-                if prof is not None:
-                    prof.record_station(names[i], skips=1)
+                    self._slots_when_done[i] = self._steps
 
         any_path_ran = False
         for i in range(n):
             j = req0 + i
-            if h[j] <= cycle or stations[j].occupancy != path_occ[i]:
+            if h[j] <= cycle or fed >> i & 1:
                 self._path_tick[i](cycle)
                 dirty[j] = True
+                ran[j] += 1
                 any_path_ran = True
-                if prof is not None:
-                    prof.record_station(names[j], ticks=1)
-            else:
-                skip = self._path_skip[i]
-                if skip is not None:
-                    skip(cycle, cycle + 1)
-                if prof is not None:
-                    prof.record_station(names[j], skips=1)
 
         controller = sys_.controller
         staging = sys_._mc_staging
@@ -317,32 +338,28 @@ class ColumnarEngine:
                 dest_ready=controller.can_accept() and not staging,
             )
             dirty[j] = True
-            if prof is not None:
-                prof.record_station("req_link", ticks=1)
+            ran[j] += 1
             for txn in link.pop_arrivals(cycle):
                 staging.append(txn)
-        elif prof is not None:
-            prof.record_station("req_link", skips=1)
 
         fed_controller = False
         if staging and controller.can_accept():
             while staging and controller.can_accept():
                 controller.enqueue(staging.popleft(), cycle)
             fed_controller = True
-        if h[self._ctrl] <= cycle or fed_controller:
+        j = self._ctrl
+        if h[j] <= cycle or fed_controller:
             controller.tick(cycle)
-            dirty[self._ctrl] = True
-            if prof is not None:
-                prof.record_station("memctrl", ticks=1)
-        elif prof is not None:
-            prof.record_station("memctrl", skips=1)
+            dirty[j] = True
+            ran[j] += 1
 
         any_resp_ran = False
+        responses_pending = controller.responses_pending
         for i in range(n):
             j = self._resp0 + i
             path = stations[j]
             fed_path = False
-            if controller.pending_response_count(i):
+            if responses_pending and controller.pending_response_count(i):
                 while path.can_accept():
                     popped = controller.pop_responses(i, limit=1)
                     if not popped:
@@ -357,19 +374,15 @@ class ColumnarEngine:
             if h[j] <= cycle or fed_path:
                 self._resp_tick[i](cycle)
                 dirty[j] = True
+                ran[j] += 1
                 any_resp_ran = True
-                if prof is not None:
-                    prof.record_station(names[j], ticks=1)
-            elif prof is not None:
-                prof.record_station(names[j], skips=1)
 
         j = self._resplink
         if h[j] <= cycle or any_resp_ran:
             link = sys_.response_link
             link.tick(cycle)
             dirty[j] = True
-            if prof is not None:
-                prof.record_station("resp_link", ticks=1)
+            ran[j] += 1
             for txn in link.pop_arrivals(cycle):
                 sys_._deliver(txn, cycle)
                 core_id = txn.core_id
@@ -377,12 +390,11 @@ class ColumnarEngine:
                 # its request path.
                 dirty[core_id] = True
                 dirty[self._req0 + core_id] = True
-        elif prof is not None:
-            prof.record_station("resp_link", skips=1)
 
-        if sys_._obs_cycle_hooks:
-            sys_.observability.on_cycle_end(cycle)
         sys_.current_cycle = cycle + 1
+        if sys_._obs_cycle_hooks:
+            sys_.settle()
+            sys_.observability.on_cycle_end(cycle)
 
     def next_target(self, limit: int) -> Optional[int]:
         """The cycle the next step must run at, or ``None`` to not skip.
@@ -398,12 +410,13 @@ class ColumnarEngine:
         controller = sys_.controller
         if sys_._mc_staging and controller.can_accept():
             return None
-        response_paths = sys_.response_paths
-        for i in range(self._n):
-            if response_paths[i].can_accept() and (
-                controller.pending_response_count(i)
-            ):
-                return None
+        if controller.responses_pending:
+            response_paths = sys_.response_paths
+            for i in range(self._n):
+                if controller.pending_response_count(i) and (
+                    response_paths[i].can_accept()
+                ):
+                    return None
         earliest = min(self._h)
         if earliest <= cycle:
             return None
@@ -418,11 +431,16 @@ def run(
     max_cycles: int,
     stop_when_done: bool = True,
     watchdog_cycles: int = 200_000,
-    engine: str = "cycle",
+    engine: str = DEFAULT_ENGINE,
 ):
     """The run loop behind :meth:`System.run` (documented there)."""
+    # Not a module-level import: repro.resilience's scenarios take
+    # DEFAULT_ENGINE from this module while that package initialises.
+    from repro.resilience.watchdog import Watchdog
+
     if max_cycles <= 0:
         raise SimulationError(f"max_cycles must be positive: {max_cycles}")
+    columnar = None
     if engine == "cycle":
         step = partial(tick, system)
         next_target = None
@@ -463,6 +481,7 @@ def run(
         end = system.current_cycle + max_cycles
         finished = stop_when_done and all_done()
         while system.current_cycle < end and not finished:
+            before = system.current_cycle
             step()
             if (
                 checkpoint_every
@@ -471,22 +490,22 @@ def run(
                 res.take_checkpoint(system)
             # Only a step can finish a core; a skipped span cannot.
             finished = stop_when_done and all_done()
-            skipped = False
+            at_horizon = False
             if (
                 next_target is not None
                 and not finished
                 and system.current_cycle < end
             ):
                 target = next_target(end)
+                horizon = None
                 if watchdog_cycles and target is not None:
                     # Never jump past the watchdog horizon in one
                     # step: a frozen (deadlocked) system must still
                     # trip the progress check, exactly as the
                     # per-cycle loop would while spinning through
                     # the same span.
-                    target = min(
-                        target, watchdog.horizon(system.current_cycle)
-                    )
+                    horizon = watchdog.horizon(system.current_cycle)
+                    target = min(target, horizon)
                 if checkpoint_every and target is not None:
                     # Land every clock jump exactly on checkpoint
                     # boundaries — behaviour-preserving by the
@@ -499,22 +518,25 @@ def run(
                     if prof is not None:
                         prof.record_skip(target - system.current_cycle)
                     skip_idle_span(system, target)
-                    skipped = True
+                    at_horizon = target == horizon
                     if (
                         checkpoint_every
                         and system.current_cycle % checkpoint_every == 0
                     ):
                         res.take_checkpoint(system)
-            # Check progress only every 256 cycles to keep the hot
-            # loop cheap (the watchdog granularity does not matter),
-            # plus after every skip, whose span is progress-free by
-            # construction.
+            # Check progress only when the clock enters a new
+            # 256-cycle block, stepped or skipped into, to keep the
+            # hot loop cheap (the watchdog granularity does not
+            # matter) — and at the watchdog horizon, where a frozen
+            # system has to trip.
             if watchdog_cycles and (
-                skipped or (system.current_cycle & 0xFF) == 0
+                at_horizon or system.current_cycle >> 8 != before >> 8
             ):
                 watchdog.observe(system)
     finally:
         if prof is not None:
+            if columnar is not None:
+                columnar.record_work(prof)
             prof.end_run(system.current_cycle)
     if obs is not None:
         obs.on_run_end(system.current_cycle)

@@ -738,6 +738,31 @@ class System:
     def all_cores_done(self) -> bool:
         return all(core.done for core in self.cores)
 
+    def settle(self) -> None:
+        """Bring lazily accounted state up to :attr:`current_cycle`.
+
+        The skipping engine leaves out ticks that only move a
+        station's own counters: a core's private ticks
+        (:meth:`repro.cpu.core.Core.settle`) and a request shaper's
+        stall count.  Whatever reads those counters from outside —
+        :meth:`report`, a snapshot, the watchdog, the sampling hooks —
+        calls this first.  A no-op under ``engine="cycle"``, which
+        runs every tick.
+        """
+        cycle = self.current_cycle
+        for core in self.cores:
+            core.settle(cycle)
+        for path in self.request_paths:
+            settle = getattr(path, "settle", None)
+            if settle is not None:
+                settle(cycle)
+
+    def __getstate__(self):
+        # Snapshots pickle the whole graph: make it a settled one, so
+        # the bytes do not depend on which engine ran.
+        self.settle()
+        return self.__dict__
+
     def delivered_count(self, core_id: int) -> int:
         """Real demand fills delivered to ``core_id`` so far."""
         return len(self._latencies[core_id])
@@ -757,7 +782,7 @@ class System:
         max_cycles: int,
         stop_when_done: bool = True,
         watchdog_cycles: int = 200_000,
-        engine: str = "cycle",
+        engine: str = columnar.DEFAULT_ENGINE,
     ) -> SystemReport:
         """Run for up to ``max_cycles`` more cycles; returns a report.
 
@@ -778,13 +803,14 @@ class System:
         makes the loop snapshot the whole system at every multiple of
         N cycles (see docs/resilience.md).
 
-        ``engine`` selects how a cycle is stepped: ``"cycle"``
-        (default, the reference) ticks every station every cycle;
-        ``"columnar"`` ticks only the stations that can act and jumps
-        the clock over spans where every station reports no possible
-        state change (idle cores awaiting fills, shapers between
-        credits and boundaries, DRAM awaiting a timing expiry),
-        producing a bit-identical
+        ``engine`` selects how a cycle is stepped.  ``"columnar"``
+        (the default, :data:`repro.sim.columnar.DEFAULT_ENGINE`) ticks
+        only the stations that can act and jumps the clock over spans
+        where no station can do anything another could see (cores
+        awaiting fills or fetching through compute, shapers between
+        credits and boundaries, DRAM awaiting a timing expiry);
+        ``"cycle"`` is the oracle that ticks every station every
+        cycle.  Both produce a bit-identical
         :class:`~repro.sim.stats.SystemReport` — see
         :mod:`repro.sim.columnar`, which owns the run loop.
         """
@@ -795,6 +821,7 @@ class System:
     # -- reporting ------------------------------------------------------------------
 
     def report(self) -> SystemReport:
+        self.settle()
         core_stats = []
         for core in self.cores:
             req_path = self.request_paths[core.core_id]

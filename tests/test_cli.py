@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.columnar import DEFAULT_ENGINE
 
 
 class TestParser:
@@ -25,13 +26,16 @@ class TestParser:
         assert int(args.key, 0) == 255
 
     def test_engine_default_per_verb(self):
-        """``profile`` defaults to ``columnar`` without leaking that
-        default into the verbs that share the ``--engine`` parent."""
+        """Every verb that runs a system shares the one default engine,
+        and ``cycle`` stays selectable as the oracle."""
         parser = build_parser()
-        assert parser.parse_args(["profile"]).engine == "columnar"
-        for verb in (["trace"], ["stats"], ["run"], ["serve"],
+        assert DEFAULT_ENGINE == "columnar"
+        for verb in (["profile"], ["trace"], ["stats"], ["run"], ["serve"],
                      ["resume", "x.snap"], ["faults", "--scenario", "flood"]):
-            assert parser.parse_args(verb).engine == "cycle"
+            assert parser.parse_args(verb).engine == DEFAULT_ENGINE
+            assert parser.parse_args(
+                verb + ["--engine", "cycle"]
+            ).engine == "cycle"
 
 
 class TestCommands:

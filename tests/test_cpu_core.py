@@ -1,6 +1,8 @@
 """Unit tests for the trace-driven out-of-order core model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ProtocolError
@@ -227,3 +229,136 @@ class TestCompletion:
         core, sink = make_core([TraceRecord(5, i * 0x40000) for i in range(10)])
         run_with_memory(core, sink, 5000, latency=50)
         assert 0.0 <= core.memory_stall_fraction() <= 1.0
+
+
+# -- private ticks and lazy settling ---------------------------------------
+#
+# Two cores run the same trace against the same scripted memory: the
+# reference is ticked every cycle, the other only at the cycles its
+# ``next_event_cycle`` names, catching up through ``settle`` and
+# ``receive_fill``.  Whenever someone looks they must be the same core.
+
+LINE = 64
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),  # non-memory run
+        st.integers(min_value=0, max_value=11),  # line (few: hits, merges)
+        st.booleans(),  # store?
+    ),
+    min_size=1,
+    max_size=40,
+)
+CONFIGS = st.builds(
+    CoreConfig,
+    width=st.integers(min_value=1, max_value=4),
+    window_size=st.sampled_from([4, 8, 16, 128]),
+    mshr_entries=st.integers(min_value=1, max_value=4),
+)
+
+OBSERVED = (
+    "cycles", "memory_stall_cycles", "fetch_stall_cycles",
+    "retired_instructions", "window_occupancy", "outstanding_misses",
+    "demand_requests", "writeback_requests", "done", "finish_cycle",
+)
+
+
+def observe(core):
+    return {name: getattr(core, name) for name in OBSERVED}
+
+
+class ScriptedMemory:
+    """One core's sink plus the fills it is owed, driven by a script:
+    ``refused`` are the cycles the sink back-pressures, ``latencies``
+    the fill delay of each demand miss in submission order."""
+
+    def __init__(self, records, config, refused, latencies):
+        self.sink = SinkStub()
+        self.core = Core(
+            core_id=0,
+            trace=MemoryTrace(
+                [TraceRecord(n, line * LINE * 1024, w) for n, line, w in records]
+            ),
+            hierarchy=CacheHierarchy(),
+            request_sink=self.sink,
+            config=config,
+        )
+        self._refused = refused
+        self._latencies = latencies
+        self._misses = 0
+        self._due = {}
+
+    def begin(self, cycle):
+        self.sink.accepting = cycle not in self._refused
+
+    def end(self, cycle):
+        """Schedule this cycle's misses, deliver the fills now due
+        (after the core's slot, as in the system's tick order);
+        returns whether the core received any."""
+        for txn, _ in self.sink.submitted:
+            if not txn.is_write:
+                latency = self._latencies[self._misses % len(self._latencies)]
+                self._misses += 1
+                self._due.setdefault(cycle + latency, []).append(txn)
+        self.sink.submitted.clear()
+        fills = self._due.pop(cycle, [])
+        for txn in fills:
+            self.core.receive_fill(txn, cycle)
+        return bool(fills)
+
+
+class TestLazySettling:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=RECORDS,
+        config=CONFIGS,
+        refused=st.sets(st.integers(min_value=0, max_value=399)),
+        latencies=st.lists(
+            st.integers(min_value=1, max_value=90), min_size=1, max_size=8
+        ),
+        looks=st.sets(st.integers(min_value=0, max_value=399), max_size=12),
+    )
+    def test_event_driven_core_equals_ticked_core(
+        self, records, config, refused, latencies, looks
+    ):
+        ticked = ScriptedMemory(records, config, refused, latencies)
+        lazy = ScriptedMemory(records, config, refused, latencies)
+        horizon = lazy.core.next_event_cycle(0)
+        for cycle in range(400):
+            ticked.begin(cycle)
+            ticked.core.tick(cycle)
+            ticked.end(cycle)
+
+            lazy.begin(cycle)
+            ran = horizon is not None and horizon <= cycle
+            if ran:
+                lazy.core.tick(cycle)
+            if lazy.end(cycle) or ran:
+                horizon = lazy.core.next_event_cycle(cycle + 1)
+            if cycle in looks:
+                lazy.core.settle(cycle + 1)
+                assert observe(lazy.core) == observe(ticked.core)
+        lazy.core.settle(400)
+        assert observe(lazy.core) == observe(ticked.core)
+
+    def test_settle_refuses_to_cross_a_probe(self):
+        """The guard behind the contract: a tick that probes the
+        caches cannot be replayed, only run."""
+        core, _ = make_core([TraceRecord(8, 0x10000)])
+        assert core.next_event_cycle(0) == 2  # 8 non-memory at width 4
+        core.settle(2)
+        assert core.retired_instructions == 8
+        with pytest.raises(ProtocolError):
+            core.settle(3)
+
+    def test_blocked_core_has_no_event_until_its_fill(self):
+        core, sink = make_core([TraceRecord(0, 0x10000)])
+        core.tick(0)  # the only access: a miss, blocking retirement
+        assert core.next_event_cycle(1) is None
+        core.settle(50)
+        assert core.memory_stall_cycles == 50
+        txn, _ = sink.submitted[0]
+        core.receive_fill(txn, 60)
+        assert core.memory_stall_cycles == 61  # cycles 0..60 all stalled
+        assert core.next_event_cycle(61) == 61  # retires it: finishes
+        core.tick(61)
+        assert core.done and core.finish_cycle == 61

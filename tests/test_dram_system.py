@@ -1,8 +1,12 @@
 """Unit tests for the top-level DRAM system model."""
 
-import pytest
+import pickle
 
-from repro.dram.address import AddressMapping
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dram.address import AddressMapping, DecodedAddress
 from repro.dram.commands import CommandType, DramCommand
 from repro.dram.organization import DramOrganization
 from repro.dram.system import DramSystem
@@ -66,6 +70,72 @@ class TestCommandSequence:
                 dram.issue(cmd, cycle)
                 if cmd.is_column:
                     break
+
+
+# The memoised ready cycle is shared by both engines, so engine
+# equivalence cannot see a stale entry; the uncached legality check can.
+
+ACCESSES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),  # rank
+        st.integers(min_value=0, max_value=3),  # bank
+        st.integers(min_value=0, max_value=2),  # row
+        st.booleans(),  # write?
+    ),
+    min_size=2,
+    max_size=8,
+    unique=True,
+)
+STEPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),  # which queued access
+        st.integers(min_value=0, max_value=12),  # idle cycles first
+        st.booleans(),  # auto-precharge a column command?
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestReadyCycleMemo:
+    @settings(max_examples=120, deadline=None)
+    @given(accesses=ACCESSES, steps=STEPS)
+    def test_agrees_with_uncached_legality(self, accesses, steps):
+        """Over a random legal command sequence, for every queued
+        access at every cycle up to the next issue."""
+        dram = DramSystem(
+            organization=DramOrganization(ranks_per_channel=2),
+            enable_refresh=False,
+        )
+        queued = [
+            (DecodedAddress(channel=0, rank=r, bank=b, row=row, column=0), w)
+            for r, b, row, w in accesses
+        ]
+        cycle = 0
+        for pick, idle, auto_precharge in steps:
+            address, is_write = queued[pick % len(queued)]
+            waited = 0
+            while True:
+                for a, w in queued:
+                    legal = dram.can_issue(dram.required_command(a, w), cycle)
+                    assert (dram.ready_cycle(a, w) <= cycle) == legal
+                command = dram.required_command(address, is_write)
+                if waited >= idle and dram.can_issue(command, cycle):
+                    break
+                waited += 1
+                cycle += 1
+            dram.issue(
+                command, cycle,
+                auto_precharge=auto_precharge and command.is_column,
+            )
+
+    def test_memo_is_not_snapshot_state(self, dram, mapping):
+        """It fills at different cycles under each engine."""
+        before = pickle.dumps(dram)
+        dram.ready_cycle(mapping.decode(0), False)
+        assert pickle.dumps(dram) == before
+        restored = pickle.loads(before)
+        assert restored.ready_cycle(mapping.decode(0), False) == 0
 
 
 class TestRefreshManagement:

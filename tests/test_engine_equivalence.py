@@ -23,6 +23,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.core.bins import BinSpec, constant_rate_config, uniform_config
+from repro.sim import ColumnarEngine
 from repro.sim.stats import report_digest
 from repro.sim.system import (
     EpochShapingPlan,
@@ -70,7 +71,10 @@ def _shaped_builder(
 
 
 def _assert_engines_agree(make_builder, cycles=25_000, **run_kwargs):
-    baseline = make_builder().build().run(cycles, **run_kwargs)
+    # The oracle is named, never the default: ``columnar`` is the
+    # default, and comparing it with itself proves nothing.
+    baseline = make_builder().build().run(cycles, engine="cycle",
+                                          **run_kwargs)
     fast = make_builder().build().run(cycles, engine="columnar",
                                       **run_kwargs)
     assert baseline == fast, "engine=columnar diverged"
@@ -82,6 +86,32 @@ def test_unknown_engine_rejected():
     builder.add_core(make_trace("gcc", 50))
     with pytest.raises(SimulationError):
         builder.build().run(1000, engine="event")
+
+
+def test_differential_helper_bites(monkeypatch):
+    """Mutation check: a skipper that lands one cycle late must fail
+    ``_assert_engines_agree`` — the helper really runs the ``cycle``
+    oracle against ``columnar``, whatever the default engine is.
+
+    The mutant over-skips only events that are not a core's (those a
+    core catches itself, typed, when it settles): shapers and links
+    then act a cycle late without any check noticing, which only a
+    comparison with the oracle can expose."""
+    next_target = ColumnarEngine.next_target
+
+    def over_skip(self, limit):
+        target = next_target(self, limit)
+        if (
+            target is not None
+            and target + 1 < limit
+            and min(self._h[:self._n]) > target
+        ):
+            target += 1
+        return target
+
+    monkeypatch.setattr(ColumnarEngine, "next_target", over_skip)
+    with pytest.raises(AssertionError):
+        _assert_engines_agree(lambda: _shaped_builder(response=True))
 
 
 class TestFastCases:
@@ -106,6 +136,16 @@ class TestFastCases:
 
     def test_mesh_topology(self):
         _assert_engines_agree(_mesh_builder)
+
+    @pytest.mark.parametrize("dead_time", [None, 20])
+    def test_temporal_partitioning(self, dead_time):
+        """TP's horizon skips other domains' turns and dead time; the
+        oracle serves every request at the same cycle regardless."""
+        _assert_engines_agree(
+            lambda: _shaped_builder(response=True).with_scheduler(
+                "tp", turn_length=64, dead_time=dead_time
+            )
+        )
 
     def test_low_intensity_single_program(self):
         """The Fig 11-style benchmark shape: one quiet core, CS rate."""

@@ -327,6 +327,52 @@ class TestRL008:
         assert findings == []
 
 
+    # The DRAM ready-cycle memo is the second ledger: both engines read
+    # it, so only this rule can see a device mutation that skips the
+    # reset in ``DramSystem.issue``.
+
+    def test_device_mutation_past_issue_flagged(self):
+        findings = findings_for(
+            """
+            class MemoryController:
+                def _service_refresh(self, channel, bank, cycle):
+                    self.dram.channels[channel].precharge(0, bank, cycle)
+            """,
+            path="src/repro/memctrl/controller.py",
+            select=["RL008"],
+        )
+        assert ids_of(findings) == ["RL008"]
+        assert "precharge" in findings[0].message
+        assert "DramSystem.issue" in findings[0].hint
+
+    def test_issue_resets_the_memo_and_pairs(self):
+        findings = findings_for(
+            """
+            class DramSystem:
+                def issue(self, command, cycle):
+                    self._ready.clear()
+                    channel = self.channels[command.address.channel]
+                    channel.activate(0, 0, 0, cycle)
+            """,
+            path="src/repro/dram/system.py",
+            select=["RL008"],
+        )
+        assert findings == []
+
+    def test_device_internals_are_out_of_scope(self):
+        """Channel → Rank → Bank delegation sits below ``issue``."""
+        findings = findings_for(
+            """
+            class Rank:
+                def precharge(self, bank_index, cycle):
+                    self.banks[bank_index].precharge(cycle)
+            """,
+            path="src/repro/dram/rank.py",
+            select=["RL008"],
+        )
+        assert findings == []
+
+
 # -- RL009 RNG stream discipline -------------------------------------------
 
 

@@ -197,6 +197,54 @@ class TestTemporalPartitioning:
         q.push(txn)
         assert sched.select(q, dram, 10) is txn  # domain 0 owns turn 0
 
+    def test_horizon_follows_turn_boundaries(self, dram, mapping, timing):
+        """Turns of 100 cycles for domains 0/1/2 with the last 30 dead:
+        domain 1 may be served in [100, 170), [400, 470), ..."""
+        sched = TemporalPartitioningScheduler(
+            [0, 1, 2], turn_length=100, dead_time=30
+        )
+        txn = make_txn(mapping, core=1, address=0)
+        assert sched.next_event_cycle([], dram, 0) is None
+        assert sched.next_event_cycle([txn], dram, 0) == 100
+        assert sched.next_event_cycle([txn], dram, 100) == 100
+        assert sched.next_event_cycle([txn], dram, 169) == 169
+        assert sched.next_event_cycle([txn], dram, 170) == 400
+        assert sched.next_event_cycle([txn], dram, 399) == 400
+        # Two domains queued: the nearer live turn wins.
+        other = make_txn(mapping, core=2, address=8192)
+        assert sched.next_event_cycle([txn, other], dram, 170) == 200
+        # DRAM readiness inside the turn: a conflicting open row must
+        # first be precharged, tRAS after its activate.
+        conflict = mapping.decode(1 << 20)
+        assert conflict.bank == txn.decoded.bank
+        assert conflict.row != txn.decoded.row
+        open_row(dram, conflict, 110)
+        assert sched.next_event_cycle([txn], dram, 111) == 110 + timing.tRAS
+        # ...and one that is only met in the dead time waits a rotation.
+        dram.issue(DramCommand(CommandType.PRECHARGE, conflict),
+                   110 + timing.tRAS)
+        open_row(dram, conflict, 160)
+        assert 170 <= 160 + timing.tRAS < 200
+        assert sched.next_event_cycle([txn], dram, 161) == 400
+
+    @pytest.mark.parametrize("dead_time", [None, 10])
+    def test_horizon_is_first_selectable_cycle(self, dram, mapping,
+                                               dead_time):
+        """Against the definition: the first cycle select() picks."""
+        sched = TemporalPartitioningScheduler(
+            [0, 0, 1], turn_length=64, dead_time=dead_time
+        )
+        q = TransactionQueue()
+        q.push(make_txn(mapping, core=2, address=0))
+        q.push(make_txn(mapping, core=1, address=8192))
+        open_row(dram, mapping.decode(1 << 20), 3)
+        for cycle in range(0, 300, 7):
+            first = next(
+                c for c in range(cycle, cycle + 200)
+                if sched.select(q, dram, c) is not None
+            )
+            assert sched.next_event_cycle(q, dram, cycle) == first
+
     def test_rejects_dead_time_longer_than_turn(self):
         with pytest.raises(ConfigurationError):
             TemporalPartitioningScheduler([0, 1], turn_length=50, dead_time=60)

@@ -54,7 +54,7 @@ class TestDisabledByDefault:
         assert system.controller.tracer is NULL_TRACER
 
     def test_report_bit_identical_with_obs_attached(self):
-        baseline = _builder().build().run(CYCLES)
+        baseline = _builder().build().run(CYCLES, engine="cycle")
         _, observed = _observed(trace=True, sample_interval=1024,
                                 monitor=True)
         assert observed == baseline

@@ -275,6 +275,63 @@ class TestRunLoopCheckpointing:
         assert _obs_artifacts(straight) == _obs_artifacts(resumed)
 
 
+    def test_checkpoint_inside_a_private_span(self, tmp_path, monkeypatch):
+        """A boundary that falls where the skipper owes a core its
+        private ticks: the snapshot settles first, so its bytes are
+        the oracle's."""
+        from repro.memctrl import transaction
+        from repro.resilience.runtime import ResilienceRuntime
+
+        owed = {}  # engine -> most core ticks unapplied at a boundary
+        take_checkpoint = ResilienceRuntime.take_checkpoint
+
+        def spying(runtime, system):
+            owed[engine] = max(
+                [owed.get(engine, 0)]
+                + [system.current_cycle - c._clock
+                   for c in system.cores if not c.done]
+            )
+            return take_checkpoint(runtime, system)
+
+        monkeypatch.setattr(ResilienceRuntime, "take_checkpoint", spying)
+        directory = tmp_path / "checkpoints"
+        # Transaction ids come from a process-global counter; rebase it
+        # so both runs mint the same ids (each is its own process in
+        # production).
+        base = transaction.txn_id_watermark()
+        blobs = {}
+        try:
+            for engine in ("cycle", "columnar"):
+                transaction._next_txn_id = base
+                builder = SystemBuilder(seed=5)
+                builder.add_core(
+                    make_trace("h264ref", 150, seed=5),
+                    request_shaping=RequestShapingPlan(
+                        uniform_config(SPEC, 2)
+                    ),
+                )
+                builder.add_core(make_trace("gcc", 150, seed=6))
+                builder.with_resilience(ResilienceConfig(
+                    checkpoint_every=997,
+                    checkpoint_dir=str(directory),
+                    checkpoint_keep=100,
+                ))
+                builder.build().run(
+                    12_000, stop_when_done=False, engine=engine
+                )
+                blobs[engine] = [
+                    path.read_bytes()
+                    for path in sorted(directory.glob("*.snap"))
+                ]
+                shutil.rmtree(directory)
+        finally:
+            transaction.advance_txn_id_watermark(base + 1_000_000)
+        assert owed["cycle"] == 0  # the oracle runs every tick
+        assert owed["columnar"] > 0  # a boundary inside a private span
+        assert len(blobs["cycle"]) == 12
+        assert blobs["cycle"] == blobs["columnar"]
+
+
 # -- GA tuner checkpointing ------------------------------------------------
 
 
