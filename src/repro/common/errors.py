@@ -147,13 +147,13 @@ class SnapshotError(ResilienceError):
 class ShardTimeoutError(ResilienceError):
     """A sweep shard exceeded its per-attempt execution budget.
 
-    Raised by :class:`repro.parallel.SweepExecutor` when a pooled
-    worker holds a shard past ``RetryPolicy.timeout_seconds`` — a
-    wedged simulation (unserviceable shaping configuration in a
-    spawned worker, a hung import) must abort the shard with a typed
-    error instead of hanging the whole sweep.  ``dump`` carries a
+    Raised by :class:`repro.parallel.SweepExecutor` when a pool lane
+    holds a shard past ``RetryPolicy.timeout_seconds`` — a wedged
+    simulation (unserviceable shaping configuration in a spawned
+    worker, a hung import) must abort the shard with a typed error
+    instead of hanging the whole sweep.  ``dump`` carries a
     watchdog-style structured picture of the stuck shard (index,
-    label, timeout, chunk geometry, whether the pool was rebuilt);
+    label, attempt, timeout, jobs, whether the pool was terminated);
     the executor also mirrors it as a ``parallel.shard_timeout``
     diagnostic event.
     """

@@ -1,32 +1,31 @@
 """Fault-tolerant multi-host sweep dispatch.
 
-:class:`DispatchCoordinator` fans a :class:`~repro.parallel.executor.
-SweepExecutor`'s shards out to remote worker hosts
-(:mod:`repro.parallel.worker`) over the digest-verified frame protocol
-(:mod:`repro.parallel.protocol`), and owns every robustness decision
-in between:
+:class:`DispatchCoordinator` gives a :class:`~repro.parallel.executor.
+SweepExecutor`'s shard loop its *remote lanes* — one per worker host
+(:mod:`repro.parallel.worker`), speaking the digest-verified frame
+protocol (:mod:`repro.parallel.protocol`) — and keeps the account of
+what happened on them.  The loop itself
+(:class:`~repro.parallel.executor.ShardLoop`: queue, attempt budget,
+backoff, requeue, the typed failure at the budget) is the one every
+local run uses too; what is particular to a remote lane lives here:
 
-* **leases** — each dispatched shard carries a lease id; the
-  coordinator's wait for the next frame is bounded by
-  ``lease_seconds``, and the worker's heartbeats (sent while its pool
-  executes) renew that wait.  Silence past the deadline is a
+* **leases** — each dispatched shard carries a lease id; the lane's
+  wait for the next frame is bounded by ``lease_seconds``, and the
+  worker's heartbeats (sent while its pool executes) renew that wait.
+  Silence past the deadline is a
   :class:`~repro.common.errors.LeaseExpiredError`: the host is
   presumed wedged or partitioned.
-* **liveness + re-dispatch** — a lost host (connect failure, reset,
-  EOF), an expired lease, or a corrupt frame retires that host for
-  the rest of the run and requeues its shard for a surviving host,
-  after an exponential-backoff delay computed by the *same*
-  :class:`~repro.resilience.retry.RetryPolicy` the local executor
-  uses (satisfying the one-resilience-vocabulary rule).  Task-raised
-  exceptions are different: they travel in-band, consume the policy's
-  ``max_attempts`` budget, and end in the same typed
-  :class:`~repro.common.errors.WorkerFailureError` a local run would
-  raise.
-* **graceful degradation** — when every host is retired, whatever is
-  still unresolved drains through a caller-supplied local runner (the
-  executor's own inline/pooled path), flagged via the
-  ``dispatch.degraded`` event and gauge; the sweep *completes*, it
-  never silently loses shards.
+* **a lane that can be lost** — a lost host (connect failure, reset,
+  EOF), an expired lease, a corrupt frame or a version mismatch
+  retires that host for the rest of the coordinator's life and hands
+  the shard back to the loop *uncharged* (the task never got a chance
+  to be wrong).  Task-raised exceptions are different: they travel
+  in-band and are charged against ``max_attempts`` exactly as on a
+  local lane.
+* **the local lanes are the last lanes** — the executor's own lanes
+  ride along and take shards only once every host is retired, flagged
+  via the ``dispatch.degraded`` event and gauge; the sweep
+  *completes*, it never silently loses shards.
 * **ledger** — every transition is recorded in a
   :class:`~repro.parallel.ledger.DispatchLedger` (atomic rewrites),
   so an interrupted sweep leaves an honest on-disk account and the
@@ -52,9 +51,8 @@ from __future__ import annotations
 
 import socket
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.common.errors import (
@@ -63,12 +61,12 @@ from repro.common.errors import (
     HostLostError,
     LeaseExpiredError,
     ShardTransportError,
-    WorkerFailureError,
 )
 from repro.common.rng import DeterministicRng
 from repro.obs import diag
 from repro.obs.events import CATEGORY_DISPATCH
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.executor import LaneLost, ShardLoop, TaskFailed
 from repro.parallel.ledger import DispatchLedger
 from repro.parallel.protocol import FrameChannel, hello_payload
 from repro.parallel.worker import task_spec
@@ -269,53 +267,199 @@ class ChaosProxy:
 # -- coordinator ------------------------------------------------------
 
 
-@dataclass
-class _HostState:
-    """Coordinator-side view of one worker host."""
+class _RemoteLane:
+    """One worker host, as the shard loop sees it: a lane that can be
+    lost.  Lives as long as its coordinator (the connection and the
+    retirement outlast a sweep); ``spec`` names the running sweep's
+    task."""
 
-    index: int
-    address: Tuple[str, int]
-    channel: Optional[FrameChannel] = None
-    alive: bool = True
-    shards_completed: int = 0
+    local = False
+
+    def __init__(self, owner: "DispatchCoordinator",
+                 address: Tuple[str, int]) -> None:
+        self.owner = owner
+        self.address = address
+        self.channel: Optional[FrameChannel] = None
+        self.alive = True
+        self.spec = ""
 
     @property
     def name(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
+    def connect(self) -> None:
+        """Connect + handshake; raises DispatchError flavours."""
+        if self.channel is not None:
+            return
+        timeout = self.owner.connect_timeout
+        try:
+            sock = socket.create_connection(self.address, timeout=timeout)
+        except OSError as exc:
+            raise HostLostError(
+                f"connect to {self.name} failed: {exc}", host=self.name
+            ) from exc
+        channel = FrameChannel(sock, self.name)
+        try:
+            channel.send(
+                "hello", hello_payload(repro.__version__, "coordinator")
+            )
+            try:
+                kind, payload = channel.recv(timeout=timeout)
+            except socket.timeout as exc:
+                raise HostLostError(
+                    f"handshake with {self.name} timed out", host=self.name
+                ) from exc
+            if kind != "hello_ack" or not isinstance(payload, dict):
+                detail = ""
+                if kind == "error" and isinstance(payload, dict):
+                    detail = f": {payload.get('error', '')}"
+                raise ShardTransportError(
+                    f"handshake with {self.name} rejected ({kind}){detail}",
+                    host=self.name,
+                )
+            if payload.get("code_version") != repro.__version__:
+                raise ShardTransportError(
+                    f"{self.name} runs code_version "
+                    f"{payload.get('code_version')!r} != "
+                    f"{repro.__version__} — results would not be "
+                    "cache-compatible",
+                    host=self.name,
+                )
+        except DispatchError:
+            channel.close()
+            raise
+        self.channel = channel
+        self.owner._emit("dispatch.host_up", host=self.name)
 
-@dataclass
-class _PendingShard:
-    """One shard's dispatch bookkeeping (distinct from the executor's
-    submission bookkeeping, which never changes here)."""
+    def close(self) -> None:
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
 
-    shard: Any  # executor _Shard: .index .payload .label .task_seed .digest
-    task_failures: int = 0
-    redispatches: int = 0
+    def _retire(self, error: BaseException) -> LaneLost:
+        """Retire this host for good; returns what to raise to the loop."""
+        owner = self.owner
+        self.alive = False
+        owner._gauge_hosts_alive()
+        owner._count("dispatch.hosts_retired")
+        self.close()
+        reason = f"{type(error).__name__}: {error}"
+        owner._emit("dispatch.host_retired", host=self.name, error=reason)
+        return LaneLost(reason)
 
-    @property
-    def attempts(self) -> int:
-        return self.task_failures + self.redispatches
+    def open(self) -> None:
+        if not self.alive:
+            raise LaneLost(f"{self.name} was retired by an earlier sweep")
+        try:
+            self.connect()
+        except DispatchError as exc:
+            raise self._retire(exc) from exc
+        self.owner._gauge_hosts_alive()
 
+    def execute(self, pending: Any) -> Any:
+        try:
+            return self._lease(pending)
+        except (LeaseExpiredError, ShardTransportError, HostLostError) as exc:
+            if isinstance(exc, LeaseExpiredError):
+                self.owner._count("dispatch.lease_expiries")
+            elif isinstance(exc, ShardTransportError):
+                self.owner._count("dispatch.transport_errors")
+            raise self._retire(exc) from exc
 
-class _TaskFailed(Exception):
-    """Internal: the remote task raised (in-band ok=False result)."""
+    def _lease(self, pending: Any) -> Any:
+        """Send the shard, then wait out its lease for the result."""
+        owner, shard = self.owner, pending.shard
+        lease = f"{shard.index}:{pending.attempts + 1}"
+        if owner.chaos is not None:
+            owner.chaos.before_send(self.name, shard.index)
+        channel = self.channel
+        assert channel is not None
+        channel.send(
+            "shard",
+            {
+                "shard": shard.index,
+                "lease": lease,
+                "fn": self.spec,
+                "payload": shard.payload,
+                "task_seed": shard.task_seed,
+                "label": shard.label,
+            },
+        )
+        owner._count("dispatch.shards_dispatched")
+        owner.ledger.record(
+            shard.index, "leased", label=shard.label, host=self.name,
+            attempts=pending.attempts + 1,
+        )
+        owner._emit(
+            "dispatch.shard_leased", shard=shard.index, host=self.name,
+            lease=lease,
+        )
+
+        def real_recv() -> Tuple[str, Any]:
+            return channel.recv(timeout=owner.lease_seconds)
+
+        while True:
+            try:
+                if owner.chaos is not None:
+                    kind, payload = owner.chaos.recv(
+                        self.name, shard.index, lease, real_recv
+                    )
+                else:
+                    kind, payload = real_recv()
+            except socket.timeout as exc:
+                raise LeaseExpiredError(
+                    f"lease {lease} on {self.name} expired after "
+                    f"{owner.lease_seconds}s without heartbeat or result",
+                    host=self.name, shard=shard.index,
+                    lease_seconds=owner.lease_seconds,
+                ) from exc
+            if not isinstance(payload, dict):
+                raise ShardTransportError(
+                    f"non-object {kind!r} payload from {self.name}",
+                    host=self.name, shard=shard.index,
+                )
+            if payload.get("lease") != lease:
+                # A frame from a previous lease (e.g. a result that
+                # raced its own expiry): log and keep waiting — stale
+                # results are *never* merged.
+                owner._emit(
+                    "dispatch.stale_frame", shard=shard.index,
+                    host=self.name, kind=kind,
+                    stale_lease=str(payload.get("lease")),
+                )
+                continue
+            if kind == "heartbeat":
+                owner._count("dispatch.heartbeats")
+                owner._emit(
+                    "dispatch.heartbeat", shard=shard.index,
+                    host=self.name, seq=payload.get("seq", 0),
+                )
+                continue
+            if kind == "result":
+                if payload.get("ok"):
+                    return payload.get("value")
+                raise TaskFailed(payload.get("error", "unknown error"))
+            raise ShardTransportError(
+                f"unexpected {kind!r} frame from {self.name} while "
+                f"waiting on lease {lease}",
+                host=self.name, shard=shard.index,
+            )
 
 
 class DispatchCoordinator:
-    """Fans shards out to worker hosts; survives the hosts not
-    surviving.
+    """Runs shards on worker hosts; survives the hosts not surviving.
 
     Parameters
     ----------
     hosts:
         ``(host, port)`` pairs, or a ``"h:p,h:p"`` spec string.
     retry:
-        Shared :class:`RetryPolicy`: ``max_attempts`` bounds in-band
-        task failures per shard, the backoff fields pace re-dispatch.
+        The :class:`RetryPolicy` of a dispatched sweep, on every lane:
+        ``max_attempts`` bounds charged attempts per shard, the backoff
+        fields pace every requeue.
     lease_seconds:
         Frame-wait deadline per dispatched shard (renewed by
-        heartbeats).
+        heartbeats) — the remote lanes' lease.
     ledger:
         Path, :class:`DispatchLedger`, or ``None`` (in-memory ledger).
     chaos:
@@ -353,11 +497,10 @@ class DispatchCoordinator:
         self.ledger: DispatchLedger = (
             ledger if ledger is not None else DispatchLedger(None)
         )
-        self._hosts = [
-            _HostState(index=i, address=tuple(addr))
-            for i, addr in enumerate(hosts)
-        ]
+        self._hosts = [_RemoteLane(self, tuple(addr)) for addr in hosts]
         self.degraded = False
+        # Lanes report from their own threads; counter adds are racy.
+        self._lock = threading.Lock()
         self.registry = MetricsRegistry()
         self.registry.gauge("dispatch.hosts_configured").set(len(self._hosts))
         self.registry.gauge("dispatch.hosts_alive").set(0)
@@ -378,103 +521,35 @@ class DispatchCoordinator:
             "dispatch.local_fallback_shards",
         ):
             self.registry.counter(family)
-        self._cond = threading.Condition()
-        self._queue: Deque[_PendingShard] = deque()
-        self._results: Dict[int, Any] = {}
-        self._unresolved: set = set()
-        self._failure: Optional[BaseException] = None
-
-    # -- events / counters (callers hold no lock; diag is append-only,
-    # -- counters are plain int adds guarded by self._cond where racy) --
 
     def _emit(self, name: str, shard: int = -1, **args: Any) -> None:
         diag.emit_diagnostic(
             name, category=CATEGORY_DISPATCH, shard=shard, **args
         )
 
-    # -- connection management ----------------------------------------
+    def _count(self, family: str) -> None:
+        with self._lock:
+            self.registry.counter(family).inc()
 
-    def _connect(self, state: _HostState) -> None:
-        """Connect + handshake one host; raises DispatchError flavours."""
-        if state.channel is not None:
-            return
-        try:
-            sock = socket.create_connection(
-                state.address, timeout=self.connect_timeout
+    def _gauge_hosts_alive(self) -> None:
+        with self._lock:
+            self.registry.gauge("dispatch.hosts_alive").set(
+                sum(1 for lane in self._hosts if lane.alive)
             )
-        except OSError as exc:
-            raise HostLostError(
-                f"connect to {state.name} failed: {exc}", host=state.name
-            ) from exc
-        channel = FrameChannel(sock, state.name)
-        try:
-            channel.send(
-                "hello", hello_payload(repro.__version__, "coordinator")
-            )
-            kind, payload = channel.recv(timeout=self.connect_timeout)
-        except socket.timeout as exc:
-            channel.close()
-            raise HostLostError(
-                f"handshake with {state.name} timed out", host=state.name
-            ) from exc
-        except DispatchError:
-            channel.close()
-            raise
-        if kind != "hello_ack" or not isinstance(payload, dict):
-            detail = ""
-            if kind == "error" and isinstance(payload, dict):
-                detail = f": {payload.get('error', '')}"
-            channel.close()
-            raise ShardTransportError(
-                f"handshake with {state.name} rejected ({kind}){detail}",
-                host=state.name,
-            )
-        if payload.get("code_version") != repro.__version__:
-            channel.close()
-            raise ShardTransportError(
-                f"{state.name} runs code_version "
-                f"{payload.get('code_version')!r} != {repro.__version__} — "
-                "results would not be cache-compatible",
-                host=state.name,
-            )
-        state.channel = channel
-        self._emit("dispatch.host_up", host=state.name)
-
-    def _retire_host(self, state: _HostState, error: BaseException) -> None:
-        with self._cond:
-            if not state.alive:
-                return
-            state.alive = False
-            alive = sum(1 for h in self._hosts if h.alive)
-            self.registry.gauge("dispatch.hosts_alive").set(alive)
-            self.registry.counter("dispatch.hosts_retired").inc()
-            self._cond.notify_all()
-        if state.channel is not None:
-            state.channel.close()
-            state.channel = None
-        self._emit(
-            "dispatch.host_retired", host=state.name,
-            error=f"{type(error).__name__}: {error}",
-        )
 
     def close(self) -> None:
         """Drop all connections (worker hosts keep serving)."""
-        for state in self._hosts:
-            if state.channel is not None:
-                state.channel.close()
-                state.channel = None
+        for lane in self._hosts:
+            lane.close()
 
     def shutdown_workers(self) -> None:
         """Ask every reachable worker *process* to exit, then close."""
-        for state in self._hosts:
+        for lane in self._hosts:
             try:
-                self._connect(state)
+                lane.connect()
+                lane.channel.send("shutdown", {"stop_server": True})
             except DispatchError:
-                continue
-            try:
-                state.channel.send("shutdown", {"stop_server": True})
-            except DispatchError:
-                pass  # already gone — the goal state anyway
+                continue  # unreachable or already gone — the goal state
         self.close()
 
     # -- the run ------------------------------------------------------
@@ -485,17 +560,17 @@ class DispatchCoordinator:
         shards: Sequence[Any],
         kind: str = "",
         cached_shards: Sequence[Any] = (),
-        local_runner: Optional[
-            Callable[[List[Any]], Dict[int, Any]]
-        ] = None,
+        local_lanes: Sequence[Any] = (),
+        observers: Sequence[Callable[..., None]] = (),
     ) -> Dict[int, Any]:
         """Execute ``shards`` across the hosts; returns index->result.
 
         ``cached_shards`` are recorded in the ledger (state
         ``cached``) but never dispatched — the executor already served
-        them from the result cache.  ``local_runner`` is the
-        degradation path: called with every shard still unresolved
-        after all hosts are gone.
+        them from the result cache.  ``local_lanes`` are the last
+        lanes: they run whatever is unresolved once every host is
+        retired; with none, that is a :class:`DispatchError`.
+        ``observers`` join this coordinator in watching the loop.
         """
         spec = task_spec(fn)
         self.ledger.begin(
@@ -504,15 +579,11 @@ class DispatchCoordinator:
             len(shards) + len(cached_shards),
         )
         for shard in cached_shards:
-            self.registry.counter("dispatch.cached_shards").inc()
+            self._count("dispatch.cached_shards")
             self.ledger.record(
                 shard.index, "cached", label=shard.label,
                 digest=getattr(shard, "digest", None) or "",
             )
-        self._queue = deque(_PendingShard(shard) for shard in shards)
-        self._results = {}
-        self._unresolved = {shard.index for shard in shards}
-        self._failure = None
         for shard in shards:
             self.ledger.record(shard.index, "queued", label=shard.label)
         self._emit(
@@ -520,293 +591,70 @@ class DispatchCoordinator:
             shards=len(shards), cached=len(cached_shards),
             hosts=len(self._hosts),
         )
-
-        threads = []
-        for state in self._hosts:
-            if not state.alive:
-                continue
-            thread = threading.Thread(
-                target=self._host_loop, args=(state, spec),
-                name=f"dispatch-{state.name}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-
-        if self._failure is not None:
-            raise self._failure
-
-        leftovers = self._drain_leftovers()
-        if leftovers:
-            self._run_degraded(leftovers, local_runner)
-
+        for lane in self._hosts:
+            lane.spec = spec
+        # Local lanes first: the loop drives lanes[0] on this thread.
+        results = ShardLoop(
+            shards, [*local_lanes, *self._hosts], self.retry,
+            self._sleep, self._rng, [self._observe, *observers],
+        ).run()
         self._emit(
             "dispatch.sweep_done", shards=len(shards),
             degraded=self.degraded,
         )
-        return dict(self._results)
+        return results
 
-    def _drain_leftovers(self) -> List[_PendingShard]:
-        with self._cond:
-            leftovers = sorted(self._queue, key=lambda p: p.shard.index)
-            self._queue.clear()
-            missing = self._unresolved - {
-                p.shard.index for p in leftovers
-            }
-            if missing:
-                raise DispatchError(
-                    f"shards {sorted(missing)} neither completed nor "
-                    "requeued — coordinator bookkeeping bug"
-                )
-            return leftovers
-
-    def _run_degraded(
-        self,
-        leftovers: List[_PendingShard],
-        local_runner: Optional[Callable[[List[Any]], Dict[int, Any]]],
-    ) -> None:
-        self.degraded = True
-        self.registry.gauge("dispatch.degraded").set(1)
-        self.registry.counter("dispatch.local_fallback_shards").inc(
-            len(leftovers)
-        )
-        self.ledger.set_degraded(True)
-        self._emit(
-            "dispatch.degraded", shards=len(leftovers),
-            reason="all hosts retired",
-        )
-        if local_runner is None:
-            raise DispatchError(
-                f"all {len(self._hosts)} host(s) retired with "
-                f"{len(leftovers)} shard(s) unresolved and no local "
-                "runner to degrade to"
+    def _observe(self, event: str, pending: Any, lane: Any,
+                 **info: Any) -> None:
+        """The ``dispatch.*`` side of a shard-loop transition: counters,
+        ledger and events."""
+        if event == "degraded":
+            self.degraded = True
+            self.registry.gauge("dispatch.degraded").set(1)
+            self.ledger.set_degraded(True)
+            self._emit(
+                "dispatch.degraded", shards=info["shards"],
+                reason="all hosts retired",
             )
-        local_results = local_runner([p.shard for p in leftovers])
-        for pending in leftovers:
-            index = pending.shard.index
-            if index not in local_results:
-                raise DispatchError(
-                    f"local drain did not produce shard {index}"
-                )
-            self._results[index] = local_results[index]
-            self._unresolved.discard(index)
-            self.ledger.record(
-                index, "local", label=pending.shard.label,
-                attempts=pending.attempts + 1,
-            )
-
-    # -- per-host worker thread ---------------------------------------
-
-    def _host_loop(self, state: _HostState, spec: str) -> None:
-        try:
-            self._connect(state)
-        except DispatchError as exc:
-            self._retire_host(state, exc)
             return
-        with self._cond:
-            alive = sum(1 for h in self._hosts if h.alive)
-            self.registry.gauge("dispatch.hosts_alive").set(alive)
-        while True:
-            with self._cond:
-                while (
-                    not self._queue
-                    and self._unresolved
-                    and self._failure is None
-                    and state.alive
-                ):
-                    self._cond.wait(timeout=0.05)
-                if (
-                    self._failure is not None
-                    or not self._unresolved
-                    or not state.alive
-                ):
-                    return
-                if not self._queue:
-                    continue
-                pending = self._queue.popleft()
-            try:
-                value = self._execute_on_host(state, spec, pending)
-            except _TaskFailed as exc:
-                self._handle_task_failure(state, pending, exc)
-                continue
-            except (
-                LeaseExpiredError, ShardTransportError, HostLostError,
-            ) as exc:
-                self._handle_transport_failure(state, pending, exc)
-                return
-            except Exception as exc:  # defensive: never strand a shard
-                with self._cond:
-                    self._queue.append(pending)
-                    if self._failure is None:
-                        self._failure = exc
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._results[pending.shard.index] = value
-                self._unresolved.discard(pending.shard.index)
-                state.shards_completed += 1
-                self.registry.counter("dispatch.shards_completed").inc()
-                self._cond.notify_all()
+        shard = pending.shard
+        if event == "done" and lane.local:
+            self._count("dispatch.local_fallback_shards")
             self.ledger.record(
-                pending.shard.index, "completed",
-                label=pending.shard.label, host=state.name,
+                shard.index, "local", label=shard.label,
                 attempts=pending.attempts + 1,
-                digest=getattr(pending.shard, "digest", None) or "",
+            )
+        elif event == "done":
+            self._count("dispatch.shards_completed")
+            self.ledger.record(
+                shard.index, "completed", label=shard.label,
+                host=lane.name, attempts=pending.attempts + 1,
+                digest=getattr(shard, "digest", None) or "",
             )
             self._emit(
-                "dispatch.shard_done", shard=pending.shard.index,
-                host=state.name, attempts=pending.attempts + 1,
+                "dispatch.shard_done", shard=shard.index, host=lane.name,
+                attempts=pending.attempts + 1,
             )
-
-    def _execute_on_host(
-        self, state: _HostState, spec: str, pending: _PendingShard
-    ) -> Any:
-        shard = pending.shard
-        lease = f"{shard.index}:{pending.attempts + 1}"
-        if self.chaos is not None:
-            self.chaos.before_send(state.name, shard.index)
-        assert state.channel is not None
-        state.channel.send(
-            "shard",
-            {
-                "shard": shard.index,
-                "lease": lease,
-                "fn": spec,
-                "payload": shard.payload,
-                "task_seed": shard.task_seed,
-                "label": shard.label,
-            },
-        )
-        with self._cond:
-            self.registry.counter("dispatch.shards_dispatched").inc()
-        self.ledger.record(
-            shard.index, "leased", label=shard.label, host=state.name,
-            attempts=pending.attempts + 1,
-        )
-        self._emit(
-            "dispatch.shard_leased", shard=shard.index, host=state.name,
-            lease=lease,
-        )
-
-        def real_recv() -> Tuple[str, Any]:
-            assert state.channel is not None
-            return state.channel.recv(timeout=self.lease_seconds)
-
-        while True:
-            try:
-                if self.chaos is not None:
-                    kind, payload = self.chaos.recv(
-                        state.name, shard.index, lease, real_recv
-                    )
-                else:
-                    kind, payload = real_recv()
-            except socket.timeout as exc:
-                raise LeaseExpiredError(
-                    f"lease {lease} on {state.name} expired after "
-                    f"{self.lease_seconds}s without heartbeat or result",
-                    host=state.name, shard=shard.index,
-                    lease_seconds=self.lease_seconds,
-                ) from exc
-            if not isinstance(payload, dict):
-                raise ShardTransportError(
-                    f"non-object {kind!r} payload from {state.name}",
-                    host=state.name, shard=shard.index,
-                )
-            if payload.get("lease") != lease:
-                # A frame from a previous lease (e.g. a result that
-                # raced its own expiry): log and keep waiting — stale
-                # results are *never* merged.
-                self._emit(
-                    "dispatch.stale_frame", shard=shard.index,
-                    host=state.name, kind=kind,
-                    stale_lease=str(payload.get("lease")),
-                )
-                continue
-            if kind == "heartbeat":
-                with self._cond:
-                    self.registry.counter("dispatch.heartbeats").inc()
-                self._emit(
-                    "dispatch.heartbeat", shard=shard.index,
-                    host=state.name, seq=payload.get("seq", 0),
-                )
-                continue
-            if kind == "result":
-                if payload.get("ok"):
-                    return payload.get("value")
-                raise _TaskFailed(payload.get("error", "unknown error"))
-            raise ShardTransportError(
-                f"unexpected {kind!r} frame from {state.name} while "
-                f"waiting on lease {lease}",
-                host=state.name, shard=shard.index,
+        elif event == "charged":
+            self._count("dispatch.task_failures")
+            self._emit(
+                "dispatch.shard_task_failed", shard=shard.index,
+                host=lane.name, attempts=pending.attempts,
+                error=info["error"],
             )
-
-    # -- failure handling ---------------------------------------------
-
-    def _handle_task_failure(
-        self, state: _HostState, pending: _PendingShard, exc: _TaskFailed
-    ) -> None:
-        """The task itself raised on the worker: budget it like the
-        local executor budgets attempts."""
-        pending.task_failures += 1
-        with self._cond:
-            self.registry.counter("dispatch.task_failures").inc()
-        self._emit(
-            "dispatch.shard_task_failed", shard=pending.shard.index,
-            host=state.name, attempts=pending.attempts,
-            error=str(exc),
-        )
-        if pending.task_failures >= self.retry.max_attempts:
-            failure = WorkerFailureError(
-                f"task {pending.shard.label} failed after "
-                f"{pending.task_failures} attempt(s): {exc}",
-                task_index=pending.shard.index,
-                label=pending.shard.label,
-                attempts=pending.task_failures,
-                last_error=str(exc),
-            )
+            if info["terminal"]:
+                self.ledger.record(
+                    shard.index, "failed", label=shard.label,
+                    attempts=pending.attempts, detail=info["error"],
+                )
+        elif event == "requeued":
+            self._count("dispatch.redispatches")
             self.ledger.record(
-                pending.shard.index, "failed", label=pending.shard.label,
-                attempts=pending.attempts, detail=str(exc),
+                shard.index, "requeued", label=shard.label,
+                attempts=pending.attempts,
             )
-            with self._cond:
-                if self._failure is None:
-                    self._failure = failure
-                self._cond.notify_all()
-            return
-        self._requeue(pending, f"task failure: {exc}")
-
-    def _handle_transport_failure(
-        self, state: _HostState, pending: _PendingShard, exc: BaseException
-    ) -> None:
-        """The *transport* failed: retire the host, requeue the shard
-        (transport loss does not consume the task's attempt budget —
-        the task never got a chance to be wrong)."""
-        with self._cond:
-            if isinstance(exc, LeaseExpiredError):
-                self.registry.counter("dispatch.lease_expiries").inc()
-            elif isinstance(exc, ShardTransportError):
-                self.registry.counter("dispatch.transport_errors").inc()
-        self._retire_host(state, exc)
-        pending.redispatches += 1
-        self._requeue(pending, f"{type(exc).__name__}: {exc}")
-
-    def _requeue(self, pending: _PendingShard, reason: str) -> None:
-        delay = self.retry.backoff_delay(
-            max(1, pending.attempts), rng=self._rng
-        )
-        if delay > 0.0:
-            self._sleep(delay)
-        with self._cond:
-            self.registry.counter("dispatch.redispatches").inc()
-            self._queue.append(pending)
-            self._cond.notify_all()
-        self.ledger.record(
-            pending.shard.index, "requeued", label=pending.shard.label,
-            attempts=pending.attempts,
-        )
-        self._emit(
-            "dispatch.shard_requeued", shard=pending.shard.index,
-            attempts=pending.attempts, reason=reason,
-            backoff_seconds=delay,
-        )
+            self._emit(
+                "dispatch.shard_requeued", shard=shard.index,
+                attempts=pending.attempts, reason=info["reason"],
+                backoff_seconds=info["backoff_seconds"],
+            )

@@ -1,65 +1,53 @@
 """Deterministic fan-out of independent simulation points.
 
 :class:`SweepExecutor` runs a list of tasks — module-level functions
-applied to picklable payloads — either inline (``jobs=1``) or across
-worker processes (``jobs>1``, ``spawn`` start method), and merges the
-results **in submission order**.  Combined with the facts that every
-task is a pure function of its payload and that per-task RNG
-substreams are derived from the submission index alone
+applied to picklable payloads — and merges the results **in submission
+order**.  Combined with the facts that every task is a pure function
+of its payload and that per-task RNG substreams are derived from the
+submission index alone
 (:meth:`~repro.common.rng.DeterministicRng.substream`), the merged
-output is bit-identical for every ``jobs`` value: parallelism is an
-execution detail, never an observable one.  docs/parallel.md states
-the full determinism contract.
+output is bit-identical wherever the tasks ran: parallelism and
+placement are execution details, never observable ones.
+docs/parallel.md states the full determinism contract.
 
-Layered on top:
+Lanes and the shard loop
+------------------------
+A *lane* is anything that executes one shard at a time: the calling
+thread (``jobs=1`` or a single shard), one slot of the warm ``spawn``
+pool (``jobs=N``), or a remote worker host (``dispatch=``, see
+:mod:`repro.parallel.dispatch`).  :class:`ShardLoop` is the only way a
+shard ever runs on any of them — one queue, one attempt counter per
+shard, one backoff computation, one place a
+:class:`~repro.common.errors.WorkerFailureError` is built — so what a
+failed attempt costs does not depend on where the shard happened to
+run (the failure matrix is in docs/dispatch.md).  ``SweepExecutor.map``
+is what surrounds the loop: seeds, the content-addressed result cache
+(:mod:`repro.parallel.cache` — a task whose input digest already has a
+stored result is not run at all), and the merge of per-shard metrics
+registries.  Per-shard lifecycle events land in the process-global
+diagnostics ring (:mod:`repro.obs.diag`) and, when a tracer is
+attached, in that tracer under
+:data:`~repro.obs.events.CATEGORY_PARALLEL`.
 
-* a content-addressed result cache (:mod:`repro.parallel.cache`) —
-  tasks whose input digest already has a stored result are not run at
-  all, which turns a repeated sweep into pure file reads;
-* worker-failure retry and per-attempt timeouts via
-  :class:`repro.resilience.retry.RetryPolicy` — a worker process dying
-  (OOM killer, BrokenProcessPool) re-runs only the affected shards;
-* per-shard progress events through :mod:`repro.obs` — lifecycle
-  events land in the process-global diagnostics ring
-  (:mod:`repro.obs.diag`) and, when a tracer is attached, in that
-  tracer under :data:`~repro.obs.events.CATEGORY_PARALLEL`.
-
+The warm pool
+-------------
 The ``spawn`` start method is deliberate: it is the only start method
 available everywhere, and it guarantees workers build their state from
 the pickled payload alone — a forked copy of a warm parent could
-smuggle in mutated globals and break the jobs-invariance contract.
-
-Pool reuse and chunking
------------------------
-``spawn`` pays a real price: each worker is a fresh interpreter that
-re-imports the simulator stack before it can run its first task.  The
-original executor built a brand-new pool per :meth:`SweepExecutor.map`
-call and shipped one future per task, so short sweeps spent more time
-spawning and pickling than simulating (a 0.75x *slowdown* at
-``jobs=4``).  Two fixes, neither observable in the merged output
-(``benchmarks/perf``'s ``sweep_fig2`` workload reports what they buy:
-``parallel.speedup_j2``, ``pool_spawn_s``, ``cache_replay_s``):
-
-* **a warm persistent pool** — one module-level ``spawn`` pool is kept
-  alive across ``map`` calls (rebuilt only when more workers are
-  needed or the pool broke), with an ``initializer`` that pre-imports
-  the simulator stack so the first real task in each worker does not
-  pay the import latency.  Worker reuse is safe for the same reason
-  parallelism is: tasks are pure functions of their payloads and may
-  not mutate module state they expect to see again.
-* **task chunking** — tasks are grouped into contiguous chunks (one
-  future per chunk, ``fn`` pickled once per chunk) and key/value pairs
-  shared by every payload in a chunk are factored out and shipped
-  once, instead of re-serializing the full sweep spec per point.
-  Workers rebuild each payload as ``{**shared, **delta}``; dict
-  equality is order-insensitive and tasks are functions of payload
-  *values*, so results are unchanged.  Cache digests are computed
-  parent-side from the original payloads and never see the split.
-
-Failure handling keeps per-task granularity: a chunk worker catches
-each task's exception and returns it in-band, so retries and
-:class:`~repro.common.errors.WorkerFailureError` still name the exact
-shard that failed, and a retry re-runs only that shard.
+smuggle in mutated globals and break the jobs-invariance contract.  It
+pays a real price: each worker is a fresh interpreter that re-imports
+the simulator stack before it can run its first task.  So one
+module-level ``spawn`` pool is kept alive across ``map`` calls (rebuilt
+only when more workers are needed or the pool broke), with an
+``initializer`` that pre-imports the simulator stack.  Worker reuse is
+safe for the same reason parallelism is: tasks are pure functions of
+their payloads and may not mutate module state they expect to see
+again.  Each pool lane keeps one single-shard future in flight and
+takes its next shard from the loop's queue when that one resolves, so
+uneven tasks balance themselves; a sweep payload pickles to a few
+hundred bytes and a future round trip costs ~0.15 ms against tasks of
+100 ms and up (``benchmarks/perf``'s ``sweep_fig2`` workload reports
+``parallel.speedup_j2`` and ``pool_spawn_s``).
 """
 
 from __future__ import annotations
@@ -68,11 +56,14 @@ import atexit
 import concurrent.futures
 import inspect
 import multiprocessing
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.common.errors import (
     ConfigurationError,
+    DispatchError,
     ShardTimeoutError,
     WorkerFailureError,
 )
@@ -81,12 +72,11 @@ from repro.obs import diag
 from repro.obs.events import CATEGORY_PARALLEL
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.cache import ResultCache, cache_key, config_digest
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, run_attempts
-
-#: Chunks per worker in one ``map`` call.  Two rounds per worker keeps
-#: the amortization (``fn`` + the factored-out shared spec pickle once
-#: per chunk) while leaving slack for uneven task costs.
-_CHUNK_ROUNDS = 2
+from repro.resilience.retry import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
+    _default_sleep,
+)
 
 
 def _call_task(fn: Callable[..., Any], payload: Any,
@@ -95,64 +85,6 @@ def _call_task(fn: Callable[..., Any], payload: Any,
     if task_seed is None:
         return fn(payload)
     return fn(payload, task_seed=task_seed)
-
-
-def _call_task_chunk(
-    fn: Callable[..., Any],
-    shared: Optional[Dict[str, Any]],
-    items: Sequence[Tuple[Any, Optional[int]]],
-) -> List[Tuple[bool, Any]]:
-    """Run a chunk of tasks in one worker round-trip.
-
-    ``items`` holds ``(delta, task_seed)`` pairs; when ``shared`` is
-    not None each payload is rebuilt as ``{**shared, **delta}`` (the
-    chunk-common keys were factored out parent-side so they pickle
-    once per chunk, not once per task).  Per-task exceptions are
-    returned in-band as ``(False, exception)`` so the parent can retry
-    and report the exact shard that failed instead of losing the whole
-    chunk.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for delta, task_seed in items:
-        if shared is None:
-            payload = delta
-        else:
-            payload = dict(shared)
-            payload.update(delta)
-        try:
-            out.append((True, _call_task(fn, payload, task_seed)))
-        except BaseException as exc:  # returned, not raised: in-band
-            out.append((False, exc))
-    return out
-
-
-def _split_common(
-    payloads: Sequence[Any],
-) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
-    """Factor the key/value pairs shared by every payload in a chunk.
-
-    Returns ``(shared, deltas)`` where each original payload equals
-    ``{**shared, **delta}``.  Only dict payloads participate; the
-    identical-type guard keeps ``1``/``True``-style coercions from
-    swapping a value's type during reconstruction.
-    """
-    if len(payloads) < 2 or not all(isinstance(p, dict) for p in payloads):
-        return None, list(payloads)
-    first = payloads[0]
-    shared = {
-        key: value
-        for key, value in first.items()
-        if all(
-            key in p and type(p[key]) is type(value) and p[key] == value
-            for p in payloads[1:]
-        )
-    }
-    if not shared:
-        return None, list(payloads)
-    deltas = [
-        {k: v for k, v in p.items() if k not in shared} for p in payloads
-    ]
-    return shared, deltas
 
 
 def _warm_worker() -> None:  # pragma: no cover - runs in spawned workers
@@ -179,53 +111,54 @@ def _warm_worker() -> None:  # pragma: no cover - runs in spawned workers
 # The warm pool is deliberately module-global mutable state: the whole
 # point is reuse across SweepExecutor instances.  It never influences
 # results (workers are stateless between pure tasks), only latency.
+# Pool lanes are threads, so every swap of the global holds the lock.
 _POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
 
 
 def _warm_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     """The shared spawn pool, rebuilt only when too small or broken."""
     global _POOL, _POOL_WORKERS
-    pool = _POOL
-    if (
-        pool is not None
-        and not getattr(pool, "_broken", False)
-        and _POOL_WORKERS >= workers
-    ):
+    with _POOL_LOCK:
+        pool = _POOL
+        if (
+            pool is not None
+            and not getattr(pool, "_broken", False)
+            and _POOL_WORKERS >= workers
+        ):
+            return pool
+        if pool is not None:
+            pool.shutdown(wait=False)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_warm_worker,
+        )
+        _POOL = pool
+        _POOL_WORKERS = workers
         return pool
-    if pool is not None:
-        pool.shutdown(wait=False)
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_warm_worker,
-    )
-    _POOL = pool
-    _POOL_WORKERS = workers
-    return pool
 
 
-def _discard_pool() -> None:
-    """Drop the warm pool (after breakage, or at interpreter exit)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=False)
-    _POOL = None
-    _POOL_WORKERS = 0
+def _discard_pool(terminate: bool = False) -> None:
+    """Drop the warm pool (at interpreter exit, or when a host closes).
 
-
-def _terminate_pool() -> None:
-    """Drop the warm pool *and* kill its worker processes.
-
+    ``terminate=True`` also kills its worker processes:
     ``shutdown(wait=False)`` alone leaves a wedged worker running its
-    stuck task forever; after a shard timeout the only way to reclaim
-    the CPU is to terminate the processes outright.  Queued futures on
-    the old pool fail with ``BrokenProcessPool`` and retry on a fresh
-    pool — pure tasks make that safe.
+    stuck task forever, so after a shard timeout the only way to
+    reclaim the CPU is to terminate the processes outright.  Other
+    futures in flight on the old pool fail with ``BrokenProcessPool``
+    and retry on a fresh pool — pure tasks make that safe.
     """
-    pool = _POOL
-    processes = list(getattr(pool, "_processes", {}).values()) if pool else []
-    _discard_pool()
+    global _POOL, _POOL_WORKERS
+    with _POOL_LOCK:
+        pool, _POOL, _POOL_WORKERS = _POOL, None, 0
+    if pool is None:
+        return
+    # shutdown() forgets the processes, so list them first.
+    live = (getattr(pool, "_processes", None) or {}) if terminate else {}
+    processes = list(live.values())
+    pool.shutdown(wait=False)
     for process in processes:
         try:
             process.terminate()
@@ -234,6 +167,29 @@ def _terminate_pool() -> None:
 
 
 atexit.register(_discard_pool)
+
+
+def _pool_call(
+    workers: int,
+    fn: Callable[..., Any],
+    payload: Any,
+    task_seed: Optional[int],
+    wake_seconds: Optional[float],
+    on_wake: Callable[[], None],
+) -> Any:
+    """Run one task on the warm pool: the one submit-and-wait.
+
+    Every ``wake_seconds`` without a result (``None``: never)
+    ``on_wake()`` is called: a worker host sends a heartbeat and keeps
+    waiting, a pool lane raises its shard timeout.  The task's own
+    exception, or the ``BrokenProcessPool`` of a worker that died
+    under it, propagates; the next call finds the broken pool and
+    rebuilds it.
+    """
+    future = _warm_pool(workers).submit(_call_task, fn, payload, task_seed)
+    while not concurrent.futures.wait([future], timeout=wake_seconds).done:
+        on_wake()
+    return future.result()
 
 
 def _wants_task_seed(fn: Callable[..., Any]) -> bool:
@@ -257,15 +213,315 @@ class _Shard:
     cached: bool = False
 
 
+# -- the shard loop ---------------------------------------------------
+
+
+@dataclass
+class _Pending:
+    """One shard's way through the loop (its submission bookkeeping,
+    the :class:`_Shard`, never changes here)."""
+
+    shard: Any  # .index .payload .label .task_seed .digest
+    charged: int = 0  # failed attempts counted against max_attempts
+    redispatches: int = 0  # uncharged: the lane was lost, not the task
+
+    @property
+    def attempts(self) -> int:
+        return self.charged + self.redispatches
+
+
+class LaneLost(Exception):
+    """A lane can no longer run shards, through no fault of its shard.
+
+    Raised by a lane's ``open``/``execute`` *after* the lane has done
+    its own retirement bookkeeping; the loop requeues the shard
+    uncharged and stops driving the lane.  Only remote lanes raise it:
+    a local lane cannot be retired (the pool is rebuilt instead), so a
+    lost pool worker is a charged attempt — an uncharged last lane
+    could loop forever.
+    """
+
+
+class TaskFailed(Exception):
+    """A task raised where its exception could not travel from (a
+    worker host); the message is the worker's ``Type: message``."""
+
+
+class _InlineLane:
+    """Runs shards on whichever thread drives the lane."""
+
+    local = True
+    name = "inline"
+
+    def __init__(self, fn: Callable[..., Any]) -> None:
+        self.fn = fn
+
+    def open(self) -> None:
+        """Local lanes have nothing to connect to."""
+
+    def execute(self, pending: _Pending) -> Any:
+        shard = pending.shard
+        return _call_task(self.fn, shard.payload, shard.task_seed)
+
+
+class _PoolLane(_InlineLane):
+    """One slot of the warm pool; ``timeout_seconds`` is its lease."""
+
+    name = "pool"
+
+    def __init__(self, fn: Callable[..., Any], owner: "SweepExecutor",
+                 workers: int) -> None:
+        super().__init__(fn)
+        self.owner = owner
+        self.workers = workers
+
+    def execute(self, pending: _Pending) -> Any:
+        shard = pending.shard
+        return _pool_call(
+            self.workers, self.fn, shard.payload, shard.task_seed,
+            self.owner.retry.timeout_seconds, lambda: self._expire(pending),
+        )
+
+    def _expire(self, pending: _Pending) -> None:
+        """The lease ran out: raise the typed timeout for a wedged shard.
+
+        Watchdog discipline (docs/resilience.md): the failure carries
+        a structured dump of what was stuck, the event ring gets a
+        mirror of it, and the wedged pool is terminated so the stuck
+        worker cannot keep burning a core behind the sweep's back.
+        """
+        owner, shard = self.owner, pending.shard
+        timeout = owner.retry.timeout_seconds
+        attempt = pending.attempts + 1
+        owner._emit(
+            "parallel.shard_timeout", shard.index, label=shard.label,
+            attempt=attempt, timeout_seconds=timeout,
+        )
+        _discard_pool(terminate=True)
+        raise ShardTimeoutError(
+            f"shard {shard.label} exceeded its {timeout}s attempt budget "
+            f"(attempt {attempt})",
+            task_index=shard.index,
+            label=shard.label,
+            timeout_seconds=timeout or 0.0,
+            dump={
+                "shard": shard.index,
+                "label": shard.label,
+                "attempt": attempt,
+                "timeout_seconds": timeout,
+                "jobs": owner.jobs,
+                "pool_terminated": True,
+            },
+        )
+
+
+#: Key of a failure that is the loop's own, not a shard's; sorts first.
+_LOOP_FAILURE = -1
+
+
+class ShardLoop:
+    """Queue → lease → result/failure → requeue: how every shard runs.
+
+    One loop is one run: ``run()`` drives each lane (``lanes[0]`` on
+    the calling thread, the rest on daemon threads) until every shard
+    is resolved.  A lane takes the next queued shard, executes it, and
+    the loop settles the outcome:
+
+    * *the attempt failed* — the task raised (in-band on every lane
+      kind), a pool worker died under it, or it outran the pool lane's
+      ``timeout_seconds``: charged against ``retry.max_attempts``,
+      paced by ``retry.backoff_delay``, requeued for any live lane;
+      at the budget, a :class:`WorkerFailureError` (or the typed
+      :class:`ShardTimeoutError` when the last attempt timed out).
+    * *the lane was lost* (:class:`LaneLost`, remote lanes only): the
+      shard is requeued **uncharged** and the lane is dropped.
+
+    Local lanes are the last lanes: they take shards only while no
+    remote lane is alive, so a purely local run starts at once and a
+    dispatched run degrades to them when its last host is lost (the
+    ``"degraded"`` transition).  With several terminal failures the one
+    with the lowest shard index is raised — shards above it are
+    abandoned, shards below it still run to their own conclusion.
+
+    ``observers`` are ``observe(event, pending, lane, **info)``
+    callables told of each transition — ``"done"``, ``"charged"``
+    (``error``, ``terminal``), ``"requeued"`` (``reason``,
+    ``backoff_seconds``), ``"degraded"`` (``shards``) — from the lane's
+    thread; they do the ``parallel.*`` / ``dispatch.*`` bookkeeping and
+    guard their own state.  ``sleep`` and ``rng`` make the backoff
+    schedule observable without sleeping.
+    """
+
+    def __init__(
+        self,
+        shards: Sequence[Any],
+        lanes: Sequence[Any],
+        retry: RetryPolicy,
+        sleep: Callable[[float], None] = _default_sleep,
+        rng: Optional[DeterministicRng] = None,
+        observers: Sequence[Callable[..., None]] = (),
+    ) -> None:
+        self.retry = retry
+        self._sleep = sleep
+        self._rng = rng
+        self._observers = tuple(observers)
+        self._lanes = lanes
+        self._remote_alive = sum(not lane.local for lane in lanes)
+        self._has_local = any(lane.local for lane in lanes)
+        self._cond = threading.Condition()
+        self._queue: Deque[_Pending] = deque(_Pending(s) for s in shards)
+        # Unresolved shard indices still wanted; empty ends the run.
+        self._open = {shard.index for shard in shards}
+        self._results: Dict[int, Any] = {}
+        self._failures: Dict[int, BaseException] = {}
+
+    def run(self) -> Dict[int, Any]:
+        """Drive every lane until no shard is open; index -> result."""
+        threads = [
+            threading.Thread(
+                target=self._drive, args=(lane,),
+                name=f"lane-{lane.name}", daemon=True,
+            )
+            for lane in self._lanes[1:]
+        ]
+        for thread in threads:
+            thread.start()
+        self._drive(self._lanes[0])
+        for thread in threads:
+            thread.join()
+        if self._failures:
+            raise self._failures[min(self._failures)]
+        return self._results
+
+    def _drive(self, lane: Any) -> None:
+        try:
+            self._serve(lane)
+        # Not a shard's failure but the loop's own (an observer's
+        # ledger write, an interrupt on the calling thread): every lane
+        # is stopped and run() re-raises it once they have.
+        except BaseException as exc:
+            self._abort(exc)
+
+    def _serve(self, lane: Any) -> None:
+        try:
+            lane.open()
+        except LaneLost:
+            self._lane_lost()
+            return
+        while True:
+            pending = self._take(lane)
+            if pending is None:
+                return
+            try:
+                value = lane.execute(pending)
+            except LaneLost as lost:
+                pending.redispatches += 1
+                self._requeue(pending, str(lost))
+                self._lane_lost()
+                return
+            except Exception as exc:  # noqa: BLE001 — the boundary this exists for
+                self._charge(pending, lane, exc)
+                continue
+            with self._cond:
+                self._results[pending.shard.index] = value
+                self._open.discard(pending.shard.index)
+                self._cond.notify_all()
+            self._notify("done", pending, lane)
+
+    def _take(self, lane: Any) -> Optional[_Pending]:
+        with self._cond:
+            while self._open:
+                if self._queue and not (lane.local and self._remote_alive):
+                    return self._queue.popleft()
+                self._cond.wait()
+        return None
+
+    def _notify(self, event: str, pending: Optional[_Pending],
+                lane: Any, **info: Any) -> None:
+        for observe in self._observers:
+            observe(event, pending, lane, **info)
+
+    def _abort(self, error: BaseException) -> None:
+        with self._cond:
+            self._failures.setdefault(_LOOP_FAILURE, error)
+            self._open.clear()
+            self._queue.clear()
+            self._cond.notify_all()
+
+    def _lane_lost(self) -> None:
+        with self._cond:
+            self._remote_alive -= 1
+            stranded = 0 if self._remote_alive else len(self._open)
+            self._cond.notify_all()
+        if not stranded:
+            return
+        self._notify("degraded", None, None, shards=stranded)
+        if not self._has_local:
+            self._abort(DispatchError(
+                f"every remote lane was lost with {stranded} shard(s) "
+                "unresolved and no local lane to fall back to"
+            ))
+
+    def _charge(self, pending: _Pending, lane: Any,
+                exc: BaseException) -> None:
+        pending.charged += 1
+        error = (
+            str(exc) if isinstance(exc, TaskFailed)
+            else f"{type(exc).__name__}: {exc}"
+        )
+        terminal = pending.charged >= self.retry.max_attempts
+        self._notify("charged", pending, lane, error=error, terminal=terminal)
+        if not terminal:
+            self._requeue(pending, f"task failure: {error}")
+            return
+        shard = pending.shard
+        failure: BaseException
+        if isinstance(exc, ShardTimeoutError):
+            # The last attempt hit its lease: surface the typed timeout
+            # (with its structured dump), not the generic wrapper.
+            exc.dump["attempts"] = pending.charged
+            failure = exc
+        else:
+            failure = WorkerFailureError(
+                f"task {shard.label} failed after {pending.charged} "
+                f"attempt(s): {error}",
+                task_index=shard.index,
+                label=shard.label,
+                attempts=pending.charged,
+                last_error=error,
+            )
+            failure.__cause__ = exc
+        with self._cond:
+            self._failures[shard.index] = failure
+            self._open = {i for i in self._open if i < shard.index}
+            self._queue = deque(
+                p for p in self._queue if p.shard.index in self._open
+            )
+            self._cond.notify_all()
+
+    def _requeue(self, pending: _Pending, reason: str) -> None:
+        delay = self.retry.backoff_delay(pending.attempts, rng=self._rng)
+        if delay > 0.0:
+            self._sleep(delay)
+        with self._cond:
+            if pending.shard.index in self._open:
+                self._queue.appendleft(pending)
+            self._cond.notify_all()
+        self._notify(
+            "requeued", pending, None, reason=reason, backoff_seconds=delay
+        )
+
+
 class SweepExecutor:
     """Order-preserving, cache-aware parallel map over sweep points.
 
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) runs every task inline
-        in the calling process — no pool, no pickling round-trip —
-        and is the reference ordering the parallel path must match.
+        Local lanes.  ``1`` (the default) runs every task on the
+        calling thread — no pool, no pickling round-trip — and is the
+        reference every other placement must match; ``N`` runs
+        ``min(N, shards)`` slots of the warm pool.
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -277,18 +533,19 @@ class SweepExecutor:
         ``None``, a directory path, or a :class:`ResultCache`.  Only
         ``map`` calls that pass ``kind`` participate in caching.
     retry:
-        :class:`RetryPolicy` for worker attempts (default: 2 attempts,
-        no timeout).
+        :class:`RetryPolicy` for attempts on the local lanes (default:
+        2 attempts, no timeout); ``timeout_seconds`` is a pool lane's
+        lease.
     tracer:
         Optional :class:`~repro.obs.tracer.EventTracer`; lifecycle
         events are always mirrored into :mod:`repro.obs.diag`.
     dispatch:
         Optional :class:`~repro.parallel.dispatch.DispatchCoordinator`.
-        When set, shards that miss the cache run on remote worker
-        hosts instead of the local pool; if every host is lost the
-        coordinator drains the remainder back through this executor's
-        local paths (degraded mode).  Placement never affects results
-        — see docs/dispatch.md.
+        When set, shards that miss the cache run on its remote lanes,
+        budgeted and paced by *its* retry policy, and this executor's
+        local lanes are the last lanes: they take shards only once
+        every host is lost (degraded mode).  Placement never affects
+        results — see docs/dispatch.md.
     """
 
     def __init__(
@@ -314,6 +571,8 @@ class SweepExecutor:
         self.tasks_run = 0
         self.tasks_cached = 0
         self.retries = 0
+        # Lanes report from their own threads.
+        self._lock = threading.Lock()
         # Serialized per-task registry documents, absorbed from task
         # results in submission order — see merged_registry().
         self._shard_registries: List[Dict[str, Any]] = []
@@ -325,7 +584,27 @@ class SweepExecutor:
             name, category=CATEGORY_PARALLEL, task=index, **args
         )
         if self.tracer.enabled:
-            self.tracer.emit(index, CATEGORY_PARALLEL, name, **args)
+            with self._lock:
+                self.tracer.emit(index, CATEGORY_PARALLEL, name, **args)
+
+    def _observe(self, event: str, pending: Optional[_Pending],
+                 lane: Any, **info: Any) -> None:
+        """The ``parallel.*`` side of a :class:`ShardLoop` transition:
+        exactly one ``task_done`` per shard and one ``task_retry`` per
+        charged attempt that will be retried, whichever lane ran it."""
+        if event == "done":
+            with self._lock:
+                self.tasks_run += 1
+            self._emit("parallel.task_done", pending.shard.index,
+                       label=pending.shard.label)
+        elif event == "charged" and not info["terminal"]:
+            with self._lock:
+                self.retries += 1
+            self._emit(
+                "parallel.task_retry", pending.shard.index,
+                label=pending.shard.label, attempt=pending.attempts + 1,
+                error=info["error"],
+            )
 
     # -- the one entry point ----------------------------------------------
 
@@ -384,15 +663,22 @@ class SweepExecutor:
                        label=shard.label)
 
         if to_run:
-            if self.dispatch is not None:
-                cached_shards = [s for s in shards if s.cached]
-                self._run_dispatched(
-                    fn, to_run, cached_shards, kind, results
-                )
-            elif self.jobs == 1 or len(to_run) == 1:
-                self._run_inline(fn, to_run, results)
+            # Lane choice is the only thing jobs and dispatch decide.
+            workers = min(self.jobs, len(to_run))
+            lanes: List[Any] = (
+                [_InlineLane(fn)] if workers == 1
+                else [_PoolLane(fn, self, workers) for _ in range(workers)]
+            )
+            if self.dispatch is None:
+                results.update(ShardLoop(
+                    to_run, lanes, self.retry, observers=[self._observe]
+                ).run())
             else:
-                self._run_pooled(fn, to_run, results)
+                results.update(self.dispatch.run(
+                    fn, to_run, kind=kind or "",
+                    cached_shards=[s for s in shards if s.cached],
+                    local_lanes=lanes, observers=[self._observe],
+                ))
 
         for shard in to_run:
             if self.cache is not None and shard.digest is not None:
@@ -456,228 +742,3 @@ class SweepExecutor:
         if shard.task_seed is None:
             return shard.payload
         return {"payload": shard.payload, "task_seed": shard.task_seed}
-
-    # -- execution strategies ---------------------------------------------
-
-    def _run_dispatched(
-        self,
-        fn: Callable[..., Any],
-        to_run: List[_Shard],
-        cached_shards: List[_Shard],
-        kind: Optional[str],
-        results: Dict[int, Any],
-    ) -> None:
-        """Fan shards out through the dispatch coordinator.
-
-        The coordinator owns placement and recovery; this method owns
-        the executor-side accounting that keeps the ``parallel.*``
-        gauges jobs- *and* placement-invariant: exactly one
-        ``task_done`` per shard, whether the shard ran on a remote
-        host or drained through the local paths in degraded mode (the
-        local paths emit their own events, so remote completions are
-        emitted here and drained shards are not double-counted).
-        """
-        drained: set = set()
-
-        def local_runner(shard_list: List[_Shard]) -> Dict[int, Any]:
-            local_results: Dict[int, Any] = {}
-            drained.update(s.index for s in shard_list)
-            if self.jobs == 1 or len(shard_list) == 1:
-                self._run_inline(fn, shard_list, local_results)
-            else:
-                self._run_pooled(fn, shard_list, local_results)
-            return local_results
-
-        dispatched = self.dispatch.run(
-            fn,
-            to_run,
-            kind=kind or "",
-            cached_shards=cached_shards,
-            local_runner=local_runner,
-        )
-        for shard in to_run:
-            results[shard.index] = dispatched[shard.index]
-            if shard.index not in drained:
-                self.tasks_run += 1
-                self._emit(
-                    "parallel.task_done", shard.index, label=shard.label
-                )
-
-    def _shard_timeout(
-        self, shard: _Shard, attempt: int, chunk_size: int
-    ) -> ShardTimeoutError:
-        """Build the typed timeout error for a wedged shard.
-
-        Watchdog discipline (docs/resilience.md): the failure carries
-        a structured dump of what was stuck, the event ring gets a
-        mirror of it, and the wedged pool is terminated so the stuck
-        worker cannot keep burning a core behind the sweep's back.
-        """
-        dump = {
-            "shard": shard.index,
-            "label": shard.label,
-            "attempt": attempt,
-            "timeout_seconds": self.retry.timeout_seconds,
-            "chunk_size": chunk_size,
-            "jobs": self.jobs,
-            "pool_terminated": True,
-        }
-        self._emit(
-            "parallel.shard_timeout", shard.index, label=shard.label,
-            attempt=attempt, timeout_seconds=self.retry.timeout_seconds,
-        )
-        _terminate_pool()
-        return ShardTimeoutError(
-            f"shard {shard.label} exceeded its "
-            f"{self.retry.timeout_seconds}s attempt budget "
-            f"(attempt {attempt}, chunk of {chunk_size})",
-            task_index=shard.index,
-            label=shard.label,
-            timeout_seconds=self.retry.timeout_seconds or 0.0,
-            dump=dump,
-        )
-
-    def _run_inline(
-        self, fn: Callable[..., Any], to_run: List[_Shard],
-        results: Dict[int, Any],
-    ) -> None:
-        for shard in to_run:
-            def attempt(_number: int, shard: _Shard = shard) -> Any:
-                return _call_task(fn, shard.payload, shard.task_seed)
-
-            results[shard.index] = run_attempts(
-                attempt, self.retry,
-                task_index=shard.index, label=shard.label,
-                on_retry=lambda n, e, s=shard: self._on_retry(s, n, e),
-            )
-            self.tasks_run += 1
-            self._emit("parallel.task_done", shard.index, label=shard.label)
-
-    def _run_pooled(
-        self, fn: Callable[..., Any], to_run: List[_Shard],
-        results: Dict[int, Any],
-    ) -> None:
-        """Chunked execution on the warm persistent pool.
-
-        Tasks are split into contiguous chunks — :data:`_CHUNK_ROUNDS`
-        per worker, so each worker sees a couple of large futures
-        instead of one tiny future per task — and every chunk's
-        payloads have their common keys factored out parent-side
-        (:func:`_split_common`).  Chunks are collected in submission
-        order; within a chunk, per-task outcomes come back in-band, so
-        a failure retries only its own shard (resubmitted singly, into
-        a rebuilt pool if the old one broke).  The per-attempt timeout
-        applies to the single-shard retries; the first attempt's chunk
-        future gets it scaled by the chunk length.
-        """
-        workers = min(self.jobs, len(to_run))
-        n_chunks = min(len(to_run), workers * _CHUNK_ROUNDS)
-        base, extra = divmod(len(to_run), n_chunks)
-        chunks: List[List[_Shard]] = []
-        start = 0
-        for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            chunks.append(to_run[start:start + size])
-            start += size
-
-        pool = _warm_pool(workers)
-        # A chunk slot holds either a Future or the exception submit
-        # itself raised: a worker dying while later chunks are still
-        # being submitted breaks the pool mid-loop, and that must cost
-        # the affected shards one attempt, not the whole sweep.
-        pending: List[Tuple[List[_Shard], Any]] = []
-        for chunk in chunks:
-            shared, deltas = _split_common([s.payload for s in chunk])
-            items = [
-                (delta, shard.task_seed)
-                for delta, shard in zip(deltas, chunk)
-            ]
-            try:
-                slot: Any = pool.submit(_call_task_chunk, fn, shared, items)
-            except Exception as exc:  # BrokenProcessPool and kin
-                slot = exc
-            pending.append((chunk, slot))
-
-        # First-attempt outcomes, (ok, value-or-exception) per shard.
-        # A chunk-level failure (timeout, dead pool) charges every
-        # shard in the chunk one attempt, matching the old per-future
-        # accounting.
-        outcomes: Dict[int, Tuple[bool, Any]] = {}
-        for chunk, future in pending:
-            if isinstance(future, BaseException):
-                for shard in chunk:
-                    outcomes[shard.index] = (False, future)
-            else:
-                timeout = self.retry.timeout_seconds
-                if timeout is not None:
-                    timeout *= len(chunk)
-                try:
-                    for shard, outcome in zip(
-                        chunk, future.result(timeout)
-                    ):
-                        outcomes[shard.index] = outcome
-                except concurrent.futures.TimeoutError as exc:
-                    future.cancel()
-                    for shard in chunk:
-                        outcomes[shard.index] = (False, exc)
-                except Exception as exc:  # BrokenProcessPool and kin
-                    for shard in chunk:
-                        outcomes[shard.index] = (False, exc)
-
-            for shard in chunk:
-                def attempt(number: int, shard: _Shard = shard,
-                            chunk: List[_Shard] = chunk) -> Any:
-                    nonlocal pool
-                    if number == 1:
-                        ok, value = outcomes[shard.index]
-                        if ok:
-                            return value
-                        if isinstance(
-                            value, concurrent.futures.TimeoutError
-                        ):
-                            raise self._shard_timeout(
-                                shard, number, len(chunk)
-                            ) from value
-                        raise value
-                    if pool is not _POOL or getattr(pool, "_broken", False):
-                        # The warm pool broke or was terminated after
-                        # a shard timeout: rebuild before retrying.
-                        _discard_pool()
-                        pool = _warm_pool(workers)
-                    retry_future = pool.submit(
-                        _call_task, fn, shard.payload, shard.task_seed
-                    )
-                    try:
-                        return retry_future.result(
-                            timeout=self.retry.timeout_seconds
-                        )
-                    except concurrent.futures.TimeoutError as exc:
-                        retry_future.cancel()
-                        raise self._shard_timeout(shard, number, 1) from exc
-
-                try:
-                    results[shard.index] = run_attempts(
-                        attempt, self.retry,
-                        task_index=shard.index, label=shard.label,
-                        on_retry=lambda n, e, s=shard: self._on_retry(s, n, e),
-                    )
-                except WorkerFailureError as failure:
-                    cause = failure.__cause__
-                    if isinstance(cause, ShardTimeoutError):
-                        # Every attempt hit the budget: surface the
-                        # typed timeout (with its structured dump)
-                        # rather than the generic retry wrapper.
-                        cause.dump["attempts"] = failure.attempts
-                        raise cause from failure
-                    raise
-                self.tasks_run += 1
-                self._emit("parallel.task_done", shard.index,
-                           label=shard.label)
-
-    def _on_retry(self, shard: _Shard, number: int,
-                  error: BaseException) -> None:
-        self.retries += 1
-        self._emit(
-            "parallel.task_retry", shard.index, label=shard.label,
-            attempt=number, error=f"{type(error).__name__}: {error}",
-        )

@@ -21,17 +21,19 @@ explicit ``module:qualname`` allowlist (``task_modules``), never from
 arbitrary pickled code: the coordinator names a function, the worker
 decides whether it is willing to run it.
 
-Failure handling mirrors the executor's in-band convention: a task
-exception becomes an ``ok=false`` result frame (the coordinator
-charges an attempt and re-dispatches), while transport errors tear
-down the connection and return the host to its accept loop, ready for
-the next coordinator.
+Failure handling is in-band, as on every lane: a task exception — or
+a result that cannot be framed (a non-finite float, a non-JSON type)
+— becomes an ``ok=false`` result frame (the shard loop charges an
+attempt and requeues), while transport errors tear down the connection
+and return the host to its accept loop, ready for the next
+coordinator.  Nothing a coordinator sends can end the accept loop
+except the ``shutdown`` frame that asks for it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import importlib
+import itertools
 import socket
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -43,7 +45,7 @@ from repro.common.errors import (
 )
 from repro.obs import diag
 from repro.obs.events import CATEGORY_DISPATCH
-from repro.parallel.executor import _call_task, _discard_pool, _warm_pool
+from repro.parallel.executor import _call_task, _discard_pool, _pool_call
 from repro.parallel.protocol import (
     PROTOCOL_VERSION,
     FrameChannel,
@@ -170,9 +172,12 @@ class WorkerHost:
             self._active_channel.close()
         if self._listener is not None:
             try:
-                self._listener.close()
+                # Closing a listening socket does not wake a thread
+                # blocked in accept() on Linux; shutting it down does.
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass  # already closed
+                pass  # already shut down by an earlier close()
+            self._listener.close()
         if not self.inline:
             _discard_pool()
 
@@ -274,25 +279,28 @@ class WorkerHost:
             "dispatch.worker_shard_start", category=CATEGORY_DISPATCH,
             shard=shard, label=request.get("label", ""),
         )
+        ok = True
         try:
             fn = resolve_task(request.get("fn", ""), self.task_modules)
             value = self._execute(
                 fn, request.get("payload"), request.get("task_seed"),
                 channel, shard, lease,
             )
-            result["ok"] = True
-            result["value"] = value
+            # Framing the value is the task's last step: one that
+            # cannot be encoded failed, wherever it ran.
+            channel.send("result", dict(result, ok=True, value=value))
             self.shards_served += 1
-        except (HostLostError, ShardTransportError):
-            raise  # connection-level: caller retires the connection
+        except HostLostError:
+            raise  # connection-level: the accept loop drops this peer
         except Exception as exc:  # noqa: BLE001 — in-band task failure
-            result["ok"] = False
-            result["error"] = f"{type(exc).__name__}: {exc}"
+            ok = False
             self.shards_failed += 1
-        channel.send("result", result)
+            channel.send("result", dict(
+                result, ok=False, error=f"{type(exc).__name__}: {exc}"
+            ))
         diag.emit_diagnostic(
             "dispatch.worker_shard_done", category=CATEGORY_DISPATCH,
-            shard=shard, ok=result["ok"],
+            shard=shard, ok=ok,
         )
 
     def _execute(
@@ -306,16 +314,10 @@ class WorkerHost:
     ) -> Any:
         if self.inline:
             return _call_task(fn, payload, task_seed)
-        pool = _warm_pool(self.jobs)
-        future = pool.submit(_call_task, fn, payload, task_seed)
-        seq = 0
-        while True:
-            done, _ = concurrent.futures.wait(
-                [future], timeout=self.heartbeat_seconds
-            )
-            if done:
-                break
-            seq += 1
+        beats = itertools.count(1)
+
+        def heartbeat() -> None:
+            seq = next(beats)
             channel.send(
                 "heartbeat", {"shard": shard, "lease": lease, "seq": seq}
             )
@@ -323,6 +325,8 @@ class WorkerHost:
                 "dispatch.worker_heartbeat", category=CATEGORY_DISPATCH,
                 shard=shard, seq=seq,
             )
-        if getattr(pool, "_broken", False):
-            _discard_pool()
-        return future.result()
+
+        return _pool_call(
+            self.jobs, fn, payload, task_seed,
+            self.heartbeat_seconds, heartbeat,
+        )

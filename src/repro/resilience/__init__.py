@@ -13,11 +13,7 @@ from repro.resilience.faults import (
     QueueSaturation,
     TrafficBurst,
 )
-from repro.resilience.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    run_attempts,
-)
+from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
 from repro.resilience.scenarios import run_scenario, scenario_names
 from repro.resilience.snapshot import (
@@ -39,7 +35,6 @@ __all__ = [
     "TrafficBurst",
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
-    "run_attempts",
     "ResilienceConfig",
     "ResilienceRuntime",
     "run_scenario",

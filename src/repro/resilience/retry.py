@@ -1,21 +1,19 @@
 """Retry/timeout/backoff policy for operations that may fail transiently.
 
-The parallel sweep executor (:mod:`repro.parallel.executor`) and the
-multi-host dispatch coordinator (:mod:`repro.parallel.dispatch`)
-delegate their worker-failure handling here so the policy is a
-reusable, independently tested resilience primitive rather than
-scheduling code: a bounded number of attempts, an optional per-attempt
-timeout, an optional exponential backoff between attempts, and a
-structured :class:`~repro.common.errors.WorkerFailureError` when the
-budget runs out.
+:class:`RetryPolicy` is the one vocabulary the sweep layer budgets and
+paces shard attempts in: a bounded number of attempts, an optional
+per-attempt timeout, an optional exponential backoff between attempts.
+The shard loop (:class:`repro.parallel.executor.ShardLoop`) is its one
+interpreter — it counts the attempts, calls :meth:`RetryPolicy.
+backoff_delay`, sleeps, and builds the structured
+:class:`~repro.common.errors.WorkerFailureError` when the budget runs
+out — so the policy stays a pure, independently tested value.
 
-Backoff is *injectable*: :func:`run_attempts` takes ``sleep`` and
-``rng`` parameters so tests (and the deterministic dispatch chaos
-harness) can observe the exact delays the policy computes without ever
-sleeping for real.  The defaults preserve the historical behaviour —
-``backoff_seconds=0.0`` means no sleeping at all, and only when a
-policy actually requests backoff does the real ``time.sleep`` come
-into play.
+Backoff is *injectable* where it is interpreted: the loop (and the
+dispatch coordinator that configures it) takes ``sleep`` and ``rng``
+so tests and the deterministic chaos harness observe the exact delays
+without ever sleeping for real.  ``backoff_seconds=0.0`` (the default)
+means no sleep callable is ever invoked.
 
 Determinism note: retrying a *deterministic* task is safe by
 construction — a repro simulation task is a pure function of its
@@ -32,12 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
-from repro.common.errors import ConfigurationError, WorkerFailureError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -48,10 +44,10 @@ class RetryPolicy:
     ``max_attempts``
         Total attempts including the first (1 = no retries).
     ``timeout_seconds``
-        Per-attempt wall-clock budget, or ``None`` for unbounded.
-        Enforced by the caller's wait primitive (the executor passes it
-        to ``Future.result``); :func:`run_attempts` treats a
-        ``TimeoutError`` like any other attempt failure.
+        Per-attempt wall-clock budget, or ``None`` for unbounded: the
+        lease of a local pool lane (a remote lane's lease is the
+        coordinator's ``lease_seconds``).  An attempt past it is
+        charged like any other failed attempt.
     ``backoff_seconds``
         Base delay before the *second* attempt.  ``0.0`` (the default)
         disables backoff entirely — no sleep callable is ever invoked.
@@ -63,8 +59,8 @@ class RetryPolicy:
     ``jitter_fraction``
         Fraction of the (capped) delay added as uniform random jitter:
         the final delay is ``d * (1 + U[0, jitter_fraction))``.  Jitter
-        draws from the ``rng`` passed to :func:`run_attempts` /
-        :meth:`backoff_delay`, keeping delays replayable.
+        draws from the ``rng`` passed to :meth:`backoff_delay`, keeping
+        delays replayable.
     """
 
     max_attempts: int = 2
@@ -125,48 +121,3 @@ def _default_sleep(seconds: float) -> None:
     """Real wall-clock sleep; only reached when a policy enables backoff."""
     # repro-lint: disable-next-line=RL001 — retry backoff is wall-clock
     time.sleep(seconds)
-
-
-def run_attempts(
-    attempt: Callable[[int], T],
-    policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-    task_index: int = -1,
-    label: str = "",
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    sleep: Optional[Callable[[float], None]] = None,
-    rng: Optional[DeterministicRng] = None,
-) -> T:
-    """Call ``attempt(attempt_number)`` until it succeeds or the budget ends.
-
-    ``attempt`` receives the 1-based attempt number (so the callee can
-    log or re-derive state); any exception it raises consumes one
-    attempt.  ``on_retry(next_attempt_number, error)`` fires before
-    each re-attempt, *before* any backoff delay.  When the policy
-    requests backoff, ``sleep(delay)`` is called with the value of
-    :meth:`RetryPolicy.backoff_delay`; pass a recording stub to test
-    retry schedules without real delays (``rng`` feeds the jitter
-    draw).  After ``policy.max_attempts`` failures a
-    :class:`WorkerFailureError` carrying the shard identity and the
-    last cause is raised.
-    """
-    sleeper = sleep if sleep is not None else _default_sleep
-    last_error: Optional[BaseException] = None
-    for number in range(1, policy.max_attempts + 1):
-        try:
-            return attempt(number)
-        except Exception as exc:  # noqa: BLE001 — the boundary this exists for
-            last_error = exc
-            if number < policy.max_attempts:
-                if on_retry is not None:
-                    on_retry(number + 1, exc)
-                delay = policy.backoff_delay(number, rng=rng)
-                if delay > 0.0:
-                    sleeper(delay)
-    raise WorkerFailureError(
-        f"task {label or task_index} failed after "
-        f"{policy.max_attempts} attempt(s): {last_error}",
-        task_index=task_index,
-        label=label,
-        attempts=policy.max_attempts,
-        last_error=f"{type(last_error).__name__}: {last_error}",
-    ) from last_error

@@ -3,15 +3,13 @@
 The broad bit-identity matrix lives in ``test_engine_equivalence.py``
 (every fast case and the randomized slow sweeps run both engines) and
 the fault/snapshot matrices in ``test_resilience_*``.  This file
-covers what those cannot: the engine module's API surface itself,
-snapshot digests across engines, and the executor's chunk-splitting
-helpers.
+covers what those cannot: the engine module's API surface itself and
+snapshot digests across engines.
 """
 
 import pytest
 
 from repro.core.bins import BinSpec, constant_rate_config, uniform_config
-from repro.parallel.executor import _call_task_chunk, _split_common
 from repro.sim import ColumnarEngine
 from repro.sim.columnar import run as run_engine
 from repro.sim.stats import report_digest
@@ -70,64 +68,6 @@ class TestColumnarEngine:
         # list must agree on the count.
         assert len(engine._stations) == 9
         assert len(engine._h) == 9
-
-
-# -- executor chunk helpers ------------------------------------------------
-
-
-def _double(payload):
-    return {"y": payload["x"] * 2, "tag": payload["tag"]}
-
-
-class TestChunkHelpers:
-    def test_split_factors_common_keys(self):
-        payloads = [
-            {"x": 1, "tag": "sweep", "edges": [1, 2, 3]},
-            {"x": 2, "tag": "sweep", "edges": [1, 2, 3]},
-        ]
-        shared, deltas = _split_common(payloads)
-        assert shared == {"tag": "sweep", "edges": [1, 2, 3]}
-        assert deltas == [{"x": 1}, {"x": 2}]
-        for original, delta in zip(payloads, deltas):
-            assert {**shared, **delta} == original
-
-    def test_split_keeps_type_distinctions(self):
-        # 1 == True in Python; factoring must not swap one for the
-        # other during reconstruction.
-        shared, deltas = _split_common([{"flag": True}, {"flag": 1}])
-        assert shared is None
-        assert deltas == [{"flag": True}, {"flag": 1}]
-
-    def test_split_passthrough_for_non_dicts(self):
-        shared, deltas = _split_common([(1, 2), (1, 3)])
-        assert shared is None
-        assert deltas == [(1, 2), (1, 3)]
-
-    def test_chunk_trampoline_rebuilds_and_reports_inband(self):
-        shared, deltas = _split_common(
-            [{"x": 3, "tag": "t"}, {"x": 4, "tag": "t"}]
-        )
-        items = [(delta, None) for delta in deltas]
-        outcomes = _call_task_chunk(_double, shared, items)
-        assert outcomes == [
-            (True, {"y": 6, "tag": "t"}),
-            (True, {"y": 8, "tag": "t"}),
-        ]
-
-    def test_chunk_trampoline_isolates_failures(self):
-        def sometimes(payload):
-            if payload["x"] == 0:
-                raise ValueError("boom")
-            return payload["x"]
-
-        outcomes = _call_task_chunk(
-            sometimes, None, [({"x": 1}, None), ({"x": 0}, None),
-                              ({"x": 2}, None)]
-        )
-        assert outcomes[0] == (True, 1)
-        assert outcomes[2] == (True, 2)
-        ok, error = outcomes[1]
-        assert not ok and isinstance(error, ValueError)
 
 
 @pytest.mark.slow

@@ -16,6 +16,7 @@ exercised over real sockets without subprocess management; the CI
 import contextlib
 import dataclasses
 import json
+import os
 import socket
 import time
 
@@ -68,6 +69,20 @@ def slow_echo_task(payload):
     return {"x": payload["x"]}
 
 
+def nan_task(payload):
+    """Succeeds, with a value no frame can carry."""
+    return {"v": float("nan")}
+
+
+def flaky_echo_task(payload):
+    """Fails on the first attempt, succeeds once the marker exists."""
+    if not os.path.exists(payload["marker"]):
+        with open(payload["marker"], "w", encoding="utf-8") as fh:
+            fh.write("attempted")
+        raise RuntimeError("transient failure")
+    return {"x": payload["x"]}
+
+
 @pytest.fixture(autouse=True)
 def _clean_diag():
     diag.reset()
@@ -97,6 +112,29 @@ def worker_hosts(count, task_modules=(__name__,), **kwargs):
             host.close()
         for thread in threads:
             thread.join(timeout=5.0)
+            assert not thread.is_alive(), "close() left serve_forever running"
+
+
+#: Every kind of lane a shard can run on.
+LANE_KINDS = ("inline", "pool", "remote")
+
+
+@contextlib.contextmanager
+def lane_executor(kind, retry, task):
+    """A SweepExecutor whose shards all run on one kind of lane: the
+    calling thread, two slots of the warm pool (give it >= 2 shards),
+    or one inline WorkerHost allowed to run ``task``'s module."""
+    if kind != "remote":
+        yield SweepExecutor(jobs=1 if kind == "inline" else 2, retry=retry)
+        return
+    with worker_hosts(1, task_modules=(task.__module__,)) as hosts:
+        coordinator = DispatchCoordinator(
+            addresses(hosts), retry=retry, lease_seconds=10.0
+        )
+        try:
+            yield SweepExecutor(dispatch=coordinator)
+        finally:
+            coordinator.close()
 
 
 def addresses(hosts):
@@ -193,17 +231,27 @@ class TestDispatchBasics:
         assert all(r["task_seed"] is not None for r in dispatched)
 
     def test_disallowed_task_fails_in_band(self):
-        """A worker refusing a task is a task failure, not a hang."""
-        with worker_hosts(1, task_modules=("repro.parallel.tasks",)) as hosts:
-            coordinator = DispatchCoordinator(
-                addresses(hosts),
-                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-                lease_seconds=10.0,
-            )
-            executor = SweepExecutor(dispatch=coordinator)
-            with pytest.raises(WorkerFailureError, match="allowlist"):
-                executor.map(echo_task, [{"x": 1}])
-            coordinator.close()
+        """A worker refusing a task — or unable to frame its result —
+        is a charged task failure: not a hang, not a dead host."""
+        for task, modules, match in (
+            (echo_task, ("repro.parallel.tasks",), "allowlist"),
+            (nan_task, (__name__,), "non-finite float"),
+        ):
+            with worker_hosts(1, task_modules=modules) as hosts:
+                coordinator = DispatchCoordinator(
+                    addresses(hosts),
+                    retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
+                    lease_seconds=10.0,
+                )
+                executor = SweepExecutor(dispatch=coordinator)
+                with pytest.raises(WorkerFailureError, match=match):
+                    executor.map(task, [{"x": 1}])
+                coordinator.close()
+                assert hosts[0].shards_failed == 2, match
+            doc = coordinator.registry.as_dict()
+            assert doc["dispatch.task_failures"] == 2, match
+            assert doc["dispatch.hosts_retired"] == 0, match
+            assert not coordinator.degraded, match
 
     def test_task_exception_exhausts_attempt_budget(self):
         with worker_hosts(1) as hosts:
@@ -380,8 +428,31 @@ class TestChaosPaths:
             task_seed = None
             digest = None
 
-        with pytest.raises(DispatchError, match="no local\\s+runner"):
+        with pytest.raises(DispatchError, match="no local lane"):
             coordinator.run(echo_task, [Shard()])
+        assert coordinator.degraded
+
+    def test_local_lane_paces_retries_like_a_remote_one(self, tmp_path):
+        """Local-lane twin of matrix scenario (c): a charged attempt on
+        a last-resort lane sleeps the policy's first backoff, computed
+        where the re-dispatch after a lost host computes it."""
+        sleeps = []
+        coordinator = DispatchCoordinator(
+            [dead_address()], connect_timeout=0.2, sleep=sleeps.append
+        )
+        executor = SweepExecutor(dispatch=coordinator)
+        payload = {"x": 5, "marker": str(tmp_path / "marker")}
+        assert executor.map(flaky_echo_task, [payload]) == [{"x": 5}]
+        assert coordinator.degraded
+        assert sleeps == [coordinator.retry.backoff_delay(1, rng=None)]
+        assert executor.retries == 1
+        assert diag.count("parallel.task_retry") == 1
+        assert diag.count("parallel.task_done") == 1
+        doc = coordinator.registry.as_dict()
+        assert doc["dispatch.task_failures"] == 1
+        assert doc["dispatch.redispatches"] == 1
+        assert doc["dispatch.local_fallback_shards"] == 1
+        assert coordinator.ledger.counts()["local"] == 1
 
 
 class TestCacheResume:

@@ -5,7 +5,8 @@ can lie — wrong magic, corrupted body, truncated frame, an impossible
 length field, valid JSON that is not a protocol message — ends in a
 typed :class:`ShardTransportError` (stream poisoned) or
 :class:`HostLostError` (peer gone), never in garbage silently handed
-to the dispatch layer.
+to the dispatch layer.  The same holds one layer up: nothing a peer
+can frame ends a worker host's accept loop.
 """
 
 import json
@@ -14,8 +15,12 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.common.errors import HostLostError, ShardTransportError
+from repro.parallel import WorkerHost
 from repro.parallel.protocol import (
     DIGEST_CHARS,
     MAGIC,
@@ -25,6 +30,7 @@ from repro.parallel.protocol import (
     body_digest,
     decode_body,
     encode_frame,
+    hello_payload,
     read_exact,
 )
 
@@ -179,3 +185,82 @@ class TestReadExact:
         thread.join()
         a.close()
         b.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+#: Shard-request-shaped objects reach past the frame check into task
+#: resolution and result framing.
+_SHARD_LIKE = st.fixed_dictionaries(
+    {}, optional={key: _JSON for key in
+                  ("shard", "lease", "fn", "payload", "task_seed", "label")}
+)
+
+
+def _framed(body):
+    """A header that vouches for ``body``: gets it to the JSON checks."""
+    return struct.pack(">4sI16s", MAGIC, len(body), body_digest(body)) + body
+
+
+_BYTES = st.binary(max_size=128)
+
+
+class TestMalformedInputFailsTyped:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        _BYTES, _BYTES.map(lambda rest: MAGIC + rest), _BYTES.map(_framed)
+    ))
+    def test_arbitrary_bytes_fail_typed(self, blob):
+        raw_tx, raw_rx = socket.socketpair()
+        rx = FrameChannel(raw_rx, "rx")
+        raw_tx.sendall(blob)
+        raw_tx.close()  # EOF behind the blob: recv can never block
+        with pytest.raises(
+            (ShardTransportError, HostLostError, socket.timeout)
+        ):
+            while True:
+                rx.recv(timeout=5.0)
+        rx.close()
+
+    def test_arbitrary_shard_payloads_never_end_the_accept_loop(self):
+        """A well-framed ``shard`` message with any JSON payload gets an
+        in-band ``ok=false`` result or a typed connection drop; either
+        way the host accepts the next coordinator."""
+        host = WorkerHost(inline=True, task_modules=())
+        host.bind()
+        thread = threading.Thread(target=host.serve_forever, daemon=True)
+        thread.start()
+
+        @settings(max_examples=50, deadline=None)
+        @given(st.one_of(_JSON, _SHARD_LIKE))
+        def probe(payload):
+            channel = FrameChannel(
+                socket.create_connection((host.host, host.port), timeout=5.0),
+                "host",
+            )
+            try:
+                channel.send(
+                    "hello", hello_payload(repro.__version__, "coordinator")
+                )
+                assert channel.recv(timeout=5.0)[0] == "hello_ack"
+                channel.send("shard", payload)
+                try:
+                    kind, reply = channel.recv(timeout=5.0)
+                except (ShardTransportError, HostLostError):
+                    return  # typed drop: not a shard request at all
+                assert kind == "result" and reply["ok"] is False
+            finally:
+                channel.close()
+
+        try:
+            probe()
+        finally:
+            host.close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()

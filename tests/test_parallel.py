@@ -12,6 +12,8 @@ import dataclasses
 import json
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -35,6 +37,7 @@ from repro.parallel import (
     config_digest,
     ga_population_evaluator,
 )
+from repro.parallel.executor import ShardLoop, _InlineLane, _Shard
 from repro.parallel.tasks import (
     encode_point,
     ga_fitness_task,
@@ -42,6 +45,7 @@ from repro.parallel.tasks import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.sim.system import RequestShapingPlan
+from tests.test_dispatch import LANE_KINDS, flaky_echo_task, lane_executor
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
 
@@ -63,18 +67,18 @@ def seeded_task(payload, task_seed=None):
     return {"x": payload["x"], "task_seed": task_seed}
 
 
-def flaky_task(payload):
-    """Fails on the first attempt, succeeds once the marker exists."""
-    marker = payload["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("attempted")
-        raise RuntimeError("transient failure")
-    return {"ok": True}
-
-
 def always_fails_task(payload):
     raise ValueError("permanent failure")
+
+
+def fails_on_request_task(payload):
+    if payload.get("fail"):
+        raise ValueError("permanent failure")
+    return {"x": payload["x"]}
+
+
+def thread_task(payload):
+    return {"thread": threading.get_ident()}
 
 
 def suicide_once_task(payload):
@@ -223,27 +227,107 @@ class TestSweepExecutor:
         assert warm.tasks_cached == 6 and warm.tasks_run == 0
 
     def test_retry_recovers_transient_failure(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
-        [result] = executor.map(flaky_task, [{"marker": marker}])
-        assert result == {"ok": True}
-        assert executor.retries == 1
-        assert diag.count("parallel.task_retry") == 1
+        """A charged attempt costs one retry, whichever lane ran it."""
+        for kind in LANE_KINDS:
+            diag.reset()
+            payloads = [
+                {"x": i, "marker": str(tmp_path / f"{kind}-{i}")}
+                for i in range(2)
+            ]
+            with lane_executor(
+                kind, RetryPolicy(max_attempts=2), flaky_echo_task
+            ) as executor:
+                results = executor.map(flaky_echo_task, payloads)
+            assert results == [{"x": 0}, {"x": 1}], kind
+            assert executor.retries == 2, kind
+            assert diag.count("parallel.task_retry") == 2, kind
+            assert diag.count("parallel.task_done") == 2, kind
 
     def test_exhausted_retries_raise_with_shard_identity(self):
-        executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
+        """The budget ends in the same WorkerFailureError, field for
+        field, whichever lane ran the shard."""
+        payloads = [{"x": 1}, {"x": 2, "fail": True}]
+        for kind in LANE_KINDS:
+            diag.reset()
+            with lane_executor(
+                kind, RetryPolicy(max_attempts=2), fails_on_request_task
+            ) as executor:
+                with pytest.raises(WorkerFailureError) as excinfo:
+                    executor.map(
+                        fails_on_request_task, payloads,
+                        labels=["fine", "doomed"],
+                    )
+            error = excinfo.value
+            assert error.task_index == 1, kind
+            assert error.label == "doomed", kind
+            assert error.attempts == 2, kind
+            assert error.last_error == "ValueError: permanent failure", kind
+            assert str(error) == (
+                "task doomed failed after 2 attempt(s): "
+                "ValueError: permanent failure"
+            ), kind
+            assert executor.retries == 1, kind
+            assert diag.count("parallel.task_retry") == 1, kind
+            assert diag.count("parallel.task_done") == 1, kind
+
+    def test_lowest_failing_shard_is_raised(self):
+        """Several terminal failures: the lowest shard index wins, as
+        in-order collection would have it, however the lanes race."""
+        executor = SweepExecutor(jobs=2, retry=RetryPolicy(max_attempts=2))
         with pytest.raises(WorkerFailureError) as excinfo:
-            executor.map(always_fails_task, [{"x": 1}], labels=["doomed"])
-        assert excinfo.value.label == "doomed"
-        assert excinfo.value.attempts == 2
-        assert "permanent failure" in excinfo.value.last_error
+            executor.map(always_fails_task, [{"x": x} for x in range(3)])
+        assert excinfo.value.task_index == 0
 
     def test_lifecycle_events_emitted(self):
-        SweepExecutor().map(square_task, [{"x": 1}, {"x": 2}])
+        rows = SweepExecutor().map(thread_task, [{"x": 1}, {"x": 2}])
+        # jobs=1 is the calling thread itself: tracebacks, cProfile and
+        # span recorders see the tasks nested under map().
+        assert rows == [{"thread": threading.get_ident()}] * 2
         assert diag.count("parallel.task_submit") == 2
         assert diag.count("parallel.task_done") == 2
         events = diag.recent("parallel.task_done")
         assert [e.args_dict["task"] for e in events] == [0, 1]
+
+
+class TestShardLoopStress:
+    def test_many_lanes_lose_no_update(self):
+        """More lanes than cores and a shortened switch interval: every
+        shard still resolves exactly once and every transition is
+        counted exactly once (a lost update breaks the totals)."""
+        attempted = set()
+
+        def every_third_fails_once(payload):
+            x = payload["x"]
+            time.sleep(0)  # yield: interleave the lanes
+            if x % 3 == 0 and x not in attempted:
+                attempted.add(x)
+                raise RuntimeError("transient failure")
+            return x
+
+        shards = [
+            _Shard(index=i, payload={"x": i}, label=f"s{i}", task_seed=None)
+            for i in range(600)
+        ]
+        executor = SweepExecutor()
+        loop = ShardLoop(
+            shards, [_InlineLane(every_third_fails_once) for _ in range(8)],
+            RetryPolicy(max_attempts=2), observers=[executor._observe],
+        )
+        outcome = {}
+        runner = threading.Thread(
+            target=lambda: outcome.update(loop.run()), daemon=True
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "shard loop deadlocked"
+        assert outcome == {i: i for i in range(600)}
+        assert executor.tasks_run == 600
+        assert executor.retries == 200
 
 
 class TestJobsDifferential:

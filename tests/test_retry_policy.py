@@ -1,20 +1,17 @@
-"""Tests for the injectable backoff surface of repro.resilience.retry.
+"""Tests for repro.resilience.retry: the policy as a pure value.
 
-Satellite contract: ``RetryPolicy`` gained exponential backoff with an
-injectable sleep/rng so tests observe the exact retry schedule without
-wall-clock delays, and the defaults preserve the historical behaviour
-(no sleeping at all).
+``RetryPolicy.backoff_delay`` computes the exact retry schedule
+(exponential growth, cap, replayable jitter) and the defaults mean no
+sleeping at all.  The policy's one interpreter is the shard loop; the
+schedule it actually sleeps is asserted through an injected ``sleep``
+in ``tests/test_dispatch.py`` (scenario (c) and its local-lane twin).
 """
 
 import pytest
 
-from repro.common.errors import ConfigurationError, WorkerFailureError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.resilience.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    run_attempts,
-)
+from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 
 class TestBackoffDelay:
@@ -81,83 +78,3 @@ class TestPolicyValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             RetryPolicy(**kwargs)
-
-
-class TestRunAttemptsBackoff:
-    def test_default_policy_never_sleeps(self):
-        sleeps = []
-        calls = []
-
-        def attempt(number):
-            calls.append(number)
-            if number == 1:
-                raise ValueError("transient")
-            return "ok"
-
-        result = run_attempts(attempt, sleep=sleeps.append)
-        assert result == "ok"
-        assert calls == [1, 2]
-        assert sleeps == []
-
-    def test_backoff_schedule_recorded_via_injected_sleep(self):
-        policy = RetryPolicy(
-            max_attempts=4, backoff_seconds=0.125, backoff_factor=2.0
-        )
-        sleeps = []
-
-        def attempt(number):
-            if number < 4:
-                raise ValueError(f"fail {number}")
-            return number
-
-        result = run_attempts(attempt, policy, sleep=sleeps.append)
-        assert result == 4
-        assert sleeps == [0.125, 0.25, 0.5]
-
-    def test_on_retry_fires_before_sleep(self):
-        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.125)
-        order = []
-
-        def attempt(number):
-            if number == 1:
-                raise ValueError("boom")
-            return "ok"
-
-        run_attempts(
-            attempt,
-            policy,
-            on_retry=lambda number, exc: order.append(("retry", number)),
-            sleep=lambda delay: order.append(("sleep", delay)),
-        )
-        assert order == [("retry", 2), ("sleep", 0.125)]
-
-    def test_no_sleep_after_final_failure(self):
-        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.125)
-        sleeps = []
-
-        def attempt(number):
-            raise ValueError("always")
-
-        with pytest.raises(WorkerFailureError) as excinfo:
-            run_attempts(attempt, policy, label="doomed", sleep=sleeps.append)
-        # one retry -> exactly one backoff; the terminal failure does
-        # not sleep before raising
-        assert sleeps == [0.125]
-        assert excinfo.value.attempts == 2
-        assert "doomed" in str(excinfo.value)
-
-    def test_jitter_rng_threaded_through(self):
-        policy = RetryPolicy(
-            max_attempts=2, backoff_seconds=1.0, jitter_fraction=0.5
-        )
-        sleeps = []
-
-        def attempt(number):
-            if number == 1:
-                raise ValueError("boom")
-            return "ok"
-
-        run_attempts(
-            attempt, policy, sleep=sleeps.append, rng=DeterministicRng(7)
-        )
-        assert sleeps == [policy.backoff_delay(1, rng=DeterministicRng(7))]
