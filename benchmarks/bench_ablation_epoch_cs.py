@@ -72,7 +72,7 @@ def test_ablation_epoch_cs(benchmark, record_result):
 
         # Epoch-rate (Fletcher'14): adapts per epoch, leaks E*log2(R).
         system, report = _run(epoch_plan=EpochShapingPlan(epoch_cycles=8192))
-        path = system.request_paths[0]
+        policy = system.request_paths[0].shaper
         stats = report.core(0)
         out["epoch-cs"] = {
             "ipc": stats.ipc,
@@ -81,7 +81,7 @@ def test_ablation_epoch_cs(benchmark, record_result):
                 _times(stats.request_shaped),
                 2048, report.cycles_run, bias_correction=True,
             ),
-            "bound": path.leakage_bound_bits(),
+            "bound": policy.leakage_bound_bits(),
         }
 
         # Camouflage: predetermined staircase at the same average rate.

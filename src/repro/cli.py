@@ -47,6 +47,7 @@ from repro.analysis.sweeps import (
     noc_latency_sweep,
     tp_turn_length_sweep,
 )
+from repro.common.errors import SnapshotError
 from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
 from repro.lint import runner as lint_runner
@@ -573,14 +574,19 @@ def _run_configs(args, profile: bool):
 
 
 def _cmd_resume(args) -> int:
-    info = read_snapshot_info(args.snapshot)
-    print(f"snapshot: kind={info.get('kind')} cycle={info.get('cycle')} "
-          f"cores={info.get('num_cores')}")
-    if (args.cycles > 0) == (args.until > 0):
-        print("pass exactly one of --cycles (additional) or --until "
-              "(absolute target cycle)")
+    try:
+        info = read_snapshot_info(args.snapshot)
+        print(f"snapshot: kind={info.get('kind')} cycle={info.get('cycle')} "
+              f"cores={info.get('num_cores')}")
+        if (args.cycles > 0) == (args.until > 0):
+            print("pass exactly one of --cycles (additional) or --until "
+                  "(absolute target cycle)")
+            return 2
+        system = restore_system(args.snapshot)
+    except SnapshotError as error:
+        # A bad file is a usage error, like lint's missing path.
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    system = restore_system(args.snapshot)
     remaining = args.cycles if args.cycles > 0 else args.until - system.current_cycle
     if remaining <= 0:
         print(f"nothing to do: snapshot already at cycle "

@@ -1,23 +1,29 @@
 """Camouflage: bin-based memory traffic shaping (the paper's contribution).
 
-Components:
+One mechanism — a queue in front of a link whose releases are timed by
+a policy and topped up with fake traffic — deployed once per direction:
 
-* :class:`BinSpec` / :class:`BinConfiguration` — the hardware bin
-  geometry (10 bins over exponential inter-arrival intervals, 10-bit
-  credit registers) and a credit distribution to shape toward.
-* :class:`BinShaper` — the credit machinery shared by both directions:
+* :class:`RequestCamouflage` (ReqC) — the request station: shapes a
+  core's request stream before the shared channel; defends pin/bus
+  monitoring.
+* :class:`ResponseCamouflage` (RespC) — the response station: shapes a
+  core's response stream at the controller egress; buffers, emits fake
+  responses and raises scheduler priority warnings; defends memory
+  side/covert channels.  Both on one core is BDC.
+
+*When* a station may release is its release policy (protocol in
+:mod:`repro.core.shaper`):
+
+* :class:`BinShaper` — Camouflage's credit machinery over a
+  :class:`BinSpec` / :class:`BinConfiguration` (10 bins over
+  exponential inter-arrival intervals, 10-bit credit registers):
   replenishment, consumption, unused-credit latching, fake-traffic
-  scheduling.
-* :class:`RequestCamouflage` (ReqC) — shapes a core's request stream
-  before the shared channel; defends pin/bus monitoring.
-* :class:`ResponseCamouflage` (RespC) — shapes a core's response stream
-  at the controller egress; buffers, emits fake responses and raises
-  scheduler priority warnings; defends memory side/covert channels.
-* :class:`BidirectionalCamouflage` (BDC) — both at once.
-* :class:`PassthroughShaper` — the no-shaping baseline with the same
-  interface, so systems can be built uniformly.
-* :func:`constant_rate_config` — the CS (Ascend-style) degenerate
-  configuration: a single credited bin.
+  scheduling.  :func:`constant_rate_config` is the CS (Ascend-style)
+  degenerate configuration: a single credited bin.
+* :class:`EpochRatePolicy` — Fletcher'14: a constant rate per epoch,
+  chosen from a :class:`RateSet`.
+* :class:`Passthrough` — no shaping, so every core's paths are built
+  uniformly.
 """
 
 from repro.core.bins import (
@@ -33,15 +39,10 @@ from repro.core.serialization import (
     load_config,
     save_config,
 )
-from repro.core.shaper import BinShaper, ShaperState
-from repro.core.request_shaper import PassthroughShaper, RequestCamouflage
-from repro.core.response_shaper import PassthroughResponsePath, ResponseCamouflage
-from repro.core.bidirectional import BidirectionalCamouflage
-from repro.core.epoch_shaper import (
-    EpochRateController,
-    EpochRateShaper,
-    RateSet,
-)
+from repro.core.shaper import BinShaper, Passthrough, ShaperState
+from repro.core.request_shaper import RequestCamouflage
+from repro.core.response_shaper import ResponseCamouflage
+from repro.core.epoch_shaper import EpochRatePolicy, RateSet
 from repro.core.hardware_cost import (
     ShaperCost,
     bdc_per_core_cost,
@@ -50,16 +51,13 @@ from repro.core.hardware_cost import (
 )
 
 __all__ = [
-    "BidirectionalCamouflage",
     "BinConfiguration",
     "BinShaper",
     "BinSpec",
-    "EpochRateController",
-    "EpochRateShaper",
+    "EpochRatePolicy",
     "RateSet",
     "InterArrivalHistogram",
-    "PassthroughResponsePath",
-    "PassthroughShaper",
+    "Passthrough",
     "RequestCamouflage",
     "ResponseCamouflage",
     "ShaperCost",

@@ -8,35 +8,28 @@ information an observer gains is which rate was chosen when.
 
 Camouflage subsumes this design point (a one-bin configuration per
 epoch), but the paper compares against it conceptually in Figure 2, so
-this module provides a faithful standalone implementation:
+this module provides it as one more release policy (the protocol is
+in :mod:`repro.core.shaper`) for the request station:
 
 * :class:`RateSet` — the allowed intervals (powers of two by default).
-* :class:`EpochRateController` — picks the next epoch's rate from the
-  previous epoch's observed demand (the runtime policy Fletcher'14
-  describes: match the rate to the program phase).
-* :class:`EpochRateShaper` — drop-in request-path shaper with the
-  same interface as :class:`~repro.core.request_shaper.RequestCamouflage`,
-  releasing real traffic at the epoch's constant interval and filling
-  idle slots with fake requests (the ORAM in Ascend is accessed
-  unconditionally at the chosen rate).
+* :class:`EpochRatePolicy` — one release slot every ``current_interval``
+  cycles, real if a request is queued and fake otherwise (the ORAM in
+  Ascend is accessed unconditionally at the chosen rate); at each
+  epoch boundary the interval moves one step within the rate set on
+  the epoch's pressure/idle feedback.
 
-Leakage accounting is explicit: :meth:`EpochRateShaper.leakage_bound_bits`
+Leakage accounting is explicit: :meth:`EpochRatePolicy.leakage_bound_bits`
 returns the ``E × log2(R)`` bound for the run so far.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import DeterministicRng
-from repro.core.distribution import InterArrivalHistogram
-from repro.memctrl.transaction import MemoryTransaction, TransactionType
-from repro.noc.link import SharedLink
-from repro.obs.events import CATEGORY_SHAPER
+from repro.obs.events import CATEGORY_SHAPER, SYSTEM_CORE
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -64,258 +57,131 @@ class RateSet:
         """log2(R): information revealed by one epoch's rate choice."""
         return math.log2(self.num_rates)
 
-    def interval_for_demand(self, accesses: int, epoch_cycles: int) -> int:
-        """Slowest interval that still covers the observed demand.
 
-        ``accesses`` over ``epoch_cycles`` needs an average interval of
-        at most ``epoch_cycles / accesses``; pick the largest allowed
-        interval not exceeding it (or the fastest if even that is too
-        slow).
-        """
-        if accesses <= 0:
-            return self.intervals[-1]
-        # interval <= epoch_cycles / accesses, cross-multiplied so the
-        # selection stays exact integer arithmetic (RL002).
-        chosen = self.intervals[0]
-        for interval in self.intervals:
-            if interval * accesses <= epoch_cycles:
-                chosen = interval
-        return chosen
+class EpochRatePolicy:
+    """Fletcher'14 release policy: constant rate per epoch, fake-filled.
 
+    An observer sees a perfectly periodic stream whose only degree of
+    freedom is the per-epoch rate choice, made by AIMD-style feedback:
+    one rate *faster* when the epoch saw queueing pressure, one rate
+    *slower* when most of its slots went to fake traffic.
+    """
 
-class EpochRateController:
-    """Chooses each epoch's rate from the previous epoch's demand."""
+    spec = None
+    shapes = True
 
-    def __init__(self, rates: RateSet, epoch_cycles: int = 8192,
+    def __init__(self, rates: Optional[RateSet] = None,
+                 epoch_cycles: int = 8192,
                  initial_interval: Optional[int] = None) -> None:
         if epoch_cycles <= 0:
             raise ConfigurationError("epoch_cycles must be positive")
-        self.rates = rates
+        self.rates = rates or RateSet()
         self.epoch_cycles = epoch_cycles
-        self.current_interval = initial_interval or rates.intervals[-1]
-        if self.current_interval not in rates.intervals:
+        self.current_interval = initial_interval or self.rates.intervals[-1]
+        if self.current_interval not in self.rates.intervals:
             raise ConfigurationError(
                 f"initial interval {self.current_interval} not in the rate set"
             )
-        self._demand_this_epoch = 0
-        self._next_boundary = epoch_cycles
+        self.next_boundary = epoch_cycles
         self.rate_history: List[Tuple[int, int]] = []  # (cycle, interval)
-
-    def note_demand(self) -> None:
-        """Record one intrinsic memory request this epoch."""
-        self._demand_this_epoch += 1
-
-    # The demand->rate coupling below is the explicitly accounted
-    # E x log2(R) leakage channel (leakage_bound_bits): demand selects
-    # among the precomputed rate-set intervals at epoch boundaries
-    # only, so it is a sanctioned crossing of the RL007 trust boundary.
-    # repro-lint: sanitizer=RL007
-    def maybe_advance_epoch(self, cycle: int, backlog: int = 0) -> bool:
-        """Cross any due epoch boundary; returns True if one crossed.
-
-        ``backlog`` (requests still waiting in the shaper) is added to
-        the observed demand: under throttling, submissions are
-        backpressured down to the current rate, so raw counts alone
-        would lock the controller at a too-slow rate forever.
-        """
-        crossed = False
-        while cycle >= self._next_boundary:
-            new_interval = self.rates.interval_for_demand(
-                self._demand_this_epoch + backlog, self.epoch_cycles
-            )
-            self._install(new_interval)
-            crossed = True
-        return crossed
-
-    # Same sanctioned epoch-boundary channel as maybe_advance_epoch:
-    # pressure/idle feedback moves one step within the fixed rate set.
-    # repro-lint: sanitizer=RL007
-    def maybe_advance_with_feedback(
-        self, cycle: int, pressure: bool, idle: bool
-    ) -> bool:
-        """Boundary crossing with pressure/idle feedback (AIMD-style).
-
-        Demand counting alone cannot see past the core's MSHR limit
-        while throttled (submissions are backpressured to the current
-        rate), so the practical policy steps one rate *faster* when the
-        shaper observed queueing pressure during the epoch and one rate
-        *slower* when most slots went to fake traffic.
-        """
-        crossed = False
-        while cycle >= self._next_boundary:
-            index = self.rates.intervals.index(self.current_interval)
-            if pressure and index > 0:
-                index -= 1
-            elif idle and index + 1 < self.rates.num_rates:
-                index += 1
-            self._install(self.rates.intervals[index])
-            crossed = True
-            # Feedback applies once; further missed boundaries keep it.
-        return crossed
-
-    def _install(self, new_interval: int) -> None:
-        if new_interval != self.current_interval:
-            self.rate_history.append((self._next_boundary, new_interval))
-        self.current_interval = new_interval
-        self._demand_this_epoch = 0
-        self._next_boundary += self.epoch_cycles
-
-    @property
-    def epochs_elapsed(self) -> int:
-        return self._next_boundary // self.epoch_cycles - 1
-
-    @property
-    def next_boundary(self) -> int:
-        """The next epoch-boundary cycle (for the next-event engine)."""
-        return self._next_boundary
-
-
-class EpochRateShaper:
-    """Fletcher'14-style shaper: constant rate per epoch, fake-filled.
-
-    Same request-path interface as ReqC (``can_accept`` / ``submit`` /
-    ``tick``), so :class:`~repro.sim.SystemBuilder` experiments can
-    compare the two directly.
-    """
-
-    def __init__(
-        self,
-        core_id: int,
-        link: SharedLink,
-        port: int,
-        rng: DeterministicRng,
-        rates: Optional[RateSet] = None,
-        epoch_cycles: int = 8192,
-        address_space_bytes: int = 1 << 30,
-        line_bytes: int = 64,
-        buffer_capacity: int = 32,
-    ) -> None:
-        self.core_id = core_id
-        self.link = link
-        self.port = port
-        self._rng = rng
-        self.controller = EpochRateController(
-            rates or RateSet(), epoch_cycles=epoch_cycles
-        )
-        self._address_space = address_space_bytes
-        self._line_bytes = line_bytes
-        self._capacity = buffer_capacity
-        self._buffer: Deque[MemoryTransaction] = deque()
-        self._next_slot = self.controller.current_interval
-
-        self.intrinsic_histogram = InterArrivalHistogram()
-        self.shaped_histogram = InterArrivalHistogram()
-        self.real_sent = 0
-        self.fake_sent = 0
-        # Per-epoch feedback for the rate controller.
+        self._next_slot = self.current_interval
+        # Per-epoch feedback for the boundary's rate decision.
         self._pressure_this_epoch = False
         self._real_slots_this_epoch = 0
         self._fake_slots_this_epoch = 0
         self.tracer = NULL_TRACER
+        self.trace_core = SYSTEM_CORE
+        self.trace_direction = ""
 
-    def attach_tracer(self, tracer) -> None:
+    def attach_tracer(self, tracer, core_id: int, direction: str) -> None:
         """Wire the event tracer in (builder-time, never mid-run)."""
         self.tracer = tracer
+        self.trace_core = core_id
+        self.trace_direction = direction
 
-    # -- core-facing interface ------------------------------------------
+    # -- epoch boundaries ---------------------------------------------------
 
-    def can_accept(self, core_id: int) -> bool:
-        return len(self._buffer) < self._capacity
+    def advance(self, cycle: int, queued: int) -> int:
+        """Cross any due epoch boundary, then note this tick's pressure.
 
-    def submit(self, txn: MemoryTransaction, cycle: int) -> None:
-        self._buffer.append(txn)
-        self.intrinsic_histogram.record(cycle)
-        self.controller.note_demand()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._buffer)
-
-    # -- per-cycle operation -----------------------------------------------
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle :meth:`tick` does real work.
-
-        The stream is unconditionally periodic: the next slot always
-        fires (real or fake), and every epoch boundary re-times the
-        slots and consumes the epoch's feedback flags.  The pressure
-        flag set on intermediate ticks is idempotent while the buffer
-        is frozen, so skipped ticks change no state.
+        Each boundary moves the interval one step on the feedback the
+        *previous* ticks gathered and re-times the slots from ``cycle``.
+        ``queued`` only ever sets a flag — it picks among the fixed
+        rate-set intervals (the accounted ``E × log2(R)`` channel) and
+        never enters a timing value, which is why this method is, and
+        must stay, open to the RL007 taint analysis.
         """
-        return min(self.controller.next_boundary, max(cycle, self._next_slot))
-
-    def tick(self, cycle: int) -> None:
-        """Fire exactly at each rate slot: real if queued, else fake.
-
-        Ascend accesses the ORAM unconditionally at the chosen rate —
-        an observer sees a perfectly periodic stream whose only degree
-        of freedom is the per-epoch rate choice.
-        """
-        slots = self._real_slots_this_epoch + self._fake_slots_this_epoch
-        idle = slots > 0 and self._fake_slots_this_epoch > slots // 2
-        if self.controller.maybe_advance_with_feedback(
-            cycle, pressure=self._pressure_this_epoch, idle=idle
-        ):
+        crossed = 0
+        while cycle >= self.next_boundary:
+            slots = self._real_slots_this_epoch + self._fake_slots_this_epoch
+            idle = slots > 0 and self._fake_slots_this_epoch > slots // 2
+            index = self._rate_index()
+            if self._pressure_this_epoch and index > 0:
+                index -= 1
+            elif idle and index + 1 < self.rates.num_rates:
+                index += 1
+            interval = self.rates.intervals[index]
+            if interval != self.current_interval:
+                self.rate_history.append((self.next_boundary, interval))
+            self.current_interval = interval
+            self.next_boundary += self.epoch_cycles
+            crossed += 1
+        if crossed:
             self._pressure_this_epoch = False
             self._real_slots_this_epoch = 0
             self._fake_slots_this_epoch = 0
-            # A new epoch re-times the slots from the boundary.
             self._next_slot = max(
-                self._next_slot, cycle + self.controller.current_interval
+                self._next_slot, cycle + self.current_interval
             )
             if self.tracer.enabled:
                 self.tracer.emit(
                     cycle, CATEGORY_SHAPER, "shaper.epoch_boundary",
-                    core_id=self.core_id, direction="request",
-                    interval=self.controller.current_interval,
+                    core_id=self.trace_core,
+                    direction=self.trace_direction,
+                    interval=self.current_interval,
                 )
-        if len(self._buffer) > 1:
+        if queued > 1:
             # More than one waiter means the rate is holding the
             # program back — escalate at the next boundary.
             self._pressure_this_epoch = True
-        if cycle < self._next_slot or not self.link.can_inject(self.port):
-            return
-        if self._buffer:
-            txn = self._buffer.popleft()
-            txn.shaper_release_cycle = cycle
-            self.link.inject(self.port, txn)
-            self.real_sent += 1
-            self._real_slots_this_epoch += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    cycle, CATEGORY_SHAPER, "shaper.real_release",
-                    core_id=self.core_id, direction="request",
-                    queued=len(self._buffer),
-                )
-        else:
-            fake = self._make_fake(cycle)
-            self.link.inject(self.port, fake)
-            self.fake_sent += 1
-            self._fake_slots_this_epoch += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    cycle, CATEGORY_SHAPER, "shaper.fake_inject",
-                    core_id=self.core_id, direction="request",
-                    address=fake.address,
-                )
-        self.shaped_histogram.record(cycle)
-        self._next_slot = cycle + self.controller.current_interval
+        return crossed
 
-    def _make_fake(self, cycle: int) -> MemoryTransaction:
-        max_line = max(1, self._address_space // self._line_bytes)
-        address = self._rng.randint(0, max_line - 1) * self._line_bytes
-        txn = MemoryTransaction(
-            core_id=self.core_id,
-            address=address,
-            kind=TransactionType.FAKE_READ,
-            created_cycle=cycle,
-        )
-        txn.shaper_release_cycle = cycle
-        return txn
+    def _rate_index(self) -> int:
+        return self.rates.intervals.index(self.current_interval)
+
+    @property
+    def epochs_elapsed(self) -> int:
+        return self.next_boundary // self.epoch_cycles - 1
+
+    # -- release slots --------------------------------------------------------
+    #
+    # The next slot always fires — real if the station has a request
+    # queued, else fake — so both kinds share one eligibility rule.
+
+    def earliest_real_release(self, cycle: int) -> int:
+        return max(cycle, self._next_slot)
+
+    def earliest_fake_release(self, cycle: int) -> int:
+        return max(cycle, self._next_slot)
+
+    def can_release_real(self, cycle: int) -> bool:
+        return cycle >= self._next_slot
+
+    def can_release_fake(self, cycle: int) -> bool:
+        return cycle >= self._next_slot
+
+    def release_real(self, cycle: int) -> int:
+        self._real_slots_this_epoch += 1
+        self._next_slot = cycle + self.current_interval
+        return self._rate_index()
+
+    def release_fake(self, cycle: int) -> int:
+        self._fake_slots_this_epoch += 1
+        self._next_slot = cycle + self.current_interval
+        return self._rate_index()
 
     # -- leakage accounting -----------------------------------------------------
 
     def leakage_bound_bits(self) -> float:
         """Fletcher'14's bound: E × log2(R) for the epochs so far."""
-        epochs = max(0, self.controller.epochs_elapsed)
-        return epochs * self.controller.rates.bits_per_choice()
+        return max(0, self.epochs_elapsed) * self.rates.bits_per_choice()

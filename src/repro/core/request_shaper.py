@@ -1,14 +1,14 @@
 """Request Camouflage (ReqC) — paper section III-B2.
 
-Sits between a core's LLC miss path and the shared request channel.
-Real LLC misses queue in a small buffer and release only when the bin
-shaper grants a credit; unused credits from the previous replenishment
-period drive a fake-request generator that emits non-cached reads to
-random addresses, so the post-shaper stream always sums to the
-configured distribution regardless of what the program is doing.
-
-:class:`PassthroughShaper` provides the identical interface with no
-shaping, used to build the unprotected baseline system.
+The request-direction *station*, between a core's LLC miss path and
+the shared request channel.  Real LLC misses queue in a small buffer
+and release only when the station's release policy (protocol in
+:mod:`repro.core.shaper`) allows; whenever no real request went, the
+policy may call for a fake one — a non-cached read to a random address
+— so that under :class:`~repro.core.shaper.BinShaper` the post-shaper
+stream always sums to the configured distribution regardless of what
+the program is doing.  Every core has one; an unprotected core's
+carries :class:`~repro.core.shaper.Passthrough`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Deque, Optional
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.distribution import InterArrivalHistogram
-from repro.core.shaper import BinShaper
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
 from repro.obs.events import CATEGORY_SHAPER
@@ -33,11 +32,12 @@ class RequestCamouflage:
     core_id:
         The core whose miss stream this shaper guards.
     shaper:
-        The bin/credit machinery (one per direction per core).
+        The release policy (one per direction per core).
     link, port:
         The shared request channel and this core's port on it.
     rng:
-        Source for fake-request addresses.
+        Source for fake-request addresses; a policy that never fakes
+        never draws, so it may then be omitted.
     address_space_bytes:
         Fake requests target random line-aligned addresses below this
         bound.
@@ -53,10 +53,10 @@ class RequestCamouflage:
     def __init__(
         self,
         core_id: int,
-        shaper: BinShaper,
+        shaper,
         link: SharedLink,
         port: int,
-        rng: DeterministicRng,
+        rng: Optional[DeterministicRng] = None,
         address_space_bytes: int = 1 << 30,
         line_bytes: int = 64,
         buffer_capacity: int = 32,
@@ -78,9 +78,13 @@ class RequestCamouflage:
         # Probe histograms: the intrinsic (pre-shaper) distribution and
         # the shaped (post-shaper) distribution, both over the shaper's
         # own bin geometry — the paper measures post-Camouflage traffic
-        # "with another hardware bin" (section IV-E1).
+        # "with another hardware bin" (section IV-E1).  A policy that
+        # does not shape releases the intrinsic stream itself.
         self.intrinsic_histogram = InterArrivalHistogram(shaper.spec)
-        self.shaped_histogram = InterArrivalHistogram(shaper.spec)
+        self.shaped_histogram = (
+            InterArrivalHistogram(shaper.spec)
+            if shaper.shapes else self.intrinsic_histogram
+        )
 
         self.real_sent = 0
         self.fake_sent = 0
@@ -113,13 +117,13 @@ class RequestCamouflage:
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Next cycle :meth:`tick` could do more than count a stall.
 
-        The replenishment boundary is always an event (credits reload,
+        The policy's next boundary is always an event (credits reload,
         fake eligibility changes); a queued real release and a pending
-        fake release contribute their shaper lower bounds.  Injection
+        fake release contribute their policy lower bounds.  Injection
         backpressure is not modelled here — a full link port keeps the
         *link* busy, which already pins the system to per-cycle mode.
         """
-        event = self.shaper.next_replenish_cycle
+        event = self.shaper.next_boundary
         if self._buffer:
             real = self.shaper.earliest_real_release(cycle)
             if real is not None and real < event:
@@ -147,7 +151,7 @@ class RequestCamouflage:
         """Release at most one transaction (real preferred over fake)."""
         self.settle(cycle)
         self._stall_from = cycle + 1
-        self.shaper.replenish_if_due(cycle)
+        self.shaper.advance(cycle, len(self._buffer))
         if not self.link.can_inject(self.port):
             if self._buffer:
                 self.stall_cycles += 1
@@ -157,7 +161,8 @@ class RequestCamouflage:
             bin_index = self.shaper.release_real(cycle)
             txn.shaper_release_cycle = cycle
             self.link.inject(self.port, txn)
-            self.shaped_histogram.record(cycle)
+            if self.shaper.shapes:
+                self.shaped_histogram.record(cycle)
             self.real_sent += 1
             if self.shaper.tracer.enabled:
                 self.shaper.tracer.emit(
@@ -194,39 +199,3 @@ class RequestCamouflage:
         txn.shaper_release_cycle = cycle
         return txn
 
-
-class PassthroughShaper:
-    """No-shaping request path with the same interface as ReqC."""
-
-    def __init__(self, core_id: int, link: SharedLink, port: int,
-                 buffer_capacity: int = 32) -> None:
-        self.core_id = core_id
-        self.link = link
-        self.port = port
-        self._capacity = buffer_capacity
-        self._buffer: Deque[MemoryTransaction] = deque()
-        self.intrinsic_histogram = InterArrivalHistogram()
-        self.shaped_histogram = self.intrinsic_histogram  # identical stream
-        self.real_sent = 0
-        self.fake_sent = 0
-
-    def can_accept(self, core_id: int) -> bool:
-        return len(self._buffer) < self._capacity
-
-    def submit(self, txn: MemoryTransaction, cycle: int) -> None:
-        self._buffer.append(txn)
-        self.intrinsic_histogram.record(cycle)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._buffer)
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return cycle if self._buffer else None
-
-    def tick(self, cycle: int) -> None:
-        if self._buffer and self.link.can_inject(self.port):
-            txn = self._buffer.popleft()
-            txn.shaper_release_cycle = cycle
-            self.link.inject(self.port, txn)
-            self.real_sent += 1

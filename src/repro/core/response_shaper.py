@@ -1,7 +1,10 @@
 """Response Camouflage (RespC) — paper section III-B1 and Figure 6.
 
-Sits at the memory controller's egress, one instance per protected
-core.  Three mechanisms:
+Sits at the memory controller's egress, one instance per core: the
+response-direction *station*, releasing when its release policy (see
+:mod:`repro.core.shaper`) allows.  An unprotected core's carries
+:class:`~repro.core.shaper.Passthrough`; under
+:class:`~repro.core.shaper.BinShaper` there are three mechanisms:
 
 1. **Throttling** — responses arriving faster than the target
    distribution wait in the response queue until a credit is eligible.
@@ -24,7 +27,6 @@ from typing import Callable, Deque, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.core.distribution import InterArrivalHistogram
-from repro.core.shaper import BinShaper
 from repro.memctrl.schedulers import PriorityFrFcfsScheduler
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
@@ -61,7 +63,7 @@ class ResponseCamouflage:
     def __init__(
         self,
         core_id: int,
-        shaper: BinShaper,
+        shaper,
         link: SharedLink,
         port: int,
         scheduler: Optional[PriorityFrFcfsScheduler] = None,
@@ -81,8 +83,12 @@ class ResponseCamouflage:
         self._queue: Deque[MemoryTransaction] = deque()
         self.generate_fake = generate_fake
 
+        # A policy that does not shape releases the intrinsic stream.
         self.intrinsic_histogram = InterArrivalHistogram(shaper.spec)
-        self.shaped_histogram = InterArrivalHistogram(shaper.spec)
+        self.shaped_histogram = (
+            InterArrivalHistogram(shaper.spec)
+            if shaper.shapes else self.intrinsic_histogram
+        )
 
         self.real_sent = 0
         self.fake_sent = 0
@@ -113,11 +119,11 @@ class ResponseCamouflage:
         """Next cycle :meth:`tick` could release or cross a boundary.
 
         Boundaries always count (credit reload plus the priority-warning
-        hook); a queued real response contributes the shaper's lower
+        hook); a queued real response contributes the policy's lower
         bound, and fake responses are only eligible while the queue is
         empty (Figure 6 case 3).  Link backpressure is the link's event.
         """
-        event = self.shaper.next_replenish_cycle
+        event = self.shaper.next_boundary
         if self._queue:
             real = self.shaper.earliest_real_release(cycle)
             if real is not None and real < event:
@@ -129,8 +135,7 @@ class ResponseCamouflage:
         return max(cycle, event)
 
     def tick(self, cycle: int) -> None:
-        boundaries = self.shaper.replenish_if_due(cycle)
-        if boundaries:
+        if self.shaper.advance(cycle, len(self._queue)):
             self._maybe_warn()
         if not self.link.can_inject(self.port):
             return
@@ -139,7 +144,8 @@ class ResponseCamouflage:
             bin_index = self.shaper.release_real(cycle)
             txn.response_release_cycle = cycle
             self.link.inject(self.port, txn)
-            self.shaped_histogram.record(cycle)
+            if self.shaper.shapes:
+                self.shaped_histogram.record(cycle)
             self.real_sent += 1
             if self.shaper.tracer.enabled:
                 self.shaper.tracer.emit(
@@ -179,7 +185,8 @@ class ResponseCamouflage:
         interference — the acceleration case.  The warning carries the
         unused-credit count and the scheduler boosts this core
         "in proportion to the number of unused credits" (paper
-        section III-B1).
+        section III-B1).  Reads the :class:`BinShaper` unused-credit
+        latch: a scheduler is only ever wired alongside that policy.
         """
         if self.scheduler is None:
             return
@@ -203,39 +210,3 @@ class ResponseCamouflage:
                     unused=unused,
                 )
 
-
-class PassthroughResponsePath:
-    """No-shaping response path with the same interface as RespC."""
-
-    def __init__(self, core_id: int, link: SharedLink, port: int,
-                 buffer_capacity: int = 64) -> None:
-        self.core_id = core_id
-        self.link = link
-        self.port = port
-        self._capacity = buffer_capacity
-        self._queue: Deque[MemoryTransaction] = deque()
-        self.intrinsic_histogram = InterArrivalHistogram()
-        self.shaped_histogram = self.intrinsic_histogram
-        self.real_sent = 0
-        self.fake_sent = 0
-
-    def can_accept(self) -> bool:
-        return len(self._queue) < self._capacity
-
-    def push_response(self, txn: MemoryTransaction, cycle: int) -> None:
-        self._queue.append(txn)
-        self.intrinsic_histogram.record(cycle)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._queue)
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return cycle if self._queue else None
-
-    def tick(self, cycle: int) -> None:
-        if self._queue and self.link.can_inject(self.port):
-            txn = self._queue.popleft()
-            txn.response_release_cycle = cycle
-            self.link.inject(self.port, txn)
-            self.real_sent += 1

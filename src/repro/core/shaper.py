@@ -1,5 +1,43 @@
-"""The bin-based credit shaper (paper sections III-A1 and III-A2).
+"""Release policies: *when* a shaper station may let a transaction go.
 
+The two stations (:class:`~repro.core.request_shaper.RequestCamouflage`,
+:class:`~repro.core.response_shaper.ResponseCamouflage`) own the queue
+in front of the link; the timing belongs to the station's *release
+policy*, its ``shaper``: :class:`BinShaper` (Camouflage proper, below),
+:class:`~repro.core.epoch_shaper.EpochRatePolicy` (Fletcher'14) or
+:class:`Passthrough` (no shaping).
+
+The release-policy protocol
+---------------------------
+The whole interface a station uses, and so the boundary the RL007
+secret-independence checker polices: a policy answers from its own
+precomputed schedule, and ``queued`` is the only demand-derived value
+that crosses into it.
+
+``spec``
+    Bin geometry for the station's probe histograms (``None``: the
+    default :class:`~repro.core.bins.BinSpec`).
+``shapes``
+    ``False`` only for :class:`Passthrough`: the post-station stream
+    *is* the intrinsic one, so the station keeps a single histogram.
+``tracer``
+    Where the station emits its release events.
+``next_boundary``
+    The next cycle :meth:`advance` has work at; always a station event.
+``advance(cycle, queued) -> int``
+    Cross every boundary due by ``cycle`` (``queued``: the station's
+    queue depth); returns how many.
+``earliest_real_release(cycle)`` / ``earliest_fake_release(cycle)``
+    Lower bound on the first cycle ``>= cycle`` the matching
+    ``can_release_*`` holds if no boundary intervenes; ``None`` when
+    only crossing one can make it hold.
+``can_release_real(cycle)`` / ``can_release_fake(cycle)``
+    May a real / fake transaction go this cycle?
+``release_real(cycle)`` / ``release_fake(cycle)``
+    Account for one release; returns the index traced as ``bin=``.
+
+The bin-based credit shaper (paper sections III-A1 and III-A2)
+--------------------------------------------------------------
 One :class:`BinShaper` instance is the credit machinery of one
 direction (request or response) for one core.  Semantics, following
 the paper:
@@ -43,6 +81,40 @@ from repro.obs.events import CATEGORY_SHAPER, SYSTEM_CORE
 from repro.obs.tracer import NULL_TRACER
 
 
+class Passthrough:
+    """The release policy of an unshaped direction: a queued
+    transaction may always go, nothing is ever faked, and there is no
+    boundary to cross.  Stateless and silent (no tracer is attached)."""
+
+    spec = None
+    shapes = False
+    tracer = NULL_TRACER
+    #: Later than any cycle rather than ``None``, so a station
+    #: min-reduces against it like against any other boundary.
+    next_boundary = (1 << 63) - 1
+
+    def advance(self, cycle: int, queued: int) -> int:
+        return 0
+
+    def earliest_real_release(self, cycle: int) -> int:
+        return cycle
+
+    def earliest_fake_release(self, cycle: int) -> None:
+        return None
+
+    def can_release_real(self, cycle: int) -> bool:
+        return True
+
+    def can_release_fake(self, cycle: int) -> bool:
+        return False
+
+    def release_real(self, cycle: int) -> int:
+        return 0
+
+    def release_fake(self, cycle: int) -> int:
+        raise ProtocolError("a passthrough policy never releases fakes")
+
+
 @dataclass(frozen=True)
 class ShaperState:
     """Snapshot of the shaper's register file (for tests and debugging)."""
@@ -55,6 +127,8 @@ class ShaperState:
 
 class BinShaper:
     """Credit registers, replenishment and fake-traffic eligibility."""
+
+    shapes = True
 
     def __init__(
         self,
@@ -213,6 +287,11 @@ class BinShaper:
         if boundaries:
             self._recache_aggregates()
         return boundaries
+
+    def advance(self, cycle: int, queued: int) -> int:
+        """:meth:`replenish_if_due` under its protocol name: the queue
+        depth is not a credit input."""
+        return self.replenish_if_due(cycle)
 
     def _recache_aggregates(self) -> None:
         """Refresh the derived totals / smallest-credited-edge caches."""
@@ -423,6 +502,8 @@ class BinShaper:
     @property
     def next_replenish_cycle(self) -> int:
         return self._next_replenish
+
+    next_boundary = next_replenish_cycle
 
     # -- release actions -------------------------------------------------------------
 

@@ -15,16 +15,15 @@ project:
 
 * **sources** — demand-derived attribute reads: real-queue buffers
   (``*._buffer``, ``*._queue``), occupancy probes, request addresses
-  and creation cycles, per-epoch demand counters;
+  and creation cycles;
 * **sinks** — the shaper layer's timing surface: every
   ``repro.core.*`` ``next_event_cycle``/``earliest_*``/
   ``can_release_*`` return, the columnar horizon reduction, and
   writes to the timing registers (``_next_slot``,
   ``_jitter_hold_until``, ``_next_replenish``, ``_last_release``);
-* **sanitizers** — the sanctioned credit/bin/epoch interfaces
-  (``BinShaper.release_*``/``replenish_if_due``, the
-  ``EpochRateController.maybe_advance_*`` boundary methods), declared
-  here and via ``# repro-lint: sanitizer=RL007`` pragmas at the defs.
+* **sanitizers** — the sanctioned credit/bin interfaces
+  (``BinShaper.release_*``/``replenish_if_due``), declared here;
+  ``# repro-lint: sanitizer=RL007`` pragmas at a def add to them.
 
 Only *explicit* data flows are reported.  Control dependence —
 ``return cycle if self._buffer else None``, or selecting one of the
@@ -55,7 +54,6 @@ _SOURCE_ATTRS = [
     "*.occupancy",
     "*.address",
     "*.created_cycle",
-    "*._demand_this_epoch",
 ]
 
 _SINK_RETURNS = [
@@ -71,7 +69,7 @@ _SINK_RETURNS = [
 #: ``_next_slot`` register, but that is memory-controller-internal
 #: timing the shapers hide, not shaper surface.
 _SINK_ATTR_WRITES = [
-    "EpochRateShaper._next_slot",
+    "EpochRatePolicy._next_slot",
     "BinShaper._jitter_hold_until",
     "BinShaper._next_replenish",
     "BinShaper._last_release",
@@ -89,17 +87,15 @@ _CLEAN_ATTRS = [
 ]
 
 #: The sanctioned interfaces demand is *allowed* to cross: the credit
-#: machinery consumes demand only to debit precomputed registers, and
-#: the epoch controller's demand→rate coupling is the explicitly
-#: accounted Fletcher'14 channel (``EpochRateShaper.leakage_bound_bits``).
-#: The epoch methods also carry ``# repro-lint: sanitizer=RL007``
-#: pragmas at their defs — config and pragma vocabularies are unioned.
+#: machinery consumes demand only to debit precomputed registers.
+#: ``EpochRatePolicy.advance`` must *not* join them: a sanitizer's body
+#: is opaque, and that method writes the slot register guarded here.
+#: It needs no sanction — the queue depth only sets its pressure flag
+#: (control dependence, the accounted Fletcher'14 channel).
 _SANITIZERS = [
     "repro.core.shaper.BinShaper.release_real",
     "repro.core.shaper.BinShaper.release_fake",
     "repro.core.shaper.BinShaper.replenish_if_due",
-    "repro.core.epoch_shaper.EpochRateController.maybe_advance_epoch",
-    "repro.core.epoch_shaper.EpochRateController.maybe_advance_with_feedback",
 ]
 
 _KIND_TEXT = {

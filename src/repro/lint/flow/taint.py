@@ -104,7 +104,7 @@ class TaintSpec:
     unknown matches on the attribute part alone (conservative).
     Call/function patterns match the resolved project qualname *and*
     the alias-canonicalised dotted call text, so
-    ``repro.core.bins.*`` and ``*.interval_for_demand`` both work.
+    ``repro.core.bins.*`` and ``*.earliest_real_release`` both work.
     ``sink_call_args`` entries are ``<callee-pattern>:<param-name>``
     (``*`` for any parameter).
     """

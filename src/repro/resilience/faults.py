@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
+from repro.core.epoch_shaper import EpochRatePolicy
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.obs.events import CATEGORY_RESILIENCE
 from repro.obs.tracer import NULL_TRACER
@@ -111,7 +112,7 @@ class EpochBoundaryStress:
     """Burst traffic right before a core's epoch-rate boundaries.
 
     For each of the next ``epochs`` boundaries of the core's
-    :class:`~repro.core.epoch_shaper.EpochRateShaper`, ``burst``
+    :class:`~repro.core.epoch_shaper.EpochRatePolicy`, ``burst``
     transactions are submitted in the ``lead`` cycles preceding the
     boundary — the worst moment for the AIMD rate-feedback decision.
     Requires the target core to use epoch shaping.
@@ -312,13 +313,12 @@ class FaultInjector:
         if state.epochs_left <= 0:
             return
         path = system.request_paths[spec.core_id]
-        controller = getattr(path, "controller", None)
-        if controller is None:
+        if not isinstance(path.shaper, EpochRatePolicy):
             raise ConfigurationError(
                 f"EpochBoundaryStress targets core {spec.core_id}, whose "
-                "request path is not an EpochRateShaper"
+                "request path is not timed by an EpochRatePolicy"
             )
-        boundary = controller.next_boundary
+        boundary = path.shaper.next_boundary
         if not boundary - spec.lead <= cycle < boundary:
             return
         injected = 0

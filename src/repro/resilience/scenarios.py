@@ -239,15 +239,15 @@ def scenario_epoch_stress(
         ),
     )
     report = system.run(cycles, stop_when_done=False, engine=engine)
-    shaper = system.request_paths[0]
+    policy = system.request_paths[0].shaper
     return {
         "scenario": "epoch-stress",
         "outcome": "completed",
         "injected": system.resilience.injector.injected_epoch_stress,
         "cycles_run": report.cycles_run,
-        "epochs_elapsed": shaper.controller.epochs_elapsed,
-        "rate_changes": len(shaper.controller.rate_history),
-        "leakage_bound_bits": shaper.leakage_bound_bits(),
+        "epochs_elapsed": policy.epochs_elapsed,
+        "rate_changes": len(policy.rate_history),
+        "leakage_bound_bits": policy.leakage_bound_bits(),
     }
 
 

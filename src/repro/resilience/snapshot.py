@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v1``.
+    Magic + format version: ``REPROSNAP v2``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -46,9 +46,13 @@ from repro.memctrl.transaction import (
     txn_id_watermark,
 )
 
-#: First envelope line; the version suffix bumps on any layout change.
+#: First envelope line; the version suffix bumps on any layout change
+#: — including a class the pickled graph names going away, so that an
+#: old file fails here and not inside ``pickle.loads``.  v2: one shaper
+#: station class per direction (the passthrough and epoch-rate path
+#: classes v1 graphs pickle no longer exist).
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

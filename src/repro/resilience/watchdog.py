@@ -25,6 +25,7 @@ import os
 from typing import Any, Dict
 
 from repro.common.errors import WatchdogError
+from repro.core.shaper import BinShaper
 from repro.obs.events import CATEGORY_RESILIENCE
 from repro.obs.tracer import NULL_TRACER
 
@@ -145,35 +146,27 @@ def diagnostic_dump(system, stalled_for: int = 0) -> Dict[str, Any]:
     cores = []
     for core in system.cores:
         path = system.request_paths[core.core_id]
+        resp_path = system.response_paths[core.core_id]
         entry: Dict[str, Any] = {
             "core_id": core.core_id,
             "done": core.done,
             "retired_instructions": core.retired_instructions,
             "outstanding_misses": core.outstanding_misses,
             "request_path_occupancy": path.occupancy,
-            "response_path_occupancy": system.response_paths[
-                core.core_id
-            ].occupancy,
+            "response_path_occupancy": resp_path.occupancy,
             "egress_pending": controller.pending_response_count(core.core_id),
         }
-        shaper = getattr(path, "shaper", None)
-        if shaper is not None:
-            entry["request_shaper"] = {
-                "credits": list(shaper.credits_remaining()),
-                "unused": list(shaper.unused_remaining()),
-                "next_replenish_cycle": shaper.next_replenish_cycle,
-                "degraded": shaper.degraded,
-            }
-        resp_shaper = getattr(
-            system.response_paths[core.core_id], "shaper", None
-        )
-        if resp_shaper is not None:
-            entry["response_shaper"] = {
-                "credits": list(resp_shaper.credits_remaining()),
-                "unused": list(resp_shaper.unused_remaining()),
-                "next_replenish_cycle": resp_shaper.next_replenish_cycle,
-                "degraded": resp_shaper.degraded,
-            }
+        for key, shaper in (
+            ("request_shaper", path.shaper),
+            ("response_shaper", resp_path.shaper),
+        ):
+            if isinstance(shaper, BinShaper):
+                entry[key] = {
+                    "credits": list(shaper.credits_remaining()),
+                    "unused": list(shaper.unused_remaining()),
+                    "next_replenish_cycle": shaper.next_replenish_cycle,
+                    "degraded": shaper.degraded,
+                }
         cores.append(entry)
     dump: Dict[str, Any] = {
         "kind": "watchdog_dump",

@@ -27,10 +27,10 @@ from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, BinSpec
-from repro.core.epoch_shaper import EpochRateShaper, RateSet
-from repro.core.request_shaper import PassthroughShaper, RequestCamouflage
-from repro.core.response_shaper import PassthroughResponsePath, ResponseCamouflage
-from repro.core.shaper import BinShaper
+from repro.core.epoch_shaper import EpochRatePolicy, RateSet
+from repro.core.request_shaper import RequestCamouflage
+from repro.core.response_shaper import ResponseCamouflage
+from repro.core.shaper import BinShaper, Passthrough
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.trace import MemoryTrace
 from repro.dram.address import AddressMapping
@@ -87,8 +87,8 @@ class EpochShapingPlan:
     """Fletcher'14 epoch-rate shaping attachment (baseline/extension).
 
     Mutually exclusive with ``request_shaping`` on the same core: it
-    replaces the request path with an
-    :class:`~repro.core.epoch_shaper.EpochRateShaper`.
+    times the request path with an
+    :class:`~repro.core.epoch_shaper.EpochRatePolicy`.
     """
 
     rates: Optional[RateSet] = None
@@ -463,48 +463,43 @@ class SystemBuilder:
             if self._resilience_config is not None
             else None
         )
+
+        def bin_shaper(shaping, jitter_salt: int) -> BinShaper:
+            return BinShaper(
+                shaping.spec, shaping.config,
+                strict=shaping.strict_binning,
+                jitter_rng=rng.fork(jitter_salt) if shaping.jitter else None,
+                jitter_budget=jitter_budget,
+            )
+
         request_paths = []
         for core_id, plan in enumerate(self._core_plans):
+            shaping = plan.request_shaping
+            fake_rng = None  # a policy that never fakes never draws
+            generate_fake = True
             if plan.epoch_shaping is not None:
-                epoch_plan = plan.epoch_shaping
-                request_paths.append(
-                    EpochRateShaper(
-                        core_id=core_id,
-                        link=request_link,
-                        port=core_id,
-                        rng=rng.fork(2000 + core_id),
-                        rates=epoch_plan.rates or RateSet(),
-                        epoch_cycles=epoch_plan.epoch_cycles,
-                        address_space_bytes=self._address_space,
-                        line_bytes=self._hierarchy_config.l1.line_bytes,
-                    )
+                policy = EpochRatePolicy(
+                    plan.epoch_shaping.rates, plan.epoch_shaping.epoch_cycles
                 )
-            elif plan.request_shaping is None:
-                request_paths.append(
-                    PassthroughShaper(core_id, request_link, core_id)
-                )
+                fake_rng = rng.fork(2000 + core_id)
+            elif shaping is None:
+                policy = Passthrough()
             else:
-                shaping = plan.request_shaping
-                request_paths.append(
-                    RequestCamouflage(
-                        core_id=core_id,
-                        shaper=BinShaper(
-                            shaping.spec, shaping.config,
-                            strict=shaping.strict_binning,
-                            jitter_rng=(
-                                rng.fork(3000 + core_id)
-                                if shaping.jitter else None
-                            ),
-                            jitter_budget=jitter_budget,
-                        ),
-                        link=request_link,
-                        port=core_id,
-                        rng=rng.fork(1000 + core_id),
-                        address_space_bytes=self._address_space,
-                        line_bytes=self._hierarchy_config.l1.line_bytes,
-                        generate_fake=shaping.generate_fake,
-                    )
+                policy = bin_shaper(shaping, 3000 + core_id)
+                fake_rng = rng.fork(1000 + core_id)
+                generate_fake = shaping.generate_fake
+            request_paths.append(
+                RequestCamouflage(
+                    core_id=core_id,
+                    shaper=policy,
+                    link=request_link,
+                    port=core_id,
+                    rng=fake_rng,
+                    address_space_bytes=self._address_space,
+                    line_bytes=self._hierarchy_config.l1.line_bytes,
+                    generate_fake=generate_fake,
                 )
+            )
 
         cores = [
             Core(
@@ -521,7 +516,9 @@ class SystemBuilder:
         for core_id, plan in enumerate(self._core_plans):
             if plan.response_shaping is None:
                 response_paths.append(
-                    PassthroughResponsePath(core_id, response_link, core_id)
+                    ResponseCamouflage(
+                        core_id, Passthrough(), response_link, core_id
+                    )
                 )
             else:
                 shaping = plan.response_shaping
@@ -533,15 +530,7 @@ class SystemBuilder:
                 )
                 path = ResponseCamouflage(
                     core_id=core_id,
-                    shaper=BinShaper(
-                        shaping.spec, shaping.config,
-                        strict=shaping.strict_binning,
-                        jitter_rng=(
-                            rng.fork(4000 + core_id)
-                            if shaping.jitter else None
-                        ),
-                        jitter_budget=jitter_budget,
-                    ),
+                    shaper=bin_shaper(shaping, 4000 + core_id),
                     link=response_link,
                     port=core_id,
                     scheduler=warn_target,
@@ -575,9 +564,8 @@ class SystemBuilder:
                     # flagged: route every shaper's degradation edge
                     # into the live monitor.
                     for path in list(request_paths) + list(response_paths):
-                        shaper = getattr(path, "shaper", None)
-                        if shaper is not None:
-                            shaper.set_degradation_sink(
+                        if isinstance(path.shaper, BinShaper):
+                            path.shaper.set_degradation_sink(
                                 observability.monitor.flag_degraded
                             )
 
@@ -615,15 +603,13 @@ class SystemBuilder:
         response_link.attach_tracer(tracer, "response")
         controller.tracer = tracer
         dram.tracer = tracer
-        for core_id, (req_path, resp_path) in enumerate(
-            zip(request_paths, response_paths)
+        for direction, paths in (
+            ("request", request_paths), ("response", response_paths)
         ):
-            if isinstance(req_path, RequestCamouflage):
-                req_path.shaper.attach_tracer(tracer, core_id, "request")
-            elif isinstance(req_path, EpochRateShaper):
-                req_path.attach_tracer(tracer)
-            if isinstance(resp_path, ResponseCamouflage):
-                resp_path.shaper.attach_tracer(tracer, core_id, "response")
+            for core_id, path in enumerate(paths):
+                # An unshaped direction stays silent, as if not there.
+                if path.shaper.shapes:
+                    path.shaper.attach_tracer(tracer, core_id, direction)
 
         if obs.sampler is not None:
             sampler = obs.sampler
@@ -647,7 +633,7 @@ class SystemBuilder:
                 _AttrProbe(response_link, "total_grants"),
             )
             for core_id, req_path in enumerate(request_paths):
-                if isinstance(req_path, RequestCamouflage):
+                if isinstance(req_path.shaper, BinShaper):
                     sampler.add_probe(
                         f"core{core_id}.request_credits",
                         _CreditSumProbe(req_path),
@@ -753,9 +739,7 @@ class System:
         for core in self.cores:
             core.settle(cycle)
         for path in self.request_paths:
-            settle = getattr(path, "settle", None)
-            if settle is not None:
-                settle(cycle)
+            path.settle(cycle)
 
     def __getstate__(self):
         # Snapshots pickle the whole graph: make it a settled one, so
@@ -835,8 +819,8 @@ class System:
                     finish_cycle=core.finish_cycle,
                     demand_requests=core.demand_requests,
                     writeback_requests=core.writeback_requests,
-                    fake_requests_sent=getattr(req_path, "fake_sent", 0),
-                    fake_responses_sent=getattr(resp_path, "fake_sent", 0),
+                    fake_requests_sent=req_path.fake_sent,
+                    fake_responses_sent=resp_path.fake_sent,
                     memory_stall_cycles=core.memory_stall_cycles,
                     llc_misses=core.hierarchy.l2.misses,
                     llc_accesses=core.hierarchy.llc_access_count,

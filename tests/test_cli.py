@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.resilience.snapshot import SNAPSHOT_VERSION
 from repro.sim.columnar import DEFAULT_ENGINE
 
 
@@ -292,6 +293,27 @@ class TestResilienceCommands:
         assert main(["resume", snap, "--cycles", "10", "--until", "50"]) == 2
         # --until at or before the snapshot cycle: nothing to resume.
         assert main(["resume", snap, "--until", "1000"]) == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"garbage", "bad magic"),
+        (b'REPROSNAP v%d\n{"kind": "system", "cycle": 5}\n'
+         % SNAPSHOT_VERSION, "truncated"),
+        (b'REPROSNAP v1\n{"kind": "system", "cycle": 5}\npayload',
+         "v1 is not supported"),
+    ], ids=["garbage", "truncated", "old-version"])
+    def test_resume_bad_snapshot_is_a_usage_error(
+        self, capsys, tmp_path, payload, message
+    ):
+        """One ``error:`` line on stderr and exit 2 — not a traceback."""
+        snap = tmp_path / "bad.snap"
+        snap.write_bytes(payload)
+        assert main(["resume", str(snap), "--cycles", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert main(["resume", str(tmp_path / "missing.snap"),
+                     "--cycles", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
     def test_run_watchdog_no_false_positive(self, capsys):
         """A healthy shaped run under a tight budget completes cleanly."""

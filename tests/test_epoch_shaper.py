@@ -1,4 +1,4 @@
-"""Tests for the Fletcher'14 epoch-rate shaper (paper reference [14])."""
+"""Tests for the Fletcher'14 epoch-rate policy (paper reference [14])."""
 
 import math
 
@@ -6,11 +6,8 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.core.epoch_shaper import (
-    EpochRateController,
-    EpochRateShaper,
-    RateSet,
-)
+from repro.core.epoch_shaper import EpochRatePolicy, RateSet
+from repro.core.request_shaper import RequestCamouflage
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
 
@@ -33,76 +30,67 @@ class TestRateSet:
         with pytest.raises(ConfigurationError):
             RateSet((8, 8, 16))
 
-    def test_interval_for_demand_matches(self):
-        rs = RateSet((8, 16, 32))
-        # 100 accesses over 1600 cycles need interval <= 16.
-        assert rs.interval_for_demand(100, 1600) == 16
-
-    def test_interval_for_no_demand_is_slowest(self):
-        assert RateSet((8, 16, 32)).interval_for_demand(0, 1000) == 32
-
-    def test_interval_for_huge_demand_is_fastest(self):
-        assert RateSet((8, 16, 32)).interval_for_demand(10_000, 1000) == 8
-
 
 class TestController:
+    """The boundary half of the policy: which rate the next epoch gets."""
+
     def test_starts_at_slowest(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100)
+        c = EpochRatePolicy(RateSet((8, 16, 32)), epoch_cycles=100)
         assert c.current_interval == 32
 
     def test_explicit_initial_interval(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100,
-                                initial_interval=16)
+        c = EpochRatePolicy(RateSet((8, 16, 32)), epoch_cycles=100,
+                            initial_interval=16)
         assert c.current_interval == 16
 
     def test_rejects_interval_outside_set(self):
         with pytest.raises(ConfigurationError):
-            EpochRateController(RateSet((8, 16)), epoch_cycles=100,
-                                initial_interval=10)
-
-    def test_demand_drives_rate(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100)
-        for _ in range(12):
-            c.note_demand()  # needs interval <= 8.3
-        assert c.maybe_advance_epoch(100)
-        assert c.current_interval == 8
-        assert c.rate_history == [(100, 8)]
+            EpochRatePolicy(RateSet((8, 16)), epoch_cycles=100,
+                            initial_interval=10)
 
     def test_no_boundary_no_change(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100)
-        assert not c.maybe_advance_epoch(99)
+        c = EpochRatePolicy(RateSet((8, 16, 32)), epoch_cycles=100)
+        assert not c.advance(99, 0)
 
     def test_feedback_pressure_steps_faster(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100)
-        c.maybe_advance_with_feedback(100, pressure=True, idle=False)
+        c = EpochRatePolicy(RateSet((8, 16, 32)), epoch_cycles=100)
+        c.advance(50, 2)  # more than one waiter: pressure
+        assert c.advance(100, 0) == 1
         assert c.current_interval == 16
+        assert c.rate_history == [(100, 16)]
 
     def test_feedback_idle_steps_slower(self):
-        c = EpochRateController(RateSet((8, 16, 32)), epoch_cycles=100,
-                                initial_interval=8)
-        c.maybe_advance_with_feedback(100, pressure=False, idle=True)
+        c = EpochRatePolicy(RateSet((8, 16, 32)), epoch_cycles=100,
+                            initial_interval=8)
+        c.release_fake(8)  # the epoch's only slot went to a fake
+        c.advance(100, 0)
         assert c.current_interval == 16
 
     def test_feedback_clamps_at_extremes(self):
-        c = EpochRateController(RateSet((8, 16)), epoch_cycles=100,
-                                initial_interval=8)
-        c.maybe_advance_with_feedback(100, pressure=True, idle=False)
+        c = EpochRatePolicy(RateSet((8, 16)), epoch_cycles=100,
+                            initial_interval=8)
+        c.advance(50, 2)
+        c.advance(100, 0)
         assert c.current_interval == 8
-        c2 = EpochRateController(RateSet((8, 16)), epoch_cycles=100)
-        c2.maybe_advance_with_feedback(100, pressure=False, idle=True)
+        c2 = EpochRatePolicy(RateSet((8, 16)), epoch_cycles=100)
+        c2.release_fake(16)
+        c2.advance(100, 0)
         assert c2.current_interval == 16
 
     def test_epochs_elapsed(self):
-        c = EpochRateController(RateSet((8, 16)), epoch_cycles=100)
-        c.maybe_advance_epoch(350)
+        c = EpochRatePolicy(RateSet((8, 16)), epoch_cycles=100)
+        assert c.advance(350, 0) == 3
         assert c.epochs_elapsed == 3
 
 
 def make_shaper(epoch_cycles=256, rates=None):
     link = SharedLink(num_ports=1, latency=1, port_capacity=64)
-    shaper = EpochRateShaper(
-        core_id=0, link=link, port=0, rng=DeterministicRng(5),
-        rates=rates or RateSet((4, 8, 16)), epoch_cycles=epoch_cycles,
+    shaper = RequestCamouflage(
+        core_id=0,
+        shaper=EpochRatePolicy(
+            rates or RateSet((4, 8, 16)), epoch_cycles=epoch_cycles
+        ),
+        link=link, port=0, rng=DeterministicRng(5),
     )
     return shaper, link
 
@@ -157,14 +145,15 @@ class TestEpochRateShaper:
             shaper.tick(cycle)
         # Demand of 1/4 cycles needs the fastest rate; the AIMD path
         # must have walked the interval down from 16 to 4.
-        assert shaper.controller.current_interval == 4
+        assert shaper.shaper.current_interval == 4
 
     def test_leakage_bound_grows_with_epochs(self):
         shaper, _ = make_shaper(epoch_cycles=256)
         for cycle in range(1100):
             shaper.tick(cycle)
-        expected_epochs = shaper.controller.epochs_elapsed
-        assert shaper.leakage_bound_bits() == pytest.approx(
+        expected_epochs = shaper.shaper.epochs_elapsed
+        assert expected_epochs == 4
+        assert shaper.shaper.leakage_bound_bits() == pytest.approx(
             expected_epochs * math.log2(3)
         )
 

@@ -655,20 +655,34 @@ def _mutated_request_shaper():
     return mutated
 
 
-def _core_sources(mutate=False):
+EPOCH_SHAPER = REPO_ROOT / "src" / "repro" / "core" / "epoch_shaper.py"
+
+
+def _mutated_epoch_policy():
+    """The queue depth added into the slot register, in ``advance``."""
+    source = EPOCH_SHAPER.read_text()
+    anchor = "        if queued > 1:\n"
+    assert source.count(anchor) == 1
+    return source.replace(
+        anchor, "        self._next_slot += queued\n" + anchor, 1
+    )
+
+
+def _core_sources(mutated=None):
+    """``repro.core`` as (path, text) pairs, ``mutated`` ({file: text})
+    standing in for the files on disk."""
+    mutated = mutated or {}
     sources = []
     for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
         rel = path.relative_to(REPO_ROOT).as_posix()
-        if mutate and path == REQUEST_SHAPER:
-            sources.append((rel, _mutated_request_shaper()))
-        else:
-            sources.append((rel, path.read_text()))
+        sources.append((rel, mutated.get(path) or path.read_text()))
     return sources
 
 
 def test_seeded_occupancy_flow_is_caught_with_full_path():
     project = FlowProject.from_sources(
-        _core_sources(mutate=True), config=LintConfig(project_root=str(REPO_ROOT))
+        _core_sources({REQUEST_SHAPER: _mutated_request_shaper()}),
+        config=LintConfig(project_root=str(REPO_ROOT)),
     )
     findings = [
         f
@@ -686,12 +700,44 @@ def test_seeded_occupancy_flow_is_caught_with_full_path():
     assert "returned from" in notes[-1]  # the sink end
 
 
+def test_seeded_queue_depth_into_epoch_slot_register_is_caught():
+    """``EpochRatePolicy.advance`` is the one place demand (the queue
+    depth) enters a policy, and it writes the slot register: it must
+    stay open to the analysis — a sanitizer entry or pragma on it
+    would make this very mutation invisible."""
+    project = FlowProject.from_sources(
+        _core_sources({EPOCH_SHAPER: _mutated_epoch_policy()}),
+        config=LintConfig(project_root=str(REPO_ROOT)),
+    )
+    findings = list(SecretIndependenceChecker().check_project(project))
+    write = [
+        f for f in findings
+        if f.key == "repro.core.epoch_shaper.EpochRatePolicy.advance"
+        ".attr-write._next_slot"
+    ]
+    assert write, "\n".join(f.as_text() for f in findings)
+    notes = [step.note for step in write[0].flow]
+    assert any("_buffer" in n for n in notes)  # the source end
+    assert any("queued" in n for n in notes)  # across the protocol
+    # ... and on through the register to the station's timing answer.
+    downstream = [
+        f for f in findings
+        if f.key.startswith(
+            "repro.core.request_shaper.RequestCamouflage.next_event_cycle"
+        )
+    ]
+    assert downstream
+    assert any(
+        "_next_slot" in step.note for step in downstream[0].flow
+    )
+
+
 def test_unmutated_core_is_clean_through_sanctioned_interfaces():
     # The sanctioned credit/bin/epoch path: the very same modules,
     # unmutated, produce zero RL007 findings — demand crosses only
     # through the sanitizer interfaces.
     project = FlowProject.from_sources(
-        _core_sources(mutate=False), config=LintConfig(project_root=str(REPO_ROOT))
+        _core_sources(), config=LintConfig(project_root=str(REPO_ROOT))
     )
     findings = list(SecretIndependenceChecker().check_project(project))
     assert findings == [], "\n".join(f.as_text() for f in findings)

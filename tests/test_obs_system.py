@@ -115,8 +115,24 @@ class TestTracing:
 
     def test_epoch_shaper_events(self):
         system, _ = _observed(epoch=True, trace=True)
-        names = {e.name for e in system.observability.tracer.events}
-        assert "shaper.epoch_boundary" in names
+        events = system.observability.tracer.events
+        assert "shaper.epoch_boundary" in {e.name for e in events}
+        # Release events report the current interval's index in the
+        # rate set as ``bin=``; the run starts at the slowest rate.
+        rates = system.request_paths[0].shaper.rates
+        releases = [
+            e for e in events if e.core_id == 0
+            and e.name in ("shaper.real_release", "shaper.fake_inject")
+        ]
+        assert releases
+        assert releases[0].args_dict["bin"] == rates.num_rates - 1
+        assert all(
+            0 <= e.args_dict["bin"] < rates.num_rates for e in releases
+        )
+        # The unshaped core's stations stay silent.
+        assert not [
+            e for e in events if e.core_id == 1 and e.category == "shaper"
+        ]
 
 
 class TestSampling:

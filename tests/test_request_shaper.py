@@ -4,8 +4,10 @@ import pytest
 
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, BinSpec
-from repro.core.request_shaper import PassthroughShaper, RequestCamouflage
-from repro.core.shaper import BinShaper
+from repro.common.errors import ConfigurationError
+from repro.core.epoch_shaper import EpochRatePolicy
+from repro.core.request_shaper import RequestCamouflage
+from repro.core.shaper import BinShaper, Passthrough
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
 
@@ -46,6 +48,20 @@ class TestBuffering:
         reqc, _ = make_reqc()
         reqc.submit(make_txn(), 0)
         assert reqc.occupancy == 1
+
+    @pytest.mark.parametrize("policy", [
+        BinShaper(BinSpec(), BinConfiguration((1,) * 10)),
+        EpochRatePolicy(),
+        Passthrough(),
+    ], ids=lambda policy: type(policy).__name__)
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_nonpositive_capacity(self, policy, capacity):
+        """A zero-depth buffer can never accept: the core would
+        deadlock into the watchdog, whatever times the releases."""
+        link = SharedLink(num_ports=1, latency=1)
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            RequestCamouflage(0, policy, link, 0, DeterministicRng(7),
+                              buffer_capacity=capacity)
 
 
 class TestRelease:
@@ -157,7 +173,7 @@ class TestHistograms:
 class TestPassthrough:
     def test_forwards_immediately(self):
         link = SharedLink(num_ports=1, latency=1)
-        p = PassthroughShaper(0, link, 0)
+        p = RequestCamouflage(0, Passthrough(), link, 0)
         txn = make_txn()
         p.submit(txn, 0)
         p.tick(3)
@@ -166,12 +182,19 @@ class TestPassthrough:
 
     def test_shaped_histogram_is_intrinsic(self):
         link = SharedLink(num_ports=1, latency=1)
-        p = PassthroughShaper(0, link, 0)
+        p = RequestCamouflage(0, Passthrough(), link, 0)
         assert p.shaped_histogram is p.intrinsic_histogram
+        p.submit(make_txn(), 0)
+        p.submit(make_txn(), 5)
+        p.tick(5)
+        p.tick(6)
+        assert p.real_sent == 2
+        # One shared histogram, so a release must not record again.
+        assert p.shaped_histogram.gaps == (5,)
 
     def test_backpressure(self):
         link = SharedLink(num_ports=1, latency=1, port_capacity=1)
-        p = PassthroughShaper(0, link, 0, buffer_capacity=1)
+        p = RequestCamouflage(0, Passthrough(), link, 0, buffer_capacity=1)
         p.submit(make_txn(), 0)
         p.tick(0)
         p.submit(make_txn(), 1)

@@ -127,7 +127,7 @@ class TestSpecValidation:
         builder.with_resilience(
             ResilienceConfig(faults=(EpochBoundaryStress(core_id=0),))
         )
-        with pytest.raises(ConfigurationError, match="EpochRateShaper"):
+        with pytest.raises(ConfigurationError, match="EpochRatePolicy"):
             builder.build().run(1_000)
 
 

@@ -25,6 +25,7 @@ from repro.resilience import (
 )
 from repro.resilience.snapshot import (
     KIND_SYSTEM,
+    SNAPSHOT_VERSION,
     dump_snapshot,
     load_snapshot,
     parse_snapshot,
@@ -42,6 +43,7 @@ from repro.workloads import make_trace
 from tests.test_ga_online import build_tunable_system
 
 SPEC = BinSpec()
+HEADER = b"REPROSNAP v%d\n" % SNAPSHOT_VERSION
 
 
 # -- envelope validation ---------------------------------------------------
@@ -69,17 +71,27 @@ class TestEnvelope:
         with pytest.raises(SnapshotError, match="v99"):
             parse_snapshot(b'REPROSNAP v99\n{"kind": "system"}\npayload')
 
+    def test_previous_version_fails_at_the_envelope(self):
+        """A v1 file pickles station classes that no longer exist; it
+        must be turned away before anything is unpickled, by a message
+        naming both versions."""
+        assert SNAPSHOT_VERSION == 2
+        with pytest.raises(
+            SnapshotError, match=r"format v1 .*\(expected v2\)"
+        ):
+            parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
+
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):
-            parse_snapshot(b"REPROSNAP v1\nnot-json\npayload")
+            parse_snapshot(HEADER + b"not-json\npayload")
 
     def test_metadata_must_have_kind(self):
         with pytest.raises(SnapshotError, match="kind"):
-            parse_snapshot(b'REPROSNAP v1\n{"cycle": 1}\npayload')
+            parse_snapshot(HEADER + b'{"cycle": 1}\npayload')
 
     def test_truncated_payload(self):
         with pytest.raises(SnapshotError, match="truncated"):
-            parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\n')
+            parse_snapshot(HEADER + b'{"kind": "system"}\n')
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "obj.snap")

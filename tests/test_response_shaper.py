@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.bins import BinConfiguration, BinSpec
-from repro.core.response_shaper import (
-    PassthroughResponsePath,
-    ResponseCamouflage,
-)
-from repro.core.shaper import BinShaper
+from repro.common.errors import ConfigurationError
+from repro.core.response_shaper import ResponseCamouflage
+from repro.core.shaper import BinShaper, Passthrough
 from repro.memctrl.schedulers import PriorityFrFcfsScheduler
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
@@ -67,6 +65,16 @@ class TestThrottling:
         for _ in range(64):
             respc.push_response(make_response(0), 0)
         assert not respc.can_accept()
+
+    @pytest.mark.parametrize("policy", [
+        BinShaper(BinSpec(), BinConfiguration((1,) * 10)),
+        Passthrough(),
+    ], ids=lambda policy: type(policy).__name__)
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_nonpositive_capacity(self, policy, capacity):
+        link = SharedLink(num_ports=1, latency=1)
+        with pytest.raises(ConfigurationError, match="buffer_capacity"):
+            ResponseCamouflage(0, policy, link, 0, buffer_capacity=capacity)
 
 
 class TestFakeResponses:
@@ -156,7 +164,7 @@ class TestHistograms:
 class TestPassthroughResponsePath:
     def test_forwards(self):
         link = SharedLink(num_ports=1, latency=1)
-        path = PassthroughResponsePath(0, link, 0)
+        path = ResponseCamouflage(0, Passthrough(), link, 0)
         txn = make_response(0)
         path.push_response(txn, 0)
         path.tick(2)

@@ -14,16 +14,27 @@ The tests here pin the fixed semantics: the hold is cleared on every
 boundary crossing, and ``earliest_real_release`` is a true lower bound
 on the first releasable cycle — exact whenever jitter is off or the
 hold is already armed.
+
+:class:`TestStationContract` then checks the same contract one level
+up, once, over every release policy: a station ticked only when its
+``next_event_cycle`` (or a submission) says so is indistinguishable
+from one ticked every cycle — the station-level twin of
+``tests/test_engine_equivalence.py``.
 """
 
 import copy
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, BinSpec
-from repro.core.shaper import BinShaper
+from repro.core.epoch_shaper import EpochRatePolicy, RateSet
+from repro.core.request_shaper import RequestCamouflage
+from repro.core.response_shaper import ResponseCamouflage
+from repro.core.shaper import BinShaper, Passthrough
+from repro.memctrl.transaction import MemoryTransaction, TransactionType
 
 SPEC = BinSpec(edges=(2, 4, 8, 16), replenish_period=64)
 
@@ -179,3 +190,140 @@ class TestEarliestRealReleaseProperty:
             assert truth is None
         else:
             assert truth == predicted
+
+
+# -- the station contract, once, over policies ------------------------------
+
+
+class _ScriptedLink:
+    """The two calls a station makes on its link, with backpressure on
+    scripted cycles and a log of what was injected when."""
+
+    def __init__(self, blocked=()):
+        self.blocked = frozenset(blocked)
+        self.cycle = 0
+        self.injections = []  # (cycle, is_fake)
+
+    def can_inject(self, port):
+        return self.cycle not in self.blocked
+
+    def inject(self, port, txn):
+        self.injections.append(
+            (self.cycle, txn.kind is TransactionType.FAKE_READ)
+        )
+
+
+EPOCH = 64  # replenish period of SPEC and epoch length, so runs cross several
+
+POLICIES = {
+    "bins": lambda: BinShaper(SPEC, BinConfiguration((1, 2, 1, 1))),
+    "strict-bins": lambda: BinShaper(
+        SPEC, BinConfiguration((1, 2, 1, 1)), strict=True
+    ),
+    "jittered-bins": lambda: BinShaper(
+        SPEC, BinConfiguration((1, 2, 1, 1)), jitter_rng=DeterministicRng(9)
+    ),
+    "epoch-rate": lambda: EpochRatePolicy(RateSet((4, 8, 16)), EPOCH),
+    "passthrough": Passthrough,
+}
+
+VARIANTS = [
+    (policy, direction)
+    for policy in POLICIES
+    for direction in ("request", "response")
+    if (policy, direction) != ("epoch-rate", "response")  # request-only
+]
+
+
+def _make_station(policy, direction, blocked=()):
+    link = _ScriptedLink(blocked)
+    if direction == "request":
+        station = RequestCamouflage(
+            0, POLICIES[policy](), link, 0, DeterministicRng(3),
+            buffer_capacity=4,
+        )
+        return station, link, station.submit, lambda: station.can_accept(0)
+    station = ResponseCamouflage(
+        0, POLICIES[policy](), link, 0, buffer_capacity=4
+    )
+    return station, link, station.push_response, station.can_accept
+
+
+def _drive(policy, direction, schedule, blocked, every_cycle):
+    """Feed ``schedule[c]`` transactions at cycle ``c`` and tick either
+    every cycle or only when fed or due, the way the engines do."""
+    station, link, feed, can_accept = _make_station(
+        policy, direction, blocked
+    )
+    horizon = station.next_event_cycle(0)
+    for cycle, arrivals in enumerate(schedule):
+        link.cycle = cycle
+        fed = False
+        for _ in range(arrivals):
+            if can_accept():
+                feed(
+                    MemoryTransaction(
+                        core_id=0, address=0x40 * cycle,
+                        kind=TransactionType.READ, created_cycle=cycle,
+                    ),
+                    cycle,
+                )
+                fed = True
+        if every_cycle or fed or horizon <= cycle:
+            station.tick(cycle)
+            horizon = station.next_event_cycle(cycle + 1)
+    if direction == "request":
+        station.settle(len(schedule))
+    return station, link
+
+
+SCHEDULES = st.lists(
+    st.sampled_from([0, 0, 0, 0, 0, 1, 1, 2]),
+    min_size=EPOCH, max_size=5 * EPOCH,
+)
+
+
+class TestStationContract:
+    @pytest.mark.parametrize("policy, direction", VARIANTS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        schedule=SCHEDULES,
+        blocked=st.sets(st.integers(0, 5 * EPOCH), max_size=40),
+    )
+    def test_event_ticked_twin_is_indistinguishable(
+        self, policy, direction, schedule, blocked
+    ):
+        oracle, oracle_link = _drive(
+            policy, direction, schedule, blocked, every_cycle=True
+        )
+        twin, twin_link = _drive(
+            policy, direction, schedule, blocked, every_cycle=False
+        )
+        assert twin_link.injections == oracle_link.injections
+        assert (twin.real_sent, twin.fake_sent) == (
+            oracle.real_sent, oracle.fake_sent
+        )
+        assert twin.occupancy == oracle.occupancy
+        assert twin.shaped_histogram.counts == oracle.shaped_histogram.counts
+        assert (
+            twin.intrinsic_histogram.counts
+            == oracle.intrinsic_histogram.counts
+        )
+        if direction == "request":
+            assert twin.stall_cycles == oracle.stall_cycles
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedule=st.lists(st.integers(0, 2),
+                             min_size=EPOCH, max_size=EPOCH))
+    def test_epoch_release_cycles_ignore_the_schedule(self, schedule):
+        """RL007's dynamic twin, where it is exact: inside an epoch the
+        epoch-rate policy releases on a fixed grid (real or fake),
+        whatever the program submits — only the *next* epoch's rate may
+        depend on it."""
+        _, link = _drive("epoch-rate", "request", schedule, (), True)
+        _, idle_link = _drive("epoch-rate", "request", [0] * EPOCH, (), True)
+        cycles = [cycle for cycle, _ in link.injections]
+        assert cycles == [cycle for cycle, _ in idle_link.injections]
+        assert cycles == list(range(16, EPOCH, 16))
