@@ -65,12 +65,6 @@ class Bank:
     def earliest_activate(self) -> int:
         return self._next_activate
 
-    def earliest_column(self) -> int:
-        return self._next_column
-
-    def earliest_precharge(self) -> int:
-        return self._next_precharge
-
     def can_activate(self, cycle: int) -> bool:
         return self._state is BankState.PRECHARGED and cycle >= self._next_activate
 

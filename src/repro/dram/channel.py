@@ -32,10 +32,6 @@ class Channel:
         """True when a command may be driven this cycle."""
         return cycle >= self._command_bus_busy_until
 
-    def earliest_command_bus(self) -> int:
-        """First cycle the command bus is free (planning helper)."""
-        return self._command_bus_busy_until
-
     def _claim_command_bus(self, cycle: int) -> None:
         if not self.command_bus_free(cycle):
             raise ProtocolError(

@@ -52,10 +52,6 @@ class Rank:
             and cycle >= self.earliest_activate(bank_index)
         )
 
-    def earliest_read_gate(self) -> int:
-        """First cycle the rank-level tWTR gate admits a READ."""
-        return self._next_read_rank
-
     def can_read(self, bank_index: int, cycle: int, row: int) -> bool:
         return (
             cycle >= self._next_read_rank

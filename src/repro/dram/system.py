@@ -11,9 +11,10 @@ answers three questions:
    data burst completes, which becomes the transaction's response
    timestamp.
 
-Refresh is handled by :meth:`refresh_due` / :meth:`issue_refresh`,
+Refresh is handled by :meth:`refresh_due` / :attr:`next_refresh`,
 which the controller consults before normal scheduling (refresh has
-absolute priority once due, as in DRAMSim2's refresh-first policy).
+absolute priority once due, as in DRAMSim2's refresh-first policy);
+the REFRESH itself goes through :meth:`issue` like every command.
 """
 
 from __future__ import annotations
@@ -56,15 +57,19 @@ class DramSystem:
         ]
         self._enable_refresh = enable_refresh
         self.tracer = NULL_TRACER
-        # bank -> ready cycle per required-command kind, see
-        # ready_cycle(); emptied by issue().
+        # bank -> ready cycle per required-command kind, without the
+        # command-bus term; see ready_cycle() and _invalidate_ready().
         self._ready: Dict[Bank, List[Optional[int]]] = {}
-        # Next refresh deadline per (channel, rank).
+        # Next refresh deadline per (channel, rank), and the earliest
+        # of them (None when refresh is off); both move only at REF.
         self._refresh_deadline = {
             (c, r): self.timing.tREFI
             for c in range(self.organization.channels)
             for r in range(self.organization.ranks_per_channel)
         }
+        self.next_refresh: Optional[int] = (
+            self.timing.tREFI if enable_refresh else None
+        )
 
     # -- structure accessors ------------------------------------------------
 
@@ -99,13 +104,18 @@ class DramSystem:
         ``can_issue(required_command(address, is_write), c)`` is
         ``ready_cycle(address, is_write) <= c``.  That also makes the
         answer a property of the bank and the command kind, not of the
-        transaction: it is worked out once per bank and kind and kept
-        until :meth:`issue` empties the memo.  May lie in the past.
+        transaction: the bank/rank/data-bus part is worked out once per
+        bank and kind and kept until :meth:`issue` invalidates the
+        entries its command can move (:meth:`_invalidate_ready`); the
+        command bus, which every command moves, is applied on read.
+        May lie in the past.
         """
+        # The registers are read directly: this is the controller's
+        # innermost loop, and each accessor would be a call.
         channel = self.channels[address.channel]
         rank = channel.ranks[address.rank]
         bank = rank.banks[address.bank]
-        open_row = bank.open_row
+        open_row = bank._open_row
         if open_row == address.row:
             kind = _WRITE if is_write else _READ
         elif open_row is None:
@@ -117,26 +127,20 @@ class DramSystem:
             memo = self._ready[bank] = [None, None, None, None]
         ready = memo[kind]
         if ready is None:
-            ready = channel.earliest_command_bus()
             if kind == _ACTIVATE:
-                ready = max(ready, rank.earliest_activate(address.bank))
+                ready = rank.earliest_activate(address.bank)
             elif kind == _PRECHARGE:
-                ready = max(ready, bank.earliest_precharge())
+                ready = bank._next_precharge
             else:
                 ready = max(
-                    ready,
-                    bank.earliest_column(),
+                    bank._next_column,
                     channel.earliest_data_bus_command(address.rank, is_write),
                 )
-                if not is_write:
-                    ready = max(ready, rank.earliest_read_gate())
+                if not is_write and rank._next_read_rank > ready:
+                    ready = rank._next_read_rank
             memo[kind] = ready
-        return ready
-
-    def can_advance(self, address: DecodedAddress, is_write: bool,
-                    cycle: int) -> bool:
-        """Can the *required* command for this access issue at ``cycle``?"""
-        return self.ready_cycle(address, is_write) <= cycle
+        bus = channel._command_bus_busy_until
+        return bus if bus > ready else ready
 
     def can_issue(self, command: DramCommand, cycle: int) -> bool:
         """May ``command`` legally issue at ``cycle``?"""
@@ -165,7 +169,7 @@ class DramSystem:
         a = command.address
         channel = self.channels[a.channel]
         # Every state change of a bank, rank or bus happens below.
-        self._ready.clear()
+        self._invalidate_ready(command.kind, a)
         if self.tracer.enabled:
             # Every DRAM command the controller issues funnels through
             # here, so this one hook covers ACT/PRE/RD/WR/REF.
@@ -186,8 +190,38 @@ class DramSystem:
         if command.kind is CommandType.REFRESH:
             channel.refresh(a.rank, cycle)
             self._refresh_deadline[(a.channel, a.rank)] = cycle + self.timing.tREFI
+            if self._enable_refresh:
+                self.next_refresh = min(self._refresh_deadline.values())
             return None
         raise ProtocolError(f"unknown command kind {command.kind}")
+
+    def _invalidate_ready(self, kind: CommandType, a: DecodedAddress) -> None:
+        """Drop the memo entries a ``kind`` command at ``a`` can move.
+
+        PRE moves only its bank; ACT its bank plus the rank's tRRD/tFAW
+        gate (the ACT entry of every bank in the rank); RD/WR their
+        bank (auto-precharge included) plus the channel's data bus and
+        tRTRS and, for WR, the rank's tWTR gate (the column entries of
+        every bank in the channel); REF every bank of the rank.
+        """
+        memo = self._ready
+        channel = self.channels[a.channel]
+        banks = channel.ranks[a.rank].banks
+        memo.pop(banks[a.bank], None)
+        if kind is CommandType.ACTIVATE:
+            for bank in banks:
+                entry = memo.get(bank)
+                if entry is not None:
+                    entry[_ACTIVATE] = None
+        elif kind is CommandType.READ or kind is CommandType.WRITE:
+            for rank in channel.ranks:
+                for bank in rank.banks:
+                    entry = memo.get(bank)
+                    if entry is not None:
+                        entry[_READ] = entry[_WRITE] = None
+        elif kind is CommandType.REFRESH:
+            for bank in banks:
+                memo.pop(bank, None)
 
     def __getstate__(self):
         # The memo fills at different cycles under each engine; a
@@ -204,12 +238,6 @@ class DramSystem:
             return []
         return [key for key, deadline in self._refresh_deadline.items()
                 if cycle >= deadline]
-
-    def next_refresh_cycle(self) -> Optional[int]:
-        """The earliest refresh deadline, or ``None`` when disabled."""
-        if not self._enable_refresh or not self._refresh_deadline:
-            return None
-        return min(self._refresh_deadline.values())
 
     def refresh_precharge_targets(self, channel: int, rank: int):
         """Banks that must be precharged before a refresh can issue."""

@@ -11,10 +11,13 @@ invalidate them, and each is enrolled here as a *ledger*:
   way no local (per-function) check can see when the mutation happens
   through a helper.
 * ``DramSystem.ready_cycle`` memoises when a bank's next command may
-  issue until :meth:`DramSystem.issue` empties the memo.  Both engines
+  issue until :meth:`DramSystem.issue` invalidates the entries its
+  command can move (``DramSystem._invalidate_ready``).  Both engines
   read that memo, so engine equivalence is blind to a stale entry: a
   ``Channel``/``Rank``/``Bank`` mutator called past ``issue`` (from the
-  controller, say) has to be caught here.
+  controller, say) has to be caught here.  *Which* entries a command
+  invalidates is below this rule's function granularity; the memo
+  property test in ``tests/test_dram_system.py`` is its oracle.
 
 The rule is function-granularity and interprocedural: a function in a
 ledger's scope that calls one of its *mutators* (``*.tick``,
@@ -26,7 +29,7 @@ for a mutation helper is the ``_step``/``_refresh_horizons`` split the
 engine already uses).  A mark is an assignment of a non-``False``
 value to a mark target (``dirty[i] = True``, ``self._dirty[j] =
 True``) or a call to a mark helper (``*mark_all_dirty*``,
-``*_ready.clear``); clearing a flag (``dirty[i] = False``) never
+``*._invalidate_ready``); clearing a flag (``dirty[i] = False``) never
 counts.
 
 Scopes, mutator patterns and mark patterns are the ``_LEDGERS`` below;
@@ -82,7 +85,7 @@ _LEDGERS = [
     ),
     _Ledger(
         mutation="DRAM device mutation",
-        mark="ready-cycle memo reset",
+        mark="ready-cycle memo invalidation",
         # The modules that hold the channels; the device classes
         # delegate to each other below DramSystem.issue by design.
         paths=["repro/dram/system.py", "repro/memctrl/*.py"],
@@ -95,11 +98,11 @@ _LEDGERS = [
             "*.force_refresh_block",
         ],
         mark_targets=[],
-        mark_calls=["*_ready.clear"],
+        mark_calls=["*._invalidate_ready"],
         hint=(
-            "route the command through DramSystem.issue, which empties "
-            "the ready-cycle memo, instead of calling the channel, rank "
-            "or bank directly"
+            "route the command through DramSystem.issue, which "
+            "invalidates the ready-cycle memo entries the command moves, "
+            "instead of calling the channel, rank or bank directly"
         ),
     ),
 ]

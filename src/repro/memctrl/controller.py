@@ -20,7 +20,7 @@ cores — the contention chain the timing channel rides on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.common.errors import (
     ConfigurationError,
@@ -97,15 +97,20 @@ class MemoryController:
         self._egress_capacity = egress_capacity
         # Transactions whose column command issued, awaiting burst end.
         self._in_flight: List[MemoryTransaction] = []
-        # Per-core in-flight counts, maintained incrementally so the
-        # per-cycle egress-room checks stay O(1).
-        self._in_flight_count: Dict[int, int] = {}
         # Completed transactions per core, awaiting pickup.
         self._egress: Dict[int, List[MemoryTransaction]] = {}
+        # Return slots each core has committed (in flight + egress;
+        # absent when zero): +1 at column issue, -k when k responses
+        # are popped — a burst completion only moves a slot.  Cores at
+        # the egress capacity are fenced off from scheduling.
+        self._committed: Dict[int, int] = {}
+        self._fenced: Set[int] = set()
         self._refresh_pending = set()
         if page_policy not in ("open", "closed"):
             raise ConfigurationError(f"unknown page policy {page_policy!r}")
         self._page_policy = page_policy
+        # Fixed-Service dummy fill, when the scheduler offers it.
+        self._dummy_cores_due = getattr(self.scheduler, "dummy_cores_due", None)
         self._dummy_rng = DeterministicRng(0xF5)
         self.tracer = NULL_TRACER
         # Statistics.
@@ -183,14 +188,21 @@ class MemoryController:
         Responses left behind keep occupying the bounded egress queue,
         which throttles further column commands for this core.
         """
-        ready = self._egress.get(core_id, [])
-        if limit is None or limit >= len(ready):
-            self._egress.pop(core_id, None)
-            return ready
-        if limit <= 0:
+        ready = self._egress.get(core_id)
+        if not ready or (limit is not None and limit <= 0):
             return []
-        taken, rest = ready[:limit], ready[limit:]
-        self._egress[core_id] = rest
+        if limit is None or limit >= len(ready):
+            del self._egress[core_id]
+            taken = ready
+        else:
+            taken, self._egress[core_id] = ready[:limit], ready[limit:]
+        left = self._committed[core_id] - len(taken)
+        if left:
+            self._committed[core_id] = left
+        else:
+            del self._committed[core_id]
+        if left < self._egress_capacity:
+            self._fenced.discard(core_id)
         return taken
 
     @property
@@ -206,20 +218,22 @@ class MemoryController:
     def egress_has_room(self, core_id: int) -> bool:
         """Room among the occupied + committed slots of a core's
         return queue?"""
-        ready = self._egress.get(core_id)
-        return (
-            (len(ready) if ready else 0)
-            + self._in_flight_count.get(core_id, 0)
-        ) < self._egress_capacity
+        return core_id not in self._fenced
 
     # -- main loop --------------------------------------------------------------
 
     def tick(self, cycle: int) -> None:
         """Advance one cycle: refresh, schedule, issue, complete."""
-        self._complete_bursts(cycle)
-        self._service_refresh(cycle)
+        if self._in_flight:
+            self._complete_bursts(cycle)
+        next_refresh = self.dram.next_refresh
+        if self._refresh_pending or (
+            next_refresh is not None and cycle >= next_refresh
+        ):
+            self._service_refresh(cycle)
         self.scheduler.tick(cycle)
-        self._inject_scheduler_dummies(cycle)
+        if self._dummy_cores_due is not None:
+            self._inject_scheduler_dummies(cycle)
         self._schedule_and_issue(cycle)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -234,21 +248,18 @@ class MemoryController:
         """
         if self._refresh_pending:
             return cycle
-        events = [
-            txn.data_ready_cycle
-            for txn in self._in_flight
-            if txn.data_ready_cycle is not None
-        ]
-        next_refresh = self.dram.next_refresh_cycle()
-        if next_refresh is not None:
-            events.append(next_refresh)
-        if events and min(events) <= cycle:
+        earliest = self.dram.next_refresh
+        for txn in self._in_flight:
+            done = txn.data_ready_cycle
+            if done is not None and (earliest is None or done < earliest):
+                earliest = done
+        if earliest is not None and earliest <= cycle:
             return cycle  # due already: no need to ask the scheduler
         sched = self.scheduler.next_event_cycle(
             self._selectable(), self.dram, cycle
         )
-        if sched is not None:
-            events.append(sched)
+        if sched is not None and (earliest is None or sched < earliest):
+            earliest = sched
         if self.write_queue is not None and self.write_queue.drain_pending(
             reads_pending=not self.queue.is_empty
         ):
@@ -260,9 +271,9 @@ class MemoryController:
             drain = Scheduler._earliest_candidate_advance(
                 drainable, self.dram, cycle
             )
-            if drain is not None:
-                events.append(drain)
-        return max(cycle, min(events)) if events else None
+            if drain is not None and (earliest is None or drain < earliest):
+                earliest = drain
+        return None if earliest is None else max(cycle, earliest)
 
     def _inject_scheduler_dummies(self, cycle: int) -> None:
         """Fill empty Fixed-Service slots with dummy transactions.
@@ -271,10 +282,7 @@ class MemoryController:
         ``dummy_fill``) trigger this; the dummy is a fake read to a
         random address in the owning core's partition.
         """
-        due_fn = getattr(self.scheduler, "dummy_cores_due", None)
-        if due_fn is None:
-            return
-        for core_id in due_fn(self.queue, cycle):
+        for core_id in self._dummy_cores_due(self.queue, cycle):
             if self.queue.is_full or not self.egress_has_room(core_id):
                 break
             address = self._dummy_rng.randint(0, (1 << 30) // 64 - 1) * 64
@@ -290,13 +298,10 @@ class MemoryController:
     # -- internals ----------------------------------------------------------------
 
     def _complete_bursts(self, cycle: int) -> None:
-        if not self._in_flight:
-            return
         still_flying: List[MemoryTransaction] = []
         for txn in self._in_flight:
             if txn.data_ready_cycle is not None and txn.data_ready_cycle <= cycle:
                 self._egress.setdefault(txn.core_id, []).append(txn)
-                self._in_flight_count[txn.core_id] -= 1
             else:
                 still_flying.append(txn)
         self._in_flight = still_flying
@@ -337,18 +342,15 @@ class MemoryController:
     def _selectable(self) -> Sequence[MemoryTransaction]:
         # Cores whose return queue is full are fenced off (flow
         # control); ranks awaiting refresh likewise.
-        blocked_cores = [
-            core
-            for core in self.queue.queued_cores()
-            if not self.egress_has_room(core)
-        ]
-        if not self._refresh_pending and not blocked_cores:
+        fenced = self._fenced
+        pending = self._refresh_pending
+        if not pending and not fenced:
             return self.queue
         return [
             t
             for t in self.queue
-            if t.core_id not in blocked_cores
-            and (t.decoded.channel, t.decoded.rank) not in self._refresh_pending
+            if t.core_id not in fenced
+            and (t.decoded.channel, t.decoded.rank) not in pending
         ]
 
     def _select_write_drain(self, cycle: int) -> Optional[MemoryTransaction]:
@@ -401,9 +403,10 @@ class MemoryController:
             else:
                 self.queue.remove(txn)
             self._in_flight.append(txn)
-            self._in_flight_count[txn.core_id] = (
-                self._in_flight_count.get(txn.core_id, 0) + 1
-            )
+            committed = self._committed.get(txn.core_id, 0) + 1
+            self._committed[txn.core_id] = committed
+            if committed >= self._egress_capacity:
+                self._fenced.add(txn.core_id)
             if txn.is_write:
                 self.issued_writes += 1
             else:

@@ -10,7 +10,7 @@ propagating contention exactly the way the timing channel needs it to.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.common.errors import (
     ConfigurationError,
@@ -29,7 +29,7 @@ class TransactionQueue:
         self._capacity = capacity
         self._entries: List[MemoryTransaction] = []
         # Queued transactions per core (absent when zero), maintained
-        # by push/remove so flow control never scans the entries.
+        # by push/remove so a per-core count never scans the entries.
         self._per_core: Dict[int, int] = {}
 
     @property
@@ -95,16 +95,3 @@ class TransactionQueue:
     def count_for_core(self, core_id: int) -> int:
         """Number of queued transactions belonging to ``core_id``."""
         return self._per_core.get(core_id, 0)
-
-    def queued_cores(self) -> Iterable[int]:
-        """The cores that have at least one transaction queued."""
-        return self._per_core.keys()
-
-    def oldest(
-        self, predicate: Optional[Callable[[MemoryTransaction], bool]] = None
-    ) -> Optional[MemoryTransaction]:
-        """Oldest entry, optionally restricted by a predicate."""
-        for txn in self._entries:
-            if predicate is None or predicate(txn):
-                return txn
-        return None

@@ -59,8 +59,9 @@ class Scheduler:
     ) -> Optional[int]:
         """Min over candidates of the exact earliest-issuable cycle."""
         earliest: Optional[int] = None
+        ready_cycle = dram.ready_cycle
         for txn in candidates:
-            c = dram.ready_cycle(txn.decoded, txn.is_write)
+            c = ready_cycle(txn.decoded, txn.is_write)
             if earliest is None or c < earliest:
                 earliest = c
                 if earliest <= cycle:
@@ -83,9 +84,10 @@ class Scheduler:
         single allocation-free pass over the arrival-ordered queue.
         """
         first_ready = None
+        ready_cycle = dram.ready_cycle
         for txn in candidates:
             decoded = txn.decoded
-            if dram.ready_cycle(decoded, txn.is_write) <= cycle:
+            if ready_cycle(decoded, txn.is_write) <= cycle:
                 if dram.is_row_hit(decoded):
                     return txn
                 if first_ready is None:
@@ -136,6 +138,9 @@ class PriorityFrFcfsScheduler(Scheduler):
         if num_cores <= 0:
             raise ConfigurationError("num_cores must be positive")
         self._boost: Dict[int, int] = {c: 0 for c in range(num_cores)}
+        # Cores whose boost is non-zero: select() skips the boosted
+        # pre-pass while there are none.
+        self._boosted_cores = 0
         self._exclusive_core: Optional[int] = None
 
     def add_boost(self, core_id: int, credits: int) -> None:
@@ -144,7 +149,7 @@ class PriorityFrFcfsScheduler(Scheduler):
             raise ConfigurationError(f"unknown core {core_id}")
         if credits < 0:
             raise ConfigurationError("boost credits must be non-negative")
-        self._boost[core_id] += credits
+        self._store_boost(core_id, self._boost[core_id] + credits)
 
     def set_boost(self, core_id: int, credits: int) -> None:
         """Replace ``core_id``'s boost pool with a fresh grant.
@@ -159,6 +164,10 @@ class PriorityFrFcfsScheduler(Scheduler):
             raise ConfigurationError(f"unknown core {core_id}")
         if credits < 0:
             raise ConfigurationError("boost credits must be non-negative")
+        self._store_boost(core_id, credits)
+
+    def _store_boost(self, core_id: int, credits: int) -> None:
+        self._boosted_cores += (credits > 0) - (self._boost[core_id] > 0)
         self._boost[core_id] = credits
 
     def boost_of(self, core_id: int) -> int:
@@ -185,10 +194,11 @@ class PriorityFrFcfsScheduler(Scheduler):
             rest = [t for t in queue if t.core_id != self._exclusive_core]
             return self._frfcfs_pick(rest, dram, cycle)
 
-        boosted = [t for t in queue if self._boost.get(t.core_id, 0) > 0]
-        pick = self._frfcfs_pick(boosted, dram, cycle)
-        if pick is not None:
-            return pick
+        if self._boosted_cores:
+            boosted = [t for t in queue if self._boost.get(t.core_id, 0) > 0]
+            pick = self._frfcfs_pick(boosted, dram, cycle)
+            if pick is not None:
+                return pick
         return self._frfcfs_pick(queue, dram, cycle)
 
     def next_event_cycle(self, candidates, dram, cycle):
@@ -199,7 +209,7 @@ class PriorityFrFcfsScheduler(Scheduler):
 
     def on_issue(self, txn, cycle):
         if self._exclusive_core is None and self._boost.get(txn.core_id, 0) > 0:
-            self._boost[txn.core_id] -= 1
+            self._store_boost(txn.core_id, self._boost[txn.core_id] - 1)
 
 
 class TemporalPartitioningScheduler(Scheduler):

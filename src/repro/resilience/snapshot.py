@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v2``.
+    Magic + format version: ``REPROSNAP v3``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -50,9 +50,12 @@ from repro.memctrl.transaction import (
 #: — including a class the pickled graph names going away, so that an
 #: old file fails here and not inside ``pickle.loads``.  v2: one shaper
 #: station class per direction (the passthrough and epoch-rate path
-#: classes v1 graphs pickle no longer exist).
+#: classes v1 graphs pickle no longer exist).  v3: the memory
+#: controller keeps committed return slots and a fenced-core set, the
+#: priority scheduler a boosted-core count and the DRAM system its
+#: earliest refresh deadline (a v2 graph has none of them).
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

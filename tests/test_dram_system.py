@@ -60,23 +60,17 @@ class TestCommandSequence:
         assert dram.is_row_hit(d)
         assert dram.total_activates() == 1
 
-    def test_can_advance_matches_can_issue(self, dram, mapping, timing):
-        """The scheduler fast path agrees with the slow path."""
-        d = mapping.decode(128)
-        for cycle in range(0, 40):
-            cmd = dram.required_command(d, False)
-            assert dram.can_advance(d, False, cycle) == dram.can_issue(cmd, cycle)
-            if dram.can_issue(cmd, cycle):
-                dram.issue(cmd, cycle)
-                if cmd.is_column:
-                    break
-
 
 # The memoised ready cycle is shared by both engines, so engine
-# equivalence cannot see a stale entry; the uncached legality check can.
+# equivalence cannot see a stale entry, and neither can the uncached
+# can_issue cross-check (an entry that is too late only delays a pick)
+# or the command-trace validator.  Exact agreement with can_issue at
+# every cycle can: it is the oracle for which entries each command
+# invalidates.
 
 ACCESSES = st.lists(
     st.tuples(
+        st.integers(min_value=0, max_value=1),  # channel
         st.integers(min_value=0, max_value=1),  # rank
         st.integers(min_value=0, max_value=3),  # bank
         st.integers(min_value=0, max_value=2),  # row
@@ -97,30 +91,60 @@ STEPS = st.lists(
 )
 
 
+# A short refresh interval, so REF and its precharges land inside a
+# few hundred cycles.
+MEMO_TIMING = DramTiming(tREFI=60, tRFC=20)
+
+
+def assert_memo_exact(dram, queued, cycle):
+    for a, w in queued:
+        legal = dram.can_issue(dram.required_command(a, w), cycle)
+        assert (dram.ready_cycle(a, w) <= cycle) == legal, (a, w, cycle)
+
+
+def refresh_step(dram, queued, cycle):
+    """One refresh command per due rank, the controller's way: close
+    its open banks, then REFRESH; the memo is checked after each."""
+    for channel, rank in dram.refresh_due(cycle):
+        open_banks = dram.refresh_precharge_targets(channel, rank)
+        kind = CommandType.PRECHARGE if open_banks else CommandType.REFRESH
+        bank = open_banks[0] if open_banks else 0
+        command = DramCommand(kind, DecodedAddress(channel, rank, bank, 0, 0))
+        if dram.can_issue(command, cycle):
+            dram.issue(command, cycle)
+            assert_memo_exact(dram, queued, cycle)
+
+
 class TestReadyCycleMemo:
     @settings(max_examples=120, deadline=None)
     @given(accesses=ACCESSES, steps=STEPS)
     def test_agrees_with_uncached_legality(self, accesses, steps):
-        """Over a random legal command sequence, for every queued
-        access at every cycle up to the next issue."""
+        """Over a random legal command sequence on two channels of two
+        ranks, with refresh and auto-precharge, for every queued access
+        at every cycle and after every command."""
         dram = DramSystem(
-            organization=DramOrganization(ranks_per_channel=2),
-            enable_refresh=False,
+            timing=MEMO_TIMING,
+            organization=DramOrganization(channels=2, ranks_per_channel=2),
+            enable_refresh=True,
         )
         queued = [
-            (DecodedAddress(channel=0, rank=r, bank=b, row=row, column=0), w)
-            for r, b, row, w in accesses
+            (DecodedAddress(channel=c, rank=r, bank=b, row=row, column=0), w)
+            for c, r, b, row, w in accesses
         ]
         cycle = 0
         for pick, idle, auto_precharge in steps:
             address, is_write = queued[pick % len(queued)]
             waited = 0
             while True:
-                for a, w in queued:
-                    legal = dram.can_issue(dram.required_command(a, w), cycle)
-                    assert (dram.ready_cycle(a, w) <= cycle) == legal
+                assert_memo_exact(dram, queued, cycle)
+                refresh_step(dram, queued, cycle)
                 command = dram.required_command(address, is_write)
-                if waited >= idle and dram.can_issue(command, cycle):
+                if (
+                    waited >= idle
+                    and (address.channel, address.rank)
+                    not in dram.refresh_due(cycle)
+                    and dram.can_issue(command, cycle)
+                ):
                     break
                 waited += 1
                 cycle += 1
@@ -128,6 +152,28 @@ class TestReadyCycleMemo:
                 command, cycle,
                 auto_precharge=auto_precharge and command.is_column,
             )
+        assert_memo_exact(dram, queued, cycle)
+
+    def test_dropping_only_the_issued_bank_is_caught(self, monkeypatch):
+        """The property has teeth: an ACT moves the tRRD/tFAW gate of
+        every bank in its rank, so a helper that invalidates only the
+        issued bank leaves bank 1's ACT entry stale (too early)."""
+        def issued_bank_only(self, kind, a):
+            bank = self.channels[a.channel].ranks[a.rank].banks[a.bank]
+            self._ready.pop(bank, None)
+
+        monkeypatch.setattr(DramSystem, "_invalidate_ready", issued_bank_only)
+        dram = DramSystem(enable_refresh=False)
+        bank0 = DecodedAddress(channel=0, rank=0, bank=0, row=0, column=0)
+        bank1 = DecodedAddress(channel=0, rank=0, bank=1, row=0, column=0)
+        queued = [(bank0, False), (bank1, False)]
+        assert_memo_exact(dram, queued, 0)  # fills bank 1's ACT entry
+        dram.issue(DramCommand(CommandType.ACTIVATE, bank0), 0)
+        act = dram.required_command(bank1, False)
+        assert not dram.can_issue(act, 1)  # tRRD
+        assert dram.ready_cycle(bank1, False) <= 1
+        with pytest.raises(AssertionError):
+            assert_memo_exact(dram, queued, 1)
 
     def test_memo_is_not_snapshot_state(self, dram, mapping):
         """It fills at different cycles under each engine."""
@@ -145,6 +191,7 @@ class TestRefreshManagement:
 
     def test_refresh_due_after_trefi(self):
         dram = DramSystem(enable_refresh=True)
+        assert dram.next_refresh == dram.timing.tREFI
         assert dram.refresh_due(dram.timing.tREFI - 1) == []
         assert dram.refresh_due(dram.timing.tREFI) == [(0, 0)]
 
@@ -159,6 +206,18 @@ class TestRefreshManagement:
         dram.issue(ref, t)
         assert dram.refresh_due(t) == []
         assert dram.refresh_due(2 * t) == [(0, 0)]
+        assert dram.next_refresh == 2 * t
+
+    def test_next_refresh_is_the_earliest_rank_deadline(self):
+        dram = DramSystem(
+            organization=DramOrganization(ranks_per_channel=2),
+            enable_refresh=True,
+        )
+        t = dram.timing.tREFI
+        ref = DramCommand(CommandType.REFRESH, DecodedAddress(0, 1, 0, 0, 0))
+        dram.issue(ref, t + 3)
+        assert dram.next_refresh == t  # rank 0 is still due first
+        assert DramSystem(enable_refresh=False).next_refresh is None
 
     def test_precharge_targets_lists_open_banks(self, mapping):
         dram = DramSystem(enable_refresh=True)

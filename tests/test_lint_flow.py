@@ -329,7 +329,7 @@ class TestRL008:
 
     # The DRAM ready-cycle memo is the second ledger: both engines read
     # it, so only this rule can see a device mutation that skips the
-    # reset in ``DramSystem.issue``.
+    # invalidation in ``DramSystem.issue``.
 
     def test_device_mutation_past_issue_flagged(self):
         findings = findings_for(
@@ -350,7 +350,7 @@ class TestRL008:
             """
             class DramSystem:
                 def issue(self, command, cycle):
-                    self._ready.clear()
+                    self._invalidate_ready(command.kind, command.address)
                     channel = self.channels[command.address.channel]
                     channel.activate(0, 0, 0, cycle)
             """,
@@ -358,6 +358,22 @@ class TestRL008:
             select=["RL008"],
         )
         assert findings == []
+
+    def test_emptying_the_memo_by_hand_is_not_the_mark(self):
+        """The mark is the helper that knows which entries a command
+        moves; a bare ``clear()`` of some dict does not pair."""
+        findings = findings_for(
+            """
+            class DramSystem:
+                def issue(self, command, cycle):
+                    self._ready.clear()
+                    channel = self.channels[command.address.channel]
+                    channel.activate(0, 0, 0, cycle)
+            """,
+            path="src/repro/dram/system.py",
+            select=["RL008"],
+        )
+        assert ids_of(findings) == ["RL008"]
 
     def test_device_internals_are_out_of_scope(self):
         """Channel → Rank → Bank delegation sits below ``issue``."""

@@ -61,21 +61,6 @@ class TestOrderingAndRemoval:
         with pytest.raises(ProtocolError):
             q.remove(make_txn())
 
-    def test_oldest(self):
-        q = TransactionQueue(8)
-        for i in range(3):
-            q.push(make_txn(core=i))
-        assert q.oldest().core_id == 0
-
-    def test_oldest_with_predicate(self):
-        q = TransactionQueue(8)
-        for i in range(3):
-            q.push(make_txn(core=i))
-        assert q.oldest(lambda t: t.core_id > 0).core_id == 1
-
-    def test_oldest_empty_returns_none(self):
-        assert TransactionQueue(4).oldest() is None
-
     def test_count_for_core(self):
         q = TransactionQueue(8)
         for core in (0, 1, 0, 2, 0):

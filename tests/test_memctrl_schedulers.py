@@ -101,6 +101,32 @@ class TestPriorityFrFcfs:
         sched.on_issue(txn, 0)
         assert sched.boost_of(1) == 0
 
+    def test_boost_preference_follows_every_grant_and_consumption(
+        self, dram, mapping
+    ):
+        """select() skips the boosted pre-pass while no core holds a
+        boost, so the boosted-core count must track add, set and
+        consumption both ways."""
+        sched = PriorityFrFcfsScheduler(num_cores=2)
+        q = TransactionQueue()
+        old = make_txn(mapping, core=0, address=0)
+        other = make_txn(mapping, core=1, address=1 << 22)
+        q.push(old)
+        q.push(other)
+        sched.add_boost(1, 1)
+        assert sched.select(q, dram, 0) is other
+        sched.on_issue(other, 0)
+        assert sched.select(q, dram, 0) is old
+        sched.set_boost(1, 2)
+        sched.add_boost(1, 1)
+        assert sched.select(q, dram, 0) is other
+        sched.set_boost(1, 0)
+        assert sched.select(q, dram, 0) is old
+        sched.set_boost(0, 1)
+        sched.set_boost(1, 1)
+        sched.on_issue(old, 0)
+        assert sched.select(q, dram, 0) is other
+
     def test_exhausted_boost_reverts_to_frfcfs(self, dram, mapping):
         sched = PriorityFrFcfsScheduler(num_cores=2)
         q = TransactionQueue()

@@ -75,11 +75,20 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 2
+        assert SNAPSHOT_VERSION == 3
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v2\)"
+            SnapshotError, match=r"format v1 .*\(expected v3\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
+
+    def test_v2_controller_layout_fails_at_the_envelope(self):
+        """A v2 graph lacks the controller's committed-slot counts and
+        the DRAM refresh field: it would unpickle and then die at the
+        first tick with an ``AttributeError``.  It is refused here."""
+        with pytest.raises(
+            SnapshotError, match=r"format v2 .*\(expected v3\)"
+        ):
+            parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
 
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):
