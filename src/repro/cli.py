@@ -54,7 +54,6 @@ from repro.lint import runner as lint_runner
 from repro.obs import ALL_CATEGORIES, ObservabilityConfig, diag
 from repro.obs.events import CATEGORY_DISPATCH
 from repro.obs.export import render_openmetrics
-from repro.obs.server import MetricsServer, ServePublisher
 from repro.parallel import (
     DispatchCoordinator,
     DispatchLedger,
@@ -636,6 +635,8 @@ def _serve_linger(seconds: float, stop) -> None:
 
 
 def _cmd_serve(args) -> int:
+    from repro.obs.server import MetricsServer, ServePublisher
+
     system, defaults = _observed_system(
         args, *_run_configs(args, profile=True)
     )

@@ -9,15 +9,20 @@ suite and the benchmark harness both rely on.
 The implementation wraps :class:`random.Random` (a Mersenne twister)
 rather than ``numpy`` so that single-draw call sites stay cheap and the
 stream is stable across numpy versions.  Components that need bulk
-vectorised draws can call :meth:`DeterministicRng.numpy_generator`.
+vectorised draws can call :meth:`DeterministicRng.numpy_generator`,
+which is the only place this module loads numpy: importing it (and so
+``import repro``) does not.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DeterministicRng:
@@ -75,6 +80,8 @@ class DeterministicRng:
 
     def numpy_generator(self) -> np.random.Generator:
         """Return a numpy Generator seeded from this stream."""
+        import numpy as np
+
         return np.random.default_rng(self._random.getrandbits(64))
 
     # -- scalar draws -------------------------------------------------
@@ -119,6 +126,4 @@ class DeterministicRng:
             return 1
         # Inverse-CDF sampling keeps this a single draw.
         u = self._random.random()
-        import math
-
         return int(math.floor(math.log(1.0 - u) / math.log(1.0 - p))) + 1

@@ -10,12 +10,13 @@ computed from these.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.bins import BinSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InterArrivalHistogram:
@@ -78,6 +79,8 @@ class InterArrivalHistogram:
 
     def bin_sequence(self) -> np.ndarray:
         """Each gap mapped to its bin index, as an array (for MI)."""
+        import numpy as np
+
         return np.array([self.spec.bin_of(g) for g in self._gaps], dtype=np.int64)
 
     # -- comparisons -----------------------------------------------------------

@@ -21,7 +21,9 @@ pure function of the run configuration:
   (:class:`~repro.obs.profile.EngineProfiler`) attributing simulated
   work to pipeline stations and engine phases in integer cycles;
 * a live **metrics server** (:mod:`repro.obs.server`) backing
-  ``repro serve`` with `/metrics` and `/healthz`.
+  ``repro serve`` with `/metrics` and `/healthz`; it pulls in
+  ``http.server``, so it loads on first use of its names, not with
+  this package.
 
 Attach them to a system with
 :meth:`repro.sim.system.SystemBuilder.with_observability`.
@@ -56,7 +58,6 @@ from repro.obs.metrics import (
 from repro.obs.monitor import MonitorSample, ShapingMonitor, ShapingViolation
 from repro.obs.profile import EngineProfiler
 from repro.obs.ring import RingBuffer, make_trace_buffer
-from repro.obs.server import MetricsServer, ServePublisher
 from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer
 
 __all__ = [
@@ -93,3 +94,11 @@ __all__ = [
     "EventTracer",
     "NullTracer",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("MetricsServer", "ServePublisher"):
+        from repro.obs import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

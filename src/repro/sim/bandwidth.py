@@ -8,11 +8,12 @@ per-window bandwidth series of one core).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def bandwidth_series(
@@ -23,6 +24,8 @@ def bandwidth_series(
     line_bytes: int = 64,
 ) -> np.ndarray:
     """Bytes transferred per window (optionally for one port only)."""
+    import numpy as np
+
     if window_cycles <= 0:
         raise ConfigurationError("window_cycles must be positive")
     if total_cycles <= 0:
@@ -88,6 +91,8 @@ def burstiness_index(series: Sequence[float]) -> float:
     ~0 for shaped constant traffic, large for ON/OFF patterns — a
     scalar summary of what shaping did to the envelope.
     """
+    import numpy as np
+
     values = np.asarray(series, dtype=float)
     if values.size == 0:
         return 0.0

@@ -10,13 +10,14 @@ and row-hit rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.util import canonical_json_digest
 from repro.core.distribution import InterArrivalHistogram
 from repro.memctrl.transaction import MemoryTransaction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -56,11 +57,15 @@ class CoreStats:
     def mean_memory_latency(self) -> float:
         if not self.memory_latencies:
             return 0.0
+        import numpy as np
+
         return float(np.mean(self.memory_latencies))
 
     def latency_percentile(self, q: float) -> float:
         if not self.memory_latencies:
             return 0.0
+        import numpy as np
+
         return float(np.percentile(self.memory_latencies, q))
 
     def accumulated_response_time(self) -> np.ndarray:
@@ -70,6 +75,8 @@ class CoreStats:
         response-time curves reveals (or, under Camouflage, hides) the
         co-runner's behaviour.
         """
+        import numpy as np
+
         if not self.response_times:
             return np.zeros(0)
         ordered = sorted(self.response_times)
@@ -113,6 +120,8 @@ class SystemReport:
         """Mean of IPC_alone / IPC_shared (the paper's GA objective)."""
         if len(alone_ipcs) != len(self.cores):
             raise ValueError("need one alone-IPC per core")
+        import numpy as np
+
         slowdowns = []
         for c, alone in zip(self.cores, alone_ipcs):
             if c.ipc > 0:

@@ -51,9 +51,7 @@ class PhasedTraceGenerator:
             generator = SyntheticTraceGenerator(
                 phase.params, self._rng.fork(index)
             )
-            records.extend(
-                generator.record() for _ in range(phase.accesses)
-            )
+            records.extend(generator.records(phase.accesses))
         return MemoryTrace(records, name=name)
 
     def boundaries(self) -> List[int]:

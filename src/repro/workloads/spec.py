@@ -23,8 +23,9 @@ testbed (see DESIGN.md section 2).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import zlib
-from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -35,7 +36,7 @@ KB = 1024
 MB = 1024 * 1024
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BenchmarkProfile:
     """A named workload: generator parameters plus provenance notes."""
 
@@ -172,6 +173,7 @@ def benchmark_profile(name: str) -> BenchmarkProfile:
         ) from None
 
 
+@functools.lru_cache(maxsize=32)
 def make_trace(
     name: str,
     num_accesses: int = 4000,
@@ -183,6 +185,10 @@ def make_trace(
     ``base_address`` separates co-running instances' address spaces so
     they do not accidentally share cache lines (each VM has its own
     physical allocation in the paper's setting).
+
+    Traces are memoised per process on all four arguments: a
+    :class:`MemoryTrace` is immutable, so a sweep's base run and its
+    rungs can share one generation of the same program's trace.
     """
     if num_accesses <= 0:
         raise ConfigurationError(
@@ -195,17 +201,7 @@ def make_trace(
     profile = benchmark_profile(name)
     params = profile.params
     if base_address:
-        params = TraceParameters(
-            gap_mean=params.gap_mean,
-            seq_prob=params.seq_prob,
-            working_set_bytes=params.working_set_bytes,
-            write_fraction=params.write_fraction,
-            p_enter_off=params.p_enter_off,
-            p_exit_off=params.p_exit_off,
-            off_gap_multiplier=params.off_gap_multiplier,
-            line_bytes=params.line_bytes,
-            base_address=base_address,
-        )
+        params = dataclasses.replace(params, base_address=base_address)
     # zlib.crc32 is stable across processes (unlike built-in hash()).
     rng = DeterministicRng(seed).fork(zlib.crc32(profile.name.encode()))
     generator = SyntheticTraceGenerator(params, rng)

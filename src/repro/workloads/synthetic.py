@@ -25,6 +25,7 @@ description.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -73,57 +74,62 @@ class SyntheticTraceGenerator:
     def __init__(self, params: TraceParameters, rng: DeterministicRng) -> None:
         self.params = params
         self._rng = rng
-        self._pointer = self._random_line()
+        line = rng.randint(0, params.working_set_lines - 1)
+        self._pointer = params.base_address + line * params.line_bytes
         self._in_off_state = False
 
-    def _random_line(self) -> int:
-        line = self._rng.randint(0, self.params.working_set_lines - 1)
-        return self.params.base_address + line * self.params.line_bytes
+    def records(self, count: int) -> List[TraceRecord]:
+        """Generate the next ``count`` trace records.
 
-    def _next_gap(self) -> int:
-        mean = self.params.gap_mean
-        if self._in_off_state:
-            mean *= self.params.off_gap_multiplier
-        if mean <= 0:
-            return 0
+        Each record takes its draws in a fixed order: the ON/OFF Markov
+        step, the geometric gap, the sequential-or-jump address, then
+        the write flag.  Changing that order changes every trace.
+        """
+        params = self.params
+        random, geometric, randint = (
+            self._rng.random, self._rng.geometric, self._rng.randint
+        )
+        p_enter, p_exit = params.p_enter_off, params.p_exit_off
+        seq_prob, write_fraction = params.seq_prob, params.write_fraction
+        line_bytes, base = params.line_bytes, params.base_address
+        limit = base + params.working_set_bytes
+        last_line = params.working_set_lines - 1
         # Geometric gaps give an exponential-like inter-access pattern
         # with integer support, matching miss-gap measurements from
-        # real traces far better than a constant.
-        p = 1.0 / (mean + 1.0)
-        return self._rng.geometric(p) - 1
+        # real traces far better than a constant.  A zero mean has no
+        # draw at all.
+        on_mean = params.gap_mean
+        off_mean = on_mean * params.off_gap_multiplier
+        on_p = 1.0 / (on_mean + 1.0) if on_mean > 0 else None
+        off_p = 1.0 / (off_mean + 1.0) if off_mean > 0 else None
 
-    def _advance_markov(self) -> None:
-        if self._in_off_state:
-            if self._rng.random() < self.params.p_exit_off:
-                self._in_off_state = False
-        else:
-            if self._rng.random() < self.params.p_enter_off:
-                self._in_off_state = True
-
-    def _next_address(self) -> int:
-        p = self.params
-        if self._rng.random() < p.seq_prob:
-            self._pointer += p.line_bytes
-            limit = p.base_address + p.working_set_bytes
-            if self._pointer >= limit:
-                self._pointer = p.base_address
-        else:
-            self._pointer = self._random_line()
-        return self._pointer
+        pointer, off = self._pointer, self._in_off_state
+        out: List[TraceRecord] = []
+        append = out.append
+        for _ in range(count):
+            if off:
+                if random() < p_exit:
+                    off = False
+            elif random() < p_enter:
+                off = True
+            gap_p = off_p if off else on_p
+            gap = geometric(gap_p) - 1 if gap_p is not None else 0
+            if random() < seq_prob:
+                pointer += line_bytes
+                if pointer >= limit:
+                    pointer = base
+            else:
+                pointer = base + randint(0, last_line) * line_bytes
+            append(TraceRecord(gap, pointer, random() < write_fraction))
+        self._pointer, self._in_off_state = pointer, off
+        return out
 
     def record(self) -> TraceRecord:
         """Generate the next trace record."""
-        self._advance_markov()
-        return TraceRecord(
-            nonmem_insts=self._next_gap(),
-            address=self._next_address(),
-            is_write=self._rng.random() < self.params.write_fraction,
-        )
+        return self.records(1)[0]
 
     def trace(self, num_accesses: int, name: str = "synthetic") -> MemoryTrace:
         """Generate a complete trace of ``num_accesses`` memory ops."""
         if num_accesses <= 0:
             raise ConfigurationError("num_accesses must be positive")
-        return MemoryTrace(
-            (self.record() for _ in range(num_accesses)), name=name
-        )
+        return MemoryTrace(self.records(num_accesses), name=name)

@@ -26,6 +26,7 @@ from repro.common.errors import (
     WorkerFailureError,
 )
 from repro.common.rng import DeterministicRng
+from repro.common.util import canonical_json_digest
 from repro.core.bins import BinConfiguration
 from repro.ga.genetic import GaConfig, GeneticAlgorithm
 from repro.obs import diag
@@ -45,6 +46,8 @@ from repro.parallel.tasks import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.sim.system import RequestShapingPlan
+from repro.workloads.spec import make_trace
+from repro.workloads.synthetic import SyntheticTraceGenerator
 from tests.test_dispatch import LANE_KINDS, flaky_echo_task, lane_executor
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
@@ -350,6 +353,25 @@ class TestJobsDifferential:
         points_4 = tradeoff_sweep("gcc", FAST, scales=(0.8, 1.4), jobs=4)
         assert points_1 == points_4
         assert all("digest" in p for p in points_1)
+
+    def test_sweep_generates_its_trace_once(self, monkeypatch):
+        """The base run and every rung share one memoised trace, and
+        the sweep's bytes are the ones it printed before the memo."""
+        generated = []
+        records = SyntheticTraceGenerator.records
+
+        def counting(generator, count):
+            generated.append(count)
+            return records(generator, count)
+
+        make_trace.cache_clear()
+        monkeypatch.setattr(SyntheticTraceGenerator, "records", counting)
+        points_1 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=1)
+        assert generated == [FAST.accesses]
+        assert canonical_json_digest(points_1) == "1e03fbb19465af99"
+        monkeypatch.undo()
+        points_2 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=2)
+        assert canonical_json_digest(points_2) == "1e03fbb19465af99"
 
     def test_ga_generation(self):
         payload_base = ga_payload_base()

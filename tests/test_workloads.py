@@ -1,5 +1,7 @@
 """Unit tests for workload generation: synthetic, SPEC-like, covert."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.workloads.covert import (
     covert_sender_trace,
     key_to_bits,
 )
+from repro.workloads.phased import two_phase_trace
 from repro.workloads.spec import (
     BENCHMARK_NAMES,
     benchmark_profile,
@@ -95,6 +98,16 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigurationError):
             self.make().trace(0)
 
+    def test_record_continues_the_records_stream(self):
+        one_at_a_time = self.make(seed=4)
+        singles = [one_at_a_time.record() for _ in range(300)]
+        batched = self.make(seed=4)
+        assert singles == batched.records(100) + batched.records(200)
+
+    def test_zero_gap_mean_gives_zero_gaps(self):
+        zero = self.make(gap_mean=0.0).trace(50)
+        assert all(r.nonmem_insts == 0 for r in zero)
+
 
 class TestSpecProfiles:
     def test_eleven_benchmarks(self):
@@ -128,9 +141,18 @@ class TestSpecProfiles:
         assert benchmark_profile("mcf").params.seq_prob < 0.2
 
     def test_make_trace_deterministic(self):
-        a = make_trace("astar", 200, seed=3)
-        b = make_trace("astar", 200, seed=3)
-        assert [r.address for r in a] == [r.address for r in b]
+        memoised = make_trace("astar", 200, seed=3)
+        fresh = make_trace.__wrapped__("astar", 200, seed=3)
+        assert memoised is not fresh
+        assert _trace_digest(memoised) == _trace_digest(fresh)
+
+    def test_make_trace_memoised(self):
+        assert make_trace("astar", 200, seed=5) is make_trace(
+            "astar", 200, seed=5
+        )
+        assert make_trace("astar", 200, seed=5) is not make_trace(
+            "astar", 200, seed=6
+        )
 
     def test_make_trace_base_address(self):
         t = make_trace("gcc", 100, base_address=1 << 33)
@@ -138,6 +160,54 @@ class TestSpecProfiles:
 
     def test_make_trace_name(self):
         assert make_trace("apache", 10).name == "apache"
+
+
+def _trace_digest(trace):
+    """sha256 over the trace's ``(nonmem_insts, address, is_write)``."""
+    h = hashlib.sha256()
+    for r in trace:
+        h.update(repr((r.nonmem_insts, r.address, r.is_write)).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``make_trace(name, 2000, seed=1)``, ``seed=42`` and ``seed=3`` at
+#: ``base_address=1 << 30``.  The pinned values catch any change to the
+#: generator's draw order or arithmetic, which two fresh generations
+#: compared with each other would not.
+GOLDEN_TRACES = {
+    "apache": ("4373db0e66d51c56", "7df8e0d3ac5b5920", "91f4cdf419e3dcc4"),
+    "astar": ("b1c02b975b91b48d", "637463404cf5c246", "4de8a450eaa68954"),
+    "bzip": ("edf0fa6fe08ab9ec", "a525b46cf26ca100", "a024f0aa7f2da015"),
+    "gcc": ("a6b158f717d2d5b0", "061cdc3764d64bf5", "63af0eca79633539"),
+    "gobmk": ("f8d42b79158a34ef", "4a8365ee2e29e9cc", "d6a86aa755193174"),
+    "h264ref": ("dd436d467e455cb7", "13657af9de937312", "3e293c5a689ede4b"),
+    "hmmer": ("c4700dacdce199b1", "dd995e19593452a4", "293d280c53afc34d"),
+    "libquantum": (
+        "b63765a34e249290", "3eb566824e8534b0", "6097cf6d9149cd77",
+    ),
+    "mcf": ("bcf65493ce429067", "00385bf8702b6915", "24d31c228d74d026"),
+    "omnetpp": ("288164a82a1e88ee", "b968d882da0808bc", "675185971d3e4e7a"),
+    "sjeng": ("3ce1c53aad333260", "55a616c55f0b9ae1", "c32c59553045bed8"),
+}
+
+
+class TestGoldenTraces:
+    def test_every_profile_is_pinned(self):
+        assert sorted(GOLDEN_TRACES) == sorted(BENCHMARK_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+    def test_make_trace(self, name):
+        generated = (
+            make_trace.__wrapped__(name, 2000, seed=1),
+            make_trace.__wrapped__(name, 2000, seed=42),
+            make_trace.__wrapped__(name, 2000, seed=3, base_address=1 << 30),
+        )
+        assert tuple(map(_trace_digest, generated)) == GOLDEN_TRACES[name]
+
+    def test_two_phase_trace(self):
+        trace, boundaries = two_phase_trace()
+        assert _trace_digest(trace) == "b2e74ed437710c00"
+        assert boundaries == [1500, 3000, 4500]
 
 
 class TestKeyToBits:
