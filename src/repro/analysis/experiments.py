@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,10 +29,7 @@ from repro.obs.diag import emit_diagnostic
 from repro.security.attacks import bit_error_rate, decode_covert_key
 from repro.security.detect import detect_report
 from repro.security.leakage import accumulated_response_difference
-from repro.security.mutual_information import (
-    interarrival_mi,
-    windowed_rate_mi,
-)
+from repro.security.mutual_information import gap_rate_mi, interarrival_mi
 from repro.security.prober import prober_trace
 from repro.sim.stats import SystemReport
 from repro.sim.system import (
@@ -47,11 +43,6 @@ from repro.workloads.spec import BENCHMARK_NAMES, make_trace
 
 #: Address-space stride separating co-running programs' allocations.
 _CORE_ADDRESS_STRIDE = 1 << 33
-
-
-def _event_times(gaps: Sequence[int]) -> List[int]:
-    """Event timestamps of an inter-arrival gap sequence."""
-    return list(accumulate(gaps))
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -696,24 +687,18 @@ def measure_mi_suite(
         paired = interarrival_mi(
             intrinsic.gaps, shaped.gaps, spec, bias_correction=True
         )
-        windowed = windowed_rate_mi(
-            _event_times(intrinsic.gaps), _event_times(shaped.gaps),
-            window_cycles, report.cycles_run, bias_correction=True,
+        windowed = gap_rate_mi(
+            intrinsic.gaps, shaped.gaps, window_cycles, report.cycles_run
         )
         return {"paired": paired, "windowed": windowed}
 
     base = run_mix(names, defaults)
     base_stats = base.core(1)
+    base_gaps = base_stats.request_intrinsic.gaps
     # The anchor must use the same estimator configuration as every
     # shaped row (bias correction included), or the table's rows are
     # not mutually comparable.
-    self_mi = interarrival_mi(
-        base_stats.request_intrinsic.gaps,
-        base_stats.request_intrinsic.gaps,
-        spec,
-        bias_correction=True,
-    )
-    base_times = _event_times(base_stats.request_intrinsic.gaps)
+    self_mi = interarrival_mi(base_gaps, base_gaps, spec, bias_correction=True)
 
     rate = base_stats.request_intrinsic.total / max(1, base.cycles_run)
     camo_config = staircase_config(spec, rate * 1.2)
@@ -727,9 +712,8 @@ def measure_mi_suite(
     results: Dict[str, Dict[str, float]] = {
         "no_shaping": {
             "paired": self_mi,
-            "windowed": windowed_rate_mi(
-                base_times, base_times, window_cycles, base.cycles_run,
-                bias_correction=True,
+            "windowed": gap_rate_mi(
+                base_gaps, base_gaps, window_cycles, base.cycles_run
             ),
         }
     }
@@ -1032,11 +1016,6 @@ def tradeoff_sweep(
         kind="tradeoff-point", labels=[label for label, _ in ladder],
     )
 
-    base_times = _event_times(base["gaps"])
-    anchor_mi = windowed_rate_mi(
-        base_times, base_times, window_cycles, base["cycles_run"],
-        bias_correction=True,
-    )
     # The anchor's zoo scores use the same estimator configuration as
     # every shaped point (the comparability rule again): the observed
     # stream is the intrinsic one, tested against the reference
@@ -1050,7 +1029,7 @@ def tradeoff_sweep(
         target_frequencies=staircase_config(spec, base_rate).normalized(),
         seed=defaults.seed,
         window_cycles=window_cycles,
-        mi_bits=anchor_mi,
+        run_cycles=base["cycles_run"],
     )
     no_shaping = {
         "label": "no-shaping",

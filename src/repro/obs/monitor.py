@@ -15,9 +15,14 @@ histograms the shapers already maintain:
 * ``tvd_intrinsic`` — TVD between intrinsic and shaped distributions
   (how much work the shaper is doing; ~0 means the shaped stream just
   mirrors the program).
-* ``mi_bits`` — plug-in mutual information between the paired
-  intrinsic and shaped inter-arrival bin sequences over a sliding
-  window (the section IV-B leakage estimate, evaluated online).
+* ``mi_bits`` — :func:`~repro.security.mutual_information.interarrival_mi`
+  over a sliding window of paired releases (the section IV-B leakage
+  estimate, evaluated online).
+* ``auc`` / ``xcorr`` (``detect=True``) — the attacker zoo,
+  :func:`~repro.security.detect.detect_report`, over the last
+  :data:`DETECT_WINDOW` paired releases.
+
+The thresholds and window sizes are module constants below.
 
 Checkpoints use the same advance/fill discipline as the interval
 sampler, so the history and violation stream are identical under the
@@ -39,6 +44,24 @@ if TYPE_CHECKING:  # import-leaf discipline: repro.obs must not pull
     # the simulator stack in at import time (components import the
     # tracer, and cycles would follow); heavyweight deps load lazily.
     from repro.core.distribution import InterArrivalHistogram
+
+#: A checkpoint whose shaped-vs-target TVD exceeds this is a violation...
+TVD_THRESHOLD = 0.25
+#: ...once the shaped stream has at least this many releases.
+MIN_EVENTS = 32
+#: Paired releases the ``mi_bits`` window covers.
+MI_WINDOW = 4096
+#: Paired releases the zoo attackers see at each checkpoint.
+DETECT_WINDOW = 256
+#: Fewer paired releases than this and the zoo abstains (None scores).
+DETECT_MIN_PAIRS = 32
+#: A zoo score above its threshold is a :class:`DetectViolation`.
+AUC_THRESHOLD = 0.8
+XCORR_THRESHOLD = 0.9
+#: Root of the per-(checkpoint, stream) zoo seeds.
+DETECT_SEED = 0
+#: New paired releases a run-end tail needs before finalize scores it.
+FINAL_MIN_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -143,50 +166,13 @@ class ShapingMonitor:
     """Periodic TVD/MI checkpoints with mid-run violation flagging."""
 
     def __init__(
-        self,
-        interval: int = 2048,
-        tvd_threshold: float = 0.25,
-        min_events: int = 32,
-        mi_window: int = 4096,
-        tracer=NULL_TRACER,
-        detect: bool = False,
-        detect_window: int = 256,
-        detect_min_pairs: int = 32,
-        auc_threshold: float = 0.8,
-        xcorr_threshold: float = 0.9,
-        detect_seed: int = 0,
-        final_min_pairs: int = 8,
+        self, interval: int = 2048, tracer=NULL_TRACER, detect: bool = False
     ) -> None:
         if interval <= 0:
             raise ConfigurationError("monitor interval must be positive")
-        if not 0.0 <= tvd_threshold <= 1.0:
-            raise ConfigurationError("tvd_threshold must be in [0, 1]")
-        if min_events < 1:
-            raise ConfigurationError("min_events must be at least 1")
-        if mi_window < 2:
-            raise ConfigurationError("mi_window must be at least 2")
-        if detect_window < 2:
-            raise ConfigurationError("detect_window must be at least 2")
-        if detect_min_pairs < 1:
-            raise ConfigurationError("detect_min_pairs must be at least 1")
-        if not 0.0 <= auc_threshold <= 1.0:
-            raise ConfigurationError("auc_threshold must be in [0, 1]")
-        if not 0.0 <= xcorr_threshold <= 1.0:
-            raise ConfigurationError("xcorr_threshold must be in [0, 1]")
-        if final_min_pairs < 2:
-            raise ConfigurationError("final_min_pairs must be at least 2")
         self.interval = interval
-        self.tvd_threshold = tvd_threshold
-        self.min_events = min_events
-        self.mi_window = mi_window
         self.tracer = tracer
         self.detect = detect
-        self.detect_window = detect_window
-        self.detect_min_pairs = detect_min_pairs
-        self.auc_threshold = auc_threshold
-        self.xcorr_threshold = xcorr_threshold
-        self.detect_seed = int(detect_seed)
-        self.final_min_pairs = final_min_pairs
         self._next = interval
         self._streams: List[_WatchedStream] = []
         self.history: List[MonitorSample] = []
@@ -282,29 +268,6 @@ class ShapingMonitor:
     def _paired(self, stream: _WatchedStream) -> int:
         return min(len(stream.intrinsic.gaps), len(stream.shaped.gaps))
 
-    def _detect_scores(
-        self, index: int, stream: _WatchedStream, stamp: int
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """Windowed zoo scores for one stream at one checkpoint.
-
-        The RNG (target synthesis + train/test split inside the lab) is
-        a pure function of ``(detect_seed, stamp, stream index)``, so
-        checkpoint scores are engine- and resume-invariant.
-        """
-        from repro.security.detect import windowed_detect_scores
-
-        if self._paired(stream) < self.detect_min_pairs:
-            return None, None
-        rng = DeterministicRng(self.detect_seed).fork(stamp).fork(index)
-        return windowed_detect_scores(
-            stream.intrinsic.gaps,
-            stream.shaped.gaps,
-            stream.shaped.spec,
-            stream.target,
-            rng,
-            window_pairs=self.detect_window,
-        )
-
     def _evaluate(
         self, index: int, stream: _WatchedStream, stamp: int
     ) -> Tuple[
@@ -313,12 +276,36 @@ class ShapingMonitor:
         """Build one stream's sample + violations at ``stamp``.
 
         Pure in (histogram state, stamp); shared by the periodic
-        ``_check`` and the run-end ``finalize``.
+        ``_check`` and the run-end ``finalize``.  The zoo's seed is a
+        pure function of ``(DETECT_SEED, stamp, stream index)``, so
+        checkpoint scores are engine- and resume-invariant.
+
+        The MI window is *degenerate* — ``mi_bits`` is a vacuous 0.0,
+        not evidence of no leakage — when fewer than two pairs exist or
+        either marginal collapsed into a single bin (a constant
+        sequence has zero entropy, so its MI with anything is zero no
+        matter how much the streams co-vary at finer granularity).
         """
+        from repro.security.mutual_information import interarrival_mi
+
         shaped = stream.shaped
+        spec = shaped.spec
         observed = shaped.total
         tvd_intrinsic = stream.intrinsic.total_variation_distance(shaped)
-        mi, mi_pairs, mi_degenerate = self._windowed_mi(stream)
+        intrinsic_gaps = stream.intrinsic.gaps
+        shaped_gaps = shaped.gaps
+        paired = min(len(intrinsic_gaps), len(shaped_gaps))
+
+        start = max(0, paired - MI_WINDOW)
+        x = intrinsic_gaps[start:paired]
+        y = shaped_gaps[start:paired]
+        mi = interarrival_mi(x, y, spec)
+        # Bins are ordered, so a window sits in one bin iff its
+        # extremes do.
+        mi_degenerate = paired < 2 or any(
+            spec.bin_of(min(gaps)) == spec.bin_of(max(gaps))
+            for gaps in (x, y)
+        )
         tvd_target: Optional[float] = None
         if stream.target is not None:
             tvd_target = 0.5 * sum(
@@ -327,22 +314,32 @@ class ShapingMonitor:
             )
         auc: Optional[float] = None
         xcorr: Optional[float] = None
-        detect_violations: List[DetectViolation] = []
-        if self.detect:
-            auc, xcorr = self._detect_scores(index, stream, stamp)
+        if self.detect and paired >= DETECT_MIN_PAIRS:
+            from repro.security.detect import detect_report
+
+            start = max(0, paired - DETECT_WINDOW)
+            seed = DeterministicRng(DETECT_SEED).fork(stamp).fork(index)
+            zoo = detect_report(
+                f"core{stream.core_id}.{stream.direction}",
+                intrinsic_gaps[start:paired], shaped_gaps[start:paired],
+                spec, stream.target, seed=seed.seed,
+            )
+            auc, xcorr = zoo.auc, zoo.xcorr
+        detect_violations = [
+            DetectViolation(
+                cycle=stamp,
+                core_id=stream.core_id,
+                direction=stream.direction,
+                metric=metric,
+                value=value,
+                threshold=threshold,
+            )
             for metric, value, threshold in (
-                ("auc", auc, self.auc_threshold),
-                ("xcorr", xcorr, self.xcorr_threshold),
-            ):
-                if value is not None and value > threshold:
-                    detect_violations.append(DetectViolation(
-                        cycle=stamp,
-                        core_id=stream.core_id,
-                        direction=stream.direction,
-                        metric=metric,
-                        value=value,
-                        threshold=threshold,
-                    ))
+                ("auc", auc, AUC_THRESHOLD),
+                ("xcorr", xcorr, XCORR_THRESHOLD),
+            )
+            if value is not None and value > threshold
+        ]
         sample = MonitorSample(
             cycle=stamp,
             core_id=stream.core_id,
@@ -351,7 +348,7 @@ class ShapingMonitor:
             tvd_target=tvd_target,
             tvd_intrinsic=tvd_intrinsic,
             mi_bits=mi,
-            mi_pairs=mi_pairs,
+            mi_pairs=len(x),
             mi_degenerate=mi_degenerate,
             auc=auc,
             xcorr=xcorr,
@@ -359,15 +356,15 @@ class ShapingMonitor:
         violation: Optional[ShapingViolation] = None
         if (
             tvd_target is not None
-            and observed >= self.min_events
-            and tvd_target > self.tvd_threshold
+            and observed >= MIN_EVENTS
+            and tvd_target > TVD_THRESHOLD
         ):
             violation = ShapingViolation(
                 cycle=stamp,
                 core_id=stream.core_id,
                 direction=stream.direction,
                 tvd_target=tvd_target,
-                threshold=self.tvd_threshold,
+                threshold=TVD_THRESHOLD,
                 events_observed=observed,
             )
         return sample, violation, detect_violations
@@ -393,7 +390,7 @@ class ShapingMonitor:
                         core_id=stream.core_id,
                         direction=stream.direction,
                         tvd_target=round(violation.tvd_target, 6),
-                        threshold=self.tvd_threshold,
+                        threshold=TVD_THRESHOLD,
                         events=violation.events_observed,
                     )
             for dv in detect_violations:
@@ -419,9 +416,9 @@ class ShapingMonitor:
         window the periodic schedule never reaches).
 
         A stream is finalized only when it accrued at least
-        ``final_min_pairs`` new paired releases since its last periodic
-        check — a smaller tail cannot support the estimators and would
-        only add small-sample noise.
+        :data:`FINAL_MIN_PAIRS` new paired releases since its last
+        periodic check — a smaller tail cannot support the estimators
+        and would only add small-sample noise.
 
         Overwrite semantics: the ``final_*`` lists are REPLACED
         wholesale on every call, making finalize a pure function of
@@ -437,7 +434,7 @@ class ShapingMonitor:
         detect_violations: List[DetectViolation] = []
         for index, stream in enumerate(self._streams):
             new_pairs = self._paired(stream) - stream.pairs_at_check
-            if new_pairs < self.final_min_pairs:
+            if new_pairs < FINAL_MIN_PAIRS:
                 continue
             sample, violation, dvs = self._evaluate(index, stream, cycle)
             samples.append(sample)
@@ -489,32 +486,6 @@ class ShapingMonitor:
                 reason=reason,
             )
         return mode
-
-    def _windowed_mi(
-        self, stream: _WatchedStream
-    ) -> Tuple[float, int, bool]:
-        """Plug-in MI over the last ``mi_window`` paired releases.
-
-        Returns ``(mi_bits, pairs_evaluated, degenerate)``.  The window
-        is *degenerate* — MI is a vacuous 0.0, not evidence of no
-        leakage — when fewer than two pairs exist or either marginal
-        collapsed into a single bin (a constant sequence has zero
-        entropy, so its MI with anything is identically zero no matter
-        how much the streams actually co-vary at finer granularity).
-        """
-        from repro.security.mutual_information import mutual_information_bits
-
-        intrinsic_gaps = stream.intrinsic.gaps
-        shaped_gaps = stream.shaped.gaps
-        paired = min(len(intrinsic_gaps), len(shaped_gaps))
-        if paired < 2:
-            return 0.0, paired, True
-        start = max(0, paired - self.mi_window)
-        spec = stream.shaped.spec
-        x = [spec.bin_of(g) for g in intrinsic_gaps[start:paired]]
-        y = [spec.bin_of(g) for g in shaped_gaps[start:paired]]
-        degenerate = len(set(x)) <= 1 or len(set(y)) <= 1
-        return mutual_information_bits(x, y), len(x), degenerate
 
     # -- reporting -----------------------------------------------------------
 

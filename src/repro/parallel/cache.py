@@ -45,7 +45,9 @@ from repro.resilience.snapshot import atomic_write_bytes
 #: 2: tradeoff/mix/GA task results grew detectability-lab fields
 #: (auc / xcorr / spectral) — stale schema-1 entries must not satisfy
 #: sweeps that expect the new columns.
-CACHE_SCHEMA = 2
+#: 3: detect-point / mix-slowdown ``mi`` is the run-length windowed MI
+#: Fig 2 reports, no longer the quantized-clock one.
+CACHE_SCHEMA = 3
 
 #: Hex digits of the key digest (64 = full SHA-256).
 DIGEST_LENGTH = 40

@@ -39,7 +39,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.analysis.experiments import (
     ExperimentDefaults,
     _avg_slowdown,
-    _event_times,
     run_mix_system,
     staircase_config,
 )
@@ -49,7 +48,7 @@ from repro.obs.export import serialize_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.security.attacks import corunner_distinguishability
 from repro.security.detect import detect_report, zoo_score
-from repro.security.mutual_information import windowed_rate_mi
+from repro.security.mutual_information import gap_rate_mi
 from repro.sim.stats import SystemReport, report_digest
 from repro.sim.system import RequestShapingPlan, System, SystemBuilder
 from repro.workloads.spec import make_trace
@@ -261,27 +260,15 @@ def _result(run: PointRun, **fields: Any) -> Dict[str, Any]:
     }
 
 
-def _windowed_mi(run: PointRun, window_cycles: int) -> float:
-    """Windowed-rate MI between core 0's intrinsic and shaped request
-    streams.  ``bias_correction`` is always on — every point of a
-    sweep, anchors included, must use one estimator configuration or
-    the curve is not mutually comparable (the ISSUE-5 anchor bug)."""
-    stats = run.report.core(0)
-    return windowed_rate_mi(
-        _event_times(stats.request_intrinsic.gaps),
-        _event_times(stats.request_shaped.gaps),
-        window_cycles, run.report.cycles_run, bias_correction=True,
-    )
-
-
 def _zoo(run: PointRun, label: str, seed: int, window_cycles: Optional[int],
-         core: int = 0, target: Optional[BinConfiguration] = None,
-         mi_bits: Optional[float] = None):
+         core: int = 0, target: Optional[BinConfiguration] = None):
     """Score ``core``'s request stream against the attacker zoo.
 
     The observed stream is the shaped one when the core has a request
     plan and the intrinsic one otherwise (the covert-channel worst
-    case); ``target`` defaults to the plan's own configuration.
+    case); ``target`` defaults to the plan's own configuration.  MI
+    windows the whole run, so every task reports the same ``mi`` for
+    the same machine.
     """
     stats = run.report.core(core)
     plan = run.request_plans.get(core)
@@ -296,7 +283,7 @@ def _zoo(run: PointRun, label: str, seed: int, window_cycles: Optional[int],
         ).normalized(),
         seed=int(seed),
         window_cycles=window_cycles,
-        mi_bits=mi_bits,
+        run_cycles=run.report.cycles_run,
     )
 
 
@@ -342,11 +329,10 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     run = run_point(
         payload, _ZOO_FIELDS, ("detect_seed",), shaped_cores=(0,)
     )
-    window_cycles = int(payload["window_cycles"])
     zoo = _zoo(
         run, str(payload["label"]),
-        payload.get("detect_seed", run.defaults.seed), window_cycles,
-        mi_bits=_windowed_mi(run, window_cycles),
+        payload.get("detect_seed", run.defaults.seed),
+        int(payload["window_cycles"]),
     )
     return _result(
         run, label=payload["label"], ipc=run.report.core(0).ipc,
@@ -529,19 +515,23 @@ def ga_fitness_task(
     ipc = run.report.core(0).ipc
     slowdown = float(payload["base_ipc"]) / ipc if ipc > 0 else 1e6
     window_cycles = int(payload["window_cycles"])
-    mi = _windowed_mi(run, window_cycles)
     auc_weight = float(payload.get("auc_weight", 0.0))
     xcorr_weight = float(payload.get("xcorr_weight", 0.0))
-    result = _result(run, slowdown=slowdown, mi=mi)
     auc = xcorr = 0.0
     if auc_weight > 0.0 or xcorr_weight > 0.0:
         zoo = _zoo(
             run, "genome", payload.get("detect_seed", run.defaults.seed),
-            window_cycles, mi_bits=mi,
+            window_cycles,
         )
-        auc, xcorr = zoo.auc, zoo.xcorr
-        result["auc"] = auc
-        result["xcorr"] = xcorr
+        mi, auc, xcorr = zoo.mi_bits, zoo.auc, zoo.xcorr
+        result = _result(run, slowdown=slowdown, mi=mi, auc=auc, xcorr=xcorr)
+    else:
+        stats = run.report.core(0)
+        mi = gap_rate_mi(
+            stats.request_intrinsic.gaps, stats.request_shaped.gaps,
+            window_cycles, run.report.cycles_run,
+        )
+        result = _result(run, slowdown=slowdown, mi=mi)
     result["fitness"] = slowdown + zoo_score(
         mi, auc, xcorr,
         mi_weight=float(payload.get("mi_weight", 1.0)),

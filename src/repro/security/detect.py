@@ -23,6 +23,8 @@ configuration against a small zoo of attackers simultaneously:
   observed per-window counts.  A covert sender's ON/OFF pulse or a
   fixed-chaff signature shows up as a dominant line; an i.i.d. target
   stream does not.
+* **Windowed-rate MI** — between the intrinsic and observed
+  per-window rates (:func:`repro.security.mutual_information.gap_rate_mi`).
 
 Determinism: every stochastic step (target-trace synthesis, the
 train/test split) draws from :class:`~repro.common.rng.DeterministicRng`
@@ -32,6 +34,8 @@ adversary's clock granularity is the bin geometry itself: gaps are
 quantized to their bin's lower edge on *both* sides before
 featurization, so classifiers measure distributional and ordering
 structure, never sub-bin timing the hardware model does not expose.
+The cross-correlation and spectral probes count events on that same
+quantized clock; only the MI windows raw event times over the run.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_json_digest
 from repro.core.bins import BinSpec
-from repro.security.mutual_information import windowed_counts
+from repro.security.mutual_information import gap_rate_mi, windowed_counts
 
 #: Per-segment feature vector, in order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -400,19 +404,20 @@ def spectral_peak_ratio(counts: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class DetectReport:
-    """One configuration's score against the whole zoo."""
+    """One configuration's score against the whole zoo (the AUC fields
+    are None when no negative class was given)."""
 
     label: str
     seed: int
     segments: int          # observed-trace segments the classifiers saw
-    auc_logistic: float
-    auc_stumps: float
-    auc: float             # best attacker (sign-folded)
+    auc_logistic: Optional[float]
+    auc_stumps: Optional[float]
+    auc: Optional[float]   # best attacker (sign-folded)
     xcorr: float
     spectral: float
     mi_bits: float
 
-    def score_row(self, mi_key: str = "mi") -> Dict[str, float]:
+    def score_row(self, mi_key: str = "mi") -> Dict[str, Optional[float]]:
         """The zoo's six scores, as every sweep row and :meth:`as_doc`
         carry them (the MI column is ``mi`` in rows, ``mi_bits`` here)."""
         return {
@@ -444,22 +449,23 @@ def detect_report(
     intrinsic_gaps: Sequence[int],
     observed_gaps: Sequence[int],
     spec: BinSpec,
-    target_frequencies: Sequence[float],
+    target_frequencies: Optional[Sequence[float]],
     seed: int,
     segment_gaps: int = DEFAULT_SEGMENT_GAPS,
     window_cycles: Optional[int] = None,
-    mi_bits: Optional[float] = None,
+    run_cycles: Optional[int] = None,
     reference_gaps: Optional[Sequence[int]] = None,
 ) -> DetectReport:
     """Score one trace against the zoo; pure in ``(inputs, seed)``.
 
+    This is the one scorer every leakage number goes through: the
+    sweeps, the Fig 2 anchor, the GA fitness and the live monitor.
     ``observed_gaps`` is what the adversary sees on the bus (the shaped
     stream, fake traffic included); ``intrinsic_gaps`` is the program's
-    own stream (for the cross-correlation attacker);
+    own stream (for the cross-correlation attacker and the MI);
     ``target_frequencies`` is the distribution the shaper claims to
-    follow.  ``mi_bits`` lets callers reuse an already-computed windowed
-    MI; when absent it is computed here with the sweep policy
-    (``bias_correction=True`` — one estimator config per curve).
+    follow.  ``mi_bits`` is :func:`gap_rate_mi` over ``run_cycles``
+    (default: the last raw event time of either stream).
 
     The classifiers' negative class defaults to i.i.d. synthesis from
     the target distribution — detectability *from the target*, which
@@ -468,21 +474,24 @@ def detect_report(
     in the two-world attacker instead: the negative class is another
     observed trace (a different program or secret under the same
     shaper), and AUC ≈ 0.5 then states the paper's property directly —
-    the shaped stream carries no program identity.
+    the shaped stream carries no program identity.  With neither, the
+    classifiers do not run and the AUC fields are None.
     """
     root = DeterministicRng(int(seed))
-    rng_target = root.substream(0)
-    rng_split = root.substream(1)
-
-    if reference_gaps is not None:
-        negative_gaps: Sequence[int] = reference_gaps
-    else:
-        negative_gaps = sample_target_gaps(
-            spec, target_frequencies, len(observed_gaps), rng_target
-        )
     positive = segment_features(observed_gaps, spec, segment_gaps)
-    negative = segment_features(negative_gaps, spec, segment_gaps)
-    aucs = classifier_aucs(positive, negative, rng_split)
+    aucs: Dict[str, Optional[float]] = dict.fromkeys(
+        ("logistic", "stumps", "auc")
+    )
+    if reference_gaps is not None or target_frequencies is not None:
+        if reference_gaps is not None:
+            negative_gaps: Sequence[int] = reference_gaps
+        else:
+            negative_gaps = sample_target_gaps(
+                spec, target_frequencies, len(observed_gaps),
+                root.substream(0),
+            )
+        negative = segment_features(negative_gaps, spec, segment_gaps)
+        aucs = classifier_aucs(positive, negative, root.substream(1))
 
     wc = int(window_cycles) if window_cycles else spec.replenish_period
     x_times = np.cumsum(quantize_gaps(intrinsic_gaps, spec)) \
@@ -496,73 +505,22 @@ def detect_report(
     num_windows = max(1, span // wc)
     x_counts = windowed_counts(x_times, wc, num_windows)
     y_counts = windowed_counts(y_times, wc, num_windows)
-    xcorr = max_cross_correlation(x_counts, y_counts)
-    spectral = spectral_peak_ratio(y_counts)
 
-    if mi_bits is None:
-        from repro.security.mutual_information import windowed_rate_mi
-
-        mi_bits = windowed_rate_mi(
-            list(x_times), list(y_times), wc, max(span, wc),
-            bias_correction=True,
-        )
+    if run_cycles is None:
+        run_cycles = max(sum(intrinsic_gaps), sum(observed_gaps))
     return DetectReport(
         label=label,
         seed=int(seed),
         segments=len(positive),
-        auc_logistic=float(aucs["logistic"]),
-        auc_stumps=float(aucs["stumps"]),
-        auc=float(aucs["auc"]),
-        xcorr=float(xcorr),
-        spectral=float(spectral),
-        mi_bits=float(mi_bits),
+        auc_logistic=aucs["logistic"],
+        auc_stumps=aucs["stumps"],
+        auc=aucs["auc"],
+        xcorr=max_cross_correlation(x_counts, y_counts),
+        spectral=spectral_peak_ratio(y_counts),
+        mi_bits=float(
+            gap_rate_mi(intrinsic_gaps, observed_gaps, wc, run_cycles)
+        ),
     )
-
-
-def windowed_detect_scores(
-    intrinsic_gaps: Sequence[int],
-    shaped_gaps: Sequence[int],
-    spec: BinSpec,
-    target_frequencies: Optional[Sequence[float]],
-    rng: DeterministicRng,
-    window_pairs: int = 256,
-    segment_gaps: int = DEFAULT_SEGMENT_GAPS,
-) -> Tuple[Optional[float], float]:
-    """The monitor's online view: (AUC, XCorr) over the last window.
-
-    Evaluates the last ``window_pairs`` paired releases only, mirroring
-    :meth:`~repro.obs.monitor.ShapingMonitor._windowed_mi`'s sliding
-    window.  AUC needs a target distribution; without one it is None
-    and only the cross-correlation attacker runs.
-    """
-    paired = min(len(intrinsic_gaps), len(shaped_gaps))
-    start = max(0, paired - window_pairs)
-    intrinsic = list(intrinsic_gaps[start:paired])
-    shaped = list(shaped_gaps[start:paired])
-
-    auc: Optional[float] = None
-    if target_frequencies is not None and len(shaped) >= 2 * segment_gaps:
-        target_gaps = sample_target_gaps(
-            spec, target_frequencies, len(shaped), rng.substream(0)
-        )
-        auc = classifier_aucs(
-            segment_features(shaped, spec, segment_gaps),
-            segment_features(target_gaps, spec, segment_gaps),
-            rng.substream(1),
-        )["auc"]
-
-    wc = spec.replenish_period
-    xcorr = 0.0
-    if len(intrinsic) >= 2 and len(shaped) >= 2:
-        x_times = np.cumsum(quantize_gaps(intrinsic, spec))
-        y_times = np.cumsum(quantize_gaps(shaped, spec))
-        span = int(max(x_times[-1], y_times[-1]))
-        num_windows = max(1, span // wc)
-        xcorr = max_cross_correlation(
-            windowed_counts(x_times, wc, num_windows),
-            windowed_counts(y_times, wc, num_windows),
-        )
-    return auc, xcorr
 
 
 def zoo_score(

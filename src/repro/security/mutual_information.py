@@ -16,11 +16,13 @@ logarithms base 2 so results read in bits.  Three views are provided:
 * :func:`windowed_rate_mi` — the attacker's practical statistic: MI
   between per-window event counts of the intrinsic and the observed
   (shaped, fake-inclusive) streams.  This is the quantity fake traffic
-  is designed to destroy.
+  is designed to destroy.  :func:`gap_rate_mi` is its one gap-sequence
+  entry point, the ``mi_bits`` of every leakage score.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,6 +131,16 @@ def windowed_counts(
     return counts
 
 
+def quantize_counts(counts: np.ndarray, levels: int) -> np.ndarray:
+    """Snap per-window counts onto ``levels`` evenly spaced levels (an
+    adversary's measurement granularity); integer division keeps them
+    discrete."""
+    top = counts.max()
+    if top == 0:
+        return np.zeros_like(counts)
+    return (counts * (levels - 1) + top // 2) // top
+
+
 def windowed_rate_mi(
     intrinsic_times: Sequence[int],
     observed_times: Sequence[int],
@@ -140,21 +152,34 @@ def windowed_rate_mi(
     """MI between intrinsic and observed per-window traffic rates.
 
     Counts are quantized to ``quantization_levels`` evenly spaced
-    levels (an adversary's measurement granularity); the result is the
-    information (bits per window) the observed stream carries about
-    the intrinsic one.
+    levels (:func:`quantize_counts`); the result is the information
+    (bits per window) the observed stream carries about the intrinsic
+    one.
     """
     num_windows = max(1, total_cycles // window_cycles)
     x = windowed_counts(intrinsic_times, window_cycles, num_windows)
     y = windowed_counts(observed_times, window_cycles, num_windows)
-
-    def quantize(v: np.ndarray) -> np.ndarray:
-        top = v.max()
-        if top == 0:
-            return np.zeros_like(v)
-        # Scale into [0, levels-1]; integer division keeps it discrete.
-        return (v * (quantization_levels - 1) + top // 2) // top
-
     return mutual_information_bits(
-        quantize(x), quantize(y), bias_correction=bias_correction
+        quantize_counts(x, quantization_levels),
+        quantize_counts(y, quantization_levels),
+        bias_correction=bias_correction,
+    )
+
+
+def gap_rate_mi(
+    intrinsic_gaps: Sequence[int],
+    observed_gaps: Sequence[int],
+    window_cycles: int,
+    run_cycles: int,
+) -> float:
+    """:func:`windowed_rate_mi` of two inter-arrival gap sequences.
+
+    Event times are the raw gaps' running sums (no bin quantization),
+    windowed over ``run_cycles``; Miller–Madow ``bias_correction`` is
+    always on, so every point of a curve, anchors included, uses one
+    estimator configuration.
+    """
+    return windowed_rate_mi(
+        list(accumulate(intrinsic_gaps)), list(accumulate(observed_gaps)),
+        window_cycles, run_cycles, bias_correction=True,
     )

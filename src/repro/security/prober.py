@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.security.mutual_information import (
     mutual_information_bits,
+    quantize_counts,
     windowed_counts,
 )
 
@@ -102,19 +101,12 @@ def conflict_information(
         raise ConfigurationError("window_cycles must be positive")
     num_windows = max(1, total_cycles // window_cycles)
     victim = windowed_counts(victim_times, window_cycles, num_windows)
-    conflict_counts = np.zeros(num_windows, dtype=np.int64)
-    for cycle, conflicted in conflicts:
-        index = cycle // window_cycles
-        if 0 <= index < num_windows and conflicted:
-            conflict_counts[index] += 1
-
-    def quantize(values: np.ndarray) -> np.ndarray:
-        top = values.max()
-        if top == 0:
-            return np.zeros_like(values)
-        return (values * (quantization_levels - 1) + top // 2) // top
-
+    conflict_counts = windowed_counts(
+        [cycle for cycle, conflicted in conflicts if conflicted],
+        window_cycles, num_windows,
+    )
     return mutual_information_bits(
-        quantize(victim), quantize(conflict_counts),
+        quantize_counts(victim, quantization_levels),
+        quantize_counts(conflict_counts, quantization_levels),
         bias_correction=bias_correction,
     )

@@ -86,8 +86,6 @@ class TestTradeoffEstimatorComparability:
     MI estimator with one configuration (bias_correction=True)."""
 
     def test_all_points_use_bias_correction(self, monkeypatch):
-        import repro.analysis.experiments as experiments
-        import repro.parallel.tasks as tasks
         import repro.security.mutual_information as mi_module
 
         calls = []
@@ -97,12 +95,10 @@ class TestTradeoffEstimatorComparability:
             calls.append(kwargs.get("bias_correction", False))
             return real(*args, **kwargs)
 
-        # Patch every import site: the anchor (bound at experiments
-        # module import) and the shaped points (bound at task module
-        # import, run inline when jobs=1).
+        # The one call site is ``gap_rate_mi``, which every point (the
+        # anchor and the shaped points, run inline when jobs=1) reaches
+        # through ``detect_report``.
         monkeypatch.setattr(mi_module, "windowed_rate_mi", recording)
-        monkeypatch.setattr(experiments, "windowed_rate_mi", recording)
-        monkeypatch.setattr(tasks, "windowed_rate_mi", recording)
         fast = dataclasses.replace(ExperimentDefaults(), accesses=600,
                                    cycles=6000)
         points = tradeoff_sweep("gcc", fast, scales=(0.8,), jobs=1)

@@ -1,11 +1,21 @@
 """Unit tests for the live shaping monitor (TVD / MI checkpoints)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.util import canonical_json_digest
 from repro.core.bins import BinSpec, uniform_config
 from repro.core.distribution import InterArrivalHistogram
-from repro.obs import EventTracer, ShapingMonitor
+from repro.obs import EventTracer, ObservabilityConfig, ShapingMonitor
+from repro.obs.monitor import DETECT_MIN_PAIRS, FINAL_MIN_PAIRS, MIN_EVENTS
+from repro.sim.system import (
+    RequestShapingPlan,
+    ResponseShapingPlan,
+    SystemBuilder,
+)
+from repro.workloads import make_trace
 
 SPEC = BinSpec()
 
@@ -42,12 +52,7 @@ class TestWiring:
             monitor.watch(0, "request", intrinsic, shaped,
                           target_frequencies=(1.0,))
 
-    @pytest.mark.parametrize("kwargs", [
-        {"interval": 0},
-        {"tvd_threshold": 1.5},
-        {"min_events": 0},
-        {"mi_window": 1},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"interval": 0}])
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ConfigurationError):
             ShapingMonitor(**kwargs)
@@ -55,8 +60,7 @@ class TestWiring:
 
 class TestCheckpoints:
     def test_conforming_stream_never_violates(self):
-        monitor = ShapingMonitor(interval=100, tvd_threshold=0.25,
-                                 min_events=8)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(10))
@@ -72,8 +76,7 @@ class TestCheckpoints:
         assert latest.mi_bits == pytest.approx(0.0)
 
     def test_divergent_stream_flags_violation(self):
-        monitor = ShapingMonitor(interval=100, tvd_threshold=0.25,
-                                 min_events=8)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10)
         # The target demands a different bin entirely: TVD vs target = 1.
         monitor.watch(0, "response", intrinsic, shaped,
@@ -86,9 +89,8 @@ class TestCheckpoints:
         assert violation.tvd_target == pytest.approx(1.0)
 
     def test_min_events_gates_violations(self):
-        monitor = ShapingMonitor(interval=100, tvd_threshold=0.25,
-                                 min_events=1000)
-        intrinsic, shaped = _uniform_pair(gap=10, events=64)
+        monitor = ShapingMonitor(interval=100)
+        intrinsic, shaped = _uniform_pair(gap=10, events=MIN_EVENTS // 2)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
         monitor.advance(100)
@@ -96,7 +98,7 @@ class TestCheckpoints:
         assert len(monitor.history) == 1      # but the checkpoint exists
 
     def test_no_target_means_no_guarantee_check(self):
-        monitor = ShapingMonitor(interval=100, min_events=1)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair()
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
@@ -105,8 +107,7 @@ class TestCheckpoints:
 
     def test_violation_emits_trace_event(self):
         tracer = EventTracer()
-        monitor = ShapingMonitor(interval=100, tvd_threshold=0.25,
-                                 min_events=8, tracer=tracer)
+        monitor = ShapingMonitor(interval=100, tracer=tracer)
         intrinsic, shaped = _uniform_pair(gap=10)
         monitor.watch(1, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
@@ -121,7 +122,7 @@ class TestCheckpoints:
         # Histograms are frozen across a skipped span, so fill must
         # reproduce exactly what per-cycle advancing records.
         def run(stepper):
-            monitor = ShapingMonitor(interval=64, min_events=1)
+            monitor = ShapingMonitor(interval=64)
             intrinsic, shaped = _uniform_pair()
             monitor.watch(0, "request", intrinsic, shaped,
                           target_frequencies=_target_for_constant_gap(10))
@@ -150,13 +151,13 @@ class TestCheckpoints:
             timestamp += 5 if i % 2 == 0 else 400
             intrinsic.record(timestamp)
             shaped.record(timestamp)
-        monitor = ShapingMonitor(interval=100, min_events=1)
+        monitor = ShapingMonitor(interval=100)
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
         assert monitor.history[0].mi_bits == pytest.approx(1.0, abs=0.05)
 
     def test_summary_rows(self):
-        monitor = ShapingMonitor(interval=100, min_events=1)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair()
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=uniform_config(SPEC, 1).normalized())
@@ -194,8 +195,7 @@ class TestFinalize:
         # Regression: releases after the last periodic checkpoint were
         # never evaluated, so a divergent tail shorter than the check
         # interval escaped flagging entirely.
-        monitor = ShapingMonitor(interval=100, tvd_threshold=0.25,
-                                 min_events=8)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10, events=64)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
@@ -210,14 +210,14 @@ class TestFinalize:
         assert monitor.violation_count == 2
 
     def test_small_tail_skipped(self):
-        # Below final_min_pairs the estimators cannot support a verdict.
-        monitor = ShapingMonitor(interval=100, min_events=8,
-                                 final_min_pairs=8)
+        # Below FINAL_MIN_PAIRS the estimators cannot support a verdict.
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10, events=64)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
         monitor.advance(100)
-        _record_pair(intrinsic, shaped, start=64 * 10, gap=10, events=4)
+        _record_pair(intrinsic, shaped, start=64 * 10, gap=10,
+                     events=FINAL_MIN_PAIRS // 2)
         monitor.finalize(150)
         assert monitor.final_samples == []
         assert monitor.final_violations == []
@@ -225,7 +225,7 @@ class TestFinalize:
     def test_finalize_overwrites_instead_of_appending(self):
         # A run finalized at a snapshot cut and re-finalized at the
         # true end must converge to the straight run's state.
-        monitor = ShapingMonitor(interval=100, min_events=8)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10, events=64)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
@@ -239,8 +239,7 @@ class TestFinalize:
 
     def test_finalize_emits_no_trace_events(self):
         tracer = EventTracer()
-        monitor = ShapingMonitor(interval=100, min_events=8,
-                                 tracer=tracer)
+        monitor = ShapingMonitor(interval=100, tracer=tracer)
         intrinsic, shaped = _uniform_pair(gap=10, events=64)
         monitor.watch(0, "request", intrinsic, shaped,
                       target_frequencies=_target_for_constant_gap(200))
@@ -253,7 +252,7 @@ class TestFinalize:
     def test_degenerate_window_reports_insufficient_support(self):
         # A window collapsed into one bin gives a vacuous MI of 0.0;
         # the summary must not present that as evidence of no leakage.
-        monitor = ShapingMonitor(interval=100, min_events=1)
+        monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair(gap=10)
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
@@ -264,7 +263,7 @@ class TestFinalize:
 
     def test_mixed_bins_are_not_degenerate(self):
         intrinsic, shaped = _mirrored_pair()
-        monitor = ShapingMonitor(interval=100, min_events=1)
+        monitor = ShapingMonitor(interval=100)
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
         sample = monitor.latest(0, "request")
@@ -273,26 +272,14 @@ class TestFinalize:
 
 
 class TestDetectChecks:
-    @pytest.mark.parametrize("kwargs", [
-        {"detect_window": 1},
-        {"detect_min_pairs": 0},
-        {"auc_threshold": 1.5},
-        {"xcorr_threshold": -0.1},
-        {"final_min_pairs": 1},
-    ])
-    def test_invalid_construction(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ShapingMonitor(**kwargs)
-
     def test_detect_columns_appended_only_when_enabled(self):
         intrinsic, shaped = _mirrored_pair()
-        plain = ShapingMonitor(interval=100, min_events=1)
+        plain = ShapingMonitor(interval=100)
         plain.watch(0, "request", intrinsic, shaped)
         plain.advance(100)
         assert len(plain.summary_rows()[0]) == 6
 
-        zoo = ShapingMonitor(interval=100, min_events=1, detect=True,
-                             detect_min_pairs=16)
+        zoo = ShapingMonitor(interval=100, detect=True)
         zoo.watch(0, "request", intrinsic, shaped)
         zoo.advance(100)
         row = zoo.summary_rows()[0]
@@ -301,8 +288,7 @@ class TestDetectChecks:
 
     def test_xcorr_attacker_flags_mirrored_stream(self):
         intrinsic, shaped = _mirrored_pair()
-        monitor = ShapingMonitor(interval=100, min_events=1, detect=True,
-                                 detect_min_pairs=16, xcorr_threshold=0.5)
+        monitor = ShapingMonitor(interval=100, detect=True)
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
         sample = monitor.latest(0, "request")
@@ -313,8 +299,7 @@ class TestDetectChecks:
     def test_detect_violation_emits_trace_event(self):
         tracer = EventTracer()
         intrinsic, shaped = _mirrored_pair()
-        monitor = ShapingMonitor(interval=100, min_events=1, detect=True,
-                                 detect_min_pairs=16, xcorr_threshold=0.5,
+        monitor = ShapingMonitor(interval=100, detect=True,
                                  tracer=tracer)
         monitor.watch(2, "request", intrinsic, shaped)
         monitor.advance(100)
@@ -324,23 +309,52 @@ class TestDetectChecks:
         assert events[0].args_dict["metric"] == "xcorr"
 
     def test_below_min_pairs_abstains(self):
-        intrinsic, shaped = _mirrored_pair(events=16)
-        monitor = ShapingMonitor(interval=100, min_events=1, detect=True,
-                                 detect_min_pairs=64)
+        intrinsic, shaped = _mirrored_pair(events=DETECT_MIN_PAIRS // 2)
+        monitor = ShapingMonitor(interval=100, detect=True)
         monitor.watch(0, "request", intrinsic, shaped)
         monitor.advance(100)
         sample = monitor.latest(0, "request")
         assert sample.auc is None and sample.xcorr is None
         assert monitor.detect_violations == []
 
-    def test_detect_scores_deterministic(self):
+    def test_detect_scores_deterministic(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.monitor.DETECT_SEED", 9)
+
         def run():
             intrinsic, shaped = _mirrored_pair()
-            monitor = ShapingMonitor(interval=100, min_events=1,
-                                     detect=True, detect_min_pairs=16,
-                                     detect_seed=9)
+            monitor = ShapingMonitor(interval=100, detect=True)
             monitor.watch(0, "request", intrinsic, shaped)
             monitor.advance(300)
             return monitor.history
 
         assert run() == run()
+
+
+def _monitored_run(engine):
+    """A 2-core run with the live zoo on; the monitor's outputs."""
+    config = uniform_config(SPEC, 2)
+    builder = SystemBuilder(seed=11)
+    builder.add_core(make_trace("gcc", 600, seed=11),
+                     request_shaping=RequestShapingPlan(config),
+                     response_shaping=ResponseShapingPlan(config))
+    builder.add_core(make_trace("mcf", 600, seed=12, base_address=1 << 33),
+                     request_shaping=RequestShapingPlan(config))
+    builder.with_observability(
+        ObservabilityConfig(monitor=True, monitor_detect=True)
+    )
+    system = builder.build()
+    system.run(30_000, engine=engine)
+    monitor = system.observability.monitor
+    return {
+        name: [dataclasses.asdict(item) for item in getattr(monitor, name)]
+        for name in ("history", "final_samples", "detect_violations")
+    }
+
+
+class TestSystemDetectRun:
+    def test_engine_invariant_and_pinned(self):
+        cycle = _monitored_run("cycle")
+        assert _monitored_run("columnar") == cycle
+        assert any(s["auc"] is not None for s in cycle["history"])
+        assert cycle["detect_violations"]
+        assert canonical_json_digest(cycle) == "16dbbf18ed5edff2"

@@ -79,6 +79,15 @@ class TestConflictInformation:
         with pytest.raises(ConfigurationError):
             conflict_information([], [], 0, 100)
 
+    def test_conflict_on_rightmost_edge_is_counted(self):
+        # Regression: a conflict landing exactly on num_windows *
+        # window_cycles fell outside the prober's own binning loop;
+        # it belongs to the last window, as in ``windowed_counts``.
+        victim = [350, 360]
+        on_edge = conflict_information([(400, 1)], victim, 100, 400)
+        inside = conflict_information([(399, 1)], victim, 100, 400)
+        assert on_edge == inside > 0.0
+
 
 class TestEndToEndProbing:
     """Run the full attack against the simulator, then defend it."""

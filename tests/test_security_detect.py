@@ -15,6 +15,7 @@ from repro.analysis.experiments import (
     ExperimentDefaults,
     detect_suite,
     staircase_config,
+    tradeoff_sweep,
 )
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_doc
@@ -29,7 +30,6 @@ from repro.security.detect import (
     sample_target_gaps,
     segment_features,
     spectral_peak_ratio,
-    windowed_detect_scores,
     zoo_score,
 )
 from repro.security.mutual_information import windowed_counts, windowed_rate_mi
@@ -210,11 +210,10 @@ class TestDetectReport:
     def test_windowed_scores_abstain_without_target(self):
         rng = DeterministicRng(17)
         gaps = _noisy_gaps(600, rng)
-        auc, xcorr = windowed_detect_scores(
-            gaps, gaps, SPEC, None, DeterministicRng(1)
-        )
-        assert auc is None
-        assert xcorr == pytest.approx(1.0)
+        report = detect_report("window", gaps, gaps, SPEC, None, seed=1)
+        assert report.auc is None
+        assert report.auc_logistic is None and report.auc_stumps is None
+        assert report.xcorr == pytest.approx(1.0)
 
     def test_zoo_score_default_weights_is_mi(self):
         assert zoo_score(0.25, 0.9, 0.8) == pytest.approx(0.25)
@@ -350,3 +349,30 @@ class TestDetectSuite:
         for row in serial["rows"]:
             for column in ("mi", "auc", "xcorr", "spectral"):
                 assert column in row
+
+    def test_scores_equal_the_tradeoff_sweep_on_shared_machines(self):
+        # Both sweeps simulate the no-shaping, CS and staircase rungs;
+        # where the run digests agree the machine is the same, so every
+        # score must be too (one scorer, one MI definition).
+        defaults = ExperimentDefaults().scaled(0.2)
+        scales = (0.8, 1.2)
+        detect = {
+            row["label"]: row
+            for row in detect_suite("apache", defaults, scales)["rows"]
+        }
+        tradeoff = {
+            row["label"]: row
+            for row in tradeoff_sweep("apache", defaults, scales)
+        }
+        shared = [
+            label for label in detect
+            if label in tradeoff
+            and detect[label]["digest"] == tradeoff[label]["digest"]
+        ]
+        assert shared == ["no-shaping", "cs", "camo-x0.8", "camo-x1.2"]
+        columns = ("mi", "auc", "auc_logistic", "auc_stumps", "xcorr",
+                   "spectral")
+        for label in shared:
+            assert [detect[label][c] for c in columns] == [
+                tradeoff[label][c] for c in columns
+            ], label

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import ExperimentDefaults, measure_mi_suite
 from repro.common.errors import ConfigurationError
+from repro.common.util import canonical_json_digest
 from repro.core.bins import BinSpec
 from repro.security.mutual_information import (
     entropy_bits,
+    gap_rate_mi,
     interarrival_mi,
     mutual_information_bits,
     windowed_counts,
@@ -155,3 +158,21 @@ class TestWindowedRateMi:
 
     def test_empty_streams(self):
         assert windowed_rate_mi([], [], 100, 1000) == 0.0
+
+
+class TestGapRateMi:
+    def test_is_bias_corrected_windowed_rate_mi_of_raw_times(self):
+        rng = np.random.default_rng(7)
+        x_gaps = rng.integers(1, 200, 400).tolist()
+        y_gaps = rng.integers(1, 200, 400).tolist()
+        expected = windowed_rate_mi(
+            np.cumsum(x_gaps).tolist(), np.cumsum(y_gaps).tolist(),
+            512, 60_000, bias_correction=True,
+        )
+        assert gap_rate_mi(x_gaps, y_gaps, 512, 60_000) == expected
+
+    def test_mi_suite_digest_is_pinned(self):
+        # The ``repro mi`` table: both columns, the no-shaping anchor
+        # included, must not move when scoring code is reorganised.
+        suite = measure_mi_suite(defaults=ExperimentDefaults().scaled(0.2))
+        assert canonical_json_digest(suite) == "7c4c95f41a61267a"
