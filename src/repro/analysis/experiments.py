@@ -915,9 +915,10 @@ def _resolve_executor(executor, jobs: int, cache_dir: Optional[str],
 
 
 def _parallel():
-    """:mod:`repro.parallel`, resolved lazily: its task module imports
-    this one, so it cannot be a module-level import here."""
-    import repro.parallel
+    """:mod:`repro.parallel` with its task module, resolved lazily: the
+    task module imports this one, so it cannot be a module-level import
+    here."""
+    import repro.parallel.tasks
 
     return repro.parallel
 
@@ -945,16 +946,28 @@ def alone_base_runs(
 
 
 def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
-                   scales: Sequence[float], replenish_period: int,
-                   runner, context: str):
-    """The config ladder Figure 2 and the detect suite both climb.
+                   scales: Sequence[float], window_cycles: int,
+                   replenish_period: int, runner,
+                   context: str) -> List[Dict[str, object]]:
+    """The scored config ladder Figure 2 and the detect suite both climb.
 
-    Profiles ``benchmark`` alone (sweep stage 0) and returns the
-    shaping spec, the base run, its request rate, and the ``(label,
-    config)`` rungs: the CS anchor (constant interval near the
-    program's average rate), then a predetermined staircase at each
-    bandwidth ``scale``.
+    Profiles ``benchmark`` alone (sweep stage 0) and scores that run
+    in-process as the ``no-shaping`` anchor, then maps one
+    :func:`~repro.parallel.tasks.tradeoff_point_task` per rung: the CS
+    anchor (constant interval near the program's average rate), then a
+    predetermined staircase at each bandwidth ``scale``.  Returns rows
+    ``[no-shaping, cs, camo-x…]``, each carrying ``label``, ``ipc``,
+    the zoo's six scores, ``segments``, ``report_digest`` (the zoo
+    report's) and ``digest`` (the run's).
+
+    Every rung's classifiers test the observed stream against that
+    rung's *own* target distribution.  The anchor is scored by the
+    same estimator configuration as every shaped rung, so one curve
+    never mixes estimators: its observed stream is the intrinsic one,
+    tested against the reference staircase at the program's own rate
+    — the distribution the shaped rungs move toward.
     """
+    tasks = _parallel().tasks
     spec = replace(defaults.spec, replenish_period=replenish_period)
     [base] = alone_base_runs(
         [benchmark], defaults, runner, [f"{benchmark}:base"]
@@ -967,7 +980,38 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
         (f"camo-x{scale}", staircase_config(spec, base_rate * scale))
         for scale in scales
     ]
-    return spec, base, base_rate, rungs
+    anchor = detect_report(
+        label="no-shaping",
+        intrinsic_gaps=base["gaps"],
+        observed_gaps=base["gaps"],
+        spec=spec,
+        target_frequencies=staircase_config(spec, base_rate).normalized(),
+        seed=defaults.seed,
+        window_cycles=window_cycles,
+        run_cycles=base["cycles_run"],
+    )
+    no_shaping = {
+        "label": "no-shaping",
+        "ipc": base["ipc"],
+        **anchor.score_row(),
+        "segments": anchor.segments,
+        "report_digest": anchor.digest(),
+        "digest": base["digest"],
+    }
+    shaped = runner.map(
+        tasks.tradeoff_point_task,
+        [
+            tasks.encode_point(
+                [benchmark], defaults, spec=spec,
+                request_plans={0: RequestShapingPlan(config, spec)},
+                label=label,
+                window_cycles=window_cycles, detect_seed=defaults.seed,
+            )
+            for label, config in rungs
+        ],
+        kind="tradeoff-point", labels=[label for label, _ in rungs],
+    )
+    return [no_shaping] + shaped
 
 
 def tradeoff_sweep(
@@ -990,54 +1034,21 @@ def tradeoff_sweep(
     budgets approach no-shaping performance while leaking more — the
     trade-off space Figure 2 sketches.
 
-    Every point (the no-shaping anchor included) estimates MI with the
-    same ``bias_correction=True`` configuration — mixing estimators
-    across one curve was the ISSUE-5 comparability bug.  The shaped
+    The points are :func:`_config_ladder`'s rows, CS first, without
+    the zoo report's ``segments`` / ``report_digest``; the shaped
     points are independent simulations and fan out through
-    ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md); the
-    returned points additionally carry each run's ``digest``.
+    ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md).
     """
-    tasks = _parallel().tasks
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    spec, base, base_rate, ladder = _config_ladder(
-        benchmark, defaults, scales, replenish_period, runner, "tradeoff"
+    no_shaping, cs, *staircases = _config_ladder(
+        benchmark, defaults, scales, window_cycles, replenish_period,
+        runner, "tradeoff",
     )
-    shaped_points = runner.map(
-        tasks.tradeoff_point_task,
-        [
-            tasks.encode_point(
-                [benchmark], defaults, spec=spec,
-                request_plans={0: RequestShapingPlan(config, spec)},
-                label=label,
-                window_cycles=window_cycles, detect_seed=defaults.seed,
-            )
-            for label, config in ladder
-        ],
-        kind="tradeoff-point", labels=[label for label, _ in ladder],
-    )
-
-    # The anchor's zoo scores use the same estimator configuration as
-    # every shaped point (the comparability rule again): the observed
-    # stream is the intrinsic one, tested against the reference
-    # staircase at the program's own rate — the distribution the
-    # shaped points are moving toward.
-    anchor_zoo = detect_report(
-        label="no-shaping",
-        intrinsic_gaps=base["gaps"],
-        observed_gaps=base["gaps"],
-        spec=spec,
-        target_frequencies=staircase_config(spec, base_rate).normalized(),
-        seed=defaults.seed,
-        window_cycles=window_cycles,
-        run_cycles=base["cycles_run"],
-    )
-    no_shaping = {
-        "label": "no-shaping",
-        "ipc": base["ipc"],
-        **anchor_zoo.score_row(),
-        "digest": base["digest"],
-    }
-    return [shaped_points[0], no_shaping] + shaped_points[1:]
+    return [
+        {k: v for k, v in row.items()
+         if k not in ("segments", "report_digest")}
+        for row in [cs, no_shaping, *staircases]
+    ]
 
 
 def detect_suite(
@@ -1050,51 +1061,27 @@ def detect_suite(
     cache_dir: Optional[str] = None,
     executor=None,
 ) -> Dict[str, object]:
-    """The attacker zoo over a canned config ladder (``repro detect``).
+    """The attacker zoo over the Figure 2 config ladder (``repro detect``).
 
-    Scores three rungs against the detectability lab
-    (:mod:`repro.security.detect`): the unshaped stream (the
+    Scores :func:`_config_ladder`'s rungs against the detectability
+    lab (:mod:`repro.security.detect`): the unshaped stream (the
     covert-channel worst case — every attacker should win), the CS
     anchor, and Camouflage staircases at each bandwidth ``scale``.
-    Every rung's classifiers test the observed stream against that
-    rung's *own* target distribution (the unshaped rung uses the
-    reference staircase at the program's rate — the distribution
-    shaping would have imposed).
 
     The returned document — rows of label / ipc / mi / auc / xcorr /
     spectral plus per-rung report digests and one suite digest — is a
     pure function of ``(benchmark, defaults, scales, window)``:
     byte-identical across repeated runs and across ``jobs`` values.
     """
-    tasks = _parallel().tasks
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    spec, _base, base_rate, ladder = _config_ladder(
-        benchmark, defaults, scales, replenish_period, runner, "detect"
-    )
-    # (label, request plans, the distribution the zoo tests the
-    # observed stream against).
-    rungs = [("no-shaping", {}, staircase_config(spec, base_rate))] + [
-        (label, {0: RequestShapingPlan(config, spec)}, config)
-        for label, config in ladder
-    ]
-    rows = runner.map(
-        tasks.detect_point_task,
-        [
-            tasks.encode_point(
-                [benchmark], defaults, spec=spec,
-                request_plans=plans, label=label,
-                target_credits=list(target.credits),
-                window_cycles=window_cycles, detect_seed=defaults.seed,
-            )
-            for label, plans, target in rungs
-        ],
-        kind="detect-point", labels=[label for label, _, _ in rungs],
-    )
     doc: Dict[str, object] = {
         "benchmark": benchmark,
         "window_cycles": window_cycles,
         "seed": defaults.seed,
-        "rows": rows,
+        "rows": _config_ladder(
+            benchmark, defaults, scales, window_cycles, replenish_period,
+            runner, "detect",
+        ),
     }
     doc["digest"] = canonical_json_digest(doc)
     return doc

@@ -17,6 +17,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+#: The repository root: the report names result directories inside it
+#: relative to it, so the committed report does not depend on where the
+#: checkout lives.
+_REPO_ROOT = Path(__file__).resolve().parents[3]
+
 #: Display order and titles for known result files.
 _SECTIONS = [
     ("table1_techniques", "Table I — technique capability matrix"),
@@ -37,16 +42,19 @@ _SECTIONS = [
     ("ablation_baseline_params", "Ablation — baseline parameter sweeps"),
     ("scalability_domains", "Scalability — TP vs domain count"),
     ("mesh_position", "Mesh NoC — position-dependent leakage"),
-    ("detect_zoo", "Attacker zoo — detectability lab (MI / AUC / XCorr)"),
 ]
 
 
 def generate_report(results_dir: Path) -> str:
     """Render all present result files as one markdown document."""
+    try:
+        shown = results_dir.resolve().relative_to(_REPO_ROOT)
+    except ValueError:
+        shown = results_dir
     lines: List[str] = [
         "# Camouflage reproduction — benchmark report",
         "",
-        f"Assembled from `{results_dir}`.  Regenerate any entry with",
+        f"Assembled from `{shown}`.  Regenerate any entry with",
         "`pytest benchmarks/bench_<name>.py --benchmark-only`.",
         "",
     ]
@@ -87,11 +95,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro.analysis.report",
         description="assemble benchmark results into a markdown report",
     )
-    default_dir = Path(__file__).resolve().parents[3] / (
-        "benchmarks/results"
-    )
     parser.add_argument("results_dir", nargs="?", type=Path,
-                        default=default_dir)
+                        default=_REPO_ROOT / "benchmarks/results")
     parser.add_argument("-o", "--output", type=Path, default=None,
                         help="write to a file instead of stdout")
     args = parser.parse_args(argv)

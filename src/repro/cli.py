@@ -47,7 +47,7 @@ from repro.analysis.sweeps import (
     noc_latency_sweep,
     tp_turn_length_sweep,
 )
-from repro.common.errors import SnapshotError
+from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
 from repro.lint import runner as lint_runner
@@ -379,7 +379,12 @@ def _cmd_dispatch(args) -> int:
         return 0
 
     # status: render a persisted ledger.
-    ledger = DispatchLedger.load(args.ledger)
+    try:
+        ledger = DispatchLedger.load(args.ledger)
+    except ConfigurationError as error:
+        # A bad file is a usage error, like resume's bad snapshot.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     doc = ledger.doc
     counts = ledger.counts()
     total = doc.get("shard_count", sum(counts.values()))

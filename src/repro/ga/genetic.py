@@ -160,21 +160,9 @@ class GeneticAlgorithm:
         self.history = []
 
     def step(
-        self,
-        evaluate: Optional[Callable[[Genome], float]] = None,
-        map_evaluate: Optional[
-            Callable[[Sequence[Genome]], Sequence[float]]
-        ] = None,
+        self, evaluate: Callable[[Genome], float]
     ) -> Tuple[Genome, float]:
         """Evaluate and breed one generation; returns best-so-far.
-
-        Exactly one evaluator must be given: ``evaluate`` scores one
-        genome at a time, ``map_evaluate`` scores the whole population
-        in one call (order-preserving) — the hook the parallel layer
-        uses to fan a generation's fitness runs across worker
-        processes (:func:`repro.parallel.tasks.ga_population_evaluator`).
-        Breeding consumes the instance RNG identically either way, so
-        the two forms produce bit-identical searches for equal scores.
 
         The unit of checkpointing: after any completed step the whole
         instance can be pickled and the search resumed later with
@@ -185,25 +173,8 @@ class GeneticAlgorithm:
             raise ConfigurationError(
                 "step() before initialize(): no population"
             )
-        if (evaluate is None) == (map_evaluate is None):
-            raise ConfigurationError(
-                "step() needs exactly one of evaluate / map_evaluate"
-            )
         cfg = self.config
-        if map_evaluate is not None:
-            fitnesses = list(map_evaluate(list(self._population)))
-            if len(fitnesses) != len(self._population):
-                raise ConfigurationError(
-                    "map_evaluate returned "
-                    f"{len(fitnesses)} scores for "
-                    f"{len(self._population)} genomes"
-                )
-            scored = list(zip(self._population, fitnesses))
-        else:
-            assert evaluate is not None
-            scored = [
-                (genome, evaluate(genome)) for genome in self._population
-            ]
+        scored = [(genome, evaluate(genome)) for genome in self._population]
         scored.sort(key=lambda pair: pair[1])
         if self._best is None or scored[0][1] < self._best[1]:
             self._best = scored[0]
@@ -224,12 +195,9 @@ class GeneticAlgorithm:
 
     def evolve(
         self,
-        evaluate: Optional[Callable[[Genome], float]] = None,
+        evaluate: Callable[[Genome], float],
         seed_population: Optional[Sequence[Genome]] = None,
         on_generation: Optional[Callable[["GeneticAlgorithm"], None]] = None,
-        map_evaluate: Optional[
-            Callable[[Sequence[Genome]], Sequence[float]]
-        ] = None,
     ) -> Tuple[Genome, float]:
         """Run the search to completion; returns (best genome, fitness).
 
@@ -237,8 +205,6 @@ class GeneticAlgorithm:
         called once per individual per generation — for the online
         tuner each call is a live simulation window, so the total
         budget is ``population_size × generations`` windows.
-        ``map_evaluate`` is the population-at-a-time alternative
-        (see :meth:`step`); pass exactly one of the two.
 
         ``on_generation`` is invoked with the instance after each
         generation (checkpoint hook).  On a fresh instance the
@@ -250,7 +216,7 @@ class GeneticAlgorithm:
             self.initialize(seed_population)
         best = self._best
         while not self.done:
-            best = self.step(evaluate, map_evaluate=map_evaluate)
+            best = self.step(evaluate)
             if on_generation is not None:
                 on_generation(self)
         assert best is not None

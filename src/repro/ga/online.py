@@ -232,20 +232,19 @@ class OnlineGaTuner:
                 ),
                 self._rng.fork(1),
             )
-            self._ga.initialize(seed_genomes)
             self._tune_start_cycle = self.system.current_cycle
-        ga = self._ga
-        while not ga.done:
-            ga.step(self._evaluate)
-            if checkpoint_path:
-                save_tuner(self, checkpoint_path)
-        assert ga.best is not None
-        best_genome, best_fitness = ga.best
+        best_genome, best_fitness = self._ga.evolve(
+            self._evaluate, seed_genomes,
+            on_generation=(
+                (lambda _ga: save_tuner(self, checkpoint_path))
+                if checkpoint_path else None
+            ),
+        )
         self.apply_genome(best_genome)
         result = TuningResult(
             best_genome=best_genome,
             best_fitness=best_fitness,
-            fitness_history=list(ga.history),
+            fitness_history=list(self._ga.history),
             config_phase_cycles=(
                 self.system.current_cycle - self._tune_start_cycle
             ),

@@ -28,7 +28,6 @@ from repro.parallel.dispatch import (
 )
 from repro.parallel.executor import SweepExecutor
 from repro.parallel.ledger import DispatchLedger
-from repro.parallel.tasks import ga_population_evaluator
 from repro.parallel.worker import WorkerHost
 
 __all__ = [
@@ -46,6 +45,5 @@ __all__ = [
     "parse_hosts",
     "SweepExecutor",
     "DispatchLedger",
-    "ga_population_evaluator",
     "WorkerHost",
 ]

@@ -45,9 +45,10 @@ from repro.resilience.snapshot import atomic_write_bytes
 #: 2: tradeoff/mix/GA task results grew detectability-lab fields
 #: (auc / xcorr / spectral) — stale schema-1 entries must not satisfy
 #: sweeps that expect the new columns.
-#: 3: detect-point / mix-slowdown ``mi`` is the run-length windowed MI
-#: Fig 2 reports, no longer the quantized-clock one.
-CACHE_SCHEMA = 3
+#: 3: the detect suite's and mix-slowdown's ``mi`` is the run-length
+#: windowed MI Fig 2 reports, no longer the quantized-clock one.
+#: 4: tradeoff-point results carry ``segments`` and ``report_digest``.
+CACHE_SCHEMA = 4
 
 #: Hex digits of the key digest (64 = full SHA-256).
 DIGEST_LENGTH = 40
@@ -84,6 +85,17 @@ class CacheEntry:
     created: float
 
 
+def _read_entry(path: str) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``; None when the file is
+    missing, unreadable, not UTF-8 JSON, or not an object."""
+    try:
+        with open(path, "rb") as fh:
+            entry = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return None
+    return entry if isinstance(entry, dict) else None
+
+
 class ResultCache:
     """Digest-keyed store of JSON task results under one directory."""
 
@@ -104,22 +116,14 @@ class ResultCache:
     def get(self, digest: str) -> Optional[Any]:
         """The cached result for ``digest``, or None on miss.
 
-        A corrupt entry (truncated by hand, wrong schema) counts as a
-        miss and is removed so the slot heals on the next put.
+        A corrupt entry (any bytes that are not a JSON object, wrong
+        schema) counts as a miss and is removed so the slot heals on
+        the next put.
         """
         path = self.path_for(digest)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except OSError:
-            self.misses += 1
-            return None
-        except json.JSONDecodeError:
-            self.misses += 1
-            self._remove_quietly(path)
-            return None
+        entry = _read_entry(path)
         if (
-            not isinstance(entry, dict)
+            entry is None
             or entry.get("cache_schema") != CACHE_SCHEMA
             or "result" not in entry
         ):
@@ -169,20 +173,28 @@ class ResultCache:
         """All readable entries, sorted oldest-first by creation time."""
         out: List[CacheEntry] = []
         for path in self._entry_paths():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-                size = os.path.getsize(path)
-            except (OSError, json.JSONDecodeError):
+            entry = _read_entry(path)
+            if entry is None:
                 continue
-            key = entry.get("key") or {}
+            key = entry.get("key")
+            created = entry.get("created_unix", 0.0)
+            if not isinstance(created, (int, float)):
+                continue
+            try:
+                size = os.path.getsize(path)
+            except OSError:
+                continue
             out.append(
                 CacheEntry(
-                    digest=entry.get("digest", os.path.basename(path)[:-5]),
-                    kind=key.get("kind", "?"),
+                    digest=str(
+                        entry.get("digest", os.path.basename(path)[:-5])
+                    ),
+                    kind=str(
+                        key.get("kind", "?") if isinstance(key, dict) else "?"
+                    ),
                     path=path,
                     size_bytes=size,
-                    created=float(entry.get("created_unix", 0.0)),
+                    created=float(created),
                 )
             )
         out.sort(key=lambda e: (e.created, e.digest))

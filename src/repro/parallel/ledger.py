@@ -159,14 +159,21 @@ class DispatchLedger:
 
     @classmethod
     def load(cls, path: str) -> "DispatchLedger":
-        """Read a persisted ledger back (for ``repro dispatch status``)."""
+        """Read a persisted ledger back (for ``repro dispatch status``).
+
+        A file that is missing, unreadable, not UTF-8 JSON or not
+        shaped like a ledger raises :class:`ConfigurationError`.
+        """
         ledger = cls(None)
-        raw = Path(path).read_text(encoding="utf-8")
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except OSError as exc:
             raise ConfigurationError(
-                f"ledger {path} is not valid JSON: {exc}"
+                f"cannot read ledger {path}: {exc}"
+            ) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(
+                f"ledger {path} is not UTF-8 JSON: {exc}"
             ) from exc
         if not isinstance(doc, dict) or "ledger_schema" not in doc:
             raise ConfigurationError(f"{path} is not a dispatch ledger")
@@ -179,6 +186,22 @@ class DispatchLedger:
         doc.setdefault("hosts", [])
         doc.setdefault("degraded", False)
         doc.setdefault("kind", "")
+        shards, hosts = doc["shards"], doc["hosts"]
+        if not (
+            isinstance(shards, dict)
+            and all(
+                index.isdecimal() and isinstance(entry, dict)
+                and isinstance(entry.get("state", ""), str)
+                for index, entry in shards.items()
+            )
+            and isinstance(hosts, list)
+            and all(isinstance(host, str) for host in hosts)
+            and isinstance(doc["kind"], str)
+        ):
+            raise ConfigurationError(
+                f"{path} is not a dispatch ledger: malformed kind, hosts "
+                "or shards"
+            )
         ledger.doc = doc
         ledger._path = Path(path)
         return ledger

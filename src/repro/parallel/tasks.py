@@ -34,7 +34,7 @@ pre-imports it in every pool worker.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     ExperimentDefaults,
@@ -47,8 +47,7 @@ from repro.core.bins import BinConfiguration, BinSpec
 from repro.obs.export import serialize_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.security.attacks import corunner_distinguishability
-from repro.security.detect import detect_report, zoo_score
-from repro.security.mutual_information import gap_rate_mi
+from repro.security.detect import detect_report
 from repro.sim.stats import SystemReport, report_digest
 from repro.sim.system import RequestShapingPlan, System, SystemBuilder
 from repro.workloads.spec import make_trace
@@ -65,10 +64,10 @@ def _registry_doc(*reports) -> Dict[str, Any]:
 
     Every simulation task attaches this under ``"obs_registry"``; the
     executor strips it from the visible result and folds it into the
-    cluster-level registry (``SweepExecutor.merged_registry``), so a
-    ``repro sweep --serve`` scrape aggregates all shards as one
-    system.  Only jobs-invariant, report-derived quantities appear —
-    the merged exposition must be byte-identical across ``--jobs``.
+    cluster-level registry (``SweepExecutor.merged_registry``), so
+    ``repro sweep --metrics-out`` exports all shards as one system.
+    Only jobs-invariant, report-derived quantities appear — the merged
+    exposition must be byte-identical across ``--jobs``.
     """
     registry = MetricsRegistry()
     points = registry.counter("sweep.points")
@@ -138,10 +137,9 @@ def encode_point(
     The machine arguments are :func:`build_mix`'s; ``spec`` (default
     ``defaults.spec``) is the bin spec of every request plan and of the
     task's scoring.  ``measure`` carries the task's own fields (label,
-    window, slowdown denominators, ...).  ``defaults.seed`` may be
-    ``None`` to leave the seed to the executor's per-task substream
-    (GA fitness).  Plans travel as credit lists plus ``generate_fake``;
-    a plan setting any other field cannot be encoded.
+    window, slowdown denominators, ...).  Plans travel as credit lists
+    plus ``generate_fake``; a plan setting any other field cannot be
+    encoded.
     """
     spec = defaults.spec if spec is None else spec
     plans = {}
@@ -178,7 +176,6 @@ def decode_point(
     payload: Dict[str, Any],
     required: Sequence[str] = (),
     optional: Sequence[str] = (),
-    task_seed: Optional[int] = None,
 ) -> Tuple[ExperimentDefaults, Dict[str, Any]]:
     """Validate a payload; return its run geometry and mix recipe.
 
@@ -186,7 +183,7 @@ def decode_point(
     fields; a missing or unknown field is a typed error, raised before
     anything is built.  The recipe is :func:`build_mix`'s keyword
     arguments (``benchmarks`` included); ``defaults.spec`` is the
-    payload's spec and a ``None`` seed resolves to ``task_seed``.
+    payload's spec.
     """
     missing = [f for f in (*_MACHINE_FIELDS, *required) if f not in payload]
     unknown = sorted(
@@ -197,12 +194,14 @@ def decode_point(
             f"malformed sweep-point payload: missing fields {missing}, "
             f"unknown fields {unknown}"
         )
-    seed = payload["seed"]
-    if seed is None:
-        seed = 0 if task_seed is None else task_seed % (1 << 31)
+    if payload["seed"] is None:
+        raise ConfigurationError(
+            "malformed sweep-point payload: seed is null"
+        )
     spec = BinSpec(tuple(payload["spec_edges"]), int(payload["spec_period"]))
     defaults = ExperimentDefaults(
-        int(payload["accesses"]), int(payload["cycles"]), int(seed), spec
+        int(payload["accesses"]), int(payload["cycles"]),
+        int(payload["seed"]), spec
     )
     plans = {
         int(core): RequestShapingPlan(
@@ -219,7 +218,7 @@ def decode_point(
 
 class PointRun(NamedTuple):
     """A decoded payload's built-and-run machine (``defaults`` carries
-    the payload's spec and the resolved seed)."""
+    the payload's spec and seed)."""
 
     system: System
     report: SystemReport
@@ -231,7 +230,6 @@ def run_point(
     payload: Dict[str, Any],
     required: Sequence[str] = (),
     optional: Sequence[str] = (),
-    task_seed: Optional[int] = None,
     shaped_cores: Sequence[int] = (),
 ) -> PointRun:
     """Decode a payload, then build and run its machine.
@@ -240,7 +238,7 @@ def run_point(
     against; a payload without a plan for one of them is rejected
     before the run.
     """
-    defaults, recipe = decode_point(payload, required, optional, task_seed)
+    defaults, recipe = decode_point(payload, required, optional)
     for core in shaped_cores:
         if core not in recipe["request_plans"]:
             raise ConfigurationError(
@@ -261,26 +259,20 @@ def _result(run: PointRun, **fields: Any) -> Dict[str, Any]:
 
 
 def _zoo(run: PointRun, label: str, seed: int, window_cycles: Optional[int],
-         core: int = 0, target: Optional[BinConfiguration] = None):
-    """Score ``core``'s request stream against the attacker zoo.
+         core: int = 0):
+    """Score ``core``'s shaped request stream against the attacker zoo.
 
-    The observed stream is the shaped one when the core has a request
-    plan and the intrinsic one otherwise (the covert-channel worst
-    case); ``target`` defaults to the plan's own configuration.  MI
+    The target distribution is the core's own request plan.  MI
     windows the whole run, so every task reports the same ``mi`` for
     the same machine.
     """
     stats = run.report.core(core)
-    plan = run.request_plans.get(core)
-    observed = stats.request_intrinsic if plan is None else stats.request_shaped
     return detect_report(
         label=label,
         intrinsic_gaps=stats.request_intrinsic.gaps,
-        observed_gaps=observed.gaps,
+        observed_gaps=stats.request_shaped.gaps,
         spec=run.defaults.spec,
-        target_frequencies=(
-            plan.config if target is None else target
-        ).normalized(),
+        target_frequencies=run.request_plans[core].config.normalized(),
         seed=int(seed),
         window_cycles=window_cycles,
         run_cycles=run.report.cycles_run,
@@ -311,23 +303,23 @@ def alone_base_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# single-program shaped points (Figure 2, the detect suite)
+# single-program shaped points (the Figure 2 / detect-suite ladder)
 # ---------------------------------------------------------------------------
-
-_ZOO_FIELDS = ("label", "window_cycles")
 
 
 def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One shaped point of the Figure 2 trade-off sweep.
+    """One shaped rung of the config ladder (Figure 2, ``repro detect``).
 
     Runs the benchmark alone under the payload's credit configuration
     and reports IPC plus the full detectability-lab score set — the
     windowed-rate MI between the intrinsic and shaped request streams
     and the zoo's AUC / XCorr / spectral probes against the
-    configuration's own target distribution.
+    configuration's own target distribution — with the zoo report's
+    ``segments`` and ``report_digest``.
     """
     run = run_point(
-        payload, _ZOO_FIELDS, ("detect_seed",), shaped_cores=(0,)
+        payload, ("label", "window_cycles"), ("detect_seed",),
+        shaped_cores=(0,),
     )
     zoo = _zoo(
         run, str(payload["label"]),
@@ -336,31 +328,6 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     return _result(
         run, label=payload["label"], ipc=run.report.core(0).ipc,
-        **zoo.score_row(),
-    )
-
-
-def detect_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One configuration of the attacker-zoo detectability suite.
-
-    With a request plan the benchmark runs under that shaping
-    configuration; without one the run is unshaped.
-    ``payload["target_credits"]`` is always present: the distribution
-    the zoo's classifiers test the observed stream against.
-    """
-    run = run_point(
-        payload, (*_ZOO_FIELDS, "target_credits"), ("detect_seed",)
-    )
-    zoo = _zoo(
-        run, str(payload["label"]),
-        payload.get("detect_seed", run.defaults.seed),
-        int(payload["window_cycles"]),
-        target=BinConfiguration(tuple(payload["target_credits"])),
-    )
-    return _result(
-        run,
-        label=payload["label"],
-        ipc=run.report.core(0).ipc,
         **zoo.score_row(),
         segments=zoo.segments,
         report_digest=zoo.digest(),
@@ -481,88 +448,3 @@ def mesh_position_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "digest_b": report_digest(world_b),
         "obs_registry": _registry_doc(world_a, world_b),
     }
-
-
-# ---------------------------------------------------------------------------
-# GA population fitness
-# ---------------------------------------------------------------------------
-
-
-def ga_fitness_task(
-    payload: Dict[str, Any], task_seed: Optional[int] = None
-) -> Dict[str, Any]:
-    """Offline fitness of one genome: slowdown plus a leakage penalty.
-
-    The genome (the credit vector of core 0's request plan) shapes the
-    benchmark's requests; the cost is ``slowdown + zoo_score(mi, auc,
-    xcorr)`` — the Figure 2 trade-off collapsed to a scalar, which is
-    what the offline GA minimises when searching shaping
-    configurations without a live system.  With the default weights
-    (``mi_weight=1``, ``auc_weight`` and ``xcorr_weight`` 0) this is
-    exactly the historical ``slowdown + mi_weight * windowed_mi``;
-    non-zero zoo weights turn the fitness multi-objective, scoring each genome against the
-    trained-classifier and cross-correlation attackers with the
-    genome's own normalized credits as the target distribution.
-    ``task_seed`` (the executor's per-genome substream seed) seeds the
-    evaluation run when the payload does not pin one, so every genome
-    is scored on a decorrelated, reproducible stream.
-    """
-    run = run_point(
-        payload, ("base_ipc", "window_cycles"),
-        ("detect_seed", "mi_weight", "auc_weight", "xcorr_weight"),
-        task_seed=task_seed, shaped_cores=(0,),
-    )
-    ipc = run.report.core(0).ipc
-    slowdown = float(payload["base_ipc"]) / ipc if ipc > 0 else 1e6
-    window_cycles = int(payload["window_cycles"])
-    auc_weight = float(payload.get("auc_weight", 0.0))
-    xcorr_weight = float(payload.get("xcorr_weight", 0.0))
-    auc = xcorr = 0.0
-    if auc_weight > 0.0 or xcorr_weight > 0.0:
-        zoo = _zoo(
-            run, "genome", payload.get("detect_seed", run.defaults.seed),
-            window_cycles,
-        )
-        mi, auc, xcorr = zoo.mi_bits, zoo.auc, zoo.xcorr
-        result = _result(run, slowdown=slowdown, mi=mi, auc=auc, xcorr=xcorr)
-    else:
-        stats = run.report.core(0)
-        mi = gap_rate_mi(
-            stats.request_intrinsic.gaps, stats.request_shaped.gaps,
-            window_cycles, run.report.cycles_run,
-        )
-        result = _result(run, slowdown=slowdown, mi=mi)
-    result["fitness"] = slowdown + zoo_score(
-        mi, auc, xcorr,
-        mi_weight=float(payload.get("mi_weight", 1.0)),
-        auc_weight=auc_weight,
-        xcorr_weight=xcorr_weight,
-    )
-    return result
-
-
-def ga_population_evaluator(executor, payload_base: Dict[str, Any]):
-    """A ``map_evaluate`` for :meth:`GeneticAlgorithm.step`.
-
-    Wraps ``executor`` (a :class:`~repro.parallel.SweepExecutor`) so
-    one generation's fitness runs fan out as :func:`ga_fitness_task`
-    shards — each genome installed as core 0's request plan in
-    ``payload_base`` (an :func:`encode_point` payload) plus its own
-    deterministic ``task_seed`` (the executor's lifetime counter keeps
-    seeds stable across generations and cache states).  Returns
-    fitnesses in population order, which is all the GA's breeding
-    loop needs for bit-identical evolution at any ``jobs`` value.
-    """
-
-    def map_evaluate(genomes) -> List[float]:
-        payloads = [
-            dict(payload_base, request_plans={"0": _plan_doc(genome)})
-            for genome in genomes
-        ]
-        rows = executor.map(
-            ga_fitness_task, payloads, kind="ga-fitness",
-            labels=[f"genome{i}" for i in range(len(payloads))],
-        )
-        return [row["fitness"] for row in rows]
-
-    return map_evaluate

@@ -45,7 +45,6 @@ from repro.security.detect import (
     max_cross_correlation,
     roc_auc,
     spectral_peak_ratio,
-    zoo_score,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "max_cross_correlation",
     "roc_auc",
     "spectral_peak_ratio",
-    "zoo_score",
     "entropy_bits",
     "interarrival_mi",
     "mutual_information_bits",

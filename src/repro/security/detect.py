@@ -458,8 +458,8 @@ def detect_report(
 ) -> DetectReport:
     """Score one trace against the zoo; pure in ``(inputs, seed)``.
 
-    This is the one scorer every leakage number goes through: the
-    sweeps, the Fig 2 anchor, the GA fitness and the live monitor.
+    This is the one scorer every zoo score goes through: the sweep
+    tasks, the config ladder's no-shaping anchor and the live monitor.
     ``observed_gaps`` is what the adversary sees on the bus (the shaped
     stream, fake traffic included); ``intrinsic_gaps`` is the program's
     own stream (for the cross-correlation attacker and the MI);
@@ -520,26 +520,4 @@ def detect_report(
         mi_bits=float(
             gap_rate_mi(intrinsic_gaps, observed_gaps, wc, run_cycles)
         ),
-    )
-
-
-def zoo_score(
-    mi_bits: float,
-    auc: float,
-    xcorr: float,
-    mi_weight: float = 1.0,
-    auc_weight: float = 0.0,
-    xcorr_weight: float = 0.0,
-) -> float:
-    """Scalarize the zoo for the GA's multi-objective fitness.
-
-    AUC enters as ``2·max(0, auc − 0.5)`` so an indistinguishable
-    stream contributes 0 and a fully separable one contributes 1 —
-    the same [0, 1] leakage scale as XCorr, keeping the weights
-    mutually interpretable.
-    """
-    return (
-        mi_weight * mi_bits
-        + auc_weight * 2.0 * max(0.0, auc - 0.5)
-        + xcorr_weight * max(0.0, xcorr)
     )

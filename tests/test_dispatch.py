@@ -15,12 +15,16 @@ exercised over real sockets without subprocess management; the CI
 
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import socket
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentDefaults
 from repro.common.errors import (
@@ -545,6 +549,32 @@ class TestLedger:
         )
         with pytest.raises(ConfigurationError, match="schema"):
             DispatchLedger.load(str(path))
+
+    def test_missing_file_fails_typed(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            DispatchLedger.load(str(tmp_path / "nope.json"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.binary(max_size=64))
+    @example(raw=b"\xff\xfe")
+    @example(raw=b'{"ledger_schema": 1, "shards": [1, 2]}')
+    @example(raw=b'{"ledger_schema": 1, "shards": {"x": {}}}')
+    @example(raw=b'{"ledger_schema": 1, "shards": {"0": {"state": []}}}')
+    def test_status_of_any_bytes_is_a_usage_error(self, raw):
+        from repro.cli import main
+
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "ledger.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            with contextlib.redirect_stderr(err):
+                status = main(["dispatch", "status", "--ledger", path])
+        # 0/1 only if the bytes happen to spell a well-formed ledger.
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestCoordinatorValidation:

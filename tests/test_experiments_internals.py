@@ -209,6 +209,12 @@ class TestMalformedPayloads:
         with pytest.raises(ConfigurationError, match="core_slot"):
             alone_base_task(payload)
 
+    def test_null_seed(self):
+        payload = encode_point(["gcc"], FAST)
+        payload["seed"] = None
+        with pytest.raises(ConfigurationError, match="seed"):
+            alone_base_task(payload)
+
     def test_detect_needs_a_plan_before_the_run(self, monkeypatch):
         import repro.parallel.tasks as tasks
 

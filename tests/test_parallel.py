@@ -13,10 +13,13 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentDefaults, tradeoff_sweep
 from repro.analysis.sweeps import noc_latency_sweep
@@ -27,8 +30,6 @@ from repro.common.errors import (
 )
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_json_digest
-from repro.core.bins import BinConfiguration
-from repro.ga.genetic import GaConfig, GeneticAlgorithm
 from repro.obs import diag
 from repro.parallel import (
     CACHE_SCHEMA,
@@ -36,30 +37,18 @@ from repro.parallel import (
     SweepExecutor,
     cache_key,
     config_digest,
-    ga_population_evaluator,
 )
 from repro.parallel.executor import ShardLoop, _InlineLane, _Shard
 from repro.parallel.tasks import (
     encode_point,
-    ga_fitness_task,
     noc_latency_task,
 )
 from repro.resilience.retry import RetryPolicy
-from repro.sim.system import RequestShapingPlan
 from repro.workloads.spec import make_trace
 from repro.workloads.synthetic import SyntheticTraceGenerator
 from tests.test_dispatch import LANE_KINDS, flaky_echo_task, lane_executor
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
-
-
-def ga_payload_base(**machine):
-    """A GA fitness payload whose seed is left to the executor's
-    per-genome substream (``seed=None``)."""
-    return encode_point(
-        ["gcc"], dataclasses.replace(FAST, seed=None),
-        base_ipc=1.0, window_cycles=512, **machine,
-    )
 
 
 def square_task(payload):
@@ -189,6 +178,26 @@ class TestResultCache:
     def test_prune_requires_a_filter(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ResultCache(str(tmp_path)).prune()
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=st.binary(max_size=64))
+    @example(raw=b"\xff\xfe")
+    @example(raw=b"[1, 2]")
+    def test_any_bytes_heal_as_a_miss(self, raw):
+        from repro.cli import main
+
+        with tempfile.TemporaryDirectory() as directory:
+            cache = ResultCache(directory)
+            digest = config_digest("unit", {"x": 1})
+            path = cache.path_for(digest)
+            os.makedirs(os.path.dirname(path))
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            assert len(cache.entries()) <= 1
+            assert main(["cache", "ls", "--cache-dir", directory]) == 0
+            assert cache.get(digest) is None
+            assert (cache.hits, cache.misses) == (0, 1)
+            assert not os.path.exists(path)
 
 
 class TestSweepExecutor:
@@ -372,36 +381,6 @@ class TestJobsDifferential:
         monkeypatch.undo()
         points_2 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=2)
         assert canonical_json_digest(points_2) == "1e03fbb19465af99"
-
-    def test_ga_generation(self):
-        payload_base = ga_payload_base()
-        config = GaConfig(
-            genome_length=len(FAST.spec.edges), max_gene=10,
-            population_size=4, generations=1,
-        )
-
-        def one_generation(jobs):
-            executor = SweepExecutor(jobs=jobs, seed=FAST.seed)
-            ga = GeneticAlgorithm(config, DeterministicRng(11))
-            ga.initialize()
-            best = ga.step(
-                map_evaluate=ga_population_evaluator(executor, payload_base)
-            )
-            return best, ga.history, sorted(ga._population)
-
-        assert one_generation(1) == one_generation(4)
-
-    def test_ga_fitness_digests_jobs_invariant(self):
-        payloads = [
-            ga_payload_base(request_plans={
-                0: RequestShapingPlan(BinConfiguration(genome), FAST.spec)
-            })
-            for genome in ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-                           (1, 1, 2, 1, 1, 1, 1, 1, 1, 1))
-        ]
-        rows_1 = SweepExecutor(jobs=1, seed=3).map(ga_fitness_task, payloads)
-        rows_4 = SweepExecutor(jobs=4, seed=3).map(ga_fitness_task, payloads)
-        assert rows_1 == rows_4
 
 
 class TestRegistryMerge:

@@ -8,6 +8,9 @@ end-to-end covert-channel claim (an unshaped sender is trivially
 detectable; the shaped stream carries almost none of the secret).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.analysis.experiments import (
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_doc
 from repro.core.bins import BinSpec
+from repro.parallel import SweepExecutor
 from repro.security.detect import (
     FEATURE_NAMES,
     classifier_aucs,
@@ -30,7 +34,6 @@ from repro.security.detect import (
     sample_target_gaps,
     segment_features,
     spectral_peak_ratio,
-    zoo_score,
 )
 from repro.security.mutual_information import windowed_counts, windowed_rate_mi
 from repro.sim.system import RequestShapingPlan, SystemBuilder
@@ -215,63 +218,6 @@ class TestDetectReport:
         assert report.auc_logistic is None and report.auc_stumps is None
         assert report.xcorr == pytest.approx(1.0)
 
-    def test_zoo_score_default_weights_is_mi(self):
-        assert zoo_score(0.25, 0.9, 0.8) == pytest.approx(0.25)
-
-    def test_zoo_score_weights_add_leakage_terms(self):
-        score = zoo_score(0.25, 0.75, 0.4, auc_weight=1.0, xcorr_weight=1.0)
-        assert score == pytest.approx(0.25 + 2 * 0.25 + 0.4)
-        # An indistinguishable stream adds nothing regardless of weight.
-        assert zoo_score(0.0, 0.5, 0.0, auc_weight=5.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# GA multi-objective fitness
-# ---------------------------------------------------------------------------
-
-
-class TestGaZooFitness:
-    def _payload(self, **extra):
-        import dataclasses
-
-        from repro.core.bins import BinConfiguration
-        from repro.parallel.tasks import encode_point
-        from repro.sim.system import RequestShapingPlan
-
-        fast = dataclasses.replace(
-            ExperimentDefaults(), accesses=600, cycles=6000, seed=7
-        )
-        genome = BinConfiguration((2, 1, 1, 1, 1, 1, 1, 1, 1, 1))
-        return encode_point(
-            ["gcc"], fast,
-            request_plans={0: RequestShapingPlan(genome, fast.spec)},
-            base_ipc=1.0, window_cycles=512, **extra,
-        )
-
-    def test_default_weights_reduce_to_mi_penalty(self):
-        from repro.parallel.tasks import ga_fitness_task
-
-        result = ga_fitness_task(self._payload())
-        assert "auc" not in result and "xcorr" not in result
-        assert result["fitness"] == pytest.approx(
-            result["slowdown"] + result["mi"]
-        )
-
-    def test_zoo_weights_turn_fitness_multi_objective(self):
-        from repro.parallel.tasks import ga_fitness_task
-
-        payload = self._payload(auc_weight=1.0, xcorr_weight=0.5)
-        result = ga_fitness_task(payload)
-        assert 0.0 <= result["auc"] <= 1.0
-        assert 0.0 <= result["xcorr"] <= 1.0
-        expected = result["slowdown"] + zoo_score(
-            result["mi"], result["auc"], result["xcorr"],
-            auc_weight=1.0, xcorr_weight=0.5,
-        )
-        assert result["fitness"] == pytest.approx(expected)
-        # Same payload, same seed → identical multi-objective score.
-        assert ga_fitness_task(payload) == result
-
 
 # ---------------------------------------------------------------------------
 # end-to-end: the covert channel against the zoo
@@ -376,3 +322,35 @@ class TestDetectSuite:
             assert [detect[label][c] for c in columns] == [
                 tradeoff[label][c] for c in columns
             ], label
+
+    def test_climbs_the_ladder_in_four_tasks(self):
+        # The alone-base run doubles as the no-shaping rung; the CS and
+        # two staircase rungs are one tradeoff-point task each.
+        defaults = ExperimentDefaults().scaled(0.2)
+        executor = SweepExecutor(jobs=1, seed=defaults.seed)
+        detect_suite("apache", defaults, executor=executor)
+        assert executor.tasks_run == 4
+
+    def test_served_from_the_cache_after_the_tradeoff_sweep(self, tmp_path):
+        defaults = ExperimentDefaults().scaled(0.2)
+        tradeoff_sweep(
+            "apache", defaults, (0.8, 1.2), cache_dir=str(tmp_path)
+        )
+        executor = SweepExecutor(
+            jobs=1, seed=defaults.seed, cache=str(tmp_path)
+        )
+        detect_suite("apache", defaults, executor=executor)
+        assert (executor.tasks_run, executor.tasks_cached) == (0, 4)
+
+    def test_cli_stdout_is_pinned(self, capsys):
+        from repro.cli import main
+
+        assert main(
+            ["--scale", "0.25", "detect", "--benchmark", "apache"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4ec955368c4a794a0bd88cbd58a43c802b440d0a"
+            "833434d0c5fd892946393058"
+        )
+        assert json.loads(out)["digest"] == "3a00758f0010f08f"
