@@ -945,9 +945,14 @@ def alone_base_runs(
     )
 
 
+#: The ladder's replenishment period and its multi-period MI window
+#: (see :func:`measure_mi_suite` for why the window spans periods).
+LADDER_REPLENISH_PERIOD = 512
+LADDER_WINDOW_CYCLES = 2048
+
+
 def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
-                   scales: Sequence[float], window_cycles: int,
-                   replenish_period: int, runner,
+                   scales: Sequence[float], runner,
                    context: str) -> List[Dict[str, object]]:
     """The scored config ladder Figure 2 and the detect suite both climb.
 
@@ -968,7 +973,7 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
     — the distribution the shaped rungs move toward.
     """
     tasks = _parallel().tasks
-    spec = replace(defaults.spec, replenish_period=replenish_period)
+    spec = replace(defaults.spec, replenish_period=LADDER_REPLENISH_PERIOD)
     [base] = alone_base_runs(
         [benchmark], defaults, runner, [f"{benchmark}:base"]
     )
@@ -987,7 +992,7 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
         spec=spec,
         target_frequencies=staircase_config(spec, base_rate).normalized(),
         seed=defaults.seed,
-        window_cycles=window_cycles,
+        window_cycles=LADDER_WINDOW_CYCLES,
         run_cycles=base["cycles_run"],
     )
     no_shaping = {
@@ -1005,7 +1010,8 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
                 [benchmark], defaults, spec=spec,
                 request_plans={0: RequestShapingPlan(config, spec)},
                 label=label,
-                window_cycles=window_cycles, detect_seed=defaults.seed,
+                window_cycles=LADDER_WINDOW_CYCLES,
+                detect_seed=defaults.seed,
             )
             for label, config in rungs
         ],
@@ -1018,8 +1024,6 @@ def tradeoff_sweep(
     benchmark: str = "apache",
     defaults: ExperimentDefaults = ExperimentDefaults(),
     scales: Sequence[float] = (0.6, 0.8, 1.0, 1.4, 2.0),
-    window_cycles: int = 2048,
-    replenish_period: int = 512,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     executor=None,
@@ -1041,8 +1045,7 @@ def tradeoff_sweep(
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
     no_shaping, cs, *staircases = _config_ladder(
-        benchmark, defaults, scales, window_cycles, replenish_period,
-        runner, "tradeoff",
+        benchmark, defaults, scales, runner, "tradeoff"
     )
     return [
         {k: v for k, v in row.items()
@@ -1055,8 +1058,6 @@ def detect_suite(
     benchmark: str = "apache",
     defaults: ExperimentDefaults = ExperimentDefaults(),
     scales: Sequence[float] = (0.8, 1.2),
-    window_cycles: int = 2048,
-    replenish_period: int = 512,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     executor=None,
@@ -1070,18 +1071,15 @@ def detect_suite(
 
     The returned document — rows of label / ipc / mi / auc / xcorr /
     spectral plus per-rung report digests and one suite digest — is a
-    pure function of ``(benchmark, defaults, scales, window)``:
+    pure function of ``(benchmark, defaults, scales)``:
     byte-identical across repeated runs and across ``jobs`` values.
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
     doc: Dict[str, object] = {
         "benchmark": benchmark,
-        "window_cycles": window_cycles,
+        "window_cycles": LADDER_WINDOW_CYCLES,
         "seed": defaults.seed,
-        "rows": _config_ladder(
-            benchmark, defaults, scales, window_cycles, replenish_period,
-            runner, "detect",
-        ),
+        "rows": _config_ladder(benchmark, defaults, scales, runner, "detect"),
     }
     doc["digest"] = canonical_json_digest(doc)
     return doc

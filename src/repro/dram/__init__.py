@@ -21,13 +21,6 @@ from repro.dram.address import AddressMapping, DecodedAddress
 from repro.dram.bank import Bank, BankState
 from repro.dram.commands import CommandType, DramCommand
 from repro.dram.organization import DramOrganization
-from repro.dram.presets import (
-    DDR3_1066,
-    DDR3_1333,
-    DDR3_1600,
-    DDR4_2400,
-    timing_preset,
-)
 from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
 
@@ -36,11 +29,6 @@ __all__ = [
     "Bank",
     "BankState",
     "CommandType",
-    "DDR3_1066",
-    "DDR3_1333",
-    "DDR3_1600",
-    "DDR4_2400",
-    "timing_preset",
     "DecodedAddress",
     "DramCommand",
     "DramOrganization",

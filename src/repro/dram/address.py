@@ -65,11 +65,6 @@ class AddressMapping:
         addresses are folded onto its private subset of banks, so
         threads never share a bank (and hence never conflict in a row
         buffer).  ``None`` means all banks are available.
-    rank_mask:
-        Optional list of rank indices, the rank-partitioning analogue
-        (the paper mentions FS "with rank partitioning" but could not
-        evaluate it on a 1-rank configuration; we support it for
-        multi-rank organizations).
     """
 
     def __init__(
@@ -77,7 +72,6 @@ class AddressMapping:
         organization: DramOrganization,
         scheme: InterleavingScheme = InterleavingScheme.ROW_BANK_COLUMN,
         bank_mask=None,
-        rank_mask=None,
     ) -> None:
         self._org = organization
         self._scheme = scheme
@@ -91,17 +85,6 @@ class AddressMapping:
                         f"bank {bank} outside 0..{organization.banks_per_rank - 1}"
                     )
         self._bank_mask = bank_mask
-        if rank_mask is not None:
-            rank_mask = tuple(sorted(set(rank_mask)))
-            if not rank_mask:
-                raise ConfigurationError("rank_mask must not be empty")
-            for rank in rank_mask:
-                if not 0 <= rank < organization.ranks_per_channel:
-                    raise ConfigurationError(
-                        f"rank {rank} outside "
-                        f"0..{organization.ranks_per_channel - 1}"
-                    )
-        self._rank_mask = rank_mask
 
     @classmethod
     def bank_interleaved(cls, organization: DramOrganization) -> "AddressMapping":
@@ -112,13 +95,6 @@ class AddressMapping:
     def partitioned(cls, organization: DramOrganization, banks) -> "AddressMapping":
         """Mapping confined to a subset of banks (FS bank partitioning)."""
         return cls(organization, bank_mask=banks)
-
-    @classmethod
-    def partitioned_ranks(
-        cls, organization: DramOrganization, ranks
-    ) -> "AddressMapping":
-        """Mapping confined to a subset of ranks (FS rank partitioning)."""
-        return cls(organization, rank_mask=ranks)
 
     @property
     def organization(self) -> DramOrganization:
@@ -164,8 +140,6 @@ class AddressMapping:
             # shrinks effective capacity per thread, which is precisely
             # the FS-with-partitioning cost the paper calls out.
             bank = self._bank_mask[bank % len(self._bank_mask)]
-        if self._rank_mask is not None:
-            rank = self._rank_mask[rank % len(self._rank_mask)]
 
         return DecodedAddress(
             channel=channel, rank=rank, bank=bank, row=row, column=column

@@ -91,13 +91,8 @@ class Bank:
         self._next_activate = cycle + t.tRC
         self.activate_count += 1
 
-    def read(self, cycle: int, row: int, auto_precharge: bool = False) -> None:
-        """Issue a READ column command to the open row.
-
-        ``auto_precharge`` models RDA: the bank closes itself after
-        tRTP without occupying a command-bus slot; the next ACTIVATE
-        is legal tRTP + tRP after the read.
-        """
+    def read(self, cycle: int, row: int) -> None:
+        """Issue a READ column command to the open row."""
         if not self.can_column(cycle, row):
             raise ProtocolError(
                 f"illegal READ at cycle {cycle}: open_row={self._open_row}, "
@@ -109,15 +104,9 @@ class Bank:
         self._next_column = max(self._next_column, cycle + t.tCCD)
         self.read_count += 1
         self.row_hit_count += 1
-        if auto_precharge:
-            self._auto_precharge(cycle + t.tRTP)
 
-    def write(self, cycle: int, row: int, auto_precharge: bool = False) -> None:
-        """Issue a WRITE column command to the open row.
-
-        ``auto_precharge`` models WRA (see :meth:`read`); the close
-        happens after write recovery.
-        """
+    def write(self, cycle: int, row: int) -> None:
+        """Issue a WRITE column command to the open row."""
         if not self.can_column(cycle, row):
             raise ProtocolError(
                 f"illegal WRITE at cycle {cycle}: open_row={self._open_row}, "
@@ -132,19 +121,6 @@ class Bank:
         self._next_column = max(self._next_column, cycle + t.tCCD)
         self.write_count += 1
         self.row_hit_count += 1
-        if auto_precharge:
-            self._auto_precharge(cycle + t.tCWL + t.tBURST + t.tWR)
-
-    def _auto_precharge(self, effective_cycle: int) -> None:
-        """Close the row as of ``effective_cycle`` (no bus slot used)."""
-        t = self._timing
-        # Honour tRAS: the row must have been open long enough; the
-        # effective close time is pushed to the later of the two.
-        close = max(effective_cycle, self._next_precharge)
-        self._state = BankState.PRECHARGED
-        self._open_row = None
-        self._next_activate = max(self._next_activate, close + t.tRP)
-        self.precharge_count += 1
 
     def precharge(self, cycle: int) -> None:
         """Close the open row."""

@@ -120,20 +120,18 @@ class Channel:
         self._claim_command_bus(cycle)
         self.ranks[rank].precharge(bank, cycle)
 
-    def read(self, rank: int, bank: int, row: int, cycle: int,
-             auto_precharge: bool = False) -> int:
+    def read(self, rank: int, bank: int, row: int, cycle: int) -> int:
         """Issue a READ; returns the cycle the last data beat arrives."""
         self._claim_command_bus(cycle)
         end = self._claim_data_bus(cycle, rank, is_write=False)
-        self.ranks[rank].read(bank, cycle, row, auto_precharge)
+        self.ranks[rank].read(bank, cycle, row)
         return end
 
-    def write(self, rank: int, bank: int, row: int, cycle: int,
-              auto_precharge: bool = False) -> int:
+    def write(self, rank: int, bank: int, row: int, cycle: int) -> int:
         """Issue a WRITE; returns the cycle the last data beat lands."""
         self._claim_command_bus(cycle)
         end = self._claim_data_bus(cycle, rank, is_write=True)
-        self.ranks[rank].write(bank, cycle, row, auto_precharge)
+        self.ranks[rank].write(bank, cycle, row)
         return end
 
     def refresh(self, rank: int, cycle: int) -> None:

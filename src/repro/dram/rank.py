@@ -82,18 +82,16 @@ class Rank:
         self._activate_history.append(cycle)
         self._next_activate_rank = cycle + self._timing.tRRD
 
-    def read(self, bank_index: int, cycle: int, row: int,
-             auto_precharge: bool = False) -> None:
+    def read(self, bank_index: int, cycle: int, row: int) -> None:
         if cycle < self._next_read_rank:
             raise ProtocolError(
                 f"READ at cycle {cycle} violates tWTR (earliest "
                 f"{self._next_read_rank})"
             )
-        self.banks[bank_index].read(cycle, row, auto_precharge)
+        self.banks[bank_index].read(cycle, row)
 
-    def write(self, bank_index: int, cycle: int, row: int,
-              auto_precharge: bool = False) -> None:
-        self.banks[bank_index].write(cycle, row, auto_precharge)
+    def write(self, bank_index: int, cycle: int, row: int) -> None:
+        self.banks[bank_index].write(cycle, row)
         t = self._timing
         # READs to this rank must wait for the write burst plus tWTR.
         self._next_read_rank = max(

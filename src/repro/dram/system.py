@@ -158,14 +158,8 @@ class DramSystem:
             return channel.can_refresh(a.rank, cycle)
         raise ProtocolError(f"unknown command kind {command.kind}")
 
-    def issue(self, command: DramCommand, cycle: int,
-              auto_precharge: bool = False) -> Optional[int]:
-        """Issue ``command``; returns burst-complete cycle for column cmds.
-
-        ``auto_precharge`` applies only to column commands (RDA/WRA:
-        the bank closes itself after the access, the closed-page
-        policy's primitive).
-        """
+    def issue(self, command: DramCommand, cycle: int) -> Optional[int]:
+        """Issue ``command``; returns burst-complete cycle for column cmds."""
         a = command.address
         channel = self.channels[a.channel]
         # Every state change of a bank, rank or bus happens below.
@@ -184,9 +178,9 @@ class DramSystem:
             channel.precharge(a.rank, a.bank, cycle)
             return None
         if command.kind is CommandType.READ:
-            return channel.read(a.rank, a.bank, a.row, cycle, auto_precharge)
+            return channel.read(a.rank, a.bank, a.row, cycle)
         if command.kind is CommandType.WRITE:
-            return channel.write(a.rank, a.bank, a.row, cycle, auto_precharge)
+            return channel.write(a.rank, a.bank, a.row, cycle)
         if command.kind is CommandType.REFRESH:
             channel.refresh(a.rank, cycle)
             self._refresh_deadline[(a.channel, a.rank)] = cycle + self.timing.tREFI
@@ -200,7 +194,7 @@ class DramSystem:
 
         PRE moves only its bank; ACT its bank plus the rank's tRRD/tFAW
         gate (the ACT entry of every bank in the rank); RD/WR their
-        bank (auto-precharge included) plus the channel's data bus and
+        bank plus the channel's data bus and
         tRTRS and, for WR, the rank's tWTR gate (the column entries of
         every bank in the channel); REF every bank of the rank.
         """

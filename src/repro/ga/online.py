@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, MAX_CREDITS_PER_BIN
 from repro.ga.genetic import GaConfig, GeneticAlgorithm, Genome
@@ -273,4 +273,9 @@ def resume_tuner(path: str) -> OnlineGaTuner:
     from repro.resilience.snapshot import KIND_TUNER, load_snapshot
 
     tuner, _ = load_snapshot(path, expect_kind=KIND_TUNER)
+    if not isinstance(tuner, OnlineGaTuner):
+        raise SnapshotError(
+            f"snapshot {path!r} holds a {type(tuner).__name__}, "
+            "not an OnlineGaTuner"
+        )
     return tuner

@@ -27,7 +27,6 @@ from repro.memctrl.schedulers import (
 )
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.memctrl.queue import TransactionQueue
-from repro.memctrl.write_queue import WriteQueue, WriteQueuePolicy
 
 __all__ = [
     "FixedServiceScheduler",
@@ -39,6 +38,4 @@ __all__ = [
     "TemporalPartitioningScheduler",
     "TransactionQueue",
     "TransactionType",
-    "WriteQueue",
-    "WriteQueuePolicy",
 ]

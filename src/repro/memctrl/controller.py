@@ -34,7 +34,6 @@ from repro.dram.system import DramSystem
 from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.schedulers import FrFcfsScheduler, Scheduler
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
-from repro.memctrl.write_queue import WriteQueue, WriteQueuePolicy
 from repro.obs.events import CATEGORY_MEMCTRL
 from repro.obs.tracer import NULL_TRACER
 
@@ -65,8 +64,6 @@ class MemoryController:
         per_core_mapping: Optional[Dict[int, AddressMapping]] = None,
         queue_capacity: int = 32,
         egress_capacity: int = 16,
-        write_queue_policy: Optional["WriteQueuePolicy"] = None,
-        page_policy: str = "open",
     ) -> None:
         """``egress_capacity`` bounds each core's response return queue.
 
@@ -76,11 +73,6 @@ class MemoryController:
         ("rate limit responses and prevent overflow on the return
         channels", section V).  Backpressure then propagates naturally:
         transaction queue → NoC → request shaper → core.
-
-        ``page_policy``: ``"open"`` (default — FR-FCFS exploits row
-        hits, the paper's base) or ``"closed"`` (every column command
-        carries auto-precharge; no row state survives an access, which
-        also removes the row-buffer side channel at a bandwidth cost).
         """
         self.dram = dram
         self.scheduler = scheduler or FrFcfsScheduler()
@@ -89,11 +81,6 @@ class MemoryController:
         if egress_capacity <= 0:
             raise ConfigurationError("egress_capacity must be positive")
         self.queue = TransactionQueue(queue_capacity)
-        # Optional dedicated write path (see repro.memctrl.write_queue):
-        # None (default) keeps writes in the main transaction queue.
-        self.write_queue = (
-            WriteQueue(write_queue_policy) if write_queue_policy else None
-        )
         self._egress_capacity = egress_capacity
         # Transactions whose column command issued, awaiting burst end.
         self._in_flight: List[MemoryTransaction] = []
@@ -106,9 +93,6 @@ class MemoryController:
         self._committed: Dict[int, int] = {}
         self._fenced: Set[int] = set()
         self._refresh_pending = set()
-        if page_policy not in ("open", "closed"):
-            raise ConfigurationError(f"unknown page policy {page_policy!r}")
-        self._page_policy = page_policy
         # Fixed-Service dummy fill, when the scheduler offers it.
         self._dummy_cores_due = getattr(self.scheduler, "dummy_cores_due", None)
         self._dummy_rng = DeterministicRng(0xF5)
@@ -124,52 +108,24 @@ class MemoryController:
     # -- ingress ---------------------------------------------------------
 
     def can_accept(self) -> bool:
-        """True while the ingress path has room.
-
-        Conservative when a write queue is configured: both queues must
-        have room, since the ingress does not know the next
-        transaction's direction in advance.
-        """
-        if self.queue.is_full:
-            return False
-        if self.write_queue is not None and self.write_queue.is_full:
-            return False
-        return True
+        """True while the transaction queue has room."""
+        return not self.queue.is_full
 
     def enqueue(self, txn: MemoryTransaction, cycle: int) -> None:
         """Accept a transaction from the request path."""
-        if not self.can_accept():
-            full = (
-                self.queue
-                if self.queue.is_full
-                else self.write_queue
-            )
-            capacity = (
-                self.queue.capacity
-                if full is self.queue
-                else self.write_queue.policy.capacity
-            )
+        if self.queue.is_full:
             raise QueueOverflowError(
                 f"enqueue of transaction {txn.txn_id} (core {txn.core_id}) "
                 f"while the controller cannot accept "
                 f"(transaction queue {len(self.queue)}/{self.queue.capacity}"
-                + (
-                    f", write queue {len(self.write_queue)}/"
-                    f"{self.write_queue.policy.capacity}"
-                    if self.write_queue is not None
-                    else ""
-                )
-                + "); the ingress must respect can_accept backpressure",
-                capacity=capacity,
-                depth=len(full),
+                "); the ingress must respect can_accept backpressure",
+                capacity=self.queue.capacity,
+                depth=len(self.queue),
             )
         mapping = self._per_core_mapping.get(txn.core_id, self.mapping)
         txn.decoded = mapping.decode(txn.address)
         txn.mc_arrival_cycle = cycle
-        if self.write_queue is not None and txn.is_write:
-            self.write_queue.push(txn)
-        else:
-            self.queue.push(txn)
+        self.queue.push(txn)
         if self.tracer.enabled:
             self.tracer.emit(
                 cycle, CATEGORY_MEMCTRL, "memctrl.enqueue",
@@ -240,8 +196,8 @@ class MemoryController:
         """Next cycle :meth:`tick` could change any state.
 
         Sources: in-flight burst completions, the earliest refresh
-        deadline, the scheduler's earliest possible pick over the
-        currently selectable transactions, and an active write drain.
+        deadline, and the scheduler's earliest possible pick over the
+        currently selectable transactions.
         A refresh in progress (open banks being precharged, REFRESH
         awaiting legality) is evaluated per-cycle — it is short and
         rare, and its multi-step progress has no cheap closed form.
@@ -260,19 +216,6 @@ class MemoryController:
         )
         if sched is not None and (earliest is None or sched < earliest):
             earliest = sched
-        if self.write_queue is not None and self.write_queue.drain_pending(
-            reads_pending=not self.queue.is_empty
-        ):
-            drainable = (
-                t
-                for t in self.write_queue.peek_candidates()
-                if self.egress_has_room(t.core_id)
-            )
-            drain = Scheduler._earliest_candidate_advance(
-                drainable, self.dram, cycle
-            )
-            if drain is not None and (earliest is None or drain < earliest):
-                earliest = drain
         return None if earliest is None else max(cycle, earliest)
 
     def _inject_scheduler_dummies(self, cycle: int) -> None:
@@ -353,24 +296,8 @@ class MemoryController:
             and (t.decoded.channel, t.decoded.rank) not in pending
         ]
 
-    def _select_write_drain(self, cycle: int) -> Optional[MemoryTransaction]:
-        """A write to drain this cycle, when the write path says so."""
-        if self.write_queue is None:
-            return None
-        if not self.write_queue.should_drain(reads_pending=not self.queue.is_empty):
-            return None
-        candidates = [
-            t
-            for t in self.write_queue.peek_candidates()
-            if self.egress_has_room(t.core_id)
-            and (t.decoded.channel, t.decoded.rank) not in self._refresh_pending
-        ]
-        return Scheduler._frfcfs_pick(candidates, self.dram, cycle)
-
     def _schedule_and_issue(self, cycle: int) -> None:
-        txn = self._select_write_drain(cycle)
-        if txn is None:
-            txn = self.scheduler.select(self._selectable(), self.dram, cycle)
+        txn = self.scheduler.select(self._selectable(), self.dram, cycle)
         if txn is None:
             return
         command = self.dram.required_command(txn.decoded, txn.is_write)
@@ -392,16 +319,10 @@ class MemoryController:
                 self.row_hits += 1
             else:
                 self.row_misses += 1
-            burst_end = self.dram.issue(
-                command, cycle,
-                auto_precharge=self._page_policy == "closed",
-            )
+            burst_end = self.dram.issue(command, cycle)
             txn.issue_cycle = cycle
             txn.data_ready_cycle = burst_end
-            if self.write_queue is not None and txn.is_write:
-                self.write_queue.remove(txn)
-            else:
-                self.queue.remove(txn)
+            self.queue.remove(txn)
             self._in_flight.append(txn)
             committed = self._committed.get(txn.core_id, 0) + 1
             self._committed[txn.core_id] = committed

@@ -76,21 +76,12 @@ class ResilienceConfig:
 class ResilienceRuntime:
     """The live resilience state of one built system."""
 
-    def __init__(
-        self,
-        config: ResilienceConfig,
-        rng: DeterministicRng,
-        address_space_bytes: int = 1 << 30,
-        line_bytes: int = 64,
-    ) -> None:
+    def __init__(self, config: ResilienceConfig, rng: DeterministicRng) -> None:
         self.config = config
         self.injector: Optional[FaultInjector] = None
         if config.faults:
             self.injector = FaultInjector(
-                config.faults,
-                rng.fork(0xFA17 + config.fault_seed),
-                address_space_bytes=address_space_bytes,
-                line_bytes=line_bytes,
+                config.faults, rng.fork(0xFA17 + config.fault_seed)
             )
         self.tracer = NULL_TRACER
         self.checkpoints_taken = 0

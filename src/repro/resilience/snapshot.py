@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v3``.
+    Magic + format version: ``REPROSNAP v4``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -53,9 +53,11 @@ from repro.memctrl.transaction import (
 #: classes v1 graphs pickle no longer exist).  v3: the memory
 #: controller keeps committed return slots and a fenced-core set, the
 #: priority scheduler a boosted-core count and the DRAM system its
-#: earliest refresh deadline (a v2 graph has none of them).
+#: earliest refresh deadline (a v2 graph has none of them).  v4: the
+#: controller, bank and address-mapping layouts lose the write queue,
+#: the page policy and the rank mask.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"
@@ -217,5 +219,11 @@ def snapshot_system(system, path: str) -> Dict[str, Any]:
 
 def restore_system(path: str):
     """Load a system snapshot; returns the :class:`System`."""
+    from repro.sim.system import System
+
     system, _ = load_snapshot(path, expect_kind=KIND_SYSTEM)
+    if not isinstance(system, System):
+        raise SnapshotError(
+            f"snapshot {path!r} holds a {type(system).__name__}, not a System"
+        )
     return system

@@ -177,11 +177,6 @@ def diagnostic_dump(system, stalled_for: int = 0) -> Dict[str, Any]:
             "can_accept": controller.can_accept(),
             "queue_depth": len(controller.queue),
             "queue_capacity": controller.queue.capacity,
-            "write_queue_depth": (
-                len(controller.write_queue)
-                if controller.write_queue is not None
-                else None
-            ),
             "staging_depth": len(system._mc_staging),
             "in_flight": len(controller._in_flight),
             "refresh_pending": sorted(

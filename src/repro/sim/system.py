@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.core.bins import BinConfiguration, BinSpec
@@ -31,12 +31,11 @@ from repro.core.epoch_shaper import EpochRatePolicy, RateSet
 from repro.core.request_shaper import RequestCamouflage
 from repro.core.response_shaper import ResponseCamouflage
 from repro.core.shaper import BinShaper, Passthrough
-from repro.cpu.core import Core, CoreConfig
+from repro.cpu.core import Core
 from repro.cpu.trace import MemoryTrace
 from repro.dram.address import AddressMapping
 from repro.dram.organization import DramOrganization
 from repro.dram.system import DramSystem
-from repro.dram.timing import DramTiming
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.schedulers import (
     FixedServiceScheduler,
@@ -189,21 +188,13 @@ class SystemBuilder:
         self._core_plans: List[_CorePlan] = []
         self._scheduler_kind = "frfcfs"
         self._scheduler_kwargs: Dict = {}
-        self._timing = DramTiming()
         self._organization = DramOrganization()
         self._enable_refresh = True
-        self._hierarchy_config = HierarchyConfig()
-        self._core_config = CoreConfig()
         self._noc_latency = 4
-        self._noc_port_capacity = 16
         self._noc_topology = "shared"
         self._obs_config: Optional[ObservabilityConfig] = None
         self._resilience_config: Optional[ResilienceConfig] = None
-        self._queue_capacity = 32
-        self._page_policy = "open"
-        self._write_queue_policy = None
         self._bank_partitioning = False
-        self._address_space = 1 << 30
 
     # -- configuration -----------------------------------------------------
 
@@ -240,12 +231,10 @@ class SystemBuilder:
 
     def with_dram(
         self,
-        timing: Optional[DramTiming] = None,
         organization: Optional[DramOrganization] = None,
         enable_refresh: Optional[bool] = None,
     ) -> "SystemBuilder":
-        if timing is not None:
-            self._timing = timing
+        """DRAM geometry and refresh; the timing is always DDR3-1333."""
         if organization is not None:
             self._organization = organization
         if enable_refresh is not None:
@@ -255,7 +244,6 @@ class SystemBuilder:
     def with_noc(
         self,
         latency: int = 4,
-        port_capacity: int = 16,
         topology: str = "shared",
     ) -> "SystemBuilder":
         """Configure the on-chip channels.
@@ -270,7 +258,6 @@ class SystemBuilder:
         if topology not in ("shared", "mesh"):
             raise ConfigurationError(f"unknown NoC topology {topology!r}")
         self._noc_latency = latency
-        self._noc_port_capacity = port_capacity
         self._noc_topology = topology
         return self
 
@@ -321,44 +308,9 @@ class SystemBuilder:
         )
         return self
 
-    def with_core_config(self, config: CoreConfig) -> "SystemBuilder":
-        self._core_config = config
-        return self
-
-    def with_hierarchy_config(self, config: HierarchyConfig) -> "SystemBuilder":
-        self._hierarchy_config = config
-        return self
-
-    def with_queue_capacity(self, capacity: int) -> "SystemBuilder":
-        self._queue_capacity = capacity
-        return self
-
-    def with_page_policy(self, policy: str) -> "SystemBuilder":
-        """Row-buffer management: ``"open"`` (default) or ``"closed"``."""
-        if policy not in ("open", "closed"):
-            raise ConfigurationError(f"unknown page policy {policy!r}")
-        self._page_policy = policy
-        return self
-
-    def with_write_queue(self, policy=None) -> "SystemBuilder":
-        """Enable the controller's dedicated write path.
-
-        ``policy`` is a :class:`~repro.memctrl.write_queue.WriteQueuePolicy`
-        (defaults apply when omitted).
-        """
-        from repro.memctrl.write_queue import WriteQueuePolicy
-
-        self._write_queue_policy = policy or WriteQueuePolicy()
-        return self
-
     def with_bank_partitioning(self) -> "SystemBuilder":
         """Give each core a private subset of banks (FS pairing)."""
         self._bank_partitioning = True
-        return self
-
-    def with_address_space(self, size_bytes: int) -> "SystemBuilder":
-        """Bound for fake-request target addresses."""
-        self._address_space = size_bytes
         return self
 
     # -- assembly ---------------------------------------------------------------
@@ -415,7 +367,6 @@ class SystemBuilder:
         rng = DeterministicRng(self._seed)
 
         dram = DramSystem(
-            timing=self._timing,
             organization=self._organization,
             enable_refresh=self._enable_refresh,
         )
@@ -426,9 +377,6 @@ class SystemBuilder:
             scheduler=scheduler,
             mapping=default_mapping,
             per_core_mapping=per_core_mapping,
-            queue_capacity=self._queue_capacity,
-            page_policy=self._page_policy,
-            write_queue_policy=self._write_queue_policy,
         )
         noc_trace_limit = (
             self._obs_config.noc_grant_trace_limit
@@ -437,24 +385,18 @@ class SystemBuilder:
         )
         if self._noc_topology == "mesh":
             request_link = MeshNetwork(
-                num_cores, direction="to_hub",
-                port_capacity=self._noc_port_capacity,
-                trace_limit=noc_trace_limit,
+                num_cores, direction="to_hub", trace_limit=noc_trace_limit,
             )
             response_link = MeshNetwork(
-                num_cores, direction="from_hub",
-                port_capacity=self._noc_port_capacity,
-                trace_limit=noc_trace_limit,
+                num_cores, direction="from_hub", trace_limit=noc_trace_limit,
             )
         else:
             request_link = SharedLink(
                 num_cores, latency=self._noc_latency,
-                port_capacity=self._noc_port_capacity,
                 trace_limit=noc_trace_limit,
             )
             response_link = SharedLink(
                 num_cores, latency=self._noc_latency,
-                port_capacity=self._noc_port_capacity,
                 trace_limit=noc_trace_limit,
             )
 
@@ -495,8 +437,6 @@ class SystemBuilder:
                     link=request_link,
                     port=core_id,
                     rng=fake_rng,
-                    address_space_bytes=self._address_space,
-                    line_bytes=self._hierarchy_config.l1.line_bytes,
                     generate_fake=generate_fake,
                 )
             )
@@ -505,9 +445,8 @@ class SystemBuilder:
             Core(
                 core_id=core_id,
                 trace=plan.trace,
-                hierarchy=CacheHierarchy(self._hierarchy_config),
+                hierarchy=CacheHierarchy(),
                 request_sink=request_paths[core_id],
-                config=self._core_config,
             )
             for core_id, plan in enumerate(self._core_plans)
         ]
@@ -551,12 +490,7 @@ class SystemBuilder:
 
         resilience: Optional[ResilienceRuntime] = None
         if self._resilience_config is not None:
-            resilience = ResilienceRuntime(
-                self._resilience_config,
-                rng,
-                address_space_bytes=self._address_space,
-                line_bytes=self._hierarchy_config.l1.line_bytes,
-            )
+            resilience = ResilienceRuntime(self._resilience_config, rng)
             if observability is not None:
                 resilience.attach_tracer(observability.tracer)
                 if observability.monitor is not None:

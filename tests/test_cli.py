@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.resilience.snapshot import SNAPSHOT_VERSION
+from repro.resilience.snapshot import SNAPSHOT_VERSION, dump_snapshot
 from repro.sim.columnar import DEFAULT_ENGINE
 
 
@@ -300,7 +300,8 @@ class TestResilienceCommands:
          % SNAPSHOT_VERSION, "truncated"),
         (b'REPROSNAP v1\n{"kind": "system", "cycle": 5}\npayload',
          "v1 is not supported"),
-    ], ids=["garbage", "truncated", "old-version"])
+        (dump_snapshot(5, "system", 0), "holds a int, not a System"),
+    ], ids=["garbage", "truncated", "old-version", "not-a-system"])
     def test_resume_bad_snapshot_is_a_usage_error(
         self, capsys, tmp_path, payload, message
     ):
@@ -393,6 +394,13 @@ class TestObservabilityCommands:
             ]) == 0
             digests[engine] = self._digest(capsys.readouterr().out)
         assert len(set(digests.values())) == 1
+
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
+    def test_quarter_scale_run_digest_is_pinned(self, capsys, engine):
+        """The default machine's ``repro --scale 0.25 run`` digest."""
+        assert main(["--scale", "0.25", "run", "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert self._digest(out) == "report digest: 19f09053e932643d"
 
     def test_serve_digest_matches_plain_run(self, capsys):
         assert main(["--scale", "0.1", "run"]) == 0

@@ -151,45 +151,3 @@ class TestSameRow:
     def test_same_row_false(self, other):
         a = DecodedAddress(0, 0, 1, 10, 5)
         assert not a.same_row(other)
-
-
-class TestRankPartitioning:
-    def test_confines_to_rank_subset(self):
-        from repro.dram.organization import DramOrganization
-
-        org = DramOrganization(ranks_per_channel=4)
-        mapping = AddressMapping.partitioned_ranks(org, [1, 3])
-        for address in range(0, 1 << 24, 8192 * 9 + 64):
-            assert mapping.decode(address).rank in (1, 3)
-
-    def test_single_rank(self):
-        from repro.dram.organization import DramOrganization
-
-        org = DramOrganization(ranks_per_channel=2)
-        mapping = AddressMapping.partitioned_ranks(org, [1])
-        for address in (0, 64, 1 << 20, 1 << 23):
-            assert mapping.decode(address).rank == 1
-
-    def test_rejects_out_of_range_rank(self):
-        from repro.dram.organization import DramOrganization
-
-        org = DramOrganization(ranks_per_channel=2)
-        with pytest.raises(ConfigurationError):
-            AddressMapping.partitioned_ranks(org, [2])
-
-    def test_rejects_empty_rank_mask(self):
-        from repro.dram.organization import DramOrganization
-
-        org = DramOrganization(ranks_per_channel=2)
-        with pytest.raises(ConfigurationError):
-            AddressMapping.partitioned_ranks(org, [])
-
-    def test_disjoint_rank_partitions(self):
-        from repro.dram.organization import DramOrganization
-
-        org = DramOrganization(ranks_per_channel=4)
-        m0 = AddressMapping.partitioned_ranks(org, [0, 1])
-        m1 = AddressMapping.partitioned_ranks(org, [2, 3])
-        r0 = {m0.decode(a).rank for a in range(0, 1 << 24, 64 * 1021)}
-        r1 = {m1.decode(a).rank for a in range(0, 1 << 24, 64 * 1021)}
-        assert r0.isdisjoint(r1)

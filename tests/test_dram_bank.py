@@ -57,6 +57,12 @@ class TestColumnCommands:
         assert bank.read_count == 1
         assert bank.row_hit_count == 1
 
+    def test_read_leaves_row_open(self, bank, timing):
+        bank.activate(0, row=5)
+        bank.read(timing.tRCD, row=5)
+        assert bank.state is BankState.ACTIVE
+        assert bank.open_row == 5
+
     def test_read_wrong_row_is_illegal(self, bank, timing):
         bank.activate(0, row=1)
         with pytest.raises(ProtocolError):

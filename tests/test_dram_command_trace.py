@@ -6,7 +6,8 @@ same registers, so neither can tell whether a scheduling change broke
 a JEDEC rule.  This checker does not import them: it replays the
 ``dram.ACT/PRE/RD/WR/REF`` events ``DramSystem.issue`` emits against
 :class:`DramTiming` alone, then runs over the machines the perf
-benchmark and the paper's baselines use, under both engines.
+benchmark and the paper's baselines use, under both engines, and pins
+each machine's report digest.
 """
 
 from collections import defaultdict
@@ -21,6 +22,7 @@ from repro.dram.organization import DramOrganization
 from repro.dram.timing import DramTiming
 from repro.obs.events import CATEGORY_DRAM
 from repro.obs.tracer import EventTracer
+from repro.sim.stats import report_digest
 from repro.workloads import make_trace
 
 NEVER = -(10 ** 9)
@@ -32,10 +34,9 @@ class _Bank:
         self.act = self.pre = self.rd = self.wr = NEVER
 
 
-def validate(log, timing, auto_precharge=False):
+def validate(log, timing):
     """Violations in ``log``: (cycle, kind, channel, rank, bank, row)
-    tuples in issue order; ``auto_precharge`` is the closed-page
-    policy (every column command closes its bank)."""
+    tuples in issue order."""
     t = timing
     wr_recovery = t.tCWL + t.tBURST + t.tWR
     banks = defaultdict(_Bank)
@@ -88,9 +89,6 @@ def validate(log, timing, auto_precharge=False):
             else:
                 wr_end[rank] = start + t.tBURST
                 b.wr = cycle
-            if auto_precharge:
-                b.row = None
-                b.pre = max(b.act + t.tRAS, b.rd + t.tRTP, b.wr + wr_recovery)
         elif kind == "REF":
             for (c2, r2, _), other in banks.items():
                 if (c2, r2) == rank:
@@ -139,39 +137,43 @@ def _mix(shaped=False, scheduler=None, **scheduler_kwargs):
     return builder
 
 
-MACHINES = {
-    # RespC warnings upgrade FR-FCFS to the priority scheduler.
-    "bdc-priority": lambda: _mix(shaped=True),
-    "open-frfcfs": lambda: _mix(),
-    "tp": lambda: _mix(scheduler="tp", turn_length=96),
-    "fs-bank-partitioned": lambda: (
-        _mix(scheduler="fs", interval=48).with_bank_partitioning()
-    ),
-    "closed-page": lambda: _mix().with_page_policy("closed"),
-    "two-channels-two-ranks": lambda: _mix().with_dram(
-        organization=DramOrganization(channels=2, ranks_per_channel=2)
-    ),
-}
+# name -> (builder, report digest at CYCLES, WR commands by CYCLES).
 # Dirty write-backs reach DRAM after ~22k cycles; the throttled
 # machines (shaped, TP, FS) get there later than CYCLES.
-WRITES_BY_CYCLES = {"open-frfcfs", "closed-page", "two-channels-two-ranks"}
+MACHINES = {
+    # RespC warnings upgrade FR-FCFS to the priority scheduler.
+    "bdc-priority": (lambda: _mix(shaped=True), "3380544051ae9e28", 0),
+    "open-frfcfs": (lambda: _mix(), "f4b7d35dee429b1e", 26),
+    "tp": (
+        lambda: _mix(scheduler="tp", turn_length=96), "103a1c23bc2818c8", 0
+    ),
+    "fs-bank-partitioned": (
+        lambda: _mix(scheduler="fs", interval=48).with_bank_partitioning(),
+        "d1ba8a6064141301", 0,
+    ),
+    "two-channels-two-ranks": (
+        lambda: _mix().with_dram(
+            organization=DramOrganization(channels=2, ranks_per_channel=2)
+        ),
+        "927d21c55139e02b", 74,
+    ),
+}
 
 
 @pytest.mark.parametrize("engine", ["cycle", "columnar"])
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_simulated_command_stream_is_legal(machine, engine):
-    builder = MACHINES[machine]()
-    system = builder.build()
+    build, digest, writes = MACHINES[machine]
+    system = build().build()
     dram = system.controller.dram
     dram.tracer = EventTracer(limit=1 << 17, categories=[CATEGORY_DRAM])
-    system.run(CYCLES, stop_when_done=False, engine=engine)
+    report = system.run(CYCLES, stop_when_done=False, engine=engine)
     log = command_log(dram.tracer)
     kinds = {entry[1] for entry in log}
     assert {"ACT", "RD", "REF"} <= kinds
-    if machine in WRITES_BY_CYCLES:
-        assert "WR" in kinds
-    closed = machine == "closed-page"
-    assert validate(log, dram.timing, auto_precharge=closed) == []
+    assert sum(1 for entry in log if entry[1] == "WR") == writes
+    assert validate(log, dram.timing) == []
+    assert report_digest(report) == digest
 
 
 # -- the checker has teeth ----------------------------------------------------

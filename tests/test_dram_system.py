@@ -84,7 +84,6 @@ STEPS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=7),  # which queued access
         st.integers(min_value=0, max_value=12),  # idle cycles first
-        st.booleans(),  # auto-precharge a column command?
     ),
     min_size=1,
     max_size=40,
@@ -120,7 +119,7 @@ class TestReadyCycleMemo:
     @given(accesses=ACCESSES, steps=STEPS)
     def test_agrees_with_uncached_legality(self, accesses, steps):
         """Over a random legal command sequence on two channels of two
-        ranks, with refresh and auto-precharge, for every queued access
+        ranks, with refresh, for every queued access
         at every cycle and after every command."""
         dram = DramSystem(
             timing=MEMO_TIMING,
@@ -132,7 +131,7 @@ class TestReadyCycleMemo:
             for c, r, b, row, w in accesses
         ]
         cycle = 0
-        for pick, idle, auto_precharge in steps:
+        for pick, idle in steps:
             address, is_write = queued[pick % len(queued)]
             waited = 0
             while True:
@@ -148,10 +147,7 @@ class TestReadyCycleMemo:
                     break
                 waited += 1
                 cycle += 1
-            dram.issue(
-                command, cycle,
-                auto_precharge=auto_precharge and command.is_column,
-            )
+            dram.issue(command, cycle)
         assert_memo_exact(dram, queued, cycle)
 
     def test_dropping_only_the_issued_bank_is_caught(self, monkeypatch):

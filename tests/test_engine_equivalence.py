@@ -214,10 +214,6 @@ def _random_builder(seed):
         builder = SystemBuilder(seed=seed)
         builder.with_scheduler(rng.choice(SCHEDULERS))
         builder.with_noc(topology=rng.choice(["shared", "mesh"]))
-        if rng.random() < 0.3:
-            builder.with_write_queue()
-        if rng.random() < 0.3:
-            builder.with_page_policy("closed")
         for index in range(rng.randint(1, 3)):
             name = rng.choice(TRACE_NAMES)
             style = rng.choice(

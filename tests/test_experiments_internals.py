@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
+    LADDER_REPLENISH_PERIOD,
     ExperimentDefaults,
     _avg_slowdown,
     _mix_names,
     constant_rate_interval_for,
     derive_response_config,
     fig9_experiment,
+    staircase_config,
     tradeoff_sweep,
 )
 from repro.analysis.experiments import build_mix, run_alone, run_mix
@@ -104,6 +106,29 @@ class TestTradeoffEstimatorComparability:
         points = tradeoff_sweep("gcc", fast, scales=(0.8,), jobs=1)
         assert len(calls) == len(points)
         assert all(calls), "every MI estimate must be bias-corrected"
+
+
+class TestFig2DuplicateRows:
+    def test_apache_x0_8_and_x1_0_are_one_configuration(self):
+        """Apache's ladder is too coarse to tell x0.8 from x1.0: at
+        ``scaled(0.25)`` both budgets round to the same three credits,
+        so the two Fig 2 rows are one simulation with one digest."""
+        defaults = ExperimentDefaults().scaled(0.25)
+        spec = dataclasses.replace(
+            defaults.spec, replenish_period=LADDER_REPLENISH_PERIOD
+        )
+        base = alone_base_task(encode_point(["apache"], defaults))
+        rate = len(base["gaps"]) / base["cycles_run"]
+        low = staircase_config(spec, rate * 0.8)
+        high = staircase_config(spec, rate * 1.0)
+        assert low.credits == high.credits
+        assert low.total_credits == 3
+        rows = {
+            row["label"]: row
+            for row in tradeoff_sweep("apache", defaults, scales=(0.8, 1.0))
+        }
+        assert rows["camo-x0.8"]["digest"] == rows["camo-x1.0"]["digest"]
+        assert rows["camo-x0.8"]["mi"] == rows["camo-x1.0"]["mi"]
 
 
 class TestDeriveResponseConfig:

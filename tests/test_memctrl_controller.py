@@ -78,6 +78,16 @@ class TestServiceLoop:
         assert mc.pop_responses(0) == [txn]
         assert mc.issued_writes == 1
 
+    def test_same_row_stream_hits_after_first(self):
+        """The row stays open: of six reads to one row, only the first
+        misses."""
+        mc = make_controller()
+        for i in range(6):
+            mc.enqueue(make_txn(address=i * 64), 0)
+        run_controller(mc, 400)
+        assert mc.row_hits == 5
+        assert mc.row_misses == 1
+
     def test_row_hit_faster_than_conflict(self):
         """Service the same bank twice: hit vs conflict latency gap."""
         mc = make_controller()

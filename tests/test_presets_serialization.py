@@ -1,5 +1,4 @@
-"""Tests for DRAM timing presets, config serialization, and the
-system watchdog."""
+"""Tests for config serialization and the system watchdog."""
 
 import pytest
 
@@ -11,55 +10,6 @@ from repro.core.serialization import (
     load_config,
     save_config,
 )
-from repro.dram.presets import (
-    DDR3_1066,
-    DDR3_1333,
-    DDR3_1600,
-    DDR4_2400,
-    PRESETS,
-    timing_preset,
-)
-
-
-class TestPresets:
-    def test_lookup(self):
-        assert timing_preset("ddr3-1333") is DDR3_1333
-        assert timing_preset("DDR4-2400") is DDR4_2400
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            timing_preset("ddr5-6400")
-
-    def test_all_presets_valid(self):
-        # Construction already validates; spot-check invariants.
-        for name, timing in PRESETS.items():
-            assert timing.tRC == timing.tRAS + timing.tRP, name
-            assert timing.row_hit_latency() < timing.row_conflict_latency()
-
-    def test_cas_scales_with_speed_grade(self):
-        assert DDR3_1066.tCAS < DDR3_1333.tCAS < DDR3_1600.tCAS < DDR4_2400.tCAS
-
-    def test_presets_run_a_system(self):
-        from repro.sim.system import SystemBuilder
-        from repro.workloads.spec import make_trace
-
-        for timing in (DDR3_1066, DDR4_2400):
-            builder = SystemBuilder(seed=1).with_dram(timing=timing)
-            builder.add_core(make_trace("gcc", 200))
-            report = builder.build().run(10_000)
-            assert report.core(0).retired_instructions > 0
-
-    def test_slower_grade_higher_latency(self):
-        from repro.sim.system import SystemBuilder
-        from repro.workloads.spec import make_trace
-
-        def latency(timing):
-            builder = SystemBuilder(seed=1).with_dram(timing=timing)
-            builder.add_core(make_trace("mcf", 800))
-            report = builder.build().run(15_000, stop_when_done=False)
-            return report.core(0).mean_memory_latency()
-
-        assert latency(DDR4_2400) > latency(DDR3_1066)
 
 
 class TestSerialization:

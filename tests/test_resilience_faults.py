@@ -12,7 +12,6 @@ from repro.common.errors import ConfigurationError, QueueOverflowError
 from repro.common.rng import DeterministicRng
 from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
-from repro.memctrl.write_queue import WriteQueue, WriteQueuePolicy
 from repro.resilience import (
     EpochBoundaryStress,
     FaultInjector,
@@ -194,18 +193,6 @@ class TestQueueOverflow:
         assert excinfo.value.depth == 2
         assert "backpressure" in str(excinfo.value)
         assert len(queue) == 2  # the failed push did not mutate state
-
-    def test_write_queue_bound_is_loud(self):
-        queue = WriteQueue(
-            WriteQueuePolicy(capacity=2, low_watermark=0, high_watermark=1)
-        )
-        write = TransactionType.WRITE
-        queue.push(_txn(address=0x40, kind=write))
-        queue.push(_txn(address=0x80, kind=write))
-        with pytest.raises(QueueOverflowError) as excinfo:
-            queue.push(_txn(address=0xC0, kind=write))
-        assert excinfo.value.capacity == 2
-        assert excinfo.value.depth == 2
 
     def test_overflow_is_protocol_error(self):
         from repro.common.errors import ProtocolError

@@ -8,12 +8,19 @@ cover each shaping feature once; the ``slow`` sweep drives randomized
 configurations and cut points.
 """
 
+import contextlib
+import io
+import json
+import pickle
 import random
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.common.errors import SnapshotError
+from repro.cli import main
+from repro.common.errors import ReproError, SnapshotError
 from repro.core.bins import BinSpec, uniform_config
 from repro.ga.online import OnlineGaTuner, TunerConfig, resume_tuner
 from repro.memctrl.transaction import txn_id_watermark
@@ -25,6 +32,7 @@ from repro.resilience import (
 )
 from repro.resilience.snapshot import (
     KIND_SYSTEM,
+    SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     dump_snapshot,
     load_snapshot,
@@ -75,9 +83,9 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v3\)"
+            SnapshotError, match=r"format v1 .*\(expected v4\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
 
@@ -86,9 +94,17 @@ class TestEnvelope:
         the DRAM refresh field: it would unpickle and then die at the
         first tick with an ``AttributeError``.  It is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v2 .*\(expected v3\)"
+            SnapshotError, match=r"format v2 .*\(expected v4\)"
         ):
             parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
+
+    def test_v3_controller_layout_fails_at_the_envelope(self):
+        """A v3 graph still carries the controller's write queue and
+        page policy and the mapping's rank mask; it is refused here."""
+        with pytest.raises(
+            SnapshotError, match=r"format v3 .*\(expected v4\)"
+        ):
+            parse_snapshot(b'REPROSNAP v3\n{"kind": "system"}\nnot-a-pickle')
 
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):
@@ -140,6 +156,49 @@ class TestEnvelope:
         assert txn_id_watermark() >= meta["txn_watermark"]
 
 
+_SIMPLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NO_NEWLINE = st.binary(max_size=24).map(lambda b: b.replace(b"\n", b""))
+_MAGIC = st.sampled_from([SNAPSHOT_MAGIC, b"NOTASNAP", b""]) | _NO_NEWLINE
+_VERSION = st.sampled_from(
+    [b"v%d" % SNAPSHOT_VERSION, b"v3", b"v", b"vx", b"%d" % SNAPSHOT_VERSION]
+) | _NO_NEWLINE
+_META = st.builds(
+    lambda kind, cycle: json.dumps({"kind": kind, "cycle": cycle}).encode(),
+    st.sampled_from(["system", "tuner"]) | st.text(max_size=6),
+    st.integers(min_value=0, max_value=10 ** 6),
+) | st.sampled_from([b"[]", b"{}", b"null", b'"system"']) | _NO_NEWLINE
+_PAYLOAD = st.builds(pickle.dumps, _SIMPLE) | st.binary(max_size=64)
+
+
+class TestEnvelopeFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(magic=_MAGIC, version=_VERSION, meta=_META, payload=_PAYLOAD)
+    def test_every_failure_is_typed(
+        self, tmp_path, magic, version, meta, payload
+    ):
+        """No envelope built from these parts holds a System or a
+        tuner, so every loader refuses it with a ``repro`` error and
+        ``repro resume`` exits 2 with one ``error:`` line."""
+        path = str(tmp_path / "fuzz.snap")
+        with open(path, "wb") as fh:
+            fh.write(magic + b" " + version + b"\n" + meta + b"\n" + payload)
+        for restore in (restore_system, resume_tuner):
+            with pytest.raises(ReproError):
+                restore(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["resume", path, "--until", "10"])
+        assert status == 2
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+
+
 # -- bit-identical interrupted resume --------------------------------------
 
 
@@ -189,9 +248,13 @@ def _obs_artifacts(system):
 
 
 def _assert_resume_identical(make_builder, cut, cycles, engine, tmp_path):
-    """run(cut); snapshot; restore; run(rest) ≡ run(cycles) straight."""
+    """run(cut); snapshot; restore; run(rest) ≡ run(cycles) straight.
+
+    No leg stops early when the cores finish: the first leg must reach
+    ``cut`` even when the program is done before it, so the straight
+    run and the resumed leg run their full cycle counts too."""
     straight = make_builder().build()
-    report_straight = straight.run(cycles, engine=engine)
+    report_straight = straight.run(cycles, stop_when_done=False, engine=engine)
 
     interrupted = make_builder().build()
     interrupted.run(cut, stop_when_done=False, engine=engine)
@@ -202,7 +265,9 @@ def _assert_resume_identical(make_builder, cut, cycles, engine, tmp_path):
 
     resumed = restore_system(snap)
     assert resumed.current_cycle == cut
-    report_resumed = resumed.run(cycles - cut, engine=engine)
+    report_resumed = resumed.run(
+        cycles - cut, stop_when_done=False, engine=engine
+    )
 
     assert report_straight == report_resumed
     assert report_digest(report_straight) == report_digest(report_resumed)
@@ -413,8 +478,6 @@ def _random_builder(seed):
         rng = random.Random(seed)
         builder = SystemBuilder(seed=seed)
         builder.with_scheduler(rng.choice(["frfcfs", "priority", "tp"]))
-        if rng.random() < 0.3:
-            builder.with_write_queue()
         for index in range(rng.randint(1, 3)):
             name = rng.choice(TRACE_NAMES)
             style = rng.choice(["none", "reqc", "respc", "bdc", "epoch"])
