@@ -25,9 +25,8 @@ from repro.core.bins import (
 )
 from repro.core.distribution import InterArrivalHistogram
 from repro.ga.online import OnlineGaTuner, ShaperHandle, TunerConfig
-from repro.obs.diag import emit_diagnostic
 from repro.security.attacks import bit_error_rate, decode_covert_key
-from repro.security.detect import detect_report
+from repro.security.detect import DetectReport, detect_report
 from repro.security.leakage import accumulated_response_difference
 from repro.security.mutual_information import gap_rate_mi, interarrival_mi
 from repro.security.prober import prober_trace
@@ -44,6 +43,17 @@ from repro.workloads.spec import BENCHMARK_NAMES, make_trace
 #: Address-space stride separating co-running programs' allocations.
 _CORE_ADDRESS_STRIDE = 1 << 33
 
+#: The config ladder's replenishment period and its multi-period MI
+#: window, which :func:`measure_mi_suite` shares (see there for why the
+#: window spans periods).
+LADDER_REPLENISH_PERIOD = 512
+LADDER_WINDOW_CYCLES = 2048
+
+#: Fig 12's bandwidth budget over the program's average request rate.
+_FIG12_HEADROOM = 1.1
+#: The covert channels' replenishment period, much shorter than a pulse.
+_COVERT_REPLENISH_PERIOD = 512
+
 
 def _ratio(numerator: float, denominator: float) -> float:
     """``numerator / denominator``; infinite when the run it divides by
@@ -51,33 +61,21 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator > 0 else float("inf")
 
 
-def constant_rate_interval_for(
-    spec: BinSpec, target_interval: float, context: str = ""
-) -> int:
+def constant_rate_interval_for(spec: BinSpec, target_interval: float) -> int:
     """The CS-baseline release interval for a target inter-arrival time.
 
     Picks the largest bin edge not exceeding ``target_interval`` (never
     slower than the bandwidth budget, slightly favouring the CS
     baseline).  When *every* edge exceeds the target — the program's
     rate outruns even the fastest bin — there is no edge on the correct
-    side, so the interval clamps to the **nearest** edge instead of
-    silently using ``spec.edges[0]`` by fall-through, and the clamp is
-    reported through :mod:`repro.obs.diag` (the old silent fallback
-    happened to equal the nearest edge, but an anchor that cannot honour
-    its bandwidth target is exactly the kind of comparability hazard the
-    sweep's reader needs to see).
+    side, so the interval clamps to the **nearest** edge.  The ladder
+    rows record what the clamp cost as ``requested_rate`` against
+    ``granted_rate``.
     """
     eligible = [edge for edge in spec.edges if edge <= target_interval]
     if eligible:
         return max(eligible)
-    nearest = min(spec.edges, key=lambda e: (abs(e - target_interval), e))
-    emit_diagnostic(
-        "analysis.cs_interval_clamped",
-        context=context,
-        target_interval=float(target_interval),
-        interval=int(nearest),
-    )
-    return nearest
+    return min(spec.edges, key=lambda e: (abs(e - target_interval), e))
 
 
 @dataclass(frozen=True)
@@ -324,12 +322,11 @@ def derive_response_config(
 def reqc_speedup_experiment(
     benchmark: str,
     defaults: ExperimentDefaults = ExperimentDefaults(),
-    headroom: float = 1.1,
 ) -> Dict[str, float]:
     """Program speedup of ReqC over a static rate limiter (Fig 12).
 
     Both shapers get the *same average bandwidth budget*, set a small
-    ``headroom`` above the program's measured average request rate —
+    headroom above the program's measured average request rate —
     the analogue of the paper's fixed 1 GB/s allotment, which sits
     near the suite's average demands.  The constant shaper serializes
     every burst at its fixed interval; Camouflage spreads the identical
@@ -342,11 +339,9 @@ def reqc_speedup_experiment(
     base_report = run_alone(benchmark, defaults)
     intrinsic = base_report.core(0).request_intrinsic
     rate = intrinsic.total / max(1, base_report.cycles_run)
-    target_interval = 1.0 / max(rate * headroom, 1e-9)
+    target_interval = 1.0 / max(rate * _FIG12_HEADROOM, 1e-9)
     # The constant shaper's interval must be one of the bin edges.
-    interval = constant_rate_interval_for(
-        spec, target_interval, context=f"reqc_speedup:{benchmark}"
-    )
+    interval = constant_rate_interval_for(spec, target_interval)
     budget = spec.replenish_period // interval
 
     cs_config = constant_rate_config(spec, interval)
@@ -655,13 +650,11 @@ def measure_mi_suite(
     adversary: str = "astar",
     protected: str = "bzip",
     defaults: ExperimentDefaults = ExperimentDefaults(),
-    window_cycles: int = 2048,
-    replenish_period: int = 512,
 ) -> Dict[str, Dict[str, float]]:
     """The paper's MI table: no shaping / CS / ReqC, ± fake traffic.
 
-    ``window_cycles`` spans several replenishment periods: Camouflage
-    targets *long-term* timing information ("longer than the
+    The MI window (``LADDER_WINDOW_CYCLES``) spans several of the
+    ladder's replenishment periods: Camouflage targets *long-term* timing information ("longer than the
     replenishment period", section IV-B4) — fake-traffic compensation
     is one period delayed, so single-period windows see a differenced
     echo that telescopes away over multi-period windows.
@@ -677,7 +670,7 @@ def measure_mi_suite(
     correction is applied: the plug-in estimator's finite-sample bias
     would otherwise dominate the near-zero leakage values.
     """
-    spec = replace(defaults.spec, replenish_period=replenish_period)
+    spec = replace(defaults.spec, replenish_period=LADDER_REPLENISH_PERIOD)
     names = [adversary, protected]
 
     def mi_of(report: SystemReport) -> Dict[str, float]:
@@ -688,7 +681,7 @@ def measure_mi_suite(
             intrinsic.gaps, shaped.gaps, spec, bias_correction=True
         )
         windowed = gap_rate_mi(
-            intrinsic.gaps, shaped.gaps, window_cycles, report.cycles_run
+            intrinsic.gaps, shaped.gaps, LADDER_WINDOW_CYCLES, report.cycles_run
         )
         return {"paired": paired, "windowed": windowed}
 
@@ -703,17 +696,14 @@ def measure_mi_suite(
     rate = base_stats.request_intrinsic.total / max(1, base.cycles_run)
     camo_config = staircase_config(spec, rate * 1.2)
     # Constant-rate interval: the largest edge sustaining 1.2x the rate.
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(rate * 1.2, 1e-9),
-        context=f"measure_mi:{protected}",
-    )
+    cs_interval = constant_rate_interval_for(spec, 1.0 / max(rate * 1.2, 1e-9))
     cs_config = constant_rate_config(spec, cs_interval)
 
     results: Dict[str, Dict[str, float]] = {
         "no_shaping": {
             "paired": self_mi,
             "windowed": gap_rate_mi(
-                base_gaps, base_gaps, window_cycles, base.cycles_run
+                base_gaps, base_gaps, LADDER_WINDOW_CYCLES, base.cycles_run
             ),
         }
     }
@@ -754,7 +744,7 @@ def covert_channel_experiment(
     pulse_cycles: int = 3000,
     shaped: bool = True,
     shaping_config: Optional[BinConfiguration] = None,
-    replenish_period: int = 512,
+    replenish_period: int = _COVERT_REPLENISH_PERIOD,
 ) -> Dict:
     """Run the Algorithm-1 sender and attack the bus trace.
 
@@ -812,7 +802,6 @@ def covert_interference_experiment(
     defaults: ExperimentDefaults = ExperimentDefaults(),
     pulse_cycles: int = 3000,
     defense: Optional[str] = None,
-    replenish_period: int = 512,
 ) -> Dict:
     """The two-VM covert channel (section II-A's receiver variant).
 
@@ -837,7 +826,7 @@ def covert_interference_experiment(
         max(64, total_cycles // 25), gap_insts=100
     )
 
-    spec = replace(defaults.spec, replenish_period=replenish_period)
+    spec = replace(defaults.spec, replenish_period=_COVERT_REPLENISH_PERIOD)
     builder = SystemBuilder(seed=defaults.seed)
     receiver_response_plan = None
     sender_request_plan = None
@@ -945,25 +934,21 @@ def alone_base_runs(
     )
 
 
-#: The ladder's replenishment period and its multi-period MI window
-#: (see :func:`measure_mi_suite` for why the window spans periods).
-LADDER_REPLENISH_PERIOD = 512
-LADDER_WINDOW_CYCLES = 2048
-
-
 def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
-                   scales: Sequence[float], runner,
-                   context: str) -> List[Dict[str, object]]:
+                   scales: Sequence[float], runner) -> List[Dict[str, object]]:
     """The scored config ladder Figure 2 and the detect suite both climb.
 
     Profiles ``benchmark`` alone (sweep stage 0) and scores that run
-    in-process as the ``no-shaping`` anchor, then maps one
-    :func:`~repro.parallel.tasks.tradeoff_point_task` per rung: the CS
-    anchor (constant interval near the program's average rate), then a
-    predetermined staircase at each bandwidth ``scale``.  Returns rows
-    ``[no-shaping, cs, camo-x…]``, each carrying ``label``, ``ipc``,
-    the zoo's six scores, ``segments``, ``report_digest`` (the zoo
-    report's) and ``digest`` (the run's).
+    in-process as the ``no-shaping`` anchor; the shaped rungs are the
+    CS anchor (constant interval near the program's average rate), then
+    a predetermined staircase at each bandwidth ``scale``.  Returns
+    rows ``[no-shaping, cs, camo-x…]``, each carrying ``label``,
+    ``ipc``, the zoo's six scores, ``segments``, ``report_digest`` (the
+    zoo report's), ``digest`` (the run's), ``requested_rate`` (the
+    rung's events/cycle) and ``granted_rate`` (its credits per cycle;
+    null on ``no-shaping``).  Rungs granted equal credits share one
+    :func:`~repro.parallel.tasks.tradeoff_point_task`: one simulation,
+    one cache entry, labelled and digested here.
 
     Every rung's classifiers test the observed stream against that
     rung's *own* target distribution.  The anchor is scored by the
@@ -978,11 +963,10 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
         [benchmark], defaults, runner, [f"{benchmark}:base"]
     )
     base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(base_rate, 1e-9), context=f"{context}:{benchmark}"
-    )
-    rungs = [("cs", constant_rate_config(spec, cs_interval))] + [
-        (f"camo-x{scale}", staircase_config(spec, base_rate * scale))
+    cs_interval = constant_rate_interval_for(spec, 1.0 / max(base_rate, 1e-9))
+    rungs = [("cs", constant_rate_config(spec, cs_interval), base_rate)] + [
+        (f"camo-x{scale}", staircase_config(spec, base_rate * scale),
+         base_rate * scale)
         for scale in scales
     ]
     anchor = detect_report(
@@ -995,29 +979,38 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
         window_cycles=LADDER_WINDOW_CYCLES,
         run_cycles=base["cycles_run"],
     )
-    no_shaping = {
-        "label": "no-shaping",
-        "ipc": base["ipc"],
-        **anchor.score_row(),
-        "segments": anchor.segments,
-        "report_digest": anchor.digest(),
-        "digest": base["digest"],
-    }
-    shaped = runner.map(
+    configs = list(dict.fromkeys(config for _, config, _ in rungs))
+    points = dict(zip(configs, runner.map(
         tasks.tradeoff_point_task,
         [
             tasks.encode_point(
                 [benchmark], defaults, spec=spec,
                 request_plans={0: RequestShapingPlan(config, spec)},
-                label=label,
                 window_cycles=LADDER_WINDOW_CYCLES,
                 detect_seed=defaults.seed,
             )
-            for label, config in rungs
+            for config in configs
         ],
-        kind="tradeoff-point", labels=[label for label, _ in rungs],
-    )
-    return [no_shaping] + shaped
+        kind="tradeoff-point",
+        labels=[
+            ",".join(label for label, c, _ in rungs if c == config)
+            for config in configs
+        ],
+    )))
+    scored = [(anchor, base, base_rate, None)] + [
+        (DetectReport(label=label, **points[config]["zoo"]), points[config],
+         requested, config.total_credits / LADDER_REPLENISH_PERIOD)
+        for label, config, requested in rungs
+    ]
+    return [
+        {
+            "label": zoo.label, "ipc": run["ipc"], **zoo.score_row(),
+            "segments": zoo.segments, "report_digest": zoo.digest(),
+            "digest": run["digest"], "requested_rate": requested,
+            "granted_rate": granted,
+        }
+        for zoo, run, requested, granted in scored
+    ]
 
 
 def tradeoff_sweep(
@@ -1039,13 +1032,13 @@ def tradeoff_sweep(
     trade-off space Figure 2 sketches.
 
     The points are :func:`_config_ladder`'s rows, CS first, without
-    the zoo report's ``segments`` / ``report_digest``; the shaped
-    points are independent simulations and fan out through
-    ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md).
+    the zoo report's ``segments`` / ``report_digest``; each distinct
+    credit configuration is one independent simulation, fanned out
+    through ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md).
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
     no_shaping, cs, *staircases = _config_ladder(
-        benchmark, defaults, scales, runner, "tradeoff"
+        benchmark, defaults, scales, runner
     )
     return [
         {k: v for k, v in row.items()
@@ -1070,8 +1063,8 @@ def detect_suite(
     anchor, and Camouflage staircases at each bandwidth ``scale``.
 
     The returned document — rows of label / ipc / mi / auc / xcorr /
-    spectral plus per-rung report digests and one suite digest — is a
-    pure function of ``(benchmark, defaults, scales)``:
+    spectral / rates plus per-rung report digests and one suite digest
+    — is a pure function of ``(benchmark, defaults, scales)``:
     byte-identical across repeated runs and across ``jobs`` values.
     """
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
@@ -1079,7 +1072,7 @@ def detect_suite(
         "benchmark": benchmark,
         "window_cycles": LADDER_WINDOW_CYCLES,
         "seed": defaults.seed,
-        "rows": _config_ladder(benchmark, defaults, scales, runner, "detect"),
+        "rows": _config_ladder(benchmark, defaults, scales, runner),
     }
     doc["digest"] = canonical_json_digest(doc)
     return doc

@@ -2,11 +2,11 @@
 
 The event tracer (:class:`~repro.obs.tracer.EventTracer`) is wired
 per-system, but some observations happen where no system exists yet:
-experiment drivers deriving configurations, the parallel sweep
-executor scheduling work across processes, the result cache deciding
-hit or miss.  This module gives that code one shared, bounded, always-on
-recorder so diagnostics are inspectable in tests and surfaced by the
-CLI without threading a tracer through every analysis signature.
+the parallel sweep executor scheduling work across processes, the
+result cache deciding hit or miss, a dispatch worker serving shards.
+This module gives that code one shared, bounded, always-on recorder so
+diagnostics are inspectable in tests and surfaced by the CLI without
+threading a tracer through every signature.
 
 Determinism: diagnostics are stamped with a monotonically increasing
 sequence number (``cycle`` in the event model) rather than wall-clock
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.events import CATEGORY_ANALYSIS, SYSTEM_CORE, TraceEvent
+from repro.obs.events import SYSTEM_CORE, TraceEvent
 from repro.obs.ring import RingBuffer
 
 #: Retained diagnostics; oldest evicted first.
@@ -36,7 +36,7 @@ _sequence = 0
 
 def emit_diagnostic(
     name: str,
-    category: str = CATEGORY_ANALYSIS,
+    category: str,
     core_id: int = SYSTEM_CORE,
     **args,
 ) -> TraceEvent:

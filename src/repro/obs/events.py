@@ -33,10 +33,6 @@ CATEGORY_RESILIENCE = "resilience"
 #: outside any one system's clock and the index is the deterministic
 #: analogue.
 CATEGORY_PARALLEL = "parallel"
-#: Analysis-layer diagnostics: experiment drivers flagging surprising
-#: configuration derivations (e.g. a constant-rate anchor clamped to
-#: the nearest bin edge because the target interval was out of range).
-CATEGORY_ANALYSIS = "analysis"
 #: Multi-host dispatch events: shard leases granted/expired,
 #: heartbeats, hosts retired, re-dispatches, transport faults, and
 #: degradation to local execution.  Like ``parallel``, stamped with
@@ -54,7 +50,6 @@ ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_MONITOR,
     CATEGORY_RESILIENCE,
     CATEGORY_PARALLEL,
-    CATEGORY_ANALYSIS,
     CATEGORY_DISPATCH,
     CATEGORY_DETECT,
 )

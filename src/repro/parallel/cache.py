@@ -48,7 +48,9 @@ from repro.resilience.snapshot import atomic_write_bytes
 #: 3: the detect suite's and mix-slowdown's ``mi`` is the run-length
 #: windowed MI Fig 2 reports, no longer the quantized-clock one.
 #: 4: tradeoff-point results carry ``segments`` and ``report_digest``.
-CACHE_SCHEMA = 4
+#: 5: tradeoff-point payloads and results carry no label (one entry per
+#: credit configuration) and no ``report_digest``.
+CACHE_SCHEMA = 5
 
 #: Hex digits of the key digest (64 = full SHA-256).
 DIGEST_LENGTH = 40

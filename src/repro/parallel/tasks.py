@@ -34,6 +34,7 @@ pre-imports it in every pool worker.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
@@ -258,17 +259,18 @@ def _result(run: PointRun, **fields: Any) -> Dict[str, Any]:
     }
 
 
-def _zoo(run: PointRun, label: str, seed: int, window_cycles: Optional[int],
+def _zoo(run: PointRun, seed: int, window_cycles: Optional[int],
          core: int = 0):
     """Score ``core``'s shaped request stream against the attacker zoo.
 
     The target distribution is the core's own request plan.  MI
     windows the whole run, so every task reports the same ``mi`` for
-    the same machine.
+    the same machine.  The report is unlabelled: scores do not depend
+    on the label, and the caller names the row.
     """
     stats = run.report.core(core)
     return detect_report(
-        label=label,
+        label="",
         intrinsic_gaps=stats.request_intrinsic.gaps,
         observed_gaps=stats.request_shaped.gaps,
         spec=run.defaults.spec,
@@ -308,30 +310,27 @@ def alone_base_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One shaped rung of the config ladder (Figure 2, ``repro detect``).
+    """One credit configuration of the config ladder (Figure 2,
+    ``repro detect``).
 
     Runs the benchmark alone under the payload's credit configuration
     and reports IPC plus the full detectability-lab score set — the
     windowed-rate MI between the intrinsic and shaped request streams
     and the zoo's AUC / XCorr / spectral probes against the
-    configuration's own target distribution — with the zoo report's
-    ``segments`` and ``report_digest``.
+    configuration's own target distribution — as the zoo report's
+    fields under ``zoo``.  The payload and the report carry no label:
+    every rung granted these credits shares this result, and the ladder
+    labels its rows.
     """
     run = run_point(
-        payload, ("label", "window_cycles"), ("detect_seed",),
-        shaped_cores=(0,),
+        payload, ("window_cycles",), ("detect_seed",), shaped_cores=(0,),
     )
-    zoo = _zoo(
-        run, str(payload["label"]),
-        payload.get("detect_seed", run.defaults.seed),
+    zoo = asdict(_zoo(
+        run, payload.get("detect_seed", run.defaults.seed),
         int(payload["window_cycles"]),
-    )
-    return _result(
-        run, label=payload["label"], ipc=run.report.core(0).ipc,
-        **zoo.score_row(),
-        segments=zoo.segments,
-        report_digest=zoo.digest(),
-    )
+    ))
+    del zoo["label"]
+    return _result(run, ipc=run.report.core(0).ipc, zoo=zoo)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +367,7 @@ def mix_slowdown_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         result["slip_fraction"] = slip()
     if detect_core is not None:
         zoo = _zoo(
-            run, f"core{detect_core}",
-            detect_cfg.get("seed", run.defaults.seed),
+            run, detect_cfg.get("seed", run.defaults.seed),
             detect_cfg.get("window_cycles"), core=detect_core,
         )
         result["mi"] = zoo.mi_bits

@@ -14,13 +14,12 @@ from repro.analysis.experiments import (
     constant_rate_interval_for,
     derive_response_config,
     fig9_experiment,
-    staircase_config,
     tradeoff_sweep,
 )
 from repro.analysis.experiments import build_mix, run_alone, run_mix
 from repro.common.errors import ConfigurationError
 from repro.core.bins import BinConfiguration, BinSpec
-from repro.obs import diag
+from repro.parallel import SweepExecutor
 from repro.parallel.tasks import (
     alone_base_task,
     encode_point,
@@ -58,28 +57,15 @@ class TestAvgSlowdown:
 class TestConstantRateInterval:
     SPEC = BinSpec(edges=(4, 8, 16, 32), replenish_period=64)
 
-    def setup_method(self):
-        diag.reset()
-
-    def teardown_method(self):
-        diag.reset()
-
     def test_largest_edge_not_exceeding_target(self):
         assert constant_rate_interval_for(self.SPEC, 20.0) == 16
         assert constant_rate_interval_for(self.SPEC, 8.0) == 8
-        assert diag.count("analysis.cs_interval_clamped") == 0
 
-    def test_clamps_to_nearest_edge_with_diagnostic(self):
+    def test_clamps_to_nearest_edge(self):
         """When every edge exceeds the target (the program outruns the
         fastest bin), the interval clamps to the nearest edge instead
-        of silently falling back — and says so via repro.obs."""
-        assert constant_rate_interval_for(self.SPEC, 2.5, context="t") == 4
-        events = diag.recent("analysis.cs_interval_clamped")
-        assert len(events) == 1
-        args = events[0].args_dict
-        assert args["context"] == "t"
-        assert args["target_interval"] == pytest.approx(2.5)
-        assert args["interval"] == 4
+        of silently falling back."""
+        assert constant_rate_interval_for(self.SPEC, 2.5) == 4
 
 
 class TestTradeoffEstimatorComparability:
@@ -111,24 +97,33 @@ class TestTradeoffEstimatorComparability:
 class TestFig2DuplicateRows:
     def test_apache_x0_8_and_x1_0_are_one_configuration(self):
         """Apache's ladder is too coarse to tell x0.8 from x1.0: at
-        ``scaled(0.25)`` both budgets round to the same three credits,
-        so the two Fig 2 rows are one simulation with one digest."""
+        ``scaled(0.25)`` both budgets are granted the same three credits,
+        so the two Fig 2 rows are one simulation with one digest, under
+        their own labels and requested rates."""
         defaults = ExperimentDefaults().scaled(0.25)
-        spec = dataclasses.replace(
-            defaults.spec, replenish_period=LADDER_REPLENISH_PERIOD
-        )
-        base = alone_base_task(encode_point(["apache"], defaults))
-        rate = len(base["gaps"]) / base["cycles_run"]
-        low = staircase_config(spec, rate * 0.8)
-        high = staircase_config(spec, rate * 1.0)
-        assert low.credits == high.credits
-        assert low.total_credits == 3
         rows = {
             row["label"]: row
             for row in tradeoff_sweep("apache", defaults, scales=(0.8, 1.0))
         }
-        assert rows["camo-x0.8"]["digest"] == rows["camo-x1.0"]["digest"]
-        assert rows["camo-x0.8"]["mi"] == rows["camo-x1.0"]["mi"]
+        low, high = rows["camo-x0.8"], rows["camo-x1.0"]
+        assert low["granted_rate"] == high["granted_rate"] == 3 / 512
+        assert low["requested_rate"] < high["requested_rate"]
+        assert low["digest"] == high["digest"]
+        assert low["mi"] == high["mi"]
+        assert rows["no-shaping"]["granted_rate"] is None
+
+    def test_five_scale_ladder_runs_one_task_per_configuration(self):
+        # alone-base + cs + four distinct staircases (credit totals
+        # 2/3/3/5/6 at scales 0.6/0.8/1.0/1.4/2.0).
+        defaults = ExperimentDefaults().scaled(0.25)
+        executor = SweepExecutor(jobs=1, seed=defaults.seed)
+        rows = tradeoff_sweep("apache", defaults, executor=executor)
+        assert executor.tasks_run == 6
+        assert [
+            round(row["granted_rate"] * LADDER_REPLENISH_PERIOD)
+            for row in rows if row["label"].startswith("camo-")
+        ] == [2, 3, 3, 5, 6]
+        assert len({row["label"] for row in rows}) == len(rows) == 7
 
 
 class TestDeriveResponseConfig:

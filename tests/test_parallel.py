@@ -377,10 +377,16 @@ class TestJobsDifferential:
         monkeypatch.setattr(SyntheticTraceGenerator, "records", counting)
         points_1 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=1)
         assert generated == [FAST.accesses]
-        assert canonical_json_digest(points_1) == "1e03fbb19465af99"
+        assert canonical_json_digest(points_1) == "6ac601acf9738150"
+        # The digest before points carried the two rate fields.
+        assert canonical_json_digest([
+            {k: v for k, v in point.items()
+             if k not in ("requested_rate", "granted_rate")}
+            for point in points_1
+        ]) == "1e03fbb19465af99"
         monkeypatch.undo()
         points_2 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=2)
-        assert canonical_json_digest(points_2) == "1e03fbb19465af99"
+        assert canonical_json_digest(points_2) == "6ac601acf9738150"
 
 
 class TestRegistryMerge:

@@ -21,7 +21,7 @@ from repro.analysis.experiments import (
     tradeoff_sweep,
 )
 from repro.common.rng import DeterministicRng
-from repro.common.util import canonical_doc
+from repro.common.util import canonical_doc, canonical_json_digest
 from repro.core.bins import BinSpec
 from repro.parallel import SweepExecutor
 from repro.security.detect import (
@@ -282,6 +282,25 @@ class TestCovertEndToEnd:
 # ---------------------------------------------------------------------------
 
 
+#: ``repro --scale 0.25 sweep tradeoff`` stdout before ladder rows
+#: carried ``requested_rate`` / ``granted_rate`` (any ``--jobs``).
+_TRADEOFF_SHA256_WITHOUT_RATES = {
+    "gcc": "15f52783aef30f9305869e0fbdb864fd"
+           "bd5664556348c360955b01560aeb4381",
+    "apache": "ff65a099371ca9827b441ccad852b2fe"
+              "defa2d6dd5298bd54e210f9cc1ce5882",
+}
+
+
+def _without_rates(doc):
+    """``doc`` with the two rate fields dropped from every row."""
+    return dict(doc, rows=[
+        {k: v for k, v in row.items()
+         if k not in ("requested_rate", "granted_rate")}
+        for row in doc["rows"]
+    ])
+
+
 class TestDetectSuite:
     def test_jobs_invariant_and_digest_stable(self):
         defaults = ExperimentDefaults().scaled(0.2)
@@ -342,6 +361,23 @@ class TestDetectSuite:
         detect_suite("apache", defaults, executor=executor)
         assert (executor.tasks_run, executor.tasks_cached) == (0, 4)
 
+    def test_equal_credits_share_a_cache_entry_across_labels(self, tmp_path):
+        # At gcc's scaled(0.25) rate, camo-x1.2 is granted camo-x0.6's
+        # single credit: the detect suite's rung is the tradeoff sweep's
+        # machine under another label, so it costs no simulation.
+        defaults = ExperimentDefaults().scaled(0.25)
+        tradeoff_sweep("gcc", defaults, cache_dir=str(tmp_path))
+        executor = SweepExecutor(
+            jobs=1, seed=defaults.seed, cache=str(tmp_path)
+        )
+        rows = {
+            row["label"]: row
+            for row in detect_suite("gcc", defaults,
+                                    executor=executor)["rows"]
+        }
+        assert executor.tasks_run == 0
+        assert rows["camo-x1.2"]["granted_rate"] == 1 / 512
+
     def test_cli_stdout_is_pinned(self, capsys):
         from repro.cli import main
 
@@ -350,7 +386,31 @@ class TestDetectSuite:
         ) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "4ec955368c4a794a0bd88cbd58a43c802b440d0a"
-            "833434d0c5fd892946393058"
+            "dea83ff97e78b8e8a47a5e6f01e3f428b7c1e2d9"
+            "b318a30dfc19e080b4345de4"
         )
-        assert json.loads(out)["digest"] == "3a00758f0010f08f"
+        doc = json.loads(out)
+        assert doc["digest"] == "f4d96b97ba5442f2"
+        # Without the two rate fields, the document is the one printed
+        # before rows carried them.
+        del doc["digest"]
+        assert canonical_json_digest(_without_rates(doc)) == (
+            "3a00758f0010f08f"
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("program", ["gcc", "apache"])
+    def test_sweep_tradeoff_is_pinned_without_the_rates(
+        self, capsys, program, jobs
+    ):
+        from repro.cli import main
+
+        assert main(["--scale", "0.25", "sweep", "tradeoff",
+                     "--benchmark", program, "--jobs", str(jobs)]) == 0
+        rows = _without_rates(
+            {"rows": json.loads(capsys.readouterr().out)}
+        )["rows"]
+        text = json.dumps(canonical_doc(rows), sort_keys=True, indent=2)
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == (
+            _TRADEOFF_SHA256_WITHOUT_RATES[program]
+        )
