@@ -29,12 +29,11 @@ def _times(histogram):
     return out
 
 
-def _run(epoch_plan=None, request_plan=None):
+def _run(request_plan):
     builder = SystemBuilder(seed=LONG_DEFAULTS.seed)
     builder.add_core(
         make_trace(BENCH, LONG_DEFAULTS.accesses, seed=LONG_DEFAULTS.seed),
         request_shaping=request_plan,
-        epoch_shaping=epoch_plan,
     )
     system = builder.build()
     report = system.run(LONG_DEFAULTS.cycles, stop_when_done=False)
@@ -55,7 +54,7 @@ def test_ablation_epoch_cs(benchmark, record_result):
             if edge <= 1.0 / max(rate, 1e-9):
                 interval = edge
         _sys, report = _run(
-            request_plan=RequestShapingPlan(
+            RequestShapingPlan(
                 config=constant_rate_config(SPEC, interval), spec=SPEC
             )
         )
@@ -71,7 +70,7 @@ def test_ablation_epoch_cs(benchmark, record_result):
         }
 
         # Epoch-rate (Fletcher'14): adapts per epoch, leaks E*log2(R).
-        system, report = _run(epoch_plan=EpochShapingPlan(epoch_cycles=8192))
+        system, report = _run(EpochShapingPlan(epoch_cycles=8192))
         policy = system.request_paths[0].shaper
         stats = report.core(0)
         out["epoch-cs"] = {

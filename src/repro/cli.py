@@ -614,7 +614,7 @@ def _cmd_faults(args) -> int:
     )
     print(json.dumps(result, indent=2, sort_keys=True, default=str))
     # The resilience contract: a fault run must end in a typed error,
-    # a flagged degraded mode, or clean completion with bounds intact.
+    # or completion with its bound held.
     if result.get("outcome") == "silent_failure":
         return 1
     if result.get("bound_held") is False:
@@ -738,8 +738,7 @@ def _cmd_profile(args) -> int:
     shaping = rollup.get("shaping")
     if shaping is not None:
         print(f"shaping: checkpoints={shaping['checkpoints']} "
-              f"violations={shaping['violations']} "
-              f"degradations={shaping['degradations']}")
+              f"violations={shaping['violations']}")
     print(f"wall: {rollup['wall']['ms']} ms (observability-only; never "
           "enters the registry, reports or digests)")
     if args.out:
@@ -970,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("faults", _cmd_faults, parents=[_engine_parent()])
     p.add_argument("--scenario", required=True,
-                   help="one of: livelock, flood, saturate, degrade, "
+                   help="one of: livelock, flood, saturate, "
                         "epoch-stress, malformed-trace")
     p.add_argument("--cycles", type=int, default=0,
                    help="override the scenario's default run length")

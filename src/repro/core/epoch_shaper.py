@@ -17,6 +17,8 @@ in :mod:`repro.core.shaper`) for the request station:
   Ascend is accessed unconditionally at the chosen rate); at each
   epoch boundary the interval moves one step within the rate set on
   the epoch's pressure/idle feedback.
+* :class:`EpochShapingPlan` — the ``request_shaping=`` plan that
+  builds one.
 
 Leakage accounting is explicit: :meth:`EpochRatePolicy.leakage_bound_bits`
 returns the ``E × log2(R)`` bound for the run so far.
@@ -185,3 +187,26 @@ class EpochRatePolicy:
     def leakage_bound_bits(self) -> float:
         """Fletcher'14's bound: E × log2(R) for the epochs so far."""
         return max(0, self.epochs_elapsed) * self.rates.bits_per_choice()
+
+
+@dataclass(frozen=True)
+class EpochShapingPlan:
+    """Fletcher'14 epoch-rate attachment for a core's request station
+    (``add_core(request_shaping=)``), the baseline the paper compares
+    against: an :class:`EpochRatePolicy` times the station.
+    """
+
+    rates: Optional[RateSet] = None
+    epoch_cycles: int = 8192
+
+    #: Every slot releases, real or fake.
+    generate_fake = True
+    #: No bin distribution: the monitor watches the stream untargeted.
+    distribution = None
+
+    def policy(self, rng, core_id: int) -> EpochRatePolicy:
+        return EpochRatePolicy(self.rates, self.epoch_cycles)
+
+    def fake_rng(self, rng, core_id: int):
+        """The station's fake-address stream."""
+        return rng.fork(2000 + core_id)

@@ -95,7 +95,7 @@ class RequestCamouflage:
 
     # -- core-facing interface ------------------------------------------------
 
-    def can_accept(self, core_id: int) -> bool:
+    def can_accept(self) -> bool:
         """Backpressure signal to the core's fetch stage."""
         return len(self._buffer) < self._capacity
 

@@ -36,6 +36,23 @@ that crosses into it.
 ``release_real(cycle)`` / ``release_fake(cycle)``
     Account for one release; returns the index traced as ``bin=``.
 
+Shaping plans
+-------------
+A station's policy is built by the frozen plan the core was added
+with (:class:`RequestShapingPlan`, :class:`ResponseShapingPlan`,
+:class:`~repro.core.epoch_shaper.EpochShapingPlan`); a station without
+one gets :class:`Passthrough`.  The builder asks a plan only:
+
+``policy(rng, core_id)``
+    A fresh release policy, its random streams forked from the
+    system RNG.
+``distribution``
+    The configured bin distribution the shaped stream is held to, or
+    ``None`` (no bins: no monitor target, no credit registers).
+``generate_fake`` / ``fake_rng(rng, core_id)``
+    Request plans only: whether the station fakes, and its
+    fake-address stream.
+
 The bin-based credit shaper (paper sections III-A1 and III-A2)
 --------------------------------------------------------------
 One :class:`BinShaper` instance is the credit machinery of one
@@ -137,7 +154,6 @@ class BinShaper:
         start_cycle: int = 0,
         strict: bool = False,
         jitter_rng=None,
-        jitter_budget: Optional[int] = None,
     ) -> None:
         """``strict`` selects the exact-bin release rule: a transaction
         may only consume the credit of the bin its inter-arrival time
@@ -153,18 +169,7 @@ class BinShaper:
         delayed by a random hold drawn from the width of the eligible
         bin's interval, "to increase the timing uncertainty and
         probability of memory conflict in a randomized manner".
-
-        ``jitter_budget`` bounds the number of jitter draws (one per
-        armed hold).  When the budget is exhausted the shaper *degrades
-        gracefully*: it stops arming holds and falls back to strict
-        constant-rate release — still on the configured distribution,
-        just without the randomized fine-grained defense — and flags
-        the fallback through :meth:`set_degradation_sink` and a
-        ``shaper.degraded`` trace event instead of silently changing
-        behaviour.  ``None`` (default) means unlimited.
         """
-        if jitter_budget is not None and jitter_budget < 0:
-            raise ConfigurationError("jitter_budget must be non-negative")
         if config.num_bins != spec.num_bins:
             raise ConfigurationError(
                 f"configuration has {config.num_bins} bins but the spec "
@@ -173,13 +178,6 @@ class BinShaper:
         self.spec = spec
         self._strict = strict
         self._jitter_rng = jitter_rng
-        self._jitter_budget = jitter_budget
-        self.jitter_draws = 0
-        # Graceful degradation (resilience): set once the jitter budget
-        # runs out, after which releases are strict constant-rate.
-        self.degraded = False
-        self.degraded_at_cycle: Optional[int] = None
-        self._degradation_sink = None
         # Cycle a pending jittered release is held until (None = no
         # hold armed); re-armed per release, cleared when consumed.
         self._jitter_hold_until: Optional[int] = None
@@ -217,15 +215,6 @@ class BinShaper:
         self.tracer = tracer
         self.trace_core = core_id
         self.trace_direction = direction
-
-    def set_degradation_sink(self, sink) -> None:
-        """Wire the degraded-mode flag target (builder-time).
-
-        ``sink(cycle, core_id, direction, reason, detail)`` — normally
-        the bound :meth:`~repro.obs.monitor.ShapingMonitor.flag_degraded`
-        method, which pickles with the system graph for checkpointing.
-        """
-        self._degradation_sink = sink
 
     # -- configuration -----------------------------------------------------
 
@@ -361,20 +350,13 @@ class BinShaper:
         bin_index = self._eligible_bin(self._credits, self._delta(cycle))
         if bin_index is None:
             return False
-        if self._jitter_rng is None or self.degraded:
+        if self._jitter_rng is None:
             return True
         if self._jitter_hold_until is None:
-            if (
-                self._jitter_budget is not None
-                and self.jitter_draws >= self._jitter_budget
-            ):
-                self._enter_degraded_mode(cycle)
-                return True
             width = self._bin_interval_width(bin_index)
             self._jitter_hold_until = cycle + self._jitter_rng.randint(
                 0, max(0, width - 1)
             )
-            self.jitter_draws += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     cycle, CATEGORY_SHAPER, "shaper.jitter_hold",
@@ -384,29 +366,6 @@ class BinShaper:
                     bin=bin_index,
                 )
         return cycle >= self._jitter_hold_until
-
-    def _enter_degraded_mode(self, cycle: int) -> None:
-        """Jitter budget exhausted: fall back to strict constant-rate
-        release, flagged — never a silent behaviour change."""
-        self.degraded = True
-        self.degraded_at_cycle = cycle
-        if self.tracer.enabled:
-            self.tracer.emit(
-                cycle, CATEGORY_SHAPER, "shaper.degraded",
-                core_id=self.trace_core,
-                direction=self.trace_direction,
-                reason="jitter_budget_exhausted",
-                draws=self.jitter_draws,
-            )
-        if self._degradation_sink is not None:
-            self._degradation_sink(
-                cycle,
-                self.trace_core,
-                self.trace_direction,
-                "jitter_budget_exhausted",
-                f"jitter budget of {self._jitter_budget} draws exhausted; "
-                f"releases continue without randomized holds",
-            )
 
     def can_release_fake(self, cycle: int) -> bool:
         """May a fake transaction release this cycle (unused credits)?"""
@@ -419,7 +378,9 @@ class BinShaper:
         floor: Optional[int] = None,
     ) -> Optional[int]:
         """Smallest ``c' >= max(cycle, floor)`` whose inter-arrival gap
-        makes :meth:`_eligible_bin` succeed against ``registers``.
+        makes :meth:`_eligible_bin` succeed against ``registers`` under
+        the strict rule (the default rule's bounds are O(1) in the
+        callers).
 
         Assumes no releases or replenishments happen in between (the
         caller re-queries after either).  ``None`` when the registers
@@ -431,15 +392,10 @@ class BinShaper:
             return None
         edges = self.spec.edges
         last = self._last_release
-        if not self._strict:
-            # Default rule: eligible as soon as delta reaches the
-            # smallest credited bin's edge (monotone in delta).
-            smallest = min(e for e, r in zip(edges, registers) if r > 0)
-            return max(lo, last + smallest)
-        # Strict rule: eligibility is per bin interval
-        # [edges[k], edges[k+1]) and non-monotone in delta — a credited
-        # bin whose interval has already passed only becomes usable
-        # again through the top-bin fallback.
+        # Eligibility is per bin interval [edges[k], edges[k+1]) and
+        # non-monotone in delta — a credited bin whose interval has
+        # already passed only becomes usable again through the top-bin
+        # fallback.
         best: Optional[int] = None
         for k, edge in enumerate(edges):
             if registers[k] <= 0:
@@ -477,7 +433,7 @@ class BinShaper:
         if not self._strict:
             # O(1) via the cached aggregates: with the default rule the
             # bound is reached exactly when delta hits the smallest
-            # credited edge (same formula as the general path below).
+            # credited edge (eligibility is monotone in delta).
             self._delta(cycle)
             if self._credits_total == 0:
                 return None
@@ -558,3 +514,66 @@ class BinShaper:
         priority warning (paper section III-B1).
         """
         return sum(self.last_unused_snapshot)
+
+
+# -- shaping plans ----------------------------------------------------------
+
+
+class _BinPlan:
+    """The half of a bin-credit plan that builds and targets its policy
+    (the frozen fields live on the two plans below)."""
+
+    @property
+    def distribution(self) -> Tuple[float, ...]:
+        """The configured bin distribution the shaped stream is held to
+        (the monitor's target; ``None`` on a plan without bins)."""
+        return self.config.normalized()
+
+    def policy(self, rng, core_id: int) -> BinShaper:
+        """This core's release policy; the jitter stream is forked from
+        the system RNG at ``jitter_salt + core_id``."""
+        return BinShaper(
+            self.spec, self.config,
+            strict=self.strict_binning,
+            jitter_rng=(
+                rng.fork(self.jitter_salt + core_id) if self.jitter else None
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class RequestShapingPlan(_BinPlan):
+    """ReqC attachment for one core (``add_core(request_shaping=)``).
+
+    ``strict_binning`` selects the exact-bin release rule (tightest
+    distribution matching, used for the Figure 11 accuracy experiment)
+    over the default any-credited-bin rule.
+    """
+
+    config: BinConfiguration
+    spec: BinSpec = BinSpec()
+    generate_fake: bool = True
+    strict_binning: bool = False
+    jitter: bool = False
+
+    #: Fork salt of the jitter stream (a constant, not a field).
+    jitter_salt = 3000
+
+    def fake_rng(self, rng, core_id: int):
+        """The station's fake-address stream."""
+        return rng.fork(1000 + core_id)
+
+
+@dataclass(frozen=True)
+class ResponseShapingPlan(_BinPlan):
+    """RespC attachment for one core (``add_core(response_shaping=)``)."""
+
+    config: BinConfiguration
+    spec: BinSpec = BinSpec()
+    generate_fake: bool = True
+    enable_warning: bool = True
+    strict_binning: bool = False
+    jitter: bool = False
+
+    #: Fork salt of the jitter stream (a constant, not a field).
+    jitter_salt = 4000

@@ -76,9 +76,10 @@ class _PendingLoad:
 class Core:
     """One trace-driven core with private caches and MSHRs.
 
-    The ``request_sink`` is any object with ``can_accept(core_id)`` and
-    ``submit(txn, cycle)``; the system wires either a Camouflage
-    request shaper or a plain NoC adapter here.
+    The ``request_sink`` is any object with ``can_accept()`` and
+    ``submit(txn, cycle)``; the system wires the core's request
+    station (:class:`~repro.core.request_shaper.RequestCamouflage`)
+    here.
     """
 
     def __init__(
@@ -324,7 +325,7 @@ class Core:
         else:
             if self.mshrs.is_full:
                 return False
-            if not self.request_sink.can_accept(self.core_id):
+            if not self.request_sink.can_accept():
                 return False
             self.mshrs.allocate(line, cycle, seq, record.is_write)
             txn = MemoryTransaction(
@@ -391,7 +392,7 @@ class Core:
             kind=TransactionType.WRITE,
             created_cycle=cycle,
         )
-        if self.request_sink.can_accept(self.core_id):
+        if self.request_sink.can_accept():
             self.request_sink.submit(txn, cycle)
             self.writeback_requests += 1
         # A full sink drops the writeback: timing-wise this models an

@@ -25,7 +25,7 @@ CATEGORY_NOC = "noc"
 #: Live shaping-monitor checkpoints and violations.
 CATEGORY_MONITOR = "monitor"
 #: Resilience events: checkpoints taken, watchdog dumps, injected
-#: faults, degradation-policy activations.
+#: faults.
 CATEGORY_RESILIENCE = "resilience"
 #: Parallel-executor events: per-shard task lifecycle (submit, run,
 #: retry, done) and result-cache hits/misses.  Stamped with the task's

@@ -94,25 +94,6 @@ class DetectViolation:
 
 
 @dataclass(frozen=True)
-class DegradedMode:
-    """One graceful-degradation activation, flagged live.
-
-    The resilience contract (docs/resilience.md): when a component
-    exhausts a budget it falls back to a *safe* policy — e.g. the
-    shaper dropping randomized jitter for strict constant-rate release
-    once its jitter budget runs out — and the fallback is recorded
-    here, never applied silently.  ``reason`` is a stable machine key
-    (``"jitter_budget_exhausted"``, ...); ``detail`` is human prose.
-    """
-
-    cycle: int
-    core_id: int
-    direction: str
-    reason: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class MonitorSample:
     """One checkpoint's estimates for one monitored stream."""
 
@@ -178,7 +159,6 @@ class ShapingMonitor:
         self.history: List[MonitorSample] = []
         self.violations: List[ShapingViolation] = []
         self.detect_violations: List[DetectViolation] = []
-        self.degradations: List[DegradedMode] = []
         # Final partial-window state; REPLACED wholesale by finalize()
         # (never appended), so it is a pure function of histogram state
         # at the last cycle and stays resume/engine-invariant.
@@ -192,19 +172,17 @@ class ShapingMonitor:
     def bind_metrics(self, registry) -> None:
         """Mirror monitor state into first-class registry gauges.
 
-        ``monitor.checkpoints`` / ``monitor.violations`` /
-        ``monitor.degradations`` plus per-stream
-        ``monitor.core{K}.{dir}.{tvd_target,tvd_intrinsic,mi_bits,
-        events}`` update at every checkpoint (and on each degradation
-        flag), so ``/metrics`` shows jitter-budget exhaustion and
-        guarantee breaches without parsing traces.  Checkpoint cycles
-        and values are engine-invariant, so binding never perturbs the
-        cross-engine equivalence of registry or snapshot state.
+        ``monitor.checkpoints`` / ``monitor.violations`` plus
+        per-stream ``monitor.core{K}.{dir}.{tvd_target,tvd_intrinsic,
+        mi_bits,events}`` update at every checkpoint, so ``/metrics``
+        shows guarantee breaches without parsing traces.  Checkpoint
+        cycles and values are engine-invariant, so binding never
+        perturbs the cross-engine equivalence of registry or snapshot
+        state.
         """
         self._metrics = registry
         registry.gauge("monitor.checkpoints").set(len(self.history))
         registry.gauge("monitor.violations").set(len(self.violations))
-        registry.gauge("monitor.degradations").set(len(self.degradations))
 
     def watch(
         self,
@@ -454,38 +432,6 @@ class ShapingMonitor:
     def detect_violation_count(self) -> int:
         """Total zoo-attacker breaches: periodic checks + run-end tail."""
         return len(self.detect_violations) + len(self.final_detect_violations)
-
-    def flag_degraded(
-        self,
-        cycle: int,
-        core_id: int,
-        direction: str,
-        reason: str,
-        detail: str = "",
-    ) -> DegradedMode:
-        """Record a graceful-degradation activation (pushed by the
-        degrading component, not polled at checkpoints, so the flag is
-        stamped at the exact cycle the policy flipped)."""
-        mode = DegradedMode(
-            cycle=cycle,
-            core_id=core_id,
-            direction=direction,
-            reason=reason,
-            detail=detail,
-        )
-        self.degradations.append(mode)
-        if self._metrics is not None:
-            self._metrics.gauge("monitor.degradations").set(
-                len(self.degradations)
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                cycle, CATEGORY_MONITOR, "monitor.degraded",
-                core_id=core_id,
-                direction=direction,
-                reason=reason,
-            )
-        return mode
 
     # -- reporting -----------------------------------------------------------
 

@@ -14,9 +14,8 @@ wall-time delta:
 * engine internals — columnar dirty-row re-polls, horizon-list
   refreshes, and fallback-to-full-tick events (the injector path that
   abandons columnar stepping for a cycle);
-* degradation context — the rollup folds in the shaping monitor's
-  violation/degradation counts when one is attached, so the profile of
-  a run that fell back to strict constant-rate release says so.
+* shaping context — the rollup folds in the shaping monitor's
+  checkpoint/violation counts when one is attached.
 
 Determinism contract
 --------------------
@@ -165,8 +164,8 @@ class EngineProfiler:
 
         Deterministic by default; ``include_wall=True`` adds the
         quarantined wall-clock total (CLI display and the CI artifact
-        only).  ``monitor`` (a ShapingMonitor) folds in shaper
-        violation/degradation accounting.
+        only).  ``monitor`` (a ShapingMonitor) folds in its checkpoint
+        and violation counts.
         """
         total_ticks = sum(self.station_ticks.values())
         stations = sorted(
@@ -211,7 +210,6 @@ class EngineProfiler:
             doc["shaping"] = {
                 "checkpoints": len(monitor.history),
                 "violations": len(monitor.violations),
-                "degradations": len(monitor.degradations),
             }
         if include_wall:
             doc["wall"] = {

@@ -139,12 +139,18 @@ def encode_point(
     ``defaults.spec``) is the bin spec of every request plan and of the
     task's scoring.  ``measure`` carries the task's own fields (label,
     window, slowdown denominators, ...).  Plans travel as credit lists
-    plus ``generate_fake``; a plan setting any other field cannot be
-    encoded.
+    plus ``generate_fake``; a plan setting any other field, or one
+    that is not a bin plan, cannot be encoded.
     """
     spec = defaults.spec if spec is None else spec
     plans = {}
     for core, plan in sorted((request_plans or {}).items()):
+        if not isinstance(plan, RequestShapingPlan):
+            raise ConfigurationError(
+                f"request plan for core {core} is a "
+                f"{type(plan).__name__}; the point codec carries bin "
+                "plans only"
+            )
         if plan != RequestShapingPlan(plan.config, spec, plan.generate_fake):
             raise ConfigurationError(
                 f"request plan for core {core} sets a field the point "

@@ -3,7 +3,7 @@
 The robustness layer (DESIGN.md §4, docs/resilience.md): deterministic
 whole-system snapshots so long runs survive restarts bit-identically,
 a forward-progress watchdog with structured diagnostic dumps, and a
-fault-injection harness with explicit graceful-degradation policies.
+fault-injection harness proving each fault ends typed or bounded.
 """
 
 from repro.resilience.faults import (

@@ -15,7 +15,7 @@ The harness exists to *prove* the resilience contract: every injected
 adversity must end in a typed error (e.g.
 :class:`~repro.common.errors.QueueOverflowError` from a producer bug,
 :class:`~repro.common.errors.WatchdogError` from a seeded livelock) or
-a monitor-flagged degraded mode — never a silent shaping-guarantee
+in completion with its bound held — never a silent shaping-guarantee
 violation.  Injected traffic uses ``FAKE_READ`` transactions, which
 carry no architectural state, so a survived fault run still retires
 exactly the workload's instructions.
@@ -266,7 +266,7 @@ class FaultInjector:
         path = system.request_paths[spec.core_id]
         injected = 0
         while injected < spec.per_cycle and state.remaining > 0:
-            if not path.can_accept(spec.core_id):
+            if not path.can_accept():
                 break
             txn = MemoryTransaction(
                 core_id=spec.core_id,
@@ -323,7 +323,7 @@ class FaultInjector:
             return
         injected = 0
         for _ in range(spec.burst):
-            if not path.can_accept(spec.core_id):
+            if not path.can_accept():
                 break
             txn = MemoryTransaction(
                 core_id=spec.core_id,

@@ -37,10 +37,6 @@ class ResilienceConfig:
         Stall budget (``None`` defers to ``System.run``'s argument;
         0 disables) and an optional JSON dump file written when the
         watchdog trips.
-    ``jitter_budget``
-        Per-shaper bound on jitter draws; on exhaustion the shaper
-        degrades to strict constant-rate release, flagged by the
-        ShapingMonitor (see docs/resilience.md).
     ``faults`` / ``fault_seed``
         Fault specs for the injection harness and the seed salt for
         its private RNG stream.
@@ -51,7 +47,6 @@ class ResilienceConfig:
     checkpoint_keep: int = 3
     watchdog_cycles: Optional[int] = None
     watchdog_dump_path: str = ""
-    jitter_budget: Optional[int] = None
     faults: Tuple[FaultSpec, ...] = field(default_factory=tuple)
     fault_seed: int = 0xFA
 
@@ -66,8 +61,6 @@ class ResilienceConfig:
             raise ConfigurationError("checkpoint_keep must be >= 1")
         if self.watchdog_cycles is not None and self.watchdog_cycles < 0:
             raise ConfigurationError("watchdog_cycles must be >= 0")
-        if self.jitter_budget is not None and self.jitter_budget < 0:
-            raise ConfigurationError("jitter_budget must be >= 0")
         # Tolerate a list in user code; store canonically as a tuple.
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))

@@ -165,7 +165,6 @@ def diagnostic_dump(system, stalled_for: int = 0) -> Dict[str, Any]:
                     "credits": list(shaper.credits_remaining()),
                     "unused": list(shaper.unused_remaining()),
                     "next_replenish_cycle": shaper.next_replenish_cycle,
-                    "degraded": shaper.degraded,
                 }
         cores.append(entry)
     dump: Dict[str, Any] = {

@@ -13,24 +13,28 @@ A :class:`System` is the paper's Figure 5 made executable.  Use
 >>> report.num_cores
 2
 
-Shaping is attached per core: ``request_shaping=`` for ReqC,
-``response_shaping=`` for RespC, both for BDC.
+Shaping is attached per core: ``request_shaping=`` for ReqC (or an
+:class:`EpochShapingPlan` for Fletcher'14), ``response_shaping=`` for
+RespC, both for BDC.  Each plan builds its station's release policy.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.core.bins import BinConfiguration, BinSpec
-from repro.core.epoch_shaper import EpochRatePolicy, RateSet
+from repro.core.epoch_shaper import EpochShapingPlan
 from repro.core.request_shaper import RequestCamouflage
 from repro.core.response_shaper import ResponseCamouflage
-from repro.core.shaper import BinShaper, Passthrough
+from repro.core.shaper import (
+    Passthrough,
+    RequestShapingPlan,
+    ResponseShapingPlan,
+)
 from repro.cpu.core import Core
 from repro.cpu.trace import MemoryTrace
 from repro.dram.address import AddressMapping
@@ -53,53 +57,11 @@ from repro.sim import columnar
 from repro.sim.stats import CoreStats, SystemReport
 
 
-@dataclass(frozen=True)
-class RequestShapingPlan:
-    """ReqC attachment for one core.
-
-    ``strict_binning`` selects the exact-bin release rule (tightest
-    distribution matching, used for the Figure 11 accuracy experiment)
-    over the default any-credited-bin rule.
-    """
-
-    config: BinConfiguration
-    spec: BinSpec = BinSpec()
-    generate_fake: bool = True
-    strict_binning: bool = False
-    jitter: bool = False
-
-
-@dataclass(frozen=True)
-class ResponseShapingPlan:
-    """RespC attachment for one core."""
-
-    config: BinConfiguration
-    spec: BinSpec = BinSpec()
-    generate_fake: bool = True
-    enable_warning: bool = True
-    strict_binning: bool = False
-    jitter: bool = False
-
-
-@dataclass(frozen=True)
-class EpochShapingPlan:
-    """Fletcher'14 epoch-rate shaping attachment (baseline/extension).
-
-    Mutually exclusive with ``request_shaping`` on the same core: it
-    times the request path with an
-    :class:`~repro.core.epoch_shaper.EpochRatePolicy`.
-    """
-
-    rates: Optional[RateSet] = None
-    epoch_cycles: int = 8192
-
-
 @dataclass
 class _CorePlan:
     trace: MemoryTrace
-    request_shaping: Optional[RequestShapingPlan]
+    request_shaping: Optional[Union[RequestShapingPlan, EpochShapingPlan]]
     response_shaping: Optional[ResponseShapingPlan]
-    epoch_shaping: Optional[EpochShapingPlan] = None
 
 
 # Sampler probes and wiring callables, as module-level classes rather
@@ -201,18 +163,14 @@ class SystemBuilder:
     def add_core(
         self,
         trace: MemoryTrace,
-        request_shaping: Optional[RequestShapingPlan] = None,
+        request_shaping: Optional[
+            Union[RequestShapingPlan, EpochShapingPlan]
+        ] = None,
         response_shaping: Optional[ResponseShapingPlan] = None,
-        epoch_shaping: Optional[EpochShapingPlan] = None,
     ) -> int:
         """Register a core; returns its id (assignment order)."""
-        if request_shaping is not None and epoch_shaping is not None:
-            raise ConfigurationError(
-                "a core takes either bin shaping or epoch-rate shaping "
-                "on its request path, not both"
-            )
         self._core_plans.append(
-            _CorePlan(trace, request_shaping, response_shaping, epoch_shaping)
+            _CorePlan(trace, request_shaping, response_shaping)
         )
         return len(self._core_plans) - 1
 
@@ -293,10 +251,9 @@ class SystemBuilder:
 
         Pass a ready :class:`~repro.resilience.runtime.ResilienceConfig`
         or its fields as keyword arguments (``checkpoint_every=50_000``,
-        ``watchdog_cycles=10_000``, ``jitter_budget=256``,
-        ``faults=(...)``, ...).  Enables periodic whole-system
-        checkpoints, the diagnostic-dumping watchdog, graceful shaper
-        degradation and the fault-injection harness — see
+        ``watchdog_cycles=10_000``, ``faults=(...)``, ...).  Enables
+        periodic whole-system checkpoints, the diagnostic-dumping
+        watchdog and the fault-injection harness — see
         docs/resilience.md.
         """
         if config is not None and kwargs:
@@ -400,46 +357,24 @@ class SystemBuilder:
                 trace_limit=noc_trace_limit,
             )
 
-        jitter_budget = (
-            self._resilience_config.jitter_budget
-            if self._resilience_config is not None
-            else None
-        )
-
-        def bin_shaper(shaping, jitter_salt: int) -> BinShaper:
-            return BinShaper(
-                shaping.spec, shaping.config,
-                strict=shaping.strict_binning,
-                jitter_rng=rng.fork(jitter_salt) if shaping.jitter else None,
-                jitter_budget=jitter_budget,
-            )
-
         request_paths = []
         for core_id, plan in enumerate(self._core_plans):
             shaping = plan.request_shaping
-            fake_rng = None  # a policy that never fakes never draws
-            generate_fake = True
-            if plan.epoch_shaping is not None:
-                policy = EpochRatePolicy(
-                    plan.epoch_shaping.rates, plan.epoch_shaping.epoch_cycles
+            if shaping is None:
+                # a policy that never fakes never draws
+                path = RequestCamouflage(
+                    core_id, Passthrough(), request_link, core_id
                 )
-                fake_rng = rng.fork(2000 + core_id)
-            elif shaping is None:
-                policy = Passthrough()
             else:
-                policy = bin_shaper(shaping, 3000 + core_id)
-                fake_rng = rng.fork(1000 + core_id)
-                generate_fake = shaping.generate_fake
-            request_paths.append(
-                RequestCamouflage(
+                path = RequestCamouflage(
                     core_id=core_id,
-                    shaper=policy,
+                    shaper=shaping.policy(rng, core_id),
                     link=request_link,
                     port=core_id,
-                    rng=fake_rng,
-                    generate_fake=generate_fake,
+                    rng=shaping.fake_rng(rng, core_id),
+                    generate_fake=shaping.generate_fake,
                 )
-            )
+            request_paths.append(path)
 
         cores = [
             Core(
@@ -469,7 +404,7 @@ class SystemBuilder:
                 )
                 path = ResponseCamouflage(
                     core_id=core_id,
-                    shaper=bin_shaper(shaping, 4000 + core_id),
+                    shaper=shaping.policy(rng, core_id),
                     link=response_link,
                     port=core_id,
                     scheduler=warn_target,
@@ -493,15 +428,6 @@ class SystemBuilder:
             resilience = ResilienceRuntime(self._resilience_config, rng)
             if observability is not None:
                 resilience.attach_tracer(observability.tracer)
-                if observability.monitor is not None:
-                    # Graceful degradation is only *graceful* if it is
-                    # flagged: route every shaper's degradation edge
-                    # into the live monitor.
-                    for path in list(request_paths) + list(response_paths):
-                        if isinstance(path.shaper, BinShaper):
-                            path.shaper.set_degradation_sink(
-                                observability.monitor.flag_degraded
-                            )
 
         return System(
             cores=cores,
@@ -567,7 +493,8 @@ class SystemBuilder:
                 _AttrProbe(response_link, "total_grants"),
             )
             for core_id, req_path in enumerate(request_paths):
-                if isinstance(req_path.shaper, BinShaper):
+                shaping = self._core_plans[core_id].request_shaping
+                if shaping is not None and shaping.distribution is not None:
                     sampler.add_probe(
                         f"core{core_id}.request_credits",
                         _CreditSumProbe(req_path),
@@ -587,28 +514,18 @@ class SystemBuilder:
 
         if obs.monitor is not None:
             for core_id, plan in enumerate(self._core_plans):
-                req_path = request_paths[core_id]
-                resp_path = response_paths[core_id]
-                if plan.request_shaping is not None:
-                    obs.monitor.watch(
-                        core_id, "request",
-                        req_path.intrinsic_histogram,
-                        req_path.shaped_histogram,
-                        plan.request_shaping.config.normalized(),
-                    )
-                elif plan.epoch_shaping is not None:
-                    obs.monitor.watch(
-                        core_id, "request",
-                        req_path.intrinsic_histogram,
-                        req_path.shaped_histogram,
-                    )
-                if plan.response_shaping is not None:
-                    obs.monitor.watch(
-                        core_id, "response",
-                        resp_path.intrinsic_histogram,
-                        resp_path.shaped_histogram,
-                        plan.response_shaping.config.normalized(),
-                    )
+                for direction, shaping, path in (
+                    ("request", plan.request_shaping, request_paths[core_id]),
+                    ("response", plan.response_shaping,
+                     response_paths[core_id]),
+                ):
+                    if shaping is not None:
+                        obs.monitor.watch(
+                            core_id, direction,
+                            path.intrinsic_histogram,
+                            path.shaped_histogram,
+                            shaping.distribution,
+                        )
 
 
 class System:

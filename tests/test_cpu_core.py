@@ -18,7 +18,7 @@ class SinkStub:
         self.submitted = []
         self.accepting = True
 
-    def can_accept(self, core_id):
+    def can_accept(self):
         return self.accepting
 
     def submit(self, txn, cycle):

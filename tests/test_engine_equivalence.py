@@ -52,10 +52,12 @@ def _shaped_builder(
         builder.add_core(
             make_trace(name, accesses, seed=seed + index),
             request_shaping=(
-                RequestShapingPlan(
+                EpochShapingPlan()
+                if epoch
+                else RequestShapingPlan(
                     config, strict_binning=strict, jitter=jitter
                 )
-                if request and not epoch
+                if request
                 else None
             ),
             response_shaping=(
@@ -65,7 +67,6 @@ def _shaped_builder(
                 if response
                 else None
             ),
-            epoch_shaping=EpochShapingPlan() if epoch else None,
         )
     return builder
 
@@ -230,6 +231,8 @@ def _random_builder(seed):
                         config, strict_binning=strict, jitter=jitter
                     )
                     if style in ("reqc", "bdc")
+                    else EpochShapingPlan()
+                    if style == "epoch"
                     else None
                 ),
                 response_shaping=(
@@ -238,9 +241,6 @@ def _random_builder(seed):
                     )
                     if style in ("respc", "bdc")
                     else None
-                ),
-                epoch_shaping=(
-                    EpochShapingPlan() if style == "epoch" else None
                 ),
             )
         return builder

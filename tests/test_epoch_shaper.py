@@ -134,13 +134,13 @@ class TestEpochRateShaper:
         shaper, _ = make_shaper()
         for _ in range(32):
             shaper.submit(make_txn(), 0)
-        assert not shaper.can_accept(0)
+        assert not shaper.can_accept()
 
     def test_pressure_escalates_rate(self):
         shaper, _ = make_shaper(epoch_cycles=256)
         cycle = 0
         for cycle in range(1500):
-            if shaper.can_accept(0) and cycle % 4 == 0:
+            if shaper.can_accept() and cycle % 4 == 0:
                 shaper.submit(make_txn(cycle), cycle)
             shaper.tick(cycle)
         # Demand of 1/4 cycles needs the fastest rate; the AIMD path
@@ -161,35 +161,28 @@ class TestEpochRateShaper:
 class TestEpochShaperInSystem:
     def test_system_integration(self):
         from repro.sim import EpochShapingPlan, SystemBuilder
+        from repro.sim.stats import report_digest
         from repro.workloads import make_trace
 
         builder = SystemBuilder(seed=3)
         builder.add_core(
             make_trace("apache", 1500),
-            epoch_shaping=EpochShapingPlan(epoch_cycles=2048),
+            request_shaping=EpochShapingPlan(epoch_cycles=2048),
         )
         system = builder.build()
         report = system.run(20000, stop_when_done=False)
         path = system.request_paths[0]
-        assert path.real_sent > 0
-        assert path.fake_sent > 0
+        assert isinstance(path.shaper, EpochRatePolicy)
+        assert (path.real_sent, path.fake_sent) == (79, 353)
         assert report.core(0).retired_instructions > 0
+        # The run the former dedicated epoch-rate slot produced.
+        assert report_digest(report) == "a5c9bd52c811827c"
 
-    def test_exclusive_with_bin_shaping(self):
-        from repro.core.bins import BinConfiguration
-        from repro.sim import (
-            EpochShapingPlan,
-            RequestShapingPlan,
-            SystemBuilder,
-        )
+    def test_epoch_shaping_keyword_is_gone(self):
+        from repro.sim import EpochShapingPlan, SystemBuilder
         from repro.workloads import make_trace
 
-        builder = SystemBuilder()
-        with pytest.raises(ConfigurationError):
-            builder.add_core(
-                make_trace("gcc", 10),
-                request_shaping=RequestShapingPlan(
-                    config=BinConfiguration((1,) * 10)
-                ),
-                epoch_shaping=EpochShapingPlan(),
+        with pytest.raises(TypeError):
+            SystemBuilder().add_core(
+                make_trace("gcc", 10), epoch_shaping=EpochShapingPlan()
             )

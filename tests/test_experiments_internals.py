@@ -28,7 +28,7 @@ from repro.parallel.tasks import (
 )
 from repro.parallel.worker import WorkerHost
 from repro.sim.stats import report_digest
-from repro.sim.system import RequestShapingPlan
+from repro.sim.system import EpochShapingPlan, RequestShapingPlan
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
 STAIRCASE = BinConfiguration((10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
@@ -212,6 +212,9 @@ class TestPointCodec:
         strict = RequestShapingPlan(STAIRCASE, FAST.spec, strict_binning=True)
         with pytest.raises(ConfigurationError, match="core 0"):
             encode_point(["gcc"], FAST, request_plans={0: strict})
+        epoch = EpochShapingPlan(epoch_cycles=2048)
+        with pytest.raises(ConfigurationError, match="EpochShapingPlan"):
+            encode_point(["gcc"], FAST, request_plans={0: epoch})
         with pytest.raises(ConfigurationError, match="shadow"):
             encode_point(["gcc"], FAST, cycles=5)
 

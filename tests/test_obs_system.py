@@ -32,9 +32,10 @@ def _builder(epoch=False):
     builder = SystemBuilder(seed=11)
     builder.add_core(
         make_trace("gcc", 250, seed=11),
-        request_shaping=None if epoch else RequestShapingPlan(config),
+        request_shaping=(
+            EpochShapingPlan() if epoch else RequestShapingPlan(config)
+        ),
         response_shaping=None if epoch else ResponseShapingPlan(config),
-        epoch_shaping=EpochShapingPlan() if epoch else None,
     )
     builder.add_core(make_trace("astar", 250, seed=12))
     return builder

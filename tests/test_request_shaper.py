@@ -39,10 +39,10 @@ def make_txn(cycle=0):
 class TestBuffering:
     def test_accepts_until_capacity(self):
         reqc, _ = make_reqc(buffer_capacity=2)
-        assert reqc.can_accept(0)
+        assert reqc.can_accept()
         reqc.submit(make_txn(), 0)
         reqc.submit(make_txn(), 0)
-        assert not reqc.can_accept(0)
+        assert not reqc.can_accept()
 
     def test_occupancy(self):
         reqc, _ = make_reqc()
@@ -198,6 +198,6 @@ class TestPassthrough:
         p.submit(make_txn(), 0)
         p.tick(0)
         p.submit(make_txn(), 1)
-        assert not p.can_accept(0)
+        assert not p.can_accept()
         p.tick(1)  # port full: stays buffered
         assert p.occupancy == 1

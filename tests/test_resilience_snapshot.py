@@ -219,14 +219,13 @@ def _observed_resilient_builder(
         builder.add_core(
             make_trace(name, accesses, seed=seed + index),
             request_shaping=(
-                RequestShapingPlan(config, jitter=jitter)
-                if not epoch else None
+                EpochShapingPlan() if epoch
+                else RequestShapingPlan(config, jitter=jitter)
             ),
             response_shaping=(
                 ResponseShapingPlan(config, jitter=jitter)
                 if response else None
             ),
-            epoch_shaping=EpochShapingPlan() if epoch else None,
         )
     builder.with_observability(
         trace=True, sample_interval=1024, monitor=True, monitor_interval=2048
@@ -487,14 +486,12 @@ def _random_builder(seed):
                 make_trace(name, 200, seed=seed + index),
                 request_shaping=(
                     RequestShapingPlan(config, jitter=jitter)
-                    if style in ("reqc", "bdc") else None
+                    if style in ("reqc", "bdc")
+                    else EpochShapingPlan() if style == "epoch" else None
                 ),
                 response_shaping=(
                     ResponseShapingPlan(config, jitter=jitter)
                     if style in ("respc", "bdc") else None
-                ),
-                epoch_shaping=(
-                    EpochShapingPlan() if style == "epoch" else None
                 ),
             )
         builder.with_observability(

@@ -242,7 +242,7 @@ def _make_station(policy, direction, blocked=()):
             0, POLICIES[policy](), link, 0, DeterministicRng(3),
             buffer_capacity=4,
         )
-        return station, link, station.submit, lambda: station.can_accept(0)
+        return station, link, station.submit, lambda: station.can_accept()
     station = ResponseCamouflage(
         0, POLICIES[policy](), link, 0, buffer_capacity=4
     )
