@@ -513,16 +513,17 @@ def _cmd_stats(args) -> int:
             headers += ["auc", "xcorr"]
         print("\nshaping monitor (latest checkpoint per stream):")
         print(format_table(headers, rows))
-    all_violations = monitor.violations + monitor.final_violations
-    if all_violations:
-        worst = max(all_violations, key=lambda v: v.tvd_target)
-        print(f"{len(all_violations)} guarantee violation(s); worst: "
+    violations = monitor.all_violations
+    guarantee = [v for v in violations if v.metric == "tvd_target"]
+    if guarantee:
+        worst = max(guarantee, key=lambda v: v.value)
+        print(f"{len(guarantee)} guarantee violation(s); worst: "
               f"core {worst.core_id} {worst.direction} "
-              f"TVD={worst.tvd_target:.4f} > {worst.threshold} "
+              f"TVD={worst.value:.4f} > {worst.threshold} "
               f"at cycle {worst.cycle}")
     else:
         print("no shaping-guarantee violations")
-    detect_total = monitor.detect_violation_count
+    detect_total = len(violations) - len(guarantee)
     if detect_total:
         print(f"{detect_total} detectability violation(s) "
               "(zoo attacker beat its threshold)")

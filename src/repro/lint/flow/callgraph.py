@@ -225,14 +225,3 @@ class CallGraph:
                     seen.add(callee)
                     stack.append(callee)
         return seen
-
-    def transitive_callers(self, qualname: str) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [qualname]
-        while stack:
-            current = stack.pop()
-            for caller in self.callers.get(current, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    stack.append(caller)
-        return seen

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.lint.findings import Finding, FlowStep, Severity
 
@@ -169,6 +169,3 @@ class FlowProject:
             key=key,
             flow=flow,
         )
-
-    def module_for(self, path: str) -> Optional[ProjectModule]:
-        return self.modules.get(path)

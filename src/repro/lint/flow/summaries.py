@@ -72,9 +72,6 @@ class ProjectIndex:
     #: dotted module name -> module path
     module_paths: Dict[str, str] = field(default_factory=dict)
 
-    def functions_in(self, path: str) -> List[FunctionInfo]:
-        return [f for f in self.functions.values() if f.path == path]
-
     def resolve_method(self, class_qualname: str, name: str) -> Optional[str]:
         """Find ``name`` on the class or its same-module bases."""
         seen = set()

@@ -48,9 +48,6 @@ class LinkPort:
             raise ProtocolError(f"push into full link port {self.port_id}")
         self._queue.append(txn)
 
-    def peek(self) -> MemoryTransaction:
-        return self._queue[0]
-
     def pop(self) -> MemoryTransaction:
         return self._queue.popleft()
 

@@ -1,6 +1,6 @@
 """Deterministic observability for the simulator stack.
 
-``repro.obs`` provides three disabled-by-default facilities, all
+``repro.obs`` provides six disabled-by-default facilities, all
 stamped in simulation cycles (never wall clock) so their output is a
 pure function of the run configuration:
 
@@ -55,9 +55,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     validate_metric_name,
 )
-from repro.obs.monitor import MonitorSample, ShapingMonitor, ShapingViolation
+from repro.obs.monitor import MonitorSample, ShapingMonitor, Violation
 from repro.obs.profile import EngineProfiler
-from repro.obs.ring import RingBuffer, make_trace_buffer
+from repro.obs.ring import make_trace_buffer
 from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer
 
 __all__ = [
@@ -87,8 +87,7 @@ __all__ = [
     "MetricsRegistry",
     "MonitorSample",
     "ShapingMonitor",
-    "ShapingViolation",
-    "RingBuffer",
+    "Violation",
     "make_trace_buffer",
     "NULL_TRACER",
     "EventTracer",

@@ -8,11 +8,12 @@ This module gives that code one shared, bounded, always-on recorder so
 diagnostics are inspectable in tests and surfaced by the CLI without
 threading a tracer through every signature.
 
-Determinism: diagnostics are stamped with a monotonically increasing
-sequence number (``cycle`` in the event model) rather than wall-clock
-time, so a run's diagnostic stream is a pure function of the work it
-performed.  :func:`reset` clears both the buffer and the sequence
-counter — tests use it to isolate assertions.
+The recorder is an :class:`~repro.obs.tracer.EventTracer` like any
+other.  Determinism: each diagnostic is stamped with the recorder's
+own ``total_emitted`` (``cycle`` in the event model) rather than
+wall-clock time, so a run's diagnostic stream is a pure function of
+the work it performed.  :func:`reset` replaces the recorder, which
+restarts the stamps — tests use it to isolate assertions.
 
 The recorder is intentionally per-process: worker processes spawned by
 :class:`repro.parallel.SweepExecutor` accumulate their own streams,
@@ -22,16 +23,19 @@ the parent (cache and scheduling decisions all happen parent-side).
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional
 
 from repro.obs.events import SYSTEM_CORE, TraceEvent
-from repro.obs.ring import RingBuffer
+from repro.obs.tracer import EventTracer
 
 #: Retained diagnostics; oldest evicted first.
 DIAG_LIMIT = 1024
 
-_ring: RingBuffer = RingBuffer(DIAG_LIMIT)
-_sequence = 0
+_tracer = EventTracer(limit=DIAG_LIMIT)
+# Executor lanes are threads: reading the stamp and recording the event
+# must not interleave.
+_lock = threading.Lock()
 
 
 def emit_diagnostic(
@@ -39,26 +43,17 @@ def emit_diagnostic(
     category: str,
     core_id: int = SYSTEM_CORE,
     **args,
-) -> TraceEvent:
-    """Record one diagnostic event and return it."""
-    global _sequence
-    event = TraceEvent(
-        cycle=_sequence,
-        category=category,
-        name=name,
-        core_id=core_id,
-        args=tuple(sorted(args.items())),
-    )
-    _sequence += 1
-    _ring.append(event)
-    return event
+) -> None:
+    """Record one diagnostic event."""
+    with _lock:
+        _tracer.emit(_tracer.total_emitted, category, name, core_id, **args)
 
 
 def recent(
     name: Optional[str] = None, category: Optional[str] = None
 ) -> List[TraceEvent]:
     """Retained diagnostics, oldest first, optionally filtered."""
-    events = _ring.snapshot()
+    events = _tracer.events
     if category is not None:
         events = [e for e in events if e.category == category]
     if name is not None:
@@ -72,7 +67,6 @@ def count(name: Optional[str] = None, category: Optional[str] = None) -> int:
 
 
 def reset() -> None:
-    """Drop all retained diagnostics and restart the sequence counter."""
-    global _ring, _sequence
-    _ring = RingBuffer(DIAG_LIMIT)
-    _sequence = 0
+    """Drop all retained diagnostics and restart the stamps."""
+    global _tracer
+    _tracer = EventTracer(limit=DIAG_LIMIT)

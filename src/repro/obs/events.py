@@ -22,7 +22,8 @@ CATEGORY_MEMCTRL = "memctrl"
 CATEGORY_DRAM = "dram"
 #: NoC events: arbitration grants on either channel direction.
 CATEGORY_NOC = "noc"
-#: Live shaping-monitor checkpoints and violations.
+#: Live shaping-monitor violations (guarantee and zoo-attacker
+#: threshold breaches alike).
 CATEGORY_MONITOR = "monitor"
 #: Resilience events: checkpoints taken, watchdog dumps, injected
 #: faults.
@@ -38,9 +39,6 @@ CATEGORY_PARALLEL = "parallel"
 #: degradation to local execution.  Like ``parallel``, stamped with
 #: the shard's submission index rather than a simulation cycle.
 CATEGORY_DISPATCH = "dispatch"
-#: Detectability-lab events: zoo-attacker (AUC / XCorr) threshold
-#: breaches flagged at monitor checkpoints.
-CATEGORY_DETECT = "detect"
 
 ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_SHAPER,
@@ -51,7 +49,6 @@ ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_RESILIENCE,
     CATEGORY_PARALLEL,
     CATEGORY_DISPATCH,
-    CATEGORY_DETECT,
 )
 
 #: ``core_id`` used by events not attributable to a single core
@@ -123,7 +120,3 @@ def _track_of(core_id: int) -> Tuple[int, int]:
         return CHROME_PID_CORES, core_id
     return CHROME_PID_SYSTEM, 0
 
-
-def freeze_args(**args: Any) -> Tuple[Tuple[str, Any], ...]:
-    """Canonical (sorted, hashable) representation of event args."""
-    return tuple(sorted(args.items()))

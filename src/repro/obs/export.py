@@ -29,7 +29,6 @@ are rejected earlier, at registration, by
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.common.errors import ConfigurationError, MetricNameError
@@ -166,28 +165,6 @@ def render_openmetrics(
             )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-# -- JSONL snapshot ---------------------------------------------------------
-
-
-def _instrument_doc(name: str, instrument) -> Dict[str, object]:
-    if isinstance(instrument, Counter):
-        return {"name": name, "kind": "counter", "value": instrument.value}
-    if isinstance(instrument, Gauge):
-        return {"name": name, "kind": "gauge", "value": instrument.value}
-    if isinstance(instrument, Histogram):
-        return {
-            "name": name,
-            "kind": "histogram",
-            "edges": list(instrument.edges),
-            "counts": list(instrument.counts),
-            "total": instrument.total,
-            "sum": instrument.sum,
-        }
-    raise ConfigurationError(
-        f"cannot serialize instrument kind {type(instrument).__name__}"
-    )
 
 
 # -- shard serialization / merge (repro.parallel) ---------------------------

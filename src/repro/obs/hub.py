@@ -17,7 +17,7 @@ uninstrumented build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.obs.events import ALL_CATEGORIES
@@ -46,7 +46,6 @@ class ObservabilityConfig:
     trace_limit: int = 65536
     trace_categories: Optional[Tuple[str, ...]] = None
     sample_interval: Optional[int] = None
-    sample_limit: Optional[int] = None
     monitor: bool = False
     monitor_interval: int = 2048
     monitor_detect: bool = False
@@ -86,9 +85,7 @@ class Observability:
         )
         self.metrics = MetricsRegistry()
         self.sampler: Optional[IntervalSampler] = (
-            IntervalSampler(
-                self.config.sample_interval, limit=self.config.sample_limit
-            )
+            IntervalSampler(self.config.sample_interval)
             if self.config.sample_interval is not None
             else None
         )
@@ -165,30 +162,3 @@ class Observability:
 
         self.refresh_derived_gauges(at_cycle)
         return render_openmetrics(self.metrics)
-
-    # -- reporting -----------------------------------------------------------
-
-    def summary(self) -> Dict[str, Any]:
-        """Counts-and-state snapshot (for the trace/stats CLIs)."""
-        out: Dict[str, Any] = {"metrics": self.metrics.as_dict()}
-        if isinstance(self.tracer, EventTracer):
-            out["trace"] = {
-                "events_retained": len(self.tracer.events),
-                "events_emitted": self.tracer.total_emitted,
-                "dropped": self.tracer.dropped,
-                "category_counts": dict(self.tracer.counts),
-            }
-        if self.sampler is not None:
-            out["samples"] = {
-                "count": len(self.sampler.samples),
-                "interval": self.sampler.interval,
-                "probes": self.sampler.probe_names,
-                "dropped": self.sampler.dropped,
-            }
-        if self.monitor is not None:
-            out["monitor"] = {
-                "checkpoints": len(self.monitor.history),
-                "violations": self.monitor.violation_count,
-                "detect_violations": self.monitor.detect_violation_count,
-            }
-        return out

@@ -27,7 +27,7 @@ wired by ``repro.sim.system`` respects this.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigurationError, MetricNameError
 
@@ -220,19 +220,13 @@ class IntervalSampler:
     next-event engine's no-state-change guarantee).
     """
 
-    def __init__(self, interval: int, limit: Optional[int] = None) -> None:
+    def __init__(self, interval: int) -> None:
         if interval <= 0:
             raise ConfigurationError("sample interval must be positive")
-        if limit is not None and limit <= 0:
-            raise ConfigurationError("sample limit must be positive")
         self.interval = interval
         self._next = interval
         self._probes: List[Tuple[str, Callable[[], Number]]] = []
-        from repro.obs.ring import RingBuffer
-
-        self._samples: "RingBuffer[Tuple[int, Tuple[Number, ...]]]" = (
-            RingBuffer(limit)
-        )
+        self._samples: List[Tuple[int, Tuple[Number, ...]]] = []
 
     def add_probe(self, name: str, fn: Callable[[], Number]) -> None:
         """Register a probe; ``fn`` must read only span-constant state."""
@@ -249,10 +243,6 @@ class IntervalSampler:
     def probes(self) -> List[Tuple[str, Callable[[], Number]]]:
         """(name, fn) pairs in registration order (for gauge export)."""
         return list(self._probes)
-
-    @property
-    def next_sample_cycle(self) -> int:
-        return self._next
 
     def _take(self, stamp: int) -> None:
         self._samples.append(
@@ -282,11 +272,7 @@ class IntervalSampler:
     def samples(self) -> List[Tuple[int, Tuple[Number, ...]]]:
         """(cycle, values) tuples, oldest first; values align with
         :attr:`probe_names`."""
-        return self._samples.snapshot()
-
-    @property
-    def dropped(self) -> int:
-        return self._samples.dropped
+        return list(self._samples)
 
     def series(self, name: str) -> List[Tuple[int, Number]]:
         """The time-series of one probe as (cycle, value) pairs."""

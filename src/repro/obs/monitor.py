@@ -11,7 +11,8 @@ histograms the shapers already maintain:
 * ``tvd_target`` — total-variation distance between the shaped
   distribution and the configured target.  This is the guarantee
   itself: once enough releases have been observed, a value above the
-  threshold is flagged as a :class:`ShapingViolation`.
+  threshold is flagged as a :class:`Violation` with
+  ``metric="tvd_target"``.
 * ``tvd_intrinsic`` — TVD between intrinsic and shaped distributions
   (how much work the shaper is doing; ~0 means the shaped stream just
   mirrors the program).
@@ -20,7 +21,8 @@ histograms the shapers already maintain:
   estimate, evaluated online).
 * ``auc`` / ``xcorr`` (``detect=True``) — the attacker zoo,
   :func:`~repro.security.detect.detect_report`, over the last
-  :data:`DETECT_WINDOW` paired releases.
+  :data:`DETECT_WINDOW` paired releases; a score above its threshold
+  is a :class:`Violation` with ``metric="auc"`` or ``"xcorr"``.
 
 The thresholds and window sizes are module constants below.
 
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.obs.events import CATEGORY_DETECT, CATEGORY_MONITOR
+from repro.obs.events import CATEGORY_MONITOR
 from repro.obs.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # import-leaf discipline: repro.obs must not pull
@@ -55,7 +57,7 @@ MI_WINDOW = 4096
 DETECT_WINDOW = 256
 #: Fewer paired releases than this and the zoo abstains (None scores).
 DETECT_MIN_PAIRS = 32
-#: A zoo score above its threshold is a :class:`DetectViolation`.
+#: A zoo score above its threshold is a :class:`Violation`.
 AUC_THRESHOLD = 0.8
 XCORR_THRESHOLD = 0.9
 #: Root of the per-(checkpoint, stream) zoo seeds.
@@ -65,24 +67,14 @@ FINAL_MIN_PAIRS = 8
 
 
 @dataclass(frozen=True)
-class ShapingViolation:
-    """One checkpoint at which a shaped stream broke its guarantee."""
+class Violation:
+    """One checkpoint at which a monitored stream beat a threshold.
 
-    cycle: int
-    core_id: int
-    direction: str
-    tvd_target: float
-    threshold: float
-    events_observed: int
-
-
-@dataclass(frozen=True)
-class DetectViolation:
-    """One checkpoint at which a zoo attacker beat its threshold.
-
-    ``metric`` is ``"auc"`` (a trained classifier separates the shaped
-    stream from its target) or ``"xcorr"`` (the observed rate series
-    still tracks the intrinsic one).
+    ``metric`` is ``"tvd_target"`` (the shaped stream strayed from its
+    configured distribution: the guarantee itself), ``"auc"`` (a
+    trained classifier separates the shaped stream from its target) or
+    ``"xcorr"`` (the observed rate series still tracks the intrinsic
+    one).
     """
 
     cycle: int
@@ -157,14 +149,12 @@ class ShapingMonitor:
         self._next = interval
         self._streams: List[_WatchedStream] = []
         self.history: List[MonitorSample] = []
-        self.violations: List[ShapingViolation] = []
-        self.detect_violations: List[DetectViolation] = []
+        self.violations: List[Violation] = []
         # Final partial-window state; REPLACED wholesale by finalize()
         # (never appended), so it is a pure function of histogram state
         # at the last cycle and stays resume/engine-invariant.
         self.final_samples: List[MonitorSample] = []
-        self.final_violations: List[ShapingViolation] = []
-        self.final_detect_violations: List[DetectViolation] = []
+        self.final_violations: List[Violation] = []
         self._metrics = None
 
     # -- wiring ------------------------------------------------------------
@@ -206,14 +196,6 @@ class ShapingMonitor:
             _WatchedStream(core_id, direction, intrinsic, shaped, target)
         )
 
-    @property
-    def watched_count(self) -> int:
-        return len(self._streams)
-
-    @property
-    def next_check_cycle(self) -> int:
-        return self._next
-
     # -- checkpointing -----------------------------------------------------
 
     def advance(self, cycle: int) -> None:
@@ -248,9 +230,7 @@ class ShapingMonitor:
 
     def _evaluate(
         self, index: int, stream: _WatchedStream, stamp: int
-    ) -> Tuple[
-        MonitorSample, Optional[ShapingViolation], List[DetectViolation]
-    ]:
+    ) -> Tuple[MonitorSample, List[Violation]]:
         """Build one stream's sample + violations at ``stamp``.
 
         Pure in (histogram state, stamp); shared by the periodic
@@ -303,21 +283,6 @@ class ShapingMonitor:
                 spec, stream.target, seed=seed.seed,
             )
             auc, xcorr = zoo.auc, zoo.xcorr
-        detect_violations = [
-            DetectViolation(
-                cycle=stamp,
-                core_id=stream.core_id,
-                direction=stream.direction,
-                metric=metric,
-                value=value,
-                threshold=threshold,
-            )
-            for metric, value, threshold in (
-                ("auc", auc, AUC_THRESHOLD),
-                ("xcorr", xcorr, XCORR_THRESHOLD),
-            )
-            if value is not None and value > threshold
-        ]
         sample = MonitorSample(
             cycle=stamp,
             core_id=stream.core_id,
@@ -331,32 +296,34 @@ class ShapingMonitor:
             auc=auc,
             xcorr=xcorr,
         )
-        violation: Optional[ShapingViolation] = None
-        if (
-            tvd_target is not None
-            and observed >= MIN_EVENTS
-            and tvd_target > TVD_THRESHOLD
-        ):
-            violation = ShapingViolation(
+        # The guarantee is judged only once MIN_EVENTS releases exist.
+        judged = tvd_target if observed >= MIN_EVENTS else None
+        violations = [
+            Violation(
                 cycle=stamp,
                 core_id=stream.core_id,
                 direction=stream.direction,
-                tvd_target=tvd_target,
-                threshold=TVD_THRESHOLD,
-                events_observed=observed,
+                metric=metric,
+                value=value,
+                threshold=threshold,
             )
-        return sample, violation, detect_violations
+            for metric, value, threshold in (
+                ("tvd_target", judged, TVD_THRESHOLD),
+                ("auc", auc, AUC_THRESHOLD),
+                ("xcorr", xcorr, XCORR_THRESHOLD),
+            )
+            if value is not None and value > threshold
+        ]
+        return sample, violations
 
     def _check(self, stamp: int) -> None:
         for index, stream in enumerate(self._streams):
-            sample, violation, detect_violations = self._evaluate(
-                index, stream, stamp
-            )
+            sample, violations = self._evaluate(index, stream, stamp)
             stream.pairs_at_check = self._paired(stream)
             self.history.append(sample)
             if self._metrics is not None:
                 self._update_stream_gauges(sample)
-            if violation is not None:
+            for violation in violations:
                 self.violations.append(violation)
                 if self._metrics is not None:
                     self._metrics.gauge("monitor.violations").set(
@@ -365,26 +332,11 @@ class ShapingMonitor:
                 if self.tracer.enabled:
                     self.tracer.emit(
                         stamp, CATEGORY_MONITOR, "monitor.violation",
-                        core_id=stream.core_id,
-                        direction=stream.direction,
-                        tvd_target=round(violation.tvd_target, 6),
-                        threshold=TVD_THRESHOLD,
-                        events=violation.events_observed,
-                    )
-            for dv in detect_violations:
-                self.detect_violations.append(dv)
-                if self._metrics is not None:
-                    self._metrics.gauge("detect.violations").set(
-                        len(self.detect_violations)
-                    )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        stamp, CATEGORY_DETECT, "detect.violation",
-                        core_id=dv.core_id,
-                        direction=dv.direction,
-                        metric=dv.metric,
-                        value=round(dv.value, 6),
-                        threshold=dv.threshold,
+                        core_id=violation.core_id,
+                        direction=violation.direction,
+                        metric=violation.metric,
+                        value=round(violation.value, 6),
+                        threshold=violation.threshold,
                     )
         if self._metrics is not None:
             self._metrics.gauge("monitor.checkpoints").set(len(self.history))
@@ -408,63 +360,45 @@ class ShapingMonitor:
         byte-identical across engines and snapshot-resume paths.
         """
         samples: List[MonitorSample] = []
-        violations: List[ShapingViolation] = []
-        detect_violations: List[DetectViolation] = []
+        violations: List[Violation] = []
         for index, stream in enumerate(self._streams):
             new_pairs = self._paired(stream) - stream.pairs_at_check
             if new_pairs < FINAL_MIN_PAIRS:
                 continue
-            sample, violation, dvs = self._evaluate(index, stream, cycle)
+            sample, tail = self._evaluate(index, stream, cycle)
             samples.append(sample)
-            if violation is not None:
-                violations.append(violation)
-            detect_violations.extend(dvs)
+            violations.extend(tail)
         self.final_samples = samples
         self.final_violations = violations
-        self.final_detect_violations = detect_violations
+
+    @property
+    def all_violations(self) -> List[Violation]:
+        """Every breach of the run: periodic checks, then run-end tail."""
+        return self.violations + self.final_violations
 
     @property
     def violation_count(self) -> int:
-        """Total guarantee breaches: periodic checks + run-end tail."""
+        """Total breaches: periodic checks + run-end tail."""
         return len(self.violations) + len(self.final_violations)
-
-    @property
-    def detect_violation_count(self) -> int:
-        """Total zoo-attacker breaches: periodic checks + run-end tail."""
-        return len(self.detect_violations) + len(self.final_detect_violations)
 
     # -- reporting -----------------------------------------------------------
 
     def latest(
         self, core_id: int, direction: str
     ) -> Optional[MonitorSample]:
-        """The most recent checkpoint for one stream, if any."""
-        for sample in reversed(self.history):
-            if sample.core_id == core_id and sample.direction == direction:
-                return sample
-        return None
-
-    def final_for(
-        self, core_id: int, direction: str
-    ) -> Optional[MonitorSample]:
-        """The run-end partial-window sample for one stream, if any."""
-        for sample in self.final_samples:
-            if sample.core_id == core_id and sample.direction == direction:
-                return sample
-        return None
-
-    def _display_sample(
-        self, core_id: int, direction: str
-    ) -> Optional[MonitorSample]:
         """Freshest view of one stream: the run-end tail sample when it
-        postdates the last periodic checkpoint, else the checkpoint."""
-        checked = self.latest(core_id, direction)
-        final = self.final_for(core_id, direction)
-        if final is None:
-            return checked
-        if checked is None or final.cycle >= checked.cycle:
-            return final
-        return checked
+        is at least as new as the last periodic checkpoint, else that
+        checkpoint; None before either exists."""
+        return max(
+            (
+                sample
+                for sample in (*self.final_samples, *reversed(self.history))
+                if sample.core_id == core_id
+                and sample.direction == direction
+            ),
+            key=lambda sample: sample.cycle,
+            default=None,
+        )
 
     def summary_rows(self) -> List[List[object]]:
         """Latest estimate per stream (for the stats CLI).
@@ -477,7 +411,7 @@ class ShapingMonitor:
         """
         rows: List[List[object]] = []
         for stream in self._streams:
-            sample = self._display_sample(stream.core_id, stream.direction)
+            sample = self.latest(stream.core_id, stream.direction)
             if sample is None:
                 continue
             row: List[object] = [

@@ -209,7 +209,7 @@ class EngineProfiler:
         if monitor is not None:
             doc["shaping"] = {
                 "checkpoints": len(monitor.history),
-                "violations": len(monitor.violations),
+                "violations": monitor.violation_count,
             }
         if include_wall:
             doc["wall"] = {

@@ -1,63 +1,16 @@
-"""Bounded ring buffers for observability state.
+"""Bounded trace containers for the NoC grant traces.
 
-Two consumers share this module: the event tracer (a
-:class:`RingBuffer` that counts what it drops, so a truncated trace is
-detectable) and the NoC grant traces (:func:`make_trace_buffer`, the
-one place that decides how a bounded-vs-unbounded trace container is
-built — previously duplicated ad hoc in ``repro.noc.link`` and
-``repro.noc.mesh``).
+:func:`make_trace_buffer` is the one place that decides how a
+bounded-vs-unbounded ``grant_trace`` is built, for both
+``repro.noc.link`` and ``repro.noc.mesh``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar, Union
+from typing import Deque, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
-
-T = TypeVar("T")
-
-
-class RingBuffer(Generic[T]):
-    """Append-only buffer keeping the most recent ``capacity`` items.
-
-    ``capacity=None`` keeps everything.  :attr:`dropped` counts items
-    evicted by the bound, so consumers can tell a complete trace from
-    a truncated one.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError("ring capacity must be positive")
-        self.capacity = capacity
-        self._items: Deque[T] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.total_appended = 0
-
-    def append(self, item: T) -> None:
-        if self.capacity is not None and len(self._items) == self.capacity:
-            self.dropped += 1
-        self._items.append(item)
-        self.total_appended += 1
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def snapshot(self) -> List[T]:
-        """The retained items, oldest first, as a new list."""
-        return list(self._items)
-
-    def drain(self) -> List[T]:
-        """Hand over the retained items and reset the buffer."""
-        items = list(self._items)
-        self._items.clear()
-        return items
 
 
 def make_trace_buffer(
@@ -67,10 +20,7 @@ def make_trace_buffer(
 
     ``None`` returns a plain list — the unbounded container the
     security benchmarks index and slice freely; a positive ``limit``
-    returns a bounded ring of the most recent entries.  Kept as the
-    raw ``list``/``deque`` types (rather than :class:`RingBuffer`) for
-    backward compatibility with every existing consumer of
-    ``grant_trace``.
+    returns a bounded ring of the most recent entries.
     """
     if limit is None:
         return []

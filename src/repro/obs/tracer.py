@@ -21,7 +21,10 @@ JSON via :meth:`EventTracer.write_jsonl`.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, FrozenSet, IO, Iterable, List, Optional, Union
+from collections import deque
+from typing import (
+    Any, Deque, Dict, FrozenSet, IO, Iterable, List, Optional, Union,
+)
 
 from repro.common.errors import ConfigurationError
 from repro.obs.events import (
@@ -31,7 +34,6 @@ from repro.obs.events import (
     SYSTEM_CORE,
     TraceEvent,
 )
-from repro.obs.ring import RingBuffer
 
 
 class NullTracer:
@@ -72,7 +74,7 @@ class EventTracer:
     ) -> None:
         if limit <= 0:
             raise ConfigurationError("tracer limit must be positive")
-        self._ring: RingBuffer[TraceEvent] = RingBuffer(limit)
+        self._ring: Deque[TraceEvent] = deque(maxlen=limit)
         self.categories: Optional[FrozenSet[str]] = (
             frozenset(categories) if categories is not None else None
         )
@@ -110,16 +112,17 @@ class EventTracer:
     @property
     def events(self) -> List[TraceEvent]:
         """Retained events, oldest first."""
-        return self._ring.snapshot()
+        return list(self._ring)
+
+    @property
+    def total_emitted(self) -> int:
+        """Events that passed the category filter, evicted ones included."""
+        return sum(self.counts.values())
 
     @property
     def dropped(self) -> int:
         """Events evicted by the ring bound."""
-        return self._ring.dropped
-
-    @property
-    def total_emitted(self) -> int:
-        return self._ring.total_appended
+        return self.total_emitted - len(self._ring)
 
     def events_in(self, category: str) -> List[TraceEvent]:
         return [e for e in self._ring if e.category == category]

@@ -542,16 +542,6 @@ class DispatchCoordinator:
         for lane in self._hosts:
             lane.close()
 
-    def shutdown_workers(self) -> None:
-        """Ask every reachable worker *process* to exit, then close."""
-        for lane in self._hosts:
-            try:
-                lane.connect()
-                lane.channel.send("shutdown", {"stop_server": True})
-            except DispatchError:
-                continue  # unreachable or already gone — the goal state
-        self.close()
-
     # -- the run ------------------------------------------------------
 
     def run(

@@ -25,8 +25,7 @@ is what surrounds the loop: seeds, the content-addressed result cache
 (:mod:`repro.parallel.cache` — a task whose input digest already has a
 stored result is not run at all), and the merge of per-shard metrics
 registries.  Per-shard lifecycle events land in the process-global
-diagnostics ring (:mod:`repro.obs.diag`) and, when a tracer is
-attached, in that tracer under
+diagnostics ring (:mod:`repro.obs.diag`) under
 :data:`~repro.obs.events.CATEGORY_PARALLEL`.
 
 The warm pool
@@ -70,7 +69,6 @@ from repro.common.errors import (
 from repro.common.rng import DeterministicRng
 from repro.obs import diag
 from repro.obs.events import CATEGORY_PARALLEL
-from repro.obs.tracer import NULL_TRACER
 from repro.parallel.cache import ResultCache, cache_key, config_digest
 from repro.resilience.retry import (
     DEFAULT_RETRY_POLICY,
@@ -536,9 +534,6 @@ class SweepExecutor:
         :class:`RetryPolicy` for attempts on the local lanes (default:
         2 attempts, no timeout); ``timeout_seconds`` is a pool lane's
         lease.
-    tracer:
-        Optional :class:`~repro.obs.tracer.EventTracer`; lifecycle
-        events are always mirrored into :mod:`repro.obs.diag`.
     dispatch:
         Optional :class:`~repro.parallel.dispatch.DispatchCoordinator`.
         When set, shards that miss the cache run on its remote lanes,
@@ -554,14 +549,12 @@ class SweepExecutor:
         seed: int = 0,
         cache: Optional[Any] = None,
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
-        tracer: Any = NULL_TRACER,
         dispatch: Optional[Any] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.retry = retry
-        self.tracer = tracer
         self.dispatch = dispatch
         self._seed_root = DeterministicRng(seed)
         self._tasks_submitted = 0
@@ -583,9 +576,6 @@ class SweepExecutor:
         diag.emit_diagnostic(
             name, category=CATEGORY_PARALLEL, task=index, **args
         )
-        if self.tracer.enabled:
-            with self._lock:
-                self.tracer.emit(index, CATEGORY_PARALLEL, name, **args)
 
     def _observe(self, event: str, pending: Optional[_Pending],
                  lane: Any, **info: Any) -> None:

@@ -125,8 +125,8 @@ def scenario_flood(
     monitor = _monitor(system)
     injected = system.resilience.injector.injected_bursts
     violations = [
-        {"cycle": v.cycle, "core_id": v.core_id, "tvd": v.tvd_target}
-        for v in monitor.violations
+        {"cycle": v.cycle, "core_id": v.core_id, "tvd": v.value}
+        for v in monitor.all_violations
     ]
     return {
         "scenario": "flood",

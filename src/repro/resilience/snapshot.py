@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v4``.
+    Magic + format version: ``REPROSNAP v5``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -55,9 +55,11 @@ from repro.memctrl.transaction import (
 #: priority scheduler a boosted-core count and the DRAM system its
 #: earliest refresh deadline (a v2 graph has none of them).  v4: the
 #: controller, bank and address-mapping layouts lose the write queue,
-#: the page policy and the rank mask.
+#: the page policy and the rank mask.  v5: the observability ring
+#: class and the monitor's two violation classes go (the tracer keeps
+#: a ``deque``, the sampler a list, the monitor one ``Violation``).
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

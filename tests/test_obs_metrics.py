@@ -116,13 +116,6 @@ class TestIntervalSampler:
         with pytest.raises(ConfigurationError):
             sampler.series("missing")
 
-    def test_bounded_sample_history(self):
-        sampler = IntervalSampler(interval=1, limit=3)
-        sampler.add_probe("a", lambda: 0)
-        sampler.advance(10)
-        assert [c for c, _ in sampler.samples] == [8, 9, 10]
-        assert sampler.dropped == 7
-
     def test_duplicate_probe_rejected(self):
         sampler = IntervalSampler(interval=4)
         sampler.add_probe("a", lambda: 0)
@@ -132,5 +125,3 @@ class TestIntervalSampler:
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             IntervalSampler(interval=0)
-        with pytest.raises(ConfigurationError):
-            IntervalSampler(interval=4, limit=0)

@@ -42,8 +42,11 @@ class TestWiring:
         monitor = ShapingMonitor(interval=100)
         intrinsic, shaped = _uniform_pair()
         monitor.watch(0, "request", intrinsic, shaped)
-        assert monitor.watched_count == 1
-        assert monitor.next_check_cycle == 100
+        monitor.advance(99)
+        assert monitor.history == []
+        monitor.advance(100)
+        assert [(s.cycle, s.core_id, s.direction)
+                for s in monitor.history] == [(100, 0, "request")]
 
     def test_target_length_validated(self):
         monitor = ShapingMonitor()
@@ -86,7 +89,8 @@ class TestCheckpoints:
         violation = monitor.violations[0]
         assert violation.cycle == 100
         assert violation.direction == "response"
-        assert violation.tvd_target == pytest.approx(1.0)
+        assert violation.metric == "tvd_target"
+        assert violation.value == pytest.approx(1.0)
 
     def test_min_events_gates_violations(self):
         monitor = ShapingMonitor(interval=100)
@@ -116,7 +120,8 @@ class TestCheckpoints:
         assert len(events) == 1
         assert events[0].name == "monitor.violation"
         assert events[0].core_id == 1
-        assert events[0].args_dict["tvd_target"] == pytest.approx(1.0)
+        assert events[0].args_dict["metric"] == "tvd_target"
+        assert events[0].args_dict["value"] == pytest.approx(1.0)
 
     def test_fill_matches_advance(self):
         # Histograms are frozen across a skipped span, so fill must
@@ -293,8 +298,8 @@ class TestDetectChecks:
         monitor.advance(100)
         sample = monitor.latest(0, "request")
         assert sample.xcorr is not None and sample.xcorr > 0.5
-        assert any(v.metric == "xcorr" for v in monitor.detect_violations)
-        assert monitor.detect_violation_count >= 1
+        assert any(v.metric == "xcorr" for v in monitor.violations)
+        assert monitor.violation_count >= 1
 
     def test_detect_violation_emits_trace_event(self):
         tracer = EventTracer()
@@ -303,8 +308,8 @@ class TestDetectChecks:
                                  tracer=tracer)
         monitor.watch(2, "request", intrinsic, shaped)
         monitor.advance(100)
-        events = tracer.events_in("detect")
-        assert events and events[0].name == "detect.violation"
+        events = tracer.events_in("monitor")
+        assert events and events[0].name == "monitor.violation"
         assert events[0].core_id == 2
         assert events[0].args_dict["metric"] == "xcorr"
 
@@ -315,7 +320,7 @@ class TestDetectChecks:
         monitor.advance(100)
         sample = monitor.latest(0, "request")
         assert sample.auc is None and sample.xcorr is None
-        assert monitor.detect_violations == []
+        assert monitor.violations == []
 
     def test_detect_scores_deterministic(self, monkeypatch):
         monkeypatch.setattr("repro.obs.monitor.DETECT_SEED", 9)
@@ -345,9 +350,14 @@ def _monitored_run(engine):
     system = builder.build()
     system.run(30_000, engine=engine)
     monitor = system.observability.monitor
+    zoo = [v for v in monitor.violations if v.metric in ("auc", "xcorr")]
     return {
-        name: [dataclasses.asdict(item) for item in getattr(monitor, name)]
-        for name in ("history", "final_samples", "detect_violations")
+        name: [dataclasses.asdict(item) for item in items]
+        for name, items in (
+            ("history", monitor.history),
+            ("final_samples", monitor.final_samples),
+            ("detect_violations", zoo),
+        )
     }
 
 

@@ -1,9 +1,14 @@
 """Unit tests for the event tracer: events, ring, filters, exporters."""
 
+import hashlib
 import io
 import json
+import sys
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.obs import (
@@ -13,40 +18,33 @@ from repro.obs import (
     SYSTEM_CORE,
     EventTracer,
     NULL_TRACER,
-    RingBuffer,
     TraceEvent,
     make_trace_buffer,
 )
+from repro.obs import diag
+from repro.obs.events import CATEGORY_DISPATCH, CATEGORY_PARALLEL
 
 
 class TestRingBuffer:
-    def test_unbounded_keeps_everything(self):
-        ring = RingBuffer()
-        for i in range(100):
-            ring.append(i)
-        assert len(ring) == 100
-        assert ring.dropped == 0
-        assert ring.snapshot() == list(range(100))
+    """The bounded rings: the tracer's event ring and the NoC
+    grant-trace buffer."""
 
-    def test_bounded_drops_oldest_and_counts(self):
-        ring = RingBuffer(capacity=3)
-        for i in range(8):
-            ring.append(i)
-        assert ring.snapshot() == [5, 6, 7]
-        assert ring.dropped == 5
-        assert ring.total_appended == 8
-
-    def test_drain_resets(self):
-        ring = RingBuffer(capacity=4)
-        ring.append(1)
-        ring.append(2)
-        assert ring.drain() == [1, 2]
-        assert len(ring) == 0
-        assert not ring
+    @given(st.integers(min_value=1, max_value=16),
+           st.integers(min_value=0, max_value=48))
+    def test_bounded_drops_oldest_and_counts(self, limit, emitted):
+        tracer = EventTracer(limit=limit)
+        for cycle in range(emitted):
+            tracer.emit(cycle, CATEGORY_DRAM, "dram.RD", 0)
+        assert tracer.total_emitted == emitted
+        assert tracer.dropped == tracer.total_emitted - len(tracer.events)
+        assert tracer.dropped == max(0, emitted - limit)
+        assert [e.cycle for e in tracer.events] == list(
+            range(max(0, emitted - limit), emitted)
+        )
 
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
-            RingBuffer(capacity=0)
+            EventTracer(limit=0)
 
     def test_make_trace_buffer_kinds(self):
         assert isinstance(make_trace_buffer(None), list)
@@ -131,8 +129,6 @@ class TestEventTracer:
     def test_unknown_category_rejected(self):
         with pytest.raises(ConfigurationError):
             EventTracer(categories=["nocache"])
-        with pytest.raises(ConfigurationError):
-            EventTracer(limit=0)
 
     def test_known_categories_accepted(self):
         assert EventTracer(categories=ALL_CATEGORIES).categories == frozenset(
@@ -180,3 +176,62 @@ class TestEventTracer:
         tracer.write_jsonl(str(jsonl_path))
         assert json.loads(chrome_path.read_text())["traceEvents"]
         assert len(jsonl_path.read_text().splitlines()) == 1
+
+
+class TestDiagnostics:
+    def test_jsonl_bytes_pinned(self):
+        """``--dispatch-log`` renders diag events this way; the stamps,
+        the eviction of the oldest and the args ordering are pinned."""
+        diag.reset()
+        try:
+            for i in range(diag.DIAG_LIMIT + 6):
+                if i % 3 == 0:
+                    diag.emit_diagnostic(
+                        "dispatch.lease", category=CATEGORY_DISPATCH,
+                        shard=i, host=f"h{i % 2}", lease=0.5,
+                    )
+                elif i % 3 == 1:
+                    diag.emit_diagnostic(
+                        "parallel.task_done", category=CATEGORY_PARALLEL,
+                        task=i, label=f"t[{i}]",
+                    )
+                else:
+                    diag.emit_diagnostic(
+                        "dispatch.host_up", category=CATEGORY_DISPATCH,
+                        core_id=i % 4, host="h0",
+                    )
+            lines = "".join(
+                json.dumps(event.as_jsonl_obj(), sort_keys=True) + "\n"
+                for event in diag.recent()
+            )
+        finally:
+            diag.reset()
+        assert diag.count() == 0
+        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "6669485316b7e736"
+
+    def test_concurrent_emitters_get_distinct_stamps(self):
+        """Executor lanes are threads: no two diagnostics may share a
+        stamp and none may be lost."""
+        threads, per_thread = 8, 100
+        interval = sys.getswitchinterval()
+        diag.reset()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lambda: [
+                    diag.emit_diagnostic("parallel.task_done",
+                                         category=CATEGORY_PARALLEL)
+                    for _ in range(per_thread)
+                ])
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            stamps = [event.cycle for event in diag.recent()]
+        finally:
+            sys.setswitchinterval(interval)
+            diag.reset()
+        assert stamps == list(range(threads * per_thread))

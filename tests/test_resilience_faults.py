@@ -12,6 +12,7 @@ from repro.common.errors import ConfigurationError, QueueOverflowError
 from repro.common.rng import DeterministicRng
 from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
+from repro.obs import EngineProfiler
 from repro.resilience import (
     EpochBoundaryStress,
     FaultInjector,
@@ -21,6 +22,7 @@ from repro.resilience import (
     run_scenario,
     scenario_names,
 )
+from repro.resilience import scenarios
 
 # -- canned scenarios ------------------------------------------------------
 
@@ -49,6 +51,27 @@ class TestScenarios:
         assert result["outcome"] == "flagged_violation"
         assert result["injected"] == 400
         assert result["violations"]
+
+    def test_flood_readers_count_the_run_end_tail(self, monkeypatch):
+        """The scenario JSON, the profiler rollup and the monitor's own
+        count agree: each includes the run-end tail breach."""
+        monitors = []
+
+        def capture(system):
+            monitors.append(system.observability.monitor)
+            return monitors[-1]
+
+        monkeypatch.setattr(scenarios, "_monitor", capture)
+        result = run_scenario("flood")
+        (monitor,) = monitors
+        rollup = EngineProfiler().rollup(monitor=monitor)
+        assert monitor.final_violations
+        assert result["violations"][-1]["cycle"] == 60_000
+        assert (
+            len(result["violations"])
+            == rollup["shaping"]["violations"]
+            == monitor.violation_count
+        )
 
     def test_saturation_respects_queue_bound(self):
         result = run_scenario("saturate")

@@ -83,9 +83,9 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 4
+        assert SNAPSHOT_VERSION == 5
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v4\)"
+            SnapshotError, match=r"format v1 .*\(expected v5\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
 
@@ -94,7 +94,7 @@ class TestEnvelope:
         the DRAM refresh field: it would unpickle and then die at the
         first tick with an ``AttributeError``.  It is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v2 .*\(expected v4\)"
+            SnapshotError, match=r"format v2 .*\(expected v5\)"
         ):
             parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
 
@@ -102,9 +102,17 @@ class TestEnvelope:
         """A v3 graph still carries the controller's write queue and
         page policy and the mapping's rank mask; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v3 .*\(expected v4\)"
+            SnapshotError, match=r"format v3 .*\(expected v5\)"
         ):
             parse_snapshot(b'REPROSNAP v3\n{"kind": "system"}\nnot-a-pickle')
+
+    def test_v4_obs_layout_fails_at_the_envelope(self):
+        """A v4 graph names the observability ring class and the
+        monitor's two violation classes, none of which exist now."""
+        with pytest.raises(
+            SnapshotError, match=r"format v4 .*\(expected v5\)"
+        ):
+            parse_snapshot(b'REPROSNAP v4\n{"kind": "system"}\nnot-a-pickle')
 
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):
