@@ -86,7 +86,7 @@ _EXPERIMENTS = {
     "run": "run a BDC-shaped mix with checkpoints and a stall watchdog",
     "resume": "restore a checkpoint and continue the run bit-identically",
     "faults": "run a fault-injection scenario (repro.resilience harness)",
-    "sweep": "run a parameter sweep across worker processes (--jobs)",
+    "sweep": "run a parameter sweep across --jobs simulations in flight",
     "dispatch": "run a sweep worker host / inspect a dispatch ledger",
     "cache": "inspect/prune/clear the sweep result cache",
     "serve": "serve live /metrics and /healthz during a run",
@@ -779,8 +779,9 @@ def _fanout_parent(benchmark: Optional[str]) -> argparse.ArgumentParser:
                         choices=BENCHMARK_NAMES,
                         help="the swept program (default: the sweep's own)")
     parent.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep points "
-                             "(1 = inline, the reference)")
+                        help="simulations in flight: this process plus "
+                             "N-1 pool workers (1, the reference, runs "
+                             "every point in this process)")
     parent.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache directory")
     return parent

@@ -13,10 +13,18 @@ docs/parallel.md states the full determinism contract.
 Lanes and the shard loop
 ------------------------
 A *lane* is anything that executes one shard at a time: the calling
-thread (``jobs=1`` or a single shard), one slot of the warm ``spawn``
-pool (``jobs=N``), or a remote worker host (``dispatch=``, see
-:mod:`repro.parallel.dispatch`).  :class:`ShardLoop` is the only way a
-shard ever runs on any of them — one queue, one attempt counter per
+thread, one slot of the warm ``spawn`` pool, or a remote worker host
+(``dispatch=``, see :mod:`repro.parallel.dispatch`).  ``jobs=N`` means
+N simulations in flight: the calling thread is always the first lane
+and ``min(N, shards) - 1`` pool lanes run beside it, so ``jobs=1`` (or
+a single shard) runs on the calling thread alone.  The one exception
+is a lease (``retry.timeout_seconds``): a wedged shard on a thread
+could not be terminated, so under a lease every lane of a ``jobs > 1``
+run is a pool lane.  The calling thread has no crash isolation: a
+task that kills its process ends the sweep at any ``jobs``, so each
+result is cached as its shard resolves and a rerun on the same cache
+runs only what had not finished.  :class:`ShardLoop` is the only way
+a shard ever runs on any of them — one queue, one attempt counter per
 shard, one backoff computation, one place a
 :class:`~repro.common.errors.WorkerFailureError` is built — so what a
 failed attempt costs does not depend on where the shard happened to
@@ -36,16 +44,20 @@ the pickled payload alone — a forked copy of a warm parent could
 smuggle in mutated globals and break the jobs-invariance contract.  It
 pays a real price: each worker is a fresh interpreter that re-imports
 the simulator stack before it can run its first task.  So one
-module-level ``spawn`` pool is kept alive across ``map`` calls (rebuilt
-only when more workers are needed or the pool broke), with an
-``initializer`` that pre-imports the simulator stack.  Worker reuse is
-safe for the same reason parallelism is: tasks are pure functions of
-their payloads and may not mutate module state they expect to see
-again.  Each pool lane keeps one single-shard future in flight and
-takes its next shard from the loop's queue when that one resolves, so
-uneven tasks balance themselves; a sweep payload pickles to a few
-hundred bytes and a future round trip costs ~0.15 ms against tasks of
-100 ms and up (``benchmarks/perf``'s ``sweep_fig2`` workload reports
+module-level ``spawn`` pool of ``jobs - 1`` workers is kept alive
+across ``map`` calls (rebuilt only when more workers are needed or the
+pool broke), with an ``initializer`` that pre-imports the simulator
+stack, and the first ``map`` that finds it cold boots every worker
+from the calling thread before that thread runs its own first shard:
+the workers' start-up then overlaps the caller's work (a sweep's stage
+0) instead of following it.  Worker reuse is safe for the same reason
+parallelism is: tasks are pure functions of their payloads and may not
+mutate module state they expect to see again.  Each pool lane keeps
+one single-shard future in flight and takes its next shard from the
+loop's queue when that one resolves, so uneven tasks balance
+themselves; a sweep payload pickles to a few hundred bytes and a
+future round trip costs ~0.15 ms against tasks of 100 ms and up
+(``benchmarks/perf``'s ``sweep_fig2`` workload reports
 ``parallel.speedup_j2`` and ``pool_spawn_s``).
 """
 
@@ -53,12 +65,15 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import functools
 import inspect
 import multiprocessing
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.common.errors import (
     ConfigurationError,
@@ -115,8 +130,11 @@ _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
 
 
-def _warm_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """The shared spawn pool, rebuilt only when too small or broken."""
+def _warm_pool(
+    workers: int,
+) -> Tuple[concurrent.futures.ProcessPoolExecutor, bool]:
+    """The shared spawn pool, rebuilt only when too small or broken;
+    ``True`` alongside it when this call built it."""
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
         pool = _POOL
@@ -125,7 +143,7 @@ def _warm_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
             and not getattr(pool, "_broken", False)
             and _POOL_WORKERS >= workers
         ):
-            return pool
+            return pool, False
         if pool is not None:
             pool.shutdown(wait=False)
         pool = concurrent.futures.ProcessPoolExecutor(
@@ -135,7 +153,28 @@ def _warm_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
         )
         _POOL = pool
         _POOL_WORKERS = workers
-        return pool
+        return pool, True
+
+
+def _noop() -> None:
+    """Boot task: a cold spawn pool starts a worker per submit."""
+
+
+def _boot_pool(workers: int) -> None:
+    """Make sure ``workers`` pool processes exist or are starting.
+
+    A spawn pool starts one process per ``submit`` while none is idle,
+    so a freshly built pool gets one no-op per worker, submitted from
+    the calling thread before it simulates anything: the workers'
+    interpreter start and imports then overlap the caller's own shards
+    instead of following them.  The no-ops' futures are dropped: a
+    no-op cannot raise, and a pool that breaks while booting is rebuilt
+    by the next ``_pool_call``.
+    """
+    pool, built = _warm_pool(workers)
+    if built:
+        for _ in range(workers):
+            pool.submit(_noop)
 
 
 def _discard_pool(terminate: bool = False) -> None:
@@ -184,7 +223,8 @@ def _pool_call(
     under it, propagates; the next call finds the broken pool and
     rebuilds it.
     """
-    future = _warm_pool(workers).submit(_call_task, fn, payload, task_seed)
+    pool, _ = _warm_pool(workers)
+    future = pool.submit(_call_task, fn, payload, task_seed)
     while not concurrent.futures.wait([future], timeout=wake_seconds).done:
         on_wake()
     return future.result()
@@ -342,8 +382,8 @@ class ShardLoop:
     abandoned, shards below it still run to their own conclusion.
 
     ``observers`` are ``observe(event, pending, lane, **info)``
-    callables told of each transition — ``"done"``, ``"charged"``
-    (``error``, ``terminal``), ``"requeued"`` (``reason``,
+    callables told of each transition — ``"done"`` (``result``),
+    ``"charged"`` (``error``, ``terminal``), ``"requeued"`` (``reason``,
     ``backoff_seconds``), ``"degraded"`` (``shards``) — from the lane's
     thread; they do the ``parallel.*`` / ``dispatch.*`` bookkeeping and
     guard their own state.  ``sleep`` and ``rng`` make the backoff
@@ -424,7 +464,7 @@ class ShardLoop:
                 self._results[pending.shard.index] = value
                 self._open.discard(pending.shard.index)
                 self._cond.notify_all()
-            self._notify("done", pending, lane)
+            self._notify("done", pending, lane, result=value)
 
     def _take(self, lane: Any) -> Optional[_Pending]:
         with self._cond:
@@ -516,10 +556,12 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Local lanes.  ``1`` (the default) runs every task on the
-        calling thread — no pool, no pickling round-trip — and is the
-        reference every other placement must match; ``N`` runs
-        ``min(N, shards)`` slots of the warm pool.
+        Simulations in flight.  ``1`` (the default) runs every task on
+        the calling thread — no pool, no pickling round-trip — and is
+        the reference every other placement must match; ``N`` adds
+        ``min(N, shards) - 1`` slots of a warm pool of ``N - 1``
+        workers beside the calling thread (under a lease, ``min(N,
+        shards)`` slots and no calling thread).
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -533,7 +575,8 @@ class SweepExecutor:
     retry:
         :class:`RetryPolicy` for attempts on the local lanes (default:
         2 attempts, no timeout); ``timeout_seconds`` is a pool lane's
-        lease.
+        lease, and setting it keeps ``jobs > 1`` shards off the
+        calling thread.
     dispatch:
         Optional :class:`~repro.parallel.dispatch.DispatchCoordinator`.
         When set, shards that miss the cache run on its remote lanes,
@@ -653,36 +696,63 @@ class SweepExecutor:
                        label=shard.label)
 
         if to_run:
+            observers: List[Callable[..., None]] = [self._observe]
+            if self.cache is not None and kind is not None:
+                observers.append(functools.partial(self._store, kind))
             # Lane choice is the only thing jobs and dispatch decide.
-            workers = min(self.jobs, len(to_run))
-            lanes: List[Any] = (
-                [_InlineLane(fn)] if workers == 1
-                else [_PoolLane(fn, self, workers) for _ in range(workers)]
-            )
+            lanes, pool_workers = self._local_lanes(fn, len(to_run))
             if self.dispatch is None:
+                if pool_workers:
+                    _boot_pool(pool_workers)
                 results.update(ShardLoop(
-                    to_run, lanes, self.retry, observers=[self._observe]
+                    to_run, lanes, self.retry, observers=observers
                 ).run())
             else:
                 results.update(self.dispatch.run(
                     fn, to_run, kind=kind or "",
                     cached_shards=[s for s in shards if s.cached],
-                    local_lanes=lanes, observers=[self._observe],
+                    local_lanes=lanes, observers=observers,
                 ))
-
-        for shard in to_run:
-            if self.cache is not None and shard.digest is not None:
-                # The cached value keeps its obs_registry (absorption
-                # below works on a copy), so cache hits replay their
-                # shard registries exactly like fresh runs.
-                self.cache.put(
-                    shard.digest,
-                    cache_key(kind, self._key_doc(shard)),
-                    results[shard.index],
-                )
         return [
             self._absorb_registry(results[shard.index]) for shard in shards
         ]
+
+    def _store(self, kind: str, event: str, pending: Optional[_Pending],
+               lane: Any, **info: Any) -> None:
+        """Cache each result as its shard resolves, so a sweep that dies
+        part-way (a terminal failure, a crash of the calling process)
+        keeps every shard it finished.  The cached value keeps its
+        ``obs_registry`` (absorption works on a copy), so cache hits
+        replay their shard registries exactly like fresh runs."""
+        if event != "done":
+            return
+        shard = pending.shard
+        # Lanes are threads, and two shards may share a digest (and so
+        # the entry's temp file).
+        with self._lock:
+            self.cache.put(
+                shard.digest, cache_key(kind, self._key_doc(shard)),
+                info["result"],
+            )
+
+    def _local_lanes(self, fn: Callable[..., Any],
+                     shards: int) -> Tuple[List[Any], int]:
+        """``min(jobs, shards)`` lanes and the pool size they share.
+
+        The calling thread is the first lane and ``jobs - 1`` pool
+        workers stand beside it, so ``jobs`` simulations are in flight.
+        Under a lease (``retry.timeout_seconds``) every lane of a
+        ``jobs > 1`` run is a pool slot instead: a wedged shard on a
+        thread could not be terminated.
+        """
+        count = min(self.jobs, shards)
+        if self.jobs > 1 and self.retry.timeout_seconds is not None:
+            return [_PoolLane(fn, self, self.jobs)
+                    for _ in range(count)], self.jobs
+        workers = self.jobs - 1
+        return [_InlineLane(fn)] + [
+            _PoolLane(fn, self, workers) for _ in range(count - 1)
+        ], workers
 
     def _absorb_registry(self, result: Any) -> Any:
         """Strip and collect a task result's ``obs_registry`` document.

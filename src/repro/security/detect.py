@@ -233,23 +233,26 @@ class GradientBoostedStumps:
         self._base = 0.0
         F = np.zeros(len(y))
         qs = np.linspace(0.1, 0.9, self.quantiles)
+        # The candidate splits depend on X alone, not on the round.
+        splits = []
+        for j in range(X.shape[1]):
+            col = X[:, j]
+            for thr in np.unique(np.quantile(col, qs)):
+                left = col <= thr
+                n_left = int(left.sum())
+                if 0 < n_left < len(col):
+                    splits.append((j, float(thr), left, ~left))
+        if not splits:
+            return self
         for _ in range(self.rounds):
             g = y - _sigmoid(F)  # negative gradient of logistic loss
             best: Optional[Tuple[float, int, float, float, float]] = None
-            for j in range(X.shape[1]):
-                col = X[:, j]
-                for thr in np.unique(np.quantile(col, qs)):
-                    left = col <= thr
-                    n_left = int(left.sum())
-                    if n_left == 0 or n_left == len(col):
-                        continue
-                    lv = float(g[left].mean())
-                    rv = float(g[~left].mean())
-                    err = float(((np.where(left, lv, rv) - g) ** 2).sum())
-                    if best is None or err < best[0] - 1e-15:
-                        best = (err, j, float(thr), lv, rv)
-            if best is None:
-                break
+            for j, thr, left, right in splits:
+                lv = float(g[left].mean())
+                rv = float(g[right].mean())
+                err = float(((np.where(left, lv, rv) - g) ** 2).sum())
+                if best is None or err < best[0] - 1e-15:
+                    best = (err, j, thr, lv, rv)
             _, j, thr, lv, rv = best
             self._stumps.append((j, thr, lv, rv))
             F += self.learning_rate * np.where(X[:, j] <= thr, lv, rv)

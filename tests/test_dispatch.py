@@ -127,9 +127,17 @@ LANE_KINDS = ("inline", "pool", "remote")
 def lane_executor(kind, retry, task):
     """A SweepExecutor whose shards all run on one kind of lane: the
     calling thread, two slots of the warm pool (give it >= 2 shards),
-    or one inline WorkerHost allowed to run ``task``'s module."""
-    if kind != "remote":
-        yield SweepExecutor(jobs=1 if kind == "inline" else 2, retry=retry)
+    or one inline WorkerHost allowed to run ``task``'s module.  The
+    pool kind sets a lease far above any test's run time: under a lease
+    no shard runs on the calling thread, so every attempt crosses the
+    pool whichever lane thread takes it."""
+    if kind == "inline":
+        yield SweepExecutor(jobs=1, retry=retry)
+        return
+    if kind == "pool":
+        yield SweepExecutor(
+            jobs=2, retry=dataclasses.replace(retry, timeout_seconds=60.0)
+        )
         return
     with worker_hosts(1, task_modules=(task.__module__,)) as hosts:
         coordinator = DispatchCoordinator(

@@ -74,18 +74,31 @@ def thread_task(payload):
 
 
 def suicide_once_task(payload):
-    """SIGKILLs its own pool worker the first time any task runs.
+    """SIGKILLs its own pool worker the first time a worker runs it.
 
-    Models the OOM killer taking a worker mid-chunk: the marker file is
+    Models the OOM killer taking a worker mid-shard: the marker file is
     written *before* the kill, so retries (on the rebuilt pool) see it
-    and succeed.
+    and succeed.  In the calling process (``payload["parent"]``) it
+    never kills: it waits until a worker has died and then lingers, so
+    a pool lane, not the parent, picks up the retry.
     """
     marker = payload["marker"]
-    if not os.path.exists(marker):
+    if os.getpid() == payload["parent"]:
+        deadline = time.monotonic() + 30.0
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+    elif not os.path.exists(marker):
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write("dying")
         os.kill(os.getpid(), signal.SIGKILL)
     return {"survived": payload["x"]}
+
+
+def pid_task(payload):
+    """Lingers long enough for every lane to take a shard."""
+    time.sleep(0.05)
+    return os.getpid()
 
 
 def sleepy_task(payload):
@@ -385,8 +398,11 @@ class TestJobsDifferential:
             for point in points_1
         ]) == "1e03fbb19465af99"
         monkeypatch.undo()
-        points_2 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=2)
-        assert canonical_json_digest(points_2) == "6ac601acf9738150"
+        for jobs in (2, 3):
+            points = tradeoff_sweep(
+                "apache", FAST, scales=(0.8, 1.4), jobs=jobs
+            )
+            assert canonical_json_digest(points) == "6ac601acf9738150", jobs
 
 
 class TestRegistryMerge:
@@ -428,15 +444,48 @@ class TestRegistryMerge:
         assert texts[0] == texts[1]
 
 
+class TestLanes:
+    """``jobs=N`` is N simulations in flight: the calling thread plus
+    N-1 workers of the warm pool."""
+
+    def test_calling_process_and_one_worker_share_the_shards(self):
+        from repro.parallel import executor as executor_mod
+
+        executor_mod._discard_pool()
+        pids = SweepExecutor(jobs=2).map(pid_task, [{}] * 6)
+        assert os.getpid() in pids
+        assert len(set(pids)) == 2
+
+    def test_lease_keeps_every_shard_off_the_calling_process(self):
+        """What ``lane_executor("pool")`` relies on for the failure
+        matrix's pool column."""
+        pids = SweepExecutor(
+            jobs=2, retry=RetryPolicy(timeout_seconds=60.0)
+        ).map(pid_task, [{}] * 4)
+        assert os.getpid() not in pids
+
+    def test_single_shard_runs_inline_and_boots_the_pool(self):
+        from repro.parallel import executor as executor_mod
+
+        executor_mod._discard_pool()
+        rows = SweepExecutor(jobs=3).map(thread_task, [{"x": 1}])
+        assert rows == [{"thread": threading.get_ident()}]
+        assert executor_mod._POOL_WORKERS == 2
+        assert len(executor_mod._POOL._processes) == 2
+
+
 class TestBrokenPoolRebuild:
     def test_killed_pool_worker_rebuilds_and_preserves_output(self, tmp_path):
-        """A pool worker SIGKILLed mid-chunk breaks the warm pool; the
+        """A pool worker SIGKILLed mid-shard breaks the warm pool; the
         executor must rebuild it, retry only the affected shards, and
         still merge the jobs-invariant output."""
         from repro.parallel import executor as executor_mod
 
         marker = str(tmp_path / "killed")
-        payloads = [{"x": i, "marker": marker} for i in range(6)]
+        payloads = [
+            {"x": i, "marker": marker, "parent": os.getpid()}
+            for i in range(6)
+        ]
         executor = SweepExecutor(jobs=2)
         results = executor.map(suicide_once_task, payloads)
         # merged output identical to what any healthy run produces
@@ -461,8 +510,12 @@ class TestShardTimeout:
             jobs=2, retry=RetryPolicy(max_attempts=1, timeout_seconds=0.5)
         )
         payloads = [{"delay": 30.0}, {"delay": 30.0}]
+        started = time.monotonic()
         with pytest.raises(ShardTimeoutError) as excinfo:
             executor.map(sleepy_task, payloads)
+        # Under a lease no shard runs on the calling thread, which
+        # could not be stopped: the map gives up within the lease.
+        assert time.monotonic() - started < 10.0
         err = excinfo.value
         assert err.task_index == 0
         assert err.timeout_seconds == 0.5
@@ -491,3 +544,17 @@ class TestCacheHits:
         assert second == first
         assert diag.count("parallel.task_done") == 0
         assert diag.count("parallel.cache_hit") == first_runs
+
+    def test_a_failed_sweep_keeps_the_shards_it_finished(self, tmp_path):
+        """Results are cached as their shards resolve, so a sweep that
+        dies part-way is resumed from the cache, not from scratch."""
+        payloads = [{"x": 0}, {"x": 1}, {"x": 2, "fail": True}]
+        failing = SweepExecutor(
+            jobs=1, cache=str(tmp_path), retry=RetryPolicy(max_attempts=1)
+        )
+        with pytest.raises(WorkerFailureError):
+            failing.map(fails_on_request_task, payloads, kind="resume")
+        rerun = SweepExecutor(jobs=1, cache=str(tmp_path))
+        rows = rerun.map(fails_on_request_task, payloads[:2], kind="resume")
+        assert rows == [{"x": 0}, {"x": 1}]
+        assert rerun.tasks_cached == 2 and rerun.tasks_run == 0

@@ -26,6 +26,7 @@ from repro.core.bins import BinSpec
 from repro.parallel import SweepExecutor
 from repro.security.detect import (
     FEATURE_NAMES,
+    GradientBoostedStumps,
     classifier_aucs,
     detect_report,
     max_cross_correlation,
@@ -148,6 +149,21 @@ class TestClassifiers:
         first = classifier_aucs(positive, negative, DeterministicRng(9))
         second = classifier_aucs(positive, negative, DeterministicRng(9))
         assert first == second
+
+    def test_stump_fit_pinned(self):
+        """The boosted stumps pick the same splits, in the same order,
+        as when every round re-derived its candidate thresholds."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 4))
+        y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float)
+        model = GradientBoostedStumps().fit(X, y)
+        assert len(model._stumps) == 40
+
+        def digest(blob):
+            return hashlib.sha256(blob).hexdigest()[:16]
+
+        assert digest(repr(model._stumps).encode()) == "0f1f921f651e1bf2"
+        assert digest(model.scores(X).tobytes()) == "147c057a760d63d1"
 
 
 class TestProbes:
