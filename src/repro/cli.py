@@ -47,20 +47,13 @@ from repro.analysis.sweeps import (
     noc_latency_sweep,
     tp_turn_length_sweep,
 )
-from repro.common.errors import ConfigurationError, SnapshotError
+from repro.common.errors import SnapshotError
 from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
 from repro.lint import runner as lint_runner
-from repro.obs import ALL_CATEGORIES, ObservabilityConfig, diag
-from repro.obs.events import CATEGORY_DISPATCH
+from repro.obs import ALL_CATEGORIES, ObservabilityConfig
 from repro.obs.export import render_openmetrics
-from repro.parallel import (
-    DispatchCoordinator,
-    DispatchLedger,
-    ResultCache,
-    SweepExecutor,
-    WorkerHost,
-)
+from repro.parallel import ResultCache, SweepExecutor
 from repro.resilience import ResilienceConfig, run_scenario
 from repro.resilience.snapshot import (
     read_snapshot_info,
@@ -87,7 +80,6 @@ _EXPERIMENTS = {
     "resume": "restore a checkpoint and continue the run bit-identically",
     "faults": "run a fault-injection scenario (repro.resilience harness)",
     "sweep": "run a parameter sweep across --jobs simulations in flight",
-    "dispatch": "run a sweep worker host / inspect a dispatch ledger",
     "cache": "inspect/prune/clear the sweep result cache",
     "serve": "serve live /metrics and /healthz during a run",
     "profile": "engine self-profile: per-station work and skip-span rollup",
@@ -276,18 +268,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    dispatch = None
-    if args.hosts:
-        dispatch = DispatchCoordinator(
-            args.hosts,
-            lease_seconds=args.lease_seconds,
-            ledger=args.ledger,
-        )
-    elif args.ledger:
-        raise SystemExit("--ledger requires --hosts")
     executor = SweepExecutor(
         jobs=args.jobs, seed=_defaults(args).seed, cache=args.cache_dir,
-        dispatch=dispatch,
     )
     print(_canonical_text(_run_sweep(args.name, args, executor=executor)))
     print(
@@ -295,35 +277,18 @@ def _cmd_sweep(args) -> int:
         f"retries={executor.retries}",
         file=sys.stderr,
     )
-    if dispatch is not None:
-        counters = dispatch.registry.as_dict()
-        print(
-            "dispatch: "
-            f"hosts={int(counters['dispatch.hosts_configured'])} "
-            f"completed={int(counters['dispatch.shards_completed'])} "
-            f"cached={int(counters['dispatch.cached_shards'])} "
-            f"redispatched={int(counters['dispatch.redispatches'])} "
-            f"degraded={str(dispatch.degraded).lower()}",
-            file=sys.stderr,
-        )
-        dispatch.close()
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(render_openmetrics(executor.merged_registry()))
         print(f"merged exposition written to {args.metrics_out}",
               file=sys.stderr)
-    if args.dispatch_log:
-        with open(args.dispatch_log, "w", encoding="utf-8") as fh:
-            for event in diag.recent(category=CATEGORY_DISPATCH):
-                fh.write(json.dumps(
-                    event.as_jsonl_obj(), sort_keys=True
-                ) + "\n")
-        print(f"dispatch event log written to {args.dispatch_log}",
-              file=sys.stderr)
     return 0
 
 
 def _cmd_cache(args) -> int:
+    if (args.verb == "prune" and args.keep is None
+            and args.older_than_days is None):
+        args.usage_error("prune needs --keep and/or --older-than-days")
     cache = ResultCache(args.cache_dir)
     if args.verb == "ls":
         entries = cache.entries()
@@ -343,75 +308,6 @@ def _cmd_cache(args) -> int:
     print(f"removed {removed} entr{'y' if removed == 1 else 'ies'} "
           f"from {args.cache_dir}")
     return 0
-
-
-def _cmd_dispatch(args) -> int:
-    if args.verb == "worker":
-        worker = WorkerHost(
-            host=args.host,
-            port=args.port,
-            jobs=args.jobs,
-            task_modules=tuple(
-                m.strip() for m in args.task_modules.split(",") if m.strip()
-            ),
-            heartbeat_seconds=args.heartbeat,
-            inline=args.inline,
-        )
-        bound_host, bound_port = worker.bind()
-        # The parseable line the coordinator-launching side waits for.
-        print(f"dispatch worker listening on {bound_host}:{bound_port}",
-              flush=True)
-
-        def _drain(signum, _frame):
-            print(f"dispatch worker draining on signal {signum}",
-                  flush=True)
-            worker.close()
-
-        signal.signal(signal.SIGTERM, _drain)
-        try:
-            worker.serve_forever()
-        except KeyboardInterrupt:
-            worker.close()
-        print(
-            f"dispatch worker stopped "
-            f"(served={worker.shards_served} failed={worker.shards_failed})"
-        )
-        return 0
-
-    # status: render a persisted ledger.
-    try:
-        ledger = DispatchLedger.load(args.ledger)
-    except ConfigurationError as error:
-        # A bad file is a usage error, like resume's bad snapshot.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    doc = ledger.doc
-    counts = ledger.counts()
-    total = doc.get("shard_count", sum(counts.values()))
-    print(f"sweep:    {doc.get('kind', '') or '(unknown)'}")
-    print(f"hosts:    {', '.join(doc.get('hosts', [])) or '(none)'}")
-    print(f"shards:   {total}")
-    print(f"degraded: {str(bool(doc.get('degraded'))).lower()}")
-    print(format_table(
-        ["state", "shards"],
-        [[state, counts[state]] for state in sorted(counts)
-         if counts[state] or state in ("completed", "queued")],
-    ))
-    rows = [
-        [index, entry.get("state", ""), entry.get("label", ""),
-         entry.get("host", ""), entry.get("attempts", "")]
-        for index, entry in sorted(
-            doc.get("shards", {}).items(), key=lambda kv: int(kv[0])
-        )
-    ]
-    if rows:
-        print(format_table(
-            ["shard", "state", "label", "host", "attempts"], rows
-        ))
-    unfinished = sum(
-        counts[state] for state in ("queued", "leased", "requeued", "failed")
-    )
-    return 1 if unfinished else 0
 
 
 def _observed_system(args, obs_config: ObservabilityConfig,
@@ -772,13 +668,28 @@ def _mix_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _at_least(kind, minimum):
+    """An argparse ``type=``: ``kind(text)``, refused below ``minimum``
+    as a usage error (exit 2) rather than a traceback later."""
+    def parse(text: str):
+        value = kind(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
+
+
 def _fanout_parent(benchmark: Optional[str]) -> argparse.ArgumentParser:
     """``--benchmark/--jobs/--cache-dir`` for the sweep-table verbs."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--benchmark", default=benchmark,
                         choices=BENCHMARK_NAMES,
                         help="the swept program (default: the sweep's own)")
-    parent.add_argument("--jobs", type=int, default=1,
+    parent.add_argument("--jobs", type=_at_least(int, 1), default=1,
                         help="simulations in flight: this process plus "
                              "N-1 pool workers (1, the reference, runs "
                              "every point in this process)")
@@ -857,52 +768,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("sweep", _cmd_sweep, parents=[_fanout_parent(None)])
     p.add_argument("name", choices=tuple(_SWEEPS),
                    help="which sweep to run")
-    p.add_argument("--hosts", default=None, metavar="H:P,H:P",
-                   help="dispatch shards to these worker hosts "
-                        "(repro dispatch worker) instead of the "
-                        "local pool")
-    p.add_argument("--ledger", default=None, metavar="PATH",
-                   help="persistent dispatch ledger (requires --hosts)")
-    p.add_argument("--lease-seconds", type=float, default=30.0,
-                   help="per-shard lease deadline for --hosts")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the merged OpenMetrics exposition here")
-    p.add_argument("--dispatch-log", default=None, metavar="PATH",
-                   help="write dispatch.* diagnostics as JSONL here")
-
-    p = verb("dispatch", _cmd_dispatch)
-    dispatch_sub = p.add_subparsers(dest="verb", required=True)
-    p = dispatch_sub.add_parser(
-        "worker", help="serve sweep shards to a dispatch coordinator"
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (0 = ephemeral, printed at startup)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes in this host's warm pool")
-    p.add_argument("--task-modules", default="repro.parallel.tasks",
-                   metavar="MODS",
-                   help="comma-separated task-function module allowlist")
-    p.add_argument("--heartbeat", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="heartbeat interval while a shard executes")
-    p.add_argument("--inline", action="store_true",
-                   help="run tasks in the serving thread (no pool, "
-                        "no mid-task heartbeats)")
-    p = dispatch_sub.add_parser(
-        "status", help="render a dispatch ledger written by sweep --ledger"
-    )
-    p.add_argument("--ledger", required=True, metavar="PATH",
-                   help="ledger file to inspect")
 
     p = verb("cache", _cmd_cache)
+    p.set_defaults(usage_error=p.error)
     p.add_argument("verb", choices=("ls", "prune", "clear"))
     p.add_argument("--cache-dir", required=True, metavar="DIR")
-    p.add_argument("--keep", type=int, default=None, metavar="N",
+    p.add_argument("--keep", type=_at_least(int, 0), default=None,
+                   metavar="N",
                    help="prune: retain only the newest N entries")
-    p.add_argument("--older-than-days", type=float, default=None,
-                   metavar="DAYS",
+    p.add_argument("--older-than-days", type=_at_least(float, 0.0),
+                   default=None, metavar="DAYS",
                    help="prune: remove entries older than DAYS")
 
     p = verb("calibrate", _cmd_calibrate)

@@ -113,8 +113,8 @@ class WorkerFailureError(ResilienceError):
     """A parallel worker task failed after exhausting its retry budget.
 
     Raised by :class:`repro.parallel.SweepExecutor` when a task keeps
-    raising, keeps timing out, or its worker process keeps dying across
-    ``RetryPolicy.max_attempts`` attempts.  ``task_index`` and
+    raising, or its pool worker keeps dying, across the executor's
+    ``max_attempts`` attempts.  ``task_index`` and
     ``label`` identify the shard; ``attempts`` counts what was tried;
     ``last_error`` holds the final attempt's stringified cause (the
     original exception object may not survive the process boundary).
@@ -142,92 +142,3 @@ class SnapshotError(ResilienceError):
     payload, or a payload of the wrong kind (e.g. feeding a GA-tuner
     checkpoint to ``repro resume``).
     """
-
-
-class ShardTimeoutError(ResilienceError):
-    """A sweep shard exceeded its per-attempt execution budget.
-
-    Raised by :class:`repro.parallel.SweepExecutor` when a pool lane
-    holds a shard past ``RetryPolicy.timeout_seconds`` — a wedged
-    simulation (unserviceable shaping configuration in a spawned
-    worker, a hung import) must abort the shard with a typed error
-    instead of hanging the whole sweep.  ``dump`` carries a
-    watchdog-style structured picture of the stuck shard (index,
-    label, attempt, timeout, jobs, whether the pool was terminated);
-    the executor also mirrors it as a ``parallel.shard_timeout``
-    diagnostic event.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        task_index: int = -1,
-        label: str = "",
-        timeout_seconds: float = 0.0,
-        dump=None,
-    ) -> None:
-        super().__init__(message)
-        self.task_index = task_index
-        self.label = label
-        self.timeout_seconds = timeout_seconds
-        self.dump = dump if dump is not None else {}
-
-
-class DispatchError(ResilienceError):
-    """Base class for multi-host sweep-dispatch failures.
-
-    Everything the coordinator/worker protocol can get wrong derives
-    from here, so dispatch call sites can catch the whole family while
-    still telling transport corruption apart from lost hosts and
-    expired leases.  ``host`` (``"address:port"``) and ``shard`` (the
-    executor's submission index, ``-1`` when not shard-specific)
-    identify where the failure happened.
-    """
-
-    def __init__(self, message: str, host: str = "", shard: int = -1) -> None:
-        super().__init__(message)
-        self.host = host
-        self.shard = shard
-
-
-class ShardTransportError(DispatchError):
-    """A dispatch frame was corrupt, truncated or malformed.
-
-    Raised when a length-prefixed frame fails its magic, size, digest
-    or JSON checks (:mod:`repro.parallel.protocol`), or when a decoded
-    message violates the coordinator/worker protocol (wrong kind,
-    mismatched shard id).  The contract: a bad frame is *never*
-    silently merged — the shard is re-dispatched and the connection
-    is retired, because a corrupted length-prefixed stream cannot be
-    re-synchronised trustworthily.
-    """
-
-
-class HostLostError(DispatchError):
-    """A worker host's connection failed or closed mid-protocol.
-
-    Covers connect refusals, resets, and EOF at a frame boundary —
-    the remote process died (crash, SIGKILL, OOM) or the link went
-    away.  The coordinator retires the host and re-dispatches its
-    in-flight shard to a surviving host.
-    """
-
-
-class LeaseExpiredError(DispatchError):
-    """A dispatched shard's lease deadline passed without a heartbeat.
-
-    The worker neither produced a result nor a heartbeat within
-    ``lease_seconds``; the host is presumed wedged or partitioned, so
-    the coordinator retires it and re-dispatches the shard.
-    ``lease_seconds`` records the budget that was exceeded.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        host: str = "",
-        shard: int = -1,
-        lease_seconds: float = 0.0,
-    ) -> None:
-        super().__init__(message, host=host, shard=shard)
-        self.lease_seconds = lease_seconds

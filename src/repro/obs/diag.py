@@ -3,7 +3,7 @@
 The event tracer (:class:`~repro.obs.tracer.EventTracer`) is wired
 per-system, but some observations happen where no system exists yet:
 the parallel sweep executor scheduling work across processes, the
-result cache deciding hit or miss, a dispatch worker serving shards.
+result cache deciding hit or miss.
 This module gives that code one shared, bounded, always-on recorder so
 diagnostics are inspectable in tests and surfaced by the CLI without
 threading a tracer through every signature.

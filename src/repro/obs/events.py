@@ -34,11 +34,6 @@ CATEGORY_RESILIENCE = "resilience"
 #: outside any one system's clock and the index is the deterministic
 #: analogue.
 CATEGORY_PARALLEL = "parallel"
-#: Multi-host dispatch events: shard leases granted/expired,
-#: heartbeats, hosts retired, re-dispatches, transport faults, and
-#: degradation to local execution.  Like ``parallel``, stamped with
-#: the shard's submission index rather than a simulation cycle.
-CATEGORY_DISPATCH = "dispatch"
 
 ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_SHAPER,
@@ -48,7 +43,6 @@ ALL_CATEGORIES: Tuple[str, ...] = (
     CATEGORY_MONITOR,
     CATEGORY_RESILIENCE,
     CATEGORY_PARALLEL,
-    CATEGORY_DISPATCH,
 )
 
 #: ``core_id`` used by events not attributable to a single core

@@ -12,23 +12,19 @@ docs/parallel.md states the full determinism contract.
 
 Lanes and the shard loop
 ------------------------
-A *lane* is anything that executes one shard at a time: the calling
-thread, one slot of the warm ``spawn`` pool, or a remote worker host
-(``dispatch=``, see :mod:`repro.parallel.dispatch`).  ``jobs=N`` means
-N simulations in flight: the calling thread is always the first lane
-and ``min(N, shards) - 1`` pool lanes run beside it, so ``jobs=1`` (or
-a single shard) runs on the calling thread alone.  The one exception
-is a lease (``retry.timeout_seconds``): a wedged shard on a thread
-could not be terminated, so under a lease every lane of a ``jobs > 1``
-run is a pool lane.  The calling thread has no crash isolation: a
-task that kills its process ends the sweep at any ``jobs``, so each
+A *lane* executes one shard at a time: the calling thread, or one slot
+of the warm ``spawn`` pool.  ``jobs=N`` means N simulations in flight:
+the calling thread is always the first lane and ``min(N, shards) - 1``
+pool lanes run beside it, so ``jobs=1`` (or a single shard) runs on
+the calling thread alone.  The calling thread has no crash isolation:
+a task that kills its process ends the sweep at any ``jobs``, so each
 result is cached as its shard resolves and a rerun on the same cache
 runs only what had not finished.  :class:`ShardLoop` is the only way
-a shard ever runs on any of them — one queue, one attempt counter per
-shard, one backoff computation, one place a
+a shard ever runs on either kind of lane — one queue, one attempt
+counter per shard, one place a
 :class:`~repro.common.errors.WorkerFailureError` is built — so what a
 failed attempt costs does not depend on where the shard happened to
-run (the failure matrix is in docs/dispatch.md).  ``SweepExecutor.map``
+run (the failure matrix is in docs/parallel.md).  ``SweepExecutor.map``
 is what surrounds the loop: seeds, the content-addressed result cache
 (:mod:`repro.parallel.cache` — a task whose input digest already has a
 stored result is not run at all), and the merge of per-shard metrics
@@ -75,21 +71,11 @@ from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
 )
 
-from repro.common.errors import (
-    ConfigurationError,
-    DispatchError,
-    ShardTimeoutError,
-    WorkerFailureError,
-)
+from repro.common.errors import ConfigurationError, WorkerFailureError
 from repro.common.rng import DeterministicRng
 from repro.obs import diag
 from repro.obs.events import CATEGORY_PARALLEL
 from repro.parallel.cache import ResultCache, cache_key, config_digest
-from repro.resilience.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    _default_sleep,
-)
 
 
 def _call_task(fn: Callable[..., Any], payload: Any,
@@ -169,7 +155,7 @@ def _boot_pool(workers: int) -> None:
     interpreter start and imports then overlap the caller's own shards
     instead of following them.  The no-ops' futures are dropped: a
     no-op cannot raise, and a pool that breaks while booting is rebuilt
-    by the next ``_pool_call``.
+    by the next pool lane that submits to it.
     """
     pool, built = _warm_pool(workers)
     if built:
@@ -177,57 +163,16 @@ def _boot_pool(workers: int) -> None:
             pool.submit(_noop)
 
 
-def _discard_pool(terminate: bool = False) -> None:
-    """Drop the warm pool (at interpreter exit, or when a host closes).
-
-    ``terminate=True`` also kills its worker processes:
-    ``shutdown(wait=False)`` alone leaves a wedged worker running its
-    stuck task forever, so after a shard timeout the only way to
-    reclaim the CPU is to terminate the processes outright.  Other
-    futures in flight on the old pool fail with ``BrokenProcessPool``
-    and retry on a fresh pool — pure tasks make that safe.
-    """
+def _discard_pool() -> None:
+    """Drop the warm pool (at interpreter exit)."""
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
         pool, _POOL, _POOL_WORKERS = _POOL, None, 0
-    if pool is None:
-        return
-    # shutdown() forgets the processes, so list them first.
-    live = (getattr(pool, "_processes", None) or {}) if terminate else {}
-    processes = list(live.values())
-    pool.shutdown(wait=False)
-    for process in processes:
-        try:
-            process.terminate()
-        except (OSError, ValueError, AttributeError):
-            pass  # already exited / never fully started
+    if pool is not None:
+        pool.shutdown(wait=False)
 
 
 atexit.register(_discard_pool)
-
-
-def _pool_call(
-    workers: int,
-    fn: Callable[..., Any],
-    payload: Any,
-    task_seed: Optional[int],
-    wake_seconds: Optional[float],
-    on_wake: Callable[[], None],
-) -> Any:
-    """Run one task on the warm pool: the one submit-and-wait.
-
-    Every ``wake_seconds`` without a result (``None``: never)
-    ``on_wake()`` is called: a worker host sends a heartbeat and keeps
-    waiting, a pool lane raises its shard timeout.  The task's own
-    exception, or the ``BrokenProcessPool`` of a worker that died
-    under it, propagates; the next call finds the broken pool and
-    rebuilds it.
-    """
-    pool, _ = _warm_pool(workers)
-    future = pool.submit(_call_task, fn, payload, task_seed)
-    while not concurrent.futures.wait([future], timeout=wake_seconds).done:
-        on_wake()
-    return future.result()
 
 
 def _wants_task_seed(fn: Callable[..., Any]) -> bool:
@@ -248,7 +193,6 @@ class _Shard:
     label: str
     task_seed: Optional[int]
     digest: Optional[str] = None
-    cached: bool = False
 
 
 # -- the shard loop ---------------------------------------------------
@@ -259,98 +203,40 @@ class _Pending:
     """One shard's way through the loop (its submission bookkeeping,
     the :class:`_Shard`, never changes here)."""
 
-    shard: Any  # .index .payload .label .task_seed .digest
+    shard: _Shard
     charged: int = 0  # failed attempts counted against max_attempts
-    redispatches: int = 0  # uncharged: the lane was lost, not the task
-
-    @property
-    def attempts(self) -> int:
-        return self.charged + self.redispatches
-
-
-class LaneLost(Exception):
-    """A lane can no longer run shards, through no fault of its shard.
-
-    Raised by a lane's ``open``/``execute`` *after* the lane has done
-    its own retirement bookkeeping; the loop requeues the shard
-    uncharged and stops driving the lane.  Only remote lanes raise it:
-    a local lane cannot be retired (the pool is rebuilt instead), so a
-    lost pool worker is a charged attempt — an uncharged last lane
-    could loop forever.
-    """
-
-
-class TaskFailed(Exception):
-    """A task raised where its exception could not travel from (a
-    worker host); the message is the worker's ``Type: message``."""
 
 
 class _InlineLane:
     """Runs shards on whichever thread drives the lane."""
 
-    local = True
     name = "inline"
 
     def __init__(self, fn: Callable[..., Any]) -> None:
         self.fn = fn
 
-    def open(self) -> None:
-        """Local lanes have nothing to connect to."""
-
-    def execute(self, pending: _Pending) -> Any:
-        shard = pending.shard
+    def execute(self, shard: _Shard) -> Any:
         return _call_task(self.fn, shard.payload, shard.task_seed)
 
 
 class _PoolLane(_InlineLane):
-    """One slot of the warm pool; ``timeout_seconds`` is its lease."""
+    """One slot of the warm pool of ``workers`` processes."""
 
     name = "pool"
 
-    def __init__(self, fn: Callable[..., Any], owner: "SweepExecutor",
-                 workers: int) -> None:
+    def __init__(self, fn: Callable[..., Any], workers: int) -> None:
         super().__init__(fn)
-        self.owner = owner
         self.workers = workers
 
-    def execute(self, pending: _Pending) -> Any:
-        shard = pending.shard
-        return _pool_call(
-            self.workers, self.fn, shard.payload, shard.task_seed,
-            self.owner.retry.timeout_seconds, lambda: self._expire(pending),
-        )
-
-    def _expire(self, pending: _Pending) -> None:
-        """The lease ran out: raise the typed timeout for a wedged shard.
-
-        Watchdog discipline (docs/resilience.md): the failure carries
-        a structured dump of what was stuck, the event ring gets a
-        mirror of it, and the wedged pool is terminated so the stuck
-        worker cannot keep burning a core behind the sweep's back.
-        """
-        owner, shard = self.owner, pending.shard
-        timeout = owner.retry.timeout_seconds
-        attempt = pending.attempts + 1
-        owner._emit(
-            "parallel.shard_timeout", shard.index, label=shard.label,
-            attempt=attempt, timeout_seconds=timeout,
-        )
-        _discard_pool(terminate=True)
-        raise ShardTimeoutError(
-            f"shard {shard.label} exceeded its {timeout}s attempt budget "
-            f"(attempt {attempt})",
-            task_index=shard.index,
-            label=shard.label,
-            timeout_seconds=timeout or 0.0,
-            dump={
-                "shard": shard.index,
-                "label": shard.label,
-                "attempt": attempt,
-                "timeout_seconds": timeout,
-                "jobs": owner.jobs,
-                "pool_terminated": True,
-            },
-        )
+    def execute(self, shard: _Shard) -> Any:
+        """Submit and wait.  The task's own exception, or the
+        ``BrokenProcessPool`` of a worker that died under it,
+        propagates; the next submit finds the broken pool and
+        rebuilds it."""
+        pool, _ = _warm_pool(self.workers)
+        return pool.submit(
+            _call_task, self.fn, shard.payload, shard.task_seed
+        ).result()
 
 
 #: Key of a failure that is the loop's own, not a shard's; sorts first.
@@ -358,54 +244,34 @@ _LOOP_FAILURE = -1
 
 
 class ShardLoop:
-    """Queue → lease → result/failure → requeue: how every shard runs.
+    """Queue → lane → result/failure → requeue: how every shard runs.
 
     One loop is one run: ``run()`` drives each lane (``lanes[0]`` on
     the calling thread, the rest on daemon threads) until every shard
-    is resolved.  A lane takes the next queued shard, executes it, and
-    the loop settles the outcome:
-
-    * *the attempt failed* — the task raised (in-band on every lane
-      kind), a pool worker died under it, or it outran the pool lane's
-      ``timeout_seconds``: charged against ``retry.max_attempts``,
-      paced by ``retry.backoff_delay``, requeued for any live lane;
-      at the budget, a :class:`WorkerFailureError` (or the typed
-      :class:`ShardTimeoutError` when the last attempt timed out).
-    * *the lane was lost* (:class:`LaneLost`, remote lanes only): the
-      shard is requeued **uncharged** and the lane is dropped.
-
-    Local lanes are the last lanes: they take shards only while no
-    remote lane is alive, so a purely local run starts at once and a
-    dispatched run degrades to them when its last host is lost (the
-    ``"degraded"`` transition).  With several terminal failures the one
-    with the lowest shard index is raised — shards above it are
+    is resolved.  A lane takes the next queued shard and executes it;
+    an attempt that fails — the task raised, or a pool worker died
+    under it — is charged against ``max_attempts`` and requeued for
+    any lane, and at the budget it becomes a
+    :class:`WorkerFailureError`.  With several terminal failures the
+    one with the lowest shard index is raised — shards above it are
     abandoned, shards below it still run to their own conclusion.
 
-    ``observers`` are ``observe(event, pending, lane, **info)``
-    callables told of each transition — ``"done"`` (``result``),
-    ``"charged"`` (``error``, ``terminal``), ``"requeued"`` (``reason``,
-    ``backoff_seconds``), ``"degraded"`` (``shards``) — from the lane's
-    thread; they do the ``parallel.*`` / ``dispatch.*`` bookkeeping and
-    guard their own state.  ``sleep`` and ``rng`` make the backoff
-    schedule observable without sleeping.
+    ``observers`` are ``observe(event, pending, **info)`` callables
+    told of each transition — ``"done"`` (``result``) and
+    ``"charged"`` (``error``, ``terminal``) — from the lane's thread;
+    they do the ``parallel.*`` bookkeeping and guard their own state.
     """
 
     def __init__(
         self,
         shards: Sequence[Any],
         lanes: Sequence[Any],
-        retry: RetryPolicy,
-        sleep: Callable[[float], None] = _default_sleep,
-        rng: Optional[DeterministicRng] = None,
+        max_attempts: int,
         observers: Sequence[Callable[..., None]] = (),
     ) -> None:
-        self.retry = retry
-        self._sleep = sleep
-        self._rng = rng
+        self.max_attempts = max_attempts
         self._observers = tuple(observers)
         self._lanes = lanes
-        self._remote_alive = sum(not lane.local for lane in lanes)
-        self._has_local = any(lane.local for lane in lanes)
         self._cond = threading.Condition()
         self._queue: Deque[_Pending] = deque(_Pending(s) for s in shards)
         # Unresolved shard indices still wanted; empty ends the run.
@@ -435,49 +301,38 @@ class ShardLoop:
         try:
             self._serve(lane)
         # Not a shard's failure but the loop's own (an observer's
-        # ledger write, an interrupt on the calling thread): every lane
+        # cache write, an interrupt on the calling thread): every lane
         # is stopped and run() re-raises it once they have.
         except BaseException as exc:
             self._abort(exc)
 
     def _serve(self, lane: Any) -> None:
-        try:
-            lane.open()
-        except LaneLost:
-            self._lane_lost()
-            return
         while True:
-            pending = self._take(lane)
+            pending = self._take()
             if pending is None:
                 return
             try:
-                value = lane.execute(pending)
-            except LaneLost as lost:
-                pending.redispatches += 1
-                self._requeue(pending, str(lost))
-                self._lane_lost()
-                return
+                value = lane.execute(pending.shard)
             except Exception as exc:  # noqa: BLE001 — the boundary this exists for
-                self._charge(pending, lane, exc)
+                self._charge(pending, exc)
                 continue
             with self._cond:
                 self._results[pending.shard.index] = value
                 self._open.discard(pending.shard.index)
                 self._cond.notify_all()
-            self._notify("done", pending, lane, result=value)
+            self._notify("done", pending, result=value)
 
-    def _take(self, lane: Any) -> Optional[_Pending]:
+    def _take(self) -> Optional[_Pending]:
         with self._cond:
             while self._open:
-                if self._queue and not (lane.local and self._remote_alive):
+                if self._queue:
                     return self._queue.popleft()
                 self._cond.wait()
         return None
 
-    def _notify(self, event: str, pending: Optional[_Pending],
-                lane: Any, **info: Any) -> None:
+    def _notify(self, event: str, pending: _Pending, **info: Any) -> None:
         for observe in self._observers:
-            observe(event, pending, lane, **info)
+            observe(event, pending, **info)
 
     def _abort(self, error: BaseException) -> None:
         with self._cond:
@@ -486,49 +341,27 @@ class ShardLoop:
             self._queue.clear()
             self._cond.notify_all()
 
-    def _lane_lost(self) -> None:
-        with self._cond:
-            self._remote_alive -= 1
-            stranded = 0 if self._remote_alive else len(self._open)
-            self._cond.notify_all()
-        if not stranded:
-            return
-        self._notify("degraded", None, None, shards=stranded)
-        if not self._has_local:
-            self._abort(DispatchError(
-                f"every remote lane was lost with {stranded} shard(s) "
-                "unresolved and no local lane to fall back to"
-            ))
-
-    def _charge(self, pending: _Pending, lane: Any,
-                exc: BaseException) -> None:
+    def _charge(self, pending: _Pending, exc: BaseException) -> None:
         pending.charged += 1
-        error = (
-            str(exc) if isinstance(exc, TaskFailed)
-            else f"{type(exc).__name__}: {exc}"
-        )
-        terminal = pending.charged >= self.retry.max_attempts
-        self._notify("charged", pending, lane, error=error, terminal=terminal)
-        if not terminal:
-            self._requeue(pending, f"task failure: {error}")
-            return
+        error = f"{type(exc).__name__}: {exc}"
+        terminal = pending.charged >= self.max_attempts
+        self._notify("charged", pending, error=error, terminal=terminal)
         shard = pending.shard
-        failure: BaseException
-        if isinstance(exc, ShardTimeoutError):
-            # The last attempt hit its lease: surface the typed timeout
-            # (with its structured dump), not the generic wrapper.
-            exc.dump["attempts"] = pending.charged
-            failure = exc
-        else:
-            failure = WorkerFailureError(
-                f"task {shard.label} failed after {pending.charged} "
-                f"attempt(s): {error}",
-                task_index=shard.index,
-                label=shard.label,
-                attempts=pending.charged,
-                last_error=error,
-            )
-            failure.__cause__ = exc
+        if not terminal:
+            with self._cond:
+                if shard.index in self._open:
+                    self._queue.appendleft(pending)
+                self._cond.notify_all()
+            return
+        failure = WorkerFailureError(
+            f"task {shard.label} failed after {pending.charged} "
+            f"attempt(s): {error}",
+            task_index=shard.index,
+            label=shard.label,
+            attempts=pending.charged,
+            last_error=error,
+        )
+        failure.__cause__ = exc
         with self._cond:
             self._failures[shard.index] = failure
             self._open = {i for i in self._open if i < shard.index}
@@ -536,18 +369,6 @@ class ShardLoop:
                 p for p in self._queue if p.shard.index in self._open
             )
             self._cond.notify_all()
-
-    def _requeue(self, pending: _Pending, reason: str) -> None:
-        delay = self.retry.backoff_delay(pending.attempts, rng=self._rng)
-        if delay > 0.0:
-            self._sleep(delay)
-        with self._cond:
-            if pending.shard.index in self._open:
-                self._queue.appendleft(pending)
-            self._cond.notify_all()
-        self._notify(
-            "requeued", pending, None, reason=reason, backoff_seconds=delay
-        )
 
 
 class SweepExecutor:
@@ -560,8 +381,7 @@ class SweepExecutor:
         the calling thread — no pool, no pickling round-trip — and is
         the reference every other placement must match; ``N`` adds
         ``min(N, shards) - 1`` slots of a warm pool of ``N - 1``
-        workers beside the calling thread (under a lease, ``min(N,
-        shards)`` slots and no calling thread).
+        workers beside the calling thread.
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -572,18 +392,10 @@ class SweepExecutor:
     cache:
         ``None``, a directory path, or a :class:`ResultCache`.  Only
         ``map`` calls that pass ``kind`` participate in caching.
-    retry:
-        :class:`RetryPolicy` for attempts on the local lanes (default:
-        2 attempts, no timeout); ``timeout_seconds`` is a pool lane's
-        lease, and setting it keeps ``jobs > 1`` shards off the
-        calling thread.
-    dispatch:
-        Optional :class:`~repro.parallel.dispatch.DispatchCoordinator`.
-        When set, shards that miss the cache run on its remote lanes,
-        budgeted and paced by *its* retry policy, and this executor's
-        local lanes are the last lanes: they take shards only once
-        every host is lost (degraded mode).  Placement never affects
-        results — see docs/dispatch.md.
+    max_attempts:
+        Attempts per shard, the first included (``1`` = no retries):
+        a task that raised, or a pool worker that died under it, is
+        charged one and the shard requeued.
     """
 
     def __init__(
@@ -591,14 +403,16 @@ class SweepExecutor:
         jobs: int = 1,
         seed: int = 0,
         cache: Optional[Any] = None,
-        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
-        dispatch: Optional[Any] = None,
+        max_attempts: int = 2,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        if max_attempts < 1:
+            raise ConfigurationError(
+                f"max_attempts must be >= 1, got {max_attempts}"
+            )
         self.jobs = jobs
-        self.retry = retry
-        self.dispatch = dispatch
+        self.max_attempts = max_attempts
         self._seed_root = DeterministicRng(seed)
         self._tasks_submitted = 0
         if isinstance(cache, str):
@@ -620,8 +434,7 @@ class SweepExecutor:
             name, category=CATEGORY_PARALLEL, task=index, **args
         )
 
-    def _observe(self, event: str, pending: Optional[_Pending],
-                 lane: Any, **info: Any) -> None:
+    def _observe(self, event: str, pending: _Pending, **info: Any) -> None:
         """The ``parallel.*`` side of a :class:`ShardLoop` transition:
         exactly one ``task_done`` per shard and one ``task_retry`` per
         charged attempt that will be retried, whichever lane ran it."""
@@ -635,7 +448,7 @@ class SweepExecutor:
                 self.retries += 1
             self._emit(
                 "parallel.task_retry", pending.shard.index,
-                label=pending.shard.label, attempt=pending.attempts + 1,
+                label=pending.shard.label, attempt=pending.charged + 1,
                 error=info["error"],
             )
 
@@ -683,7 +496,6 @@ class SweepExecutor:
                 shard.digest = config_digest(kind, doc)
                 cached = self.cache.get(shard.digest)
                 if cached is not None:
-                    shard.cached = True
                     results[shard.index] = cached
                     self.tasks_cached += 1
                     self._emit("parallel.cache_hit", shard.index,
@@ -699,26 +511,24 @@ class SweepExecutor:
             observers: List[Callable[..., None]] = [self._observe]
             if self.cache is not None and kind is not None:
                 observers.append(functools.partial(self._store, kind))
-            # Lane choice is the only thing jobs and dispatch decide.
-            lanes, pool_workers = self._local_lanes(fn, len(to_run))
-            if self.dispatch is None:
-                if pool_workers:
-                    _boot_pool(pool_workers)
-                results.update(ShardLoop(
-                    to_run, lanes, self.retry, observers=observers
-                ).run())
-            else:
-                results.update(self.dispatch.run(
-                    fn, to_run, kind=kind or "",
-                    cached_shards=[s for s in shards if s.cached],
-                    local_lanes=lanes, observers=observers,
-                ))
+            # Lane choice is the only thing jobs decides: the calling
+            # thread, then pool slots, jobs simulations in flight.
+            workers = self.jobs - 1
+            if workers:
+                _boot_pool(workers)
+            lanes = [_InlineLane(fn)] + [
+                _PoolLane(fn, workers)
+                for _ in range(min(self.jobs, len(to_run)) - 1)
+            ]
+            results.update(ShardLoop(
+                to_run, lanes, self.max_attempts, observers=observers
+            ).run())
         return [
             self._absorb_registry(results[shard.index]) for shard in shards
         ]
 
-    def _store(self, kind: str, event: str, pending: Optional[_Pending],
-               lane: Any, **info: Any) -> None:
+    def _store(self, kind: str, event: str, pending: _Pending,
+               **info: Any) -> None:
         """Cache each result as its shard resolves, so a sweep that dies
         part-way (a terminal failure, a crash of the calling process)
         keeps every shard it finished.  The cached value keeps its
@@ -734,25 +544,6 @@ class SweepExecutor:
                 shard.digest, cache_key(kind, self._key_doc(shard)),
                 info["result"],
             )
-
-    def _local_lanes(self, fn: Callable[..., Any],
-                     shards: int) -> Tuple[List[Any], int]:
-        """``min(jobs, shards)`` lanes and the pool size they share.
-
-        The calling thread is the first lane and ``jobs - 1`` pool
-        workers stand beside it, so ``jobs`` simulations are in flight.
-        Under a lease (``retry.timeout_seconds``) every lane of a
-        ``jobs > 1`` run is a pool slot instead: a wedged shard on a
-        thread could not be terminated.
-        """
-        count = min(self.jobs, shards)
-        if self.jobs > 1 and self.retry.timeout_seconds is not None:
-            return [_PoolLane(fn, self, self.jobs)
-                    for _ in range(count)], self.jobs
-        workers = self.jobs - 1
-        return [_InlineLane(fn)] + [
-            _PoolLane(fn, self, workers) for _ in range(count - 1)
-        ], workers
 
     def _absorb_registry(self, result: Any) -> Any:
         """Strip and collect a task result's ``obs_registry`` document.

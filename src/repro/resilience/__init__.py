@@ -13,7 +13,6 @@ from repro.resilience.faults import (
     QueueSaturation,
     TrafficBurst,
 )
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
 from repro.resilience.scenarios import run_scenario, scenario_names
 from repro.resilience.snapshot import (
@@ -33,8 +32,6 @@ __all__ = [
     "LinkStall",
     "QueueSaturation",
     "TrafficBurst",
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
     "ResilienceConfig",
     "ResilienceRuntime",
     "run_scenario",

@@ -123,6 +123,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "removed 1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["cache", "prune"],
+        ["cache", "prune", "--keep", "-1"],
+        ["cache", "prune", "--older-than-days", "-1"],
+        ["sweep", "tradeoff", "--jobs", "0"],
+        ["tradeoff", "--jobs", "0"],
+        ["detect", "--jobs", "0"],
+    ])
+    def test_bad_counts_are_usage_errors(self, argv, capsys, tmp_path):
+        """Refused before anything runs: exit 2, one ``error:`` line,
+        no traceback, and no cache directory touched."""
+        cache_dir = tmp_path / "cache"
+        if argv[0] == "cache":
+            argv = [*argv, "--cache-dir", str(cache_dir)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "tradeoff", "--hosts", "127.0.0.1:7001"],
+        ["sweep", "tradeoff", "--ledger", "ledger.json"],
+        ["sweep", "tradeoff", "--lease-seconds", "5"],
+        ["sweep", "tradeoff", "--dispatch-log", "events.jsonl"],
+        ["dispatch", "worker"],
+    ])
+    def test_multi_host_options_are_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_tradeoff_prints_digests(self, capsys, tmp_path):
         assert main(["--scale", "0.1", "tradeoff", "--benchmark", "gcc",
                      "--jobs", "2",

@@ -26,7 +26,6 @@ from repro.parallel.tasks import (
     mix_slowdown_task,
     run_point,
 )
-from repro.parallel.worker import WorkerHost
 from repro.sim.stats import report_digest
 from repro.sim.system import EpochShapingPlan, RequestShapingPlan
 
@@ -251,23 +250,3 @@ class TestMalformedPayloads:
         )
         with pytest.raises(ConfigurationError, match="request_plans"):
             mix_slowdown_task(payload)
-
-    def test_dispatch_worker_reports_the_field_in_band(self):
-        from repro.parallel import DispatchCoordinator, SweepExecutor
-        from repro.common.errors import WorkerFailureError
-        import threading
-
-        host = WorkerHost(inline=True)
-        host.bind()
-        threading.Thread(target=host.serve_forever, daemon=True).start()
-        coordinator = DispatchCoordinator([(host.host, host.port)])
-        try:
-            with pytest.raises(WorkerFailureError) as excinfo:
-                SweepExecutor(dispatch=coordinator).map(
-                    alone_base_task, [{"names": ["gcc"]}], kind="alone-base"
-                )
-        finally:
-            coordinator.close()
-            host.close()
-        assert "ConfigurationError" in excinfo.value.last_error
-        assert "spec_edges" in excinfo.value.last_error

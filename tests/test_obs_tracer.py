@@ -22,7 +22,7 @@ from repro.obs import (
     make_trace_buffer,
 )
 from repro.obs import diag
-from repro.obs.events import CATEGORY_DISPATCH, CATEGORY_PARALLEL
+from repro.obs.events import CATEGORY_PARALLEL, CATEGORY_RESILIENCE
 
 
 class TestRingBuffer:
@@ -180,15 +180,15 @@ class TestEventTracer:
 
 class TestDiagnostics:
     def test_jsonl_bytes_pinned(self):
-        """``--dispatch-log`` renders diag events this way; the stamps,
-        the eviction of the oldest and the args ordering are pinned."""
+        """The tracer's JSONL writer on the diag ring: the stamps, the
+        eviction of the oldest and the args ordering are pinned."""
         diag.reset()
         try:
             for i in range(diag.DIAG_LIMIT + 6):
                 if i % 3 == 0:
                     diag.emit_diagnostic(
-                        "dispatch.lease", category=CATEGORY_DISPATCH,
-                        shard=i, host=f"h{i % 2}", lease=0.5,
+                        "parallel.cache_hit", category=CATEGORY_PARALLEL,
+                        task=i, label=f"t[{i}]", digest=f"d{i % 2}",
                     )
                 elif i % 3 == 1:
                     diag.emit_diagnostic(
@@ -197,8 +197,8 @@ class TestDiagnostics:
                     )
                 else:
                     diag.emit_diagnostic(
-                        "dispatch.host_up", category=CATEGORY_DISPATCH,
-                        core_id=i % 4, host="h0",
+                        "watchdog.stall", category=CATEGORY_RESILIENCE,
+                        core_id=i % 4, budget=0.5,
                     )
             lines = "".join(
                 json.dumps(event.as_jsonl_obj(), sort_keys=True) + "\n"
@@ -207,7 +207,7 @@ class TestDiagnostics:
         finally:
             diag.reset()
         assert diag.count() == 0
-        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "6669485316b7e736"
+        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "910e32db899e2f3f"
 
     def test_concurrent_emitters_get_distinct_stamps(self):
         """Executor lanes are threads: no two diagnostics may share a

@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentDefaults, tradeoff_sweep
 from repro.analysis.sweeps import noc_latency_sweep
-from repro.common.errors import (
-    ConfigurationError,
-    ShardTimeoutError,
-    WorkerFailureError,
-)
+from repro.common.errors import ConfigurationError, WorkerFailureError
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_json_digest
 from repro.obs import diag
@@ -38,15 +34,13 @@ from repro.parallel import (
     cache_key,
     config_digest,
 )
-from repro.parallel.executor import ShardLoop, _InlineLane, _Shard
+from repro.parallel.executor import ShardLoop, _InlineLane, _PoolLane, _Shard
 from repro.parallel.tasks import (
     encode_point,
     noc_latency_task,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.workloads.spec import make_trace
 from repro.workloads.synthetic import SyntheticTraceGenerator
-from tests.test_dispatch import LANE_KINDS, flaky_echo_task, lane_executor
 
 FAST = dataclasses.replace(ExperimentDefaults(), accesses=600, cycles=6000)
 
@@ -61,6 +55,15 @@ def seeded_task(payload, task_seed=None):
 
 def always_fails_task(payload):
     raise ValueError("permanent failure")
+
+
+def flaky_echo_task(payload):
+    """Fails on the first attempt, succeeds once the marker exists."""
+    if not os.path.exists(payload["marker"]):
+        with open(payload["marker"], "w", encoding="utf-8") as fh:
+            fh.write("attempted")
+        raise RuntimeError("transient failure")
+    return {"x": payload["x"]}
 
 
 def fails_on_request_task(payload):
@@ -101,10 +104,38 @@ def pid_task(payload):
     return os.getpid()
 
 
-def sleepy_task(payload):
-    """Wedges: sleeps far past any test's per-attempt timeout."""
-    time.sleep(payload.get("delay", 60.0))
-    return {"done": True}
+#: Every kind of lane a shard can run on: the failure matrix's columns.
+LANE_KINDS = ("inline", "pool")
+
+
+class _PoolColumn(SweepExecutor):
+    """``map`` with every shard on a slot of the warm pool.
+
+    ``SweepExecutor.map`` always keeps the calling thread as a lane, so
+    a failing shard could spend every attempt there and never cross
+    the pool.  This loop has two pool lanes and no other, and reports
+    to the executor exactly as ``map``'s own loop does."""
+
+    def map(self, fn, payloads, labels=None):
+        shards = [
+            _Shard(index=i, payload=payload,
+                   label=labels[i] if labels else f"{fn.__name__}[{i}]",
+                   task_seed=None)
+            for i, payload in enumerate(payloads)
+        ]
+        lanes = [_PoolLane(fn, workers=2) for _ in range(2)]
+        results = ShardLoop(
+            shards, lanes, self.max_attempts, observers=[self._observe]
+        ).run()
+        return [results[shard.index] for shard in shards]
+
+
+def lane_executor(kind, max_attempts=2):
+    """An executor whose shards all run on one kind of lane: the
+    calling thread (``inline``) or slots of the warm pool (``pool``)."""
+    if kind == "inline":
+        return SweepExecutor(jobs=1, max_attempts=max_attempts)
+    return _PoolColumn(max_attempts=max_attempts)
 
 
 @pytest.fixture(autouse=True)
@@ -215,8 +246,9 @@ class TestResultCache:
 
 class TestSweepExecutor:
     def test_jobs_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(jobs=0)
+        for kwargs in ({"jobs": 0}, {"max_attempts": 0}):
+            with pytest.raises(ConfigurationError):
+                SweepExecutor(**kwargs)
 
     def test_label_count_must_match(self):
         with pytest.raises(ConfigurationError):
@@ -259,10 +291,8 @@ class TestSweepExecutor:
                 {"x": i, "marker": str(tmp_path / f"{kind}-{i}")}
                 for i in range(2)
             ]
-            with lane_executor(
-                kind, RetryPolicy(max_attempts=2), flaky_echo_task
-            ) as executor:
-                results = executor.map(flaky_echo_task, payloads)
+            executor = lane_executor(kind)
+            results = executor.map(flaky_echo_task, payloads)
             assert results == [{"x": 0}, {"x": 1}], kind
             assert executor.retries == 2, kind
             assert diag.count("parallel.task_retry") == 2, kind
@@ -274,14 +304,12 @@ class TestSweepExecutor:
         payloads = [{"x": 1}, {"x": 2, "fail": True}]
         for kind in LANE_KINDS:
             diag.reset()
-            with lane_executor(
-                kind, RetryPolicy(max_attempts=2), fails_on_request_task
-            ) as executor:
-                with pytest.raises(WorkerFailureError) as excinfo:
-                    executor.map(
-                        fails_on_request_task, payloads,
-                        labels=["fine", "doomed"],
-                    )
+            executor = lane_executor(kind)
+            with pytest.raises(WorkerFailureError) as excinfo:
+                executor.map(
+                    fails_on_request_task, payloads,
+                    labels=["fine", "doomed"],
+                )
             error = excinfo.value
             assert error.task_index == 1, kind
             assert error.label == "doomed", kind
@@ -298,7 +326,7 @@ class TestSweepExecutor:
     def test_lowest_failing_shard_is_raised(self):
         """Several terminal failures: the lowest shard index wins, as
         in-order collection would have it, however the lanes race."""
-        executor = SweepExecutor(jobs=2, retry=RetryPolicy(max_attempts=2))
+        executor = SweepExecutor(jobs=2, max_attempts=2)
         with pytest.raises(WorkerFailureError) as excinfo:
             executor.map(always_fails_task, [{"x": x} for x in range(3)])
         assert excinfo.value.task_index == 0
@@ -336,7 +364,7 @@ class TestShardLoopStress:
         executor = SweepExecutor()
         loop = ShardLoop(
             shards, [_InlineLane(every_third_fails_once) for _ in range(8)],
-            RetryPolicy(max_attempts=2), observers=[executor._observe],
+            2, observers=[executor._observe],
         )
         outcome = {}
         runner = threading.Thread(
@@ -456,12 +484,9 @@ class TestLanes:
         assert os.getpid() in pids
         assert len(set(pids)) == 2
 
-    def test_lease_keeps_every_shard_off_the_calling_process(self):
-        """What ``lane_executor("pool")`` relies on for the failure
-        matrix's pool column."""
-        pids = SweepExecutor(
-            jobs=2, retry=RetryPolicy(timeout_seconds=60.0)
-        ).map(pid_task, [{}] * 4)
+    def test_pool_column_never_runs_in_the_calling_process(self):
+        """What the failure matrix's pool column relies on."""
+        pids = lane_executor("pool").map(pid_task, [{}] * 4)
         assert os.getpid() not in pids
 
     def test_single_shard_runs_inline_and_boots_the_pool(self):
@@ -499,35 +524,6 @@ class TestBrokenPoolRebuild:
         assert not getattr(executor_mod._POOL, "_broken", False)
 
 
-class TestShardTimeout:
-    def test_wedged_shard_raises_typed_timeout(self):
-        """Satellite contract: a shard exceeding its per-attempt budget
-        surfaces a typed ShardTimeoutError with a watchdog-style dump,
-        and the wedged pool is terminated."""
-        from repro.parallel import executor as executor_mod
-
-        executor = SweepExecutor(
-            jobs=2, retry=RetryPolicy(max_attempts=1, timeout_seconds=0.5)
-        )
-        payloads = [{"delay": 30.0}, {"delay": 30.0}]
-        started = time.monotonic()
-        with pytest.raises(ShardTimeoutError) as excinfo:
-            executor.map(sleepy_task, payloads)
-        # Under a lease no shard runs on the calling thread, which
-        # could not be stopped: the map gives up within the lease.
-        assert time.monotonic() - started < 10.0
-        err = excinfo.value
-        assert err.task_index == 0
-        assert err.timeout_seconds == 0.5
-        assert err.dump["pool_terminated"] is True
-        assert err.dump["attempts"] == 1
-        assert err.dump["jobs"] == 2
-        assert err.dump["label"] == err.label
-        assert diag.count("parallel.shard_timeout") >= 1
-        # the stuck workers were killed, not left burning a core
-        assert executor_mod._POOL is None
-
-
 class TestCacheHits:
     def test_second_sweep_runs_zero_simulations(self, tmp_path):
         """Warm-cache replay: identical output, zero task executions,
@@ -550,7 +546,7 @@ class TestCacheHits:
         dies part-way is resumed from the cache, not from scratch."""
         payloads = [{"x": 0}, {"x": 1}, {"x": 2, "fail": True}]
         failing = SweepExecutor(
-            jobs=1, cache=str(tmp_path), retry=RetryPolicy(max_attempts=1)
+            jobs=1, cache=str(tmp_path), max_attempts=1
         )
         with pytest.raises(WorkerFailureError):
             failing.map(fails_on_request_task, payloads, kind="resume")
