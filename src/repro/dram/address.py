@@ -85,6 +85,21 @@ class AddressMapping:
                         f"bank {bank} outside 0..{organization.banks_per_rank - 1}"
                     )
         self._bank_mask = bank_mask
+        # (shift, mask) of each field, in DecodedAddress order, above
+        # the line offset; fields stack from the least-significant end.
+        if scheme is InterleavingScheme.ROW_BANK_COLUMN:
+            order = ("channel", "column", "bank", "rank", "row")
+        else:  # BANK_INTERLEAVED
+            order = ("channel", "bank", "rank", "column", "row")
+        spans = {}
+        shift = organization.offset_bits
+        for name in order:
+            width = getattr(organization, name + "_bits")
+            spans[name] = (shift, (1 << width) - 1)
+            shift += width
+        self._fields = tuple(
+            spans[name] for name in ("channel", "rank", "bank", "row", "column")
+        )
 
     @classmethod
     def bank_interleaved(cls, organization: DramOrganization) -> "AddressMapping":
@@ -113,34 +128,17 @@ class AddressMapping:
         """
         if address < 0:
             raise ConfigurationError(f"negative physical address {address:#x}")
-        org = self._org
-        bits = address >> org.offset_bits
-
-        def take(width: int):
-            nonlocal bits
-            value = bits & ((1 << width) - 1)
-            bits >>= width
-            return value
-
-        if self._scheme is InterleavingScheme.ROW_BANK_COLUMN:
-            channel = take(org.channel_bits)
-            column = take(org.column_bits)
-            bank = take(org.bank_bits)
-            rank = take(org.rank_bits)
-            row = take(org.row_bits)
-        else:  # BANK_INTERLEAVED
-            channel = take(org.channel_bits)
-            bank = take(org.bank_bits)
-            rank = take(org.rank_bits)
-            column = take(org.column_bits)
-            row = take(org.row_bits)
-
+        (cs, cm), (rs, rm), (bs, bm), (ws, wm), (ls, lm) = self._fields
+        bank = (address >> bs) & bm
         if self._bank_mask is not None:
             # Fold the full bank space onto the permitted subset.  This
             # shrinks effective capacity per thread, which is precisely
             # the FS-with-partitioning cost the paper calls out.
             bank = self._bank_mask[bank % len(self._bank_mask)]
-
         return DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, column=column
+            channel=(address >> cs) & cm,
+            rank=(address >> rs) & rm,
+            bank=bank,
+            row=(address >> ws) & wm,
+            column=(address >> ls) & lm,
         )

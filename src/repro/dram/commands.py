@@ -35,11 +35,6 @@ class DramCommand:
     kind: CommandType
     address: DecodedAddress
 
-    @property
-    def is_column(self) -> bool:
-        """True for column commands (READ/WRITE) that move data."""
-        return self.kind in (CommandType.READ, CommandType.WRITE)
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         a = self.address
         return (

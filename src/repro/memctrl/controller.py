@@ -82,8 +82,10 @@ class MemoryController:
             raise ConfigurationError("egress_capacity must be positive")
         self.queue = TransactionQueue(queue_capacity)
         self._egress_capacity = egress_capacity
-        # Transactions whose column command issued, awaiting burst end.
+        # Transactions whose column command issued, awaiting burst
+        # end, and the earliest of their ends (None when none fly).
         self._in_flight: List[MemoryTransaction] = []
+        self._burst_due: Optional[int] = None
         # Completed transactions per core, awaiting pickup.
         self._egress: Dict[int, List[MemoryTransaction]] = {}
         # Return slots each core has committed (in flight + egress;
@@ -124,6 +126,7 @@ class MemoryController:
             )
         mapping = self._per_core_mapping.get(txn.core_id, self.mapping)
         txn.decoded = mapping.decode(txn.address)
+        txn.resolve(self.dram)
         txn.mc_arrival_cycle = cycle
         self.queue.push(txn)
         if self.tracer.enabled:
@@ -161,11 +164,13 @@ class MemoryController:
             self._fenced.discard(core_id)
         return taken
 
-    @property
-    def responses_pending(self) -> bool:
-        """Is any core's completed response awaiting pickup?"""
-        # An emptied egress list is dropped, never kept empty.
-        return bool(self._egress)
+    def waiting_cores(self):
+        """Cores with a completed response awaiting pickup.
+
+        A live view a caller may keep: an emptied egress list is
+        dropped, never kept empty, so membership is the count test.
+        """
+        return self._egress.keys()
 
     def pending_response_count(self, core_id: int) -> int:
         ready = self._egress.get(core_id)
@@ -180,7 +185,7 @@ class MemoryController:
 
     def tick(self, cycle: int) -> None:
         """Advance one cycle: refresh, schedule, issue, complete."""
-        if self._in_flight:
+        if self._burst_due is not None and cycle >= self._burst_due:
             self._complete_bursts(cycle)
         next_refresh = self.dram.next_refresh
         if self._refresh_pending or (
@@ -195,20 +200,19 @@ class MemoryController:
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Next cycle :meth:`tick` could change any state.
 
-        Sources: in-flight burst completions, the earliest refresh
-        deadline, and the scheduler's earliest possible pick over the
-        currently selectable transactions.
-        A refresh in progress (open banks being precharged, REFRESH
-        awaiting legality) is evaluated per-cycle — it is short and
-        rare, and its multi-step progress has no cheap closed form.
+        Sources: the earliest in-flight burst completion, refresh (the
+        earliest deadline, or while ranks await their REFRESH the first
+        cycle one of their precharges or the REFRESH may issue), and the
+        scheduler's earliest possible pick over the currently
+        selectable transactions.
         """
         if self._refresh_pending:
-            return cycle
-        earliest = self.dram.next_refresh
-        for txn in self._in_flight:
-            done = txn.data_ready_cycle
-            if done is not None and (earliest is None or done < earliest):
-                earliest = done
+            earliest = self.dram.refresh_horizon(self._refresh_pending)
+        else:
+            earliest = self.dram.next_refresh
+        done = self._burst_due
+        if done is not None and (earliest is None or done < earliest):
+            earliest = done
         if earliest is not None and earliest <= cycle:
             return cycle  # due already: no need to ask the scheduler
         sched = self.scheduler.next_event_cycle(
@@ -242,43 +246,34 @@ class MemoryController:
 
     def _complete_bursts(self, cycle: int) -> None:
         still_flying: List[MemoryTransaction] = []
+        due = None
         for txn in self._in_flight:
-            if txn.data_ready_cycle is not None and txn.data_ready_cycle <= cycle:
+            done = txn.data_ready_cycle
+            if done <= cycle:
                 self._egress.setdefault(txn.core_id, []).append(txn)
             else:
                 still_flying.append(txn)
+                if due is None or done < due:
+                    due = done
         self._in_flight = still_flying
+        self._burst_due = due
 
     def _service_refresh(self, cycle: int) -> None:
-        for channel, rank in self.dram.refresh_due(cycle):
+        dram = self.dram
+        for channel, rank in dram.refresh_due(cycle):
             self._refresh_pending.add((channel, rank))
         for channel, rank in sorted(self._refresh_pending):
-            open_banks = self.dram.refresh_precharge_targets(channel, rank)
+            open_banks = dram.refresh_precharge_targets(channel, rank)
             if open_banks:
                 for bank in open_banks:
-                    target = self.dram.channels[channel].ranks[rank].banks[bank]
-                    if target.can_precharge(cycle) and self.dram.channels[
-                        channel
-                    ].command_bus_free(cycle):
-                        # Routed through DramSystem.issue (not the
-                        # channel directly) so the PRE is traced like
-                        # every other command.
-                        pre = DramCommand(
-                            CommandType.PRECHARGE,
-                            DecodedAddress(
-                                channel=channel, rank=rank, bank=bank,
-                                row=0, column=0,
-                            ),
-                        )
-                        self.dram.issue(pre, cycle)
+                    target = dram.target(DecodedAddress(channel, rank, bank, 0, 0))
+                    if dram.can_issue(CommandType.PRECHARGE, target, cycle):
+                        dram.issue(CommandType.PRECHARGE, target, cycle)
                         break
                 continue
-            ref = DramCommand(
-                CommandType.REFRESH,
-                DecodedAddress(channel=channel, rank=rank, bank=0, row=0, column=0),
-            )
-            if self.dram.can_issue(ref, cycle):
-                self.dram.issue(ref, cycle)
+            target = dram.target(DecodedAddress(channel, rank, 0, 0, 0))
+            if dram.can_issue(CommandType.REFRESH, target, cycle):
+                dram.issue(CommandType.REFRESH, target, cycle)
                 self.refreshes += 1
                 self._refresh_pending.discard((channel, rank))
 
@@ -300,16 +295,19 @@ class MemoryController:
         txn = self.scheduler.select(self._selectable(), self.dram, cycle)
         if txn is None:
             return
-        command = self.dram.required_command(txn.decoded, txn.is_write)
-        if not self.dram.can_issue(command, cycle):
+        dram = self.dram
+        target = txn._target or txn.resolve(dram)
+        kind = dram.required_kind(target)
+        if not dram.can_issue(kind, target, cycle):
             # The scheduler promised an issuable command; treat anything
             # else as a policy bug rather than silently skipping.
+            command = DramCommand(kind, target.address)
             raise ProtocolError(
                 f"scheduler {self.scheduler.name} selected transaction "
                 f"{txn.txn_id} whose command {command} cannot issue at "
                 f"cycle {cycle}"
             )
-        if command.is_column:
+        if kind is CommandType.READ or kind is CommandType.WRITE:
             # A transaction is a row hit only if it never needed its own
             # PRECHARGE/ACTIVATE — the row was already open when first
             # scheduled (FR-FCFS's preferred case).
@@ -319,11 +317,16 @@ class MemoryController:
                 self.row_hits += 1
             else:
                 self.row_misses += 1
-            burst_end = self.dram.issue(command, cycle)
+            burst_end = dram.issue(kind, target, cycle)
             txn.issue_cycle = cycle
             txn.data_ready_cycle = burst_end
             self.queue.remove(txn)
+            # Out of the queue the target is never read again; a
+            # delivered transaction holds no reference into the device.
+            txn._target = None
             self._in_flight.append(txn)
+            if self._burst_due is None or burst_end < self._burst_due:
+                self._burst_due = burst_end
             committed = self._committed.get(txn.core_id, 0) + 1
             self._committed[txn.core_id] = committed
             if committed >= self._egress_capacity:
@@ -343,4 +346,4 @@ class MemoryController:
                 )
         else:
             txn.was_row_hit = False
-            self.dram.issue(command, cycle)
+            dram.issue(kind, target, cycle)

@@ -61,7 +61,7 @@ class Scheduler:
         earliest: Optional[int] = None
         ready_cycle = dram.ready_cycle
         for txn in candidates:
-            c = ready_cycle(txn.decoded, txn.is_write)
+            c = ready_cycle(txn._target or txn.resolve(dram))
             if earliest is None or c < earliest:
                 earliest = c
                 if earliest <= cycle:
@@ -86,9 +86,9 @@ class Scheduler:
         first_ready = None
         ready_cycle = dram.ready_cycle
         for txn in candidates:
-            decoded = txn.decoded
-            if ready_cycle(decoded, txn.is_write) <= cycle:
-                if dram.is_row_hit(decoded):
+            target = txn._target or txn.resolve(dram)
+            if ready_cycle(target) <= cycle:
+                if target.bank.is_row_hit(target.row):
                     return txn
                 if first_ready is None:
                     first_ready = txn
@@ -300,7 +300,7 @@ class TemporalPartitioningScheduler(Scheduler):
         ready_of: Dict[int, int] = {}
         for txn in candidates:
             domain = self._domain_of_core[txn.core_id]
-            ready = dram.ready_cycle(txn.decoded, txn.is_write)
+            ready = dram.ready_cycle(txn._target or txn.resolve(dram))
             if domain not in ready_of or ready < ready_of[domain]:
                 ready_of[domain] = ready
         rotation = turn * len(self._domains)
@@ -395,7 +395,9 @@ class FixedServiceScheduler(Scheduler):
             served.add(txn.core_id)
             slot = self._next_slot[txn.core_id]
             if earliest is None or slot < earliest:
-                event = max(slot, dram.ready_cycle(txn.decoded, txn.is_write))
+                event = max(
+                    slot, dram.ready_cycle(txn._target or txn.resolve(dram))
+                )
                 if earliest is None or event < earliest:
                     earliest = event
         if self.dummy_fill:

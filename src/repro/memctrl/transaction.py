@@ -89,6 +89,17 @@ class MemoryTransaction:
     # Set by schedulers for bookkeeping.
     was_row_hit: Optional[bool] = None
 
+    # The resolved DRAM target (a ``BankTarget``) while the transaction
+    # is queued: set at controller enqueue, or by :meth:`resolve` on
+    # first use for one built by hand.  Not a field, so equality and
+    # ``repr`` ignore it.
+    _target = None
+
+    def resolve(self, dram):
+        """Resolve (and keep) the bank :attr:`decoded` targets."""
+        target = self._target = dram.target(self.decoded, self.is_write)
+        return target
+
     @property
     def is_write(self) -> bool:
         return self.kind is TransactionType.WRITE

@@ -39,10 +39,6 @@ class LinkPort:
     def is_full(self) -> bool:
         return len(self._queue) >= self._capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
     def push(self, txn: MemoryTransaction) -> None:
         if self.is_full:
             raise ProtocolError(f"push into full link port {self.port_id}")
@@ -126,8 +122,9 @@ class SharedLink:
         the consumer's concern); otherwise the head-of-line in-flight
         arrival is the only timed event.  Idle and empty ⇒ ``None``.
         """
-        if any(not p.is_empty for p in self.ports):
-            return cycle
+        for port in self.ports:
+            if port._queue:
+                return cycle
         if self._in_flight:
             return max(cycle, self._in_flight[0][0])
         return None
@@ -139,7 +136,7 @@ class SharedLink:
         n = len(self.ports)
         for offset in range(n):
             port = self.ports[(self._rr_next + offset) % n]
-            if not port.is_empty:
+            if port._queue:
                 txn = port.pop()
                 self._in_flight.append((cycle + self.latency, txn))
                 self.grant_trace.append((cycle, port.port_id, txn))

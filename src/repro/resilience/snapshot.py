@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v5``.
+    Magic + format version: ``REPROSNAP v6``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -58,8 +58,11 @@ from repro.memctrl.transaction import (
 #: the page policy and the rank mask.  v5: the observability ring
 #: class and the monitor's two violation classes go (the tracer keeps
 #: a ``deque``, the sampler a list, the monitor one ``Violation``).
+#: v6: a queued transaction keeps its resolved ``BankTarget``, the
+#: controller its earliest burst deadline and an address mapping its
+#: precomputed field spans.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

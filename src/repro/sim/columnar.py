@@ -198,6 +198,8 @@ class ColumnarEngine:
         self._core_tick = [c.tick for c in system.cores]
         self._path_tick = [p.tick for p in system.request_paths]
         self._resp_tick = [p.tick for p in system.response_paths]
+        # Live view of the cores whose responses await pickup.
+        self._waiting = system.controller.waiting_cores()
 
         # Work attribution for the engine self-profiler
         # (repro.obs.profile): selective steps taken, how many of them
@@ -354,12 +356,12 @@ class ColumnarEngine:
             ran[j] += 1
 
         any_resp_ran = False
-        responses_pending = controller.responses_pending
+        waiting = self._waiting
         for i in range(n):
             j = self._resp0 + i
             path = stations[j]
             fed_path = False
-            if responses_pending and controller.pending_response_count(i):
+            if i in waiting:
                 while path.can_accept():
                     popped = controller.pop_responses(i, limit=1)
                     if not popped:
@@ -410,12 +412,11 @@ class ColumnarEngine:
         controller = sys_.controller
         if sys_._mc_staging and controller.can_accept():
             return None
-        if controller.responses_pending:
+        waiting = self._waiting
+        if waiting:
             response_paths = sys_.response_paths
-            for i in range(self._n):
-                if controller.pending_response_count(i) and (
-                    response_paths[i].can_accept()
-                ):
+            for i in waiting:
+                if response_paths[i].can_accept():
                     return None
         earliest = min(self._h)
         if earliest <= cycle:

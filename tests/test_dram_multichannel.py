@@ -8,7 +8,7 @@ cross-rank independence properties the geometry implies.
 import pytest
 
 from repro.dram.address import AddressMapping
-from repro.dram.commands import CommandType, DramCommand
+from repro.dram.commands import CommandType
 from repro.dram.organization import DramOrganization
 from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
@@ -57,13 +57,12 @@ class TestChannelIndependence:
             mapping.decode(a) for a in range(0, 1 << 20, 64)
             if mapping.decode(a).channel == 1
         )
-        act0 = DramCommand(CommandType.ACTIVATE, d0)
-        act1 = DramCommand(CommandType.ACTIVATE, d1)
-        assert wide_dram.can_issue(act0, 0)
-        wide_dram.issue(act0, 0)
+        t0, t1 = wide_dram.target(d0), wide_dram.target(d1)
+        assert wide_dram.can_issue(CommandType.ACTIVATE, t0, 0)
+        wide_dram.issue(CommandType.ACTIVATE, t0, 0)
         # Same cycle, other channel: still legal.
-        assert wide_dram.can_issue(act1, 0)
-        wide_dram.issue(act1, 0)
+        assert wide_dram.can_issue(CommandType.ACTIVATE, t1, 0)
+        wide_dram.issue(CommandType.ACTIVATE, t1, 0)
 
     def test_same_channel_blocked_same_cycle(self, wide_dram, wide_org):
         mapping = AddressMapping(wide_org)
@@ -76,9 +75,9 @@ class TestChannelIndependence:
             if mapping.decode(a).bank != d0.bank
             or mapping.decode(a).rank != d0.rank
         )
-        wide_dram.issue(DramCommand(CommandType.ACTIVATE, d0), 0)
+        wide_dram.issue(CommandType.ACTIVATE, wide_dram.target(d0), 0)
         assert not wide_dram.can_issue(
-            DramCommand(CommandType.ACTIVATE, d1), 0
+            CommandType.ACTIVATE, wide_dram.target(d1), 0
         )
 
     def test_data_buses_independent(self, wide_dram, wide_org, timing):
@@ -89,13 +88,13 @@ class TestChannelIndependence:
             if per_channel[d.channel] is None:
                 per_channel[d.channel] = d
         for d in per_channel.values():
-            wide_dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
+            wide_dram.issue(CommandType.ACTIVATE, wide_dram.target(d), 0)
         t = timing.tRCD
         end0 = wide_dram.issue(
-            DramCommand(CommandType.READ, per_channel[0]), t
+            CommandType.READ, wide_dram.target(per_channel[0]), t
         )
         end1 = wide_dram.issue(
-            DramCommand(CommandType.READ, per_channel[1]), t
+            CommandType.READ, wide_dram.target(per_channel[1]), t
         )
         assert end0 == end1  # concurrent bursts, no shared-bus serialization
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.address import AddressMapping, DecodedAddress
-from repro.dram.commands import CommandType, DramCommand
+from repro.dram.commands import CommandType
 from repro.dram.organization import DramOrganization
 from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
+from repro.memctrl.transaction import MemoryTransaction, TransactionType
 
 
 @pytest.fixture
@@ -18,17 +19,20 @@ def mapping(organization):
     return AddressMapping(organization)
 
 
+def required(dram, address, is_write=False):
+    return dram.required_kind(dram.target(address, is_write))
+
+
 class TestRequiredCommand:
     def test_closed_bank_needs_activate(self, dram, mapping):
         d = mapping.decode(0)
-        cmd = dram.required_command(d, is_write=False)
-        assert cmd.kind is CommandType.ACTIVATE
+        assert required(dram, d, is_write=False) is CommandType.ACTIVATE
 
     def test_open_row_needs_column(self, dram, mapping, timing):
         d = mapping.decode(0)
-        dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
-        assert dram.required_command(d, False).kind is CommandType.READ
-        assert dram.required_command(d, True).kind is CommandType.WRITE
+        dram.issue(CommandType.ACTIVATE, dram.target(d), 0)
+        assert required(dram, d, False) is CommandType.READ
+        assert required(dram, d, True) is CommandType.WRITE
 
     def test_row_conflict_needs_precharge(self, dram, mapping, organization):
         d0 = mapping.decode(0)
@@ -36,28 +40,28 @@ class TestRequiredCommand:
         conflict_addr = organization.row_buffer_bytes * organization.banks_per_rank
         d1 = mapping.decode(conflict_addr)
         assert d0.bank == d1.bank and d0.row != d1.row
-        dram.issue(DramCommand(CommandType.ACTIVATE, d0), 0)
-        assert dram.required_command(d1, False).kind is CommandType.PRECHARGE
+        dram.issue(CommandType.ACTIVATE, dram.target(d0), 0)
+        assert required(dram, d1, False) is CommandType.PRECHARGE
 
 
 class TestCommandSequence:
     def test_full_read_sequence(self, dram, mapping, timing):
         """ACT → RD walks the constraint chain and returns data."""
-        d = mapping.decode(4096)
-        act = dram.required_command(d, False)
-        assert dram.can_issue(act, 0)
-        dram.issue(act, 0)
-        rd = dram.required_command(d, False)
-        assert rd.kind is CommandType.READ
-        assert not dram.can_issue(rd, timing.tRCD - 1)
-        end = dram.issue(rd, timing.tRCD)
+        target = dram.target(mapping.decode(4096))
+        act = dram.required_kind(target)
+        assert dram.can_issue(act, target, 0)
+        dram.issue(act, target, 0)
+        rd = dram.required_kind(target)
+        assert rd is CommandType.READ
+        assert not dram.can_issue(rd, target, timing.tRCD - 1)
+        end = dram.issue(rd, target, timing.tRCD)
         assert end == timing.tRCD + timing.tCAS + timing.tBURST
 
     def test_row_hit_tracking(self, dram, mapping, timing):
-        d = mapping.decode(0)
-        assert not dram.is_row_hit(d)
-        dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
-        assert dram.is_row_hit(d)
+        target = dram.target(mapping.decode(0))
+        assert not target.bank.is_row_hit(target.row)
+        dram.issue(CommandType.ACTIVATE, target, 0)
+        assert target.bank.is_row_hit(target.row)
         assert dram.total_activates() == 1
 
 
@@ -95,10 +99,30 @@ STEPS = st.lists(
 MEMO_TIMING = DramTiming(tREFI=60, tRFC=20)
 
 
+def queue_accesses(dram, accesses):
+    """Transactions for (channel, rank, bank, row, write) tuples,
+    resolved the way the controller's enqueue resolves them."""
+    queued = []
+    for c, r, b, row, w in accesses:
+        txn = MemoryTransaction(
+            core_id=0, address=0, created_cycle=0,
+            kind=TransactionType.WRITE if w else TransactionType.READ,
+        )
+        txn.decoded = DecodedAddress(channel=c, rank=r, bank=b, row=row, column=0)
+        txn.resolve(dram)
+        queued.append(txn)
+    return queued
+
+
 def assert_memo_exact(dram, queued, cycle):
-    for a, w in queued:
-        legal = dram.can_issue(dram.required_command(a, w), cycle)
-        assert (dram.ready_cycle(a, w) <= cycle) == legal, (a, w, cycle)
+    """Readiness through each transaction's target (what the
+    schedulers read) against legality of the command its address
+    needs, resolved afresh and checked on the live registers."""
+    for txn in queued:
+        truth = dram.target(txn.decoded, txn.is_write)
+        legal = dram.can_issue(dram.required_kind(truth), truth, cycle)
+        ready = dram.ready_cycle(txn._target)
+        assert (ready <= cycle) == legal, (txn.decoded, txn.is_write, cycle)
 
 
 def refresh_step(dram, queued, cycle):
@@ -108,9 +132,9 @@ def refresh_step(dram, queued, cycle):
         open_banks = dram.refresh_precharge_targets(channel, rank)
         kind = CommandType.PRECHARGE if open_banks else CommandType.REFRESH
         bank = open_banks[0] if open_banks else 0
-        command = DramCommand(kind, DecodedAddress(channel, rank, bank, 0, 0))
-        if dram.can_issue(command, cycle):
-            dram.issue(command, cycle)
+        target = dram.target(DecodedAddress(channel, rank, bank, 0, 0))
+        if dram.can_issue(kind, target, cycle):
+            dram.issue(kind, target, cycle)
             assert_memo_exact(dram, queued, cycle)
 
 
@@ -126,58 +150,79 @@ class TestReadyCycleMemo:
             organization=DramOrganization(channels=2, ranks_per_channel=2),
             enable_refresh=True,
         )
-        queued = [
-            (DecodedAddress(channel=c, rank=r, bank=b, row=row, column=0), w)
-            for c, r, b, row, w in accesses
-        ]
+        queued = queue_accesses(dram, accesses)
         cycle = 0
         for pick, idle in steps:
-            address, is_write = queued[pick % len(queued)]
+            txn = queued[pick % len(queued)]
+            target = txn._target
             waited = 0
             while True:
                 assert_memo_exact(dram, queued, cycle)
                 refresh_step(dram, queued, cycle)
-                command = dram.required_command(address, is_write)
+                kind = dram.required_kind(target)
                 if (
                     waited >= idle
-                    and (address.channel, address.rank)
+                    and (txn.decoded.channel, txn.decoded.rank)
                     not in dram.refresh_due(cycle)
-                    and dram.can_issue(command, cycle)
+                    and dram.can_issue(kind, target, cycle)
                 ):
                     break
                 waited += 1
                 cycle += 1
-            dram.issue(command, cycle)
+            dram.issue(kind, target, cycle)
         assert_memo_exact(dram, queued, cycle)
 
     def test_dropping_only_the_issued_bank_is_caught(self, monkeypatch):
         """The property has teeth: an ACT moves the tRRD/tFAW gate of
         every bank in its rank, so a helper that invalidates only the
         issued bank leaves bank 1's ACT entry stale (too early)."""
-        def issued_bank_only(self, kind, a):
-            bank = self.channels[a.channel].ranks[a.rank].banks[a.bank]
-            self._ready.pop(bank, None)
+        def issued_bank_only(self, kind, target):
+            self._ready.pop(target.bank, None)
 
         monkeypatch.setattr(DramSystem, "_invalidate_ready", issued_bank_only)
         dram = DramSystem(enable_refresh=False)
-        bank0 = DecodedAddress(channel=0, rank=0, bank=0, row=0, column=0)
-        bank1 = DecodedAddress(channel=0, rank=0, bank=1, row=0, column=0)
-        queued = [(bank0, False), (bank1, False)]
+        bank0, bank1 = queued = queue_accesses(
+            dram, [(0, 0, 0, 0, False), (0, 0, 1, 0, False)]
+        )
         assert_memo_exact(dram, queued, 0)  # fills bank 1's ACT entry
-        dram.issue(DramCommand(CommandType.ACTIVATE, bank0), 0)
-        act = dram.required_command(bank1, False)
-        assert not dram.can_issue(act, 1)  # tRRD
-        assert dram.ready_cycle(bank1, False) <= 1
+        dram.issue(CommandType.ACTIVATE, bank0._target, 0)
+        assert not dram.can_issue(CommandType.ACTIVATE, bank1._target, 1)  # tRRD
+        assert dram.ready_cycle(bank1._target) <= 1
         with pytest.raises(AssertionError):
             assert_memo_exact(dram, queued, 1)
+
+    def test_a_target_on_the_neighbouring_bank_is_caught(self, monkeypatch):
+        """The property reads readiness through the resolved target, so
+        a resolve that lands on the next bank fails it: bank 0's row is
+        open (READ waits for tRCD) while bank 1 may ACTIVATE after tRRD."""
+        def neighbouring_bank(txn, dram):
+            a = txn.decoded
+            txn._target = dram.target(
+                DecodedAddress(a.channel, a.rank, a.bank + 1, a.row, a.column),
+                txn.is_write,
+            )
+            return txn._target
+
+        monkeypatch.setattr(MemoryTransaction, "resolve", neighbouring_bank)
+        dram = DramSystem(enable_refresh=False)
+        queued = queue_accesses(dram, [(0, 0, 0, 0, False)])
+        dram.issue(
+            CommandType.ACTIVATE,
+            dram.target(DecodedAddress(0, 0, 0, 0, 0)), 0,
+        )
+        timing = dram.timing
+        assert timing.tRRD < timing.tRCD
+        with pytest.raises(AssertionError):
+            for cycle in range(timing.tRCD + 1):
+                assert_memo_exact(dram, queued, cycle)
 
     def test_memo_is_not_snapshot_state(self, dram, mapping):
         """It fills at different cycles under each engine."""
         before = pickle.dumps(dram)
-        dram.ready_cycle(mapping.decode(0), False)
+        dram.ready_cycle(dram.target(mapping.decode(0)))
         assert pickle.dumps(dram) == before
         restored = pickle.loads(before)
-        assert restored.ready_cycle(mapping.decode(0), False) == 0
+        assert restored.ready_cycle(restored.target(mapping.decode(0))) == 0
 
 
 class TestRefreshManagement:
@@ -194,12 +239,8 @@ class TestRefreshManagement:
     def test_refresh_issue_resets_deadline(self):
         dram = DramSystem(enable_refresh=True)
         t = dram.timing.tREFI
-        from repro.dram.address import DecodedAddress
-
-        ref = DramCommand(
-            CommandType.REFRESH, DecodedAddress(0, 0, 0, 0, 0)
-        )
-        dram.issue(ref, t)
+        ref = dram.target(DecodedAddress(0, 0, 0, 0, 0))
+        dram.issue(CommandType.REFRESH, ref, t)
         assert dram.refresh_due(t) == []
         assert dram.refresh_due(2 * t) == [(0, 0)]
         assert dram.next_refresh == 2 * t
@@ -210,28 +251,56 @@ class TestRefreshManagement:
             enable_refresh=True,
         )
         t = dram.timing.tREFI
-        ref = DramCommand(CommandType.REFRESH, DecodedAddress(0, 1, 0, 0, 0))
-        dram.issue(ref, t + 3)
+        ref = dram.target(DecodedAddress(0, 1, 0, 0, 0))
+        dram.issue(CommandType.REFRESH, ref, t + 3)
         assert dram.next_refresh == t  # rank 0 is still due first
         assert DramSystem(enable_refresh=False).next_refresh is None
 
     def test_precharge_targets_lists_open_banks(self, mapping):
         dram = DramSystem(enable_refresh=True)
         d = mapping.decode(0)
-        dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
+        dram.issue(CommandType.ACTIVATE, dram.target(d), 0)
         assert dram.refresh_precharge_targets(0, 0) == [d.bank]
+
+    def test_refresh_horizon_is_the_next_step_of_a_pending_rank(self, mapping):
+        """Open banks: the first precharge allowed; all closed: the
+        last bank's ACT gate; a rank not pending: its deadline."""
+        timing = DramTiming()
+        dram = DramSystem(
+            timing=timing,
+            organization=DramOrganization(ranks_per_channel=2),
+            enable_refresh=True,
+        )
+        bank0 = dram.target(DecodedAddress(0, 0, 0, 0, 0))
+        bank1 = dram.target(DecodedAddress(0, 0, 1, 0, 0))
+        dram.issue(CommandType.ACTIVATE, bank0, 0)
+        dram.issue(CommandType.ACTIVATE, bank1, timing.tRRD)
+        pending = {(0, 0)}
+        assert dram.refresh_horizon(pending) == timing.tRAS
+        dram.issue(CommandType.PRECHARGE, bank0, timing.tRAS)
+        assert dram.refresh_horizon(pending) == timing.tRRD + timing.tRAS
+        dram.issue(CommandType.PRECHARGE, bank1, timing.tRRD + timing.tRAS)
+        # Both closed: REFRESH once the later ACT gate opens (tRC or
+        # tRP after the precharge, whichever is later).
+        assert dram.refresh_horizon(pending) == max(
+            timing.tRRD + timing.tRC, timing.tRRD + timing.tRAS + timing.tRP
+        )
+        # Rank 1, idle, waits only for the command bus; rank 0, not
+        # pending now, counts with its tREFI deadline.
+        bus_free = timing.tRRD + timing.tRAS + 1
+        assert dram.refresh_horizon({(0, 1)}) == min(bus_free, timing.tREFI)
 
 
 class TestStatistics:
     def test_data_bus_busy_cycles(self, dram, mapping, timing):
         d = mapping.decode(0)
-        dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
-        dram.issue(DramCommand(CommandType.READ, d), timing.tRCD)
+        dram.issue(CommandType.ACTIVATE, dram.target(d), 0)
+        dram.issue(CommandType.READ, dram.target(d), timing.tRCD)
         assert dram.data_bus_busy_cycles() == timing.tBURST
 
     def test_row_hits_counted_per_column_command(self, dram, mapping, timing):
         d = mapping.decode(0)
-        dram.issue(DramCommand(CommandType.ACTIVATE, d), 0)
-        dram.issue(DramCommand(CommandType.READ, d), timing.tRCD)
-        dram.issue(DramCommand(CommandType.READ, d), timing.tRCD + timing.tCCD)
+        dram.issue(CommandType.ACTIVATE, dram.target(d), 0)
+        dram.issue(CommandType.READ, dram.target(d), timing.tRCD)
+        dram.issue(CommandType.READ, dram.target(d), timing.tRCD + timing.tCCD)
         assert dram.total_row_hits() == 2

@@ -344,6 +344,19 @@ class TestRL008:
         assert ids_of(findings) == ["RL008"]
         assert "precharge" in findings[0].message
         assert "DramSystem.issue" in findings[0].hint
+        # The same bypass through a transaction's resolved target: the
+        # bank object is one attribute away from the controller.
+        findings = findings_for(
+            """
+            class MemoryController:
+                def _close_row(self, txn, cycle):
+                    txn._target.bank.precharge(cycle)
+            """,
+            path="src/repro/memctrl/controller.py",
+            select=["RL008"],
+        )
+        assert ids_of(findings) == ["RL008"]
+        assert "txn._target.bank.precharge" in findings[0].message
 
     def test_issue_resets_the_memo_and_pairs(self):
         findings = findings_for(

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.dram.system import DramSystem
 from repro.memctrl.controller import MemoryController
+from repro.memctrl.schedulers import FrFcfsScheduler
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 
 
@@ -144,6 +145,23 @@ class TestServiceLoop:
         assert len(done) == 16
         assert all(t.data_ready_cycle is not None for t in txns)
 
+    def test_pick_that_cannot_issue_is_a_protocol_error(self):
+        """The cross-check on the live registers catches a scheduler
+        that picks a transaction whose command is not yet legal."""
+        class Eager(FrFcfsScheduler):
+            def select(self, queue, dram, cycle):
+                for txn in queue:
+                    return txn
+                return None
+
+        mc = make_controller(scheduler=Eager())
+        mc.enqueue(make_txn(address=0), 0)
+        mc.tick(0)  # ACTIVATE; the READ waits for tRCD
+        with pytest.raises(
+            ProtocolError, match="command RD ch0 rk0 bk0 row0 col0 cannot issue"
+        ):
+            mc.tick(1)
+
     def test_fake_reads_serviced_like_reads(self):
         """Fake traffic exercises real DRAM banks (it must be real on
         the wire to be indistinguishable)."""
@@ -172,7 +190,7 @@ class TestRefreshService:
         run_controller(mc, trefi + mc.dram.timing.tRFC)
         assert mc.refreshes == 1
         # The bank used by the transaction was precharged for refresh.
-        assert mc.dram.bank(txn.decoded).open_row is None
+        assert mc.dram.target(txn.decoded).bank.open_row is None
 
     def test_transactions_resume_after_refresh(self):
         mc = make_controller(enable_refresh=True)

@@ -9,7 +9,8 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.dram.address import AddressMapping
-from repro.dram.commands import CommandType, DramCommand
+from repro.dram.commands import CommandType
+from repro.memctrl.controller import MemoryController
 from repro.memctrl.queue import TransactionQueue
 from repro.memctrl.schedulers import (
     FixedServiceScheduler,
@@ -37,7 +38,7 @@ def make_txn(mapping, core=0, address=0, write=False):
 
 
 def open_row(dram, decoded, cycle=0):
-    dram.issue(DramCommand(CommandType.ACTIVATE, decoded), cycle)
+    dram.issue(CommandType.ACTIVATE, dram.target(decoded), cycle)
 
 
 class TestFrFcfs:
@@ -81,6 +82,35 @@ class TestFrFcfs:
         assert timing.tRRD < timing.tRAS
         picked = FrFcfsScheduler().select(q, dram, timing.tRRD)
         assert picked is other
+
+
+    def test_never_enqueued_transaction_is_picked_as_an_enqueued_one(
+        self, dram, mapping, timing
+    ):
+        """A transaction built by hand resolves its bank on first use;
+        cycle by cycle it is picked exactly as its twin that went
+        through the controller's enqueue."""
+        addresses = [0, 8192, 8192 * 8, 1 << 20]
+        hand_txns = [make_txn(mapping, core=core, address=address)
+                     for core, address in enumerate(addresses)]
+        by_hand = TransactionQueue()
+        for txn in hand_txns:
+            by_hand.push(txn)
+        assert all(t._target is None for t in hand_txns)
+        mc = MemoryController(dram)
+        for core, address in enumerate(addresses):
+            mc.enqueue(make_txn(mapping, core=core, address=address), 0)
+        open_row(dram, hand_txns[1].decoded, 0)
+        sched = FrFcfsScheduler()
+        for cycle in range(timing.tRCD + 3):
+            hand = sched.select(by_hand, dram, cycle)
+            queued = sched.select(mc.queue, dram, cycle)
+            assert (hand is None) == (queued is None)
+            if hand is not None:
+                assert hand.address == queued.address
+        assert sched.select(by_hand, dram, timing.tRCD) is hand_txns[1]
+        assert all(t._target.bank is q._target.bank
+                   for t, q in zip(by_hand, mc.queue))
 
 
 class TestPriorityFrFcfs:
@@ -247,7 +277,7 @@ class TestTemporalPartitioning:
         open_row(dram, conflict, 110)
         assert sched.next_event_cycle([txn], dram, 111) == 110 + timing.tRAS
         # ...and one that is only met in the dead time waits a rotation.
-        dram.issue(DramCommand(CommandType.PRECHARGE, conflict),
+        dram.issue(CommandType.PRECHARGE, dram.target(conflict),
                    110 + timing.tRAS)
         open_row(dram, conflict, 160)
         assert 170 <= 160 + timing.tRAS < 200

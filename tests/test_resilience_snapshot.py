@@ -83,9 +83,9 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v5\)"
+            SnapshotError, match=r"format v1 .*\(expected v6\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
 
@@ -94,7 +94,7 @@ class TestEnvelope:
         the DRAM refresh field: it would unpickle and then die at the
         first tick with an ``AttributeError``.  It is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v2 .*\(expected v5\)"
+            SnapshotError, match=r"format v2 .*\(expected v6\)"
         ):
             parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
 
@@ -102,7 +102,7 @@ class TestEnvelope:
         """A v3 graph still carries the controller's write queue and
         page policy and the mapping's rank mask; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v3 .*\(expected v5\)"
+            SnapshotError, match=r"format v3 .*\(expected v6\)"
         ):
             parse_snapshot(b'REPROSNAP v3\n{"kind": "system"}\nnot-a-pickle')
 
@@ -110,9 +110,17 @@ class TestEnvelope:
         """A v4 graph names the observability ring class and the
         monitor's two violation classes, none of which exist now."""
         with pytest.raises(
-            SnapshotError, match=r"format v4 .*\(expected v5\)"
+            SnapshotError, match=r"format v4 .*\(expected v6\)"
         ):
             parse_snapshot(b'REPROSNAP v4\n{"kind": "system"}\nnot-a-pickle')
+
+    def test_v5_transaction_layout_fails_at_the_envelope(self):
+        """A v5 graph has no resolved targets on queued transactions
+        and no burst deadline on the controller; it is refused here."""
+        with pytest.raises(
+            SnapshotError, match=r"format v5 .*\(expected v6\)"
+        ):
+            parse_snapshot(b'REPROSNAP v5\n{"kind": "system"}\nnot-a-pickle')
 
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):
@@ -301,6 +309,29 @@ class TestResumeIdentical:
             lambda: _observed_resilient_builder(epoch=True),
             9_000, 25_000, engine, tmp_path,
         )
+
+    @pytest.mark.parametrize("engine", ["cycle", "columnar"])
+    def test_queued_and_in_flight_transactions(self, engine, tmp_path):
+        """A cut with the controller's queue and burst list both
+        occupied: queued transactions come back resolved to the
+        restored device's banks, and the run goes on bit for bit."""
+        def builder():
+            return _observed_resilient_builder(
+                traces=(("mcf", 400), ("gcc", 400))
+            )
+
+        cut = 8_205
+        system = builder().build()
+        system.run(cut, stop_when_done=False, engine=engine)
+        assert len(system.controller.queue) >= 3
+        assert system.controller._in_flight
+        snap = str(tmp_path / f"queued-{engine}.snap")
+        snapshot_system(system, snap)
+        resumed = restore_system(snap)
+        controller = resumed.controller
+        for txn in controller.queue:
+            assert txn._target.bank is controller.dram.target(txn.decoded).bank
+        _assert_resume_identical(builder, cut, 20_000, engine, tmp_path)
 
     def test_cross_engine_resume(self, tmp_path):
         """A snapshot written under one engine resumes under the other."""
