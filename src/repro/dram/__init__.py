@@ -18,7 +18,7 @@ Public surface:
 """
 
 from repro.dram.address import AddressMapping, DecodedAddress
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandType, DramCommand
 from repro.dram.organization import DramOrganization
 from repro.dram.system import DramSystem
@@ -27,7 +27,6 @@ from repro.dram.timing import DramTiming
 __all__ = [
     "AddressMapping",
     "Bank",
-    "BankState",
     "CommandType",
     "DecodedAddress",
     "DramCommand",

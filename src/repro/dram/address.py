@@ -16,15 +16,14 @@ partitioning experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError
 from repro.dram.organization import DramOrganization
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """DRAM coordinates of one physical address."""
 
     channel: int
@@ -136,9 +135,9 @@ class AddressMapping:
             # the FS-with-partitioning cost the paper calls out.
             bank = self._bank_mask[bank % len(self._bank_mask)]
         return DecodedAddress(
-            channel=(address >> cs) & cm,
-            rank=(address >> rs) & rm,
-            bank=bank,
-            row=(address >> ws) & wm,
-            column=(address >> ls) & lm,
+            (address >> cs) & cm,
+            (address >> rs) & rm,
+            bank,
+            (address >> ws) & wm,
+            (address >> ls) & lm,
         )

@@ -1,36 +1,26 @@
 """RL008: a mutation behind a cache must be paired with its invalidation.
 
-Two caches in the simulator are only as good as the marks that
-invalidate them, and each is enrolled here as a *ledger*:
-
-* The columnar engine (``repro/sim/columnar.py``) only re-polls
-  ``next_event_cycle`` for horizon rows whose ``dirty`` flag is set; a
-  station mutation that is not paired with a dirty-mark leaves a stale
-  cached horizon, and the engine silently schedules off it — the
-  bit-identity guarantee against ``engine="cycle"`` breaks in a
-  way no local (per-function) check can see when the mutation happens
-  through a helper.
-* ``DramSystem.ready_cycle`` memoises when a bank's next command may
-  issue until :meth:`DramSystem.issue` invalidates the entries its
-  command can move (``DramSystem._invalidate_ready``).  Both engines
-  read that memo, so engine equivalence is blind to a stale entry: a
-  ``Channel``/``Rank``/``Bank`` mutator called past ``issue`` (from the
-  controller, say) has to be caught here.  *Which* entries a command
-  invalidates is below this rule's function granularity; the memo
-  property test in ``tests/test_dram_system.py`` is its oracle.
+A cache in the simulator is only as good as the marks that invalidate
+it, and each is enrolled here as a *ledger*.  There is one: the
+columnar engine (``repro/sim/columnar.py``) only re-polls
+``next_event_cycle`` for horizon rows whose ``dirty`` flag is set; a
+station mutation that is not paired with a dirty-mark leaves a stale
+cached horizon, and the engine silently schedules off it — the
+bit-identity guarantee against ``engine="cycle"`` breaks in a way no
+local (per-function) check can see when the mutation happens through
+a helper.  (The DRAM device keeps no cache: its readiness is read
+live from the registers, so there is nothing there to go stale.)
 
 The rule is function-granularity and interprocedural: a function in a
 ledger's scope that calls one of its *mutators* (``*.tick``,
 ``*.enqueue``, ``*._deliver``, the engine's bound-method tick caches,
-...; ``*.activate``, ``*.precharge``, ... for the DRAM device) is
-**paired** when a *mark* appears in the function itself, in any
-transitive callee, or in a direct caller (the caller owning the mark
-for a mutation helper is the ``_step``/``_refresh_horizons`` split the
-engine already uses).  A mark is an assignment of a non-``False``
+...) is **paired** when a *mark* appears in the function itself, in
+any transitive callee, or in a direct caller (the caller owning the
+mark for a mutation helper is the ``_step``/``_refresh_horizons``
+split the engine already uses).  A mark is an assignment of a non-``False``
 value to a mark target (``dirty[i] = True``, ``self._dirty[j] =
-True``) or a call to a mark helper (``*mark_all_dirty*``,
-``*._invalidate_ready``); clearing a flag (``dirty[i] = False``) never
-counts.
+True``) or a call to a mark helper (``*mark_all_dirty*``); clearing a
+flag (``dirty[i] = False``) never counts.
 
 Scopes, mutator patterns and mark patterns are the ``_LEDGERS`` below;
 a new cache enrols by adding one.
@@ -83,28 +73,6 @@ _LEDGERS = [
             "cached horizon is re-polled after the mutation"
         ),
     ),
-    _Ledger(
-        mutation="DRAM device mutation",
-        mark="ready-cycle memo invalidation",
-        # The modules that hold the channels; the device classes
-        # delegate to each other below DramSystem.issue by design.
-        paths=["repro/dram/system.py", "repro/memctrl/*.py"],
-        mutator_calls=[
-            "*.activate",
-            "*.precharge",
-            "*.read",
-            "*.write",
-            "*.refresh",
-            "*.force_refresh_block",
-        ],
-        mark_targets=[],
-        mark_calls=["*._invalidate_ready"],
-        hint=(
-            "route the command through DramSystem.issue, which "
-            "invalidates the ready-cycle memo entries the command moves, "
-            "instead of calling the channel, rank or bank directly"
-        ),
-    ),
 ]
 
 
@@ -133,9 +101,8 @@ class DirtyMarkChecker(FlowChecker):
     id = "RL008"
     name = "dirty-mark-completeness"
     description = (
-        "every mutation behind a cache (columnar horizons, the DRAM "
-        "ready-cycle memo) must pair with its invalidating mark "
-        "(intra- or interprocedurally)"
+        "every mutation behind a cache (the columnar horizons) must "
+        "pair with its invalidating mark (intra- or interprocedurally)"
     )
 
     def check_project(self, project) -> Iterable[Finding]:

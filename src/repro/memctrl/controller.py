@@ -192,7 +192,6 @@ class MemoryController:
             next_refresh is not None and cycle >= next_refresh
         ):
             self._service_refresh(cycle)
-        self.scheduler.tick(cycle)
         if self._dummy_cores_due is not None:
             self._inject_scheduler_dummies(cycle)
         self._schedule_and_issue(cycle)
@@ -298,7 +297,9 @@ class MemoryController:
         dram = self.dram
         target = txn._target or txn.resolve(dram)
         kind = dram.required_kind(target)
-        if not dram.can_issue(kind, target, cycle):
+        try:
+            burst_end = dram.issue(kind, target, cycle)
+        except ProtocolError as error:
             # The scheduler promised an issuable command; treat anything
             # else as a policy bug rather than silently skipping.
             command = DramCommand(kind, target.address)
@@ -306,44 +307,42 @@ class MemoryController:
                 f"scheduler {self.scheduler.name} selected transaction "
                 f"{txn.txn_id} whose command {command} cannot issue at "
                 f"cycle {cycle}"
-            )
-        if kind is CommandType.READ or kind is CommandType.WRITE:
-            # A transaction is a row hit only if it never needed its own
-            # PRECHARGE/ACTIVATE — the row was already open when first
-            # scheduled (FR-FCFS's preferred case).
-            if txn.was_row_hit is None:
-                txn.was_row_hit = True
-            if txn.was_row_hit:
-                self.row_hits += 1
-            else:
-                self.row_misses += 1
-            burst_end = dram.issue(kind, target, cycle)
-            txn.issue_cycle = cycle
-            txn.data_ready_cycle = burst_end
-            self.queue.remove(txn)
-            # Out of the queue the target is never read again; a
-            # delivered transaction holds no reference into the device.
-            txn._target = None
-            self._in_flight.append(txn)
-            if self._burst_due is None or burst_end < self._burst_due:
-                self._burst_due = burst_end
-            committed = self._committed.get(txn.core_id, 0) + 1
-            self._committed[txn.core_id] = committed
-            if committed >= self._egress_capacity:
-                self._fenced.add(txn.core_id)
-            if txn.is_write:
-                self.issued_writes += 1
-            else:
-                self.issued_reads += 1
-            self.scheduler.on_issue(txn, cycle)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    cycle, CATEGORY_MEMCTRL, "memctrl.issue",
-                    core_id=txn.core_id,
-                    kind=txn.kind.name,
-                    row_hit=txn.was_row_hit,
-                    queue_depth=len(self.queue),
-                )
-        else:
+            ) from error
+        if burst_end is None:  # a PRECHARGE or ACTIVATE
             txn.was_row_hit = False
-            dram.issue(kind, target, cycle)
+            return
+        # A transaction is a row hit only if it never needed its own
+        # PRECHARGE/ACTIVATE — the row was already open when first
+        # scheduled (FR-FCFS's preferred case).
+        if txn.was_row_hit is None:
+            txn.was_row_hit = True
+        if txn.was_row_hit:
+            self.row_hits += 1
+        else:
+            self.row_misses += 1
+        txn.issue_cycle = cycle
+        txn.data_ready_cycle = burst_end
+        self.queue.remove(txn)
+        # Out of the queue the target is never read again; a
+        # delivered transaction holds no reference into the device.
+        txn._target = None
+        self._in_flight.append(txn)
+        if self._burst_due is None or burst_end < self._burst_due:
+            self._burst_due = burst_end
+        committed = self._committed.get(txn.core_id, 0) + 1
+        self._committed[txn.core_id] = committed
+        if committed >= self._egress_capacity:
+            self._fenced.add(txn.core_id)
+        if txn.is_write:
+            self.issued_writes += 1
+        else:
+            self.issued_reads += 1
+        self.scheduler.on_issue(txn, cycle)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                cycle, CATEGORY_MEMCTRL, "memctrl.issue",
+                core_id=txn.core_id,
+                kind=txn.kind.name,
+                row_hit=txn.was_row_hit,
+                queue_depth=len(self.queue),
+            )

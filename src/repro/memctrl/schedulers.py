@@ -32,9 +32,6 @@ class Scheduler:
     def on_issue(self, txn: MemoryTransaction, cycle: int) -> None:
         """Hook: a column command for ``txn`` was issued."""
 
-    def tick(self, cycle: int) -> None:
-        """Hook: called once per cycle before selection."""
-
     def next_event_cycle(
         self,
         candidates: Sequence[MemoryTransaction],
@@ -88,7 +85,7 @@ class Scheduler:
         for txn in candidates:
             target = txn._target or txn.resolve(dram)
             if ready_cycle(target) <= cycle:
-                if target.bank.is_row_hit(target.row):
+                if target.bank._open_row == target.row:
                     return txn
                 if first_ready is None:
                     first_ready = txn

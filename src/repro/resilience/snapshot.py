@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v6``.
+    Magic + format version: ``REPROSNAP v7``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -60,9 +60,11 @@ from repro.memctrl.transaction import (
 #: a ``deque``, the sampler a list, the monitor one ``Violation``).
 #: v6: a queued transaction keeps its resolved ``BankTarget``, the
 #: controller its earliest burst deadline and an address mapping its
-#: precomputed field spans.
+#: precomputed field spans.  v7: a decoded address is a named tuple,
+#: the DRAM system drops its ready-cycle memo, banks their state enum
+#: and timing, and a rank's ACT gate holds tFAW as well as tRRD.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

@@ -67,10 +67,12 @@ Bit-identity
   :func:`tick` (and marks every station dirty), so fault scenarios
   execute the injection order unchanged.
 
-Scheduler contract note: skipping the controller on event-free cycles
-assumes ``Scheduler.tick`` is pure bookkeeping that tolerates not
-being called on cycles where no transaction can advance; every shipped
-scheduler's ``tick`` is a no-op hook.
+Scheduler contract note: a scheduling policy has no per-cycle hook.
+Its state moves when a column command issues (``on_issue``) or another
+station calls it (RespC's priority boosts), never with the clock
+alone, and its ``next_event_cycle`` names the first cycle ``select``
+could pick anything, time-gated eligibility (TP turns, FS slots)
+included; so skipping the controller before that horizon is exact.
 """
 
 from __future__ import annotations

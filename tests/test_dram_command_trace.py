@@ -1,9 +1,9 @@
 """An independent DRAM command-trace validator.
 
-The simulator's own legality checks live in ``repro.dram.bank`` /
-``rank`` / ``channel`` and its ready-cycle memo is derived from the
-same registers, so neither can tell whether a scheduling change broke
-a JEDEC rule.  This checker does not import them: it replays the
+The simulator's own legality predicate and its readiness both live
+in ``repro.dram.system`` and read the same registers, so neither can
+tell whether a scheduling change broke a JEDEC rule.  This checker
+does not import them: it replays the
 ``dram.ACT/PRE/RD/WR/REF`` events ``DramSystem.issue`` emits against
 :class:`DramTiming` alone, then runs over the machines the perf
 benchmark and the paper's baselines use, under both engines, and pins

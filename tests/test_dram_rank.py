@@ -1,104 +1,115 @@
-"""Unit tests for rank-level constraints: tRRD, tFAW, tWTR, refresh."""
+"""Rank-level timing rules, through the device: tRRD, tFAW, tWTR and
+refresh, on the one rank of eight banks."""
 
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.dram.rank import Rank
-from repro.dram.timing import DramTiming
+from repro.dram.address import DecodedAddress
+from repro.dram.commands import CommandType
+
+ACT, PRE, RD, WR, REF = (
+    CommandType.ACTIVATE,
+    CommandType.PRECHARGE,
+    CommandType.READ,
+    CommandType.WRITE,
+    CommandType.REFRESH,
+)
 
 
-@pytest.fixture
-def rank(timing):
-    return Rank(timing, banks_per_rank=8)
+def at(dram, bank, row=1):
+    """Bank ``bank`` of the one rank, addressed at ``row``."""
+    return dram.target(DecodedAddress(0, 0, bank, row, 0))
 
 
 class TestTrrd:
-    def test_activates_to_different_banks_respect_trrd(self, rank, timing):
-        rank.activate(0, 0, row=1)
-        assert not rank.can_activate(1, timing.tRRD - 1)
-        rank.activate(1, timing.tRRD, row=1)
+    def test_activates_to_different_banks_respect_trrd(self, dram, timing):
+        dram.issue(ACT, at(dram, 0), 0)
+        assert not dram.can_issue(ACT, at(dram, 1), timing.tRRD - 1)
+        dram.issue(ACT, at(dram, 1), timing.tRRD)
 
-    def test_trrd_violation_raises(self, rank, timing):
-        rank.activate(0, 0, row=1)
+    def test_trrd_violation_raises(self, dram, timing):
+        dram.issue(ACT, at(dram, 0), 0)
         with pytest.raises(ProtocolError):
-            rank.activate(1, timing.tRRD - 1, row=1)
+            dram.issue(ACT, at(dram, 1), timing.tRRD - 1)
 
 
 class TestTfaw:
-    def test_fifth_activate_waits_for_window(self, rank, timing):
+    def test_fifth_activate_waits_for_window(self, dram, timing):
         """At most four ACTIVATEs per rolling tFAW window."""
         cycle = 0
         for bank in range(4):
-            rank.activate(bank, cycle, row=1)
+            dram.issue(ACT, at(dram, bank), cycle)
             cycle += timing.tRRD
         # Four activates issued within tFAW; the fifth must wait until
         # the first one (cycle 0) ages out.
-        earliest = rank.earliest_activate(4)
+        earliest = dram.ready_cycle(at(dram, 4))
         assert earliest >= timing.tFAW
-        assert not rank.can_activate(4, timing.tFAW - 1)
-        rank.activate(4, max(earliest, timing.tFAW), row=1)
+        assert not dram.can_issue(ACT, at(dram, 4), timing.tFAW - 1)
+        dram.issue(ACT, at(dram, 4), max(earliest, timing.tFAW))
 
-    def test_slow_activates_unconstrained_by_tfaw(self, rank, timing):
+    def test_slow_activates_unconstrained_by_tfaw(self, dram, timing):
         """Activates spaced wider than tFAW/4 never hit the limit."""
         gap = timing.tFAW  # ultra-conservative spacing
         for i, bank in enumerate(range(5)):
-            rank.activate(bank, i * gap, row=1)
-        assert rank.banks[4].open_row == 1
+            dram.issue(ACT, at(dram, bank), i * gap)
+        assert at(dram, 4).bank.open_row == 1
 
 
 class TestTwtr:
-    def test_read_after_write_waits_twtr(self, rank, timing):
-        rank.activate(0, 0, row=1)
-        rank.activate(1, timing.tRRD, row=2)
+    def test_read_after_write_waits_twtr(self, dram, timing):
+        dram.issue(ACT, at(dram, 0, row=1), 0)
+        dram.issue(ACT, at(dram, 1, row=2), timing.tRRD)
         t = timing.tRRD + timing.tRCD
-        rank.write(0, t, row=1)
+        dram.issue(WR, at(dram, 0, row=1), t)
         blocked_until = t + timing.tCWL + timing.tBURST + timing.tWTR
         # A read to ANY bank of the rank is blocked.
-        assert not rank.can_read(1, blocked_until - 1, row=2)
-        rank.read(1, blocked_until, row=2)
+        assert not dram.can_issue(RD, at(dram, 1, row=2), blocked_until - 1)
+        dram.issue(RD, at(dram, 1, row=2), blocked_until)
 
-    def test_write_after_write_not_blocked_by_twtr(self, rank, timing):
-        rank.activate(0, 0, row=1)
+    def test_write_after_write_not_blocked_by_twtr(self, dram, timing):
+        dram.issue(ACT, at(dram, 0), 0)
         t = timing.tRCD
-        rank.write(0, t, row=1)
-        assert rank.can_write(0, t + timing.tCCD, row=1)
+        dram.issue(WR, at(dram, 0), t)
+        assert dram.can_issue(WR, at(dram, 0), t + timing.tCCD)
 
-    def test_read_violating_twtr_raises(self, rank, timing):
-        rank.activate(0, 0, row=1)
+    def test_read_violating_twtr_raises(self, dram, timing):
+        dram.issue(ACT, at(dram, 0), 0)
         t = timing.tRCD
-        rank.write(0, t, row=1)
+        dram.issue(WR, at(dram, 0), t)
         with pytest.raises(ProtocolError):
-            rank.read(0, t + timing.tCCD, row=1)
+            dram.issue(RD, at(dram, 0), t + timing.tCCD)
 
 
 class TestRefresh:
-    def test_refresh_requires_all_banks_precharged(self, rank, timing):
-        rank.activate(0, 0, row=1)
-        assert not rank.can_refresh(timing.tRCD)
+    def test_refresh_requires_all_banks_precharged(self, dram, timing):
+        dram.issue(ACT, at(dram, 0), 0)
+        assert not dram.can_issue(REF, at(dram, 0), timing.tRCD)
         with pytest.raises(ProtocolError):
-            rank.refresh(timing.tRCD)
+            dram.issue(REF, at(dram, 0), timing.tRCD)
 
-    def test_refresh_blocks_every_bank(self, rank, timing):
-        rank.refresh(0)
-        assert rank.refresh_count == 1
+    def test_refresh_blocks_every_bank(self, dram, timing):
+        dram.issue(REF, at(dram, 0), 0)
+        assert dram.channels[0].ranks[0].refresh_count == 1
         for bank_index in range(8):
-            assert not rank.can_activate(bank_index, timing.tRFC - 1)
+            assert not dram.can_issue(ACT, at(dram, bank_index), timing.tRFC - 1)
 
-    def test_refresh_after_trfc_allows_activates(self, rank, timing):
-        rank.refresh(0)
-        rank.activate(0, timing.tRFC, row=1)
-        assert rank.banks[0].open_row == 1
+    def test_refresh_after_trfc_allows_activates(self, dram, timing):
+        dram.issue(REF, at(dram, 0), 0)
+        dram.issue(ACT, at(dram, 0), timing.tRFC)
+        assert at(dram, 0).bank.open_row == 1
 
 
 class TestAllBanksPrecharged:
-    def test_initially_true(self, rank):
-        assert rank.all_banks_precharged()
+    """What refresh waits for: no bank of the rank left open."""
 
-    def test_false_with_open_row(self, rank):
-        rank.activate(3, 0, row=9)
-        assert not rank.all_banks_precharged()
+    def test_initially_true(self, dram):
+        assert dram.refresh_precharge_targets(0, 0) == []
 
-    def test_true_again_after_precharge(self, rank, timing):
-        rank.activate(3, 0, row=9)
-        rank.precharge(3, timing.tRAS)
-        assert rank.all_banks_precharged()
+    def test_false_with_open_row(self, dram):
+        dram.issue(ACT, at(dram, 3, row=9), 0)
+        assert dram.refresh_precharge_targets(0, 0) == [3]
+
+    def test_true_again_after_precharge(self, dram, timing):
+        dram.issue(ACT, at(dram, 3, row=9), 0)
+        dram.issue(PRE, at(dram, 3, row=9), timing.tRAS)
+        assert dram.refresh_precharge_targets(0, 0) == []

@@ -59,18 +59,17 @@ class TestCommandSequence:
 
     def test_row_hit_tracking(self, dram, mapping, timing):
         target = dram.target(mapping.decode(0))
-        assert not target.bank.is_row_hit(target.row)
+        assert target.bank.open_row != target.row
         dram.issue(CommandType.ACTIVATE, target, 0)
-        assert target.bank.is_row_hit(target.row)
+        assert target.bank.open_row == target.row
         assert dram.total_activates() == 1
 
 
-# The memoised ready cycle is shared by both engines, so engine
-# equivalence cannot see a stale entry, and neither can the uncached
-# can_issue cross-check (an entry that is too late only delays a pick)
-# or the command-trace validator.  Exact agreement with can_issue at
-# every cycle can: it is the oracle for which entries each command
-# invalidates.
+# Readiness is shared by both engines, so engine equivalence cannot
+# see a term it gets wrong, and neither can the command-trace
+# validator nor issue()'s own check (a ready cycle that is too late
+# only delays a pick).  Exact agreement with the legality predicate,
+# which checks each rule on its own register, at every cycle can.
 
 ACCESSES = st.lists(
     st.tuples(
@@ -96,7 +95,7 @@ STEPS = st.lists(
 
 # A short refresh interval, so REF and its precharges land inside a
 # few hundred cycles.
-MEMO_TIMING = DramTiming(tREFI=60, tRFC=20)
+REFRESH_TIMING = DramTiming(tREFI=60, tRFC=20)
 
 
 def queue_accesses(dram, accesses):
@@ -114,7 +113,7 @@ def queue_accesses(dram, accesses):
     return queued
 
 
-def assert_memo_exact(dram, queued, cycle):
+def assert_readiness_exact(dram, queued, cycle):
     """Readiness through each transaction's target (what the
     schedulers read) against legality of the command its address
     needs, resolved afresh and checked on the live registers."""
@@ -127,7 +126,7 @@ def assert_memo_exact(dram, queued, cycle):
 
 def refresh_step(dram, queued, cycle):
     """One refresh command per due rank, the controller's way: close
-    its open banks, then REFRESH; the memo is checked after each."""
+    its open banks, then REFRESH; readiness is checked after each."""
     for channel, rank in dram.refresh_due(cycle):
         open_banks = dram.refresh_precharge_targets(channel, rank)
         kind = CommandType.PRECHARGE if open_banks else CommandType.REFRESH
@@ -135,10 +134,13 @@ def refresh_step(dram, queued, cycle):
         target = dram.target(DecodedAddress(channel, rank, bank, 0, 0))
         if dram.can_issue(kind, target, cycle):
             dram.issue(kind, target, cycle)
-            assert_memo_exact(dram, queued, cycle)
+            assert_readiness_exact(dram, queued, cycle)
 
 
 class TestReadyCycleMemo:
+    """Closed-form readiness (``ready_cycle``) against the legality
+    predicate (``can_issue``)."""
+
     @settings(max_examples=120, deadline=None)
     @given(accesses=ACCESSES, steps=STEPS)
     def test_agrees_with_uncached_legality(self, accesses, steps):
@@ -146,7 +148,7 @@ class TestReadyCycleMemo:
         ranks, with refresh, for every queued access
         at every cycle and after every command."""
         dram = DramSystem(
-            timing=MEMO_TIMING,
+            timing=REFRESH_TIMING,
             organization=DramOrganization(channels=2, ranks_per_channel=2),
             enable_refresh=True,
         )
@@ -157,7 +159,7 @@ class TestReadyCycleMemo:
             target = txn._target
             waited = 0
             while True:
-                assert_memo_exact(dram, queued, cycle)
+                assert_readiness_exact(dram, queued, cycle)
                 refresh_step(dram, queued, cycle)
                 kind = dram.required_kind(target)
                 if (
@@ -170,26 +172,69 @@ class TestReadyCycleMemo:
                 waited += 1
                 cycle += 1
             dram.issue(kind, target, cycle)
-        assert_memo_exact(dram, queued, cycle)
+        assert_readiness_exact(dram, queued, cycle)
 
-    def test_dropping_only_the_issued_bank_is_caught(self, monkeypatch):
-        """The property has teeth: an ACT moves the tRRD/tFAW gate of
-        every bank in its rank, so a helper that invalidates only the
-        issued bank leaves bank 1's ACT entry stale (too early)."""
-        def issued_bank_only(self, kind, target):
-            self._ready.pop(target.bank, None)
+    def test_readiness_ignoring_the_tfaw_window_is_caught(self, monkeypatch):
+        """The property has teeth: after four ACTIVATEs tRRD apart, a
+        fifth waits for the tFAW window, which readiness reads from the
+        rank's ACT gate; a gate holding only tRRD lets it go early."""
+        real = DramSystem.ready_cycle
+        timing = DramTiming()
 
-        monkeypatch.setattr(DramSystem, "_invalidate_ready", issued_bank_only)
-        dram = DramSystem(enable_refresh=False)
-        bank0, bank1 = queued = queue_accesses(
-            dram, [(0, 0, 0, 0, False), (0, 0, 1, 0, False)]
-        )
-        assert_memo_exact(dram, queued, 0)  # fills bank 1's ACT entry
-        dram.issue(CommandType.ACTIVATE, bank0._target, 0)
-        assert not dram.can_issue(CommandType.ACTIVATE, bank1._target, 1)  # tRRD
-        assert dram.ready_cycle(bank1._target) <= 1
+        def trrd_only(self, target):
+            rank = target.rank
+            gate = rank._next_activate_rank
+            rank._next_activate_rank = rank._activate_history[-1] + timing.tRRD
+            try:
+                return real(self, target)
+            finally:
+                rank._next_activate_rank = gate
+
+        monkeypatch.setattr(DramSystem, "ready_cycle", trrd_only)
+        dram = DramSystem(timing=timing, enable_refresh=False)
+        queued = queue_accesses(dram, [(0, 0, b, 0, False) for b in range(5)])
+        for bank in range(4):
+            dram.issue(CommandType.ACTIVATE, queued[bank]._target,
+                       bank * timing.tRRD)
+        fifth = 4 * timing.tRRD
+        assert fifth < timing.tFAW
+        assert not dram.can_issue(CommandType.ACTIVATE, queued[4]._target, fifth)
         with pytest.raises(AssertionError):
-            assert_memo_exact(dram, queued, 1)
+            assert_readiness_exact(dram, queued[4:], fifth)
+
+    def test_readiness_dropping_trtrs_is_caught(self, monkeypatch):
+        """A READ to the other rank right after a burst waits tRTRS on
+        the data bus; readiness that sees no rank switch is early."""
+        real = DramSystem.ready_cycle
+
+        def no_rank_switch(self, target):
+            channel = target.channel
+            last = channel._last_data_rank
+            channel._last_data_rank = target.rank_index
+            try:
+                return real(self, target)
+            finally:
+                channel._last_data_rank = last
+
+        monkeypatch.setattr(DramSystem, "ready_cycle", no_rank_switch)
+        dram = DramSystem(
+            organization=DramOrganization(ranks_per_channel=2),
+            enable_refresh=False,
+        )
+        timing = dram.timing
+        rank0, rank1 = queued = queue_accesses(
+            dram, [(0, 0, 0, 0, False), (0, 1, 0, 0, False)]
+        )
+        dram.issue(CommandType.ACTIVATE, rank0._target, 0)
+        dram.issue(CommandType.ACTIVATE, rank1._target, 1)
+        t = 1 + timing.tRCD
+        dram.issue(CommandType.READ, rank0._target, t)
+        switch = t + timing.tBURST
+        assert not dram.can_issue(CommandType.READ, rank1._target, switch)
+        assert dram.can_issue(CommandType.READ, rank1._target,
+                              switch + timing.tRTRS)
+        with pytest.raises(AssertionError):
+            assert_readiness_exact(dram, queued, switch)
 
     def test_a_target_on_the_neighbouring_bank_is_caught(self, monkeypatch):
         """The property reads readiness through the resolved target, so
@@ -214,15 +259,16 @@ class TestReadyCycleMemo:
         assert timing.tRRD < timing.tRCD
         with pytest.raises(AssertionError):
             for cycle in range(timing.tRCD + 1):
-                assert_memo_exact(dram, queued, cycle)
+                assert_readiness_exact(dram, queued, cycle)
 
-    def test_memo_is_not_snapshot_state(self, dram, mapping):
-        """It fills at different cycles under each engine."""
+    def test_readiness_queries_write_no_state(self, dram, mapping):
+        """The engines ask at different cycles; only issue() moves the
+        device, so a snapshot never depends on who asked when."""
         before = pickle.dumps(dram)
-        dram.ready_cycle(dram.target(mapping.decode(0)))
+        target = dram.target(mapping.decode(0))
+        assert dram.ready_cycle(target) == 0
+        assert dram.can_issue(CommandType.ACTIVATE, target, 0)
         assert pickle.dumps(dram) == before
-        restored = pickle.loads(before)
-        assert restored.ready_cycle(restored.target(mapping.decode(0))) == 0
 
 
 class TestRefreshManagement:

@@ -326,80 +326,89 @@ class TestRL008:
         )
         assert findings == []
 
-
-    # The DRAM ready-cycle memo is the second ledger: both engines read
-    # it, so only this rule can see a device mutation that skips the
-    # invalidation in ``DramSystem.issue``.
-
     def test_device_mutation_past_issue_flagged(self):
+        """A station mutated past the engine's stepped path (a response
+        delivered, a link ticked through the system) is flagged."""
         findings = findings_for(
             """
-            class MemoryController:
-                def _service_refresh(self, channel, bank, cycle):
-                    self.dram.channels[channel].precharge(0, bank, cycle)
+            class Engine:
+                def _drain(self, txn, cycle):
+                    self.system._deliver(txn, cycle)
             """,
-            path="src/repro/memctrl/controller.py",
+            path=COLUMNAR_PATH,
             select=["RL008"],
         )
         assert ids_of(findings) == ["RL008"]
-        assert "precharge" in findings[0].message
-        assert "DramSystem.issue" in findings[0].hint
-        # The same bypass through a transaction's resolved target: the
-        # bank object is one attribute away from the controller.
+        assert "_deliver" in findings[0].message
+        assert "dirty flag" in findings[0].hint
+        # The same bypass through an attribute chain: the link is one
+        # attribute away from the engine's system.
         findings = findings_for(
             """
-            class MemoryController:
-                def _close_row(self, txn, cycle):
-                    txn._target.bank.precharge(cycle)
+            class Engine:
+                def _advance_link(self, cycle):
+                    self.system.response_link.tick(cycle)
             """,
-            path="src/repro/memctrl/controller.py",
+            path=COLUMNAR_PATH,
             select=["RL008"],
         )
         assert ids_of(findings) == ["RL008"]
-        assert "txn._target.bank.precharge" in findings[0].message
+        assert "self.system.response_link.tick" in findings[0].message
 
     def test_issue_resets_the_memo_and_pairs(self):
-        findings = findings_for(
+        """A call to the mark-all helper re-polls every cached horizon,
+        so it pairs a mutation; without it the same body is flagged."""
+        source = """
+            class Engine:
+                def _run_injector(self, cycle):
+                    self.system.injector.tick(cycle)
+                    {mark}
             """
-            class DramSystem:
-                def issue(self, command, cycle):
-                    self._invalidate_ready(command.kind, command.address)
-                    channel = self.channels[command.address.channel]
-                    channel.activate(0, 0, 0, cycle)
-            """,
-            path="src/repro/dram/system.py",
+        findings = findings_for(
+            source.format(mark="self._mark_all_dirty()"),
+            path=COLUMNAR_PATH,
             select=["RL008"],
         )
         assert findings == []
-
-    def test_emptying_the_memo_by_hand_is_not_the_mark(self):
-        """The mark is the helper that knows which entries a command
-        moves; a bare ``clear()`` of some dict does not pair."""
         findings = findings_for(
-            """
-            class DramSystem:
-                def issue(self, command, cycle):
-                    self._ready.clear()
-                    channel = self.channels[command.address.channel]
-                    channel.activate(0, 0, 0, cycle)
-            """,
-            path="src/repro/dram/system.py",
+            source.format(mark="pass"),
+            path=COLUMNAR_PATH,
             select=["RL008"],
         )
         assert ids_of(findings) == ["RL008"]
 
     def test_device_internals_are_out_of_scope(self):
-        """Channel → Rank → Bank delegation sits below ``issue``."""
-        findings = findings_for(
-            """
-            class Rank:
-                def precharge(self, bank_index, cycle):
-                    self.banks[bank_index].precharge(cycle)
-            """,
-            path="src/repro/dram/rank.py",
-            select=["RL008"],
-        )
-        assert findings == []
+        """The DRAM device keeps no cache (readiness is read live from
+        its registers), so no ledger covers it: neither ``issue``
+        writing registers nor the controller reaching a device object
+        is a finding."""
+        for path, source in [
+            (
+                "src/repro/dram/rank.py",
+                """
+                class Rank:
+                    def precharge(self, bank_index, cycle):
+                        self.banks[bank_index].precharge(cycle)
+                """,
+            ),
+            (
+                "src/repro/dram/system.py",
+                """
+                class DramSystem:
+                    def issue(self, kind, target, cycle):
+                        target.channel.activate(0, 0, 0, cycle)
+                """,
+            ),
+            (
+                "src/repro/memctrl/controller.py",
+                """
+                class MemoryController:
+                    def _close_row(self, txn, cycle):
+                        txn._target.bank.precharge(cycle)
+                """,
+            ),
+        ]:
+            assert findings_for(source, path=path, select=["RL008"]) == []
 
 
 # -- RL009 RNG stream discipline -------------------------------------------
