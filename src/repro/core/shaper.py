@@ -89,6 +89,7 @@ distributions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -187,11 +188,12 @@ class BinShaper:
         self._last_release = start_cycle
         self._next_replenish = start_cycle + spec.replenish_period
         self._pending_config: Optional[BinConfiguration] = None
-        # Derived aggregates over the credit registers, kept in sync by
-        # the three mutation sites (replenish, release_real,
-        # release_fake).  They make the non-strict next-event bounds
-        # O(1) per poll — the engines poll every stepped cycle, while
-        # releases are comparatively rare.
+        # Derived aggregates over the credit registers: recomputed on
+        # replenishment, updated in place by release_real/release_fake
+        # (a total drops by one; the smallest credited edge is rescanned
+        # only when the consumed register empties).  They make the
+        # non-strict next-event bounds O(1) per poll — the engines poll
+        # every stepped cycle, while releases are comparatively rare.
         self._credits_total = 0
         self._unused_total = 0
         self._credits_smallest_edge: Optional[int] = None
@@ -284,19 +286,16 @@ class BinShaper:
 
     def _recache_aggregates(self) -> None:
         """Refresh the derived totals / smallest-credited-edge caches."""
-        edges = self.spec.edges
         self._credits_total = sum(self._credits)
         self._unused_total = sum(self._unused)
-        self._credits_smallest_edge = None
-        for edge, count in zip(edges, self._credits):
+        self._credits_smallest_edge = self._smallest_credited_edge(self._credits)
+        self._unused_smallest_edge = self._smallest_credited_edge(self._unused)
+
+    def _smallest_credited_edge(self, registers: List[int]) -> Optional[int]:
+        for edge, count in zip(self.spec.edges, registers):
             if count > 0:
-                self._credits_smallest_edge = edge
-                break
-        self._unused_smallest_edge = None
-        for edge, count in zip(edges, self._unused):
-            if count > 0:
-                self._unused_smallest_edge = edge
-                break
+                return edge
+        return None
 
     # -- release eligibility ---------------------------------------------------------
 
@@ -324,13 +323,12 @@ class BinShaper:
             if k < self.spec.num_bins - 1:
                 return None
             # Top-bin fallback: behave like the default rule.
-        chosen: Optional[int] = None
-        for k, edge in enumerate(self.spec.edges):
-            if edge > delta:
-                break
+        k = bisect_right(self.spec.edges, delta) - 1
+        while k >= 0:
             if registers[k] > 0:
-                chosen = k
-        return chosen
+                return k
+            k -= 1
+        return None
 
     def _bin_interval_width(self, bin_index: int) -> int:
         """Width of a bin's inter-arrival interval (for jitter draws)."""
@@ -477,11 +475,14 @@ class BinShaper:
                 f"real release at cycle {cycle} before its jitter hold "
                 f"expires ({self._jitter_hold_until})"
             )
-        self._credits[bin_index] -= 1
+        credits = self._credits
+        credits[bin_index] -= 1
+        self._credits_total -= 1
+        if not credits[bin_index]:
+            self._credits_smallest_edge = self._smallest_credited_edge(credits)
         self._last_release = cycle
         self._jitter_hold_until = None
         self.real_releases += 1
-        self._recache_aggregates()
         return bin_index
 
     def release_fake(self, cycle: int) -> int:
@@ -493,10 +494,13 @@ class BinShaper:
                 f"fake release at cycle {cycle} without an eligible unused "
                 f"credit (delta={delta}, unused={self._unused})"
             )
-        self._unused[bin_index] -= 1
+        unused = self._unused
+        unused[bin_index] -= 1
+        self._unused_total -= 1
+        if not unused[bin_index]:
+            self._unused_smallest_edge = self._smallest_credited_edge(unused)
         self._last_release = cycle
         self.fake_releases += 1
-        self._recache_aggregates()
         return bin_index
 
     # -- telemetry -----------------------------------------------------------------

@@ -114,6 +114,10 @@ class Core:
         # First cycle whose tick is not yet reflected in the state
         # below; private ticks from here on are applied by ``settle``.
         self._clock = 0
+        # The walk the last horizon poll made, kept for the ``settle``
+        # that reaches its stop cycle; any other settle or tick drops
+        # it, and it is never pickled.
+        self._kept_walk = None
 
         # Statistics.
         self.cycles = 0
@@ -153,6 +157,17 @@ class Core:
         """MISE's α: fraction of cycles stalled on memory."""
         return self.memory_stall_cycles / self.cycles if self.cycles else 0.0
 
+    def __getstate__(self):
+        # The kept walk is a cache of the state below: a pickle does
+        # not depend on whether anyone polled the horizon.
+        state = self.__dict__.copy()
+        del state["_kept_walk"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._kept_walk = None
+
     # -- per-cycle operation ----------------------------------------------
 
     def tick(self, cycle: int) -> None:
@@ -161,6 +176,7 @@ class Core:
             return
         if self._clock < cycle:
             self.settle(cycle)
+        self._kept_walk = None
         self._clock = cycle + 1
         self.cycles += 1
         self._fetch(cycle)
@@ -182,15 +198,25 @@ class Core:
         if self.done:
             return None
         self.settle(cycle)
-        event = self._walk(_FOREVER)[0]
+        walk = self._kept_walk = self._walk(_FOREVER)
+        event = walk[0]
         return None if event == _FOREVER else event
 
     def settle(self, cycle: int) -> None:
-        """Apply the private ticks before ``cycle`` that no one ran."""
+        """Apply the private ticks before ``cycle`` that no one ran.
+
+        The walk of the last :meth:`next_event_cycle` is applied as it
+        stands when it stopped at ``cycle``: the state it started from
+        has not moved since, or it would have been dropped.
+        """
         start = self._clock
+        walk = self._kept_walk
+        self._kept_walk = None
         if start >= cycle or self.done:
             return
-        reached, fetched, retired, nonmem, popped, stalls = self._walk(cycle)
+        if walk is None or walk[0] != cycle:
+            walk = self._walk(cycle)
+        reached, fetched, retired, nonmem, popped, stalls = walk
         if reached < cycle:
             raise ProtocolError(
                 f"core {self.core_id} asked to settle through cycle "
@@ -214,10 +240,13 @@ class Core:
         walked ticks lead to — ``(cycle, fetched, retired, nonmem,
         popped loads, memory-stall cycles)`` — without applying it.
         Mirrors :meth:`_fetch`/:meth:`_retire` minus the hierarchy
-        probe, tick by tick except where nothing can differ: pure
-        streaming (no load in the window, a fetch group of headroom)
-        moves ``width`` per tick in closed form, and a blocked head
-        load with fetch at a standstill jumps to its completion.
+        probe, tick by tick except where every tick is the same.  With
+        a fetch group of headroom, fetch moves ``width`` per tick, and
+        three runs go in closed form: pure streaming (no load in the
+        window), full-width retirement toward the head load, and a
+        blocked head load stalling retirement while fetch streams.  A
+        blocked head load with fetch at a standstill jumps to its
+        completion.  Regime edges take the per-tick body.
         """
         t = self._clock
         width = self.config.width
@@ -236,13 +265,34 @@ class Core:
                 room = window - (fetched - retired)
                 if nonmem < width and nonmem < room:
                     break  # fetch reaches the record's memory access
-                if popped == load_count and room >= width:
-                    ticks = min(nonmem // width, limit - t)
-                    fetched += ticks * width
-                    retired += ticks * width
-                    nonmem -= ticks * width
-                    t += ticks
-                    continue
+                if room >= width:
+                    # A fetch group of headroom: every tick fetches
+                    # ``width``, so whole runs of ticks move in closed
+                    # form while retirement does the same each tick.
+                    if popped == load_count:
+                        gap = nonmem  # no load ahead of retirement
+                    else:
+                        head = loads[popped]
+                        gap = head.seq - retired
+                    if gap >= width:
+                        # Full-width retirement, up to the head load.
+                        ticks = min(nonmem // width, gap // width, limit - t)
+                        fetched += ticks * width
+                        retired += ticks * width
+                        nonmem -= ticks * width
+                        t += ticks
+                        continue
+                    ready = head.completion_cycle
+                    if not gap and (ready is None or ready > t):
+                        # The head load blocks retirement while fetch
+                        # fills the window: one stall per tick.
+                        wake = limit if ready is None or ready > limit else ready
+                        ticks = min(nonmem // width, room // width, wake - t)
+                        fetched += ticks * width
+                        nonmem -= ticks * width
+                        stalls += ticks
+                        t += ticks
+                        continue
                 take = min(width, nonmem, room)
                 fetched += take
                 nonmem -= take

@@ -14,8 +14,9 @@ Engine note: under the skipping engine the run loop caps every clock
 jump at :meth:`Watchdog.horizon` and checks progress there, so a
 frozen system — one whose skipped spans hold no progress at all —
 still trips.  Cores may retire privately inside a skipped span, so
-the check first has the system settle what it owes
-(:meth:`~repro.sim.system.System.settle`).
+the check first has each core settle what it owes
+(:meth:`~repro.cpu.core.Core.settle`); a request path's lazily
+counted stalls are not progress and are left to settle later.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class Watchdog:
         self.dump_path = dump_path
         self.tracer = tracer
         self._last_progress_cycle = 0
+        #: The furthest cycle a next-event skip may reach in one jump
+        #: from any earlier cycle (see :meth:`horizon`); the run loop
+        #: reads it directly.
+        self.limit = cycles + 1
         self._last_retired = 0
         self._last_delivered = 0
         self._metrics = None
@@ -63,10 +68,11 @@ class Watchdog:
     def reset(self, system) -> None:
         """Re-arm against the system's current progress counters."""
         self._last_progress_cycle = system.current_cycle
+        self.limit = system.current_cycle + self.cycles + 1
         self._last_retired = sum(
             c.retired_instructions for c in system.cores
         )
-        self._last_delivered = sum(len(lat) for lat in system._latencies)
+        self._last_delivered = sum(map(len, system._latencies))
 
     def horizon(self, cycle: int) -> int:
         """The furthest cycle a next-event skip may reach in one jump.
@@ -75,17 +81,21 @@ class Watchdog:
         (deadlocked) system must still trip it, exactly as the
         per-cycle loop would while spinning through the same span.
         """
-        return max(cycle + 1, self._last_progress_cycle + self.cycles + 1)
+        return max(cycle + 1, self.limit)
 
     def observe(self, system) -> None:
         """Progress check; raises :class:`WatchdogError` on a stall."""
-        system.settle()
-        retired = sum(c.retired_instructions for c in system.cores)
-        delivered = sum(len(lat) for lat in system._latencies)
+        cycle = system.current_cycle
+        retired = 0
+        for core in system.cores:
+            core.settle(cycle)
+            retired += core.retired_instructions
+        delivered = sum(map(len, system._latencies))
         if retired != self._last_retired or delivered != self._last_delivered:
             self._last_retired = retired
             self._last_delivered = delivered
-            self._last_progress_cycle = system.current_cycle
+            self._last_progress_cycle = cycle
+            self.limit = cycle + self.cycles + 1
             if self._metrics is not None:
                 self._metrics.gauge("watchdog.stall_margin").set(self.cycles)
             return

@@ -506,9 +506,12 @@ def run(
                     # step: a frozen (deadlocked) system must still
                     # trip the progress check, exactly as the
                     # per-cycle loop would while spinning through
-                    # the same span.
-                    horizon = watchdog.horizon(system.current_cycle)
-                    target = min(target, horizon)
+                    # the same span.  (``Watchdog.horizon`` inline.)
+                    horizon = watchdog.limit
+                    if horizon <= system.current_cycle:
+                        horizon = system.current_cycle + 1
+                    if target > horizon:
+                        target = horizon
                 if checkpoint_every and target is not None:
                     # Land every clock jump exactly on checkpoint
                     # boundaries — behaviour-preserving by the

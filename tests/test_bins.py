@@ -14,6 +14,17 @@ from repro.core.bins import (
 )
 
 
+def linear_bin_of(edges, delta):
+    """Reference ``bin_of``: the last edge ``<= delta``, else bin 0."""
+    index = 0
+    for k, edge in enumerate(edges):
+        if delta >= edge:
+            index = k
+        else:
+            break
+    return index
+
+
 class TestBinSpec:
     def test_default_ten_bins(self):
         spec = BinSpec()
@@ -53,6 +64,19 @@ class TestBinSpec:
     def test_rejects_period_below_top_edge(self):
         with pytest.raises(ConfigurationError):
             BinSpec(edges=(1, 2, 512), replenish_period=256)
+
+    @given(
+        edges=st.lists(
+            st.integers(min_value=1, max_value=2_000), min_size=1,
+            max_size=12, unique=True,
+        ).map(lambda e: tuple(sorted(e))),
+        deltas=st.lists(st.integers(min_value=0, max_value=3_000), max_size=20),
+    )
+    def test_bin_of_equals_a_linear_scan(self, edges, deltas):
+        """Bisection against the scan it replaced."""
+        spec = BinSpec(edges=edges, replenish_period=edges[-1])
+        for delta in deltas + list(edges) + [edge - 1 for edge in edges]:
+            assert spec.bin_of(delta) == linear_bin_of(edges, delta)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_bin_of_consistent_with_edges(self, delta):

@@ -1,11 +1,16 @@
 """Unit tests for the trace-driven out-of-order core model."""
 
+import inspect
+import pickle
+import textwrap
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ProtocolError
+from repro.cpu import core as core_module
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.common.errors import ConfigurationError
@@ -306,6 +311,83 @@ class ScriptedMemory:
         return bool(fills)
 
 
+def closed_form_regime(core, cycle):
+    """The closed form of ``Core._walk`` that the ticked ``core``'s
+    tick at ``cycle`` belongs to, or None: ``"run"`` retires at full
+    width toward the head load, ``"blocked"`` stalls on the head load
+    while fetch streams."""
+    width = core.config.width
+    room = core.config.window_size - core.window_occupancy
+    if (
+        core._record_index >= core._trace_length
+        or room < width
+        or core._nonmem_remaining < width
+        or not core._pending_loads
+    ):
+        return None
+    head = core._pending_loads[0]
+    gap = head.seq - core.retired_instructions
+    if gap >= width:
+        return "run"
+    if not gap and (head.completion_cycle is None or head.completion_cycle > cycle):
+        return "blocked"
+    return None
+
+
+def assert_lazy_core_equals_ticked_core(
+    records, config, refused, latencies, looks, cycles=400
+):
+    """Run the comparison; returns the closed-form regimes the ticked
+    core passed through."""
+    ticked = ScriptedMemory(records, config, refused, latencies)
+    lazy = ScriptedMemory(records, config, refused, latencies)
+    regimes = set()
+    horizon = lazy.core.next_event_cycle(0)
+    for cycle in range(cycles):
+        regimes.add(closed_form_regime(ticked.core, cycle))
+        ticked.begin(cycle)
+        ticked.core.tick(cycle)
+        ticked.end(cycle)
+
+        lazy.begin(cycle)
+        ran = horizon is not None and horizon <= cycle
+        if ran:
+            lazy.core.tick(cycle)
+        if lazy.end(cycle) or ran:
+            horizon = lazy.core.next_event_cycle(cycle + 1)
+        if cycle in looks:
+            lazy.core.settle(cycle + 1)
+            assert observe(lazy.core) == observe(ticked.core)
+    lazy.core.settle(cycles)
+    assert observe(lazy.core) == observe(ticked.core)
+    return regimes - {None}
+
+
+# Long non-memory runs and long fills, at the paper's width and window:
+# the window fills behind an unfilled head load while fetch streams,
+# and a full window then retires toward the next load at full width —
+# the two closed forms of ``Core._walk`` beside pure streaming.
+LONG_CYCLES = 2_000
+LONG_RECORDS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=300),  # non-memory run
+        st.integers(min_value=0, max_value=11),  # line
+        st.booleans(),  # store?
+    ),
+    min_size=1,
+    max_size=16,
+)
+LONG_CONFIG = dict(width=4, window_size=128)
+# Two misses, each followed by more than a window of non-memory work.
+LONG_EXAMPLE = dict(
+    records=[(0, 1, False), (300, 2, False), (300, 3, False), (300, 4, False)],
+    mshr_entries=2,
+    refused=set(),
+    latencies=[400, 300],
+    looks={100, 700, 1_200},
+)
+
+
 class TestLazySettling:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -320,25 +402,70 @@ class TestLazySettling:
     def test_event_driven_core_equals_ticked_core(
         self, records, config, refused, latencies, looks
     ):
-        ticked = ScriptedMemory(records, config, refused, latencies)
-        lazy = ScriptedMemory(records, config, refused, latencies)
-        horizon = lazy.core.next_event_cycle(0)
-        for cycle in range(400):
-            ticked.begin(cycle)
-            ticked.core.tick(cycle)
-            ticked.end(cycle)
+        assert_lazy_core_equals_ticked_core(
+            records, config, refused, latencies, looks
+        )
 
-            lazy.begin(cycle)
-            ran = horizon is not None and horizon <= cycle
-            if ran:
-                lazy.core.tick(cycle)
-            if lazy.end(cycle) or ran:
-                horizon = lazy.core.next_event_cycle(cycle + 1)
-            if cycle in looks:
-                lazy.core.settle(cycle + 1)
-                assert observe(lazy.core) == observe(ticked.core)
-        lazy.core.settle(400)
-        assert observe(lazy.core) == observe(ticked.core)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=LONG_RECORDS,
+        mshr_entries=st.integers(min_value=1, max_value=4),
+        refused=st.sets(st.integers(min_value=0, max_value=LONG_CYCLES - 1)),
+        latencies=st.lists(
+            st.integers(min_value=1, max_value=400), min_size=1, max_size=8
+        ),
+        looks=st.sets(
+            st.integers(min_value=0, max_value=LONG_CYCLES - 1), max_size=12
+        ),
+    )
+    @example(**LONG_EXAMPLE)
+    def test_long_runs_equal_ticked_core(
+        self, records, mshr_entries, refused, latencies, looks
+    ):
+        config = CoreConfig(mshr_entries=mshr_entries, **LONG_CONFIG)
+        assert_lazy_core_equals_ticked_core(
+            records, config, refused, latencies, looks, cycles=LONG_CYCLES
+        )
+
+    @staticmethod
+    def _run_long_example():
+        e = LONG_EXAMPLE
+        return assert_lazy_core_equals_ticked_core(
+            e["records"],
+            CoreConfig(mshr_entries=e["mshr_entries"], **LONG_CONFIG),
+            e["refused"], e["latencies"], e["looks"], cycles=LONG_CYCLES,
+        )
+
+    def test_long_example_reaches_both_closed_forms(self):
+        assert self._run_long_example() == {"run", "blocked"}
+
+    def test_a_walk_that_drops_blocked_stalls_is_caught(self, monkeypatch):
+        """The property has teeth: a walk that forgets the stall cycles
+        of its blocked-head closed form under-counts them."""
+        source = textwrap.dedent(inspect.getsource(Core._walk))
+        dropped = "stalls += ticks\n"
+        assert source.count(dropped) == 1
+        namespace = {}
+        exec(source.replace(dropped, "pass\n"), vars(core_module), namespace)
+        monkeypatch.setattr(Core, "_walk", namespace["_walk"])
+        with pytest.raises(AssertionError):
+            self._run_long_example()
+
+    def test_a_polled_horizon_does_not_reach_the_pickle(self):
+        """``next_event_cycle`` keeps its walk for the next settle; a
+        snapshot must not depend on whether anyone polled."""
+        polled, _ = make_core([TraceRecord(300, 0x10000), TraceRecord(300, 0)])
+        plain, _ = make_core([TraceRecord(300, 0x10000), TraceRecord(300, 0)])
+        for core in (polled, plain):
+            core.settle(10)
+        assert polled.next_event_cycle(10) == 75
+        assert polled._kept_walk is not None
+        assert pickle.dumps(polled) == pickle.dumps(plain)
+        restored = pickle.loads(pickle.dumps(polled))
+        assert restored._kept_walk is None
+        restored.settle(75)
+        polled.settle(75)
+        assert observe(restored) == observe(polled)
 
     def test_settle_refuses_to_cross_a_probe(self):
         """The guard behind the contract: a tick that probes the

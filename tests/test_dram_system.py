@@ -3,7 +3,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.address import AddressMapping, DecodedAddress
@@ -137,16 +137,27 @@ def refresh_step(dram, queued, cycle):
             assert_readiness_exact(dram, queued, cycle)
 
 
-class TestReadyCycleMemo:
-    """Closed-form readiness (``ready_cycle``) against the legality
-    predicate (``can_issue``)."""
+# Five banks of one rank activated back to back: the fifth ACTIVATE
+# falls inside the first one's tFAW window (4·tRRD < tFAW), which the
+# random accesses, on four banks, never reach (tRC > tFAW).
+TFAW_EXAMPLE = dict(
+    accesses=[(0, 0, bank, 0, False) for bank in range(5)],
+    steps=[(bank, 0) for bank in range(5)],
+)
+
+
+class TestReadiness:
+    """Readiness read live from the device registers (``ready_cycle``)
+    against the legality predicate (``can_issue``)."""
 
     @settings(max_examples=120, deadline=None)
     @given(accesses=ACCESSES, steps=STEPS)
+    @example(**TFAW_EXAMPLE)
     def test_agrees_with_uncached_legality(self, accesses, steps):
         """Over a random legal command sequence on two channels of two
         ranks, with refresh, for every queued access
-        at every cycle and after every command."""
+        at every cycle and after every command; the example binds the
+        tFAW window."""
         dram = DramSystem(
             timing=REFRESH_TIMING,
             organization=DramOrganization(channels=2, ranks_per_channel=2),

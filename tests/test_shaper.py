@@ -9,6 +9,8 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.core.bins import BinConfiguration, BinSpec
 from repro.core.shaper import BinShaper
 
+from tests.test_bins import linear_bin_of
+
 
 @pytest.fixture
 def shaper(small_spec, uniform_small_config):
@@ -200,3 +202,111 @@ class TestConservationProperty:
                 shaper.release_real(cycle)
                 releases += 1
         assert releases == 128 // interval
+
+
+# -- cached aggregates and bin lookup against references -------------------
+
+EDGES = st.lists(
+    st.integers(min_value=1, max_value=64), min_size=1, max_size=10,
+    unique=True,
+).map(lambda e: tuple(sorted(e)))
+
+
+def aggregates(shaper):
+    return (
+        shaper._credits_total, shaper._unused_total,
+        shaper._credits_smallest_edge, shaper._unused_smallest_edge,
+    )
+
+
+def eligible_reference(edges, registers, delta, strict):
+    """The linear-scan rule: strict takes only the bin ``delta`` falls
+    in (the top bin falls back); the default rule the largest credited
+    bin with edge <= delta."""
+    if strict:
+        k = linear_bin_of(edges, delta)
+        if edges[k] <= delta and registers[k] > 0:
+            return k
+        if k < len(edges) - 1:
+            return None
+    chosen = None
+    for k, edge in enumerate(edges):
+        if edge > delta:
+            break
+        if registers[k] > 0:
+            chosen = k
+    return chosen
+
+
+class TestAggregatesAndLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        edges=EDGES,
+        strict=st.booleans(),
+        gaps=st.lists(st.integers(min_value=0, max_value=80), max_size=60),
+    )
+    def test_in_place_aggregates_equal_a_recache(
+        self, data, edges, strict, gaps
+    ):
+        """After every release, the totals and smallest credited edges
+        updated in place are what a full recache computes."""
+        spec = BinSpec(
+            edges=edges,
+            replenish_period=data.draw(
+                st.integers(min_value=edges[-1], max_value=4 * edges[-1])
+            ),
+        )
+        credit_lists = st.lists(
+            st.integers(min_value=0, max_value=3),
+            min_size=len(edges), max_size=len(edges),
+        ).filter(lambda c: sum(c) > 0)
+        shaper = BinShaper(
+            spec, BinConfiguration(tuple(data.draw(credit_lists))),
+            strict=strict,
+        )
+        cycle = 0
+        releases = 0
+        for gap in gaps:
+            cycle += gap
+            if data.draw(st.booleans()):
+                shaper.reconfigure(
+                    BinConfiguration(tuple(data.draw(credit_lists)))
+                )
+            shaper.replenish_if_due(cycle)
+            if shaper.can_release_real(cycle):
+                shaper.release_real(cycle)
+            elif shaper.can_release_fake(cycle):
+                shaper.release_fake(cycle)
+            else:
+                continue
+            releases += 1
+            cached = aggregates(shaper)
+            shaper._recache_aggregates()
+            assert cached == aggregates(shaper)
+        assert releases == shaper.real_releases + shaper.fake_releases
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        edges=EDGES,
+        strict=st.booleans(),
+        deltas=st.lists(st.integers(min_value=0, max_value=100), max_size=20),
+    )
+    def test_eligible_bin_equals_a_linear_scan(
+        self, data, edges, strict, deltas
+    ):
+        registers = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2),
+                min_size=len(edges), max_size=len(edges),
+            )
+        )
+        spec = BinSpec(edges=edges, replenish_period=edges[-1])
+        shaper = BinShaper(
+            spec, BinConfiguration(tuple([1] * len(edges))), strict=strict
+        )
+        for delta in deltas + list(edges):
+            assert shaper._eligible_bin(registers, delta) == (
+                eligible_reference(edges, registers, delta, strict)
+            )
