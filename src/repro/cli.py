@@ -531,7 +531,6 @@ def _serve_linger(seconds: float, stop) -> None:
 
     remaining = float(seconds)
     while remaining > 0 and stop["signal"] is None:
-        # repro-lint: disable-next-line=RL001
         time_module.sleep(min(0.2, remaining))
         remaining -= 0.2
 
@@ -858,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     # One lint front end: the subcommand *is* repro.lint's own parser
     # (flags, defaults and -h included) and its handler the same run().
     verb("lint", lint_runner.run,
-         help="run the repro-lint invariant checkers (RL001..RL009)",
+         help="run the repro-lint checkers",
          parents=[lint_runner.build_arg_parser()], add_help=False)
 
     return parser

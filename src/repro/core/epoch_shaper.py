@@ -110,8 +110,9 @@ class EpochRatePolicy:
         *previous* ticks gathered and re-times the slots from ``cycle``.
         ``queued`` only ever sets a flag — it picks among the fixed
         rate-set intervals (the accounted ``E × log2(R)`` channel) and
-        never enters a timing value, which is why this method is, and
-        must stay, open to the RL007 taint analysis.
+        never enters a timing value: inside an epoch the release grid
+        ignores the schedule (``test_shaper_nextevent.py``,
+        ``test_epoch_release_cycles_ignore_the_schedule``).
         """
         crossed = 0
         while cycle >= self.next_boundary:

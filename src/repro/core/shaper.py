@@ -9,10 +9,10 @@ policy*, its ``shaper``: :class:`BinShaper` (Camouflage proper, below),
 
 The release-policy protocol
 ---------------------------
-The whole interface a station uses, and so the boundary the RL007
-secret-independence checker polices: a policy answers from its own
-precomputed schedule, and ``queued`` is the only demand-derived value
-that crosses into it.
+The whole interface a station uses, and so the boundary demand
+independence rests on: a policy answers from its own precomputed
+schedule, and ``queued`` is the only demand-derived value that crosses
+into it.
 
 ``spec``
     Bin geometry for the station's probe histograms (``None``: the

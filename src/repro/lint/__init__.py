@@ -1,14 +1,14 @@
-"""repro.lint — AST-based invariant checks for simulator soundness.
+"""repro.lint — AST checks for what the simulator's tests cannot see.
 
-The shaping guarantee (release times match the target distribution)
-and the next-event engine's bit-identical replay are *determinism*
-guarantees; this package machine-checks the coding invariants they
-rest on instead of trusting convention.  It is this repo's gate, not
-a product: the policy (package scopes, allow-lists, taint vocabulary)
-lives in the checkers' own constants, inline pragmas
+Determinism, integer cycle math, the next-event contract and shaped
+release timing are enforced by the test suite's pinned digests and
+cycle-vs-columnar equivalence tests, not here.  This package keeps
+only the checkers whose bug class passes those tests: RL005 (a bare
+``print`` in library code) and RL006 (a silently swallowed
+exception).  It is this repo's gate, not a product: the policy lives
+in the checkers' own constants, inline pragmas
 (:mod:`repro.lint.pragmas`) are the only suppression, and there is one
-front end.  See
-docs/static-analysis.md for the checker catalog.
+front end.  See docs/static-analysis.md for the checker catalog.
 
 Run it as ``python -m repro.lint [paths...]`` or ``repro lint``.
 """

@@ -1,27 +1,11 @@
 """Built-in checkers.  Importing this package registers them all."""
 
-from repro.lint.checkers.rl001_determinism import DeterminismChecker
-from repro.lint.checkers.rl002_cycle_float import CycleFloatChecker
-from repro.lint.checkers.rl003_next_event import NextEventContractChecker
-from repro.lint.checkers.rl004_mutable_shared import MutableSharedStateChecker
 from repro.lint.checkers.rl005_bare_print import BarePrintChecker
 from repro.lint.checkers.rl006_swallowed_exceptions import (
     SwallowedExceptionChecker,
 )
-from repro.lint.checkers.rl007_secret_independence import (
-    SecretIndependenceChecker,
-)
-from repro.lint.checkers.rl008_dirty_marks import DirtyMarkChecker
-from repro.lint.checkers.rl009_rng_streams import RngStreamChecker
 
 __all__ = [
-    "DeterminismChecker",
-    "CycleFloatChecker",
-    "NextEventContractChecker",
-    "MutableSharedStateChecker",
     "BarePrintChecker",
     "SwallowedExceptionChecker",
-    "SecretIndependenceChecker",
-    "DirtyMarkChecker",
-    "RngStreamChecker",
 ]

@@ -22,18 +22,15 @@ class ModuleContext:
     """Everything a checker needs to analyse one module.
 
     ``path`` is project-root-relative with forward slashes; checkers
-    match their per-path options (package scopes, allow lists) against
-    it.  ``options`` is this checker's entry in
-    :attr:`LintConfig.checker_options` (empty on a real run: the
-    checker's own defaults are the policy), and ``severity`` the
-    effective severity after any config override.
+    match their allow lists against it.  ``options`` is this checker's
+    entry in :attr:`LintConfig.checker_options` (empty on a real run:
+    the checker's own defaults are the policy).
     """
 
     path: str
     tree: ast.Module
     source: str
     options: dict
-    severity: Severity
 
     def finding(
         self,
@@ -46,7 +43,7 @@ class ModuleContext:
         """Build a :class:`Finding` anchored at ``node``."""
         return Finding(
             checker_id=checker_id,
-            severity=self.severity,
+            severity=Severity.ERROR,
             path=self.path,
             line=getattr(node, "lineno", 1),
             column=getattr(node, "col_offset", 0) + 1,
@@ -62,7 +59,6 @@ class Checker:
     id: str = ""
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.ERROR
 
     def check_module(self, module: ModuleContext) -> Iterable[Finding]:
         raise NotImplementedError
@@ -70,44 +66,11 @@ class Checker:
     # -- shared helpers ----------------------------------------------------
 
     @staticmethod
-    def path_in_packages(path: str, packages: Iterable[str]) -> bool:
-        """True when ``path`` lives under any of the package prefixes.
-
-        Prefixes are matched against the tail of the path so configs
-        can say ``repro/dram`` regardless of the source root name.
-        """
-        for prefix in packages:
-            prefix = prefix.strip("/")
-            if not prefix:
-                return True
-            if path.startswith(prefix + "/") or f"/{prefix}/" in f"/{path}":
-                return True
-        return False
-
-    @staticmethod
     def path_matches(path: str, candidates: Iterable[str]) -> bool:
         """True when ``path`` ends with any candidate path suffix."""
         return any(
             path == c or path.endswith("/" + c.lstrip("/")) for c in candidates
         )
-
-
-class FlowChecker(Checker):
-    """Base class for whole-program (interprocedural) checkers.
-
-    Flow checkers see the entire :class:`repro.lint.flow.FlowProject`
-    at once instead of one module at a time; the runner invokes
-    :meth:`check_project` exactly once per run, after the per-module
-    pass.  ``check_module`` is a no-op so a flow checker can share the
-    registry and id space (RLnnn) with the local checkers.
-    """
-
-    def check_module(self, module: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project) -> Iterable[Finding]:
-        """Analyse a :class:`repro.lint.flow.FlowProject`."""
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Checker]] = {}
@@ -123,11 +86,16 @@ def register(cls: Type[Checker]) -> Type[Checker]:
     return cls
 
 
-def all_checkers() -> List[Checker]:
-    """Instantiate every registered checker, sorted by id."""
+def checker_ids() -> List[str]:
+    """Every registered checker id, sorted."""
     import repro.lint.checkers  # noqa: F401  (registration side effect)
 
-    return [_REGISTRY[cid]() for cid in sorted(_REGISTRY)]
+    return sorted(_REGISTRY)
+
+
+def all_checkers() -> List[Checker]:
+    """Instantiate every registered checker, sorted by id."""
+    return [_REGISTRY[cid]() for cid in checker_ids()]
 
 
 def get_checker(checker_id: str) -> Optional[Checker]:

@@ -1,13 +1,7 @@
 """The lint driver: walk files, run checkers, filter, render, exit.
 
-Two passes per run:
-
-1. **per-module** — every :class:`~repro.lint.registry.Checker` sees
-   one parsed module at a time (RL001–RL006);
-2. **whole-program** — every :class:`~repro.lint.registry.FlowChecker`
-   sees the full :class:`~repro.lint.flow.FlowProject` once
-   (RL007–RL009), after all files are read, so findings can follow
-   flows across modules.
+Every :class:`~repro.lint.registry.Checker` sees one parsed module at
+a time; a finding on a line a pragma names is dropped.
 
 Public surface:
 
@@ -16,9 +10,10 @@ Public surface:
   ``repro lint`` mounts the same parser as its subcommand, so both
   accept the same flags and reach :func:`run` with the same namespace.
 * :func:`lint_paths` / :func:`lint_source` — library API the test
-  suite drives directly.  ``lint_source`` runs the flow pass over the
-  single module, so interprocedural checkers are unit-testable one
-  source string at a time.
+  suite drives directly.
+
+Checker ids are checked where they are named: an unknown ``--select``
+id is a usage error, an unknown id in a pragma an RL000 finding.
 """
 
 from __future__ import annotations
@@ -28,12 +23,17 @@ import ast
 import json
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.config import LintConfig, find_project_root
 from repro.lint.findings import Finding, LintResult, Severity, sort_findings
-from repro.lint.pragmas import is_suppressed, parse_pragmas
-from repro.lint.registry import FlowChecker, ModuleContext, all_checkers
+from repro.lint.pragmas import ALL, is_suppressed, iter_pragmas, parse_pragmas
+from repro.lint.registry import (
+    Checker,
+    ModuleContext,
+    all_checkers,
+    checker_ids,
+)
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -58,15 +58,42 @@ def _rel_path(path: str, root: str) -> str:
     return rel.replace(os.sep, "/")
 
 
-def _split_checkers(select: Optional[Iterable[str]]):
-    """(per-module checkers, flow checkers) honouring ``--select``."""
-    selected = {s.upper() for s in select} if select else None
-    local, flow = [], []
-    for checker in all_checkers():
-        if selected is not None and checker.id not in selected:
-            continue
-        (flow if isinstance(checker, FlowChecker) else local).append(checker)
-    return local, flow
+def select_checkers(select: Optional[Iterable[str]] = None) -> List[Checker]:
+    """The registered checkers, narrowed to the ``select`` ids if given.
+
+    Raises :class:`ValueError` for an id no checker has, so a selection
+    naming a deleted checker fails instead of running nothing.
+    """
+    if select is None:
+        return all_checkers()
+    wanted = {s.strip().upper() for s in select if s.strip()}
+    known = checker_ids()
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise ValueError(
+            f"unknown checker id(s): {', '.join(unknown)} "
+            f"(known: {', '.join(known)})"
+        )
+    return [c for c in all_checkers() if c.id in wanted]
+
+
+def _unknown_pragma_ids(source: str, rel_path: str) -> List[Finding]:
+    """RL000 for every pragma id that names no checker."""
+    known = set(checker_ids())
+    known.add(ALL)
+    return [
+        Finding(
+            checker_id="RL000",
+            severity=Severity.ERROR,
+            path=rel_path,
+            line=line,
+            column=column,
+            message=f"repro-lint pragma names unknown checker {cid}",
+            key="unknown-pragma-id",
+        )
+        for line, column, _target, ids in iter_pragmas(source)
+        for cid in sorted(ids - known)
+    ]
 
 
 def lint_source(
@@ -75,27 +102,20 @@ def lint_source(
     config: Optional[LintConfig] = None,
     select: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
-    """Lint one module given as text (the unit-test entry point).
-
-    Runs both passes: flow checkers see a one-module project, which is
-    exactly what the fixture tests feed them.
-    """
-    config = config or LintConfig()
-    findings, _ = _lint_module(source, rel_path, config, select)
-    flow_findings, _ = _run_flow_pass(
-        [(rel_path, source)], config, select
+    """Lint one module given as text (the unit-test entry point)."""
+    findings, _ = _lint_module(
+        source, rel_path, config or LintConfig(), select_checkers(select)
     )
-    return findings + flow_findings
+    return findings
 
 
 def _lint_module(
     source: str,
     rel_path: str,
-    config: Optional[LintConfig] = None,
-    select: Optional[Iterable[str]] = None,
+    config: LintConfig,
+    checkers: Sequence[Checker],
 ):
-    """Per-module pass; returns (findings, pragma_suppressed_count)."""
-    config = config or LintConfig()
+    """One module; returns (findings, pragma_suppressed_count)."""
     try:
         tree = ast.parse(source, filename=rel_path)
     except SyntaxError as exc:
@@ -110,64 +130,21 @@ def _lint_module(
                 key="syntax-error",
             )
         ], 0
-    disabled_per_path = set(config.disabled_for_path(rel_path))
     pragma_map = parse_pragmas(source)
-    local, _flow = _split_checkers(select)
     findings: List[Finding] = []
-    for checker in local:
-        if checker.id in disabled_per_path:
-            continue
+    for checker in checkers:
         module = ModuleContext(
             path=rel_path,
             tree=tree,
             source=source,
             options=config.options_for(checker.id),
-            severity=config.severity_for(checker.id, checker.default_severity),
         )
         findings.extend(checker.check_module(module))
     kept = [
         f for f in findings
         if not is_suppressed(pragma_map, f.line, f.checker_id)
     ]
-    return kept, len(findings) - len(kept)
-
-
-def _run_flow_pass(
-    sources: Sequence[Tuple[str, str]],
-    config: LintConfig,
-    select: Optional[Iterable[str]] = None,
-):
-    """Whole-program pass; returns (findings, pragma_suppressed_count).
-
-    Findings are filtered through the same pragma and per-path-disable
-    machinery as the per-module pass, keyed by each finding's own
-    path.
-    """
-    _local, flow = _split_checkers(select)
-    if not flow:
-        return [], 0
-    from repro.lint.flow import FlowProject
-
-    project = FlowProject.from_sources(sources, config=config)
-    raw: List[Finding] = []
-    for checker in flow:
-        raw.extend(checker.check_project(project))
-    pragma_maps = {
-        path: parse_pragmas(source) for path, source in sources
-    }
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in raw:
-        if finding.checker_id in set(config.disabled_for_path(finding.path)):
-            continue
-        if is_suppressed(
-            pragma_maps.get(finding.path, {}), finding.line,
-            finding.checker_id,
-        ):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
+    return _unknown_pragma_ids(source, rel_path) + kept, len(findings) - len(kept)
 
 
 def lint_paths(
@@ -175,21 +152,20 @@ def lint_paths(
     config: LintConfig,
     select: Optional[Iterable[str]] = None,
 ) -> LintResult:
-    """Lint files/directories: the per-module pass, then the flow pass."""
+    """Lint files/directories."""
+    checkers = select_checkers(select)
     result = LintResult()
-    sources: List[Tuple[str, str]] = []
     for file_path in iter_python_files(paths):
         with open(file_path, "r", encoding="utf-8") as fh:
-            sources.append((_rel_path(file_path, config.project_root),
-                            fh.read()))
-    result.files_checked = len(sources)
-    for rel, source in sources:
-        findings, pragma_hits = _lint_module(source, rel, config, select)
+            source = fh.read()
+        findings, pragma_hits = _lint_module(
+            source, _rel_path(file_path, config.project_root), config,
+            checkers,
+        )
+        result.files_checked += 1
         result.pragma_suppressed += pragma_hits
         result.findings.extend(findings)
-    findings, pragma_hits = _run_flow_pass(sources, config, select)
-    result.pragma_suppressed += pragma_hits
-    result.findings = sort_findings(result.findings + findings)
+    result.findings = sort_findings(result.findings)
     return result
 
 
@@ -223,14 +199,23 @@ def render_json(result: LintResult, out=None) -> None:
 # -- CLI -------------------------------------------------------------------
 
 
+def _select_arg(text: str) -> Optional[List[str]]:
+    """``--select`` value: comma-separated ids, each one a checker's."""
+    ids = [s for s in text.split(",") if s.strip()]
+    try:
+        select_checkers(ids)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return ids or None
+
+
 def build_arg_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "repro-lint: AST-based invariant checks for simulator "
-            "soundness (determinism, integer cycle math, the next-event "
-            "contract, shared-state hazards, and whole-program flow "
-            "checks for secret-independence)"
+            "repro-lint: AST checks for what the simulator's tests "
+            "cannot see (no bare print in library code, no silently "
+            "swallowed exceptions)"
         ),
     )
     parser.add_argument(
@@ -242,7 +227,7 @@ def build_arg_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
         help="output format",
     )
     parser.add_argument(
-        "--select", metavar="IDS",
+        "--select", metavar="IDS", type=_select_arg,
         help="comma-separated checker ids to run (default: all)",
     )
     parser.add_argument(
@@ -262,10 +247,8 @@ def run(args: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     if args.list_checkers:
         for checker in all_checkers():
-            kind = "flow" if isinstance(checker, FlowChecker) else "module"
             print(
-                f"{checker.id}  {checker.name}  [{checker.default_severity}]"
-                f"  ({kind})  {checker.description}",
+                f"{checker.id}  {checker.name}  {checker.description}",
                 file=out,
             )
         return 0
@@ -276,9 +259,8 @@ def run(args: argparse.Namespace, out=None) -> int:
     anchor = args.paths[0] if args.paths else "."
     root = find_project_root(anchor if os.path.isdir(anchor)
                              else os.path.dirname(anchor) or ".")
-    selected = [s for s in (args.select or "").split(",") if s.strip()] or None
     result = lint_paths(
-        args.paths, LintConfig(project_root=root), select=selected
+        args.paths, LintConfig(project_root=root), select=args.select
     )
     if args.format == "json":
         render_json(result, out)

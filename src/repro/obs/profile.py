@@ -66,7 +66,6 @@ def _wall_ns() -> int:
     and ``/healthz`` uptime, never cycle state, reports or digests —
     see the module docstring's determinism contract.
     """
-    # repro-lint: disable-next-line=RL001
     return time.perf_counter_ns()
 
 

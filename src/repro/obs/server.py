@@ -54,7 +54,6 @@ def _uptime_ns_base() -> int:
     """Monotonic base for ``/healthz`` uptime — operational metadata
     only, never part of any deterministic output.
     """
-    # repro-lint: disable-next-line=RL001
     return time.perf_counter_ns()
 
 

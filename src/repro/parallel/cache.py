@@ -150,7 +150,6 @@ class ResultCache:
             "result": canonical_doc(result),
             # Prune metadata only — never part of the digest or the
             # result, so wall clock cannot influence any run output.
-            # repro-lint: disable-next-line=RL001
             "created_unix": time.time(),
         }
         payload = json.dumps(entry, sort_keys=True).encode("utf-8")
@@ -224,7 +223,6 @@ class ResultCache:
         if keep is not None and len(listed) > keep:
             doomed.update(e.path for e in listed[: len(listed) - keep])
         if older_than_days is not None:
-            # repro-lint: disable-next-line=RL001
             cutoff = time.time() - older_than_days * 86400.0
             doomed.update(e.path for e in listed if e.created < cutoff)
         for path in doomed:

@@ -197,7 +197,7 @@ class TestLintFrontEnds:
     """``repro lint`` is ``python -m repro.lint``: one parser, one run()."""
 
     @pytest.mark.parametrize("case, code", [
-        ("missing", 2), ("clean", 0), ("rl001", 1),
+        ("missing", 2), ("clean", 0), ("rl005", 1),
     ])
     def test_both_front_ends_agree(self, case, code, tmp_path, capsys):
         from repro.lint import main as lint_main
@@ -206,13 +206,13 @@ class TestLintFrontEnds:
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "clean.py").write_text("def f(x):\n    return x + 1\n")
-        (pkg / "rl001.py").write_text(
-            "import random\n\ndef pick(q):\n    return random.choice(q)\n"
+        (pkg / "rl005.py").write_text(
+            "def pick(q):\n    print(q)\n    return q[0]\n"
         )
         target = {
             "missing": tmp_path / "no" / "such" / "path",
             "clean": pkg / "clean.py",
-            "rl001": pkg / "rl001.py",
+            "rl005": pkg / "rl005.py",
         }[case]
 
         assert main(["lint", str(target)]) == code
@@ -223,8 +223,8 @@ class TestLintFrontEnds:
         if case == "missing":
             assert via_repro.err == f"error: no such path: {target}\n"
             assert via_repro.out == ""
-        elif case == "rl001":
-            assert "src/repro/core/rl001.py:1:1: RL001" in via_repro.out
+        elif case == "rl005":
+            assert "src/repro/core/rl005.py:2:5: RL005" in via_repro.out
 
     @pytest.mark.parametrize("flag", [
         "--no-cache", "--baseline=x", "--no-baseline", "--timings",

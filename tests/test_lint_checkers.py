@@ -1,16 +1,21 @@
-"""Fixture-driven tests for the repro.lint checkers (RL001..RL004).
+"""Fixture-driven tests for the repro.lint checkers (RL005, RL006).
 
 Each checker gets at least one true-positive and one clean fixture,
-plus pragma-suppression coverage and the config seam (checker
-options, per-path disables, severity overrides).
+plus pragma-suppression coverage, the checker-options seam and the
+mutation of the real tree that is the checker's reason to exist.
 """
 
 import io
 import json
+import pathlib
 import textwrap
 
-from repro.lint import LintConfig, Severity, lint_paths, lint_source
-from repro.lint.runner import build_arg_parser, run
+import pytest
+
+from repro.lint import LintConfig, lint_source
+from repro.lint.runner import build_arg_parser, main, run
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 CORE_PATH = "src/repro/core/mod.py"
 
@@ -21,306 +26,6 @@ def findings_for(code, path=CORE_PATH, select=None, config=None):
 
 def ids_of(findings):
     return [f.checker_id for f in findings]
-
-
-# -- RL001 determinism -----------------------------------------------------
-
-
-class TestRL001:
-    def test_random_import_and_call_flagged(self):
-        findings = findings_for(
-            """
-            import random
-
-            def jitter():
-                return random.random()
-            """,
-            select=["RL001"],
-        )
-        assert ids_of(findings) == ["RL001", "RL001"]
-        assert findings[0].line == 2  # the import
-        assert "random" in findings[0].message
-
-    def test_numpy_random_alias_resolved(self):
-        findings = findings_for(
-            """
-            import numpy as np
-
-            def noise(n):
-                return np.random.default_rng().random(n)
-            """,
-            select=["RL001"],
-        )
-        assert len(findings) == 1
-        assert findings[0].key == "numpy.random.default_rng"
-        assert findings[0].line == 5
-
-    def test_wall_clock_flagged(self):
-        findings = findings_for(
-            """
-            import time
-            from datetime import datetime
-
-            def stamp():
-                return time.time(), datetime.now()
-            """,
-            select=["RL001"],
-        )
-        assert ids_of(findings) == ["RL001", "RL001"]
-        assert {f.key for f in findings} == {
-            "time.time", "datetime.datetime.now"
-        }
-
-    def test_seeded_rng_clean(self):
-        findings = findings_for(
-            """
-            from repro.common.rng import DeterministicRng
-
-            def jitter(rng: DeterministicRng):
-                return rng.random() + rng.gauss(0.0, 1.0)
-            """,
-            select=["RL001"],
-        )
-        assert findings == []
-
-    def test_allow_path_exempts_rng_module(self):
-        findings = findings_for(
-            """
-            import random
-
-            _r = random.Random(7)
-            """,
-            path="src/repro/common/rng.py",
-            select=["RL001"],
-        )
-        assert findings == []
-
-
-# -- RL002 integer cycle arithmetic ----------------------------------------
-
-
-class TestRL002:
-    def test_division_into_cycle_assignment(self):
-        findings = findings_for(
-            """
-            def plan(base, period):
-                release_cycle = base + period / 2
-                return release_cycle
-            """,
-            select=["RL002"],
-        )
-        assert ids_of(findings) == ["RL002"]
-        assert findings[0].line == 3
-        assert "release_cycle" in findings[0].message
-
-    def test_return_from_cycle_valued_function(self):
-        findings = findings_for(
-            """
-            class Link:
-                def next_event_cycle(self, cycle):
-                    return cycle + self.period / 2
-            """,
-            select=["RL002"],
-        )
-        assert ids_of(findings) == ["RL002"]
-        assert findings[0].key == "next_event_cycle"
-
-    def test_tainted_local_reaching_comparison(self):
-        findings = findings_for(
-            """
-            def choose(intervals, total, n, deadline):
-                needed = total / n
-                for iv in intervals:
-                    if deadline <= needed:
-                        return iv
-                return None
-            """,
-            select=["RL002"],
-        )
-        assert ids_of(findings) == ["RL002"]
-        assert "needed" in findings[0].message
-
-    def test_float_kwarg_and_augmented_division(self):
-        findings = findings_for(
-            """
-            def drive(shaper, deadline):
-                shaper.submit(cycle=deadline / 2)
-                deadline /= 4
-            """,
-            select=["RL002"],
-        )
-        assert len(findings) == 2
-
-    def test_int_coercion_and_ratios_clean(self):
-        findings = findings_for(
-            """
-            import math
-
-            def stats(hits, total, a, b):
-                ratio = hits / total
-                mean_latency = hits / max(total, 1)
-                release_cycle = int(a / b)
-                start_cycle = math.ceil(a / b)
-                span_cycles = a // b
-                return ratio, mean_latency, release_cycle, start_cycle, span_cycles
-            """,
-            select=["RL002"],
-        )
-        assert findings == []
-
-    def test_taint_cleared_by_integer_reassignment(self):
-        findings = findings_for(
-            """
-            def ok(total, n, deadline):
-                q = total / n
-                q = total // n
-                return deadline <= q
-            """,
-            select=["RL002"],
-        )
-        assert findings == []
-
-    def test_out_of_package_path_ignored(self):
-        findings = findings_for(
-            """
-            def plan(base):
-                release_cycle = base / 2
-                return release_cycle
-            """,
-            path="src/repro/analysis/mod.py",
-            select=["RL002"],
-        )
-        assert findings == []
-
-
-# -- RL003 next-event contract ---------------------------------------------
-
-
-class TestRL003:
-    TICK_ONLY = """
-        class Widget:
-            def tick(self, cycle):
-                pass
-        """
-
-    def test_tick_without_next_event_flagged(self):
-        findings = findings_for(
-            self.TICK_ONLY, path="src/repro/noc/widget.py", select=["RL003"]
-        )
-        assert ids_of(findings) == ["RL003"]
-        assert findings[0].key == "Widget"
-        assert findings[0].line == 2
-
-    def test_both_methods_clean(self):
-        findings = findings_for(
-            """
-            class Widget:
-                def tick(self, cycle):
-                    pass
-
-                def next_event_cycle(self, cycle):
-                    return None
-            """,
-            path="src/repro/noc/widget.py",
-            select=["RL003"],
-        )
-        assert findings == []
-
-    def test_same_module_inheritance_satisfies(self):
-        findings = findings_for(
-            """
-            class Base:
-                def next_event_cycle(self, cycle):
-                    return None
-
-            class Widget(Base):
-                def tick(self, cycle):
-                    pass
-            """,
-            path="src/repro/noc/widget.py",
-            select=["RL003"],
-        )
-        assert findings == []
-
-    def test_config_exemption(self):
-        config = LintConfig(
-            checker_options={"rl003": {"exempt": ["Widget"]}}
-        )
-        findings = findings_for(
-            self.TICK_ONLY,
-            path="src/repro/noc/widget.py",
-            select=["RL003"],
-            config=config,
-        )
-        assert findings == []
-
-    def test_unsimulated_package_ignored(self):
-        findings = findings_for(
-            self.TICK_ONLY, path="src/repro/analysis/widget.py",
-            select=["RL003"],
-        )
-        assert findings == []
-
-
-# -- RL004 mutable shared state --------------------------------------------
-
-
-class TestRL004:
-    def test_mutable_default_argument(self):
-        findings = findings_for(
-            """
-            def record(event, trace=[]):
-                trace.append(event)
-                return trace
-            """,
-            select=["RL004"],
-        )
-        assert ids_of(findings) == ["RL004"]
-        assert findings[0].key == "record"
-
-    def test_keyword_only_mutable_default(self):
-        findings = findings_for(
-            """
-            def record(event, *, cache={}):
-                cache[event] = True
-            """,
-            select=["RL004"],
-        )
-        assert len(findings) == 1
-
-    def test_class_level_mutable_literal(self):
-        findings = findings_for(
-            """
-            class Core:
-                pending = []
-
-                def __init__(self):
-                    self.cycle = 0
-            """,
-            select=["RL004"],
-        )
-        assert ids_of(findings) == ["RL004"]
-        assert findings[0].key == "Core.pending"
-
-    def test_clean_idioms(self):
-        findings = findings_for(
-            """
-            from dataclasses import dataclass, field
-            from typing import List, Tuple
-
-            @dataclass
-            class Config:
-                taps: List[int] = field(default_factory=list)
-
-            class Core:
-                EDGES: Tuple[int, ...] = (1, 2, 4)
-
-                def __init__(self, trace=None):
-                    self.trace = list(trace or [])
-            """,
-            select=["RL004"],
-        )
-        assert findings == []
 
 
 # -- RL005 bare print ------------------------------------------------------
@@ -544,70 +249,59 @@ class TestSuppression:
     def test_same_line_pragma(self):
         findings = findings_for(
             """
-            import time
-
-            def stamp():
-                return time.time()  # repro-lint: disable=RL001
+            def debug(state):
+                print(state)  # repro-lint: disable=RL005
             """,
-            select=["RL001"],
+            select=["RL005"],
         )
         assert findings == []
 
     def test_next_line_pragma_and_all(self):
         findings = findings_for(
             """
-            def plan(base):
+            def debug(state):
                 # repro-lint: disable-next-line=all
-                release_cycle = base / 2
-                return release_cycle
+                print(state)
             """,
-            select=["RL002"],
+            select=["RL005"],
         )
         assert findings == []
 
     def test_pragma_only_suppresses_listed_checker(self):
         findings = findings_for(
             """
-            def record(base, trace=[]):
-                release_cycle = base / 2  # repro-lint: disable=RL001
-                return release_cycle, trace
+            def load(path):
+                try:
+                    return open(path).read()
+                except: print(path)  # repro-lint: disable=RL006
             """,
         )
-        assert sorted(ids_of(findings)) == ["RL002", "RL004"]
+        assert ids_of(findings) == ["RL005"]
+
+    def test_unknown_pragma_id_is_a_finding(self):
+        # A pragma naming an id no checker has silences nothing; it is
+        # reported where it stands, and the known ids beside it still
+        # apply.
+        findings = findings_for(
+            """
+            def debug(state):
+                print(state)  # repro-lint: disable=RL005,RL007
+                print(state)  # repro-lint: disable=RL001
+            """,
+            select=["RL005"],
+        )
+        assert [(f.checker_id, f.line) for f in findings] == [
+            ("RL000", 3), ("RL000", 4), ("RL005", 4),
+        ]
+        assert findings[0].column == 19
+        assert "RL007" in findings[0].message
+        assert "RL001" in findings[1].message
 
 
 # -- config + runner machinery ---------------------------------------------
 
 
 class TestConfigAndRunner:
-    def test_disable_per_path(self):
-        config = LintConfig(disable_per_path={"repro/core/*": ["RL002"]})
-        code = """
-        def plan(base):
-            release_cycle = base / 2
-            return release_cycle
-        """
-        assert findings_for(code, config=config, select=["RL002"]) == []
-        assert len(
-            findings_for(
-                code, path="src/repro/noc/mod.py", config=config,
-                select=["RL002"],
-            )
-        ) == 1
-
-    def test_severity_override_downgrades_exit(self, tmp_path):
-        pkg = tmp_path / "src"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text("def f(xs=[]):\n    return xs\n")
-        config = LintConfig(
-            project_root=str(tmp_path),
-            severity_overrides={"RL004": Severity.WARNING},
-        )
-        result = lint_paths([str(pkg)], config)
-        assert len(result.findings) == 1
-        assert result.findings[0].severity == Severity.WARNING
-        assert result.exit_code == 0
-
     def test_bad_fixture_exits_nonzero_with_location(self, tmp_path):
         proj = tmp_path / "proj"
         pkg = proj / "src" / "repro" / "memctrl"
@@ -615,10 +309,12 @@ class TestConfigAndRunner:
         (proj / "pyproject.toml").write_text("[project]\n")
         bad = pkg / "bad.py"
         bad.write_text(
-            "import random\n"
-            "\n"
             "def pick(queue):\n"
-            "    return random.choice(queue)\n"
+            "    print(queue)\n"
+            "    try:\n"
+            "        return queue[0]\n"
+            "    except Exception:\n"
+            "        pass\n"
         )
         out = io.StringIO()
         code = run(
@@ -633,9 +329,69 @@ class TestConfigAndRunner:
             (f["path"], f["line"], f["checker"])
             for f in payload["findings"]
         }
-        assert ("src/repro/memctrl/bad.py", 1, "RL001") in locations
-        assert ("src/repro/memctrl/bad.py", 4, "RL001") in locations
+        assert locations == {
+            ("src/repro/memctrl/bad.py", 2, "RL005"),
+            ("src/repro/memctrl/bad.py", 5, "RL006"),
+        }
 
     def test_syntax_error_reported_not_crash(self):
         findings = findings_for("def broken(:\n    pass\n")
         assert ids_of(findings) == ["RL000"]
+
+    @pytest.mark.parametrize("select", ["RL007", "RL005,RL008", "rl001"])
+    def test_unknown_select_id_is_a_usage_error(self, select, tmp_path,
+                                                capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--select", select, str(tmp_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "unknown checker id" in errors[0]
+        with pytest.raises(ValueError, match="unknown checker id"):
+            lint_source("x = 1\n", CORE_PATH, select=select.split(","))
+
+    def test_known_select_ids_are_case_insensitive(self):
+        args = build_arg_parser().parse_args(["--select", "rl005,RL006"])
+        assert ids_of(findings_for("print(1)\n", select=args.select)) == [
+            "RL005"
+        ]
+
+
+# -- rent: the mutation each checker catches and the suite misses ----------
+
+# (checker, file, anchor line, mutated text).  Each mutation leaves
+# every other test in the suite passing; only the checker sees it.
+RENT = [
+    pytest.param(
+        "RL005", "src/repro/ga/genetic.py",
+        "        self._population = population[: cfg.population_size]\n",
+        "        self._population = population[: cfg.population_size]\n"
+        '        print("initial population:", len(self._population))\n',
+        id="RL005-print-in-GeneticAlgorithm.initialize",
+    ),
+    pytest.param(
+        "RL006", "src/repro/resilience/snapshot.py",
+        "        obj = pickle.loads(pickled)\n",
+        "        obj = None\n"
+        "        try:\n"
+        "            obj = pickle.loads(pickled)\n"
+        "        except Exception:\n"
+        "            pass\n",
+        id="RL006-swallowed-unpickle-error-in-load_snapshot",
+    ),
+]
+
+
+@pytest.mark.parametrize("checker_id, rel_path, anchor, mutant", RENT)
+def test_checker_catches_its_mutation_of_the_real_tree(
+    checker_id, rel_path, anchor, mutant
+):
+    source = (REPO_ROOT / rel_path).read_text(encoding="utf-8")
+    assert source.count(anchor) == 1
+    assert lint_source(source, rel_path) == []
+    mutated = source.replace(anchor, mutant)
+    assert ids_of(lint_source(mutated, rel_path)) == [checker_id]

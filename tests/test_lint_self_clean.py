@@ -1,11 +1,11 @@
 """The repo must lint clean under its own policy — and stay that way.
 
-This is the executable form of the soundness argument: the shipped
-checkers (determinism, integer cycle math, the next-event contract,
-shared-state hazards, secret independence) pass over every module in
-``src/`` with nothing but reviewed inline pragmas absorbing findings.
-A regression here means a new invariant violation, not a lint bug —
-fix the code or add a *justified* pragma, in that order.
+The shipped checkers (no bare print in library code, no silently
+swallowed exceptions) pass over every module in ``src/`` with nothing
+but reviewed inline pragmas absorbing findings, and every pragma
+names a checker that exists.  A regression here means a new
+violation, not a lint bug — fix the code or add a *justified* pragma,
+in that order.
 """
 
 import io

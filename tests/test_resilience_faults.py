@@ -73,6 +73,30 @@ class TestScenarios:
             == monitor.violation_count
         )
 
+    def test_flood_full_ticks_only_when_the_injector_is_due(
+        self, monkeypatch
+    ):
+        """After the injector's full tick the columnar engine re-polls
+        every horizon, so the injector runs again only at its own next
+        event.  Without that re-poll every digest still matches (a full
+        tick is always correct) but the engine full-ticks each cycle
+        after the first burst: 29,000 of 30,000 instead of 9,752."""
+        build = scenarios._shaped_system
+        systems = []
+
+        def profiled(*args, **kwargs):
+            systems.append(build(*args, **kwargs))
+            systems[-1].observability.profiler = EngineProfiler()
+            return systems[-1]
+
+        monkeypatch.setattr(scenarios, "_shaped_system", profiled)
+        cycles = 30_000
+        result = run_scenario("flood", cycles=cycles, engine="columnar")
+        (system,) = systems
+        assert result["cycles_run"] == cycles
+        fallbacks = system.observability.profiler.full_tick_fallbacks
+        assert 0 < fallbacks < cycles // 2
+
     def test_saturation_respects_queue_bound(self):
         result = run_scenario("saturate")
         assert result["outcome"] in ("completed", "typed_error")

@@ -318,7 +318,7 @@ class TestStationContract:
     @given(schedule=st.lists(st.integers(0, 2),
                              min_size=EPOCH, max_size=EPOCH))
     def test_epoch_release_cycles_ignore_the_schedule(self, schedule):
-        """RL007's dynamic twin, where it is exact: inside an epoch the
+        """Demand independence, where it is exact: inside an epoch the
         epoch-rate policy releases on a fixed grid (real or fake),
         whatever the program submits — only the *next* epoch's rate may
         depend on it."""
