@@ -44,6 +44,12 @@ class DeterministicRng:
         """The seed this generator was constructed with."""
         return self._seed
 
+    @property
+    def twister(self) -> random.Random:
+        """The underlying Mersenne twister, for hot loops that bind its
+        methods; draws from it advance this generator's stream."""
+        return self._random
+
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent child generator.
 

@@ -22,7 +22,9 @@ Private ticks and lazy settling
 -------------------------------
 A tick is *private* when it neither probes the cache hierarchy nor
 finishes the trace: it fetches non-memory instructions, retires, pops
-completed loads and counts cycles, all inside the core.  An engine may
+completed loads and counts cycles, all inside the core.  A re-probe
+that fails on a full MSHR file is private too: until a fill, it only
+adds one L1 miss, one L2 miss and one fetch-stall cycle.  An engine may
 leave private ticks unexecuted: the core remembers its first unapplied
 cycle and :meth:`Core.settle` (called by :meth:`Core.tick`, by a
 horizon poll and by a demand fill) replays them in one walk — a closed
@@ -100,9 +102,7 @@ class Core:
         # Trace cursor.
         self._record_index = 0
         self._trace_length = len(trace)
-        self._nonmem_remaining = (
-            trace[0].nonmem_insts if self._trace_length else 0
-        )
+        self._nonmem_remaining = trace.gaps[0] if self._trace_length else 0
 
         # Window state.
         self._seq_fetched = 0
@@ -188,12 +188,15 @@ class Core:
         """First cycle ``>= cycle`` whose :meth:`tick` is not private.
 
         That is the first tick that probes the hierarchy — a hit, a
-        miss, or the re-probe of a structural stall, which mutates
+        miss, or the re-probe of a full request sink, which mutates
         cache statistics and so recurs every cycle — or that retires
-        the last instruction.  ``None`` when the core is done, or when
+        the last instruction.  A re-probe that fails on full MSHRs is
+        not such a tick: nothing it touches changes before a fill, so
+        the walk counts it.  ``None`` when the core is done, or when
         it first blocks on an unfilled head load with nothing left to
-        fetch: then only a fill can wake it.  Exact as long as no fill
-        arrives; every earlier tick can be left to :meth:`settle`.
+        fetch or behind a failing probe: then only a fill can wake it.
+        Exact as long as no fill arrives; every earlier tick can be
+        left to :meth:`settle`.
         """
         if self.done:
             return None
@@ -216,7 +219,7 @@ class Core:
             return
         if walk is None or walk[0] != cycle:
             walk = self._walk(cycle)
-        reached, fetched, retired, nonmem, popped, stalls = walk
+        reached, fetched, retired, nonmem, popped, stalls, probes = walk
         if reached < cycle:
             raise ProtocolError(
                 f"core {self.core_id} asked to settle through cycle "
@@ -225,6 +228,10 @@ class Core:
             )
         self.cycles += reached - start
         self.memory_stall_cycles += stalls
+        if probes:
+            self.fetch_stall_cycles += probes
+            self.hierarchy.l1.misses += probes
+            self.hierarchy.l2.misses += probes
         self._seq_fetched = fetched
         self._seq_retired = retired
         self._nonmem_remaining = nonmem
@@ -238,7 +245,8 @@ class Core:
         Stops at ``limit`` or at the first tick that is not private,
         whichever is first, and returns that cycle with the state the
         walked ticks lead to — ``(cycle, fetched, retired, nonmem,
-        popped loads, memory-stall cycles)`` — without applying it.
+        popped loads, memory-stall cycles, failed probes)`` — without
+        applying it.
         Mirrors :meth:`_fetch`/:meth:`_retire` minus the hierarchy
         probe, tick by tick except where every tick is the same.  With
         a fetch group of headroom, fetch moves ``width`` per tick, and
@@ -246,7 +254,11 @@ class Core:
         window), full-width retirement toward the head load, and a
         blocked head load stalling retirement while fetch streams.  A
         blocked head load with fetch at a standstill jumps to its
-        completion.  Regime edges take the per-tick body.
+        completion.  When the record's probe fails on full MSHRs
+        (decided once: nothing it depends on moves before a fill),
+        the walk counts the re-probe of each tick instead of stopping,
+        in closed form across those jumps, and an empty window behind
+        it jumps to ``limit``.  Regime edges take the per-tick body.
         """
         t = self._clock
         width = self.config.width
@@ -259,13 +271,19 @@ class Core:
         load_count = len(loads)
         popped = 0
         stalls = 0
+        blocked = fetching and self._probe_fails()
+        probes = 0
         while t < limit:
             take = 0
+            probe = 0
             if fetching:
                 room = window - (fetched - retired)
                 if nonmem < width and nonmem < room:
-                    break  # fetch reaches the record's memory access
-                if room >= width:
+                    # Fetch reaches the record's memory access.
+                    if not blocked:
+                        break
+                    probe = 1
+                elif room >= width:
                     # A fetch group of headroom: every tick fetches
                     # ``width``, so whole runs of ticks move in closed
                     # form while retirement does the same each tick.
@@ -319,6 +337,7 @@ class Core:
                 retired, popped = before
                 break  # retires the last instruction: the core finishes
             t += 1
+            probes += probe
             if budget == width and retired < fetched:
                 # Retirement is blocked on the head load.
                 stalls += 1
@@ -328,8 +347,28 @@ class Core:
                     wake = limit if ready is None or ready > limit else ready
                     if wake > t:
                         stalls += wake - t
+                        probes += probe * (wake - t)
                         t = wake
-        return t, fetched, retired, nonmem, popped, stalls
+            elif probe and retired == fetched:
+                # An empty window behind a failing probe: only a fill
+                # moves anything.
+                probes += limit - t
+                t = limit
+        return t, fetched, retired, nonmem, popped, stalls, probes
+
+    def _probe_fails(self) -> bool:
+        """Whether probing the current record fails on full MSHRs: it
+        misses L1 and L2 and its line has no entry to merge into."""
+        if not self.mshrs.is_full:
+            return False
+        line = self.hierarchy.line_address(
+            self.trace.addresses[self._record_index]
+        )
+        return (
+            self.mshrs.lookup(line) is None
+            and not self.hierarchy.l1.lookup(line)
+            and not self.hierarchy.l2.lookup(line)
+        )
 
     def _fetch(self, cycle: int) -> None:
         budget = self.config.width
@@ -353,15 +392,16 @@ class Core:
             budget -= 1
             self._record_index += 1
             if self._record_index < self._trace_length:
-                self._nonmem_remaining = self.trace[self._record_index].nonmem_insts
+                self._nonmem_remaining = self.trace.gaps[self._record_index]
 
     def _issue_memory_access(self, cycle: int) -> bool:
         """Probe the caches for the current record; False ⇒ stall fetch."""
-        record = self.trace[self._record_index]
-        result = self.hierarchy.access(record.address, record.is_write)
+        index = self._record_index
+        is_write = self.trace.writes[index] == 1
+        result = self.hierarchy.access(self.trace.addresses[index], is_write)
         seq = self._seq_fetched
         if result.outcome is not AccessOutcome.MISS:
-            if not record.is_write:
+            if not is_write:
                 self._pending_loads.append(
                     _PendingLoad(seq, cycle + result.latency, result.line_address)
                 )
@@ -371,13 +411,13 @@ class Core:
         line = result.line_address
         existing = self.mshrs.lookup(line)
         if existing is not None:
-            self.mshrs.merge(line, seq, record.is_write)
+            self.mshrs.merge(line, seq, is_write)
         else:
             if self.mshrs.is_full:
                 return False
             if not self.request_sink.can_accept():
                 return False
-            self.mshrs.allocate(line, cycle, seq, record.is_write)
+            self.mshrs.allocate(line, cycle, seq, is_write)
             txn = MemoryTransaction(
                 core_id=self.core_id,
                 address=line,
@@ -386,7 +426,7 @@ class Core:
             )
             self.request_sink.submit(txn, cycle)
             self.demand_requests += 1
-        if not record.is_write:
+        if not is_write:
             load = _PendingLoad(seq, None, line)
             self._pending_loads.append(load)
             self._waiting_by_line.setdefault(line, []).append(load)

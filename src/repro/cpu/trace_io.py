@@ -17,13 +17,17 @@ from __future__ import annotations
 import gzip
 import io
 import zlib
+from array import array
 from pathlib import Path
 from typing import Union
 
-from repro.common.errors import ConfigurationError, TraceFormatError
-from repro.cpu.trace import MemoryTrace, TraceRecord
+from repro.common.errors import TraceFormatError
+from repro.cpu.trace import MemoryTrace
 
 _HEADER_PREFIX = "# repro-trace v1"
+
+#: Gaps and addresses are held in signed 64-bit trace columns.
+_COLUMN_LIMIT = 1 << 63
 
 
 def _open(path: Path, mode: str):
@@ -37,11 +41,7 @@ def save_trace(trace: MemoryTrace, path: Union[str, Path]) -> None:
     path = Path(path)
     with _open(path, "w") as handle:
         handle.write(f"{_HEADER_PREFIX} name={trace.name}\n")
-        for record in trace:
-            kind = "W" if record.is_write else "R"
-            handle.write(
-                f"{record.nonmem_insts} {record.address:#x} {kind}\n"
-            )
+        _write_records(handle, trace)
 
 
 def load_trace(path: Union[str, Path]) -> MemoryTrace:
@@ -56,7 +56,7 @@ def load_trace(path: Union[str, Path]) -> MemoryTrace:
     path = Path(path)
     source = str(path)
     name = path.stem
-    records = []
+    gaps, addresses, writes = array("q"), array("q"), bytearray()
     try:
         with _open(path, "r") as handle:
             for line_number, raw in enumerate(handle, start=1):
@@ -91,34 +91,33 @@ def load_trace(path: Union[str, Path]) -> MemoryTrace:
                         f"{path}:{line_number}: {error}",
                         source=source, line=line_number,
                     ) from None
-                try:
-                    record = TraceRecord(
-                        nonmem_insts=gap, address=address,
-                        is_write=kind == "W",
-                    )
-                except ConfigurationError as error:
-                    # TraceRecord's own range checks (negative gap or
-                    # address), re-raised with the file/line context the
-                    # record constructor cannot know.
+                if not (0 <= gap < _COLUMN_LIMIT
+                        and 0 <= address < _COLUMN_LIMIT):
                     raise TraceFormatError(
-                        f"{path}:{line_number}: {error}",
+                        f"{path}:{line_number}: gap and address must lie "
+                        f"in [0, 2**63), got {gap_text} {address_text}",
                         source=source, line=line_number,
-                    ) from None
-                records.append(record)
+                    )
+                gaps.append(gap)
+                addresses.append(address)
+                writes.append(kind == "W")
     except (
         UnicodeDecodeError, gzip.BadGzipFile, zlib.error, EOFError,
     ) as error:
         raise TraceFormatError(
             f"{path}: not a readable trace file: {error}", source=source
         ) from None
-    return MemoryTrace(records, name=name)
+    return MemoryTrace.from_columns(gaps, addresses, bytes(writes), name=name)
 
 
 def trace_to_string(trace: MemoryTrace) -> str:
     """The text-format serialization as a string (for tests/pipes)."""
     buffer = io.StringIO()
     buffer.write(f"{_HEADER_PREFIX} name={trace.name}\n")
-    for record in trace:
-        kind = "W" if record.is_write else "R"
-        buffer.write(f"{record.nonmem_insts} {record.address:#x} {kind}\n")
+    _write_records(buffer, trace)
     return buffer.getvalue()
+
+
+def _write_records(handle, trace: MemoryTrace) -> None:
+    for gap, address, write in zip(trace.gaps, trace.addresses, trace.writes):
+        handle.write(f"{gap} {address:#x} {'W' if write else 'R'}\n")

@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v7``.
+    Magic + format version: ``REPROSNAP v8``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -62,9 +62,10 @@ from repro.memctrl.transaction import (
 #: controller its earliest burst deadline and an address mapping its
 #: precomputed field spans.  v7: a decoded address is a named tuple,
 #: the DRAM system drops its ready-cycle memo, banks their state enum
-#: and timing, and a rank's ACT gate holds tFAW as well as tRRD.
+#: and timing, and a rank's ACT gate holds tFAW as well as tRRD.  v8: a
+#: memory trace is three packed columns, not a list of ``TraceRecord``s.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

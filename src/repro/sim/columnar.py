@@ -62,7 +62,8 @@ Bit-identity
   reads them (``report()``, a snapshot, the watchdog, the sampling
   hooks).  A core horizon is the first tick that probes the caches or
   finishes the trace, so cores fetching through compute do not pin
-  the clock.
+  the clock; a re-probe that fails on full MSHRs is counted, not
+  run, so a core blocked until a fill does not pin it either.
 * Any cycle on which the fault injector may act falls back to the full
   :func:`tick` (and marks every station dirty), so fault scenarios
   execute the injection order unchanged.

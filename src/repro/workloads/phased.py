@@ -15,12 +15,13 @@ truth for the phase detector in :mod:`repro.ga.phase`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.cpu.trace import MemoryTrace, TraceRecord
+from repro.cpu.trace import MemoryTrace
 from repro.workloads.synthetic import SyntheticTraceGenerator, TraceParameters
 
 
@@ -46,13 +47,18 @@ class PhasedTraceGenerator:
         self._rng = rng
 
     def trace(self, name: str = "phased") -> MemoryTrace:
-        records: List[TraceRecord] = []
+        gaps, addresses, writes = array("q"), array("q"), b""
         for index, phase in enumerate(self.phases):
             generator = SyntheticTraceGenerator(
                 phase.params, self._rng.fork(index)
             )
-            records.extend(generator.records(phase.accesses))
-        return MemoryTrace(records, name=name)
+            phase_gaps, phase_addresses, phase_writes = generator.columns(
+                phase.accesses
+            )
+            gaps += phase_gaps
+            addresses += phase_addresses
+            writes += phase_writes
+        return MemoryTrace.from_columns(gaps, addresses, writes, name=name)
 
     def boundaries(self) -> List[int]:
         """Record indices at which a new phase starts (excluding 0)."""

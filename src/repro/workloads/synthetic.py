@@ -24,8 +24,10 @@ description.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List
+from math import floor, log
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
@@ -68,6 +70,15 @@ class TraceParameters:
         return self.working_set_bytes // self.line_bytes
 
 
+def _log_miss(p: float) -> Optional[float]:
+    """``log(1 - p)`` of a geometric draw's success probability ``p``,
+    or ``None`` when ``p`` is 1 and the draw is always the first trial
+    (no random number is taken)."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"geometric probability must be in (0, 1], got {p}")
+    return None if p == 1.0 else log(1.0 - p)
+
+
 class SyntheticTraceGenerator:
     """Stateful generator producing one reproducible trace."""
 
@@ -78,51 +89,70 @@ class SyntheticTraceGenerator:
         self._pointer = params.base_address + line * params.line_bytes
         self._in_off_state = False
 
-    def records(self, count: int) -> List[TraceRecord]:
-        """Generate the next ``count`` trace records.
+    def columns(self, count: int) -> Tuple[array, array, bytes]:
+        """Generate the next ``count`` records as trace columns.
 
-        Each record takes its draws in a fixed order: the ON/OFF Markov
-        step, the geometric gap, the sequential-or-jump address, then
-        the write flag.  Changing that order changes every trace.
+        Returns ``(gaps, addresses, writes)`` in
+        :class:`~repro.cpu.trace.MemoryTrace`'s layout.  Each record
+        takes its draws in a fixed order: the ON/OFF Markov step, the
+        geometric gap, the sequential-or-jump address, then the write
+        flag.  Changing that order changes every trace.  The gap is
+        :meth:`~repro.common.rng.DeterministicRng.geometric` minus one
+        and the jump ``randint(0, lines - 1)``, both inlined on the
+        bound Mersenne twister so they take the same bits.
         """
         params = self.params
-        random, geometric, randint = (
-            self._rng.random, self._rng.geometric, self._rng.randint
-        )
+        twister = self._rng.twister
+        random, getrandbits = twister.random, twister.getrandbits
         p_enter, p_exit = params.p_enter_off, params.p_exit_off
         seq_prob, write_fraction = params.seq_prob, params.write_fraction
         line_bytes, base = params.line_bytes, params.base_address
         limit = base + params.working_set_bytes
-        last_line = params.working_set_lines - 1
+        # ``randint(0, last line)``: rejection-sample ``bits`` random
+        # bits below the line count.
+        lines = params.working_set_lines
+        bits = lines.bit_length()
         # Geometric gaps give an exponential-like inter-access pattern
         # with integer support, matching miss-gap measurements from
-        # real traces far better than a constant.  A zero mean has no
-        # draw at all.
+        # real traces far better than a constant.  The gap is the
+        # inverse CDF ``floor(log(1 - u) / log(1 - p))`` of one draw;
+        # ``None`` is a gap with no draw at all (a zero mean, p = 1).
         on_mean = params.gap_mean
         off_mean = on_mean * params.off_gap_multiplier
-        on_p = 1.0 / (on_mean + 1.0) if on_mean > 0 else None
-        off_p = 1.0 / (off_mean + 1.0) if off_mean > 0 else None
+        on_log = _log_miss(1.0 / (on_mean + 1.0)) if on_mean > 0 else None
+        off_log = _log_miss(1.0 / (off_mean + 1.0)) if off_mean > 0 else None
 
         pointer, off = self._pointer, self._in_off_state
-        out: List[TraceRecord] = []
-        append = out.append
+        gaps, addresses, writes = array("q"), array("q"), bytearray()
+        add_gap, add_address, add_write = (
+            gaps.append, addresses.append, writes.append
+        )
         for _ in range(count):
             if off:
                 if random() < p_exit:
                     off = False
             elif random() < p_enter:
                 off = True
-            gap_p = off_p if off else on_p
-            gap = geometric(gap_p) - 1 if gap_p is not None else 0
+            gap_log = off_log if off else on_log
+            add_gap(floor(log(1.0 - random()) / gap_log)
+                    if gap_log is not None else 0)
             if random() < seq_prob:
                 pointer += line_bytes
                 if pointer >= limit:
                     pointer = base
             else:
-                pointer = base + randint(0, last_line) * line_bytes
-            append(TraceRecord(gap, pointer, random() < write_fraction))
+                line = getrandbits(bits)
+                while line >= lines:
+                    line = getrandbits(bits)
+                pointer = base + line * line_bytes
+            add_address(pointer)
+            add_write(random() < write_fraction)
         self._pointer, self._in_off_state = pointer, off
-        return out
+        return gaps, addresses, bytes(writes)
+
+    def records(self, count: int) -> List[TraceRecord]:
+        """Generate the next ``count`` trace records."""
+        return list(MemoryTrace.from_columns(*self.columns(count)))
 
     def record(self) -> TraceRecord:
         """Generate the next trace record."""
@@ -132,4 +162,4 @@ class SyntheticTraceGenerator:
         """Generate a complete trace of ``num_accesses`` memory ops."""
         if num_accesses <= 0:
             raise ConfigurationError("num_accesses must be positive")
-        return MemoryTrace(self.records(num_accesses), name=name)
+        return MemoryTrace.from_columns(*self.columns(num_accesses), name=name)

@@ -1,6 +1,7 @@
 """Unit tests for the trace-driven out-of-order core model."""
 
 import inspect
+import operator
 import pickle
 import textwrap
 
@@ -264,11 +265,13 @@ OBSERVED = (
     "cycles", "memory_stall_cycles", "fetch_stall_cycles",
     "retired_instructions", "window_occupancy", "outstanding_misses",
     "demand_requests", "writeback_requests", "done", "finish_cycle",
+    "hierarchy.l1.misses", "hierarchy.l2.misses",
+    "hierarchy.llc_access_count",
 )
 
 
 def observe(core):
-    return {name: getattr(core, name) for name in OBSERVED}
+    return {name: operator.attrgetter(name)(core) for name in OBSERVED}
 
 
 class ScriptedMemory:
@@ -388,6 +391,19 @@ LONG_EXAMPLE = dict(
 )
 
 
+# A store miss fills the only MSHR and the next record misses another
+# line: every tick until the fill re-probes and fails, behind an empty
+# window.  Then a load miss does the same behind its own blocked
+# retirement.
+BLOCKED_EXAMPLE = dict(
+    records=[(0, 1, True), (0, 2, True), (0, 3, False), (0, 4, False)],
+    config=CoreConfig(mshr_entries=1),
+    refused=set(),
+    latencies=[90, 40, 60],
+    looks={10, 60, 120, 130, 200, 300},
+)
+
+
 class TestLazySettling:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -450,6 +466,36 @@ class TestLazySettling:
         monkeypatch.setattr(Core, "_walk", namespace["_walk"])
         with pytest.raises(AssertionError):
             self._run_long_example()
+
+    def test_a_walk_that_drops_failed_probes_is_caught(self, monkeypatch):
+        """The property has teeth for the lazy cache counters too: a
+        walk that forgets the re-probes of a record blocked on full
+        MSHRs under-counts L1/L2 misses and fetch stalls."""
+        source = textwrap.dedent(inspect.getsource(Core._walk))
+        returned = "return t, fetched, retired, nonmem, popped, stalls, probes\n"
+        assert source.count(returned) == 1
+        namespace = {}
+        exec(
+            source.replace(returned, returned.replace("probes\n", "0\n")),
+            vars(core_module), namespace,
+        )
+        monkeypatch.setattr(Core, "_walk", namespace["_walk"])
+        with pytest.raises(AssertionError):
+            assert_lazy_core_equals_ticked_core(**BLOCKED_EXAMPLE)
+
+    def test_blocked_example_skips_its_failed_probes(self):
+        """The lazy core names no event while its probe fails on full
+        MSHRs, yet counts every re-probe the ticked core makes."""
+        assert_lazy_core_equals_ticked_core(**BLOCKED_EXAMPLE)
+        memory = ScriptedMemory(
+            BLOCKED_EXAMPLE["records"], BLOCKED_EXAMPLE["config"], set(), [90]
+        )
+        memory.core.tick(0)  # stores line 1, then fails to store line 2
+        assert memory.core.fetch_stall_cycles == 1
+        assert memory.core.next_event_cycle(1) is None
+        memory.core.settle(50)
+        assert memory.core.fetch_stall_cycles == 50
+        assert memory.core.hierarchy.l2.misses == 51
 
     def test_a_polled_horizon_does_not_reach_the_pickle(self):
         """``next_event_cycle`` keeps its walk for the next settle; a

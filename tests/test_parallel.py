@@ -408,14 +408,14 @@ class TestJobsDifferential:
         """The base run and every rung share one memoised trace, and
         the sweep's bytes are the ones it printed before the memo."""
         generated = []
-        records = SyntheticTraceGenerator.records
+        columns = SyntheticTraceGenerator.columns
 
         def counting(generator, count):
             generated.append(count)
-            return records(generator, count)
+            return columns(generator, count)
 
         make_trace.cache_clear()
-        monkeypatch.setattr(SyntheticTraceGenerator, "records", counting)
+        monkeypatch.setattr(SyntheticTraceGenerator, "columns", counting)
         points_1 = tradeoff_sweep("apache", FAST, scales=(0.8, 1.4), jobs=1)
         assert generated == [FAST.accesses]
         assert canonical_json_digest(points_1) == "6ac601acf9738150"

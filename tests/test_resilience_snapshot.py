@@ -83,9 +83,9 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 7
+        assert SNAPSHOT_VERSION == 8
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v7\)"
+            SnapshotError, match=r"format v1 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
 
@@ -94,7 +94,7 @@ class TestEnvelope:
         the DRAM refresh field: it would unpickle and then die at the
         first tick with an ``AttributeError``.  It is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v2 .*\(expected v7\)"
+            SnapshotError, match=r"format v2 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
 
@@ -102,7 +102,7 @@ class TestEnvelope:
         """A v3 graph still carries the controller's write queue and
         page policy and the mapping's rank mask; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v3 .*\(expected v7\)"
+            SnapshotError, match=r"format v3 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v3\n{"kind": "system"}\nnot-a-pickle')
 
@@ -110,7 +110,7 @@ class TestEnvelope:
         """A v4 graph names the observability ring class and the
         monitor's two violation classes, none of which exist now."""
         with pytest.raises(
-            SnapshotError, match=r"format v4 .*\(expected v7\)"
+            SnapshotError, match=r"format v4 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v4\n{"kind": "system"}\nnot-a-pickle')
 
@@ -118,7 +118,7 @@ class TestEnvelope:
         """A v5 graph has no resolved targets on queued transactions
         and no burst deadline on the controller; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v5 .*\(expected v7\)"
+            SnapshotError, match=r"format v5 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v5\n{"kind": "system"}\nnot-a-pickle')
 
@@ -128,9 +128,17 @@ class TestEnvelope:
         would unpickle and then let a fifth ACTIVATE through the tFAW
         window); it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v6 .*\(expected v7\)"
+            SnapshotError, match=r"format v6 .*\(expected v8\)"
         ):
             parse_snapshot(b'REPROSNAP v6\n{"kind": "system"}\nnot-a-pickle')
+
+    def test_v7_trace_layout_fails_at_the_envelope(self):
+        """A v7 graph pickles every trace as a list of ``TraceRecord``s,
+        which a core no longer reads by index; it is refused here."""
+        with pytest.raises(
+            SnapshotError, match=r"format v7 .*\(expected v8\)"
+        ):
+            parse_snapshot(b'REPROSNAP v7\n{"kind": "system"}\nnot-a-pickle')
 
     def test_corrupt_metadata(self):
         with pytest.raises(SnapshotError, match="metadata"):

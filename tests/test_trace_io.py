@@ -129,6 +129,26 @@ class TestErrors:
             load_trace(path)
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize(
+        "line", ["%d 0x40 R" % (1 << 63), "5 %#x W" % (1 << 63)]
+    )
+    def test_values_past_64_bits_carry_location(self, tmp_path, line):
+        """A gap or address the trace columns cannot hold fails like a
+        negative one, with file/line context."""
+        path = tmp_path / "big.trace"
+        path.write_text("5 0x40 R\n" + line + "\n")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_trace(path)
+        assert excinfo.value.source == str(path)
+        assert excinfo.value.line == 2
+
+    def test_largest_column_values_round_trip(self, tmp_path):
+        limit = (1 << 63) - 1
+        original = MemoryTrace([TraceRecord(limit, limit, is_write=True)])
+        path = tmp_path / "edge.trace"
+        save_trace(original, path)
+        assert load_trace(path).records == original.records
+
     def test_corrupt_gzip_fails_typed(self, tmp_path):
         path = tmp_path / "bad.trace.gz"
         path.write_bytes(b"\x1f\x8b\x08\x00garbage-not-a-gzip-stream")
