@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.util import canonical_json_digest, geometric_mean
@@ -39,6 +37,9 @@ from repro.sim.system import (
 )
 from repro.workloads.covert import CovertChannelConfig, covert_sender_trace, key_to_bits
 from repro.workloads.spec import BENCHMARK_NAMES, make_trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Address-space stride separating co-running programs' allocations.
 _CORE_ADDRESS_STRIDE = 1 << 33
@@ -638,7 +639,21 @@ def _avg_slowdown(shared_ipcs: Sequence[float],
         for shared, alone in zip(shared_ipcs, alone_ipcs)
         if shared > 0 and alone > 0
     ]
-    return float(np.mean(slowdowns)) if slowdowns else float("inf")
+    if not slowdowns:
+        return float("inf")
+    if len(slowdowns) >= 8:
+        # np.mean sums 8 or more values in eight interleaved partial
+        # sums, so only numpy reproduces its bits there (an 8-core
+        # scalability mix).
+        import numpy as np
+
+        return float(np.mean(slowdowns))
+    # Below 8 values numpy's pairwise sum is a plain left-to-right
+    # loop, which this is (``sum()`` is compensated from Python 3.12).
+    total = 0.0
+    for slowdown in slowdowns:
+        total += slowdown
+    return total / len(slowdowns)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +775,8 @@ def covert_channel_experiment(
     information leakage can be mitigated by reducing the size of the
     replenishment window", section IV-B4).
     """
+    import numpy as np
+
     key_bits = key_to_bits(key, bits)
     covert_config = CovertChannelConfig(pulse_cycles=pulse_cycles)
     trace = covert_sender_trace(key_bits, covert_config)
@@ -814,6 +831,8 @@ def covert_interference_experiment(
     (closing the channel at its source) or the receiver's responses
     (denying it the latency measurement).
     """
+    import numpy as np
+
     if defense not in (None, "reqc", "respc"):
         raise ConfigurationError(f"unknown defense {defense!r}")
     key_bits = key_to_bits(key, bits)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError
 from repro.security.mutual_information import windowed_counts
 
@@ -68,6 +66,8 @@ def decode_covert_key_matched(
     decoder too: with a flat envelope there is no offset at which the
     counts separate.
     """
+    import numpy as np
+
     if num_bits <= 0:
         raise ConfigurationError("num_bits must be positive")
     if pulse_cycles <= 0:
@@ -123,6 +123,8 @@ def corunner_distinguishability(
     adversary can tell its co-runner changed by timing its own
     responses; values near 0 mean the channel is closed.
     """
+    import numpy as np
+
     a = np.asarray(latencies_a, dtype=float)
     b = np.asarray(latencies_b, dtype=float)
     if a.size == 0 or b.size == 0:

@@ -42,15 +42,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_json_digest
 from repro.core.bins import BinSpec
 from repro.security.mutual_information import gap_rate_mi, windowed_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Per-segment feature vector, in order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -125,6 +126,8 @@ def segment_features(
     example; a trailing partial segment is discarded (its statistics
     would be noisier than the rest and bias whichever class owns it).
     """
+    import numpy as np
+
     if segment_gaps < 2:
         raise ConfigurationError("segment_gaps must be at least 2")
     q = quantize_gaps(gaps, spec)
@@ -164,6 +167,8 @@ def segment_features(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
 
@@ -188,6 +193,8 @@ class LogisticClassifier:
         return (X - self._mean) / self._std
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticClassifier":
+        import numpy as np
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self._mean = X.mean(axis=0)
@@ -202,6 +209,8 @@ class LogisticClassifier:
         return self
 
     def scores(self, X: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         Xs = np.hstack([
             self._standardize(np.asarray(X, dtype=float)),
             np.ones((len(X), 1)),
@@ -227,6 +236,8 @@ class GradientBoostedStumps:
         self._base = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedStumps":
+        import numpy as np
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self._stumps = []
@@ -259,6 +270,8 @@ class GradientBoostedStumps:
         return self
 
     def scores(self, X: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         X = np.asarray(X, dtype=float)
         F = np.full(len(X), self._base)
         for j, thr, lv, rv in self._stumps:
@@ -268,6 +281,8 @@ class GradientBoostedStumps:
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the ROC curve via the rank statistic (ties averaged)."""
+    import numpy as np
+
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=int)
     n_pos = int((y == 1).sum())
@@ -300,6 +315,8 @@ def classifier_aucs(
     shuffled by ``rng`` (the only stochastic step).  Too few segments
     per class returns the abstaining 0.5 for every attacker.
     """
+    import numpy as np
+
     n_pos, n_neg = len(positive), len(negative)
     if (n_pos < 2 * _MIN_SEGMENTS_PER_CLASS
             or n_neg < 2 * _MIN_SEGMENTS_PER_CLASS):
@@ -350,6 +367,8 @@ def max_cross_correlation(
     some alignment; 0.0 when either series is constant (a constant
     stream carries no rate signal to correlate on).
     """
+    import numpy as np
+
     x = np.asarray(x_counts, dtype=float)
     y = np.asarray(y_counts, dtype=float)
     n = min(len(x), len(y))
@@ -386,6 +405,8 @@ def spectral_peak_ratio(counts: Sequence[float]) -> float:
     ratio is capped at 1e6 so downstream canonical JSON stays finite
     even for a pure tone whose median off-peak power underflows.
     """
+    import numpy as np
+
     c = np.asarray(counts, dtype=float)
     if len(c) < 8 or c.std() <= 0.0:
         return 1.0
@@ -480,6 +501,8 @@ def detect_report(
     the shaped stream carries no program identity.  With neither, the
     classifiers do not run and the AUC fields are None.
     """
+    import numpy as np
+
     root = DeterministicRng(int(seed))
     positive = segment_features(observed_gaps, spec, segment_gaps)
     aucs: Dict[str, Optional[float]] = dict.fromkeys(

@@ -9,12 +9,13 @@ under Response Camouflage it stays flat.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.sim.stats import CoreStats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def accumulated_response_difference(
@@ -43,6 +44,8 @@ def response_rate_series(
     total_cycles: int,
 ) -> np.ndarray:
     """Responses delivered per window (the adversary's rate probe)."""
+    import numpy as np
+
     if window_cycles <= 0:
         raise ConfigurationError("window_cycles must be positive")
     num_windows = max(1, total_cycles // window_cycles)
@@ -56,6 +59,8 @@ def response_rate_series(
 
 def max_abs_drift(difference_curve: np.ndarray) -> float:
     """Largest absolute excursion of a Figure-9 style curve."""
+    import numpy as np
+
     if difference_curve.size == 0:
         return 0.0
     return float(np.abs(difference_curve).max())

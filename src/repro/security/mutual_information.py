@@ -23,16 +23,19 @@ logarithms base 2 so results read in bits.  Three views are provided:
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.core.bins import BinSpec
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def entropy_bits(samples: Sequence[int]) -> float:
     """Empirical Shannon entropy (bits) of a discrete sample sequence."""
+    import numpy as np
+
     samples = np.asarray(samples)
     if samples.size == 0:
         return 0.0
@@ -52,6 +55,8 @@ def mutual_information_bits(
     asserting near-zero leakage from short simulation runs (the paper's
     0.002-bit numbers come from much longer traces).
     """
+    import numpy as np
+
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
@@ -115,6 +120,8 @@ def windowed_counts(
     window rather than being silently dropped (events strictly beyond
     that edge remain outside the histogram).
     """
+    import numpy as np
+
     if window_cycles <= 0:
         raise ConfigurationError("window_cycles must be positive")
     if num_windows <= 0:
@@ -135,6 +142,8 @@ def quantize_counts(counts: np.ndarray, levels: int) -> np.ndarray:
     """Snap per-window counts onto ``levels`` evenly spaced levels (an
     adversary's measurement granularity); integer division keeps them
     discrete."""
+    import numpy as np
+
     top = counts.max()
     if top == 0:
         return np.zeros_like(counts)

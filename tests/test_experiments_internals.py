@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ class TestAvgSlowdown:
 
     def test_skips_zero_alone(self):
         assert _avg_slowdown([1.0, 1.0], [0.0, 3.0]) == pytest.approx(3.0)
+
+    @staticmethod
+    def _numpy_mean(shared, alone):
+        slowdowns = [a / s for s, a in zip(shared, alone) if s > 0 and a > 0]
+        return float(np.mean(slowdowns)) if slowdowns else float("inf")
+
+    @staticmethod
+    def _ipcs(rng, n):
+        # A zero on either side is a dead core the mean filters out.
+        return [0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2.5)
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("cores", range(1, 17))
+    def test_keeps_numpys_bits(self, cores):
+        # Below 8 values numpy's pairwise sum is one left-to-right loop,
+        # so a Python loop matches it bit for bit; from 8 on it keeps
+        # eight partial sums, and _avg_slowdown defers to numpy there.
+        rng = random.Random(cores)
+        for _ in range(200):
+            shared, alone = self._ipcs(rng, cores), self._ipcs(rng, cores)
+            expected = self._numpy_mean(shared, alone)
+            assert _avg_slowdown(shared, alone).hex() == expected.hex()
 
 
 class TestConstantRateInterval:

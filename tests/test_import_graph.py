@@ -1,10 +1,14 @@
-"""The simulator's import path stays free of numpy and http.server.
+"""numpy loads only where a number is scored; http.server only for serve.
 
-``import repro`` and a plain ``System.run`` never call numpy, and only
-``repro serve`` needs the HTTP stack, so neither may load eagerly:
-both are a fixed cost every short run would pay again.  The check runs
-in a fresh interpreter because the test session itself (conftest,
-plugins, earlier tests) has long since imported both.
+A plain ``System.run`` never calls numpy, nor do ``repro run``,
+``repro list``, ``repro fig13`` or the Fig 13 GA (``bdc_comparison``
+with ``tune=True``): only a computed leakage number, covert decode or
+bandwidth series does, so every module imports numpy inside the
+functions that use it (docs/performance.md § "Fixed costs").  Only
+``repro serve`` needs the HTTP stack.  Either loaded eagerly is a
+fixed cost every short run would pay again.  The checks run in a fresh
+interpreter because the test session itself (conftest, plugins,
+earlier tests) has long since imported both.
 """
 
 import os
@@ -36,17 +40,51 @@ report_digest(builder.build().run(5000))
 print(sorted(m for m in ("numpy", "http.server") if m in sys.modules))
 """
 
+#: The CLI, the experiment drivers and the sweep tasks import without
+#: numpy, and the Fig 13 GA and ``repro run`` score nothing; the first
+#: zoo score then loads it, so the probe cannot pass vacuously.
+SCORING_PROGRAM = """
+import contextlib, io, sys
+import repro.cli, repro.analysis.experiments, repro.parallel.tasks
+from repro.analysis.experiments import ExperimentDefaults, bdc_comparison
+from repro.ga.online import TunerConfig
 
-def test_import_and_run_load_neither_numpy_nor_http_server():
+tuner = TunerConfig(
+    epoch_cycles=200, profile_cycles=100, settle_cycles=50,
+    population_size=4, generations=1,
+)
+bdc_comparison("gcc", "mcf", ExperimentDefaults(seed=1).scaled(0.02),
+               tune=True, tuner_config=tuner)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(["--scale", "0.05", "run"]) == 0
+print("numpy" in sys.modules)
+
+from repro.core.bins import BinSpec
+from repro.security.detect import detect_report
+gaps = [20, 40, 80, 160] * 40
+detect_report("probe", gaps, gaps[::-1], BinSpec(), None, seed=1)
+print("numpy" in sys.modules)
+"""
+
+
+def _fresh_interpreter(program: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, "-c", PROGRAM], env=env, capture_output=True,
+        [sys.executable, "-c", program], env=env, capture_output=True,
         text=True, timeout=120, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_import_and_run_load_neither_numpy_nor_http_server():
+    assert _fresh_interpreter(PROGRAM).strip() == "[]"
+
+
+def test_cli_and_fig13_load_numpy_only_at_the_first_score():
+    assert _fresh_interpreter(SCORING_PROGRAM).split() == ["False", "True"]
 
 
 def test_metrics_server_still_resolves_from_repro_obs():
