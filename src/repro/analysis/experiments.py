@@ -14,7 +14,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.util import canonical_json_digest, geometric_mean
+from repro.common.util import canonical_json_digest, fold_sum, geometric_mean
 from repro.core.bins import (
     BinConfiguration,
     BinSpec,
@@ -24,7 +24,7 @@ from repro.core.bins import (
 from repro.core.distribution import InterArrivalHistogram
 from repro.ga.online import OnlineGaTuner, ShaperHandle, TunerConfig
 from repro.security.attacks import bit_error_rate, decode_covert_key
-from repro.security.detect import DetectReport, detect_report
+from repro.security.detect import DetectReport
 from repro.security.leakage import accumulated_response_difference
 from repro.security.mutual_information import gap_rate_mi, interarrival_mi
 from repro.security.prober import prober_trace
@@ -648,12 +648,8 @@ def _avg_slowdown(shared_ipcs: Sequence[float],
         import numpy as np
 
         return float(np.mean(slowdowns))
-    # Below 8 values numpy's pairwise sum is a plain left-to-right
-    # loop, which this is (``sum()`` is compensated from Python 3.12).
-    total = 0.0
-    for slowdown in slowdowns:
-        total += slowdown
-    return total / len(slowdowns)
+    # Below 8 values numpy's pairwise sum is a plain left-to-right loop.
+    return fold_sum(slowdowns) / len(slowdowns)
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +953,11 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
                    scales: Sequence[float], runner) -> List[Dict[str, object]]:
     """The scored config ladder Figure 2 and the detect suite both climb.
 
-    Profiles ``benchmark`` alone (sweep stage 0) and scores that run
-    in-process as the ``no-shaping`` anchor; the shaped rungs are the
-    CS anchor (constant interval near the program's average rate), then
-    a predetermined staircase at each bandwidth ``scale``.  Returns
+    Profiles ``benchmark`` alone (sweep stage 0), the only serial
+    step; the shaped rungs are the CS anchor (constant interval near
+    the program's average rate), then a predetermined staircase at each
+    bandwidth ``scale``, and the base run is scored as the
+    ``no-shaping`` anchor in the same map, as its last shard.  Returns
     rows ``[no-shaping, cs, camo-x…]``, each carrying ``label``,
     ``ipc``, the zoo's six scores, ``segments``, ``report_digest`` (the
     zoo report's), ``digest`` (the run's), ``requested_rate`` (the
@@ -988,35 +985,39 @@ def _config_ladder(benchmark: str, defaults: ExperimentDefaults,
          base_rate * scale)
         for scale in scales
     ]
-    anchor = detect_report(
-        label="no-shaping",
-        intrinsic_gaps=base["gaps"],
-        observed_gaps=base["gaps"],
-        spec=spec,
-        target_frequencies=staircase_config(spec, base_rate).normalized(),
-        seed=defaults.seed,
-        window_cycles=LADDER_WINDOW_CYCLES,
-        run_cycles=base["cycles_run"],
-    )
     configs = list(dict.fromkeys(config for _, config, _ in rungs))
-    points = dict(zip(configs, runner.map(
-        tasks.tradeoff_point_task,
-        [
-            tasks.encode_point(
-                [benchmark], defaults, spec=spec,
-                request_plans={0: RequestShapingPlan(config, spec)},
-                window_cycles=LADDER_WINDOW_CYCLES,
-                detect_seed=defaults.seed,
-            )
-            for config in configs
-        ],
-        kind="tradeoff-point",
+    payloads = [
+        tasks.encode_point(
+            [benchmark], defaults, spec=spec,
+            request_plans={0: RequestShapingPlan(config, spec)},
+            window_cycles=LADDER_WINDOW_CYCLES,
+            detect_seed=defaults.seed,
+        )
+        for config in configs
+    ]
+    # The no-shaping anchor rides along as the last shard: scoring it
+    # is the only other work the ladder has, and as a shard it overlaps
+    # the simulations and replays from the cache.
+    payloads.append(tasks.encode_point(
+        [benchmark], defaults, spec=spec,
+        window_cycles=LADDER_WINDOW_CYCLES, detect_seed=defaults.seed,
+        anchor={
+            "gaps": base["gaps"], "cycles_run": base["cycles_run"],
+            "target": list(staircase_config(spec, base_rate).credits),
+        },
+    ))
+    *shaped, anchor = runner.map(
+        tasks.tradeoff_point_task, payloads, kind="tradeoff-point",
         labels=[
             ",".join(label for label, c, _ in rungs if c == config)
             for config in configs
-        ],
-    )))
-    scored = [(anchor, base, base_rate, None)] + [
+        ] + ["no-shaping"],
+    )
+    points = dict(zip(configs, shaped))
+    scored = [
+        (DetectReport(label="no-shaping", **anchor["zoo"]), base,
+         base_rate, None)
+    ] + [
         (DetectReport(label=label, **points[config]["zoo"]), points[config],
          requested, config.total_credits / LADDER_REPLENISH_PERIOD)
         for label, config, requested in rungs

@@ -45,6 +45,20 @@ def saturating_add(value: int, delta: int, max_value: int) -> int:
     return min(max_value, value + delta)
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right, one rounding per addition.
+
+    The builtin ``sum()`` compensates float rounding from Python 3.12
+    on, so its last bit depends on the interpreter; this fold gives
+    the same bits on every version (3.11's ``sum()``, and numpy's
+    pairwise sum below 8 values).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean of strictly positive values.
 
@@ -56,7 +70,7 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean of an empty sequence is undefined")
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(fold_sum(math.log(v) for v in values) / len(values))
 
 
 def canonical_doc(value: Any) -> Any:

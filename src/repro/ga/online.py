@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.rng import DeterministicRng
+from repro.common.util import fold_sum
 from repro.core.bins import BinConfiguration, MAX_CREDITS_PER_BIN
 from repro.ga.genetic import GaConfig, GeneticAlgorithm, Genome
 from repro.ga.mise import mise_slowdown
@@ -200,7 +201,7 @@ class OnlineGaTuner:
                     alphas, self._alone_rates, rates
                 )
             ]
-        return sum(slowdowns) / len(slowdowns)
+        return fold_sum(slowdowns) / len(slowdowns)
 
     # -- entry point ---------------------------------------------------------------
 

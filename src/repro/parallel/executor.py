@@ -13,7 +13,7 @@ docs/parallel.md states the full determinism contract.
 Lanes and the shard loop
 ------------------------
 A *lane* executes one shard at a time: the calling thread, or one slot
-of the warm ``spawn`` pool.  ``jobs=N`` means N simulations in flight:
+of the warm forked pool.  ``jobs=N`` means N simulations in flight:
 the calling thread is always the first lane and ``min(N, shards) - 1``
 pool lanes run beside it, so ``jobs=1`` (or a single shard) runs on
 the calling thread alone.  The calling thread has no crash isolation:
@@ -34,27 +34,24 @@ diagnostics ring (:mod:`repro.obs.diag`) under
 
 The warm pool
 -------------
-The ``spawn`` start method is deliberate: it is the only start method
-available everywhere, and it guarantees workers build their state from
-the pickled payload alone — a forked copy of a warm parent could
-smuggle in mutated globals and break the jobs-invariance contract.  It
-pays a real price: each worker is a fresh interpreter that re-imports
-the simulator stack before it can run its first task.  So one
-module-level ``spawn`` pool of ``jobs - 1`` workers is kept alive
-across ``map`` calls (rebuilt only when more workers are needed or the
-pool broke), with an ``initializer`` that pre-imports the simulator
-stack, and the first ``map`` that finds it cold boots every worker
-from the calling thread before that thread runs its own first shard:
-the workers' start-up then overlaps the caller's work (a sweep's stage
-0) instead of following it.  Worker reuse is safe for the same reason
-parallelism is: tasks are pure functions of their payloads and may not
-mutate module state they expect to see again.  Each pool lane keeps
-one single-shard future in flight and takes its next shard from the
-loop's queue when that one resolves, so uneven tasks balance
-themselves; a sweep payload pickles to a few hundred bytes and a
-future round trip costs ~0.15 ms against tasks of 100 ms and up
-(``benchmarks/perf``'s ``sweep_fig2`` workload reports
-``parallel.speedup_j2`` and ``pool_spawn_s``).
+Pool workers are forked from the calling process, and that is safe
+because of what the calling process already is: the inline lane runs
+every task inside it, warm imports, memoised traces and all, and that
+lane is the reference every ``jobs`` value must match byte for byte.
+A worker forked from the same process therefore holds no state a task
+could read that the reference lane did not.  One module-level pool of
+``jobs - 1`` workers is kept alive across ``map`` calls (rebuilt only
+when more workers are needed or the pool broke), and the first ``map``
+that finds it cold forks every worker at :func:`_boot_pool`, from the
+calling thread, before any lane thread exists: a forked worker needs
+no interpreter start and no imports, so it takes its first shard at
+once (a ``spawn`` worker, which needed both, ran 1 of the 5 shards
+of a cold ``--jobs 2`` Fig 2 ladder; forked ones lift that sweep's
+simulated cycles per second by 43 % on a 2-CPU box, docs/parallel.md
+"Execution costs").  Where ``fork`` does not exist, ``jobs > 1`` is
+refused.  Each pool lane keeps one single-shard future in flight and
+takes its next shard from the loop's queue when that one resolves, so
+uneven tasks balance themselves.
 """
 
 from __future__ import annotations
@@ -80,31 +77,10 @@ from repro.parallel.cache import ResultCache, cache_key, config_digest
 
 def _call_task(fn: Callable[..., Any], payload: Any,
                task_seed: Optional[int]) -> Any:
-    """Worker-side trampoline (module-level so ``spawn`` can pickle it)."""
+    """Worker-side trampoline (module-level so the pool can pickle it)."""
     if task_seed is None:
         return fn(payload)
     return fn(payload, task_seed=task_seed)
-
-
-def _warm_worker() -> None:  # pragma: no cover - runs in spawned workers
-    """Pool initializer: pre-import the simulator stack.
-
-    A ``spawn`` worker starts as a bare interpreter; importing the
-    analysis/simulation modules here means the first real task pays
-    only simulation time, not import time.  Best-effort: if it fails
-    here, unpickling the first task function imports the same modules
-    (``repro.parallel.tasks`` imports them at module level) and the
-    real error surfaces there, attributed to a shard.
-    """
-    try:
-        import repro.analysis.experiments  # noqa: F401
-        import repro.sim.system  # noqa: F401
-    # An exception escaping a pool initializer breaks the entire pool
-    # (every future fails), while a missed pre-import only costs time:
-    # swallowing anything here is strictly safer than surfacing it.
-    # repro-lint: disable-next-line=RL006
-    except Exception:
-        pass
 
 
 # The warm pool is deliberately module-global mutable state: the whole
@@ -116,10 +92,20 @@ _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_parent_pool() -> None:
+    """Pool initializer, in each forked worker: drop the inherited
+    copy of the caller's pool, which has no manager thread here and
+    whose submit lock the fork itself was holding, and of the pool
+    lock, which a lane thread may have held.  A task that maps again
+    then builds a pool of its own."""
+    global _POOL, _POOL_WORKERS, _POOL_LOCK
+    _POOL, _POOL_WORKERS, _POOL_LOCK = None, 0, threading.Lock()
+
+
 def _warm_pool(
     workers: int,
 ) -> Tuple[concurrent.futures.ProcessPoolExecutor, bool]:
-    """The shared spawn pool, rebuilt only when too small or broken;
+    """The shared fork pool, rebuilt only when too small or broken;
     ``True`` alongside it when this call built it."""
     global _POOL, _POOL_WORKERS
     with _POOL_LOCK:
@@ -134,8 +120,8 @@ def _warm_pool(
             pool.shutdown(wait=False)
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_warm_worker,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_forget_parent_pool,
         )
         _POOL = pool
         _POOL_WORKERS = workers
@@ -143,24 +129,22 @@ def _warm_pool(
 
 
 def _noop() -> None:
-    """Boot task: a cold spawn pool starts a worker per submit."""
+    """Boot task: a fork pool forks all its workers at its first submit."""
 
 
 def _boot_pool(workers: int) -> None:
-    """Make sure ``workers`` pool processes exist or are starting.
+    """Fork the pool's ``workers`` processes now, from the calling thread.
 
-    A spawn pool starts one process per ``submit`` while none is idle,
-    so a freshly built pool gets one no-op per worker, submitted from
-    the calling thread before it simulates anything: the workers'
-    interpreter start and imports then overlap the caller's own shards
-    instead of following them.  The no-ops' futures are dropped: a
+    A freshly built pool gets one no-op, submitted before the calling
+    thread simulates anything or starts a lane thread, so every worker
+    is forked before any lane thread exists and is ready for a shard
+    by the time a lane submits one.  The no-op's future is dropped: a
     no-op cannot raise, and a pool that breaks while booting is rebuilt
     by the next pool lane that submits to it.
     """
     pool, built = _warm_pool(workers)
     if built:
-        for _ in range(workers):
-            pool.submit(_noop)
+        pool.submit(_noop)
 
 
 def _discard_pool() -> None:
@@ -381,7 +365,8 @@ class SweepExecutor:
         the calling thread — no pool, no pickling round-trip — and is
         the reference every other placement must match; ``N`` adds
         ``min(N, shards) - 1`` slots of a warm pool of ``N - 1``
-        workers beside the calling thread.
+        forked workers beside the calling thread (``N > 1`` raises
+        :class:`ConfigurationError` where ``fork`` does not exist).
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -407,6 +392,11 @@ class SweepExecutor:
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigurationError(
+                f"jobs={jobs} forks pool workers, and this platform has "
+                f"no fork start method; use jobs=1"
+            )
         if max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {max_attempts}"

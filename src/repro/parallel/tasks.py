@@ -2,7 +2,7 @@
 sweep-point codec they share.
 
 Each task here is the unit one worker process executes: a module-level
-function (so ``spawn`` can pickle a reference to it) of one plain-JSON
+function (so the pool can pickle a reference to it) of one plain-JSON
 payload dict, returning a plain-JSON result dict.  Keeping both sides
 JSON-typed gives three properties at once:
 
@@ -28,8 +28,8 @@ Every simulation task also returns the full
 can be compared point-by-point across ``--jobs`` values from the CLI.
 
 :mod:`repro.analysis.experiments` resolves this module lazily, so the
-simulator stack is imported here at module level; ``_warm_worker``
-pre-imports it in every pool worker.
+simulator stack is imported here at module level; pool workers are
+forked from the calling process and inherit it.
 """
 
 from __future__ import annotations
@@ -327,16 +327,44 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     fields under ``zoo``.  The payload and the report carry no label:
     every rung granted these credits shares this result, and the ladder
     labels its rows.
+
+    A payload with an ``anchor`` field (the base run's intrinsic
+    ``gaps``, its ``cycles_run`` and the ``target`` credits) is the
+    ladder's no-shaping anchor instead: nothing is simulated, the
+    intrinsic stream is scored as the observed one against the target,
+    and the result is ``zoo`` alone (the row's IPC and digest are the
+    base run's).
     """
-    run = run_point(
-        payload, ("window_cycles",), ("detect_seed",), shaped_cores=(0,),
-    )
-    zoo = asdict(_zoo(
+    fields = ("window_cycles",), ("detect_seed", "anchor")
+    if "anchor" in payload:
+        defaults, _ = decode_point(payload, *fields)
+        anchor = payload["anchor"]
+        zoo = detect_report(
+            label="",
+            intrinsic_gaps=anchor["gaps"],
+            observed_gaps=anchor["gaps"],
+            spec=defaults.spec,
+            target_frequencies=BinConfiguration(
+                tuple(anchor["target"])
+            ).normalized(),
+            seed=int(payload.get("detect_seed", defaults.seed)),
+            window_cycles=int(payload["window_cycles"]),
+            run_cycles=int(anchor["cycles_run"]),
+        )
+        return {"zoo": _unlabelled(zoo)}
+    run = run_point(payload, *fields, shaped_cores=(0,))
+    zoo = _zoo(
         run, payload.get("detect_seed", run.defaults.seed),
         int(payload["window_cycles"]),
-    ))
+    )
+    return _result(run, ipc=run.report.core(0).ipc, zoo=_unlabelled(zoo))
+
+
+def _unlabelled(report) -> Dict[str, Any]:
+    """A zoo report's fields without its label, as a task returns them."""
+    zoo = asdict(report)
     del zoo["label"]
-    return _result(run, ipc=run.report.core(0).ipc, zoo=zoo)
+    return zoo
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,8 @@ class GradientBoostedStumps:
         self._base = 0.0
         F = np.zeros(len(y))
         qs = np.linspace(0.1, 0.9, self.quantiles)
-        # The candidate splits depend on X alone, not on the round.
+        # The candidate splits depend on X alone, not on the round: each
+        # keeps its mask and the index arrays of both sides.
         splits = []
         for j in range(X.shape[1]):
             col = X[:, j]
@@ -252,15 +253,20 @@ class GradientBoostedStumps:
                 left = col <= thr
                 n_left = int(left.sum())
                 if 0 < n_left < len(col):
-                    splits.append((j, float(thr), left, ~left))
+                    splits.append((j, float(thr), left,
+                                   np.flatnonzero(left),
+                                   np.flatnonzero(~left)))
         if not splits:
             return self
         for _ in range(self.rounds):
             g = y - _sigmoid(F)  # negative gradient of logistic loss
             best: Optional[Tuple[float, int, float, float, float]] = None
-            for j, thr, left, right in splits:
-                lv = float(g[left].mean())
-                rv = float(g[right].mean())
+            for j, thr, left, left_idx, right_idx in splits:
+                # What ``g[mask].mean()`` computes (the same pairwise sum
+                # over the same elements, divided by the count), without
+                # its mask scan and reduction set-up.
+                lv = float(g[left_idx].sum() / len(left_idx))
+                rv = float(g[right_idx].sum() / len(right_idx))
                 err = float(((np.where(left, lv, rv) - g) ** 2).sum())
                 if best is None or err < best[0] - 1e-15:
                     best = (err, j, thr, lv, rv)

@@ -12,6 +12,7 @@ from repro.common.util import (
     ceil_div,
     clamp,
     cumulative_sum,
+    fold_sum,
     geometric_mean,
     is_power_of_two,
     log2_int,
@@ -106,6 +107,24 @@ class TestSaturatingAdd:
            st.integers(min_value=0, max_value=1023))
     def test_never_exceeds_ten_bit_register(self, value, delta):
         assert saturating_add(value, delta, 1023) <= 1023
+
+
+class TestFoldSum:
+    """One rounding per addition, left to right, on every Python:
+    ``sum()`` compensates from 3.12 and would give exactly 1.0 here."""
+
+    def test_keeps_uncompensated_bits(self):
+        assert fold_sum([0.1] * 10).hex() == (0.9999999999999999).hex()
+
+    def test_empty_is_float_zero(self):
+        assert fold_sum([]) == 0.0 and isinstance(fold_sum([]), float)
+
+    def test_geometric_mean_folds_its_logs(self):
+        values = [0.1 * k for k in range(1, 11)]
+        total = 0.0
+        for value in values:
+            total += math.log(value)
+        assert geometric_mean(values).hex() == math.exp(total / 10).hex()
 
 
 class TestGeometricMean:

@@ -136,11 +136,12 @@ class TestFig2DuplicateRows:
 
     def test_five_scale_ladder_runs_one_task_per_configuration(self):
         # alone-base + cs + four distinct staircases (credit totals
-        # 2/3/3/5/6 at scales 0.6/0.8/1.0/1.4/2.0).
+        # 2/3/3/5/6 at scales 0.6/0.8/1.0/1.4/2.0) + the no-shaping
+        # anchor's scoring, which simulates nothing.
         defaults = ExperimentDefaults().scaled(0.25)
         executor = SweepExecutor(jobs=1, seed=defaults.seed)
         rows = tradeoff_sweep("apache", defaults, executor=executor)
-        assert executor.tasks_run == 6
+        assert executor.tasks_run == 7
         assert [
             round(row["granted_rate"] * LADDER_REPLENISH_PERIOD)
             for row in rows if row["label"].startswith("camo-")

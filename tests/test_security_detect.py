@@ -166,6 +166,56 @@ class TestClassifiers:
         assert digest(model.scores(X).tobytes()) == "147c057a760d63d1"
 
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_stump_fit_matches_the_masked_mean_reference(self, seed):
+        """``fit`` takes each side's mean as a sum over an index array
+        divided by its count; the masked ``.mean()`` it replaced must
+        give the same stumps to the last bit."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(160, 5))
+        X[:, 3] = np.round(X[:, 3])  # ties: repeated quantiles
+        y = (X[:, 0] - X[:, 2] + rng.normal(scale=0.5, size=160) > 0)
+        fitted = GradientBoostedStumps().fit(X, y.astype(float))
+        reference = _masked_mean_stumps(X, y.astype(float))
+
+        def bits(stumps):
+            return [(j, thr.hex(), lv.hex(), rv.hex())
+                    for j, thr, lv, rv in stumps]
+
+        assert bits(fitted._stumps) == bits(reference)
+
+
+def _masked_mean_stumps(X, y, rounds=40, learning_rate=0.3, quantiles=8):
+    """``GradientBoostedStumps.fit`` as it was with masked means: the
+    reference its index-array form is checked against."""
+    from repro.security.detect import _sigmoid
+
+    F = np.zeros(len(y))
+    qs = np.linspace(0.1, 0.9, quantiles)
+    splits = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        for thr in np.unique(np.quantile(col, qs)):
+            left = col <= thr
+            n_left = int(left.sum())
+            if 0 < n_left < len(col):
+                splits.append((j, float(thr), left, ~left))
+    stumps = []
+    for _ in range(rounds):
+        g = y - _sigmoid(F)
+        best = None
+        for j, thr, left, right in splits:
+            lv = float(g[left].mean())
+            rv = float(g[right].mean())
+            err = float(((np.where(left, lv, rv) - g) ** 2).sum())
+            if best is None or err < best[0] - 1e-15:
+                best = (err, j, thr, lv, rv)
+        _, j, thr, lv, rv = best
+        stumps.append((j, thr, lv, rv))
+        F += learning_rate * np.where(X[:, j] <= thr, lv, rv)
+    return stumps
+
+
 class TestProbes:
     def test_xcorr_identical_series(self):
         series = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
@@ -358,13 +408,14 @@ class TestDetectSuite:
                 tradeoff[label][c] for c in columns
             ], label
 
-    def test_climbs_the_ladder_in_four_tasks(self):
-        # The alone-base run doubles as the no-shaping rung; the CS and
-        # two staircase rungs are one tradeoff-point task each.
+    def test_climbs_the_ladder_in_five_tasks(self):
+        # The alone-base run doubles as the no-shaping rung, scored by
+        # one more tradeoff-point task that simulates nothing; the CS
+        # and two staircase rungs are one tradeoff-point task each.
         defaults = ExperimentDefaults().scaled(0.2)
         executor = SweepExecutor(jobs=1, seed=defaults.seed)
         detect_suite("apache", defaults, executor=executor)
-        assert executor.tasks_run == 4
+        assert executor.tasks_run == 5
 
     def test_served_from_the_cache_after_the_tradeoff_sweep(self, tmp_path):
         defaults = ExperimentDefaults().scaled(0.2)
@@ -375,7 +426,7 @@ class TestDetectSuite:
             jobs=1, seed=defaults.seed, cache=str(tmp_path)
         )
         detect_suite("apache", defaults, executor=executor)
-        assert (executor.tasks_run, executor.tasks_cached) == (0, 4)
+        assert (executor.tasks_run, executor.tasks_cached) == (0, 5)
 
     def test_equal_credits_share_a_cache_entry_across_labels(self, tmp_path):
         # At gcc's scaled(0.25) rate, camo-x1.2 is granted camo-x0.6's
