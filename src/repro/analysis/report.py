@@ -41,7 +41,6 @@ _SECTIONS = [
     ("ablation_epoch_cs", "Ablation — epoch-rate CS vs Camouflage"),
     ("ablation_baseline_params", "Ablation — baseline parameter sweeps"),
     ("scalability_domains", "Scalability — TP vs domain count"),
-    ("mesh_position", "Mesh NoC — position-dependent leakage"),
 ]
 
 

@@ -25,7 +25,6 @@ from repro.analysis.experiments import (
 )
 from repro.parallel.tasks import (
     encode_point,
-    mesh_position_task,
     mix_slowdown_task,
     noc_latency_task,
 )
@@ -144,43 +143,3 @@ def noc_latency_sweep(
         latency: row["mean_latency"]
         for latency, row in zip(latencies, rows)
     }
-
-
-def mesh_position_leakage(
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    victims: Sequence[str] = ("mcf", "astar"),
-    shaped: bool = False,
-    num_cores: int = 8,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    executor=None,
-) -> Dict[int, float]:
-    """Per-position side-channel strength on the mesh NoC.
-
-    The secret is *which program* runs at position *p* (mcf vs astar —
-    the paper's canonical intensity contrast).  For each position the
-    adversary (core 0, a gcc-like program) times its own memory
-    latencies in both worlds; the returned value is the
-    distinguishability between them.  On a mesh, positions whose
-    routes to the memory controller share more links with the
-    adversary's leak more; with the victim's traffic shaped to one
-    predetermined distribution the two worlds look alike at *every*
-    position.
-    """
-    runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    positions = list(range(1, num_cores))
-    rows = runner.map(
-        mesh_position_task,
-        [
-            # No recipe programs: the task builds its own two worlds
-            # from the run geometry and these fields.
-            encode_point(
-                [], defaults, victims=list(victims), position=position,
-                shaped=bool(shaped), num_cores=int(num_cores),
-            )
-            for position in positions
-        ],
-        kind="mesh-position",
-        labels=[f"mesh:pos{position}" for position in positions],
-    )
-    return {row["position"]: row["distinguishability"] for row in rows}

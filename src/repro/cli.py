@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
+import math
 import sys
-import threading
 from typing import List, Optional
 
 from repro.analysis.calibration import calibrate_suite, check_substitution_claims
@@ -43,7 +42,6 @@ from repro.analysis.experiments import (
 from repro.analysis.format import ascii_series, format_distribution, format_table
 from repro.analysis.sweeps import (
     fs_interval_sweep,
-    mesh_position_leakage,
     noc_latency_sweep,
     tp_turn_length_sweep,
 )
@@ -54,7 +52,7 @@ from repro.lint import runner as lint_runner
 from repro.obs import ALL_CATEGORIES, ObservabilityConfig
 from repro.obs.export import render_openmetrics
 from repro.parallel import ResultCache, SweepExecutor
-from repro.resilience import ResilienceConfig, run_scenario
+from repro.resilience import ResilienceConfig, run_scenario, scenario_names
 from repro.resilience.snapshot import (
     read_snapshot_info,
     restore_system,
@@ -81,7 +79,6 @@ _EXPERIMENTS = {
     "faults": "run a fault-injection scenario (repro.resilience harness)",
     "sweep": "run a parameter sweep across --jobs simulations in flight",
     "cache": "inspect/prune/clear the sweep result cache",
-    "serve": "serve live /metrics and /healthz during a run",
     "profile": "engine self-profile: per-station work and skip-span rollup",
 }
 
@@ -98,7 +95,6 @@ _SWEEPS = {
     "tp-turn": (tp_turn_length_sweep, None),
     "fs-interval": (fs_interval_sweep, None),
     "noc-latency": (noc_latency_sweep, "mcf"),
-    "mesh-position": (mesh_position_leakage, None),
 }
 
 
@@ -318,7 +314,7 @@ def _observed_system(args, obs_config: ObservabilityConfig,
     chosen benchmark against an unshaped co-runner — the canonical
     setup every observability demo and doc example uses.
     ``resilience_config`` adds the checkpoint/watchdog layer
-    (``repro run`` / ``serve``).
+    (``repro run``).
     """
     defaults = _defaults(args)
     builder = SystemBuilder(seed=defaults.seed)
@@ -428,7 +424,15 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     system, defaults = _observed_system(
-        args, *_run_configs(args, profile=False)
+        args,
+        ObservabilityConfig(trace=True, trace_limit=args.limit, monitor=True),
+        ResilienceConfig(
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_keep=args.checkpoint_keep,
+            watchdog_cycles=args.watchdog,
+            watchdog_dump_path=args.watchdog_dump or "",
+        ),
     )
     cycles = args.cycles or defaults.cycles
     try:
@@ -449,29 +453,6 @@ def _cmd_run(args) -> int:
     print(f"stopped at cycle {system.current_cycle}")
     print(f"report digest: {report_digest(report)}")
     return 0
-
-
-def _run_configs(args, profile: bool):
-    """The obs and resilience configs of ``repro run`` / ``serve``.
-
-    ``profile=True`` (``serve``) also turns on the engine self-profiler
-    and the interval sampler so the `/metrics` endpoint exposes
-    profiler and probe-derived gauge families.
-    """
-    return (
-        ObservabilityConfig(
-            trace=True, trace_limit=args.limit, monitor=True,
-            profile=profile,
-            sample_interval=1024 if profile else None,
-        ),
-        ResilienceConfig(
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_keep=args.checkpoint_keep,
-            watchdog_cycles=args.watchdog,
-            watchdog_dump_path=args.watchdog_dump or "",
-        ),
-    )
 
 
 def _cmd_resume(args) -> int:
@@ -516,86 +497,6 @@ def _cmd_faults(args) -> int:
         return 1
     if result.get("bound_held") is False:
         return 1
-    return 0
-
-
-def _serve_linger(seconds: float, stop) -> None:
-    """Hold the metrics endpoint open for late scrapes.
-
-    Wakes promptly when a drain signal flips ``stop["signal"]``.  The
-    pause is purely operational (a scrape window) and never observable
-    in any deterministic output, so the wall-clock use is quarantined
-    here.
-    """
-    import time as time_module
-
-    remaining = float(seconds)
-    while remaining > 0 and stop["signal"] is None:
-        time_module.sleep(min(0.2, remaining))
-        remaining -= 0.2
-
-
-def _cmd_serve(args) -> int:
-    from repro.obs.server import MetricsServer, ServePublisher
-
-    system, defaults = _observed_system(
-        args, *_run_configs(args, profile=True)
-    )
-    obs = system.observability
-    obs.serving = True
-    server = MetricsServer(host=args.host, port=args.port).start()
-    publisher = ServePublisher(obs, server, interval=args.publish_interval)
-    publisher.publish(system.current_cycle)
-
-    stop = {"signal": None}
-
-    def _on_signal(signum, _frame):
-        stop["signal"] = signum
-
-    # Signal handlers can only be installed from the main thread; when
-    # embedded (tests drive main() from a worker thread) serve still
-    # works, it just cannot drain on SIGTERM.
-    previous = {}
-    if threading.current_thread() is threading.main_thread():
-        previous = {
-            signum: signal.signal(signum, _on_signal)
-            for signum in (signal.SIGTERM, signal.SIGINT)
-        }
-    print(f"serving metrics at {server.url} "
-          "(/metrics /healthz); SIGTERM drains")
-    try:
-        cycles = args.cycles or defaults.cycles
-        target = system.current_cycle + cycles
-        # Run in publish-interval chunks: each boundary publishes a
-        # fresh snapshot and is where a drain signal is honoured.
-        while system.current_cycle < target and stop["signal"] is None:
-            step = min(publisher.interval, target - system.current_cycle)
-            system.run(step, stop_when_done=False, engine=args.engine)
-            publisher.publish(system.current_cycle)
-        report = system.report()
-        print(f"stopped at cycle {system.current_cycle}")
-        print(f"report digest: {report_digest(report)}")
-        if args.profile_out:
-            rollup = obs.profiler.rollup(include_wall=True,
-                                         monitor=obs.monitor)
-            with open(args.profile_out, "w", encoding="utf-8") as fh:
-                json.dump(rollup, fh, indent=2, sort_keys=True)
-            print(f"profiler rollup written to {args.profile_out}")
-        if stop["signal"] is None and args.linger > 0:
-            _serve_linger(args.linger, stop)
-        if stop["signal"] is not None:
-            server.mark_draining()
-            res = system.resilience
-            if res is not None:
-                path = res.take_checkpoint(system)
-                print(f"drain checkpoint written to {path}")
-            publisher.publish(system.current_cycle, status="draining")
-            print(f"drained on signal {stop['signal']} at cycle "
-                  f"{system.current_cycle}")
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.close()
     return 0
 
 
@@ -667,14 +568,17 @@ def _mix_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _at_least(kind, minimum):
+def _at_least(kind, minimum, strict=False):
     """An argparse ``type=``: ``kind(text)``, refused below ``minimum``
-    as a usage error (exit 2) rather than a traceback later."""
+    (or at it, when ``strict``) or when not finite, as a usage error
+    (exit 2) rather than a traceback later."""
     def parse(text: str):
         value = kind(text)
-        if value < minimum:
+        if not math.isfinite(value) or value < minimum or (
+            strict and value == minimum
+        ):
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {text}"
+                f"must be {'>' if strict else '>='} {minimum}, got {text}"
             )
         return value
 
@@ -697,33 +601,13 @@ def _fanout_parent(benchmark: Optional[str]) -> argparse.ArgumentParser:
     return parent
 
 
-def _resilience_parent() -> argparse.ArgumentParser:
-    """Checkpoint, watchdog and event-ring flags of ``run`` / ``serve``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--checkpoint-every", type=int, default=0,
-                        metavar="N",
-                        help="snapshot the whole system every N cycles")
-    parent.add_argument("--checkpoint-dir", default="checkpoints",
-                        help="directory for drain/periodic snapshots")
-    parent.add_argument("--checkpoint-keep", type=int, default=3,
-                        help="most-recent snapshots to retain")
-    parent.add_argument("--watchdog", type=int, default=None,
-                        metavar="CYCLES",
-                        help="stall budget before aborting (0 disables)")
-    parent.add_argument("--watchdog-dump", default=None, metavar="PATH",
-                        help="JSON diagnostic dump path on watchdog trip")
-    parent.add_argument("--limit", type=int, default=65536,
-                        help="event ring capacity")
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Camouflage (HPCA 2017) reproduction experiments",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_at_least(float, 0.0, strict=True), default=1.0,
         help="scale the run length (0.25 = quick look)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -750,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("covert", _cmd_covert)
     p.add_argument("--key", default="0x2AAAAAAA")
-    p.add_argument("--bits", type=int, default=32)
-    p.add_argument("--pulse", type=int, default=3000)
+    p.add_argument("--bits", type=_at_least(int, 1), default=32)
+    p.add_argument("--pulse", type=_at_least(int, 1), default=3000)
     p.add_argument("--no-shaping", action="store_true")
 
     verb("mi", _cmd_mi)
@@ -790,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Chrome trace-event JSON output path")
     p.add_argument("--jsonl", default=None, metavar="PATH",
                    help="also export line-delimited JSON")
-    p.add_argument("--limit", type=int, default=65536,
+    p.add_argument("--limit", type=_at_least(int, 1), default=65536,
                    help="event ring capacity")
     p.add_argument("--categories", default=None,
                    help="comma-separated subset of "
@@ -798,39 +682,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("stats", _cmd_stats,
              parents=[_engine_parent(), _mix_parent()])
-    p.add_argument("--interval", type=int, default=1024,
+    p.add_argument("--interval", type=_at_least(int, 1), default=1024,
                    help="cycles between metric samples")
-    p.add_argument("--rows", type=int, default=8,
+    p.add_argument("--rows", type=_at_least(int, 1), default=8,
                    help="sampled rows to print (tail)")
 
-    p = verb("run", _cmd_run,
-             parents=[_engine_parent(), _mix_parent(),
-                      _resilience_parent()])
-    p.add_argument("--cycles", type=int, default=0,
+    p = verb("run", _cmd_run, parents=[_engine_parent(), _mix_parent()])
+    p.add_argument("--cycles", type=_at_least(int, 0), default=0,
                    help="run length (default: the experiment default)")
+    p.add_argument("--checkpoint-every", type=_at_least(int, 0), default=0,
+                   metavar="N",
+                   help="snapshot the whole system every N cycles")
+    p.add_argument("--checkpoint-dir", default="checkpoints",
+                   help="directory for periodic snapshots")
+    p.add_argument("--checkpoint-keep", type=_at_least(int, 1), default=3,
+                   help="most-recent snapshots to retain")
+    p.add_argument("--watchdog", type=_at_least(int, 0), default=None,
+                   metavar="CYCLES",
+                   help="stall budget before aborting (0 disables)")
+    p.add_argument("--watchdog-dump", default=None, metavar="PATH",
+                   help="JSON diagnostic dump path on watchdog trip")
+    p.add_argument("--limit", type=_at_least(int, 1), default=65536,
+                   help="event ring capacity")
     p.add_argument("--snapshot-out", default=None, metavar="PATH",
                    help="write a final snapshot when the run finishes")
 
-    p = verb("serve", _cmd_serve,
-             parents=[_engine_parent(), _mix_parent(),
-                      _resilience_parent()])
-    p.add_argument("--cycles", type=int, default=0,
-                   help="run length (default: the experiment default)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address for the metrics endpoint")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (0 = ephemeral, printed at startup)")
-    p.add_argument("--publish-interval", type=int, default=4096,
-                   metavar="CYCLES",
-                   help="simulated cycles between registry snapshots")
-    p.add_argument("--linger", type=float, default=0.0, metavar="SECONDS",
-                   help="keep serving after the run finishes")
-    p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="write the profiler rollup JSON when done")
-
     p = verb("profile", _cmd_profile,
              parents=[_engine_parent(), _mix_parent()])
-    p.add_argument("--cycles", type=int, default=0,
+    p.add_argument("--cycles", type=_at_least(int, 0), default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the flame-style rollup JSON here")
@@ -846,10 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "against an uninterrupted 'repro run')")
 
     p = verb("faults", _cmd_faults, parents=[_engine_parent()])
-    p.add_argument("--scenario", required=True,
-                   help="one of: livelock, flood, saturate, "
-                        "epoch-stress, malformed-trace")
-    p.add_argument("--cycles", type=int, default=0,
+    p.add_argument("--scenario", required=True, choices=scenario_names())
+    p.add_argument("--cycles", type=_at_least(int, 0), default=0,
                    help="override the scenario's default run length")
     p.add_argument("--dump", default=None, metavar="PATH",
                    help="write the scenario's JSON report/dump here")

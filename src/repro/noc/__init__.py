@@ -9,6 +9,5 @@ the request link and RespC *before* the response link.
 """
 
 from repro.noc.link import LinkPort, SharedLink
-from repro.noc.mesh import MeshConfig, MeshNetwork
 
-__all__ = ["LinkPort", "MeshConfig", "MeshNetwork", "SharedLink"]
+__all__ = ["LinkPort", "SharedLink"]

@@ -1,6 +1,6 @@
 """Deterministic observability for the simulator stack.
 
-``repro.obs`` provides six disabled-by-default facilities, all
+``repro.obs`` provides five disabled-by-default facilities, all
 stamped in simulation cycles (never wall clock) so their output is a
 pure function of the run configuration:
 
@@ -19,11 +19,7 @@ pure function of the run configuration:
   by the parallel sweep executor;
 * a deterministic engine **self-profiler**
   (:class:`~repro.obs.profile.EngineProfiler`) attributing simulated
-  work to pipeline stations and engine phases in integer cycles;
-* a live **metrics server** (:mod:`repro.obs.server`) backing
-  ``repro serve`` with `/metrics` and `/healthz`; it pulls in
-  ``http.server``, so it loads on first use of its names, not with
-  this package.
+  work to pipeline stations and engine phases in integer cycles.
 
 Attach them to a system with
 :meth:`repro.sim.system.SystemBuilder.with_observability`.
@@ -40,7 +36,6 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.export import (
-    EXPOSITION_CONTENT_TYPE,
     merge_into,
     merge_serialized,
     render_openmetrics,
@@ -61,15 +56,12 @@ from repro.obs.ring import make_trace_buffer
 from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer
 
 __all__ = [
-    "EXPOSITION_CONTENT_TYPE",
     "merge_into",
     "merge_serialized",
     "render_openmetrics",
     "serialize_registry",
     "validate_metric_name",
     "EngineProfiler",
-    "MetricsServer",
-    "ServePublisher",
     "ALL_CATEGORIES",
     "CATEGORY_DRAM",
     "CATEGORY_MEMCTRL",
@@ -93,11 +85,3 @@ __all__ = [
     "EventTracer",
     "NullTracer",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("MetricsServer", "ServePublisher"):
-        from repro.obs import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

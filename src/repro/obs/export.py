@@ -49,12 +49,6 @@ __all__ = [
     "validate_metric_name",
 ]
 
-#: Content type ``repro serve`` answers ``/metrics`` with — the
-#: classic Prometheus text format version, which every scraper
-#: (including promtool's OpenMetrics mode) accepts for this output.
-EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
 def escape_family_name(name: str) -> str:
     """The exposition family name for a registered metric name."""
     return name.replace(".", "_")

@@ -103,11 +103,6 @@ class Observability:
         self.profiler: Optional[EngineProfiler] = (
             EngineProfiler() if self.config.profile else None
         )
-        #: Set by ``repro serve``: the registry is being scraped live,
-        #: so the run loop also mirrors the watchdog's stall margin into
-        #: it.  That gauge depends on the engine's observe cadence, so
-        #: it stays out of the registry on every deterministic path.
-        self.serving = False
 
     @property
     def has_cycle_hooks(self) -> bool:
@@ -137,17 +132,16 @@ class Observability:
         if self.monitor is not None:
             self.monitor.finalize(cycle)
 
-    # -- export (repro serve / repro profile) -------------------------------
+    # -- export (repro profile) ---------------------------------------------
 
     def refresh_derived_gauges(self, at_cycle: int) -> None:
         """Materialise derived registry families before an export.
 
         Probe values become same-named gauges (the live complement of
         the sampler's time series), and the profiler's families are
-        re-exported.  Called only on the export paths — between run
-        chunks by ``repro serve``, or once by ``repro profile`` — so
-        a system that never exports keeps its registry exactly as the
-        components wrote it.
+        re-exported.  Called only on the export path — once by
+        ``repro profile`` — so a system that never exports keeps its
+        registry exactly as the components wrote it.
         """
         self.metrics.gauge("obs.published_cycle").set(at_cycle)
         if self.sampler is not None:

@@ -143,10 +143,9 @@ class Histogram:
     ) -> None:
         """Replace this histogram's contents (idempotent exports).
 
-        Used by publishers that re-export an externally-maintained
-        histogram (e.g. the engine profiler's skip-span counts) on
-        every publish cadence: ``load`` sets absolute values where
-        :meth:`accumulate` would double-count.
+        Used to re-export an externally-maintained histogram (e.g. the
+        engine profiler's skip-span counts): ``load`` sets absolute
+        values where :meth:`accumulate` would double-count.
         """
         if len(counts) != len(self.counts):
             raise ConfigurationError(

@@ -164,8 +164,8 @@ class ShapingMonitor:
 
         ``monitor.checkpoints`` / ``monitor.violations`` plus
         per-stream ``monitor.core{K}.{dir}.{tvd_target,tvd_intrinsic,
-        mi_bits,events}`` update at every checkpoint, so ``/metrics``
-        shows guarantee breaches without parsing traces.  Checkpoint
+        mi_bits,events}`` update at every checkpoint, so an exported
+        exposition shows guarantee breaches without parsing traces.  Checkpoint
         cycles and values are engine-invariant, so binding never
         perturbs the cross-engine equivalence of registry or snapshot
         state.

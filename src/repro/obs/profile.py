@@ -27,12 +27,12 @@ quantities (skip spans, station skips) describe the engine, not the
 simulated hardware, and are intentionally engine-variant.  None of it
 enters reports, traces, samples or digests: the profiler keeps its own
 state and only materialises registry families when
-:meth:`EngineProfiler.export_to` is called (by the serve publisher or
-the ``repro profile`` CLI verb).
+:meth:`EngineProfiler.export_to` is called (by the ``repro profile``
+CLI verb).
 
 Wall-clock time is measured too — it is the point of profiling — but
 it is quarantined: accumulated in :attr:`EngineProfiler.wall_ns`,
-surfaced only in ``rollup(include_wall=True)`` and ``/healthz``, never
+surfaced only in ``rollup(include_wall=True)``, never
 exported into the metrics registry and never pickled.  Snapshots
 (``REPROSNAP``) therefore stay byte-identical whether or not a
 profiled run preceded them: :meth:`__getstate__` persists only the
@@ -62,8 +62,8 @@ SKIP_SPAN_EDGES = (
 def _wall_ns() -> int:
     """Monotonic wall clock for run bracketing.
 
-    Observability-only: the value feeds the profiler rollup artifact
-    and ``/healthz`` uptime, never cycle state, reports or digests —
+    Observability-only: the value feeds the profiler rollup artifact,
+    never cycle state, reports or digests —
     see the module docstring's determinism contract.
     """
     return time.perf_counter_ns()
@@ -222,7 +222,7 @@ class EngineProfiler:
     def _export_counter(self, registry: MetricsRegistry, name: str,
                         value: int) -> None:
         """Idempotent absolute export: counters advance by the delta
-        since the last export, so a publish cadence never double-counts."""
+        since the last export, so a repeated export never double-counts."""
         last = self._exported.get(name, 0)
         if value > last:
             registry.counter(name).inc(value - last)
@@ -231,8 +231,7 @@ class EngineProfiler:
     def export_to(self, registry: MetricsRegistry) -> None:
         """Materialise the profiler families into ``registry``.
 
-        Called on each publish cadence by the serve publisher and once
-        by ``repro profile``; safe to call repeatedly.
+        Called once by ``repro profile``; safe to call repeatedly.
         """
         self._export_counter(registry, "profiler.runs", self.runs)
         self._export_counter(

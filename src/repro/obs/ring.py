@@ -1,8 +1,8 @@
 """Bounded trace containers for the NoC grant traces.
 
 :func:`make_trace_buffer` is the one place that decides how a
-bounded-vs-unbounded ``grant_trace`` is built, for both
-``repro.noc.link`` and ``repro.noc.mesh``.
+bounded-vs-unbounded ``grant_trace`` is built, for
+``repro.noc.link``.
 """
 
 from __future__ import annotations

@@ -41,17 +41,14 @@ from repro.analysis.experiments import (
     ExperimentDefaults,
     _avg_slowdown,
     run_mix_system,
-    staircase_config,
 )
 from repro.common.errors import ConfigurationError
 from repro.core.bins import BinConfiguration, BinSpec
 from repro.obs.export import serialize_registry
 from repro.obs.metrics import MetricsRegistry
-from repro.security.attacks import corunner_distinguishability
 from repro.security.detect import detect_report
 from repro.sim.stats import SystemReport, report_digest
-from repro.sim.system import RequestShapingPlan, System, SystemBuilder
-from repro.workloads.spec import make_trace
+from repro.sim.system import RequestShapingPlan, System
 
 #: Bucket edges (cycles) of the per-point run-length histogram in the
 #: shard registry documents.
@@ -60,7 +57,7 @@ _POINT_CYCLE_EDGES = (
 )
 
 
-def _registry_doc(*reports) -> Dict[str, Any]:
+def _registry_doc(report: SystemReport) -> Dict[str, Any]:
     """The worker's serialized registry snapshot for one task.
 
     Every simulation task attaches this under ``"obs_registry"``; the
@@ -81,18 +78,15 @@ def _registry_doc(*reports) -> Dict[str, Any]:
     point_cycles = registry.histogram(
         "sweep.point_cycles", _POINT_CYCLE_EDGES
     )
-    for report in reports:
-        points.inc()
-        cycles.inc(report.cycles_run)
-        row_hits.inc(report.row_hits)
-        row_misses.inc(report.row_misses)
-        point_cycles.record(report.cycles_run)
-        for core in report.cores:
-            retired.inc(core.retired_instructions)
-            demand.inc(core.demand_requests)
-            fake.inc(
-                core.fake_requests_sent + core.fake_responses_sent
-            )
+    points.inc()
+    cycles.inc(report.cycles_run)
+    row_hits.inc(report.row_hits)
+    row_misses.inc(report.row_misses)
+    point_cycles.record(report.cycles_run)
+    for core in report.cores:
+        retired.inc(core.retired_instructions)
+        demand.inc(core.demand_requests)
+        fake.inc(core.fake_requests_sent + core.fake_responses_sent)
     return serialize_registry(registry)
 
 
@@ -417,66 +411,3 @@ def noc_latency_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return _result(
         run, mean_latency=run.report.core(0).mean_memory_latency()
     )
-
-
-# ---------------------------------------------------------------------------
-# mesh-position leakage points
-# ---------------------------------------------------------------------------
-
-
-def mesh_position_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Two-world distinguishability at one mesh position.
-
-    Runs the adversary next to each candidate victim at
-    ``payload["position"]`` and returns the distinguishability of its
-    latency samples between the worlds (one point of
-    :func:`repro.analysis.sweeps.mesh_position_leakage`).  The worlds
-    are bespoke (fixed seeds, quarter-length filler programs), so only
-    the payload's run geometry is used, not its mix recipe.
-    """
-    defaults, _recipe = decode_point(
-        payload, ("victims", "position", "shaped", "num_cores")
-    )
-    spec = BinSpec(replenish_period=512)
-    position = int(payload["position"])
-    num_cores = int(payload["num_cores"])
-    shaped = bool(payload["shaped"])
-
-    def run_world(victim_name: str):
-        builder = SystemBuilder(seed=defaults.seed).with_noc(topology="mesh")
-        for core in range(num_cores):
-            if core == 0:
-                builder.add_core(
-                    make_trace("gcc", defaults.accesses, seed=1)
-                )
-            elif core == position:
-                plan = None
-                if shaped:
-                    plan = RequestShapingPlan(
-                        config=staircase_config(spec, 1 / 16), spec=spec
-                    )
-                builder.add_core(
-                    make_trace(victim_name, defaults.accesses,
-                               seed=2 + core, base_address=core << 33),
-                    request_shaping=plan,
-                )
-            else:
-                builder.add_core(
-                    make_trace("sjeng", defaults.accesses // 4,
-                               seed=50 + core, base_address=core << 33)
-                )
-        report = builder.build().run(defaults.cycles, stop_when_done=False)
-        return report
-
-    world_a = run_world(payload["victims"][0])
-    world_b = run_world(payload["victims"][1])
-    return {
-        "position": position,
-        "distinguishability": corunner_distinguishability(
-            world_a.core(0).memory_latencies,
-            world_b.core(0).memory_latencies,
-        ),
-        "digest_a": report_digest(world_a),
-        "digest_b": report_digest(world_b),
-        "obs_registry": _registry_doc(world_a, world_b),
-    }

@@ -10,7 +10,6 @@ from repro.resilience.faults import (
     EpochBoundaryStress,
     FaultInjector,
     LinkStall,
-    QueueSaturation,
     TrafficBurst,
 )
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
@@ -30,7 +29,6 @@ __all__ = [
     "EpochBoundaryStress",
     "FaultInjector",
     "LinkStall",
-    "QueueSaturation",
     "TrafficBurst",
     "ResilienceConfig",
     "ResilienceRuntime",

@@ -1,4 +1,4 @@
-"""Fault/adversity injection: bursts, saturation, stalls, epoch stress.
+"""Fault/adversity injection: bursts, stalls, epoch stress.
 
 Each fault is a frozen *spec* naming when and how hard to hit the
 system; a :class:`FaultInjector` executes all specs deterministically
@@ -13,7 +13,6 @@ keeps fault runs bit-identical between ``engine="cycle"`` and
 
 The harness exists to *prove* the resilience contract: every injected
 adversity must end in a typed error (e.g.
-:class:`~repro.common.errors.QueueOverflowError` from a producer bug,
 :class:`~repro.common.errors.WatchdogError` from a seeded livelock) or
 in completion with its bound held — never a silent shaping-guarantee
 violation.  Injected traffic uses ``FAKE_READ`` transactions, which
@@ -52,27 +51,6 @@ class TrafficBurst:
     start_cycle: int = 0
     count: int = 64
     per_cycle: int = 4
-
-    def __post_init__(self) -> None:
-        _check_positive(self, count=self.count, per_cycle=self.per_cycle)
-
-
-@dataclass(frozen=True)
-class QueueSaturation:
-    """Push the memory controller toward its transaction-queue bound.
-
-    From ``start_cycle``, up to ``per_cycle`` fake reads per cycle are
-    placed in the controller's staging area until ``count`` are
-    injected.  Staged work drains into the controller only while
-    ``can_accept`` holds, so the 32-entry bound is exercised — and the
-    explicit :class:`~repro.common.errors.QueueOverflowError` semantics
-    verified — without ever bypassing backpressure.
-    """
-
-    core_id: int = 0
-    start_cycle: int = 0
-    count: int = 64
-    per_cycle: int = 8
 
     def __post_init__(self) -> None:
         _check_positive(self, count=self.count, per_cycle=self.per_cycle)
@@ -129,7 +107,7 @@ class EpochBoundaryStress:
         )
 
 
-FaultSpec = Union[TrafficBurst, QueueSaturation, LinkStall, EpochBoundaryStress]
+FaultSpec = Union[TrafficBurst, LinkStall, EpochBoundaryStress]
 
 
 def _check_positive(spec, **fields) -> None:
@@ -168,9 +146,6 @@ class FaultInjector:
         self._bursts = [
             _BurstState(s) for s in self.specs if isinstance(s, TrafficBurst)
         ]
-        self._saturations = [
-            _BurstState(s) for s in self.specs if isinstance(s, QueueSaturation)
-        ]
         self._stalls = [s for s in self.specs if isinstance(s, LinkStall)]
         self._epoch_stress = [
             _BurstState(s)
@@ -180,7 +155,6 @@ class FaultInjector:
         self.tracer = NULL_TRACER
         # Statistics (exported into watchdog dumps and scenario reports).
         self.injected_bursts = 0
-        self.injected_saturations = 0
         self.injected_epoch_stress = 0
 
     # -- wiring ----------------------------------------------------------
@@ -198,8 +172,6 @@ class FaultInjector:
         """Run all due injections (called at the top of ``tick``)."""
         for state in self._bursts:
             self._run_burst(system, cycle, state)
-        for state in self._saturations:
-            self._run_saturation(system, cycle, state)
         for state in self._epoch_stress:
             self._run_epoch_stress(system, cycle, state)
 
@@ -211,7 +183,7 @@ class FaultInjector:
         start/stop edge, else ``None``.
         """
         events: List[int] = []
-        for state in self._bursts + self._saturations:
+        for state in self._bursts:
             if state.remaining <= 0:
                 continue
             if cycle >= state.spec.start_cycle:
@@ -237,12 +209,8 @@ class FaultInjector:
         return {
             "specs": len(self.specs),
             "injected_bursts": self.injected_bursts,
-            "injected_saturations": self.injected_saturations,
             "injected_epoch_stress": self.injected_epoch_stress,
             "bursts_remaining": sum(s.remaining for s in self._bursts),
-            "saturations_remaining": sum(
-                s.remaining for s in self._saturations
-            ),
             "stalls": [
                 {"start_cycle": s.start_cycle, "duration": s.duration}
                 for s in self._stalls
@@ -283,29 +251,6 @@ class FaultInjector:
                 cycle, "fault.burst",
                 core_id=spec.core_id, injected=injected,
                 remaining=state.remaining,
-            )
-
-    def _run_saturation(self, system, cycle: int, state: _BurstState) -> None:
-        spec = state.spec
-        if state.remaining <= 0 or cycle < spec.start_cycle:
-            return
-        injected = 0
-        while injected < spec.per_cycle and state.remaining > 0:
-            txn = MemoryTransaction(
-                core_id=spec.core_id,
-                address=self._fake_address(),
-                kind=TransactionType.FAKE_READ,
-                created_cycle=cycle,
-            )
-            system._mc_staging.append(txn)
-            state.remaining -= 1
-            injected += 1
-            self.injected_saturations += 1
-        if injected:
-            self._emit(
-                cycle, "fault.saturation",
-                core_id=spec.core_id, injected=injected,
-                staging_depth=len(system._mc_staging),
             )
 
     def _run_epoch_stress(self, system, cycle: int, state: _BurstState) -> None:

@@ -14,20 +14,13 @@ them as artifacts.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List
 
-from repro.common.errors import (
-    ConfigurationError,
-    QueueOverflowError,
-    TraceFormatError,
-    WatchdogError,
-)
+from repro.common.errors import ConfigurationError, WatchdogError
 from repro.core.bins import BinConfiguration
 from repro.resilience.faults import (
     EpochBoundaryStress,
     LinkStall,
-    QueueSaturation,
     TrafficBurst,
 )
 from repro.resilience.runtime import ResilienceConfig
@@ -138,49 +131,6 @@ def scenario_flood(
     }
 
 
-def scenario_saturate(
-    cycles: int = 60_000, dump_path: str = "", engine: str = DEFAULT_ENGINE
-) -> Dict[str, Any]:
-    """Drive the transaction queue to its bound; the bound must hold."""
-    system = _shaped_system(
-        seed=23,
-        resilience=ResilienceConfig(
-            faults=(
-                QueueSaturation(core_id=1, start_cycle=500, count=300,
-                                per_cycle=8),
-            ),
-        ),
-    )
-    peak_depth = 0
-    capacity = system.controller.queue.capacity
-    try:
-        end = system.current_cycle + cycles
-        while system.current_cycle < end and not system.all_cores_done():
-            system.run(
-                min(512, end - system.current_cycle),
-                stop_when_done=True,
-                engine=engine,
-            )
-            peak_depth = max(peak_depth, len(system.controller.queue))
-    except QueueOverflowError as exc:
-        return {
-            "scenario": "saturate",
-            "outcome": "typed_error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "capacity": exc.capacity,
-            "depth": exc.depth,
-        }
-    return {
-        "scenario": "saturate",
-        "outcome": "completed",
-        "injected": system.resilience.injector.injected_saturations,
-        "peak_queue_depth": peak_depth,
-        "queue_capacity": capacity,
-        "bound_held": peak_depth <= capacity,
-    }
-
-
 def scenario_epoch_stress(
     cycles: int = 40_000, dump_path: str = "", engine: str = DEFAULT_ENGINE
 ) -> Dict[str, Any]:
@@ -207,47 +157,10 @@ def scenario_epoch_stress(
     }
 
 
-def scenario_malformed_trace(
-    cycles: int = 0, dump_path: str = "", engine: str = DEFAULT_ENGINE
-) -> Dict[str, Any]:
-    """A malformed trace file must fail typed, with file/line context."""
-    import tempfile
-
-    from repro.cpu.trace_io import load_trace
-
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".trace", delete=False, encoding="utf-8"
-    ) as fh:
-        fh.write("# repro-trace v1\n")
-        fh.write("10 0x1000 R\n")
-        fh.write("not-a-number 0x2000 R\n")
-        path = fh.name
-    try:
-        load_trace(path)
-    except TraceFormatError as exc:
-        return {
-            "scenario": "malformed-trace",
-            "outcome": "typed_error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "source": exc.source,
-            "line": exc.line,
-        }
-    finally:
-        os.unlink(path)
-    return {
-        "scenario": "malformed-trace",
-        "outcome": "silent_failure",
-        "message": "malformed trace loaded without error",
-    }
-
-
 SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "livelock": scenario_livelock,
     "flood": scenario_flood,
-    "saturate": scenario_saturate,
     "epoch-stress": scenario_epoch_stress,
-    "malformed-trace": scenario_malformed_trace,
 }
 
 

@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v8``.
+    Magic + format version: ``REPROSNAP v9``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -64,8 +64,11 @@ from repro.memctrl.transaction import (
 #: the DRAM system drops its ready-cycle memo, banks their state enum
 #: and timing, and a rank's ACT gate holds tFAW as well as tRRD.  v8: a
 #: memory trace is three packed columns, not a list of ``TraceRecord``s.
+#: v9: the observability hub loses its live-endpoint flag, the fault
+#: injector its saturation specs and counter, and the 2D-mesh NoC and
+#: queue-saturation fault classes are gone.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

@@ -46,24 +46,6 @@ class Watchdog:
         self.limit = cycles + 1
         self._last_retired = 0
         self._last_delivered = 0
-        self._metrics = None
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror the near-stall margin into registry gauges.
-
-        ``watchdog.stall_margin`` is the headroom left before the
-        progress check trips — ``cycles - (current - last_progress)``;
-        a value sliding toward zero on ``/metrics`` is the live
-        warning that a shaping configuration is starving a core.  The
-        margin depends on the observe cadence, which differs between
-        engines, so the run loop binds this only under ``repro
-        serve`` (``Observability.serving``) — never in the deterministic
-        cross-engine paths (the watchdog *trip* cycle itself stays
-        engine-invariant regardless).
-        """
-        self._metrics = registry
-        registry.gauge("watchdog.limit_cycles").set(self.cycles)
-        registry.gauge("watchdog.stall_margin").set(self.cycles)
 
     def reset(self, system) -> None:
         """Re-arm against the system's current progress counters."""
@@ -96,14 +78,7 @@ class Watchdog:
             self._last_delivered = delivered
             self._last_progress_cycle = cycle
             self.limit = cycle + self.cycles + 1
-            if self._metrics is not None:
-                self._metrics.gauge("watchdog.stall_margin").set(self.cycles)
             return
-        if self._metrics is not None:
-            self._metrics.gauge("watchdog.stall_margin").set(
-                self.cycles
-                - (system.current_cycle - self._last_progress_cycle)
-            )
         if (
             system.current_cycle - self._last_progress_cycle > self.cycles
             and not system.all_cores_done()

@@ -297,7 +297,7 @@ class ColumnarEngine:
 
         if self._inj is not None and h[self._inj] <= cycle:
             # The injector may mutate arbitrary stations this cycle
-            # (bursts into shapers, staging floods, link stalls); run
+            # (bursts into shapers, link stalls, epoch stress); run
             # the canonical full tick and re-poll everything.
             ran[self._inj] += 1
             tick(sys_)
@@ -473,11 +473,6 @@ def run(
         tracer=obs.tracer if obs is not None else NULL_TRACER,
     )
     watchdog.reset(system)
-    if obs is not None and obs.serving:
-        # Serve mode only: the stall margin depends on the observe
-        # cadence, which differs between engines — keep it out of
-        # the registry on the deterministic cross-engine paths.
-        watchdog.bind_metrics(obs.metrics)
     prof = obs.profiler if obs is not None else None
     if prof is not None:
         prof.begin_run(engine, system.current_cycle)

@@ -50,7 +50,6 @@ from repro.memctrl.schedulers import (
 )
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
-from repro.noc.mesh import MeshNetwork
 from repro.obs.hub import Observability, ObservabilityConfig
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
 from repro.sim import columnar
@@ -153,7 +152,6 @@ class SystemBuilder:
         self._organization = DramOrganization()
         self._enable_refresh = True
         self._noc_latency = 4
-        self._noc_topology = "shared"
         self._obs_config: Optional[ObservabilityConfig] = None
         self._resilience_config: Optional[ResilienceConfig] = None
         self._bank_partitioning = False
@@ -199,24 +197,14 @@ class SystemBuilder:
             self._enable_refresh = enable_refresh
         return self
 
-    def with_noc(
-        self,
-        latency: int = 4,
-        topology: str = "shared",
-    ) -> "SystemBuilder":
-        """Configure the on-chip channels.
+    def with_noc(self, latency: int = 4) -> "SystemBuilder":
+        """Configure the on-chip channels: one shared request link and
+        one shared response link, each ``latency`` cycles long.
 
-        ``topology`` is ``"shared"`` (single arbitrated link, the
-        default model) or ``"mesh"`` (2D mesh of input-buffered
-        routers — position-dependent contention; see
-        :mod:`repro.noc.mesh`).  The adversary-visible ``grant_trace``
-        of each channel is bounded through
-        ``with_observability(noc_grant_trace_limit=N)``.
+        The adversary-visible ``grant_trace`` of each channel is
+        bounded through ``with_observability(noc_grant_trace_limit=N)``.
         """
-        if topology not in ("shared", "mesh"):
-            raise ConfigurationError(f"unknown NoC topology {topology!r}")
         self._noc_latency = latency
-        self._noc_topology = topology
         return self
 
     def with_observability(
@@ -340,22 +328,12 @@ class SystemBuilder:
             if self._obs_config is not None
             else None
         )
-        if self._noc_topology == "mesh":
-            request_link = MeshNetwork(
-                num_cores, direction="to_hub", trace_limit=noc_trace_limit,
-            )
-            response_link = MeshNetwork(
-                num_cores, direction="from_hub", trace_limit=noc_trace_limit,
-            )
-        else:
-            request_link = SharedLink(
-                num_cores, latency=self._noc_latency,
-                trace_limit=noc_trace_limit,
-            )
-            response_link = SharedLink(
-                num_cores, latency=self._noc_latency,
-                trace_limit=noc_trace_limit,
-            )
+        request_link = SharedLink(
+            num_cores, latency=self._noc_latency, trace_limit=noc_trace_limit,
+        )
+        response_link = SharedLink(
+            num_cores, latency=self._noc_latency, trace_limit=noc_trace_limit,
+        )
 
         request_paths = []
         for core_id, plan in enumerate(self._core_plans):

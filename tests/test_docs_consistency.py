@@ -82,8 +82,9 @@ class TestReadme:
 class TestDocCommandLines:
     """Every ``repro <verb> …`` / ``python -m repro.cli|repro.lint …``
     line in a fenced block must parse with today's parsers, so a doc
-    cannot keep naming a flag the code deleted (``--serve``,
-    ``--no-cache``, ``--format sarif``, ``--baseline``, …)."""
+    cannot keep naming a flag or verb the code deleted (``--serve``,
+    ``--no-cache``, ``--format sarif``, ``--baseline``, the ``serve``
+    verb, …)."""
 
     DOCS = (
         [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
@@ -149,7 +150,11 @@ class TestDocCommandLines:
         "python -m repro.lint src --no-cache",
         "PYTHONPATH=src python -m repro.cli lint src --format sarif > x.sarif",
         "repro lint src --baseline lint-baseline.txt  # comment",
-    ], ids=["run-serve", "sweep-serve", "no-cache", "sarif", "baseline"])
+        "repro serve --port 9464",
+        "repro sweep mesh-position --jobs 4",
+        "repro faults --scenario saturate",
+    ], ids=["run-serve", "sweep-serve", "no-cache", "sarif", "baseline",
+            "serve-verb", "mesh-sweep", "saturate-scenario"])
     def test_deleted_flags_are_caught(self, line):
         from repro.cli import build_parser
         from repro.lint.runner import build_arg_parser

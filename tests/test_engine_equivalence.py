@@ -135,9 +135,6 @@ class TestFastCases:
     def test_epoch_shaping(self):
         _assert_engines_agree(lambda: _shaped_builder(epoch=True))
 
-    def test_mesh_topology(self):
-        _assert_engines_agree(_mesh_builder)
-
     @pytest.mark.parametrize("dead_time", [None, 20])
     def test_temporal_partitioning(self, dead_time):
         """TP's horizon skips other domains' turns and dead time; the
@@ -196,13 +193,6 @@ class TestFastCases:
         assert report_digest(baseline) == report_digest(fast)
 
 
-def _mesh_builder():
-    builder = SystemBuilder(seed=5).with_noc(topology="mesh")
-    builder.add_core(make_trace("apache", 250, seed=5))
-    builder.add_core(make_trace("gcc", 250, seed=6))
-    return builder
-
-
 TRACE_NAMES = ["gcc", "astar", "h264ref", "libquantum", "apache", "sjeng"]
 SCHEDULERS = ["frfcfs", "priority", "tp", "fs"]
 
@@ -214,7 +204,6 @@ def _random_builder(seed):
         rng = random.Random(seed)
         builder = SystemBuilder(seed=seed)
         builder.with_scheduler(rng.choice(SCHEDULERS))
-        builder.with_noc(topology=rng.choice(["shared", "mesh"]))
         for index in range(rng.randint(1, 3)):
             name = rng.choice(TRACE_NAMES)
             style = rng.choice(
@@ -301,9 +290,6 @@ class TestObservabilityEquivalence:
 
     def test_epoch_shaping(self):
         _assert_obs_identical(lambda: _shaped_builder(epoch=True))
-
-    def test_mesh_topology(self):
-        _assert_obs_identical(_mesh_builder)
 
     def test_low_intensity_spans_are_filled(self):
         """Long idle spans (the columnar engine's bread and butter)

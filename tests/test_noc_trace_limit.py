@@ -15,7 +15,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.noc.link import SharedLink
-from repro.noc.mesh import MeshNetwork
 from repro.sim.system import SystemBuilder
 from repro.workloads import make_trace
 
@@ -67,45 +66,29 @@ class TestSharedLinkTraceLimit:
         with pytest.raises(ConfigurationError):
             SharedLink(num_ports=1, trace_limit=limit)
         with pytest.raises(ConfigurationError):
-            MeshNetwork(num_ports=2, trace_limit=limit)
-        with pytest.raises(ConfigurationError):
             SystemBuilder().with_observability(noc_grant_trace_limit=limit)
 
 
-class TestMeshTraceLimit:
-    def test_trace_bounded_over_deliveries(self):
-        mesh = MeshNetwork(num_ports=2, trace_limit=5)
-        for round_start in range(0, 120, 4):
-            if mesh.can_inject(0):
-                mesh.inject(0, _txn(core_id=0, address=round_start))
-            for cycle in range(round_start, round_start + 4):
-                mesh.tick(cycle)
-                mesh.pop_arrivals(cycle)
-        assert mesh.total_grants > 5
-        assert len(mesh.grant_trace) == 5
-
-
 class TestBuilderWiring:
-    def _system(self, topology, trace_limit):
-        builder = SystemBuilder(seed=3).with_noc(topology=topology)
+    def _system(self, trace_limit):
+        builder = SystemBuilder(seed=3)
         if trace_limit is not None:
             builder.with_observability(noc_grant_trace_limit=trace_limit)
         builder.add_core(make_trace("gcc", 200, seed=3))
         return builder.build()
 
-    @pytest.mark.parametrize("topology", ["shared", "mesh"])
-    def test_with_noc_passes_limit_to_both_directions(self, topology):
-        system = self._system(topology, trace_limit=8)
+    def test_with_noc_passes_limit_to_both_directions(self):
+        system = self._system(trace_limit=8)
         assert system.request_link.trace_limit == 8
         assert system.response_link.trace_limit == 8
 
     def test_default_stays_unbounded(self):
-        system = self._system("shared", trace_limit=None)
+        system = self._system(trace_limit=None)
         assert system.request_link.trace_limit is None
         assert isinstance(system.request_link.grant_trace, list)
 
     def test_bounded_growth_over_a_full_run(self):
-        system = self._system("shared", trace_limit=16)
+        system = self._system(trace_limit=16)
         system.run(30_000, stop_when_done=False)
         assert system.request_link.total_grants > 16
         assert len(system.request_link.grant_trace) == 16
@@ -121,4 +104,4 @@ class TestDeprecatedShim:
         builder.add_core(make_trace("gcc", 200, seed=3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            builder.with_noc(topology="shared")
+            builder.with_noc(latency=4)

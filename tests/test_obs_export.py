@@ -1,7 +1,7 @@
 """Exporter layer: OpenMetrics exposition, shard merge, names.
 
-The exposition contract backing ``repro serve`` and the CI promtool
-regex check: byte-deterministic output, sorted families, cumulative
+The exposition contract behind ``repro profile --metrics-out`` and
+``repro sweep --metrics-out``: byte-deterministic output, sorted families, cumulative
 histogram buckets ending in ``+Inf``, counters suffixed ``_total``,
 a trailing ``# EOF``.  The shard-merge protocol is what lets the
 ``jobs=1`` and ``jobs=N`` merged sweep registries compare with
@@ -21,7 +21,6 @@ import pytest
 from repro.common.errors import ConfigurationError, MetricNameError
 from repro.obs import IntervalSampler, MetricsRegistry
 from repro.obs.export import (
-    EXPOSITION_CONTENT_TYPE,
     escape_family_name,
     merge_into,
     merge_serialized,
@@ -44,9 +43,6 @@ def _sample_registry():
 class TestExposition:
     def test_empty_registry_is_just_eof(self):
         assert render_openmetrics(MetricsRegistry()) == "# EOF\n"
-
-    def test_content_type_is_prometheus_text(self):
-        assert EXPOSITION_CONTENT_TYPE.startswith("text/plain")
 
     def test_families_sorted_and_typed(self):
         text = render_openmetrics(_sample_registry())

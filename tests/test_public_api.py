@@ -32,7 +32,6 @@ MODULES = PACKAGES + [
     "repro.cpu.trace_io",
     "repro.core.epoch_shaper",
     "repro.ga.phase",
-    "repro.noc.mesh",
     "repro.security.bounds",
     "repro.security.prober",
     "repro.sim.bandwidth",

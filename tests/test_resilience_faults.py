@@ -17,7 +17,6 @@ from repro.resilience import (
     EpochBoundaryStress,
     FaultInjector,
     LinkStall,
-    QueueSaturation,
     TrafficBurst,
     run_scenario,
     scenario_names,
@@ -29,10 +28,7 @@ from repro.resilience import scenarios
 
 class TestScenarios:
     def test_names(self):
-        assert scenario_names() == [
-            "epoch-stress", "flood", "livelock", "malformed-trace",
-            "saturate",
-        ]
+        assert scenario_names() == ["epoch-stress", "flood", "livelock"]
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
@@ -97,14 +93,6 @@ class TestScenarios:
         fallbacks = system.observability.profiler.full_tick_fallbacks
         assert 0 < fallbacks < cycles // 2
 
-    def test_saturation_respects_queue_bound(self):
-        result = run_scenario("saturate")
-        assert result["outcome"] in ("completed", "typed_error")
-        if result["outcome"] == "completed":
-            assert result["injected"] == 300
-            assert result["bound_held"] is True
-            assert result["peak_queue_depth"] <= result["queue_capacity"]
-
     def test_epoch_stress_survives(self):
         result = run_scenario("epoch-stress")
         assert result == {
@@ -116,13 +104,6 @@ class TestScenarios:
             "rate_changes": 19,
             "leakage_bound_bits": 49.11428751370197,
         }
-
-    def test_malformed_trace_fails_typed_with_location(self):
-        result = run_scenario("malformed-trace")
-        assert result["outcome"] == "typed_error"
-        assert result["error"] == "TraceFormatError"
-        assert result["line"] == 3
-        assert result["source"]
 
     @pytest.mark.parametrize(
         "name", ["livelock", "flood", "epoch-stress"]
@@ -144,10 +125,6 @@ class TestSpecValidation:
             TrafficBurst(count=0)
         with pytest.raises(ConfigurationError):
             TrafficBurst(per_cycle=-1)
-
-    def test_saturation_counts_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            QueueSaturation(count=0)
 
     def test_stall_duration_must_be_positive(self):
         with pytest.raises(ConfigurationError):

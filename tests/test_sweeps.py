@@ -10,7 +10,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.sweeps import (
     fs_interval_sweep,
-    mesh_position_leakage,
     noc_latency_sweep,
     tp_turn_length_sweep,
 )
@@ -79,14 +78,6 @@ class TestNocSweep:
         out = noc_latency_sweep("sjeng", FAST, latencies=(1, 9))
         delta = out[9] - out[1]
         assert 1.5 * 8 <= delta <= 3.5 * 8
-
-
-class TestMeshPositionSweep:
-    def test_returns_per_position_values(self):
-        small = dataclasses.replace(FAST, accesses=500, cycles=6000)
-        out = mesh_position_leakage(small, num_cores=4)
-        assert set(out) == {1, 2, 3}
-        assert all(v >= 0 for v in out.values())
 
 
 class TestCalibrationUnit:

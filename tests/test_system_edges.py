@@ -110,19 +110,6 @@ class TestMixedShapingTopologies:
         report = builder.build().run(15_000, stop_when_done=False)
         assert report.core(0).retired_instructions > 0
 
-    def test_mesh_with_shaping(self):
-        spec = BinSpec()
-        builder = SystemBuilder(seed=3).with_noc(topology="mesh")
-        builder.add_core(
-            make_trace("gcc", 300),
-            request_shaping=RequestShapingPlan(
-                config=BinConfiguration((3,) * 10), spec=spec
-            ),
-        )
-        builder.add_core(make_trace("astar", 300, base_address=1 << 33))
-        report = builder.build().run(15_000, stop_when_done=False)
-        assert report.core(0).retired_instructions > 0
-
     def test_sixteen_cores_need_enough_banks(self):
         builder = SystemBuilder().with_bank_partitioning()
         for i in range(16):
