@@ -594,8 +594,8 @@ def _fanout_parent(benchmark: Optional[str]) -> argparse.ArgumentParser:
                         help="the swept program (default: the sweep's own)")
     parent.add_argument("--jobs", type=_at_least(int, 1), default=1,
                         help="simulations in flight: this process plus "
-                             "N-1 pool workers (1, the reference, runs "
-                             "every point in this process)")
+                             "N-1 processes forked for each map (1, the "
+                             "reference, runs every point in this process)")
     parent.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache directory")
     return parent

@@ -113,7 +113,7 @@ class WorkerFailureError(ResilienceError):
     """A parallel worker task failed after exhausting its retry budget.
 
     Raised by :class:`repro.parallel.SweepExecutor` when a task keeps
-    raising, or its pool worker keeps dying, across the executor's
+    raising, or its forked lane keeps dying, across the executor's
     ``max_attempts`` attempts.  ``task_index`` and
     ``label`` identify the shard; ``attempts`` counts what was tried;
     ``last_error`` holds the final attempt's stringified cause (the

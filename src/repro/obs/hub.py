@@ -139,7 +139,7 @@ class Observability:
 
         Probe values become same-named gauges (the live complement of
         the sampler's time series), and the profiler's families are
-        re-exported.  Called only on the export path — once by
+        exported.  Called only on the export path — once by
         ``repro profile`` — so a system that never exports keeps its
         registry exactly as the components wrote it.
         """

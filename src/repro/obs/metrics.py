@@ -138,24 +138,6 @@ class Histogram:
         self.total += total
         self.sum += value_sum
 
-    def load(
-        self, counts: Sequence[int], total: int, value_sum: int
-    ) -> None:
-        """Replace this histogram's contents (idempotent exports).
-
-        Used to re-export an externally-maintained histogram (e.g. the
-        engine profiler's skip-span counts): ``load`` sets absolute
-        values where :meth:`accumulate` would double-count.
-        """
-        if len(counts) != len(self.counts):
-            raise ConfigurationError(
-                f"histogram {self.name!r}: cannot load {len(counts)} "
-                f"buckets into {len(self.counts)}"
-            )
-        self.counts = list(counts)
-        self.total = total
-        self.sum = value_sum
-
 
 class MetricsRegistry:
     """Flat, name-keyed registry of instruments.

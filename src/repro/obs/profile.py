@@ -99,7 +99,6 @@ class EngineProfiler:
         self._run_start_cycle = 0
         self._skipped_at_begin = 0
         self._wall_start: Optional[int] = None
-        self._exported: Dict[str, int] = {}
 
     # -- run bracketing ------------------------------------------------------
 
@@ -219,58 +218,35 @@ class EngineProfiler:
 
     # -- registry export -----------------------------------------------------
 
-    def _export_counter(self, registry: MetricsRegistry, name: str,
-                        value: int) -> None:
-        """Idempotent absolute export: counters advance by the delta
-        since the last export, so a repeated export never double-counts."""
-        last = self._exported.get(name, 0)
-        if value > last:
-            registry.counter(name).inc(value - last)
-            self._exported[name] = value
-
     def export_to(self, registry: MetricsRegistry) -> None:
         """Materialise the profiler families into ``registry``.
 
-        Called once by ``repro profile``; safe to call repeatedly.
+        Called once, by ``repro profile``, after its run; a counter
+        that stayed at zero is left out.
         """
-        self._export_counter(registry, "profiler.runs", self.runs)
-        self._export_counter(
-            registry, "profiler.cycles.simulated", self.simulated_cycles
-        )
-        self._export_counter(
-            registry, "profiler.cycles.stepped", self.stepped_cycles
-        )
-        self._export_counter(
-            registry, "profiler.cycles.skipped", self.skipped_cycles
-        )
-        self._export_counter(
-            registry, "profiler.columnar.horizon_refreshes",
-            self.horizon_refreshes,
-        )
-        self._export_counter(
-            registry, "profiler.columnar.dirty_repolls", self.dirty_repolls
-        )
-        self._export_counter(
-            registry, "profiler.columnar.full_tick_fallbacks",
-            self.full_tick_fallbacks,
-        )
-        registry.histogram(
-            "profiler.skip_span", SKIP_SPAN_EDGES
-        ).load(
-            list(self.skip_span_counts), self.skip_count,
-            self.skipped_cycles,
-        )
+        counters = [
+            ("profiler.runs", self.runs),
+            ("profiler.cycles.simulated", self.simulated_cycles),
+            ("profiler.cycles.stepped", self.stepped_cycles),
+            ("profiler.cycles.skipped", self.skipped_cycles),
+            ("profiler.columnar.horizon_refreshes", self.horizon_refreshes),
+            ("profiler.columnar.dirty_repolls", self.dirty_repolls),
+            ("profiler.columnar.full_tick_fallbacks",
+             self.full_tick_fallbacks),
+        ]
         for station in sorted(
             set(self.station_ticks) | set(self.station_skips)
         ):
-            self._export_counter(
-                registry, f"profiler.station.{station}.ticks",
-                self.station_ticks.get(station, 0),
-            )
-            self._export_counter(
-                registry, f"profiler.station.{station}.skips",
-                self.station_skips.get(station, 0),
-            )
+            counters.append((f"profiler.station.{station}.ticks",
+                             self.station_ticks.get(station, 0)))
+            counters.append((f"profiler.station.{station}.skips",
+                             self.station_skips.get(station, 0)))
+        for name, value in counters:
+            if value:
+                registry.counter(name).inc(value)
+        registry.histogram("profiler.skip_span", SKIP_SPAN_EDGES).accumulate(
+            self.skip_span_counts, self.skip_count, self.skipped_cycles
+        )
 
     # -- pickling (snapshots) ------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Deterministic fan-out of independent simulation points.
 
 :class:`SweepExecutor` runs a list of tasks — module-level functions
-applied to picklable payloads — and merges the results **in submission
-order**.  Combined with the facts that every task is a pure function
-of its payload and that per-task RNG substreams are derived from the
+applied to payloads — and merges the results **in submission order**.
+Combined with the facts that every task is a pure function of its
+payload and that per-task RNG substreams are derived from the
 submission index alone
 (:meth:`~repro.common.rng.DeterministicRng.substream`), the merged
 output is bit-identical wherever the tasks ran: parallelism and
@@ -12,61 +12,50 @@ docs/parallel.md states the full determinism contract.
 
 Lanes and the shard loop
 ------------------------
-A *lane* executes one shard at a time: the calling thread, or one slot
-of the warm forked pool.  ``jobs=N`` means N simulations in flight:
-the calling thread is always the first lane and ``min(N, shards) - 1``
-pool lanes run beside it, so ``jobs=1`` (or a single shard) runs on
-the calling thread alone.  The calling thread has no crash isolation:
-a task that kills its process ends the sweep at any ``jobs``, so each
-result is cached as its shard resolves and a rerun on the same cache
-runs only what had not finished.  :class:`ShardLoop` is the only way
-a shard ever runs on either kind of lane — one queue, one attempt
-counter per shard, one place a
+A *lane* executes one shard at a time: the calling process, or a
+process forked from it for one ``map``.  ``jobs=N`` means N
+simulations in flight: once a ``map`` knows which shards it has to run
+(cache hits never reach a lane), :class:`ShardLoop` forks
+``min(N, shards) - 1`` lanes, and those and the calling process each
+take the next shard from one counter in shared memory, so uneven tasks
+balance themselves and a lane never waits for the calling process to
+hand it work.  A forked lane sends ``(position, ok, result or error)``
+back on its own pipe; the calling process collects those between its
+own shards and at the end, and reaps every lane before ``map``
+returns or raises.  ``jobs=1`` (or a single shard) forks nothing.
+
+Forking is safe because of what the calling process already is: it is
+a lane too, so it runs tasks with its warm imports, memoised traces
+and all, and it is the reference every ``jobs`` value must match byte
+for byte.  A lane forked from it holds no state a task could read that
+the reference lane did not, and it inherits the payloads, so nothing
+but results is pickled.  Where ``fork`` does not exist, ``jobs > 1``
+is refused.
+
+:class:`ShardLoop` is the only way a shard ever runs — one counter,
+one attempt count per shard, one place a
 :class:`~repro.common.errors.WorkerFailureError` is built — so what a
-failed attempt costs does not depend on where the shard happened to
-run (the failure matrix is in docs/parallel.md).  ``SweepExecutor.map``
-is what surrounds the loop: seeds, the content-addressed result cache
+failed attempt costs does not depend on where it ran (the failure
+matrix is in docs/parallel.md).  ``SweepExecutor.map`` is what
+surrounds the loop: seeds, the content-addressed result cache
 (:mod:`repro.parallel.cache` — a task whose input digest already has a
 stored result is not run at all), and the merge of per-shard metrics
 registries.  Per-shard lifecycle events land in the process-global
 diagnostics ring (:mod:`repro.obs.diag`) under
 :data:`~repro.obs.events.CATEGORY_PARALLEL`.
-
-The warm pool
--------------
-Pool workers are forked from the calling process, and that is safe
-because of what the calling process already is: the inline lane runs
-every task inside it, warm imports, memoised traces and all, and that
-lane is the reference every ``jobs`` value must match byte for byte.
-A worker forked from the same process therefore holds no state a task
-could read that the reference lane did not.  One module-level pool of
-``jobs - 1`` workers is kept alive across ``map`` calls (rebuilt only
-when more workers are needed or the pool broke), and the first ``map``
-that finds it cold forks every worker at :func:`_boot_pool`, from the
-calling thread, before any lane thread exists: a forked worker needs
-no interpreter start and no imports, so it takes its first shard at
-once (a ``spawn`` worker, which needed both, ran 1 of the 5 shards
-of a cold ``--jobs 2`` Fig 2 ladder; forked ones lift that sweep's
-simulated cycles per second by 43 % on a 2-CPU box, docs/parallel.md
-"Execution costs").  Where ``fork`` does not exist, ``jobs > 1`` is
-refused.  Each pool lane keeps one single-shard future in flight and
-takes its next shard from the loop's queue when that one resolves, so
-uneven tasks balance themselves.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
+import contextlib
 import functools
+import gc
 import inspect
 import multiprocessing
-import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
-)
+from multiprocessing.connection import wait
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, WorkerFailureError
 from repro.common.rng import DeterministicRng
@@ -77,86 +66,13 @@ from repro.parallel.cache import ResultCache, cache_key, config_digest
 
 def _call_task(fn: Callable[..., Any], payload: Any,
                task_seed: Optional[int]) -> Any:
-    """Worker-side trampoline (module-level so the pool can pickle it)."""
     if task_seed is None:
         return fn(payload)
     return fn(payload, task_seed=task_seed)
 
 
-# The warm pool is deliberately module-global mutable state: the whole
-# point is reuse across SweepExecutor instances.  It never influences
-# results (workers are stateless between pure tasks), only latency.
-# Pool lanes are threads, so every swap of the global holds the lock.
-_POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_parent_pool() -> None:
-    """Pool initializer, in each forked worker: drop the inherited
-    copy of the caller's pool, which has no manager thread here and
-    whose submit lock the fork itself was holding, and of the pool
-    lock, which a lane thread may have held.  A task that maps again
-    then builds a pool of its own."""
-    global _POOL, _POOL_WORKERS, _POOL_LOCK
-    _POOL, _POOL_WORKERS, _POOL_LOCK = None, 0, threading.Lock()
-
-
-def _warm_pool(
-    workers: int,
-) -> Tuple[concurrent.futures.ProcessPoolExecutor, bool]:
-    """The shared fork pool, rebuilt only when too small or broken;
-    ``True`` alongside it when this call built it."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        pool = _POOL
-        if (
-            pool is not None
-            and not getattr(pool, "_broken", False)
-            and _POOL_WORKERS >= workers
-        ):
-            return pool, False
-        if pool is not None:
-            pool.shutdown(wait=False)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_forget_parent_pool,
-        )
-        _POOL = pool
-        _POOL_WORKERS = workers
-        return pool, True
-
-
-def _noop() -> None:
-    """Boot task: a fork pool forks all its workers at its first submit."""
-
-
-def _boot_pool(workers: int) -> None:
-    """Fork the pool's ``workers`` processes now, from the calling thread.
-
-    A freshly built pool gets one no-op, submitted before the calling
-    thread simulates anything or starts a lane thread, so every worker
-    is forked before any lane thread exists and is ready for a shard
-    by the time a lane submits one.  The no-op's future is dropped: a
-    no-op cannot raise, and a pool that breaks while booting is rebuilt
-    by the next pool lane that submits to it.
-    """
-    pool, built = _warm_pool(workers)
-    if built:
-        pool.submit(_noop)
-
-
-def _discard_pool() -> None:
-    """Drop the warm pool (at interpreter exit)."""
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        pool, _POOL, _POOL_WORKERS = _POOL, None, 0
-    if pool is not None:
-        pool.shutdown(wait=False)
-
-
-atexit.register(_discard_pool)
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _wants_task_seed(fn: Callable[..., Any]) -> bool:
@@ -179,9 +95,6 @@ class _Shard:
     digest: Optional[str] = None
 
 
-# -- the shard loop ---------------------------------------------------
-
-
 @dataclass
 class _Pending:
     """One shard's way through the loop (its submission bookkeeping,
@@ -191,152 +104,183 @@ class _Pending:
     charged: int = 0  # failed attempts counted against max_attempts
 
 
-class _InlineLane:
-    """Runs shards on whichever thread drives the lane."""
-
-    name = "inline"
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def execute(self, shard: _Shard) -> Any:
-        return _call_task(self.fn, shard.payload, shard.task_seed)
-
-
-class _PoolLane(_InlineLane):
-    """One slot of the warm pool of ``workers`` processes."""
-
-    name = "pool"
-
-    def __init__(self, fn: Callable[..., Any], workers: int) -> None:
-        super().__init__(fn)
-        self.workers = workers
-
-    def execute(self, shard: _Shard) -> Any:
-        """Submit and wait.  The task's own exception, or the
-        ``BrokenProcessPool`` of a worker that died under it,
-        propagates; the next submit finds the broken pool and
-        rebuilds it."""
-        pool, _ = _warm_pool(self.workers)
-        return pool.submit(
-            _call_task, self.fn, shard.payload, shard.task_seed
-        ).result()
-
-
-#: Key of a failure that is the loop's own, not a shard's; sorts first.
-_LOOP_FAILURE = -1
-
-
 class ShardLoop:
-    """Queue → lane → result/failure → requeue: how every shard runs.
+    """Take → run → resolve or charge: how every shard of a map runs.
 
-    One loop is one run: ``run()`` drives each lane (``lanes[0]`` on
-    the calling thread, the rest on daemon threads) until every shard
-    is resolved.  A lane takes the next queued shard and executes it;
-    an attempt that fails — the task raised, or a pool worker died
-    under it — is charged against ``max_attempts`` and requeued for
-    any lane, and at the budget it becomes a
-    :class:`WorkerFailureError`.  With several terminal failures the
-    one with the lowest shard index is raised — shards above it are
-    abandoned, shards below it still run to their own conclusion.
+    One loop is one run: ``run()`` forks ``lanes - 1`` lanes beside the
+    calling process and every lane takes the next *position* (index
+    into ``shards``) from one shared counter until it is spent.  An
+    attempt that fails — the task raised, its result could not be
+    pickled, or a forked lane died under it (EOF on its pipe) — is
+    charged against ``max_attempts`` and the shard is run again in the
+    calling process; at the budget it becomes a
+    :class:`WorkerFailureError`.  The first terminal failure spends the
+    counter, so shards above it that no lane had taken never run;
+    shards below it still run to their own conclusion, and with
+    several terminal failures the lowest shard index is raised.  A
+    dead lane is not replaced: the lanes left, the calling process
+    always among them, carry the rest.
 
     ``observers`` are ``observe(event, pending, **info)`` callables
     told of each transition — ``"done"`` (``result``) and
-    ``"charged"`` (``error``, ``terminal``) — from the lane's thread;
-    they do the ``parallel.*`` bookkeeping and guard their own state.
+    ``"charged"`` (``error``, ``terminal``) — in the calling process.
     """
 
     def __init__(
         self,
-        shards: Sequence[Any],
-        lanes: Sequence[Any],
+        fn: Callable[..., Any],
+        shards: Sequence[_Shard],
+        lanes: int,
         max_attempts: int,
         observers: Sequence[Callable[..., None]] = (),
     ) -> None:
+        self.fn = fn
         self.max_attempts = max_attempts
         self._observers = tuple(observers)
+        self._pending = [_Pending(shard) for shard in shards]
         self._lanes = lanes
-        self._cond = threading.Condition()
-        self._queue: Deque[_Pending] = deque(_Pending(s) for s in shards)
-        # Unresolved shard indices still wanted; empty ends the run.
-        self._open = {shard.index for shard in shards}
-        self._results: Dict[int, Any] = {}
-        self._failures: Dict[int, BaseException] = {}
+        # Positions at or above the lowest terminal failure are abandoned.
+        self._limit = len(shards)
+        self._retry: Deque[int] = deque()
+        self._results: Dict[int, Any] = {}  # position -> result
+        self._failures: Dict[int, WorkerFailureError] = {}
+        # _held[0] is the next untaken position; _held[k] the position
+        # forked lane k took last (-1: none yet).
+        if lanes > 1:
+            context = multiprocessing.get_context("fork")
+            self._held: Any = context.RawArray("q", [0] + [-1] * (lanes - 1))
+            self._lock: Any = context.Lock()
+        else:
+            self._held, self._lock = [0], contextlib.nullcontext()
 
     def run(self) -> Dict[int, Any]:
-        """Drive every lane until no shard is open; index -> result."""
-        threads = [
-            threading.Thread(
-                target=self._drive, args=(lane,),
-                name=f"lane-{lane.name}", daemon=True,
-            )
-            for lane in self._lanes[1:]
-        ]
-        for thread in threads:
-            thread.start()
-        self._drive(self._lanes[0])
-        for thread in threads:
-            thread.join()
+        """Run every shard; index -> result, or raise the lowest
+        terminal failure.  No forked lane outlives the call."""
+        lanes: Dict[Any, Any] = {}  # read end of a lane's pipe -> (k, process)
+        try:
+            self._fork(lanes)
+            while True:
+                self._collect(lanes, timeout=0)
+                position = self._retry.popleft() if self._retry else self._take(0)
+                if position is not None:
+                    self._run_here(position)
+                elif lanes:
+                    self._collect(lanes, timeout=None)
+                else:
+                    break
+        finally:
+            for reader, (_, process) in lanes.items():
+                process.kill()
+                process.join()
+                reader.close()
         if self._failures:
             raise self._failures[min(self._failures)]
-        return self._results
+        return {self._pending[p].shard.index: value
+                for p, value in self._results.items()}
 
-    def _drive(self, lane: Any) -> None:
+    def _fork(self, lanes: Dict[Any, Any]) -> None:
+        context = multiprocessing.get_context("fork")
+        # Frozen objects are never traversed by a lane's collector, so
+        # the pages a lane shares with the calling process stay shared.
+        gc.freeze()
         try:
-            self._serve(lane)
-        # Not a shard's failure but the loop's own (an observer's
-        # cache write, an interrupt on the calling thread): every lane
-        # is stopped and run() re-raises it once they have.
-        except BaseException as exc:
-            self._abort(exc)
+            for k in range(1, self._lanes):
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=self._serve, args=(k, writer), name=f"lane-{k}"
+                )
+                process.start()
+                # Only lane k holds the write end: its exit is EOF.
+                writer.close()
+                lanes[reader] = (k, process)
+        finally:
+            gc.unfreeze()
 
-    def _serve(self, lane: Any) -> None:
+    def _take(self, lane: int) -> Optional[int]:
+        """The next untaken position, or ``None`` once the counter is
+        spent; a forked lane records the position it took."""
+        with self._lock:
+            position = self._held[0]
+            if position >= len(self._pending):
+                return None
+            self._held[0] = position + 1
+            if lane:
+                self._held[lane] = position
+        return position
+
+    def _serve(self, lane: int, writer: Any) -> None:
+        """A forked lane's whole life: shards until the counter is spent."""
         while True:
-            pending = self._take()
-            if pending is None:
+            position = self._take(lane)
+            if position is None:
                 return
+            shard = self._pending[position].shard
             try:
-                value = lane.execute(pending.shard)
-            except Exception as exc:  # noqa: BLE001 — the boundary this exists for
-                self._charge(pending, exc)
-                continue
-            with self._cond:
-                self._results[pending.shard.index] = value
-                self._open.discard(pending.shard.index)
-                self._cond.notify_all()
-            self._notify("done", pending, result=value)
+                value = _call_task(self.fn, shard.payload, shard.task_seed)
+                writer.send((position, True, value))
+            # A pickling failure writes nothing, so the error can follow.
+            except Exception as exc:  # noqa: BLE001 — charged by the calling process
+                writer.send((position, False, _describe(exc)))
 
-    def _take(self) -> Optional[_Pending]:
-        with self._cond:
-            while self._open:
-                if self._queue:
-                    return self._queue.popleft()
-                self._cond.wait()
-        return None
+    def _run_here(self, position: int) -> None:
+        shard = self._pending[position].shard
+        try:
+            value = _call_task(self.fn, shard.payload, shard.task_seed)
+        except Exception as exc:  # noqa: BLE001 — the boundary this exists for
+            self._charge(position, _describe(exc), exc)
+        else:
+            self._resolve(position, value)
+
+    def _collect(self, lanes: Dict[Any, Any],
+                 timeout: Optional[float]) -> None:
+        """Resolve or charge everything the forked lanes have sent;
+        ``timeout=None`` first waits for at least one message."""
+        ready = wait(list(lanes), timeout)
+        while ready:
+            for reader in ready:
+                self._receive(lanes, reader)
+            ready = wait(list(lanes), 0)
+
+    def _receive(self, lanes: Dict[Any, Any], reader: Any) -> None:
+        try:
+            position, ok, value = reader.recv()
+        except EOFError:
+            lane, process = lanes.pop(reader)
+            reader.close()
+            process.join()
+            # Messages arrive in order, so a held position with no
+            # outcome yet was in flight when the lane died.
+            held = self._held[lane]
+            if (held >= 0 and held not in self._results
+                    and not self._pending[held].charged):
+                self._charge(held, f"ChildProcessError: forked lane "
+                                   f"exited with code {process.exitcode}")
+            return
+        if ok:
+            self._resolve(position, value)
+        else:
+            self._charge(position, value)
+
+    def _resolve(self, position: int, value: Any) -> None:
+        self._results[position] = value
+        self._notify("done", self._pending[position], result=value)
 
     def _notify(self, event: str, pending: _Pending, **info: Any) -> None:
         for observe in self._observers:
             observe(event, pending, **info)
 
-    def _abort(self, error: BaseException) -> None:
-        with self._cond:
-            self._failures.setdefault(_LOOP_FAILURE, error)
-            self._open.clear()
-            self._queue.clear()
-            self._cond.notify_all()
-
-    def _charge(self, pending: _Pending, exc: BaseException) -> None:
+    def _charge(self, position: int, error: str,
+                cause: Optional[BaseException] = None) -> None:
+        if position > self._limit:
+            return  # abandoned
+        pending = self._pending[position]
         pending.charged += 1
-        error = f"{type(exc).__name__}: {exc}"
         terminal = pending.charged >= self.max_attempts
         self._notify("charged", pending, error=error, terminal=terminal)
-        shard = pending.shard
         if not terminal:
-            with self._cond:
-                if shard.index in self._open:
-                    self._queue.appendleft(pending)
-                self._cond.notify_all()
+            self._retry.append(position)
             return
+        shard = pending.shard
         failure = WorkerFailureError(
             f"task {shard.label} failed after {pending.charged} "
             f"attempt(s): {error}",
@@ -345,14 +289,12 @@ class ShardLoop:
             attempts=pending.charged,
             last_error=error,
         )
-        failure.__cause__ = exc
-        with self._cond:
-            self._failures[shard.index] = failure
-            self._open = {i for i in self._open if i < shard.index}
-            self._queue = deque(
-                p for p in self._queue if p.shard.index in self._open
-            )
-            self._cond.notify_all()
+        failure.__cause__ = cause
+        self._failures[position] = failure
+        self._limit = min(self._limit, position)
+        self._retry = deque(p for p in self._retry if p < self._limit)
+        with self._lock:  # spend the counter
+            self._held[0] = len(self._pending)
 
 
 class SweepExecutor:
@@ -361,12 +303,12 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Simulations in flight.  ``1`` (the default) runs every task on
-        the calling thread — no pool, no pickling round-trip — and is
-        the reference every other placement must match; ``N`` adds
-        ``min(N, shards) - 1`` slots of a warm pool of ``N - 1``
-        forked workers beside the calling thread (``N > 1`` raises
-        :class:`ConfigurationError` where ``fork`` does not exist).
+        Simulations in flight.  ``1`` (the default) runs every task in
+        the calling process — no fork, no pickling — and is the
+        reference every other placement must match; ``N`` forks
+        ``min(N, shards) - 1`` lanes per ``map`` beside the calling
+        process (``N > 1`` raises :class:`ConfigurationError` where
+        ``fork`` does not exist).
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -379,8 +321,8 @@ class SweepExecutor:
         ``map`` calls that pass ``kind`` participate in caching.
     max_attempts:
         Attempts per shard, the first included (``1`` = no retries):
-        a task that raised, or a pool worker that died under it, is
-        charged one and the shard requeued.
+        a task that raised, or a forked lane that died under it, is
+        charged one and the shard is run again.
     """
 
     def __init__(
@@ -394,7 +336,7 @@ class SweepExecutor:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
-                f"jobs={jobs} forks pool workers, and this platform has "
+                f"jobs={jobs} forks its lanes, and this platform has "
                 f"no fork start method; use jobs=1"
             )
         if max_attempts < 1:
@@ -411,8 +353,6 @@ class SweepExecutor:
         self.tasks_run = 0
         self.tasks_cached = 0
         self.retries = 0
-        # Lanes report from their own threads.
-        self._lock = threading.Lock()
         # Serialized per-task registry documents, absorbed from task
         # results in submission order — see merged_registry().
         self._shard_registries: List[Dict[str, Any]] = []
@@ -429,13 +369,11 @@ class SweepExecutor:
         exactly one ``task_done`` per shard and one ``task_retry`` per
         charged attempt that will be retried, whichever lane ran it."""
         if event == "done":
-            with self._lock:
-                self.tasks_run += 1
+            self.tasks_run += 1
             self._emit("parallel.task_done", pending.shard.index,
                        label=pending.shard.label)
         elif event == "charged" and not info["terminal"]:
-            with self._lock:
-                self.retries += 1
+            self.retries += 1
             self._emit(
                 "parallel.task_retry", pending.shard.index,
                 label=pending.shard.label, attempt=pending.charged + 1,
@@ -453,8 +391,8 @@ class SweepExecutor:
     ) -> List[Any]:
         """Apply ``fn`` to every payload; results in submission order.
 
-        ``fn`` must be a module-level (picklable) function of one
-        payload, optionally accepting a ``task_seed`` keyword.
+        ``fn`` must be a function of one payload, optionally accepting
+        a ``task_seed`` keyword, returning a picklable result.
         ``kind`` names the task family for the result cache; without
         it (or without a cache) every task runs.  ``labels`` are
         per-task names for events and failure messages.
@@ -501,17 +439,10 @@ class SweepExecutor:
             observers: List[Callable[..., None]] = [self._observe]
             if self.cache is not None and kind is not None:
                 observers.append(functools.partial(self._store, kind))
-            # Lane choice is the only thing jobs decides: the calling
-            # thread, then pool slots, jobs simulations in flight.
-            workers = self.jobs - 1
-            if workers:
-                _boot_pool(workers)
-            lanes = [_InlineLane(fn)] + [
-                _PoolLane(fn, workers)
-                for _ in range(min(self.jobs, len(to_run)) - 1)
-            ]
+            # Lane count is the only thing jobs decides.
             results.update(ShardLoop(
-                to_run, lanes, self.max_attempts, observers=observers
+                fn, to_run, min(self.jobs, len(to_run)), self.max_attempts,
+                observers=observers,
             ).run())
         return [
             self._absorb_registry(results[shard.index]) for shard in shards
@@ -527,13 +458,10 @@ class SweepExecutor:
         if event != "done":
             return
         shard = pending.shard
-        # Lanes are threads, and two shards may share a digest (and so
-        # the entry's temp file).
-        with self._lock:
-            self.cache.put(
-                shard.digest, cache_key(kind, self._key_doc(shard)),
-                info["result"],
-            )
+        self.cache.put(
+            shard.digest, cache_key(kind, self._key_doc(shard)),
+            info["result"],
+        )
 
     def _absorb_registry(self, result: Any) -> Any:
         """Strip and collect a task result's ``obs_registry`` document.

@@ -1,16 +1,16 @@
 """Worker task functions for the parallel sweep executor, and the
 sweep-point codec they share.
 
-Each task here is the unit one worker process executes: a module-level
-function (so the pool can pickle a reference to it) of one plain-JSON
-payload dict, returning a plain-JSON result dict.  Keeping both sides
-JSON-typed gives three properties at once:
+Each task here is the unit one lane of the executor runs: a
+module-level function of one plain-JSON payload dict, returning a
+plain-JSON result dict.  Keeping both sides JSON-typed gives three
+properties at once:
 
 * the payload digests canonically for the result cache
   (:func:`repro.parallel.cache.config_digest`);
 * the result round-trips through the cache without loss, so a cache
   hit is byte-equivalent to a fresh run;
-* the sequential (``jobs=1``) and pooled paths run the *same code* on
+* the sequential (``jobs=1``) and forked paths run the *same code* on
   the *same values* — jobs-invariance holds by construction, and the
   differential tests only have to confirm it survives the process
   boundary.
@@ -28,8 +28,8 @@ Every simulation task also returns the full
 can be compared point-by-point across ``--jobs`` values from the CLI.
 
 :mod:`repro.analysis.experiments` resolves this module lazily, so the
-simulator stack is imported here at module level; pool workers are
-forked from the calling process and inherit it.
+simulator stack is imported here at module level; the lanes a map
+forks from the calling process inherit it.
 """
 
 from __future__ import annotations

@@ -3,21 +3,19 @@
 The load-bearing claims here are the ISSUE-5 acceptance criteria:
 ``jobs=1`` and ``jobs=N`` produce byte-identical merged output (and
 identical per-point report digests), and a warm cache replays a sweep
-with zero simulations.  Pool workers are forked from the calling
-process at ``_boot_pool``, which is safe because the inline lane (the
-reference every ``jobs`` value must match) runs in that same process;
-docs/parallel.md has the design and its measurements (a cold
-``--jobs 2`` Fig 2 sweep runs 43 % more simulated cycles per second
-than it did with ``spawn`` workers, on a 2-CPU box).  A task still
-reaches a worker as a pickled reference, so the toy tasks live at
-module scope.
+with zero simulations.  At ``jobs=N`` a map forks ``N - 1`` lanes from
+the calling process, which is safe because the calling process (the
+reference every ``jobs`` value must match) is a lane too;
+docs/parallel.md has the design and its measurements.  The failure
+matrix's forked column is pinned with :func:`meet`, which makes the
+calling process and the forked lane hold one shard each.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
-import sys
 import tempfile
 import threading
 import time
@@ -39,7 +37,6 @@ from repro.parallel import (
     cache_key,
     config_digest,
 )
-from repro.parallel.executor import ShardLoop, _InlineLane, _PoolLane, _Shard
 from repro.parallel.tasks import (
     encode_point,
     noc_latency_task,
@@ -81,97 +78,110 @@ def thread_task(payload):
     return {"thread": threading.get_ident()}
 
 
-def suicide_once_task(payload):
-    """SIGKILLs its own pool worker the first time a worker runs it.
-
-    Models the OOM killer taking a worker mid-shard: the marker file is
-    written *before* the kill, so retries (on the rebuilt pool) see it
-    and succeed.  In the calling process (``payload["parent"]``) it
-    never kills: it waits until a worker has died and then lingers, so
-    a pool lane, not the parent, picks up the retry.
-    """
-    marker = payload["marker"]
-    if os.getpid() == payload["parent"]:
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(marker) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.2)
-    elif not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("dying")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return {"survived": payload["x"]}
-
-
-def _nested_map_hung(signum, frame):
-    raise TimeoutError("the nested map submitted into the caller's pool")
-
-
-def nested_map_task(payload):
-    """Maps again with ``jobs=2`` from inside the task.
-
-    In a pool worker that map must build a pool of its own: the copy
-    of the caller's pool the fork left behind has no manager thread,
-    so a submit into it would never resolve (an alarm turns that hang
-    into the task's error).  A pool the nested map built is shut down
-    before the task returns, so its workers do not outlive it.
-    """
-    from repro.parallel import executor as executor_mod
-
-    inherited = executor_mod._POOL
-    previous = signal.signal(signal.SIGALRM, _nested_map_hung)
-    signal.alarm(30)
-    try:
-        return SweepExecutor(jobs=2).map(
-            square_task, [{"x": x} for x in range(payload["n"])]
-        )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        pool = executor_mod._POOL
-        if pool is not inherited:
-            executor_mod._discard_pool()
-            pool.shutdown(wait=True)
-
-
 def pid_task(payload):
     """Lingers long enough for every lane to take a shard."""
     time.sleep(0.05)
     return os.getpid()
 
 
+def meet(payload):
+    """Hold this shard until the other side holds one too.
+
+    With two shards at ``jobs=2``, the calling process
+    (``payload["parent"]``) and the one forked lane then run one shard
+    each, whichever of them took which.  A shard run again in the
+    calling process finds the lane's marker and goes straight on.
+    Returns which side ran it.
+    """
+    here = "parent" if os.getpid() == payload["parent"] else "lane"
+    there = "lane" if here == "parent" else "parent"
+    open(os.path.join(payload["dir"], here), "w", encoding="utf-8").close()
+    deadline = time.monotonic() + 30.0
+    while (not os.path.exists(os.path.join(payload["dir"], there))
+           and time.monotonic() < deadline):
+        time.sleep(0.005)
+    return here
+
+
+def fails_on_the_lane_task(payload):
+    """Fails, as ``payload["mode"]`` says, on the forked lane only."""
+    if meet(payload) == "lane":
+        if payload["mode"] == "raise":
+            raise ValueError("permanent failure")
+        if payload["mode"] == "unpicklable":
+            return {"x": payload["x"], "fn": lambda: None}
+    return {"x": payload["x"]}
+
+
+def dies_on_the_lane_task(payload):
+    """A real sweep point whose forked lane dies under it, mid-shard."""
+    if meet(payload) == "lane":
+        os._exit(3)
+    return noc_latency_task(payload["point"])
+
+
+def nested_map_task(payload):
+    """Maps again with ``jobs=2`` from inside the task."""
+    meet(payload)
+    return SweepExecutor(jobs=2).map(
+        square_task, [{"x": x} for x in range(payload["n"])]
+    )
+
+
+def where_task(payload):
+    """Which process ran the shard, and its thread count meanwhile."""
+    meet(payload)
+    return {"pid": os.getpid(), "threads": threading.active_count()}
+
+
+def interrupted_task(payload):
+    """The calling process is interrupted while the lane simulates on."""
+    if meet(payload) == "parent":
+        raise KeyboardInterrupt
+    time.sleep(30.0)
+    return {}
+
+
+def marks_and_lingers_task(payload):
+    """Leaves a marker that it ran; shard ``fail`` raises at once."""
+    if payload.get("fail"):
+        raise ValueError("permanent failure")
+    open(payload["marker"], "w", encoding="utf-8").close()
+    time.sleep(payload["linger"])
+    return {"x": payload["x"]}
+
+
+def fails_once_task(payload):
+    """Every third shard fails on its first attempt, wherever it runs."""
+    x = payload["x"]
+    marker = os.path.join(payload["dir"], str(x))
+    if x % 3 == 0 and not os.path.exists(marker):
+        open(marker, "w", encoding="utf-8").close()
+        raise RuntimeError("transient failure")
+    return x
+
+
+def _map_hung(signum, frame):
+    raise TimeoutError("the shard loop deadlocked")
+
+
+def met(tmp_path, payloads):
+    """``payloads`` set up for :func:`meet` (one rendezvous per map)."""
+    return [dict(p, dir=str(tmp_path), parent=os.getpid()) for p in payloads]
+
+
 #: Every kind of lane a shard can run on: the failure matrix's columns.
-LANE_KINDS = ("inline", "pool")
-
-
-class _PoolColumn(SweepExecutor):
-    """``map`` with every shard on a slot of the warm pool.
-
-    ``SweepExecutor.map`` always keeps the calling thread as a lane, so
-    a failing shard could spend every attempt there and never cross
-    the pool.  This loop has two pool lanes and no other, and reports
-    to the executor exactly as ``map``'s own loop does."""
-
-    def map(self, fn, payloads, labels=None):
-        shards = [
-            _Shard(index=i, payload=payload,
-                   label=labels[i] if labels else f"{fn.__name__}[{i}]",
-                   task_seed=None)
-            for i, payload in enumerate(payloads)
-        ]
-        lanes = [_PoolLane(fn, workers=2) for _ in range(2)]
-        results = ShardLoop(
-            shards, lanes, self.max_attempts, observers=[self._observe]
-        ).run()
-        return [results[shard.index] for shard in shards]
+#: At ``jobs=2`` an attempt may run on either; the tests built on
+#: :func:`meet` pin an attempt to the forked lane.
+LANE_KINDS = ("inline", "forked")
 
 
 def lane_executor(kind, max_attempts=2):
-    """An executor whose shards all run on one kind of lane: the
-    calling thread (``inline``) or slots of the warm pool (``pool``)."""
-    if kind == "inline":
-        return SweepExecutor(jobs=1, max_attempts=max_attempts)
-    return _PoolColumn(max_attempts=max_attempts)
+    """``inline``: the calling process alone; ``forked``: one forked
+    lane beside it."""
+    return SweepExecutor(
+        jobs=1 if kind == "inline" else 2, max_attempts=max_attempts
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -367,6 +377,27 @@ class TestSweepExecutor:
             executor.map(always_fails_task, [{"x": x} for x in range(3)])
         assert excinfo.value.task_index == 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shards_above_a_terminal_failure_are_abandoned(self, tmp_path,
+                                                           jobs):
+        """Shard 1 fails at once; the shards no lane had taken by then
+        never run (at ``jobs=2`` the forked lane may have taken one or
+        two more while the calling process ran shard 0)."""
+        payloads = [
+            {"x": x, "marker": str(tmp_path / str(x)), "linger": 0.3,
+             "fail": x == 1}
+            for x in range(8)
+        ]
+        executor = SweepExecutor(jobs=jobs, max_attempts=1)
+        with pytest.raises(WorkerFailureError) as excinfo:
+            executor.map(marks_and_lingers_task, payloads)
+        assert excinfo.value.task_index == 1
+        ran = sorted(int(name) for name in os.listdir(tmp_path))
+        assert ran[0] == 0 and max(ran) < 5, ran
+        if jobs == 1:
+            assert ran == [0]
+        assert executor.tasks_run == len(ran)
+
     def test_lifecycle_events_emitted(self):
         rows = SweepExecutor().map(thread_task, [{"x": 1}, {"x": 2}])
         # jobs=1 is the calling thread itself: tracebacks, cProfile and
@@ -379,44 +410,26 @@ class TestSweepExecutor:
 
 
 class TestShardLoopStress:
-    def test_many_lanes_lose_no_update(self):
-        """More lanes than cores and a shortened switch interval: every
-        shard still resolves exactly once and every transition is
-        counted exactly once (a lost update breaks the totals)."""
-        attempted = set()
-
-        def every_third_fails_once(payload):
-            x = payload["x"]
-            time.sleep(0)  # yield: interleave the lanes
-            if x % 3 == 0 and x not in attempted:
-                attempted.add(x)
-                raise RuntimeError("transient failure")
-            return x
-
-        shards = [
-            _Shard(index=i, payload={"x": i}, label=f"s{i}", task_seed=None)
-            for i in range(600)
-        ]
-        executor = SweepExecutor()
-        loop = ShardLoop(
-            shards, [_InlineLane(every_third_fails_once) for _ in range(8)],
-            2, observers=[executor._observe],
-        )
-        outcome = {}
-        runner = threading.Thread(
-            target=lambda: outcome.update(loop.run()), daemon=True
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+    def test_many_lanes_lose_no_update(self, tmp_path):
+        """More lanes than a 2-CPU box has cores, and a third of the
+        shards failing once: every shard still resolves exactly once, in
+        submission order, and every transition is counted exactly once
+        (a lost update breaks the totals).  An alarm bounds the map, so
+        a deadlock fails the test instead of hanging it."""
+        payloads = [{"x": x, "dir": str(tmp_path)} for x in range(120)]
+        executor = SweepExecutor(jobs=4)
+        previous = signal.signal(signal.SIGALRM, _map_hung)
+        signal.alarm(60)
         try:
-            runner.start()
-            runner.join(timeout=60.0)
+            rows = executor.map(fails_once_task, payloads)
         finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "shard loop deadlocked"
-        assert outcome == {i: i for i in range(600)}
-        assert executor.tasks_run == 600
-        assert executor.retries == 200
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rows == list(range(120))
+        assert executor.tasks_run == 120
+        assert executor.retries == 40
+        assert diag.count("parallel.task_done") == 120
+        assert diag.count("parallel.task_retry") == 40
 
 
 class TestJobsDifferential:
@@ -509,44 +522,89 @@ class TestRegistryMerge:
 
 
 class TestLanes:
-    """``jobs=N`` is N simulations in flight: the calling thread plus
-    N-1 workers of the warm pool."""
+    """``jobs=N`` is N simulations in flight: the calling process plus
+    N-1 lanes a map forks from it."""
 
     def test_calling_process_and_one_worker_share_the_shards(self):
-        from repro.parallel import executor as executor_mod
-
-        executor_mod._discard_pool()
         pids = SweepExecutor(jobs=2).map(pid_task, [{}] * 6)
         assert os.getpid() in pids
         assert len(set(pids)) == 2
 
-    def test_pool_column_never_runs_in_the_calling_process(self):
-        """What the failure matrix's pool column relies on."""
-        pids = lane_executor("pool").map(pid_task, [{}] * 4)
-        assert os.getpid() not in pids
+    def test_no_thread_beside_a_task_in_the_calling_process(self, tmp_path):
+        """Lanes are processes: while a ``jobs=2`` map runs, the calling
+        process has no thread but its own (a fork from a threaded
+        process may deadlock, and Python 3.12 warns about it)."""
+        rows = SweepExecutor(jobs=2).map(where_task, met(tmp_path, [{}] * 2))
+        assert sorted(row["pid"] == os.getpid() for row in rows) == [
+            False, True,
+        ]
+        assert [row["threads"] for row in rows] == [1, 1]
 
-    def test_single_shard_runs_inline_and_boots_the_pool(self):
-        from repro.parallel import executor as executor_mod
-
-        executor_mod._discard_pool()
+    def test_single_shard_runs_inline_and_forks_nothing(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         rows = SweepExecutor(jobs=3).map(thread_task, [{"x": 1}])
         assert rows == [{"thread": threading.get_ident()}]
-        assert executor_mod._POOL_WORKERS == 2
-        assert len(executor_mod._POOL._processes) == 2
+        assert forks == []
+        SweepExecutor(jobs=3).map(pid_task, [{}] * 4)
+        assert len(forks) == 2
+
+    def test_an_interrupt_leaves_no_lane_behind(self, tmp_path):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            SweepExecutor(jobs=2).map(
+                interrupted_task, met(tmp_path, [{}] * 2)
+            )
+        assert time.monotonic() - start < 20.0
+        assert multiprocessing.active_children() == []
 
 
 class TestForkedPool:
-    """Pool workers are forked from the calling process (docs/parallel.md,
-    contract item 1)."""
+    """The lanes are forked from the calling process (docs/parallel.md,
+    contract items 1 and 5), and the failure matrix's forked column:
+    every test here pins one attempt to the forked lane with
+    :func:`meet`."""
 
-    def test_a_task_that_maps_again_gets_a_pool_of_its_own(self):
-        payloads = [{"n": 3}, {"n": 4}]
-        expected = SweepExecutor(jobs=1).map(nested_map_task, payloads)
-        pooled = lane_executor("pool", max_attempts=1).map(
+    def test_a_task_that_maps_again_inside_a_worker_works(self, tmp_path):
+        payloads = met(tmp_path, [{"n": 3}, {"n": 4}])
+        rows = SweepExecutor(jobs=2, max_attempts=1).map(
             nested_map_task, payloads
         )
-        assert pooled == expected
-        assert expected[1] == [{"value": x * x} for x in range(4)]
+        assert rows == [
+            [{"value": x * x} for x in range(n)] for n in (3, 4)
+        ]
+
+    @pytest.mark.parametrize("mode", ["raise", "unpicklable"])
+    def test_a_failed_attempt_on_the_lane_is_charged(self, tmp_path, mode):
+        """The task raised, or its result cannot cross the pipe: one
+        charge, and the shard's rerun in the calling process returns."""
+        payloads = met(tmp_path, [{"x": 0, "mode": mode},
+                                  {"x": 1, "mode": mode}])
+        executor = SweepExecutor(jobs=2)
+        rows = executor.map(fails_on_the_lane_task, payloads)
+        assert [row["x"] for row in rows] == [0, 1]
+        assert executor.retries == 1
+        [retry] = diag.recent("parallel.task_retry")
+        expected = "ValueError" if mode == "raise" else "pickle"
+        assert expected in retry.args_dict["error"]
+
+    def test_a_terminal_failure_on_the_lane_names_its_shard(self, tmp_path):
+        payloads = met(tmp_path, [{"x": 0, "mode": "raise"},
+                                  {"x": 1, "mode": "raise"}])
+        executor = SweepExecutor(jobs=2, max_attempts=1)
+        with pytest.raises(WorkerFailureError) as excinfo:
+            executor.map(fails_on_the_lane_task, payloads,
+                         labels=["first", "second"])
+        error = excinfo.value
+        assert error.label == ["first", "second"][error.task_index]
+        assert error.attempts == 1
+        assert error.last_error == "ValueError: permanent failure"
+        assert str(error) == (
+            f"task {error.label} failed after 1 attempt(s): "
+            "ValueError: permanent failure"
+        )
+        assert executor.tasks_run == 1 and executor.retries == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_anchor_shard_scores_what_detect_report_scores(self, jobs):
@@ -589,30 +647,36 @@ class TestForkedPool:
             {"value": 9}
         ]
 
+    def test_a_killed_worker_is_charged_and_its_shard_retried(self,
+                                                               tmp_path):
+        """A lane that dies mid-shard (``os._exit``, as the OOM killer
+        would) is charged one attempt, its shard runs again in the
+        calling process, and the sweep's bytes are those of ``jobs=1``."""
+        from repro.obs.export import render_openmetrics
 
-class TestBrokenPoolRebuild:
-    def test_killed_pool_worker_rebuilds_and_preserves_output(self, tmp_path):
-        """A pool worker SIGKILLed mid-shard breaks the warm pool; the
-        executor must rebuild it, retry only the affected shards, and
-        still merge the jobs-invariant output."""
-        from repro.parallel import executor as executor_mod
-
-        marker = str(tmp_path / "killed")
-        payloads = [
-            {"x": i, "marker": marker, "parent": os.getpid()}
-            for i in range(6)
+        points = [
+            encode_point(["gcc"], FAST, noc_latency=latency)
+            for latency in (1, 4)
         ]
+        reference = SweepExecutor(jobs=1)
+        expected = reference.map(noc_latency_task, points)
         executor = SweepExecutor(jobs=2)
-        results = executor.map(suicide_once_task, payloads)
-        # merged output identical to what any healthy run produces
-        assert results == [{"survived": i} for i in range(6)]
-        assert os.path.exists(marker)
-        # at least one shard was re-run after the pool broke...
-        assert executor.retries >= 1
-        assert diag.count("parallel.task_retry") == executor.retries
-        # ...on a pool that was rebuilt, not the broken one
-        assert executor_mod._POOL is not None
-        assert not getattr(executor_mod._POOL, "_broken", False)
+        rows = executor.map(
+            dies_on_the_lane_task,
+            met(tmp_path, [{"point": point} for point in points]),
+        )
+        assert json.dumps(rows, sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert executor.retries == 1
+        [retry] = diag.recent("parallel.task_retry")
+        assert retry.args_dict["error"] == (
+            "ChildProcessError: forked lane exited with code 3"
+        )
+        # Only the retry count tells the two registries apart.
+        assert render_openmetrics(executor.merged_registry()).replace(
+            "parallel_retries 1", "parallel_retries 0"
+        ) == render_openmetrics(reference.merged_registry())
 
 
 class TestCacheHits:

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.common.errors import SimulationError, WatchdogError
-from repro.core.bins import BinSpec, uniform_config
+from repro.core.bins import BinConfiguration, BinSpec, uniform_config
 from repro.resilience import LinkStall, ResilienceConfig, Watchdog
 from repro.resilience.watchdog import diagnostic_dump
 from repro.sim.system import (
@@ -89,6 +89,35 @@ class TestSeededLivelock:
                 _stalled_system().run(60_000, engine=engine)
             cycles[engine] = excinfo.value.dump["cycle"]
         assert cycles["cycle"] == cycles["columnar"]
+
+    def test_shaping_wedge_trips_at_one_cycle_under_both_engines(self):
+        """No fault injected: one credit per 50,000-cycle period lets
+        the first miss through and holds the next one, so the system
+        idles with nothing due until the next replenish.  The columnar
+        engine skips that span, and only the cap at the watchdog
+        horizon makes it stop and check where the cycle engine does.
+
+        The budget is one 256-cycle block minus one, so the horizon is
+        a block boundary, where the cycle engine checks too.  With a
+        budget above one block the engines disagree even with the cap:
+        the columnar engine first sees the progress at its first
+        capped landing, not at the block boundary after it."""
+        spec = BinSpec(edges=(1,), replenish_period=50_000)
+        cycles = {}
+        for engine in ("cycle", "columnar"):
+            builder = SystemBuilder(seed=11)
+            builder.add_core(
+                make_trace("gcc", 250, seed=11),
+                request_shaping=RequestShapingPlan(
+                    BinConfiguration((1,)), spec=spec
+                ),
+            )
+            with pytest.raises(WatchdogError) as excinfo:
+                builder.build().run(
+                    200_000, engine=engine, watchdog_cycles=255
+                )
+            cycles[engine] = excinfo.value.dump["cycle"]
+        assert cycles == {"cycle": 512, "columnar": 512}
 
     def test_stall_event_emitted(self):
         system = _stalled_system(trace=True)
