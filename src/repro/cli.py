@@ -9,6 +9,7 @@ Usage::
     python -m repro.cli mi
     python -m repro.cli tradeoff --benchmark apache --jobs 4
     python -m repro.cli fig13 --adversary gcc --victim mcf
+    python -m repro.cli run --trace-out trace.json --metrics-out m.txt
     python -m repro.cli sweep tradeoff --jobs 4 --cache-dir .repro-cache
     python -m repro.cli cache ls --cache-dir .repro-cache
     python -m repro.cli lint [paths...] [--format json]
@@ -49,7 +50,7 @@ from repro.common.errors import SnapshotError
 from repro.common.util import canonical_doc
 from repro.core.bins import BinConfiguration
 from repro.lint import runner as lint_runner
-from repro.obs import ALL_CATEGORIES, ObservabilityConfig
+from repro.obs import ObservabilityConfig
 from repro.obs.export import render_openmetrics
 from repro.parallel import ResultCache, SweepExecutor
 from repro.resilience import ResilienceConfig, run_scenario, scenario_names
@@ -72,14 +73,12 @@ _EXPERIMENTS = {
     "tradeoff": "security/performance sweep (Figure 2)",
     "detect": "attacker-zoo detectability lab (MI / AUC / XCorr / spectral)",
     "calibrate": "measured workload characteristics (trace substitution)",
-    "trace": "run a BDC-shaped mix with event tracing; export Chrome JSON",
-    "stats": "run with metrics sampling and the live shaping monitor",
-    "run": "run a BDC-shaped mix with checkpoints and a stall watchdog",
+    "run": "run the observed BDC-shaped mix: trace, profile, metrics, "
+           "checkpoints and a stall watchdog",
     "resume": "restore a checkpoint and continue the run bit-identically",
     "faults": "run a fault-injection scenario (repro.resilience harness)",
     "sweep": "run a parameter sweep across --jobs simulations in flight",
     "cache": "inspect/prune/clear the sweep result cache",
-    "profile": "engine self-profile: per-station work and skip-span rollup",
 }
 
 #: Sweeps runnable via ``repro sweep <name>``: name -> (driver, default
@@ -306,21 +305,25 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _observed_system(args, obs_config: ObservabilityConfig,
-                     resilience_config=None):
-    """A two-core mix with BDC on core 0 and the obs stack attached.
-
-    The observed workload is the fig11 DESIRED staircase shaping the
-    chosen benchmark against an unshaped co-runner — the canonical
-    setup every observability demo and doc example uses.
-    ``resilience_config`` adds the checkpoint/watchdog layer
-    (``repro run``).
-    """
+def _cmd_run(args) -> int:
+    """The observed mix: the fig11 DESIRED staircase shaping the chosen
+    benchmark (ReqC and RespC) against an unshaped co-runner, with the
+    tracer, sampler, shaping monitor and engine profiler attached and
+    the checkpoint/watchdog layer installed.  Stdout is the same under
+    every engine (CI ``cmp``s it); files are written only when asked."""
     defaults = _defaults(args)
     builder = SystemBuilder(seed=defaults.seed)
-    builder.with_observability(obs_config)
-    if resilience_config is not None:
-        builder.with_resilience(resilience_config)
+    builder.with_observability(ObservabilityConfig(
+        trace=True, trace_limit=args.limit, sample_interval=1024,
+        monitor=True, profile=True,
+    ))
+    builder.with_resilience(ResilienceConfig(
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_keep=args.checkpoint_keep,
+        watchdog_cycles=args.watchdog,
+        watchdog_dump_path=args.watchdog_dump or "",
+    ))
     builder.add_core(
         make_trace(args.benchmark, num_accesses=defaults.accesses,
                    seed=defaults.seed),
@@ -333,107 +336,7 @@ def _observed_system(args, obs_config: ObservabilityConfig,
         make_trace(args.corunner, num_accesses=defaults.accesses,
                    seed=defaults.seed + 1, base_address=1 << 26),
     )
-    return builder.build(), defaults
-
-
-def _cmd_trace(args) -> int:
-    categories = (
-        tuple(args.categories.split(",")) if args.categories else None
-    )
-    system, defaults = _observed_system(args, ObservabilityConfig(
-        trace=True,
-        trace_limit=args.limit,
-        trace_categories=categories,
-    ))
-    system.run(defaults.cycles, stop_when_done=False, engine=args.engine)
-    tracer = system.observability.tracer
-    tracer.write_chrome(args.out)
-    if args.jsonl:
-        tracer.write_jsonl(args.jsonl)
-    print(format_table(
-        ["category", "events"],
-        sorted(tracer.counts.items()),
-    ))
-    print(f"{len(tracer.events)} events retained "
-          f"({tracer.dropped} dropped by the {args.limit}-event ring)")
-    print(f"Chrome trace written to {args.out}"
-          + (f"; JSONL to {args.jsonl}" if args.jsonl else ""))
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    system, defaults = _observed_system(args, ObservabilityConfig(
-        sample_interval=args.interval,
-        monitor=True,
-        monitor_interval=max(args.interval, 1024),
-    ))
-    report = system.run(defaults.cycles, stop_when_done=False,
-                        engine=args.engine)
-    obs = system.observability
-
-    print(format_table(
-        ["core", "trace", "retired", "mean_lat", "p95_lat", "fake_req"],
-        [
-            [s.core_id, s.trace_name, s.retired_instructions,
-             round(s.mean_memory_latency(), 1),
-             round(s.latency_percentile(95.0), 1),
-             s.fake_requests_sent]
-            for s in report.cores
-        ],
-    ))
-    print(f"row hit rate: {report.row_hit_rate():.3f}  "
-          f"(hits={report.row_hits}, misses={report.row_misses})")
-
-    sampler = obs.sampler
-    depth = [float(v) for _, v in sampler.series("memctrl.queue_depth")]
-    if depth:
-        print("\nmemctrl queue depth over time "
-              f"(1 sample / {sampler.interval} cycles):")
-        print(ascii_series(depth, width=min(72, len(depth))))
-    tail = sampler.rows()[-args.rows:]
-    if tail:
-        print(format_table(
-            ["cycle", *sampler.probe_names], tail, precision=3
-        ))
-
-    monitor = obs.monitor
-    rows = monitor.summary_rows()
-    if rows:
-        headers = ["core", "direction", "events", "tvd_target",
-                   "tvd_intrinsic", "mi_bits"]
-        if monitor.detect:
-            headers += ["auc", "xcorr"]
-        print("\nshaping monitor (latest checkpoint per stream):")
-        print(format_table(headers, rows))
-    violations = monitor.all_violations
-    guarantee = [v for v in violations if v.metric == "tvd_target"]
-    if guarantee:
-        worst = max(guarantee, key=lambda v: v.value)
-        print(f"{len(guarantee)} guarantee violation(s); worst: "
-              f"core {worst.core_id} {worst.direction} "
-              f"TVD={worst.value:.4f} > {worst.threshold} "
-              f"at cycle {worst.cycle}")
-    else:
-        print("no shaping-guarantee violations")
-    detect_total = len(violations) - len(guarantee)
-    if detect_total:
-        print(f"{detect_total} detectability violation(s) "
-              "(zoo attacker beat its threshold)")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    system, defaults = _observed_system(
-        args,
-        ObservabilityConfig(trace=True, trace_limit=args.limit, monitor=True),
-        ResilienceConfig(
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_keep=args.checkpoint_keep,
-            watchdog_cycles=args.watchdog,
-            watchdog_dump_path=args.watchdog_dump or "",
-        ),
-    )
+    system = builder.build()
     cycles = args.cycles or defaults.cycles
     try:
         report = system.run(cycles, stop_when_done=False, engine=args.engine)
@@ -444,12 +347,27 @@ def _cmd_run(args) -> int:
             print(f"diagnostic dump written to {dump_path}")
         return 1
     res = system.resilience
-    if res is not None and res.checkpoints_taken:
+    if res.checkpoints_taken:
         print(f"checkpoints: {res.checkpoints_taken} taken, "
               f"latest {res.last_checkpoint_path}")
     if args.snapshot_out:
         snapshot_system(system, args.snapshot_out)
         print(f"final snapshot written to {args.snapshot_out}")
+    obs = system.observability
+    if args.trace_out:
+        obs.tracer.write_chrome(args.trace_out)
+        print(f"Chrome trace written to {args.trace_out}", file=sys.stderr)
+    if args.profile_out:
+        rollup = obs.profiler.rollup(include_wall=True, monitor=obs.monitor)
+        with open(args.profile_out, "w", encoding="utf-8") as fh:
+            json.dump(rollup, fh, indent=2, sort_keys=True)
+        print(f"profiler rollup written to {args.profile_out}",
+              file=sys.stderr)
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(obs.render_exposition(at_cycle=system.current_cycle))
+        print(f"OpenMetrics exposition written to {args.metrics_out}",
+              file=sys.stderr)
     print(f"stopped at cycle {system.current_cycle}")
     print(f"report digest: {report_digest(report)}")
     return 0
@@ -486,67 +404,9 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    result = run_scenario(
-        args.scenario, cycles=args.cycles, dump_path=args.dump or "",
-        engine=args.engine,
-    )
+    result = run_scenario(args.scenario, cycles=args.cycles,
+                          engine=args.engine)
     print(json.dumps(result, indent=2, sort_keys=True, default=str))
-    # The resilience contract: a fault run must end in a typed error,
-    # or completion with its bound held.
-    if result.get("outcome") == "silent_failure":
-        return 1
-    if result.get("bound_held") is False:
-        return 1
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    system, defaults = _observed_system(args, ObservabilityConfig(
-        monitor=True,
-        sample_interval=1024,
-        profile=True,
-    ))
-    cycles = args.cycles or defaults.cycles
-    report = system.run(cycles, stop_when_done=False, engine=args.engine)
-    obs = system.observability
-    rollup = obs.profiler.rollup(include_wall=True, monitor=obs.monitor)
-    counts = rollup["cycles"]
-    stepped_pct = (
-        100.0 * counts["stepped"] / counts["simulated"]
-        if counts["simulated"] else 0.0
-    )
-    print(f"engine: {args.engine}")
-    print(f"cycles: simulated={counts['simulated']} "
-          f"stepped={counts['stepped']} ({stepped_pct:.1f}%) "
-          f"skipped={counts['skipped']} "
-          f"in {rollup['skip_spans']['total']} idle spans")
-    if rollup["stations"]:
-        print("\nper-station work:")
-        print(format_table(
-            ["station", "ticks", "skips", "share"],
-            [[row["station"], row["ticks"], row["skips"],
-              f"{100.0 * row['share']:.1f}%"]
-             for row in rollup["stations"]],
-        ))
-        col = rollup["columnar"]
-        print(f"horizon refreshes: {col['horizon_refreshes']}  "
-              f"dirty re-polls: {col['dirty_repolls']}  "
-              f"full-tick fallbacks: {col['full_tick_fallbacks']}")
-    shaping = rollup.get("shaping")
-    if shaping is not None:
-        print(f"shaping: checkpoints={shaping['checkpoints']} "
-              f"violations={shaping['violations']}")
-    print(f"wall: {rollup['wall']['ms']} ms (observability-only; never "
-          "enters the registry, reports or digests)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rollup, fh, indent=2, sort_keys=True)
-        print(f"profiler rollup written to {args.out}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(obs.render_exposition(at_cycle=system.current_cycle))
-        print(f"OpenMetrics exposition written to {args.metrics_out}")
-    print(f"report digest: {report_digest(report)}")
     return 0
 
 
@@ -557,14 +417,6 @@ def _engine_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--engine", default=DEFAULT_ENGINE,
                         choices=("cycle", "columnar"))
-    return parent
-
-
-def _mix_parent() -> argparse.ArgumentParser:
-    """``--benchmark/--corunner``: the observed two-core demo mix."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
-    parent.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
     return parent
 
 
@@ -668,26 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("calibrate", _cmd_calibrate)
     p.add_argument("--benchmark", default=None, choices=BENCHMARK_NAMES)
 
-    p = verb("trace", _cmd_trace,
-             parents=[_engine_parent(), _mix_parent()])
-    p.add_argument("--out", default="trace.json",
-                   help="Chrome trace-event JSON output path")
-    p.add_argument("--jsonl", default=None, metavar="PATH",
-                   help="also export line-delimited JSON")
-    p.add_argument("--limit", type=_at_least(int, 1), default=65536,
-                   help="event ring capacity")
-    p.add_argument("--categories", default=None,
-                   help="comma-separated subset of "
-                        + ",".join(ALL_CATEGORIES))
-
-    p = verb("stats", _cmd_stats,
-             parents=[_engine_parent(), _mix_parent()])
-    p.add_argument("--interval", type=_at_least(int, 1), default=1024,
-                   help="cycles between metric samples")
-    p.add_argument("--rows", type=_at_least(int, 1), default=8,
-                   help="sampled rows to print (tail)")
-
-    p = verb("run", _cmd_run, parents=[_engine_parent(), _mix_parent()])
+    p = verb("run", _cmd_run, parents=[_engine_parent()])
+    p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
+    p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
     p.add_argument("--cycles", type=_at_least(int, 0), default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--checkpoint-every", type=_at_least(int, 0), default=0,
@@ -706,15 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="event ring capacity")
     p.add_argument("--snapshot-out", default=None, metavar="PATH",
                    help="write a final snapshot when the run finishes")
-
-    p = verb("profile", _cmd_profile,
-             parents=[_engine_parent(), _mix_parent()])
-    p.add_argument("--cycles", type=_at_least(int, 0), default=0,
-                   help="run length (default: the experiment default)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the flame-style rollup JSON here")
+    p.add_argument("--trace-out", default=None, metavar="PATH",
+                   help="write the Chrome trace-event JSON here")
+    p.add_argument("--profile-out", default=None, metavar="PATH",
+                   help="write the engine profiler's rollup JSON here")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="also write the OpenMetrics exposition here")
+                   help="write the OpenMetrics exposition here")
 
     p = verb("resume", _cmd_resume, parents=[_engine_parent()])
     p.add_argument("snapshot", help="snapshot file written by 'repro run'")
@@ -728,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, choices=scenario_names())
     p.add_argument("--cycles", type=_at_least(int, 0), default=0,
                    help="override the scenario's default run length")
-    p.add_argument("--dump", default=None, metavar="PATH",
-                   help="write the scenario's JSON report/dump here")
 
     # One lint front end: the subcommand *is* repro.lint's own parser
     # (flags, defaults and -h included) and its handler the same run().

@@ -5,7 +5,7 @@ stamped in simulation cycles (never wall clock) so their output is a
 pure function of the run configuration:
 
 * an event **tracer** (:class:`~repro.obs.tracer.EventTracer`) with
-  ring-buffered storage and Chrome-trace / JSONL exporters, covering
+  ring-buffered storage and a Chrome-trace exporter, covering
   shaper credit activity, memory-controller scheduling, DRAM commands,
   and NoC grants;
 * a **metrics** registry plus interval sampler
@@ -26,7 +26,6 @@ Attach them to a system with
 """
 
 from repro.obs.events import (
-    ALL_CATEGORIES,
     CATEGORY_DRAM,
     CATEGORY_MEMCTRL,
     CATEGORY_MONITOR,
@@ -62,7 +61,6 @@ __all__ = [
     "serialize_registry",
     "validate_metric_name",
     "EngineProfiler",
-    "ALL_CATEGORIES",
     "CATEGORY_DRAM",
     "CATEGORY_MEMCTRL",
     "CATEGORY_MONITOR",

@@ -4,8 +4,8 @@ Every event is stamped with the *simulation* cycle it occurred at —
 never wall-clock time — so a trace is a pure function of the run
 configuration and two runs of the same seed produce byte-identical
 traces under either execution engine.  Categories partition the
-simulator stack the way DESIGN.md §4's pipeline does; exporters and
-the tracer's category filter both key off them.
+simulator stack the way DESIGN.md §4's pipeline does; the Chrome
+exporter writes each as the event's ``cat``.
 """
 
 from __future__ import annotations
@@ -28,23 +28,6 @@ CATEGORY_MONITOR = "monitor"
 #: Resilience events: checkpoints taken, watchdog dumps, injected
 #: faults.
 CATEGORY_RESILIENCE = "resilience"
-#: Parallel-executor events: per-shard task lifecycle (submit, run,
-#: retry, done) and result-cache hits/misses.  Stamped with the task's
-#: submission index, not a simulation cycle — the executor runs
-#: outside any one system's clock and the index is the deterministic
-#: analogue.
-CATEGORY_PARALLEL = "parallel"
-
-ALL_CATEGORIES: Tuple[str, ...] = (
-    CATEGORY_SHAPER,
-    CATEGORY_MEMCTRL,
-    CATEGORY_DRAM,
-    CATEGORY_NOC,
-    CATEGORY_MONITOR,
-    CATEGORY_RESILIENCE,
-    CATEGORY_PARALLEL,
-)
-
 #: ``core_id`` used by events not attributable to a single core
 #: (refresh, monitor checkpoints, …).
 SYSTEM_CORE = -1
@@ -69,18 +52,6 @@ class TraceEvent:
     @property
     def args_dict(self) -> Dict[str, Any]:
         return dict(self.args)
-
-    def as_jsonl_obj(self) -> Dict[str, Any]:
-        """Flat dict for the JSONL exporter (one event per line)."""
-        obj: Dict[str, Any] = {
-            "cycle": self.cycle,
-            "cat": self.category,
-            "name": self.name,
-            "core": self.core_id,
-        }
-        if self.args:
-            obj["args"] = self.args_dict
-        return obj
 
     def as_chrome_obj(self) -> Dict[str, Any]:
         """Chrome trace-event (JSON Array Format) instant event.

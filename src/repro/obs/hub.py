@@ -17,10 +17,9 @@ uninstrumented build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.common.errors import ConfigurationError
-from repro.obs.events import ALL_CATEGORIES
 from repro.obs.metrics import IntervalSampler, MetricsRegistry
 from repro.obs.monitor import ShapingMonitor
 from repro.obs.profile import EngineProfiler
@@ -31,11 +30,10 @@ from repro.obs.tracer import NULL_TRACER, EventTracer
 class ObservabilityConfig:
     """What to observe, and how much memory to spend on it.
 
-    ``trace`` enables the event tracer (``trace_categories=None``
-    records everything; otherwise a subset of
-    :data:`~repro.obs.events.ALL_CATEGORIES`).  ``sample_interval``
-    enables the metrics time-series at that cycle period.  ``monitor``
-    enables the live shaping monitor.  ``noc_grant_trace_limit``
+    ``trace`` enables the event tracer (every category, the most
+    recent ``trace_limit`` events kept).  ``sample_interval`` enables
+    the metrics time-series at that cycle period.  ``monitor`` enables
+    the live shaping monitor.  ``noc_grant_trace_limit``
     bounds the NoC channels' adversary-visible grant traces.
     ``profile`` enables the deterministic engine self-profiler
     (:mod:`repro.obs.profile`); its counters live outside
@@ -44,7 +42,6 @@ class ObservabilityConfig:
 
     trace: bool = False
     trace_limit: int = 65536
-    trace_categories: Optional[Tuple[str, ...]] = None
     sample_interval: Optional[int] = None
     monitor: bool = False
     monitor_interval: int = 2048
@@ -62,12 +59,6 @@ class ObservabilityConfig:
             and self.noc_grant_trace_limit <= 0
         ):
             raise ConfigurationError("noc_grant_trace_limit must be positive")
-        if self.trace_categories is not None:
-            unknown = set(self.trace_categories) - set(ALL_CATEGORIES)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown trace categories: {sorted(unknown)}"
-                )
 
 
 class Observability:
@@ -76,10 +67,7 @@ class Observability:
     def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         self.config = config or ObservabilityConfig()
         self.tracer = (
-            EventTracer(
-                limit=self.config.trace_limit,
-                categories=self.config.trace_categories,
-            )
+            EventTracer(limit=self.config.trace_limit)
             if self.config.trace
             else NULL_TRACER
         )
@@ -132,7 +120,7 @@ class Observability:
         if self.monitor is not None:
             self.monitor.finalize(cycle)
 
-    # -- export (repro profile) ---------------------------------------------
+    # -- export (repro run --metrics-out) ----------------------------------
 
     def refresh_derived_gauges(self, at_cycle: int) -> None:
         """Materialise derived registry families before an export.
@@ -140,8 +128,8 @@ class Observability:
         Probe values become same-named gauges (the live complement of
         the sampler's time series), and the profiler's families are
         exported.  Called only on the export path — once by
-        ``repro profile`` — so a system that never exports keeps its
-        registry exactly as the components wrote it.
+        ``repro run --metrics-out`` — so a system that never exports
+        keeps its registry exactly as the components wrote it.
         """
         self.metrics.gauge("obs.published_cycle").set(at_cycle)
         if self.sampler is not None:

@@ -177,7 +177,7 @@ class MetricsRegistry:
         return sorted(self._instruments)
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-value snapshot (for reports and the stats CLI)."""
+        """Plain-value snapshot of every instrument."""
         out: Dict[str, object] = {}
         for name in self.names():
             instrument = self._instruments[name]
@@ -264,7 +264,7 @@ class IntervalSampler:
         return [(cycle, values[index]) for cycle, values in self._samples]
 
     def rows(self) -> List[List[Number]]:
-        """Table rows ``[cycle, v0, v1, ...]`` (for the stats CLI)."""
+        """Table rows ``[cycle, v0, v1, ...]``, one per sample."""
         return [
             [cycle, *values] for cycle, values in self._samples
         ]

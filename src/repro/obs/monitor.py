@@ -401,7 +401,7 @@ class ShapingMonitor:
         )
 
     def summary_rows(self) -> List[List[object]]:
-        """Latest estimate per stream (for the stats CLI).
+        """Latest estimate per stream, one table row each.
 
         Base columns are [core, direction, events, tvd_target,
         tvd_intrinsic, mi]; two detect columns (auc, xcorr) are

@@ -27,8 +27,8 @@ quantities (skip spans, station skips) describe the engine, not the
 simulated hardware, and are intentionally engine-variant.  None of it
 enters reports, traces, samples or digests: the profiler keeps its own
 state and only materialises registry families when
-:meth:`EngineProfiler.export_to` is called (by the ``repro profile``
-CLI verb).
+:meth:`EngineProfiler.export_to` is called (by ``repro run
+--metrics-out``).
 
 Wall-clock time is measured too — it is the point of profiling — but
 it is quarantined: accumulated in :attr:`EngineProfiler.wall_ns`,
@@ -221,8 +221,8 @@ class EngineProfiler:
     def export_to(self, registry: MetricsRegistry) -> None:
         """Materialise the profiler families into ``registry``.
 
-        Called once, by ``repro profile``, after its run; a counter
-        that stayed at zero is left out.
+        Called once, by ``repro run --metrics-out``, after its run; a
+        counter that stayed at zero is left out.
         """
         counters = [
             ("profiler.runs", self.runs),

@@ -1,4 +1,4 @@
-"""The cycle-stamped event tracer and its exporters.
+"""The cycle-stamped event tracer and its Chrome-trace exporter.
 
 Design constraints, in order:
 
@@ -6,29 +6,25 @@ Design constraints, in order:
    holds a tracer reference (the shared :data:`NULL_TRACER` by
    default) and guards each emission with ``if tracer.enabled:`` — one
    attribute load and a branch on the hot path, nothing else.
-2. **Deterministic.**  Events are stamped with simulation cycles, the
-   ring drops oldest-first, and category filtering is a pure set test:
-   two runs of the same seed produce identical event streams under
-   both execution engines (enforced by ``tests/test_engine_equivalence``).
+2. **Deterministic.**  Events are stamped with simulation cycles and
+   the ring drops oldest-first: two runs of the same seed produce
+   identical event streams under both execution engines (enforced by
+   ``tests/test_engine_equivalence``).
 3. **Bounded memory.**  The ring keeps the most recent
    ``limit`` events and counts what it evicts (:attr:`EventTracer.dropped`).
 
-Exports: Chrome trace-event JSON (loads in ``chrome://tracing`` /
-Perfetto) via :meth:`EventTracer.write_chrome`, and line-delimited
-JSON via :meth:`EventTracer.write_jsonl`.
+Export: Chrome trace-event JSON (loads in ``chrome://tracing`` /
+Perfetto) via :meth:`EventTracer.write_chrome`.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import (
-    Any, Deque, Dict, FrozenSet, IO, Iterable, List, Optional, Union,
-)
+from typing import Any, Deque, Dict, IO, List, Union
 
 from repro.common.errors import ConfigurationError
 from repro.obs.events import (
-    ALL_CATEGORIES,
     CHROME_PID_CORES,
     CHROME_PID_SYSTEM,
     SYSTEM_CORE,
@@ -63,28 +59,14 @@ NULL_TRACER = NullTracer()
 
 
 class EventTracer:
-    """Ring-buffered, category-filtered collector of trace events."""
+    """Ring-buffered collector of trace events."""
 
     enabled = True
 
-    def __init__(
-        self,
-        limit: int = 65536,
-        categories: Optional[Iterable[str]] = None,
-    ) -> None:
+    def __init__(self, limit: int = 65536) -> None:
         if limit <= 0:
             raise ConfigurationError("tracer limit must be positive")
         self._ring: Deque[TraceEvent] = deque(maxlen=limit)
-        self.categories: Optional[FrozenSet[str]] = (
-            frozenset(categories) if categories is not None else None
-        )
-        if self.categories is not None:
-            unknown = self.categories - set(ALL_CATEGORIES)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown trace categories: {sorted(unknown)} "
-                    f"(known: {list(ALL_CATEGORIES)})"
-                )
         # Per-category emission counts (pre-ring, so drops don't hide
         # activity).  Insertion order is emission order: deterministic.
         self.counts: Dict[str, int] = {}
@@ -93,9 +75,7 @@ class EventTracer:
 
     def emit(self, cycle: int, category: str, name: str,
              core_id: int = SYSTEM_CORE, **args: Any) -> None:
-        """Record one event (if its category passes the filter)."""
-        if self.categories is not None and category not in self.categories:
-            return
+        """Record one event."""
         self.counts[category] = self.counts.get(category, 0) + 1
         self._ring.append(
             TraceEvent(
@@ -116,7 +96,7 @@ class EventTracer:
 
     @property
     def total_emitted(self) -> int:
-        """Events that passed the category filter, evicted ones included."""
+        """Events emitted, evicted ones included."""
         return sum(self.counts.values())
 
     @property
@@ -167,16 +147,3 @@ class EventTracer:
         else:
             with open(destination, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
-
-    def write_jsonl(self, destination: Union[str, IO[str]]) -> None:
-        """Write one JSON object per event (stream-friendly export)."""
-        if hasattr(destination, "write"):
-            self._write_jsonl_stream(destination)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                self._write_jsonl_stream(fh)
-
-    def _write_jsonl_stream(self, fh: IO[str]) -> None:
-        for event in self._ring:
-            fh.write(json.dumps(event.as_jsonl_obj()))
-            fh.write("\n")

@@ -40,9 +40,9 @@ matrix is in docs/parallel.md).  ``SweepExecutor.map`` is what
 surrounds the loop: seeds, the content-addressed result cache
 (:mod:`repro.parallel.cache` — a task whose input digest already has a
 stored result is not run at all), and the merge of per-shard metrics
-registries.  Per-shard lifecycle events land in the process-global
-diagnostics ring (:mod:`repro.obs.diag`) under
-:data:`~repro.obs.events.CATEGORY_PARALLEL`.
+registries.  What a map did is counted on the executor
+(``tasks_run``, ``tasks_cached``, ``retries``); a terminal failure
+carries its last error (:attr:`WorkerFailureError.last_error`).
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, WorkerFailureError
 from repro.common.rng import DeterministicRng
-from repro.obs import diag
-from repro.obs.events import CATEGORY_PARALLEL
 from repro.parallel.cache import ResultCache, cache_key, config_digest
 
 
@@ -121,9 +119,9 @@ class ShardLoop:
     dead lane is not replaced: the lanes left, the calling process
     always among them, carry the rest.
 
-    ``observers`` are ``observe(event, pending, **info)`` callables
-    told of each transition — ``"done"`` (``result``) and
-    ``"charged"`` (``error``, ``terminal``) — in the calling process.
+    ``observe(event, pending, **info)`` is told of each transition —
+    ``"done"`` (``result``) and ``"charged"`` (``error``,
+    ``terminal``) — in the calling process.
     """
 
     def __init__(
@@ -132,11 +130,11 @@ class ShardLoop:
         shards: Sequence[_Shard],
         lanes: int,
         max_attempts: int,
-        observers: Sequence[Callable[..., None]] = (),
+        observe: Callable[..., None],
     ) -> None:
         self.fn = fn
         self.max_attempts = max_attempts
-        self._observers = tuple(observers)
+        self._observe = observe
         self._pending = [_Pending(shard) for shard in shards]
         self._lanes = lanes
         # Positions at or above the lowest terminal failure are abandoned.
@@ -263,11 +261,7 @@ class ShardLoop:
 
     def _resolve(self, position: int, value: Any) -> None:
         self._results[position] = value
-        self._notify("done", self._pending[position], result=value)
-
-    def _notify(self, event: str, pending: _Pending, **info: Any) -> None:
-        for observe in self._observers:
-            observe(event, pending, **info)
+        self._observe("done", self._pending[position], result=value)
 
     def _charge(self, position: int, error: str,
                 cause: Optional[BaseException] = None) -> None:
@@ -276,7 +270,7 @@ class ShardLoop:
         pending = self._pending[position]
         pending.charged += 1
         terminal = pending.charged >= self.max_attempts
-        self._notify("charged", pending, error=error, terminal=terminal)
+        self._observe("charged", pending, error=error, terminal=terminal)
         if not terminal:
             self._retry.append(position)
             return
@@ -357,27 +351,31 @@ class SweepExecutor:
         # results in submission order — see merged_registry().
         self._shard_registries: List[Dict[str, Any]] = []
 
-    # -- events ------------------------------------------------------------
+    # -- shard transitions -------------------------------------------------
 
-    def _emit(self, name: str, index: int, **args: Any) -> None:
-        diag.emit_diagnostic(
-            name, category=CATEGORY_PARALLEL, task=index, **args
-        )
+    def _observe(self, kind: Optional[str], event: str, pending: _Pending,
+                 **info: Any) -> None:
+        """Count a :class:`ShardLoop` transition, whichever lane ran it:
+        one ``tasks_run`` per resolved shard and one ``retries`` per
+        charged attempt that will be retried.
 
-    def _observe(self, event: str, pending: _Pending, **info: Any) -> None:
-        """The ``parallel.*`` side of a :class:`ShardLoop` transition:
-        exactly one ``task_done`` per shard and one ``task_retry`` per
-        charged attempt that will be retried, whichever lane ran it."""
-        if event == "done":
-            self.tasks_run += 1
-            self._emit("parallel.task_done", pending.shard.index,
-                       label=pending.shard.label)
-        elif event == "charged" and not info["terminal"]:
-            self.retries += 1
-            self._emit(
-                "parallel.task_retry", pending.shard.index,
-                label=pending.shard.label, attempt=pending.charged + 1,
-                error=info["error"],
+        A resolved shard is cached at once (when ``kind`` and a cache
+        are set), so a sweep that dies part-way (a terminal failure, a
+        crash of the calling process) keeps every shard it finished.
+        The cached value keeps its ``obs_registry`` (absorption works
+        on a copy), so cache hits replay their shard registries exactly
+        like fresh runs.
+        """
+        if event == "charged":
+            if not info["terminal"]:
+                self.retries += 1
+            return
+        self.tasks_run += 1
+        if self.cache is not None and kind is not None:
+            shard = pending.shard
+            self.cache.put(
+                shard.digest, cache_key(kind, self._key_doc(shard)),
+                info["result"],
             )
 
     # -- the one entry point ----------------------------------------------
@@ -395,7 +393,7 @@ class SweepExecutor:
         a ``task_seed`` keyword, returning a picklable result.
         ``kind`` names the task family for the result cache; without
         it (or without a cache) every task runs.  ``labels`` are
-        per-task names for events and failure messages.
+        per-task names for failure messages.
         """
         if labels is not None and len(labels) != len(payloads):
             raise ConfigurationError("need one label per payload")
@@ -426,42 +424,18 @@ class SweepExecutor:
                 if cached is not None:
                     results[shard.index] = cached
                     self.tasks_cached += 1
-                    self._emit("parallel.cache_hit", shard.index,
-                               label=shard.label, digest=shard.digest)
                     continue
-                self._emit("parallel.cache_miss", shard.index,
-                           label=shard.label, digest=shard.digest)
             to_run.append(shard)
-            self._emit("parallel.task_submit", shard.index,
-                       label=shard.label)
 
         if to_run:
-            observers: List[Callable[..., None]] = [self._observe]
-            if self.cache is not None and kind is not None:
-                observers.append(functools.partial(self._store, kind))
             # Lane count is the only thing jobs decides.
             results.update(ShardLoop(
                 fn, to_run, min(self.jobs, len(to_run)), self.max_attempts,
-                observers=observers,
+                functools.partial(self._observe, kind),
             ).run())
         return [
             self._absorb_registry(results[shard.index]) for shard in shards
         ]
-
-    def _store(self, kind: str, event: str, pending: _Pending,
-               **info: Any) -> None:
-        """Cache each result as its shard resolves, so a sweep that dies
-        part-way (a terminal failure, a crash of the calling process)
-        keeps every shard it finished.  The cached value keeps its
-        ``obs_registry`` (absorption works on a copy), so cache hits
-        replay their shard registries exactly like fresh runs."""
-        if event != "done":
-            return
-        shard = pending.shard
-        self.cache.put(
-            shard.digest, cache_key(kind, self._key_doc(shard)),
-            info["result"],
-        )
 
     def _absorb_registry(self, result: Any) -> Any:
         """Strip and collect a task result's ``obs_registry`` document.

@@ -6,12 +6,7 @@ a forward-progress watchdog with structured diagnostic dumps, and a
 fault-injection harness proving each fault ends typed or bounded.
 """
 
-from repro.resilience.faults import (
-    EpochBoundaryStress,
-    FaultInjector,
-    LinkStall,
-    TrafficBurst,
-)
+from repro.resilience.faults import FaultInjector, LinkStall, TrafficBurst
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
 from repro.resilience.scenarios import run_scenario, scenario_names
 from repro.resilience.snapshot import (
@@ -26,7 +21,6 @@ from repro.resilience.snapshot import (
 from repro.resilience.watchdog import Watchdog, diagnostic_dump
 
 __all__ = [
-    "EpochBoundaryStress",
     "FaultInjector",
     "LinkStall",
     "TrafficBurst",

@@ -1,4 +1,4 @@
-"""Fault/adversity injection: bursts, stalls, epoch stress.
+"""Fault/adversity injection: traffic bursts and link stalls.
 
 Each fault is a frozen *spec* naming when and how hard to hit the
 system; a :class:`FaultInjector` executes all specs deterministically
@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRng
-from repro.core.epoch_shaper import EpochRatePolicy
 from repro.memctrl.transaction import MemoryTransaction, TransactionType
 from repro.obs.events import CATEGORY_RESILIENCE
 from repro.obs.tracer import NULL_TRACER
@@ -85,29 +84,7 @@ class LinkStall:
         return self.duration is None or cycle < self.start_cycle + self.duration
 
 
-@dataclass(frozen=True)
-class EpochBoundaryStress:
-    """Burst traffic right before a core's epoch-rate boundaries.
-
-    For each of the next ``epochs`` boundaries of the core's
-    :class:`~repro.core.epoch_shaper.EpochRatePolicy`, ``burst``
-    transactions are submitted in the ``lead`` cycles preceding the
-    boundary — the worst moment for the AIMD rate-feedback decision.
-    Requires the target core to use epoch shaping.
-    """
-
-    core_id: int = 0
-    epochs: int = 4
-    burst: int = 8
-    lead: int = 16
-
-    def __post_init__(self) -> None:
-        _check_positive(
-            self, epochs=self.epochs, burst=self.burst, lead=self.lead
-        )
-
-
-FaultSpec = Union[TrafficBurst, LinkStall, EpochBoundaryStress]
+FaultSpec = Union[TrafficBurst, LinkStall]
 
 
 def _check_positive(spec, **fields) -> None:
@@ -119,14 +96,13 @@ def _check_positive(spec, **fields) -> None:
 
 
 class _BurstState:
-    """Mutable progress of one injection spec (picklable)."""
+    """Mutable progress of one :class:`TrafficBurst` (picklable)."""
 
-    __slots__ = ("spec", "remaining", "epochs_left")
+    __slots__ = ("spec", "remaining")
 
     def __init__(self, spec) -> None:
         self.spec = spec
-        self.remaining = getattr(spec, "count", 0)
-        self.epochs_left = getattr(spec, "epochs", 0)
+        self.remaining = spec.count
 
 
 class FaultInjector:
@@ -147,15 +123,9 @@ class FaultInjector:
             _BurstState(s) for s in self.specs if isinstance(s, TrafficBurst)
         ]
         self._stalls = [s for s in self.specs if isinstance(s, LinkStall)]
-        self._epoch_stress = [
-            _BurstState(s)
-            for s in self.specs
-            if isinstance(s, EpochBoundaryStress)
-        ]
         self.tracer = NULL_TRACER
         # Statistics (exported into watchdog dumps and scenario reports).
         self.injected_bursts = 0
-        self.injected_epoch_stress = 0
 
     # -- wiring ----------------------------------------------------------
 
@@ -172,8 +142,6 @@ class FaultInjector:
         """Run all due injections (called at the top of ``tick``)."""
         for state in self._bursts:
             self._run_burst(system, cycle, state)
-        for state in self._epoch_stress:
-            self._run_epoch_stress(system, cycle, state)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Next-event contract: injection cycles are events.
@@ -197,19 +165,12 @@ class FaultInjector:
             end = stall.end_cycle
             if end is not None and cycle < end:
                 events.append(end)
-        for state in self._epoch_stress:
-            if state.epochs_left > 0:
-                # The boundary cycle depends on the live shaper; pin to
-                # per-cycle stepping while boundaries remain so the
-                # lead-window check runs every cycle.
-                return cycle
         return min(events) if events else None
 
     def stats(self) -> Dict[str, Any]:
         return {
             "specs": len(self.specs),
             "injected_bursts": self.injected_bursts,
-            "injected_epoch_stress": self.injected_epoch_stress,
             "bursts_remaining": sum(s.remaining for s in self._bursts),
             "stalls": [
                 {"start_cycle": s.start_cycle, "duration": s.duration}
@@ -251,39 +212,4 @@ class FaultInjector:
                 cycle, "fault.burst",
                 core_id=spec.core_id, injected=injected,
                 remaining=state.remaining,
-            )
-
-    def _run_epoch_stress(self, system, cycle: int, state: _BurstState) -> None:
-        spec = state.spec
-        if state.epochs_left <= 0:
-            return
-        path = system.request_paths[spec.core_id]
-        if not isinstance(path.shaper, EpochRatePolicy):
-            raise ConfigurationError(
-                f"EpochBoundaryStress targets core {spec.core_id}, whose "
-                "request path is not timed by an EpochRatePolicy"
-            )
-        boundary = path.shaper.next_boundary
-        if not boundary - spec.lead <= cycle < boundary:
-            return
-        injected = 0
-        for _ in range(spec.burst):
-            if not path.can_accept():
-                break
-            txn = MemoryTransaction(
-                core_id=spec.core_id,
-                address=self._fake_address(),
-                kind=TransactionType.FAKE_READ,
-                created_cycle=cycle,
-            )
-            path.submit(txn, cycle)
-            injected += 1
-            self.injected_epoch_stress += 1
-        if cycle == boundary - 1:
-            state.epochs_left -= 1
-        if injected:
-            self._emit(
-                cycle, "fault.epoch_stress",
-                core_id=spec.core_id, injected=injected,
-                boundary=boundary,
             )

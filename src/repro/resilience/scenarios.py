@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List
 
-from repro.common.errors import ConfigurationError, WatchdogError
+from repro.common.errors import ConfigurationError
 from repro.core.bins import BinConfiguration
-from repro.resilience.faults import (
-    EpochBoundaryStress,
-    LinkStall,
-    TrafficBurst,
-)
+from repro.resilience.faults import TrafficBurst
 from repro.resilience.runtime import ResilienceConfig
 from repro.sim.columnar import DEFAULT_ENGINE
 
@@ -30,15 +26,10 @@ from repro.sim.columnar import DEFAULT_ENGINE
 _STAIRCASE = (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
 
 
-def _shaped_system(
-    seed: int,
-    resilience: ResilienceConfig,
-    epoch: bool = False,
-):
+def _shaped_system(seed: int, resilience: ResilienceConfig):
     """A two-core system (shaped benchmark + unshaped co-runner) with
     tracing and the live shaping monitor attached."""
     from repro.sim.system import (
-        EpochShapingPlan,
         RequestShapingPlan,
         ResponseShapingPlan,
         SystemBuilder,
@@ -49,10 +40,7 @@ def _shaped_system(
     builder = SystemBuilder(seed=seed)
     builder.add_core(
         make_trace("gcc", 300, seed=seed),
-        request_shaping=(
-            EpochShapingPlan(epoch_cycles=2048) if epoch
-            else RequestShapingPlan(config)
-        ),
+        request_shaping=RequestShapingPlan(config),
         response_shaping=ResponseShapingPlan(config),
     )
     builder.add_core(make_trace("mcf", 300, seed=seed + 1))
@@ -67,40 +55,8 @@ def _monitor(system):
     return system.observability.monitor
 
 
-def scenario_livelock(
-    cycles: int = 80_000, dump_path: str = "", engine: str = DEFAULT_ENGINE
-) -> Dict[str, Any]:
-    """A permanent request-link stall: the watchdog must catch it."""
-    system = _shaped_system(
-        seed=21,
-        resilience=ResilienceConfig(
-            watchdog_cycles=5_000,
-            watchdog_dump_path=dump_path,
-            faults=(LinkStall(start_cycle=2_000),),
-        ),
-    )
-    try:
-        system.run(cycles, engine=engine)
-    except WatchdogError as exc:
-        return {
-            "scenario": "livelock",
-            "outcome": "typed_error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "caught_at_cycle": exc.dump.get("cycle"),
-            "dump_path": exc.dump_path,
-            "dump": exc.dump,
-        }
-    return {
-        "scenario": "livelock",
-        "outcome": "silent_failure",
-        "message": "seeded livelock ran to completion without tripping "
-        "the watchdog",
-    }
-
-
 def scenario_flood(
-    cycles: int = 60_000, dump_path: str = "", engine: str = DEFAULT_ENGINE
+    cycles: int = 60_000, engine: str = DEFAULT_ENGINE
 ) -> Dict[str, Any]:
     """Traffic bursts far above the configured rate: shaping must hold."""
     system = _shaped_system(
@@ -131,36 +87,8 @@ def scenario_flood(
     }
 
 
-def scenario_epoch_stress(
-    cycles: int = 40_000, dump_path: str = "", engine: str = DEFAULT_ENGINE
-) -> Dict[str, Any]:
-    """Burst right before epoch boundaries: AIMD feedback under fire."""
-    system = _shaped_system(
-        seed=25,
-        epoch=True,
-        resilience=ResilienceConfig(
-            faults=(
-                EpochBoundaryStress(core_id=0, epochs=6, burst=4, lead=16),
-            ),
-        ),
-    )
-    report = system.run(cycles, stop_when_done=False, engine=engine)
-    policy = system.request_paths[0].shaper
-    return {
-        "scenario": "epoch-stress",
-        "outcome": "completed",
-        "injected": system.resilience.injector.injected_epoch_stress,
-        "cycles_run": report.cycles_run,
-        "epochs_elapsed": policy.epochs_elapsed,
-        "rate_changes": len(policy.rate_history),
-        "leakage_bound_bits": policy.leakage_bound_bits(),
-    }
-
-
 SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
-    "livelock": scenario_livelock,
     "flood": scenario_flood,
-    "epoch-stress": scenario_epoch_stress,
 }
 
 
@@ -171,7 +99,6 @@ def scenario_names() -> List[str]:
 def run_scenario(
     name: str,
     cycles: int = 0,
-    dump_path: str = "",
     engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, Any]:
     """Run one named scenario; unknown names raise ConfigurationError."""
@@ -181,7 +108,7 @@ def run_scenario(
         raise ConfigurationError(
             f"unknown scenario {name!r} (known: {', '.join(scenario_names())})"
         ) from None
-    kwargs: Dict[str, Any] = {"dump_path": dump_path, "engine": engine}
+    kwargs: Dict[str, Any] = {"engine": engine}
     if cycles > 0:
         kwargs["cycles"] = cycles
     return fn(**kwargs)

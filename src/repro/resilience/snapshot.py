@@ -3,7 +3,7 @@
 A snapshot is a single file with a small self-describing envelope:
 
 ``line 1``
-    Magic + format version: ``REPROSNAP v9``.
+    Magic + format version: ``REPROSNAP v10``.
 ``line 2``
     A JSON metadata object (``kind``, ``cycle``, ``txn_watermark``,
     ...) readable without unpickling anything — ``repro resume`` shows
@@ -66,9 +66,12 @@ from repro.memctrl.transaction import (
 #: memory trace is three packed columns, not a list of ``TraceRecord``s.
 #: v9: the observability hub loses its live-endpoint flag, the fault
 #: injector its saturation specs and counter, and the 2D-mesh NoC and
-#: queue-saturation fault classes are gone.
+#: queue-saturation fault classes are gone.  v10: the observability
+#: config loses its trace-category field, the event tracer its
+#: category filter and the fault injector its epoch-stress state, and
+#: the epoch-boundary-stress fault class is gone.
 SNAPSHOT_MAGIC = b"REPROSNAP"
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 #: ``kind`` values the library writes.
 KIND_SYSTEM = "system"

@@ -10,13 +10,21 @@ and the watchdog aborts cleanly with a
 diagnostic dump (also emitted through :mod:`repro.obs` and optionally
 written to a JSON file).
 
+Progress is checked when the clock enters a new 256-cycle block, so
+the per-cycle engine sees it at block ends: progress made in a block
+counts from that block's end, and a trip lands on the first block end
+at least ``cycles + 1`` cycles after it (:attr:`Watchdog.limit`).
+
 Engine note: under the skipping engine the run loop caps every clock
 jump at :meth:`Watchdog.horizon` and checks progress there, so a
 frozen system — one whose skipped spans hold no progress at all —
-still trips.  Cores may retire privately inside a skipped span, so
-the check first has each core settle what it owes
-(:meth:`~repro.cpu.core.Core.settle`); a request path's lazily
-counted stalls are not progress and are left to settle later.
+still trips, at the same cycle as the per-cycle engine: the horizon is
+a block end, and progress a jump reveals is credited to the end of the
+block the jump left, where the per-cycle engine saw it.  Cores may
+retire privately inside a skipped span, so the check first has each
+core settle what it owes (:meth:`~repro.cpu.core.Core.settle`); a
+request path's lazily counted stalls are not progress and are left to
+settle later.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ from repro.obs.events import CATEGORY_RESILIENCE
 from repro.obs.tracer import NULL_TRACER
 
 
+def _block_end(cycle: int) -> int:
+    """The first 256-cycle block boundary after ``cycle``."""
+    return ((cycle >> 8) + 1) << 8
+
+
 class Watchdog:
     """Forward-progress supervisor for one :meth:`System.run` call."""
 
@@ -39,18 +52,20 @@ class Watchdog:
         self.cycles = cycles
         self.dump_path = dump_path
         self.tracer = tracer
-        self._last_progress_cycle = 0
-        #: The furthest cycle a next-event skip may reach in one jump
-        #: from any earlier cycle (see :meth:`horizon`); the run loop
-        #: reads it directly.
-        self.limit = cycles + 1
+        #: The block end at which a system with no further progress
+        #: trips, and so the furthest cycle a next-event skip may reach
+        #: in one jump from any earlier cycle (see :meth:`horizon`);
+        #: the run loop reads it directly.
+        self.limit = _block_end(cycles)
         self._last_retired = 0
         self._last_delivered = 0
 
+    def _arm(self, progress_cycle: int) -> None:
+        self.limit = _block_end(progress_cycle + self.cycles)
+
     def reset(self, system) -> None:
         """Re-arm against the system's current progress counters."""
-        self._last_progress_cycle = system.current_cycle
-        self.limit = system.current_cycle + self.cycles + 1
+        self._arm(system.current_cycle)
         self._last_retired = sum(
             c.retired_instructions for c in system.cores
         )
@@ -65,8 +80,9 @@ class Watchdog:
         """
         return max(cycle + 1, self.limit)
 
-    def observe(self, system) -> None:
-        """Progress check; raises :class:`WatchdogError` on a stall."""
+    def observe(self, system, before: int) -> None:
+        """Progress check at the end of a run-loop step that started at
+        cycle ``before``; raises :class:`WatchdogError` on a stall."""
         cycle = system.current_cycle
         retired = 0
         for core in system.cores:
@@ -76,13 +92,9 @@ class Watchdog:
         if retired != self._last_retired or delivered != self._last_delivered:
             self._last_retired = retired
             self._last_delivered = delivered
-            self._last_progress_cycle = cycle
-            self.limit = cycle + self.cycles + 1
+            self._arm(_block_end(before))
             return
-        if (
-            system.current_cycle - self._last_progress_cycle > self.cycles
-            and not system.all_cores_done()
-        ):
+        if cycle >= self.limit and not system.all_cores_done():
             self.trip(system)
 
     def trip(self, system) -> None:

@@ -489,19 +489,17 @@ def run(
                 res.take_checkpoint(system)
             # Only a step can finish a core; a skipped span cannot.
             finished = stop_when_done and all_done()
-            at_horizon = False
             if (
                 next_target is not None
                 and not finished
                 and system.current_cycle < end
             ):
                 target = next_target(end)
-                horizon = None
                 if watchdog_cycles and target is not None:
                     # Never jump past the watchdog horizon in one
                     # step: a frozen (deadlocked) system must still
-                    # trip the progress check, exactly as the
-                    # per-cycle loop would while spinning through
+                    # trip the progress check, at the block end where
+                    # the per-cycle loop would while spinning through
                     # the same span.  (``Watchdog.horizon`` inline.)
                     horizon = watchdog.limit
                     if horizon <= system.current_cycle:
@@ -520,7 +518,6 @@ def run(
                     if prof is not None:
                         prof.record_skip(target - system.current_cycle)
                     skip_idle_span(system, target)
-                    at_horizon = target == horizon
                     if (
                         checkpoint_every
                         and system.current_cycle % checkpoint_every == 0
@@ -528,13 +525,10 @@ def run(
                         res.take_checkpoint(system)
             # Check progress only when the clock enters a new
             # 256-cycle block, stepped or skipped into, to keep the
-            # hot loop cheap (the watchdog granularity does not
-            # matter) — and at the watchdog horizon, where a frozen
-            # system has to trip.
-            if watchdog_cycles and (
-                at_horizon or system.current_cycle >> 8 != before >> 8
-            ):
-                watchdog.observe(system)
+            # hot loop cheap.  The watchdog horizon is a block end, so
+            # a frozen system is checked where it has to trip.
+            if watchdog_cycles and system.current_cycle >> 8 != before >> 8:
+                watchdog.observe(system, before)
     finally:
         if prof is not None:
             if columnar is not None:

@@ -91,9 +91,7 @@ def _two_rank_system():
     builder.with_dram(organization=DramOrganization(ranks_per_channel=2))
     builder.with_observability(profile=True)
     system = builder.build()
-    system.controller.dram.tracer = EventTracer(
-        limit=1 << 16, categories=[CATEGORY_DRAM]
-    )
+    system.controller.dram.tracer = EventTracer(limit=1 << 16)
     return system
 
 

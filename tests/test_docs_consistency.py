@@ -83,8 +83,8 @@ class TestDocCommandLines:
     """Every ``repro <verb> …`` / ``python -m repro.cli|repro.lint …``
     line in a fenced block must parse with today's parsers, so a doc
     cannot keep naming a flag or verb the code deleted (``--serve``,
-    ``--no-cache``, ``--format sarif``, ``--baseline``, the ``serve``
-    verb, …)."""
+    ``--no-cache``, ``--format sarif``, ``--baseline``, the ``serve``,
+    ``trace``, ``stats`` and ``profile`` verbs, …)."""
 
     DOCS = (
         [ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
@@ -153,8 +153,12 @@ class TestDocCommandLines:
         "repro serve --port 9464",
         "repro sweep mesh-position --jobs 4",
         "repro faults --scenario saturate",
+        "repro trace --out t.json",
+        "repro stats --interval 1024",
+        "repro profile --engine columnar",
     ], ids=["run-serve", "sweep-serve", "no-cache", "sarif", "baseline",
-            "serve-verb", "mesh-sweep", "saturate-scenario"])
+            "serve-verb", "mesh-sweep", "saturate-scenario", "trace-verb",
+            "stats-verb", "profile-verb"])
     def test_deleted_flags_are_caught(self, line):
         from repro.cli import build_parser
         from repro.lint.runner import build_arg_parser

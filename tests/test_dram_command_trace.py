@@ -166,7 +166,7 @@ def test_simulated_command_stream_is_legal(machine, engine):
     build, digest, writes = MACHINES[machine]
     system = build().build()
     dram = system.controller.dram
-    dram.tracer = EventTracer(limit=1 << 17, categories=[CATEGORY_DRAM])
+    dram.tracer = EventTracer(limit=1 << 17)
     report = system.run(CYCLES, stop_when_done=False, engine=engine)
     log = command_log(dram.tracer)
     kinds = {entry[1] for entry in log}

@@ -1,6 +1,6 @@
 """Exporter layer: OpenMetrics exposition, shard merge, names.
 
-The exposition contract behind ``repro profile --metrics-out`` and
+The exposition contract behind ``repro run --metrics-out`` and
 ``repro sweep --metrics-out``: byte-deterministic output, sorted families, cumulative
 histogram buckets ending in ``+Inf``, counters suffixed ``_total``,
 a trailing ``# EOF``.  The shard-merge protocol is what lets the

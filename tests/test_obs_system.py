@@ -94,12 +94,6 @@ class TestTracing:
         assert all(isinstance(ts, int) and 0 <= ts < CYCLES
                    for ts in cycles)
 
-    def test_category_filter_through_builder(self):
-        system, _ = _observed(trace=True, trace_categories=("dram",))
-        tracer = system.observability.tracer
-        assert set(tracer.counts) == {"dram"}
-        assert all(e.category == "dram" for e in tracer.events)
-
     def test_ring_bound_respected(self):
         system, _ = _observed(trace=True, trace_limit=64)
         tracer = system.observability.tracer
@@ -197,7 +191,7 @@ class TestBuilderValidation:
         {"trace_limit": 0},
         {"sample_interval": -1},
         {"noc_grant_trace_limit": 0},
-        {"trace_categories": ("cache",)},
+        {"sample_interval": 0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -1,10 +1,7 @@
-"""Unit tests for the event tracer: events, ring, filters, exporters."""
+"""Unit tests for the event tracer: events, ring, Chrome exporter."""
 
-import hashlib
 import io
 import json
-import sys
-import threading
 
 import pytest
 from hypothesis import given
@@ -12,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.obs import (
-    ALL_CATEGORIES,
     CATEGORY_DRAM,
     CATEGORY_SHAPER,
     SYSTEM_CORE,
@@ -21,8 +17,6 @@ from repro.obs import (
     TraceEvent,
     make_trace_buffer,
 )
-from repro.obs import diag
-from repro.obs.events import CATEGORY_PARALLEL, CATEGORY_RESILIENCE
 
 
 class TestRingBuffer:
@@ -79,14 +73,6 @@ class TestTraceEvent:
                          SYSTEM_CORE).as_chrome_obj()
         assert obj["pid"] == 2 and obj["tid"] == 0
 
-    def test_jsonl_obj_round_trips(self):
-        event = TraceEvent(3, CATEGORY_SHAPER, "shaper.fake_inject", 0,
-                           args=(("address", 64),))
-        obj = json.loads(json.dumps(event.as_jsonl_obj()))
-        assert obj == {"cycle": 3, "cat": "shaper",
-                       "name": "shaper.fake_inject", "core": 0,
-                       "args": {"address": 64}}
-
 
 class TestNullTracer:
     def test_disabled_and_inert(self):
@@ -113,27 +99,11 @@ class TestEventTracer:
         # Drops never hide activity from the per-category counts.
         assert tracer.counts[CATEGORY_DRAM] == 10
 
-    def test_category_filter(self):
-        tracer = EventTracer(categories=[CATEGORY_SHAPER])
-        tracer.emit(1, CATEGORY_SHAPER, "shaper.real_release", 0)
-        tracer.emit(1, CATEGORY_DRAM, "dram.ACT", 0)
-        assert [e.category for e in tracer.events] == [CATEGORY_SHAPER]
-        assert CATEGORY_DRAM not in tracer.counts
-
     def test_events_in(self):
         tracer = EventTracer()
         tracer.emit(1, CATEGORY_SHAPER, "shaper.real_release", 0)
         tracer.emit(2, CATEGORY_DRAM, "dram.ACT", 0)
         assert [e.cycle for e in tracer.events_in(CATEGORY_DRAM)] == [2]
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EventTracer(categories=["nocache"])
-
-    def test_known_categories_accepted(self):
-        assert EventTracer(categories=ALL_CATEGORIES).categories == frozenset(
-            ALL_CATEGORIES
-        )
 
     def test_chrome_export_shape(self):
         tracer = EventTracer(limit=2)
@@ -150,88 +120,21 @@ class TestEventTracer:
         assert payload["otherData"]["dropped_events"] == 1
         assert payload["otherData"]["category_counts"] == {"dram": 3}
 
-    def test_write_chrome_and_jsonl_to_streams(self):
+    def test_write_chrome_to_a_stream(self):
         tracer = EventTracer()
         tracer.emit(4, CATEGORY_SHAPER, "shaper.jitter_hold", 0,
                     hold_until=7)
         chrome = io.StringIO()
         tracer.write_chrome(chrome)
         parsed = json.loads(chrome.getvalue())
-        assert any(e.get("name") == "shaper.jitter_hold"
-                   for e in parsed["traceEvents"])
-        jsonl = io.StringIO()
-        tracer.write_jsonl(jsonl)
-        lines = [json.loads(line) for line in
-                 jsonl.getvalue().splitlines()]
-        assert lines == [{"cycle": 4, "cat": "shaper",
-                          "name": "shaper.jitter_hold", "core": 0,
-                          "args": {"hold_until": 7}}]
+        [instant] = [e for e in parsed["traceEvents"] if e["ph"] == "i"]
+        assert instant["name"] == "shaper.jitter_hold"
+        assert instant["args"] == {"hold_until": 7}
 
     def test_write_to_paths(self, tmp_path):
         tracer = EventTracer()
         tracer.emit(1, CATEGORY_DRAM, "dram.PRE", 0)
         chrome_path = tmp_path / "trace.json"
-        jsonl_path = tmp_path / "trace.jsonl"
         tracer.write_chrome(str(chrome_path))
-        tracer.write_jsonl(str(jsonl_path))
         assert json.loads(chrome_path.read_text())["traceEvents"]
-        assert len(jsonl_path.read_text().splitlines()) == 1
 
-
-class TestDiagnostics:
-    def test_jsonl_bytes_pinned(self):
-        """The tracer's JSONL writer on the diag ring: the stamps, the
-        eviction of the oldest and the args ordering are pinned."""
-        diag.reset()
-        try:
-            for i in range(diag.DIAG_LIMIT + 6):
-                if i % 3 == 0:
-                    diag.emit_diagnostic(
-                        "parallel.cache_hit", category=CATEGORY_PARALLEL,
-                        task=i, label=f"t[{i}]", digest=f"d{i % 2}",
-                    )
-                elif i % 3 == 1:
-                    diag.emit_diagnostic(
-                        "parallel.task_done", category=CATEGORY_PARALLEL,
-                        task=i, label=f"t[{i}]",
-                    )
-                else:
-                    diag.emit_diagnostic(
-                        "watchdog.stall", category=CATEGORY_RESILIENCE,
-                        core_id=i % 4, budget=0.5,
-                    )
-            lines = "".join(
-                json.dumps(event.as_jsonl_obj(), sort_keys=True) + "\n"
-                for event in diag.recent()
-            )
-        finally:
-            diag.reset()
-        assert diag.count() == 0
-        assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "910e32db899e2f3f"
-
-    def test_concurrent_emitters_get_distinct_stamps(self):
-        """Executor lanes are threads: no two diagnostics may share a
-        stamp and none may be lost."""
-        threads, per_thread = 8, 100
-        interval = sys.getswitchinterval()
-        diag.reset()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [
-                threading.Thread(target=lambda: [
-                    diag.emit_diagnostic("parallel.task_done",
-                                         category=CATEGORY_PARALLEL)
-                    for _ in range(per_thread)
-                ])
-                for _ in range(threads)
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
-            assert not any(worker.is_alive() for worker in workers)
-            stamps = [event.cycle for event in diag.recent()]
-        finally:
-            sys.setswitchinterval(interval)
-            diag.reset()
-        assert stamps == list(range(threads * per_thread))

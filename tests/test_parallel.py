@@ -29,7 +29,6 @@ from repro.analysis.sweeps import noc_latency_sweep
 from repro.common.errors import ConfigurationError, WorkerFailureError
 from repro.common.rng import DeterministicRng
 from repro.common.util import canonical_json_digest
-from repro.obs import diag
 from repro.parallel import (
     CACHE_SCHEMA,
     ResultCache,
@@ -184,13 +183,6 @@ def lane_executor(kind, max_attempts=2):
     )
 
 
-@pytest.fixture(autouse=True)
-def _clean_diag():
-    diag.reset()
-    yield
-    diag.reset()
-
-
 class TestSubstream:
     def test_substreams_and_parent_pairwise_distinct(self):
         parent = DeterministicRng(42)
@@ -332,7 +324,6 @@ class TestSweepExecutor:
     def test_retry_recovers_transient_failure(self, tmp_path):
         """A charged attempt costs one retry, whichever lane ran it."""
         for kind in LANE_KINDS:
-            diag.reset()
             payloads = [
                 {"x": i, "marker": str(tmp_path / f"{kind}-{i}")}
                 for i in range(2)
@@ -341,15 +332,13 @@ class TestSweepExecutor:
             results = executor.map(flaky_echo_task, payloads)
             assert results == [{"x": 0}, {"x": 1}], kind
             assert executor.retries == 2, kind
-            assert diag.count("parallel.task_retry") == 2, kind
-            assert diag.count("parallel.task_done") == 2, kind
+            assert executor.tasks_run == 2, kind
 
     def test_exhausted_retries_raise_with_shard_identity(self):
         """The budget ends in the same WorkerFailureError, field for
         field, whichever lane ran the shard."""
         payloads = [{"x": 1}, {"x": 2, "fail": True}]
         for kind in LANE_KINDS:
-            diag.reset()
             executor = lane_executor(kind)
             with pytest.raises(WorkerFailureError) as excinfo:
                 executor.map(
@@ -366,8 +355,7 @@ class TestSweepExecutor:
                 "ValueError: permanent failure"
             ), kind
             assert executor.retries == 1, kind
-            assert diag.count("parallel.task_retry") == 1, kind
-            assert diag.count("parallel.task_done") == 1, kind
+            assert executor.tasks_run == 1, kind
 
     def test_lowest_failing_shard_is_raised(self):
         """Several terminal failures: the lowest shard index wins, as
@@ -399,14 +387,15 @@ class TestSweepExecutor:
         assert executor.tasks_run == len(ran)
 
     def test_lifecycle_events_emitted(self):
-        rows = SweepExecutor().map(thread_task, [{"x": 1}, {"x": 2}])
+        """Each shard's ``done`` transition reaches the executor once
+        and is counted in ``tasks_run``."""
+        executor = SweepExecutor()
+        rows = executor.map(thread_task, [{"x": 1}, {"x": 2}])
         # jobs=1 is the calling thread itself: tracebacks, cProfile and
         # span recorders see the tasks nested under map().
         assert rows == [{"thread": threading.get_ident()}] * 2
-        assert diag.count("parallel.task_submit") == 2
-        assert diag.count("parallel.task_done") == 2
-        events = diag.recent("parallel.task_done")
-        assert [e.args_dict["task"] for e in events] == [0, 1]
+        assert executor.tasks_run == 2
+        assert executor.tasks_cached == 0 and executor.retries == 0
 
 
 class TestShardLoopStress:
@@ -428,8 +417,6 @@ class TestShardLoopStress:
         assert rows == list(range(120))
         assert executor.tasks_run == 120
         assert executor.retries == 40
-        assert diag.count("parallel.task_done") == 120
-        assert diag.count("parallel.task_retry") == 40
 
 
 class TestJobsDifferential:
@@ -585,9 +572,17 @@ class TestForkedPool:
         rows = executor.map(fails_on_the_lane_task, payloads)
         assert [row["x"] for row in rows] == [0, 1]
         assert executor.retries == 1
-        [retry] = diag.recent("parallel.task_retry")
+        # With no retry left, the same attempt is the failure's last
+        # error.
+        (tmp_path / "terminal").mkdir()
+        payloads = met(tmp_path / "terminal", [{"x": 0, "mode": mode},
+                                               {"x": 1, "mode": mode}])
+        with pytest.raises(WorkerFailureError) as excinfo:
+            SweepExecutor(jobs=2, max_attempts=1).map(
+                fails_on_the_lane_task, payloads
+            )
         expected = "ValueError" if mode == "raise" else "pickle"
-        assert expected in retry.args_dict["error"]
+        assert expected in excinfo.value.last_error
 
     def test_a_terminal_failure_on_the_lane_names_its_shard(self, tmp_path):
         payloads = met(tmp_path, [{"x": 0, "mode": "raise"},
@@ -669,32 +664,36 @@ class TestForkedPool:
             expected, sort_keys=True
         )
         assert executor.retries == 1
-        [retry] = diag.recent("parallel.task_retry")
-        assert retry.args_dict["error"] == (
-            "ChildProcessError: forked lane exited with code 3"
-        )
         # Only the retry count tells the two registries apart.
         assert render_openmetrics(executor.merged_registry()).replace(
             "parallel_retries 1", "parallel_retries 0"
         ) == render_openmetrics(reference.merged_registry())
+        # With no retry left, the lane's death is the failure's last
+        # error.
+        (tmp_path / "terminal").mkdir()
+        with pytest.raises(WorkerFailureError) as excinfo:
+            SweepExecutor(jobs=2, max_attempts=1).map(
+                dies_on_the_lane_task,
+                met(tmp_path / "terminal",
+                    [{"point": point} for point in points]),
+            )
+        assert excinfo.value.last_error == (
+            "ChildProcessError: forked lane exited with code 3"
+        )
 
 
 class TestCacheHits:
     def test_second_sweep_runs_zero_simulations(self, tmp_path):
         """Warm-cache replay: identical output, zero task executions,
-        verified through the diagnostics ring's event counts."""
-        first = tradeoff_sweep(
-            "gcc", FAST, scales=(0.8,), jobs=1, cache_dir=str(tmp_path)
-        )
-        first_runs = diag.count("parallel.task_done")
-        assert first_runs > 0
-        diag.reset()
-        second = tradeoff_sweep(
-            "gcc", FAST, scales=(0.8,), jobs=1, cache_dir=str(tmp_path)
-        )
+        verified through the executors' counters."""
+        cold = SweepExecutor(jobs=1, seed=FAST.seed, cache=str(tmp_path))
+        first = tradeoff_sweep("gcc", FAST, scales=(0.8,), executor=cold)
+        assert cold.tasks_run > 0 and cold.tasks_cached == 0
+        warm = SweepExecutor(jobs=1, seed=FAST.seed, cache=str(tmp_path))
+        second = tradeoff_sweep("gcc", FAST, scales=(0.8,), executor=warm)
         assert second == first
-        assert diag.count("parallel.task_done") == 0
-        assert diag.count("parallel.cache_hit") == first_runs
+        assert warm.tasks_run == 0
+        assert warm.tasks_cached == cold.tasks_run
 
     def test_a_failed_sweep_keeps_the_shards_it_finished(self, tmp_path):
         """Results are cached as their shards resolve, so a sweep that

@@ -83,9 +83,9 @@ class TestEnvelope:
         """A v1 file pickles station classes that no longer exist; it
         must be turned away before anything is unpickled, by a message
         naming both versions."""
-        assert SNAPSHOT_VERSION == 9
+        assert SNAPSHOT_VERSION == 10
         with pytest.raises(
-            SnapshotError, match=r"format v1 .*\(expected v9\)"
+            SnapshotError, match=r"format v1 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v1\n{"kind": "system"}\nnot-a-pickle')
 
@@ -94,7 +94,7 @@ class TestEnvelope:
         the DRAM refresh field: it would unpickle and then die at the
         first tick with an ``AttributeError``.  It is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v2 .*\(expected v9\)"
+            SnapshotError, match=r"format v2 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v2\n{"kind": "system"}\nnot-a-pickle')
 
@@ -102,7 +102,7 @@ class TestEnvelope:
         """A v3 graph still carries the controller's write queue and
         page policy and the mapping's rank mask; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v3 .*\(expected v9\)"
+            SnapshotError, match=r"format v3 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v3\n{"kind": "system"}\nnot-a-pickle')
 
@@ -110,7 +110,7 @@ class TestEnvelope:
         """A v4 graph names the observability ring class and the
         monitor's two violation classes, none of which exist now."""
         with pytest.raises(
-            SnapshotError, match=r"format v4 .*\(expected v9\)"
+            SnapshotError, match=r"format v4 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v4\n{"kind": "system"}\nnot-a-pickle')
 
@@ -118,7 +118,7 @@ class TestEnvelope:
         """A v5 graph has no resolved targets on queued transactions
         and no burst deadline on the controller; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v5 .*\(expected v9\)"
+            SnapshotError, match=r"format v5 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v5\n{"kind": "system"}\nnot-a-pickle')
 
@@ -128,7 +128,7 @@ class TestEnvelope:
         would unpickle and then let a fifth ACTIVATE through the tFAW
         window); it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v6 .*\(expected v9\)"
+            SnapshotError, match=r"format v6 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v6\n{"kind": "system"}\nnot-a-pickle')
 
@@ -136,7 +136,7 @@ class TestEnvelope:
         """A v7 graph pickles every trace as a list of ``TraceRecord``s,
         which a core no longer reads by index; it is refused here."""
         with pytest.raises(
-            SnapshotError, match=r"format v7 .*\(expected v9\)"
+            SnapshotError, match=r"format v7 .*\(expected v10\)"
         ):
             parse_snapshot(b'REPROSNAP v7\n{"kind": "system"}\nnot-a-pickle')
 
@@ -150,7 +150,23 @@ class TestEnvelope:
             b"crepro.noc.deleted\nDeletedClass\n."
         )
         with pytest.raises(
-            SnapshotError, match=r"format v8 .*\(expected v9\)"
+            SnapshotError, match=r"format v8 .*\(expected v10\)"
+        ):
+            load_snapshot(str(path))
+
+    def test_v9_obs_layout_fails_typed(self, tmp_path):
+        """A v9 graph pickles an ``ObservabilityConfig`` with a
+        ``trace_categories`` field, an ``EventTracer`` with a category
+        filter, and a fault injector with epoch-stress state that may
+        name the deleted ``EpochBoundaryStress``.  The envelope turns
+        the file away by version, before ``pickle.loads`` runs."""
+        path = tmp_path / "v9.snap"
+        path.write_bytes(
+            b'REPROSNAP v9\n{"kind": "system"}\n'
+            b"crepro.obs.hub\nObservabilityConfig\n."
+        )
+        with pytest.raises(
+            SnapshotError, match=r"format v9 .*\(expected v10\)"
         ):
             load_snapshot(str(path))
 

@@ -90,19 +90,28 @@ class TestSeededLivelock:
             cycles[engine] = excinfo.value.dump["cycle"]
         assert cycles["cycle"] == cycles["columnar"]
 
-    def test_shaping_wedge_trips_at_one_cycle_under_both_engines(self):
-        """No fault injected: one credit per 50,000-cycle period lets
-        the first miss through and holds the next one, so the system
-        idles with nothing due until the next replenish.  The columnar
-        engine skips that span, and only the cap at the watchdog
-        horizon makes it stop and check where the cycle engine does.
+    @pytest.mark.parametrize("period, budget, trip", [
+        (50_000, 255, 512),
+        (50_000, 3_839, 4_096),
+        (50_000, 4_000, 4_352),
+        (65_536, 10_000, 10_496),
+    ])
+    def test_shaping_wedge_trips_at_one_cycle_under_both_engines(
+        self, period, budget, trip
+    ):
+        """No fault injected: one credit per replenish period lets the
+        first miss through and holds the next one, so the system idles
+        with nothing due until the next replenish.  The columnar engine
+        skips that span, and only the cap at the watchdog horizon makes
+        it stop and check where the cycle engine does.
 
-        The budget is one 256-cycle block minus one, so the horizon is
-        a block boundary, where the cycle engine checks too.  With a
-        budget above one block the engines disagree even with the cap:
-        the columnar engine first sees the progress at its first
-        capped landing, not at the block boundary after it."""
-        spec = BinSpec(edges=(1,), replenish_period=50_000)
+        The cycle engine sees the last progress at the end of its
+        256-cycle block and trips at the first block end more than the
+        budget later.  A budget of one block minus one needs only the
+        cap; a larger one also needs the columnar engine to credit the
+        progress its first capped landing reveals to that block end,
+        and a horizon rounded up to a block end."""
+        spec = BinSpec(edges=(1,), replenish_period=period)
         cycles = {}
         for engine in ("cycle", "columnar"):
             builder = SystemBuilder(seed=11)
@@ -114,10 +123,10 @@ class TestSeededLivelock:
             )
             with pytest.raises(WatchdogError) as excinfo:
                 builder.build().run(
-                    200_000, engine=engine, watchdog_cycles=255
+                    200_000, engine=engine, watchdog_cycles=budget
                 )
             cycles[engine] = excinfo.value.dump["cycle"]
-        assert cycles == {"cycle": 512, "columnar": 512}
+        assert cycles == {"cycle": trip, "columnar": trip}
 
     def test_stall_event_emitted(self):
         system = _stalled_system(trace=True)
@@ -155,9 +164,9 @@ class TestWatchdogUnit:
         system = self._idle_system()
         dog.reset(system)
         # From cycle 0 with no progress, a skip may reach at most the
-        # cycle after the stall budget expires...
-        assert dog.horizon(0) == 1_001
-        assert dog.horizon(900) == 1_001
+        # first block end after the stall budget expires...
+        assert dog.horizon(0) == 1_024
+        assert dog.horizon(900) == 1_024
         # ...and never goes backwards.
         assert dog.horizon(5_000) == 5_001
 
@@ -167,8 +176,10 @@ class TestWatchdogUnit:
         dog.reset(system)
         system.run(2_000, stop_when_done=False)  # progress happened
         assert sum(c.retired_instructions for c in system.cores) > 0
-        dog.observe(system)  # re-arms instead of raising
-        assert dog._last_progress_cycle == system.current_cycle
+        dog.observe(system, before=1_999)  # re-arms instead of raising
+        # Credited to the block end 2,048; the budget runs out at 2,448,
+        # so the next check that may trip is at the block end 2,560.
+        assert dog.limit == 2_560
 
     def test_disabled_by_run_argument(self):
         """watchdog_cycles=0 disables the check entirely."""
